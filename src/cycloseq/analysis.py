@@ -16,7 +16,6 @@ import numpy as np
 
 from . import gf4
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
-from .gf4 import MUL_TABLE
 from .sequence import (DEFAULT_MAPPING, QuaternarySequence, build_sequence,
                        spectrum_profile, validate_mapping)
 
@@ -26,39 +25,47 @@ def berlekamp_massey(symbols):
 
     Returns (L, C) where C is the connection polynomial, constant term 1,
     satisfying s_t = sum_{i=1..L} C_i s_{t-i} for all t >= L. O(len^2)
-    with numpy-sliced inner products, fine at desk scale.
+    bit operations on gf4 bit planes: with the sequence reversed into
+    planes R, the window s_t, s_{t-1}, ... is R >> (len - 1 - t), each
+    discrepancy sum_i C_i s_{t-i} is the parity of two masked popcounts,
+    and each update C += coef x^shift B is a plane mix plus a shift.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
     if size == 0:
         return 0, gf4.poly([1])
-    c = np.zeros(size + 1, dtype=np.uint8)
-    b = np.zeros(size + 1, dtype=np.uint8)
-    c[0] = b[0] = 1
+    if s.max() > 3:
+        raise InvalidParams("symbols must be field elements 0..3")
+    r1, r0 = gf4.to_planes(s[::-1])
+    c1, c0 = 0, 1
+    b1, b0 = 0, 1
     length = 0
     shift = 1
-    prev_d = 1
+    inv_prev = 1
     for t in range(size):
-        d = int(s[t])
-        if length:
-            window = s[t - length:t][::-1]
-            d ^= int(np.bitwise_xor.reduce(
-                MUL_TABLE[c[1:length + 1], window]))
+        w1 = r1 >> (size - 1 - t)
+        w0 = r0 >> (size - 1 - t)
+        # (c1 alpha + c0)(w1 alpha + w0)
+        #     = (c1 w1 + c1 w0 + c0 w1) alpha + (c1 w1 + c0 w0)
+        hi = ((c1 & (w1 ^ w0)) ^ (c0 & w1)).bit_count() & 1
+        lo = ((c1 & w1) ^ (c0 & w0)).bit_count() & 1
+        d = hi << 1 | lo
         if d == 0:
             shift += 1
             continue
-        coef = gf4.gf4_mul(d, gf4.INV_TABLE[prev_d])
+        x1, x0 = gf4.planes_scale(b1, b0, gf4.gf4_mul(d, inv_prev))
         if 2 * length <= t:
-            saved = c.copy()
-            c[shift:] ^= MUL_TABLE[coef, b[:size + 1 - shift]]
-            b = saved
+            b1, b0 = c1, c0
+            c1 ^= x1 << shift
+            c0 ^= x0 << shift
             length = t + 1 - length
-            prev_d = d
+            inv_prev = gf4.INV_TABLE[d]
             shift = 1
         else:
-            c[shift:] ^= MUL_TABLE[coef, b[:size + 1 - shift]]
+            c1 ^= x1 << shift
+            c0 ^= x0 << shift
             shift += 1
-    return length, gf4.poly_trim(c[:length + 1].copy())
+    return length, gf4.from_planes(c1, c0)
 
 
 def lc_via_gcd(symbols):
@@ -79,7 +86,9 @@ def lc_via_gcd(symbols):
     spoly = gf4.poly_trim(s.copy())
     common = gf4.poly_gcd(big, spoly) if not gf4.poly_is_zero(spoly) else big
     quotient, rem = gf4.poly_divmod(big, common)
-    assert gf4.poly_is_zero(rem)
+    if not gf4.poly_is_zero(rem):
+        raise MethodDisagreement(
+            "gcd(x^P - 1, S(x)) does not divide x^P - 1")
     return period - gf4.poly_deg(common), gf4.poly_monic(quotient)
 
 

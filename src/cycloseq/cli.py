@@ -1,10 +1,12 @@
 """Command-line surface: generate, analyze, verify, sweep.
 
 Exit codes: 0 success, 1 verification violation or failed sweep row,
-2 invalid parameters or mapping, 3 cap exceeded, 4 malformed sequence
-file. The parameter cap (default 2 p^m q^n <= 10^6) can be overridden by
---cap or the CYCLOSEQ_CAP environment variable; extension-field
-verification is additionally capped at N <= 5000 and degree d <= 12.
+2 invalid parameters or mapping, or an OSError on a file such as an
+--out path that cannot be written, 3 cap exceeded, 4 malformed sequence
+file. The parameter cap (default 2 p^m q^n <= 10^7, from
+numtheory.DEFAULT_PARAM_CAP) can be overridden by --cap or the
+CYCLOSEQ_CAP environment variable; extension-field verification is
+additionally capped at N <= 5000 and degree d <= 12.
 """
 
 import argparse
@@ -13,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .analysis import (analyze_degenerate, analyze_symbols,
                        degenerate_lower_bound, verify_theorem)
@@ -33,6 +34,8 @@ VERIFY_N_CAP = 5000
 VERIFY_DEGREE_CAP = 12
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
+CAP_HELP = (f"override the period cap 2 p^m q^n <= {DEFAULT_PARAM_CAP} "
+            f"(also CYCLOSEQ_CAP)")
 
 
 def _resolve_cap(args):
@@ -227,11 +230,7 @@ def cmd_sweep(args):
     if not tasks:
         _emit([], args.format, args.out)
         return 0
-    if args.width > 1:
-        with ThreadPoolExecutor(max_workers=args.width) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
+    rows = [_sweep_row(t) for t in tasks]
     _emit(rows, args.format, args.out)
     failed = False
     for row in rows:
@@ -258,8 +257,7 @@ def build_parser():
         sp.add_argument("--n", type=int, default=1)
         sp.add_argument("--map", default="2,3,1,0,1",
                         help="mapping digits a,b,c,d,e (default 2,3,1,0,1)")
-        sp.add_argument("--cap", type=int, default=None,
-                        help="override the period cap (also CYCLOSEQ_CAP)")
+        sp.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
     gen = sub.add_parser("generate", help="write a sequence digit file")
     add_params(gen)
@@ -293,12 +291,10 @@ def build_parser():
                     help=f"exponent pairs M:N, comma separated "
                          f"(default {DEFAULT_EXPONENTS})")
     sw.add_argument("--map", default="2,3,1,0,1")
-    sw.add_argument("--cap", type=int, default=None)
+    sw.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     sw.add_argument("--degenerate", action="store_true",
                     help="sweep the forbidden e values and check the "
                          "lower bound instead of full complexity")
-    sw.add_argument("--width", type=int, default=1,
-                    help="concurrent rows (default 1)")
     sw.add_argument("--format", choices=("json", "csv", "text"),
                     default="json")
     sw.add_argument("--out", default=None)
@@ -320,6 +316,9 @@ def main(argv=None):
     except MalformedSequenceFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (LemmaViolation, CaseViolation, PartitionViolation,
             TheoremViolation, MethodDisagreement) as exc:
         print(f"violation: {exc}", file=sys.stderr)

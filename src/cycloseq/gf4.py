@@ -1,4 +1,4 @@
-"""The four-element field and dense polynomials over it.
+"""The four-element field and polynomials over it.
 
 Field elements are the plain integers 0..3. The two bits (c1, c0) of a
 value encode c1*alpha + c0, where alpha satisfies alpha**2 = alpha + 1:
@@ -13,6 +13,14 @@ Polynomials are numpy uint8 coefficient arrays, index = power of x, with no
 trailing zeros in canonical form. The zero polynomial is the empty array
 and poly_deg returns -1 for it (the "minus infinity" sentinel in degree
 comparisons).
+
+The long-running kernels (division, gcd, and Berlekamp-Massey in
+analysis) work on bit planes instead: a vector of digits becomes two
+Python ints (hi, lo) where bit i of hi is c1 and bit i of lo is c0 of
+digit i. Adding two vectors is one exclusive-or per plane, shifting by x^k
+is one shift per plane, and multiplying by a scalar only swaps and mixes
+the planes (planes_scale). to_planes and from_planes convert between the
+two forms.
 """
 
 import numpy as np
@@ -28,6 +36,9 @@ MUL_TABLE = np.array(
      [0, 2, 3, 1],
      [0, 3, 1, 2]], dtype=np.uint8)
 
+# Plain-int copy for single lookups inside Python loops.
+_MUL = MUL_TABLE.tolist()
+
 # INV_TABLE[a] = 1/a for a != 0; the nonzero elements form a 3-cycle.
 INV_TABLE = (0, 1, 3, 2)
 
@@ -41,7 +52,7 @@ def gf4_add(a, b):
 
 def gf4_mul(a, b):
     """Field multiplication via the table."""
-    return int(MUL_TABLE[a, b])
+    return _MUL[a][b]
 
 
 def gf4_inv(a):
@@ -119,34 +130,78 @@ def poly_monic(f):
 
 def poly_divmod(a, b):
     """Quotient and remainder with deg r < deg b."""
-    if poly_is_zero(b):
+    b1, b0 = to_planes(b)
+    if not (b1 | b0):
         raise DivisionByZeroPolynomial("division by the zero polynomial")
-    a = poly_trim(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return a[:0], a
-    rem = a.copy()
-    quot = np.zeros(len(a) - db, dtype=np.uint8)
-    inv_lead = INV_TABLE[int(b[-1])]
-    for shift in range(len(a) - 1 - db, -1, -1):
-        c = rem[shift + db]
-        if c:
-            c = int(MUL_TABLE[c, inv_lead])
-            quot[shift] = c
-            rem[shift: shift + db + 1] ^= MUL_TABLE[c, b]
-    return poly_trim(quot), poly_trim(rem)
+    quot, r1, r0 = _divmod_planes(*to_planes(a), b1, b0)
+    return np.array(quot, dtype=np.uint8), from_planes(r1, r0)
 
 
 def poly_gcd(a, b):
     """Monic greatest common divisor by the Euclidean algorithm."""
-    a, b = poly_trim(a), poly_trim(b)
-    if poly_is_zero(a) and poly_is_zero(b):
+    a1, a0 = to_planes(a)
+    b1, b0 = to_planes(b)
+    if not (a1 | a0 | b1 | b0):
         raise InvalidParams("gcd(0, 0) is undefined")
-    while not poly_is_zero(b):
-        # normalizing each remainder keeps intermediate values canonical
-        b = poly_monic(b)
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
+    while b1 | b0:
+        _, r1, r0 = _divmod_planes(a1, a0, b1, b0)
+        a1, a0, b1, b0 = b1, b0, r1, r0
+    return poly_monic(from_planes(a1, a0))
+
+
+def to_planes(f):
+    """(hi, lo) bit planes of a digit array; bit i holds digit i."""
+    f = np.asarray(f, dtype=np.uint8)
+    return (int.from_bytes(np.packbits(f >> 1, bitorder="little"), "little"),
+            int.from_bytes(np.packbits(f & 1, bitorder="little"), "little"))
+
+
+def from_planes(hi, lo):
+    """Canonical polynomial (uint8 digits) from its (hi, lo) bit planes."""
+    size = max(hi.bit_length(), lo.bit_length())
+    nbytes = (size + 7) // 8
+    hi_bits, lo_bits = (
+        np.unpackbits(np.frombuffer(plane.to_bytes(nbytes, "little"),
+                                    dtype=np.uint8),
+                      count=size, bitorder="little")
+        for plane in (hi, lo))
+    return (hi_bits << 1) | lo_bits
+
+
+def planes_scale(hi, lo, c):
+    """Planes of c * (hi, lo) for a field element c.
+
+    alpha * (h alpha + l) = (h + l) alpha + h, and
+    (alpha + 1) * (h alpha + l) = l alpha + (h + l).
+    """
+    if c == 1:
+        return hi, lo
+    if c == 2:
+        return hi ^ lo, hi
+    if c == 3:
+        return lo, hi ^ lo
+    return 0, 0
+
+
+def _divmod_planes(r1, r0, b1, b0):
+    """Long division on planes: (quotient digits, rem hi, rem lo).
+
+    b must be nonzero. Each step cancels the leading digit of the
+    remainder with one scaled, shifted copy of b.
+    """
+    db = max(b1.bit_length(), b0.bit_length()) - 1
+    quot_digit = _MUL[INV_TABLE[((b1 >> db) & 1) << 1 | ((b0 >> db) & 1)]]
+    top = max(r1.bit_length(), r0.bit_length()) - 1
+    quot = [0] * max(top - db + 1, 0)
+    while top >= db:
+        shift = top - db
+        c = quot_digit[((r1 >> top) & 1) << 1 | ((r0 >> top) & 1)]
+        m1, m0 = planes_scale(b1, b0, c)
+        r1 ^= m1 << shift
+        r0 ^= m0 << shift
+        quot[shift] = c
+        top = max(r1.bit_length(), r0.bit_length()) - 1
+    return quot, r1, r0
 
 
 def poly_derivative(f):

@@ -1,9 +1,12 @@
 """Berlekamp-Massey, gcd complexity, and their cross-checks."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
@@ -11,7 +14,9 @@ from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                degenerate_lower_bound, lc_via_gcd,
                                methods_consistent, verify_theorem)
 from cycloseq.cyclotomy import build_system
-from cycloseq.errors import (InvalidMapping, InvalidParams, TheoremViolation)
+from cycloseq.errors import (InvalidMapping, InvalidParams,
+                             MethodDisagreement, TheoremViolation)
+from cycloseq.gf4 import MUL_TABLE
 from cycloseq.sequence import DEFAULT_MAPPING, Mapping, build_sequence
 
 
@@ -57,6 +62,53 @@ def test_bm_recurrence_holds():
             assert acc == 0
 
 
+def _generates(length, conn, s):
+    """True when s_t = sum_{i>=1} C_i s_{t-i} for every length <= t < len(s).
+
+    Dense uint8 arithmetic only, so it checks the bit-plane kernels from
+    outside.
+    """
+    assert int(conn[0]) == 1 and len(conn) - 1 <= length
+    acc = s[length:].copy()
+    for i in range(1, len(conn)):
+        acc ^= MUL_TABLE[conn[i], s[length - i: len(s) - i]]
+    return not acc.any()
+
+
+def _brute_force_lengths(n):
+    """Every GF(4) sequence of length n, and its shortest LFSR length.
+
+    Tries every connection polynomial C_1..C_L of every length L < n;
+    L = n needs no check, since then no recurrence constraint applies.
+    """
+    seqs = np.array(list(itertools.product(range(4), repeat=n)),
+                    dtype=np.uint8).reshape(4**n, n)
+    lengths = np.full(len(seqs), n)
+    for length in range(n - 1, -1, -1):
+        regs = np.array(list(itertools.product(range(4), repeat=length)),
+                        dtype=np.uint8).reshape(4**length, length)
+        ok = np.ones((len(seqs), len(regs)), dtype=bool)
+        for t in range(length, n):
+            pred = np.zeros(ok.shape, dtype=np.uint8)
+            for i in range(1, length + 1):
+                pred ^= MUL_TABLE[regs[None, :, i - 1], seqs[:, None, t - i]]
+            ok &= pred == seqs[:, None, t]
+        lengths[ok.any(axis=1)] = length
+    return seqs, lengths
+
+
+def test_bm_exhaustive_short_sequences():
+    checked = 0
+    for n in range(7):
+        seqs, lengths = _brute_force_lengths(n)
+        for s, expected in zip(seqs, lengths):
+            lc, conn = berlekamp_massey(s)
+            assert lc == expected, s
+            assert _generates(lc, conn, s), s
+            checked += 1
+    assert checked == 5461
+
+
 def test_lc_via_gcd_small_cases():
     lc, mp = lc_via_gcd([0, 0, 0, 0, 0])
     assert lc == 0 and gf4.poly_eq(mp, gf4.poly([1]))
@@ -98,6 +150,32 @@ def test_connection_reciprocal_annihilates():
             for i, coef in enumerate(rec):
                 acc ^= gf4.gf4_mul(int(coef), int(doubled[start + i]))
             assert acc == 0
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=300))
+def test_analyze_symbols_random_periods(digits):
+    s = np.array(digits, dtype=np.uint8)
+    report = analyze_symbols(s)
+    minpoly = report.minimal_polynomial
+    assert report.lc_bm == report.lc_gcd == gf4.poly_deg(minpoly)
+    # scaled to constant term 1, the minimal polynomial is the connection
+    # polynomial of the periodic sequence
+    conn = gf4.poly_scale(minpoly, gf4.gf4_inv(int(minpoly[0])))
+    assert _generates(report.lc_gcd, conn, np.tile(s, 2))
+
+
+def test_lc_via_gcd_checks_the_division(monkeypatch):
+    def bad_divmod(a, b):
+        return gf4.poly([1]), gf4.poly([1])
+    monkeypatch.setattr(gf4, "poly_divmod", bad_divmod)
+    with pytest.raises(MethodDisagreement):
+        lc_via_gcd([1, 2, 3])
+
+
+def test_bm_rejects_non_field_symbols():
+    with pytest.raises(InvalidParams):
+        berlekamp_massey([0, 4])
 
 
 def test_methods_consistent_negatives():

@@ -147,13 +147,11 @@ def test_sweep_single_row(capsys):
     assert rows[0]["lc"] == 30 and rows[0]["theorem_holds"] is True
 
 
-def test_sweep_width_deterministic(capsys):
-    args = ("sweep", "--pairs", "3:5,3:7", "--exponents", "1:1,2:1")
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args, "--width", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    rows = json.loads(out1)
+def test_sweep_grid_rows(capsys):
+    code, stdout, _ = run(capsys, "sweep", "--pairs", "3:5,3:7",
+                          "--exponents", "1:1,2:1")
+    assert code == 0
+    rows = json.loads(stdout)
     assert [r["lc"] for r in rows] == [30, 90, 42, 126]
 
 
@@ -195,3 +193,16 @@ def test_sweep_csv(tmp_path, capsys):
 def test_bad_grid_entry(capsys):
     code, _, err = run(capsys, "sweep", "--pairs", "3-5")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--p", "3", "--q", "5"),
+    ("analyze", "--p", "3", "--q", "5"),
+    ("verify", "--p", "3", "--q", "5"),
+    ("sweep", "--pairs", "3:5", "--exponents", "1:1"),
+])
+def test_unwritable_out(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "out.txt" in err

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq import gf4
 from cycloseq.errors import DivisionByZeroPolynomial, InvalidParams
@@ -124,3 +126,37 @@ def test_monic():
     assert gf4.poly_eq(m, gf4.poly([1, 1]))
     with pytest.raises(DivisionByZeroPolynomial):
         gf4.poly_monic(gf4.poly([]))
+
+
+digit_lists = st.lists(st.integers(0, 3), max_size=200)
+
+
+@given(digit_lists)
+def test_planes_roundtrip(digits):
+    f = gf4.poly(digits)
+    hi, lo = gf4.to_planes(f)
+    assert [2 * ((hi >> i) & 1) + ((lo >> i) & 1) for i in range(len(f))] \
+        == [int(c) for c in f]
+    assert max(hi.bit_length(), lo.bit_length()) == len(f)
+    back = gf4.from_planes(hi, lo)
+    assert back.dtype == np.uint8 and np.array_equal(back, f)
+
+
+def test_planes_scale_matches_table():
+    for digits in ([1, 2, 3, 0, 1], [3, 3], [0, 0, 2]):
+        f = gf4.poly(digits)
+        for c in range(4):
+            scaled = gf4.from_planes(*gf4.planes_scale(*gf4.to_planes(f), c))
+            assert np.array_equal(scaled, gf4.poly_scale(f, c))
+
+
+@settings(deadline=None)
+@given(digit_lists, digit_lists.filter(any))
+def test_poly_divmod_identity(a_digits, b_digits):
+    a, b = gf4.poly(a_digits), gf4.poly(b_digits)
+    q, r = gf4.poly_divmod(a, b)
+    assert q.dtype == r.dtype == np.uint8
+    assert np.array_equal(q, gf4.poly_trim(q))
+    assert np.array_equal(r, gf4.poly_trim(r))
+    assert gf4.poly_deg(r) < gf4.poly_deg(b)
+    assert np.array_equal(gf4.poly_add(gf4.poly_mul(q, b), r), a)
