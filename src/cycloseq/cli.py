@@ -1,12 +1,12 @@
 """Command-line surface: generate, analyze, verify, sweep.
 
 Exit codes: 0 success, 1 verification violation or failed sweep row,
-2 invalid parameters or mapping, or an OSError on a file such as an
---out path that cannot be written, 3 cap exceeded, 4 malformed sequence
-file. The parameter cap (default 2 p^m q^n <= 10^7, from
-numtheory.DEFAULT_PARAM_CAP) can be overridden by --cap or the
-CYCLOSEQ_CAP environment variable; extension-field verification is
-additionally capped at N <= 5000 and degree d <= 12.
+2 invalid parameters or mapping (also when a sweep row fails on one), or
+an OSError on a file such as an --out path that cannot be written, 3 cap
+exceeded, 4 malformed sequence file. The parameter cap (default
+2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be overridden by
+--cap or the CYCLOSEQ_CAP environment variable; extension-field
+verification is additionally capped at N <= 5000 and degree d <= 12.
 """
 
 import argparse
@@ -179,6 +179,7 @@ def cmd_verify(args):
 
 
 def _sweep_row(task):
+    """One sweep row and its exit code: 0 holds, 1 fails, 2 invalid input."""
     p, q, m, n, mapping, cap, degenerate = task
     row = {"p": p, "q": q, "m": m, "n": n,
            "mapping": ",".join(str(v) for v in mapping.as_tuple())}
@@ -203,7 +204,10 @@ def _sweep_row(task):
             })
     except CycloseqError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        invalid = isinstance(exc, (InvalidParams, InvalidMapping))
+        return row, 2 if invalid else 1
+    holds = row["bound_ok"] if degenerate else row["theorem_holds"]
+    return row, 0 if holds else 1
 
 
 def _degenerate_variants(p, base):
@@ -230,17 +234,9 @@ def cmd_sweep(args):
     if not tasks:
         _emit([], args.format, args.out)
         return 0
-    rows = [_sweep_row(t) for t in tasks]
-    _emit(rows, args.format, args.out)
-    failed = False
-    for row in rows:
-        if "error" in row:
-            failed = True
-        elif args.degenerate:
-            failed = failed or not row["bound_ok"]
-        else:
-            failed = failed or not row["theorem_holds"]
-    return 1 if failed else 0
+    results = [_sweep_row(t) for t in tasks]
+    _emit([row for row, _ in results], args.format, args.out)
+    return max(code for _, code in results)
 
 
 def build_parser():

@@ -87,6 +87,14 @@ def _coset(mod, square, y, half_order, y_count, start):
     return np.array(sorted(elems), dtype=np.int64)
 
 
+def _require_size(out, size, what):
+    # a short coset means g or y does not have the order the constants claim
+    if len(out) != size:
+        raise LemmaViolation("class enumeration collapsed", cls=what,
+                             size=len(out), expected=size)
+    return out
+
+
 def build_class_pq(constants, i, j, h):
     """D_h modulo p^i q^j, as a sorted array of phi(p^i q^j)/2 residues."""
     c = constants
@@ -96,8 +104,7 @@ def build_class_pq(constants, i, j, h):
     d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
     start = 1 if h == 0 else c.g
     out = _coset(mod, c.g * c.g % mod, c.y % mod, d // 2, e, start)
-    assert len(out) == d * e // 2, "class enumeration collapsed"
-    return out
+    return _require_size(out, d * e // 2, cid)
 
 
 def build_class_2pq(constants, i, j, h):
@@ -109,8 +116,7 @@ def build_class_2pq(constants, i, j, h):
     d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
     start = 1 if h == 0 else c.g
     out = _coset(mod, c.g * c.g % mod, c.y % mod, d // 2, e, start)
-    assert len(out) == d * e // 2, "class enumeration collapsed"
-    return out
+    return _require_size(out, d * e // 2, cid)
 
 
 def build_class_prime_power(constants, which, i, doubled, h):
@@ -128,8 +134,7 @@ def build_class_prime_power(constants, which, i, doubled, h):
     half = euler_phi(prime**i) // 2
     start = 1 if h == 0 else c.g
     out = _coset(mod, c.g * c.g % mod, 1, half, 1, start)
-    assert len(out) == half, "class enumeration collapsed"
-    return out
+    return _require_size(out, half, (which, i, doubled, h))
 
 
 def class_for(constants, cid):

@@ -3,12 +3,19 @@
 d is the multiplicative order of 4 modulo N = p^m q^n, so F_{4^d} contains
 a primitive N-th root of unity beta. Elements are packed integers, two
 bits per GF4 coefficient (digit i at bits 2i, 2i+1), which keeps the whole
-field in uint32 for d <= 12 and lets the hot loops run vectorized.
+field in uint32 for d <= 12 and makes addition a plain XOR.
 
 The module builds the context deterministically (least monic irreducible
 modulus in lexicographic coefficient order, first generator by packed-code
-order), then measures the character sums over every H-set and the full
-sequence spectrum S(beta^k), comparing both against their closed forms.
+order) and tabulates beta^r for 0 <= r < N. Every sum it then measures has
+the form XOR of beta^(k t mod N) over an index set T, so one kernel,
+_power_sums, evaluates a whole table of them: every multiplier k against
+every set at once, in blocks of about _BLOCK_ELEMENTS gathered elements
+(one k when a single row is larger), so temporary memory stays below a
+megabyte instead of growing as N^2. The character sums over every H-set
+and the full sequence spectrum S(beta^k) are each one such table, compared
+against their closed forms with array operations; a mismatch is reported
+at the first k, in ascending order, that shows one.
 """
 
 import itertools
@@ -24,6 +31,9 @@ from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile, validate_mapping
 
 DEFAULT_DEGREE_CAP = 12
+# gathered elements per block of _power_sums: 256 KB of int32 indices plus
+# 256 KB of gathered uint32, small enough to stay in cache
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def ord_4_mod(n):
@@ -172,7 +182,9 @@ class ExtFieldContext:
 
     Packed-integer elements throughout; beta_powers[r] is beta^r for
     0 <= r < N, the workhorse table behind every character sum. exp_table
-    holds the generator's powers when the field is small enough, else None.
+    is always None: the generator's power table is no longer built, and
+    the field stays only because the benchmark tracer (perfbench/tracer.py)
+    still reads it when it sizes the context's tables.
     """
 
     N: int
@@ -215,18 +227,18 @@ class ExtFieldContext:
         return order
 
 
-def _build_exp_table(gamma, d, tail, lomask):
-    size = 4**d - 1
-    exp = np.zeros(size, dtype=np.uint32)
-    exp[0] = 1
+def _power_table(x, size, d, tail, lomask):
+    # x^r for 0 <= r < size, doubling the filled prefix at each step
+    out = np.zeros(size, dtype=np.uint32)
+    out[0] = 1
     filled = 1
     while filled < size:
-        scalar = ext_pow(gamma, filled, d, tail, lomask)
+        scalar = ext_pow(x, filled, d, tail, lomask)
         take = min(filled, size - filled)
-        exp[filled:filled + take] = _vec_mul_scalar(exp[:take], scalar,
+        out[filled:filled + take] = _vec_mul_scalar(out[:take], scalar,
                                                     d, tail, lomask)
         filled += take
-    return exp
+    return out
 
 
 def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
@@ -249,7 +261,8 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
     tail = poly_to_packed(modulus[:d])
     lomask = _lomask(d)
     group = 4**d - 1
-    assert group % N == 0, "order of 4 mod N must make N divide 4^d - 1"
+    if group % N:
+        raise LemmaViolation("N does not divide 4^d - 1", N=N, d=d)
     group_primes = list(factorize(group))
     generator = None
     for cand in range(2, 4**d):
@@ -257,20 +270,15 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
                for r in group_primes):
             generator = cand
             break
-    assert generator is not None, "the multiplicative group is cyclic"
+    if generator is None:
+        raise LemmaViolation("no generator of the multiplicative group", d=d)
 
     beta = ext_pow(generator, group // N, d, tail, lomask)
-    beta_powers = np.empty(N, dtype=np.uint32)
-    cur = 1
-    for r in range(N):
-        beta_powers[r] = cur
-        cur = ext_mul(cur, beta, d, tail, lomask)
-    assert cur == 1, "beta^N must close the cycle"
-
-    exp_table = None
-    if 4**d <= 2**20:
-        exp_table = _build_exp_table(generator, d, tail, lomask)
-        exp_table.flags.writeable = False
+    beta_powers = _power_table(beta, N, d, tail, lomask)
+    closing = ext_mul(int(beta_powers[-1]), beta, d, tail, lomask)
+    if closing != 1:
+        raise LemmaViolation("beta^N does not close the cycle",
+                             N=N, beta=beta, beta_to_N=closing)
     beta_powers.flags.writeable = False
 
     return ExtFieldContext(
@@ -280,7 +288,7 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
         zeta_p=int(beta_powers[(p**(m - 1) * q**n) % N]),
         zeta_q=int(beta_powers[(p**m * q**(n - 1)) % N]),
         zeta_pq=int(beta_powers[(p**(m - 1) * q**(n - 1)) % N]),
-        exp_table=exp_table)
+        exp_table=None)
 
 
 def _require_matching(system, context):
@@ -288,53 +296,61 @@ def _require_matching(system, context):
         raise InvalidParams("context was built for a different N")
 
 
-def _xor_reduce(arr):
-    if arr.size == 0:
-        return 0
-    return int(np.bitwise_xor.reduce(arr))
+def _power_sums(beta_powers, sets, ks):
+    """out[r, j] = XOR of beta_powers[ks[r] * t mod N] over t in sets[j].
+
+    The whole uint32 table at once: rows go in blocks of about
+    _BLOCK_ELEMENTS gathered elements, each block one outer product and
+    reduction mod N, one gather, and one xor-reduceat over the
+    concatenated sets. An empty set gives a zero column.
+    """
+    N = len(beta_powers)
+    dtype = np.int32 if (N - 1)**2 < 2**31 else np.int64
+    ks = (np.asarray(ks, dtype=np.int64) % N).astype(dtype)
+    out = np.zeros((len(ks), len(sets)), dtype=np.uint32)
+    cols = [j for j, s in enumerate(sets) if len(s)]
+    if not cols:
+        return out
+    flat = np.concatenate([np.asarray(sets[j], dtype=np.int64) % N
+                           for j in cols]).astype(dtype)
+    starts = np.cumsum([0] + [len(sets[j]) for j in cols[:-1]])
+    step = max(1, _BLOCK_ELEMENTS // flat.size)
+    for lo in range(0, len(ks), step):
+        idx = np.multiply.outer(ks[lo:lo + step], flat)
+        # idx % N: numpy floor-divides by a scalar about twice as fast
+        idx -= idx // N * N
+        out[lo:lo + step, cols] = np.bitwise_xor.reduceat(
+            np.take(beta_powers, idx), starts, axis=1)
+    return out
 
 
 def char_sum(system, context, class_id, k):
     """Sum of beta^{k t} over the H-set of class_id, as a packed element."""
     _require_matching(system, context)
     elems = h_set(system, class_id)
-    idx = (k % context.N) * elems % context.N
-    return _xor_reduce(context.beta_powers[idx])
-
-
-def _scale_packed(x, digit, lomask):
-    if digit == 0:
-        return 0
-    if digit == 1:
-        return x
-    if digit == 2:
-        return _mul_alpha(x, lomask)
-    return x ^ _mul_alpha(x, lomask)
+    return int(_power_sums(context.beta_powers, [elems],
+                           [k % context.N])[0, 0])
 
 
 def measure_spectrum(system, context, mapping, allow_degenerate=True):
     """S(beta^k) for 0 <= k < N, exactly, as packed elements.
 
-    Folds the two half-periods first (beta^{t+N} = beta^t), then gathers
-    beta powers per symbol value. The default allows degenerate mappings
-    since measuring those is the point of the falsification probes.
+    Folds the two half-periods first (beta^{t+N} = beta^t), sums beta^{kt}
+    over the support of each symbol value for every k in one table, then
+    scales the three columns by their GF4 values. The default allows
+    degenerate mappings since measuring those is the point of the
+    falsification probes.
     """
     _require_matching(system, context)
     seq = build_sequence(system, mapping, allow_degenerate=allow_degenerate)
     N = context.N
     folded = seq.symbols[:N] ^ seq.symbols[N:]
-    support = {v: np.nonzero(folded == v)[0].astype(np.int64)
-               for v in (1, 2, 3)}
-    out = np.zeros(N, dtype=np.uint32)
-    bp = context.beta_powers
-    for k in range(N):
-        acc = 0
-        for v, idx in support.items():
-            if idx.size:
-                acc ^= _scale_packed(_xor_reduce(bp[(k * idx) % N]),
-                                     v, context.lomask)
-        out[k] = acc
-    return out
+    sums = _power_sums(context.beta_powers,
+                       [np.nonzero(folded == v)[0] for v in (1, 2, 3)],
+                       np.arange(N))
+    # 1*s1 + alpha*s2 + (alpha+1)*s3, with multiplication by alpha linear
+    return sums[:, 0] ^ sums[:, 2] ^ _mul_alpha(sums[:, 1] ^ sums[:, 2],
+                                                np.uint32(context.lomask))
 
 
 @dataclass(frozen=True)
@@ -381,16 +397,14 @@ def verify_case_table(system, context, mapping):
     if int(spectrum[0]) != mapping.e:
         raise CaseViolation(0, mapping.e, int(spectrum[0]))
     c = system.constants
-    pm, qn = c.p**c.m, c.q**c.n
-    for k in range(1, context.N):
-        if k % pm == 0:
-            expected = prof.value_p_saturated
-        elif k % qn == 0:
-            expected = prof.value_q_saturated
-        else:
-            expected = prof.value_generic
-        if int(spectrum[k]) != expected:
-            raise CaseViolation(k, expected, int(spectrum[k]))
+    ks = np.arange(context.N)
+    expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
+                        np.where(ks % c.q**c.n == 0, prof.value_q_saturated,
+                                 prof.value_generic))
+    bad = np.nonzero(spectrum[1:] != expected[1:])[0]
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise CaseViolation(k, int(expected[k]), int(spectrum[k]))
     values = (mapping.e, prof.value_generic, prof.value_p_saturated,
               prof.value_q_saturated)
     nonzero = all(v != 0 for v in values)
@@ -415,12 +429,21 @@ class CharSumReport:
         return {"k_count": self.k_count, "cells_checked": self.cells_checked}
 
 
-def _valuation(x, prime):
-    v = 0
-    while x % prime == 0:
-        x //= prime
-        v += 1
+def _valuations(ks, prime, N):
+    # exponent of prime in each k, for 1 <= k < N
+    v = np.zeros_like(ks)
+    power = prime
+    while power < N:
+        v += ks % power == 0
+        power *= prime
     return v
+
+
+_CHAR_SUM_DETAIL = {
+    "2pq": "mixed-modulus character sum off its closed form",
+    "2p": "p-power character sum off its closed form",
+    "2q": "q-power character sum off its closed form",
+}
 
 
 def verify_char_sum_tables(system, context):
@@ -429,9 +452,11 @@ def verify_char_sum_tables(system, context):
     For each k = p^a q^b l in 1..N-1 and each cell (shape, i, j, h) the
     measured sum must match its closed form: an integer constant reduced
     mod 2 when the cell's exponents are dominated by (a, b), a root-of-
-    unity sum over the base class on the boundary, and 0 beyond it.
+    unity sum over the base class on the boundary, and 0 beyond it. Both
+    the measured and the expected values are whole (k, cell) tables.
     Raises LemmaViolation with the witness (k, cell) on the first
-    mismatch.
+    mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
+    (i, h) and the 2q cells (j, h).
     """
     _require_matching(system, context)
     c = system.constants
@@ -439,79 +464,50 @@ def verify_char_sum_tables(system, context):
     N = context.N
     bp = context.beta_powers
 
-    base_pq = {h: system.classes[ClassId("pq", 1, 1, h)] for h in (0, 1)}
-    base_p = {h: system.classes[ClassId("p", 1, 0, h)] for h in (0, 1)}
-    base_q = {h: system.classes[ClassId("q", 0, 1, h)] for h in (0, 1)}
-    zpq_exp = p**(m - 1) * q**(n - 1)
-    hs = {cid: h_set(system, cid)
-          for cid in system.classes if cid.shape in ("2pq", "2p", "2q")}
+    ks = np.arange(1, N, dtype=np.int64)
+    a = _valuations(ks, p, N)
+    b = _valuations(ks, q, N)
+    l = ks // (p**a * q**b)
 
-    def measured(cid, k):
-        idx = k * hs[cid] % N
-        return _xor_reduce(bp[idx])
+    def root_sums(shape, i, j, zeta_exp):
+        # sums over the base class of zeta^t, zeta = beta^(zeta_exp * l)
+        base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
+        return _power_sums(bp, base, zeta_exp % N * l % N)
 
-    def root_sum(base, zeta_exp, l):
-        idx = (zeta_exp % N) * l % N * base % N
-        return _xor_reduce(bp[idx])
+    roots = {"2pq": root_sums("pq", 1, 1, p**(m - 1) * q**(n - 1)),
+             "2p": root_sums("p", 1, 0, p**(m - 1) * q**n * q**b),
+             "2q": root_sums("q", 0, 1, p**m * q**(n - 1) * p**a)}
+    cells = ([ClassId("2pq", i, j, h) for i in range(1, m + 1)
+              for j in range(1, n + 1) for h in (0, 1)]
+             + [ClassId("2p", i, 0, h) for i in range(1, m + 1)
+                for h in (0, 1)]
+             + [ClassId("2q", 0, j, h) for j in range(1, n + 1)
+                for h in (0, 1)])
+    measured = _power_sums(bp, [h_set(system, cid) for cid in cells], ks)
 
-    cells = 0
-    for k in range(1, N):
-        a = _valuation(k, p)
-        b = _valuation(k, q)
-        l = k // (p**a * q**b)
+    columns = []
+    for cid in cells:
+        i, j, root = cid.i, cid.j, roots[cid.shape][:, cid.h]
+        if cid.shape == "2pq":
+            full = ((p - 1) * (q - 1) * p**(i - 1) * q**(j - 1) // 2) & 1
+            edge = np.where(j <= b, ((q - 1) // 2) & 1,
+                            np.where(j == b + 1, root, 0))
+            col = np.where((i <= a) & (j <= b), full,
+                           np.where(i == a + 1, edge, 0))
+        elif cid.shape == "2p":
+            col = np.where(i <= a, (p**(i - 1) * (p - 1) // 2) & 1,
+                           np.where(i == a + 1, root, 0))
+        else:
+            col = np.where(j <= b, (q**(j - 1) * (q - 1) // 2) & 1,
+                           np.where(j == b + 1, root, 0))
+        columns.append(col)
+    expected = np.stack(columns, axis=1)
 
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                for h in (0, 1):
-                    cid = ClassId("2pq", i, j, h)
-                    if i <= a and j <= b:
-                        expected = ((p - 1) * (q - 1)
-                                    * p**(i - 1) * q**(j - 1) // 2) & 1
-                    elif i == a + 1 and j == b + 1:
-                        expected = root_sum(base_pq[h], zpq_exp, l)
-                    elif i <= a and j == b + 1:
-                        expected = 0
-                    elif i == a + 1 and j <= b:
-                        expected = ((q - 1) // 2) & 1
-                    else:
-                        expected = 0
-                    got = measured(cid, k)
-                    cells += 1
-                    if got != expected:
-                        raise LemmaViolation(
-                            "mixed-modulus character sum off its closed form",
-                            k=k, cell=cid, expected=expected, measured=got)
-
-        for i in range(1, m + 1):
-            for h in (0, 1):
-                cid = ClassId("2p", i, 0, h)
-                if i <= a:
-                    expected = (p**(i - 1) * (p - 1) // 2) & 1
-                elif i == a + 1:
-                    expected = root_sum(base_p[h], p**(m - 1) * q**(n + b), l)
-                else:
-                    expected = 0
-                got = measured(cid, k)
-                cells += 1
-                if got != expected:
-                    raise LemmaViolation(
-                        "p-power character sum off its closed form",
-                        k=k, cell=cid, expected=expected, measured=got)
-
-        for j in range(1, n + 1):
-            for h in (0, 1):
-                cid = ClassId("2q", 0, j, h)
-                if j <= b:
-                    expected = (q**(j - 1) * (q - 1) // 2) & 1
-                elif j == b + 1:
-                    expected = root_sum(base_q[h], p**(m + a) * q**(n - 1), l)
-                else:
-                    expected = 0
-                got = measured(cid, k)
-                cells += 1
-                if got != expected:
-                    raise LemmaViolation(
-                        "q-power character sum off its closed form",
-                        k=k, cell=cid, expected=expected, measured=got)
-
-    return CharSumReport(k_count=N - 1, cells_checked=cells)
+    bad = measured != expected
+    if bad.any():
+        # row-major argmax: the first mismatch in (k, cell) order
+        r, col = divmod(int(np.argmax(bad)), len(cells))
+        raise LemmaViolation(
+            _CHAR_SUM_DETAIL[cells[col].shape], k=r + 1, cell=cells[col],
+            expected=int(expected[r, col]), measured=int(measured[r, col]))
+    return CharSumReport(k_count=N - 1, cells_checked=bad.size)

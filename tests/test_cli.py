@@ -167,11 +167,24 @@ def test_sweep_degenerate(capsys):
 
 
 def test_sweep_error_row_fails(capsys):
+    # p = q is invalid input, so the row's failure exits 2, not 1
     code, stdout, _ = run(capsys, "sweep", "--pairs", "3:3",
                           "--exponents", "1:1")
-    assert code == 1
+    assert code == 2
     rows = json.loads(stdout)
     assert "error" in rows[0]
+
+
+def test_sweep_exit_codes_by_row_failure(capsys):
+    code, stdout, _ = run(capsys, "sweep", "--pairs", "3:5,3:3",
+                          "--exponents", "1:1")
+    assert code == 2
+    assert [r["p"] for r in json.loads(stdout) if "error" in r] == [3]
+    # a row that fails on its complexity bound still exits 1
+    code, stdout, _ = run(capsys, "sweep", "--degenerate", "--pairs", "3:5",
+                          "--exponents", "1:1", "--map", "0,2,3,1,1")
+    assert code == 1
+    assert json.loads(stdout)[0]["error"].startswith("TheoremViolation")
 
 
 def test_sweep_empty_grid(capsys):

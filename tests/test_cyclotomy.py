@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from cycloseq import cyclotomy
 from cycloseq.cyclotomy import (ClassId, HALF_LABEL, ZERO_LABEL,
                                 bucket_of_label, build_partition,
                                 build_system, check_residue_rules,
                                 check_structural_lemmas, classify_index,
                                 cofactor_of, h_set, partition_labels,
                                 residue_side_of_2)
-from cycloseq.errors import InvalidParams
+from cycloseq.errors import InvalidParams, LemmaViolation
 from cycloseq.numtheory import euler_phi
 
 GRID = [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1), (3, 11, 1, 1),
@@ -133,3 +134,12 @@ def test_class_id_validation(sys15):
         h_set(sys15, ClassId("2p", 1, 0, 0, doubled=True))
     with pytest.raises(InvalidParams):
         h_set(sys15, ClassId("weird", 1, 1, 0))
+
+
+def test_collapsed_class_enumeration_raises(monkeypatch, sys15):
+    real = cyclotomy._coset
+    monkeypatch.setattr(cyclotomy, "_coset", lambda *a: real(*a)[1:])
+    with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
+        cyclotomy.build_class_pq(sys15.constants, 1, 1, 0)
+    with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
+        cyclotomy.build_class_prime_power(sys15.constants, "q", 1, True, 1)

@@ -1,5 +1,6 @@
 """Extension-field arithmetic and the character-sum verifications."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,15 +10,21 @@ import pytest
 
 from cycloseq import gf4
 from cycloseq.analysis import analyze_symbols
-from cycloseq.cyclotomy import ClassId, build_system
-from cycloseq.errors import (CapExceeded, CaseViolation, InvalidMapping,
-                             InvalidParams, NotCoprime)
-from cycloseq.extfield import (ExtFieldContext, build_extension, char_sum,
-                               ext_mul, ext_pow, is_irreducible,
+from cycloseq import extfield
+from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
+                                build_system, h_set)
+from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
+                             InvalidMapping, InvalidParams, LemmaViolation,
+                             NotCoprime)
+from cycloseq.extfield import (build_extension, char_sum, is_irreducible,
                                least_irreducible, measure_spectrum, ord_4_mod,
                                packed_to_poly, poly_to_packed,
                                verify_case_table, verify_char_sum_tables)
-from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence)
+from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
+                               spectrum_profile, validate_mapping)
+
+ALL_MAPPINGS = [Mapping(*perm, e) for perm in itertools.permutations(range(4))
+                for e in (1, 2, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -152,14 +159,6 @@ def test_zeta_orders_tower():
     assert ctx.element_order(ctx.zeta_pq) == 15
 
 
-def test_exp_table(ctx21):
-    assert ctx21.exp_table is not None
-    rng = random.Random(915)
-    for _ in range(40):
-        i = rng.randrange(ctx21.group_order)
-        assert int(ctx21.exp_table[i]) == ctx21.pow(ctx21.generator, i)
-
-
 def test_geometric_sums(ctx15):
     # full cycle of a nontrivial root sums to zero
     for k in range(1, 15):
@@ -178,6 +177,9 @@ def test_geometric_sums(ctx15):
 def test_char_sum_at_zero(sys15, ctx15):
     for cid, cls in sys15.classes.items():
         assert char_sum(sys15, ctx15, cid, 0) == len(cls) % 2
+        # k acts mod N, also beyond the int64 range
+        assert char_sum(sys15, ctx15, cid, 15 * 10**30 + 7) == \
+            char_sum(sys15, ctx15, cid, 7) == char_sum(sys15, ctx15, cid, -8)
 
 
 def test_complementary_sums():
@@ -199,19 +201,22 @@ def test_context_mismatch(sys15, ctx21):
         char_sum(sys15, ctx21, ClassId("pq", 1, 1, 0), 1)
 
 
-def test_measure_spectrum_matches_direct_eval(sys15, ctx15):
-    seq = build_sequence(sys15)
-    spec = measure_spectrum(sys15, ctx15, DEFAULT_MAPPING)
-    assert len(spec) == 15
-    # direct Horner evaluation of S(x) at beta^k; a GF4 scalar embeds as
-    # the packed constant digit, so xor-ing the symbol in is exact
-    rng = random.Random(916)
-    for k in rng.sample(range(15), 6):
-        x = int(ctx15.beta_powers[k])
-        acc = 0
-        for sym in seq.symbols[::-1]:
-            acc = ctx15.mul(acc, x) ^ int(sym)
-        assert int(spec[k]) == acc
+def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
+    # direct Horner evaluation of S(x) at beta^k, for every mapping and k; a
+    # GF4 scalar embeds as the packed constant digit, so xor-ing the symbol
+    # in is exact
+    for system, ctx in ((sys15, ctx15), (sys21, ctx21)):
+        for mapping in ALL_MAPPINGS:
+            symbols = build_sequence(system, mapping,
+                                     allow_degenerate=True).symbols
+            spec = measure_spectrum(system, ctx, mapping)
+            assert len(spec) == ctx.N
+            for k in range(ctx.N):
+                x = int(ctx.beta_powers[k])
+                acc = 0
+                for sym in symbols[::-1]:
+                    acc = ctx.mul(acc, x) ^ int(sym)
+                assert int(spec[k]) == acc, (mapping, k)
 
 
 def test_case_table_values(sys15, ctx15, sys21, ctx21):
@@ -266,3 +271,182 @@ def test_build_extension_rejections():
         build_extension(15, max_degree=1)
     with pytest.raises(CapExceeded):
         build_extension(11 * 13)  # ord_{143}(4) = 30 > 12
+
+
+def test_beta_cycle_is_checked(monkeypatch):
+    real = extfield._power_table
+
+    def broken(*args):
+        table = real(*args).copy()
+        table[-1] ^= 1
+        return table
+
+    monkeypatch.setattr(extfield, "_power_table", broken)
+    with pytest.raises(LemmaViolation, match="close the cycle"):
+        build_extension(21)
+
+
+# --- scalar reference: the per-k loops the whole-table kernel replaced -----
+
+def _xsum(ctx, elems, k):
+    acc = 0
+    for t in elems:
+        acc ^= int(ctx.beta_powers[k * int(t) % ctx.N])
+    return acc
+
+
+def _valuation(x, prime):
+    v = 0
+    while x % prime == 0:
+        x //= prime
+        v += 1
+    return v
+
+
+def _expected_cell(system, ctx, cid, k):
+    c = system.constants
+    p, q, m, n = c.p, c.q, c.m, c.n
+    a, b = _valuation(k, p), _valuation(k, q)
+    l = k // (p**a * q**b)
+    i, j = cid.i, cid.j
+
+    def root(shape, ri, rj, zeta_exp):
+        base = system.classes[ClassId(shape, ri, rj, cid.h)]
+        return _xsum(ctx, base, zeta_exp * l)
+
+    if cid.shape == "2pq":
+        if i <= a and j <= b:
+            return ((p - 1) * (q - 1) * p**(i - 1) * q**(j - 1) // 2) & 1
+        if i == a + 1 and j == b + 1:
+            return root("pq", 1, 1, p**(m - 1) * q**(n - 1))
+        return ((q - 1) // 2) & 1 if i == a + 1 and j <= b else 0
+    if cid.shape == "2p":
+        if i <= a:
+            return (p**(i - 1) * (p - 1) // 2) & 1
+        return root("p", 1, 0, p**(m - 1) * q**(n + b)) if i == a + 1 else 0
+    if j <= b:
+        return (q**(j - 1) * (q - 1) // 2) & 1
+    return root("q", 0, 1, p**(m + a) * q**(n - 1)) if j == b + 1 else 0
+
+
+_DETAIL = {"2pq": "mixed-modulus character sum off its closed form",
+           "2p": "p-power character sum off its closed form",
+           "2q": "q-power character sum off its closed form"}
+
+
+def _ref_char_sums(system, ctx):
+    c = system.constants
+    cells = [cid for cid in all_class_ids(c.m, c.n)
+             if cid.shape in DOUBLED_SHAPES]
+    checked = 0
+    for k in range(1, ctx.N):
+        for cid in cells:
+            expected = _expected_cell(system, ctx, cid, k)
+            got = _xsum(ctx, h_set(system, cid), k)
+            checked += 1
+            if got != expected:
+                raise LemmaViolation(_DETAIL[cid.shape], k=k, cell=cid,
+                                     expected=expected, measured=got)
+    return checked
+
+
+def _ref_spectrum(system, ctx, mapping):
+    seq = build_sequence(system, mapping, allow_degenerate=True)
+    folded = seq.symbols[:ctx.N] ^ seq.symbols[ctx.N:]
+    spec = []
+    for k in range(ctx.N):
+        acc = 0
+        for v in (1, 2, 3):
+            acc ^= ctx.mul(_xsum(ctx, np.nonzero(folded == v)[0], k), v)
+        spec.append(acc)
+    return spec
+
+
+def _ref_case_table(system, ctx, mapping):
+    bad = validate_mapping(system.constants.p, mapping)
+    if bad:
+        raise InvalidMapping(bad)
+    prof = spectrum_profile(system, mapping)
+    spec = _ref_spectrum(system, ctx, mapping)
+    if spec[0] != mapping.e:
+        raise CaseViolation(0, mapping.e, spec[0])
+    c = system.constants
+    for k in range(1, ctx.N):
+        if k % c.p**c.m == 0:
+            expected = prof.value_p_saturated
+        elif k % c.q**c.n == 0:
+            expected = prof.value_q_saturated
+        else:
+            expected = prof.value_generic
+        if spec[k] != expected:
+            raise CaseViolation(k, expected, spec[k])
+    return ctx.N
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except CycloseqError as exc:
+        return (type(exc).__name__, str(exc), vars(exc))
+
+
+def _corrupted_contexts(ctx, position):
+    bp = ctx.beta_powers.copy()
+    bp[position] ^= 1
+    squared = ctx.beta_powers[2 * np.arange(ctx.N) % ctx.N]
+    return [dataclasses.replace(ctx, beta_powers=bp),
+            dataclasses.replace(ctx, beta=int(squared[1]),
+                                beta_powers=squared)]
+
+
+@pytest.mark.parametrize("params, position, first_k", [
+    ((3, 7, 1, 1), 7, 7), ((3, 5, 2, 1), 2, 1), ((3, 5, 1, 1), 0, 3)])
+def test_char_sum_witness_matches_reference(params, position, first_k):
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    bad, squared = _corrupted_contexts(ctx, position)
+    got = _outcome(verify_char_sum_tables, system, bad)
+    assert got == _outcome(_ref_char_sums, system, bad)
+    assert got[0] == "LemmaViolation" and got[2]["witness"]["k"] == first_k
+    rep = verify_char_sum_tables(system, squared)
+    assert rep.cells_checked == _ref_char_sums(system, squared)
+
+
+@pytest.mark.parametrize("params, position", [
+    ((3, 7, 1, 1), 7), ((3, 5, 2, 1), 2), ((3, 5, 1, 1), 0)])
+def test_case_table_witness_matches_reference(params, position):
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    raised = set()
+    for bad in [ctx] + _corrupted_contexts(ctx, position):
+        for mapping in (DEFAULT_MAPPING, Mapping(0, 3, 1, 2, 1),
+                        Mapping(3, 2, 0, 1, 1), Mapping(2, 3, 1, 0, 3)):
+            got = _outcome(verify_case_table, system, bad, mapping)
+            want = _outcome(_ref_case_table, system, bad, mapping)
+            if got[0] == "ok":
+                got = ("ok", got[1].checked)
+            assert got == want
+            raised.add(got[0])
+    assert "CaseViolation" in raised
+
+
+def test_blocked_kernel_matches_single_block(monkeypatch):
+    system = build_system(3, 5, 2, 1)
+    ctx = build_extension(system.constants.half_period)
+    bad = _corrupted_contexts(ctx, 2)[0]
+    sets = [h_set(system, cid) for cid in system.classes
+            if cid.shape in DOUBLED_SHAPES] + [np.array([], dtype=np.int64)]
+    ks = np.append(np.arange(-3, 2 * ctx.N), 10**15 + 7)
+    whole = extfield._power_sums(ctx.beta_powers, sets, ks)
+    spectrum = measure_spectrum(system, ctx, DEFAULT_MAPPING)
+    witness = _outcome(verify_char_sum_tables, system, bad)
+    for budget in (1, 50, 1000):
+        monkeypatch.setattr(extfield, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(
+            extfield._power_sums(ctx.beta_powers, sets, ks), whole)
+        assert np.array_equal(
+            measure_spectrum(system, ctx, DEFAULT_MAPPING), spectrum)
+        assert _outcome(verify_char_sum_tables, system, bad) == witness
+    assert not whole[:, -1].any()
+    for r in list(range(40)) + [len(ks) - 1]:
+        assert [_xsum(ctx, s, int(ks[r])) for s in sets] == whole[r].tolist()
