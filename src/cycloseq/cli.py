@@ -31,7 +31,6 @@ from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        write_sequence_file)
 
 VERIFY_N_CAP = 5000
-VERIFY_DEGREE_CAP = 12
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
 CAP_HELP = (f"override the period cap 2 p^m q^n <= {DEFAULT_PARAM_CAP} "
@@ -160,7 +159,7 @@ def cmd_verify(args):
     if N > VERIFY_N_CAP:
         raise CapExceeded(
             f"N = {N} beyond the verification cap {VERIFY_N_CAP}")
-    context = build_extension(N, max_degree=VERIFY_DEGREE_CAP)
+    context = build_extension(N)
     char_report = verify_char_sum_tables(system, context)
     case_report = verify_case_table(system, context, mapping)
     lc_report = verify_theorem(system, mapping, strict=True)

@@ -5,9 +5,12 @@ a primitive N-th root of unity beta. Elements are packed integers, two
 bits per GF4 coefficient (digit i at bits 2i, 2i+1), which keeps the whole
 field in uint32 for d <= 12 and makes addition a plain XOR.
 
-The module builds the context deterministically (least monic irreducible
-modulus in lexicographic coefficient order, first generator by packed-code
-order) and tabulates beta^r for 0 <= r < N. Every sum it then measures has
+ext_mul, a Horner product on packed elements reduced through the packed
+tail of any monic modulus, is the only multiplication. The module builds
+the context deterministically (least monic irreducible modulus in
+lexicographic coefficient order, found by Rabin's test squaring with
+ext_mul modulo each candidate; first generator by packed-code order) and
+tabulates beta^r for 0 <= r < N. Every sum it then measures has
 the form XOR of beta^(k t mod N) over an index set T, so one kernel,
 _power_sums, evaluates a whole table of them: every multiplier k against
 every set at once, in blocks of about _BLOCK_ELEMENTS gathered elements
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf4
-from .cyclotomy import ClassId, h_set
+from .cyclotomy import DOUBLED_SHAPES, ClassId, all_class_ids, h_set
 from .errors import (CapExceeded, CaseViolation, InvalidMapping,
                      InvalidParams, LemmaViolation, NotCoprime)
 from .numtheory import factorize, mult_order
@@ -109,37 +112,20 @@ def ext_pow(x, e, d, tail, lomask):
 
 
 def _vec_mul_scalar(arr, y, d, tail, lomask):
-    # arr * y for a whole uint32 array of packed elements, scalar y
-    full = np.uint32((1 << (2 * d)) - 1)
-    topshift = 2 * (d - 1)
-    ta = _mul_alpha(tail, lomask)
-    tail_tbl = np.array([0, tail, ta, tail ^ ta], dtype=np.uint32)
+    # arr * y for a whole uint32 array of packed elements, scalar y. Product
+    # by a fixed y is GF(2)-linear, so it is the XOR of the images of the
+    # set bits of each element.
     acc = np.zeros_like(arr)
-    for pos in range(d - 1, -1, -1):
-        tops = (acc >> topshift) & 3
-        acc = ((acc << np.uint32(2)) & full) ^ tail_tbl[tops]
-        dig = (y >> (2 * pos)) & 3
-        if dig == 1:
-            acc ^= arr
-        elif dig == 2:
-            acc ^= _mul_alpha(arr, np.uint32(lomask))
-        elif dig == 3:
-            acc ^= arr ^ _mul_alpha(arr, np.uint32(lomask))
+    for bit in range(2 * d):
+        image = np.uint32(ext_mul(1 << bit, y, d, tail, lomask))
+        acc ^= (arr >> bit & 1) * image
     return acc
 
 
 # --- modulus selection -----------------------------------------------------
 
-def _poly_powmod_4(t, reps, modulus):
-    # t^(4^reps) mod modulus via repeated squaring (twice per step)
-    for _ in range(reps):
-        t = gf4.poly_divmod(gf4.poly_mul(t, t), modulus)[1]
-        t = gf4.poly_divmod(gf4.poly_mul(t, t), modulus)[1]
-    return t
-
-
 def is_irreducible(poly):
-    """Rabin's test over GF(4) for a monic polynomial."""
+    """Rabin's test over GF(4), squaring with ext_mul modulo poly itself."""
     d = gf4.poly_deg(poly)
     if d <= 0:
         return False
@@ -147,15 +133,21 @@ def is_irreducible(poly):
         return True
     if poly[0] == 0:
         return False
-    x = gf4.poly([0, 1])
-    xmod = gf4.poly_divmod(x, poly)[1]
-    if not gf4.poly_eq(_poly_powmod_4(xmod, d, poly), xmod):
+    poly = gf4.poly_monic(poly)
+    tail = poly_to_packed(poly[:d])
+    lomask = _lomask(d)
+    # frob[k] = x^(4^k) mod poly, packed; x itself is the packed code 4
+    frob = [4]
+    for _ in range(d):
+        t = ext_mul(frob[-1], frob[-1], d, tail, lomask)
+        frob.append(ext_mul(t, t, d, tail, lomask))
+    if frob[d] != 4:
         return False
     for r in factorize(d):
-        sub = gf4.poly_add(_poly_powmod_4(xmod, d // r, poly), xmod)
-        if gf4.poly_is_zero(sub):
+        sub = frob[d // r] ^ 4
+        if sub == 0:
             return False
-        if gf4.poly_deg(gf4.poly_gcd(sub, poly)) != 0:
+        if gf4.poly_deg(gf4.poly_gcd(packed_to_poly(sub, d), poly)) != 0:
             return False
     return True
 
@@ -213,9 +205,6 @@ class ExtFieldContext:
 
     def pow(self, x, e):
         return ext_pow(x, e, self.d, self.tail, self.lomask)
-
-    def frobenius(self, x):
-        return self.pow(x, 4)
 
     def element_order(self, x):
         if x == 0:
@@ -453,7 +442,10 @@ def verify_char_sum_tables(system, context):
     measured sum must match its closed form: an integer constant reduced
     mod 2 when the cell's exponents are dominated by (a, b), a root-of-
     unity sum over the base class on the boundary, and 0 beyond it. Both
-    the measured and the expected values are whole (k, cell) tables.
+    the measured and the expected values are whole (k, cell) tables; the
+    root-of-unity sums come from power tables of zeta_pq, zeta_p and zeta_q
+    computed afresh from beta, so a corrupted beta_powers entry cannot
+    shift both sides alike.
     Raises LemmaViolation with the witness (k, cell) on the first
     mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
     (i, h) and the 2q cells (j, h).
@@ -462,28 +454,29 @@ def verify_char_sum_tables(system, context):
     c = system.constants
     p, q, m, n = c.p, c.q, c.m, c.n
     N = context.N
-    bp = context.beta_powers
 
     ks = np.arange(1, N, dtype=np.int64)
     a = _valuations(ks, p, N)
     b = _valuations(ks, q, N)
     l = ks // (p**a * q**b)
 
-    def root_sums(shape, i, j, zeta_exp):
-        # sums over the base class of zeta^t, zeta = beta^(zeta_exp * l)
+    def root_sums(shape, i, j, zeta_exp, mult):
+        # sums over the base class of zeta^(mult * l * t) with zeta =
+        # beta^zeta_exp, from zeta's own power table: independent of
+        # beta_powers, which the measured side reads
+        zeta = context.pow(context.beta, zeta_exp)
+        table = _power_table(zeta, N // zeta_exp, context.d, context.tail,
+                             context.lomask)
         base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
-        return _power_sums(bp, base, zeta_exp % N * l % N)
+        return _power_sums(table, base, mult * l)
 
-    roots = {"2pq": root_sums("pq", 1, 1, p**(m - 1) * q**(n - 1)),
-             "2p": root_sums("p", 1, 0, p**(m - 1) * q**n * q**b),
-             "2q": root_sums("q", 0, 1, p**m * q**(n - 1) * p**a)}
-    cells = ([ClassId("2pq", i, j, h) for i in range(1, m + 1)
-              for j in range(1, n + 1) for h in (0, 1)]
-             + [ClassId("2p", i, 0, h) for i in range(1, m + 1)
-                for h in (0, 1)]
-             + [ClassId("2q", 0, j, h) for j in range(1, n + 1)
-                for h in (0, 1)])
-    measured = _power_sums(bp, [h_set(system, cid) for cid in cells], ks)
+    roots = {"2pq": root_sums("pq", 1, 1, p**(m - 1) * q**(n - 1), 1),
+             "2p": root_sums("p", 1, 0, p**(m - 1) * q**n, q**b),
+             "2q": root_sums("q", 0, 1, p**m * q**(n - 1), p**a)}
+    cells = [cid for cid in all_class_ids(m, n)
+             if cid.shape in DOUBLED_SHAPES]
+    measured = _power_sums(context.beta_powers,
+                           [h_set(system, cid) for cid in cells], ks)
 
     columns = []
     for cid in cells:

@@ -117,6 +117,9 @@ def test_verify_vanishing_regime_is_a_violation(capsys):
 def test_verify_caps(capsys):
     code, _, err = run(capsys, "verify", "--p", "71", "--q", "73")
     assert code == 3 and "error:" in err
+    # N = 143 is under the N cap, but ord_143(4) = 30 exceeds the degree cap
+    code, _, err = run(capsys, "verify", "--p", "11", "--q", "13")
+    assert code == 3 and "error:" in err
     code, _, err = run(capsys, "verify", "--p", "3", "--q", "5",
                        "--cap", "10")
     assert code == 3

@@ -86,9 +86,31 @@ def test_irreducibility_against_root_oracle():
             assert is_irreducible(poly) == (not has_root)
 
 
+def test_irreducibility_against_product_oracle():
+    # degree 4 and 5: reducible iff a product of two monic polynomials of
+    # lower degree, formed with the dense poly_mul; a scalar multiple of a
+    # polynomial is irreducible exactly when the polynomial is
+    def monic(deg):
+        return [gf4.poly(c + (1,))
+                for c in itertools.product(range(4), repeat=deg)]
+
+    for d, scalar in ((4, 2), (5, 3)):
+        reducible = {gf4.poly_to_digits(gf4.poly_mul(f, g))
+                     for low in range(1, d // 2 + 1)
+                     for f in monic(low) for g in monic(d - low)}
+        for poly in monic(d):
+            irreducible = gf4.poly_to_digits(poly) not in reducible
+            assert is_irreducible(poly) == irreducible
+            assert is_irreducible(gf4.poly_scale(poly, scalar)) == \
+                irreducible
+
+
 def test_least_irreducible():
-    assert gf4.poly_to_digits(least_irreducible(1)) == "11"
-    assert gf4.poly_to_digits(least_irreducible(2)) == "121"
+    expected = ["11", "121", "1011", "10121", "100021", "1001121",
+                "10000011", "100002031", "1000000011", "10000002101",
+                "100000000021", "1000000001121"]
+    assert [gf4.poly_to_digits(least_irreducible(d))
+            for d in range(1, 13)] == expected
     p3 = least_irreducible(3)
     assert is_irreducible(p3) and gf4.poly_deg(p3) == 3
     # nothing lexicographically earlier (constant term compared first,
@@ -122,17 +144,6 @@ def test_ext_pow_fermat(ctx15):
     assert ctx15.pow(0, 5) == 0
     with pytest.raises(InvalidParams):
         ctx15.pow(2, -1)
-
-
-def test_frobenius(ctx15, ctx21):
-    for ctx in (ctx15, ctx21):
-        for scalar in range(4):
-            assert ctx.frobenius(scalar) == scalar
-        rng = random.Random(914)
-        for _ in range(60):
-            x = rng.randrange(4**ctx.d)
-            y = rng.randrange(4**ctx.d)
-            assert ctx.frobenius(x ^ y) == ctx.frobenius(x) ^ ctx.frobenius(y)
 
 
 def test_context_shape(ctx15, ctx21):
@@ -310,23 +321,27 @@ def _expected_cell(system, ctx, cid, k):
     l = k // (p**a * q**b)
     i, j = cid.i, cid.j
 
-    def root(shape, ri, rj, zeta_exp):
-        base = system.classes[ClassId(shape, ri, rj, cid.h)]
-        return _xsum(ctx, base, zeta_exp * l)
+    def root(shape, ri, rj, zeta_exp, mult):
+        # evaluated from powers of zeta = beta^zeta_exp, not from beta_powers
+        zeta = ctx.pow(ctx.beta, zeta_exp)
+        acc = 0
+        for t in system.classes[ClassId(shape, ri, rj, cid.h)]:
+            acc ^= ctx.pow(zeta, mult * l * int(t))
+        return acc
 
     if cid.shape == "2pq":
         if i <= a and j <= b:
             return ((p - 1) * (q - 1) * p**(i - 1) * q**(j - 1) // 2) & 1
         if i == a + 1 and j == b + 1:
-            return root("pq", 1, 1, p**(m - 1) * q**(n - 1))
+            return root("pq", 1, 1, p**(m - 1) * q**(n - 1), 1)
         return ((q - 1) // 2) & 1 if i == a + 1 and j <= b else 0
     if cid.shape == "2p":
         if i <= a:
             return (p**(i - 1) * (p - 1) // 2) & 1
-        return root("p", 1, 0, p**(m - 1) * q**(n + b)) if i == a + 1 else 0
+        return root("p", 1, 0, p**(m - 1) * q**n, q**b) if i == a + 1 else 0
     if j <= b:
         return (q**(j - 1) * (q - 1) // 2) & 1
-    return root("q", 0, 1, p**(m + a) * q**(n - 1)) if j == b + 1 else 0
+    return root("q", 0, 1, p**m * q**(n - 1), p**a) if j == b + 1 else 0
 
 
 _DETAIL = {"2pq": "mixed-modulus character sum off its closed form",
@@ -400,7 +415,7 @@ def _corrupted_contexts(ctx, position):
 
 
 @pytest.mark.parametrize("params, position, first_k", [
-    ((3, 7, 1, 1), 7, 7), ((3, 5, 2, 1), 2, 1), ((3, 5, 1, 1), 0, 3)])
+    ((3, 7, 1, 1), 7, 1), ((3, 5, 2, 1), 2, 1), ((3, 5, 1, 1), 0, 3)])
 def test_char_sum_witness_matches_reference(params, position, first_k):
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
@@ -410,6 +425,23 @@ def test_char_sum_witness_matches_reference(params, position, first_k):
     assert got[0] == "LemmaViolation" and got[2]["witness"]["k"] == first_k
     rep = verify_char_sum_tables(system, squared)
     assert rep.cells_checked == _ref_char_sums(system, squared)
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1),
+                                    (3, 5, 2, 1)])
+def test_every_table_flip_is_caught(params):
+    # the expected root sums come from powers of zeta, not from beta_powers,
+    # so no single-bit corruption of the table can hide on both sides
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    verify_char_sum_tables(system, ctx)
+    for position in range(ctx.N):
+        for bit in range(2 * ctx.d):
+            bp = ctx.beta_powers.copy()
+            bp[position] ^= 1 << bit
+            with pytest.raises(LemmaViolation):
+                verify_char_sum_tables(
+                    system, dataclasses.replace(ctx, beta_powers=bp))
 
 
 @pytest.mark.parametrize("params, position", [
