@@ -7,6 +7,10 @@ exceeded, 4 malformed sequence file. The parameter cap (default
 2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be overridden by
 --cap or the CYCLOSEQ_CAP environment variable; extension-field
 verification is additionally capped at N <= 5000 and degree d <= 12.
+
+In the verify report, partition_ok: true rests on build_system, which
+paints the partition and raises PartitionViolation (exit 1) on any index
+left unlabeled or labeled twice.
 """
 
 import argparse
@@ -18,8 +22,8 @@ import sys
 
 from .analysis import (analyze_degenerate, analyze_symbols,
                        degenerate_lower_bound, verify_theorem)
-from .cyclotomy import (build_partition, build_system,
-                        check_residue_rules, check_structural_lemmas)
+from .cyclotomy import (build_system, check_residue_rules,
+                        check_structural_lemmas)
 from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      InvalidMapping, InvalidParams, LemmaViolation,
                      MalformedSequenceFile, MethodDisagreement,
@@ -27,7 +31,7 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
 from .extfield import build_extension, verify_case_table, verify_char_sum_tables
 from .numtheory import DEFAULT_PARAM_CAP
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
-                       forbidden_e_values, read_sequence_file,
+                       degenerate_e_values, read_sequence_file,
                        write_sequence_file)
 
 VERIFY_N_CAP = 5000
@@ -151,7 +155,6 @@ def cmd_verify(args):
     cap = _resolve_cap(args)
     mapping = _parse_mapping(args.map)
     system = build_system(args.p, args.q, args.m, args.n, cap=cap)
-    build_partition(system)
     violations = check_structural_lemmas(system) + check_residue_rules(system)
     if violations:
         raise violations[0]
@@ -210,13 +213,8 @@ def _sweep_row(task):
 
 
 def _degenerate_variants(p, base):
-    out = []
-    for e in sorted(forbidden_e_values(p, base)):
-        if e == 0:
-            continue
-        cand = Mapping(base.a, base.b, base.c, base.d, e)
-        out.append(cand)
-    return out
+    return [Mapping(base.a, base.b, base.c, base.d, e)
+            for e in degenerate_e_values(p, base) if e]
 
 
 def cmd_sweep(args):

@@ -1,24 +1,26 @@
 """Generalized cyclotomic classes of order two and the index partition.
 
 For distinct odd primes p, q and exponents m, n >= 1, fix the constants
-(g, y) from numtheory. For each modulus R in one of the six shapes
+(g, y) from numtheory. A family index (i, j) with 0 <= i <= m,
+0 <= j <= n, not both 0, gives the modulus p^i q^j and its double
+2 p^i q^j; j = 0 is the p-power family and i = 0 the q-power family, so
+the six shapes p^i q^j, 2 p^i q^j, p^i, 2 p^i, q^j, 2 q^j are named "2"
+(doubled), then "p" if i > 0, then "q" if j > 0.
 
-    p^i q^j,  2 p^i q^j,  p^i,  2 p^i,  q^j,  2 q^j
+For every shape the units split into two equal halves: D_0 = <g^2, y> and
+its coset D_1 = g * D_0. With op = phi(p^i), oq = phi(q^j) (phi = 1 at
+exponent 0) that is lcm(op, oq)/2 powers of g^2 times gcd(op, oq) powers
+of y; on a prime-power family the y count is 1 and D_0 is the even-power
+coset of g. check_structural_lemmas confirms this agrees with lifting:
+family (i, j) lifts its base class (min(i, 1), min(j, 1)) in steps of
+p^[i>0] q^[j>0].
 
-the units of R split into two equal halves: D_0 generated by the even
-powers of g together with the powers of y, and its coset D_1 = g * D_0.
-(For the prime-power shapes y acts trivially on one side or coincides with
-a power of g on the other, so D_0 there is simply the even-power coset of
-g; the lift identities checked by check_structural_lemmas confirm that this
-convention agrees with the classes-by-lifting description.)
-
-Scaling each class by its cofactor (p^{m-i} q^{n-j}, p^{m-i} q^n or
-p^m q^{n-j}) gives the H-sets; the doubled-modulus H-sets, two times the
-odd-modulus H-sets, and the two singletons {0} and {p^m q^n} tile
-Z_{2 p^m q^n} exactly once. That tiling, stored as a label array, is the
-single source of truth for sequence generation; the per-index classifier
-classify_index recomputes labels independently so the two paths can be
-cross-checked.
+Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
+doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
+singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
+stored as a label array, is the single source of truth for sequence
+generation; the per-index classifier classify_index recomputes labels
+independently so the two paths can be cross-checked.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParams, LemmaViolation, PartitionViolation
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
-                        build_system_constants, euler_phi)
+                        build_system_constants, two_is_square_mod)
 
 ODD_SHAPES = ("pq", "p", "q")
 DOUBLED_SHAPES = ("2pq", "2p", "2q")
@@ -53,6 +55,26 @@ class ClassId(NamedTuple):
 
 
 Label = Union[str, ClassId]
+
+
+def _shape(i, j, two=False):
+    return ("2" if two else "") + ("p" if i else "") + ("q" if j else "")
+
+
+def _family_indices(m, n):
+    # the mixed grid first, then the p-power and the q-power families
+    return ([(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+            + [(i, 0) for i in range(1, m + 1)]
+            + [(0, j) for j in range(1, n + 1)])
+
+
+def _families(m, n):
+    # family members keyed by base class; the lemma checks report the p,
+    # q and pq families in that order
+    out = {(1, 0): [], (0, 1): [], (1, 1): []}
+    for i, j in _family_indices(m, n):
+        out[min(i, 1), min(j, 1)].append((i, j))
+    return out
 
 
 def _check_class_id(constants, cid):
@@ -87,104 +109,40 @@ def _coset(mod, square, y, half_order, y_count, start):
     return np.array(sorted(elems), dtype=np.int64)
 
 
-def _require_size(out, size, what):
-    # a short coset means g or y does not have the order the constants claim
-    if len(out) != size:
-        raise LemmaViolation("class enumeration collapsed", cls=what,
-                             size=len(out), expected=size)
+def build_class(constants, cid):
+    """D_h modulo p^i q^j (times 2 for a doubled shape), sorted.
+
+    The doubled flag is ignored. Both moduli of a family have
+    d_ij * e_ij / 2 residues per class: d_ij/2 powers of g^2 times e_ij
+    powers of y, with e_ij = 1 on the prime-power families.
+    """
+    c = constants
+    _check_class_id(c, cid)
+    mod = (2 if cid.shape[0] == "2" else 1) * c.p**cid.i * c.q**cid.j
+    d, e = c.d_ij[(cid.i, cid.j)], c.e_ij[(cid.i, cid.j)]
+    start = 1 if cid.h == 0 else c.g
+    out = _coset(mod, c.g * c.g % mod, c.y % mod, d // 2, e, start)
+    if len(out) != d * e // 2:
+        # a short coset means g or y lacks the order the constants claim
+        raise LemmaViolation("class enumeration collapsed", cls=cid,
+                             size=len(out), expected=d * e // 2)
     return out
-
-
-def build_class_pq(constants, i, j, h):
-    """D_h modulo p^i q^j, as a sorted array of phi(p^i q^j)/2 residues."""
-    c = constants
-    cid = ClassId("pq", i, j, h)
-    _check_class_id(c, cid)
-    mod = c.p**i * c.q**j
-    d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
-    start = 1 if h == 0 else c.g
-    out = _coset(mod, c.g * c.g % mod, c.y % mod, d // 2, e, start)
-    return _require_size(out, d * e // 2, cid)
-
-
-def build_class_2pq(constants, i, j, h):
-    """D_h modulo 2 p^i q^j; same cardinality as the odd-modulus class."""
-    c = constants
-    cid = ClassId("2pq", i, j, h)
-    _check_class_id(c, cid)
-    mod = 2 * c.p**i * c.q**j
-    d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
-    start = 1 if h == 0 else c.g
-    out = _coset(mod, c.g * c.g % mod, c.y % mod, d // 2, e, start)
-    return _require_size(out, d * e // 2, cid)
-
-
-def build_class_prime_power(constants, which, i, doubled, h):
-    """D_h modulo p^i / 2p^i (or q^i / 2q^i), the even-power coset of g."""
-    c = constants
-    if which == "p":
-        prime, top = c.p, c.m
-    elif which == "q":
-        prime, top = c.q, c.n
-    else:
-        raise InvalidParams(f"which must be 'p' or 'q', got {which!r}")
-    if not 1 <= i <= top:
-        raise InvalidParams(f"exponent {i} out of range for {which}")
-    mod = prime**i * (2 if doubled else 1)
-    half = euler_phi(prime**i) // 2
-    start = 1 if h == 0 else c.g
-    out = _coset(mod, c.g * c.g % mod, 1, half, 1, start)
-    return _require_size(out, half, (which, i, doubled, h))
-
-
-def class_for(constants, cid):
-    """Dispatch to the right builder; the doubled flag is ignored here."""
-    _check_class_id(constants, cid)
-    if cid.shape in ("pq", "2pq"):
-        build = build_class_pq if cid.shape == "pq" else build_class_2pq
-        return build(constants, cid.i, cid.j, cid.h)
-    which = "p" if cid.shape in ("p", "2p") else "q"
-    exp = cid.i if which == "p" else cid.j
-    return build_class_prime_power(constants, which, exp,
-                                   cid.shape.startswith("2"), cid.h)
 
 
 def all_class_ids(m, n):
     """Deterministic enumeration of every class id (doubled=False)."""
-    out = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            for h in (0, 1):
-                out.append(ClassId("pq", i, j, h))
-                out.append(ClassId("2pq", i, j, h))
-    for i in range(1, m + 1):
-        for h in (0, 1):
-            out.append(ClassId("p", i, 0, h))
-            out.append(ClassId("2p", i, 0, h))
-    for j in range(1, n + 1):
-        for h in (0, 1):
-            out.append(ClassId("q", 0, j, h))
-            out.append(ClassId("2q", 0, j, h))
-    return out
+    return [ClassId(_shape(i, j, two), i, j, h)
+            for i, j in _family_indices(m, n)
+            for h in (0, 1) for two in (False, True)]
 
 
 def partition_labels(m, n):
     """Label table for the partition of Z_{2 p^m q^n}, fixed order."""
-    labels = [ZERO_LABEL, HALF_LABEL]
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            for h in (0, 1):
-                labels.append(ClassId("2pq", i, j, h))
-                labels.append(ClassId("pq", i, j, h, doubled=True))
-    for i in range(1, m + 1):
-        for h in (0, 1):
-            labels.append(ClassId("2p", i, 0, h))
-            labels.append(ClassId("p", i, 0, h, doubled=True))
-    for j in range(1, n + 1):
-        for h in (0, 1):
-            labels.append(ClassId("2q", 0, j, h))
-            labels.append(ClassId("q", 0, j, h, doubled=True))
-    return tuple(labels)
+    # all_class_ids pairs each odd class with its doubled-modulus twin
+    ids = all_class_ids(m, n)
+    return (ZERO_LABEL, HALF_LABEL) + tuple(
+        lab for odd, twin in zip(ids[::2], ids[1::2])
+        for lab in (twin, odd._replace(doubled=True)))
 
 
 def bucket_of_label(label):
@@ -205,11 +163,7 @@ def bucket_of_label(label):
 def cofactor_of(constants, cid):
     """Scale factor embedding a class into Z_{p^m q^n} / Z_{2 p^m q^n}."""
     c = constants
-    if cid.shape in ("pq", "2pq"):
-        return c.p**(c.m - cid.i) * c.q**(c.n - cid.j)
-    if cid.shape in ("p", "2p"):
-        return c.p**(c.m - cid.i) * c.q**c.n
-    return c.p**c.m * c.q**(c.n - cid.j)
+    return c.p**(c.m - cid.i) * c.q**(c.n - cid.j)
 
 
 @dataclass(frozen=True)
@@ -275,7 +229,7 @@ def _paint_partition(constants, classes, labels):
 def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     """Build constants, all classes, and the verified partition array."""
     constants = build_system_constants(p, q, m, n, cap=cap)
-    classes = {cid: class_for(constants, cid) for cid in all_class_ids(m, n)}
+    classes = {cid: build_class(constants, cid) for cid in all_class_ids(m, n)}
     labels = partition_labels(m, n)
     partition = _paint_partition(constants, classes, labels)
     partition.flags.writeable = False
@@ -315,8 +269,9 @@ def classify_index(system, t):
     """Label index of position t, computed independently of the partition.
 
     Walks the definition directly: split off the factor 2, read the p/q
-    valuations to find the shape and exponents, divide out the cofactor and
-    binary-search the residue in the two candidate cosets.
+    valuations a, b (capped at m, n) to get the family (m - a, n - b),
+    divide out the cofactor p^a q^b and binary-search the residue in the
+    two candidate cosets.
     """
     c = system.constants
     p, q, m, n = c.p, c.q, c.m, c.n
@@ -331,19 +286,10 @@ def classify_index(system, t):
     u = t // 2 if doubled else t
     a = _valuation(u, p, m)
     b = _valuation(u, q, n)
-    if a < m and b < n:
-        shape, i, j = "pq", m - a, n - b
-        cof = p**a * q**b
-    elif a < m:
-        shape, i, j = "p", m - a, 0
-        cof = p**a * q**n
-    elif b < n:
-        shape, i, j = "q", 0, n - b
-        cof = p**m * q**b
-    else:
+    if a == m and b == n:
         raise PartitionViolation(t, "divisible by p^m q^n yet not special")
-    if not doubled:
-        shape = "2" + shape
+    i, j, cof = m - a, n - b, p**a * q**b
+    shape = _shape(i, j, two=not doubled)
     if u % cof:
         raise PartitionViolation(t, "cofactor does not divide the index")
     h = _member_side(system, shape, i, j, u // cof)
@@ -352,20 +298,20 @@ def classify_index(system, t):
     return system.label_index[ClassId(shape, i, j, h, doubled=doubled)]
 
 
+def _side_of_2(system, i, j):
+    shape = _shape(i, j)
+    h = _member_side(system, shape, i, j, 2)
+    if h is None:
+        raise PartitionViolation(2, f"2 missing from both {shape} cosets")
+    return h
+
+
 def residue_side_of_2(system, shape, i=1, j=1):
     """h with 2 in D_h for an odd-modulus shape ("p", "q" or "pq")."""
     if shape not in ODD_SHAPES:
         raise InvalidParams("2 is a unit only modulo the odd shapes")
-    if shape == "p":
-        cid_i, cid_j = i, 0
-    elif shape == "q":
-        cid_i, cid_j = 0, j
-    else:
-        cid_i, cid_j = i, j
-    h = _member_side(system, shape, cid_i, cid_j, 2)
-    if h is None:
-        raise PartitionViolation(2, f"2 missing from both {shape} cosets")
-    return h
+    return _side_of_2(system, i if "p" in shape else 0,
+                      j if "q" in shape else 0)
 
 
 def _as_set(arr):
@@ -384,7 +330,8 @@ def check_structural_lemmas(system):
     """
     out = []
     c = system.constants
-    p, q, m, n = c.p, c.q, c.m, c.n
+    p, q = c.p, c.q
+    families = _families(c.m, c.n)
 
     def check(cid, expected):
         got = _as_set(system.classes[cid])
@@ -393,55 +340,38 @@ def check_structural_lemmas(system):
             out.append(LemmaViolation("class set identity failed",
                                       shape=cid, witness=diff[0]))
 
-    def odd_corrected(values, mod):
-        return {v if v % 2 else v + mod for v in values}
-
     for h in (0, 1):
-        base_p = _as_set(system.classes[ClassId("p", 1, 0, h)])
-        for i in range(1, m + 1):
-            lifted = {x + p * y for x in base_p for y in range(p**(i - 1))}
-            if i > 1:
-                check(ClassId("p", i, 0, h), lifted)
-            check(ClassId("2p", i, 0, h), odd_corrected(lifted, p**i))
-
-        base_q = _as_set(system.classes[ClassId("q", 0, 1, h)])
-        for j in range(1, n + 1):
-            lifted = {x + q * y for x in base_q for y in range(q**(j - 1))}
-            if j > 1:
-                check(ClassId("q", 0, j, h), lifted)
-            check(ClassId("2q", 0, j, h), odd_corrected(lifted, q**j))
-
-        base_pq = _as_set(system.classes[ClassId("pq", 1, 1, h)])
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                span = p**(i - 1) * q**(j - 1)
-                lifted = {x + p * q * y for x in base_pq for y in range(span)}
-                if (i, j) != (1, 1):
-                    check(ClassId("pq", i, j, h), lifted)
-                check(ClassId("2pq", i, j, h),
-                      odd_corrected(lifted, p**i * q**j))
+        for (bi, bj), members in families.items():
+            base_set = _as_set(
+                system.classes[ClassId(_shape(bi, bj), bi, bj, h)])
+            step = p**bi * q**bj
+            for i, j in members:
+                mod = p**i * q**j
+                lifted = {x + step * y for x in base_set
+                          for y in range(mod // step)}
+                if (i, j) != (bi, bj):
+                    check(ClassId(_shape(i, j), i, j, h), lifted)
+                # the doubled modulus takes the odd member of {v, v + mod}
+                check(ClassId(_shape(i, j, two=True), i, j, h),
+                      {v if v % 2 else v + mod for v in lifted})
 
         # doubled shape reduced mod its odd part must be the odd shape
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                got = _as_set(system.classes[ClassId("2pq", i, j, h)]
-                              % (p**i * q**j))
-                if got != _as_set(system.classes[ClassId("pq", i, j, h)]):
-                    out.append(LemmaViolation(
-                        "doubled class does not reduce onto the odd class",
-                        shape=ClassId("2pq", i, j, h), witness=min(got)))
+        for i, j in families[1, 1]:
+            got = _as_set(system.classes[ClassId("2pq", i, j, h)]
+                          % (p**i * q**j))
+            if got != _as_set(system.classes[ClassId("pq", i, j, h)]):
+                out.append(LemmaViolation(
+                    "doubled class does not reduce onto the odd class",
+                    shape=ClassId("2pq", i, j, h), witness=min(got)))
 
     # side of 2 must not depend on the exponent
-    for shape, top in (("p", m), ("q", n)):
-        sides = {residue_side_of_2(system, shape, i=i, j=i) for i in range(1, top + 1)}
+    for base, members in families.items():
+        sides = {_side_of_2(system, i, j) for i, j in members}
         if len(sides) > 1:
-            out.append(LemmaViolation("side of 2 varies with the exponent",
-                                      shape=shape, witness=sorted(sides)))
-    sides = {residue_side_of_2(system, "pq", i=i, j=j)
-             for i in range(1, m + 1) for j in range(1, n + 1)}
-    if len(sides) > 1:
-        out.append(LemmaViolation("side of 2 varies with the exponents",
-                                  shape="pq", witness=sorted(sides)))
+            plural = "s" if base == (1, 1) else ""
+            out.append(LemmaViolation(
+                f"side of 2 varies with the exponent{plural}",
+                shape=_shape(*base), witness=sorted(sides)))
     return out
 
 
@@ -454,20 +384,13 @@ def check_residue_rules(system):
     """
     out = []
     c = system.constants
-    expect_p = 0 if c.p % 8 in (1, 7) else 1
-    expect_q = 0 if c.q % 8 in (1, 7) else 1
-    for i in range(1, c.m + 1):
-        if residue_side_of_2(system, "p", i=i) != expect_p:
-            out.append(LemmaViolation("side of 2 breaks the mod-8 rule",
-                                      shape="p", witness=i))
-    for j in range(1, c.n + 1):
-        if residue_side_of_2(system, "q", j=j) != expect_q:
-            out.append(LemmaViolation("side of 2 breaks the mod-8 rule",
-                                      shape="q", witness=j))
-    for i in range(1, c.m + 1):
-        for j in range(1, c.n + 1):
-            if residue_side_of_2(system, "pq", i=i, j=j) != expect_q:
+    for base, members in _families(c.m, c.n).items():
+        expect = 0 if two_is_square_mod(c.q if base[1] else c.p) else 1
+        for i, j in members:
+            if _side_of_2(system, i, j) != expect:
+                mixed = base == (1, 1)
                 out.append(LemmaViolation(
-                    "pq side of 2 does not follow q's mod-8 rule",
-                    shape="pq", witness=(i, j)))
+                    "pq side of 2 does not follow q's mod-8 rule" if mixed
+                    else "side of 2 breaks the mod-8 rule",
+                    shape=_shape(i, j), witness=(i, j) if mixed else i or j))
     return out

@@ -142,6 +142,11 @@ def is_primitive_root(a, n):
     return mult_order(a, n) == euler_phi(n)
 
 
+def two_is_square_mod(r):
+    """True iff 2 is a square modulo the odd prime r: r = +/-1 (mod 8)."""
+    return r % 8 in (1, 7)
+
+
 def smallest_odd_primitive_root_mod_p2(p):
     """Least odd r >= 3 that is a primitive root mod p**2.
 
@@ -163,8 +168,9 @@ class SystemConstants:
 
     g is a common primitive root of all moduli p^i, 2p^i, q^j, 2q^j in
     range; y lifts g on the p side and 1 on the q side. e_ij and d_ij are
-    keyed by (i, j) with 1 <= i <= m, 1 <= j <= n; d_ij is the order of g
-    modulo p^i q^j and |units| = d_ij * e_ij.
+    keyed by the family index (i, j) with 0 <= i <= m, 0 <= j <= n, not
+    both 0; d_ij is the order of g modulo p^i q^j, |units| = d_ij * e_ij,
+    and e_ij = 1 on the prime-power families (i = 0 or j = 0).
     """
 
     p: int
@@ -207,12 +213,12 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     y = crt_solve([Congruence(g % mp, mp), Congruence(1, mq)]).residue
 
     e_ij, d_ij = {}, {}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            op = p**(i - 1) * (p - 1)
-            oq = q**(j - 1) * (q - 1)
-            e = math.gcd(op, oq)
-            e_ij[(i, j)] = e
-            d_ij[(i, j)] = op * oq // e
+    for i in range(m + 1):
+        for j in range(n + 1):
+            if i or j:
+                op, oq = euler_phi(p**i), euler_phi(q**j)
+                e = math.gcd(op, oq)
+                e_ij[(i, j)] = e
+                d_ij[(i, j)] = op * oq // e
     return SystemConstants(p=p, q=q, m=m, n=n, g1=g1, g2=g2, g=g, y=y,
                            e_ij=e_ij, d_ij=d_ij)

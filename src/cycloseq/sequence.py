@@ -20,6 +20,7 @@ from . import gf4
 from .cyclotomy import (CyclotomicSystem, bucket_of_label, build_system,
                         residue_side_of_2)
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
+from .numtheory import two_is_square_mod
 
 MAPPING_FIELDS = ("a", "b", "c", "d", "e")
 
@@ -70,24 +71,22 @@ def structural_violations(mapping):
     return out
 
 
+def _forbidden_e(p, mapping):
+    # the mod-8 rule as (name, value) pairs of the e values it excludes
+    if two_is_square_mod(p):
+        return [("b + d", mapping.b ^ mapping.d)]
+    return [("b", mapping.b), ("b + c", mapping.b ^ mapping.c)]
+
+
 def forbidden_e_values(p, mapping):
     """The e values excluded by the mod-8 rule for this p and (b, c, d)."""
-    if p % 8 in (1, 7):
-        return {mapping.b ^ mapping.d}
-    return {mapping.b, mapping.b ^ mapping.c}
+    return {value for _, value in _forbidden_e(p, mapping)}
 
 
 def e_constraint_violations(p, mapping):
-    out = []
-    if p % 8 in (1, 7):
-        if mapping.e == (mapping.b ^ mapping.d):
-            out.append("e = b + d is forbidden when p is +/-1 mod 8")
-    else:
-        if mapping.e == mapping.b:
-            out.append("e = b is forbidden when p is +/-3 mod 8")
-        if mapping.e == (mapping.b ^ mapping.c):
-            out.append("e = b + c is forbidden when p is +/-3 mod 8")
-    return out
+    residues = "+/-1" if two_is_square_mod(p) else "+/-3"
+    return [f"e = {name} is forbidden when p is {residues} mod 8"
+            for name, value in _forbidden_e(p, mapping) if mapping.e == value]
 
 
 def validate_mapping(p, mapping):

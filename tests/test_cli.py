@@ -167,6 +167,10 @@ def test_sweep_degenerate(capsys):
     assert len(rows) == 2
     assert all(r["bound_ok"] for r in rows)
     assert {r["lc"] for r in rows} == {16, 30}
+    # b = 0: the forbidden value e = b = 0 is not a mapping, so no row
+    code, stdout, _ = run(capsys, "sweep", "--pairs", "3:5", "--exponents",
+                          "1:1", "--degenerate", "--map", "1,0,2,3,1")
+    assert [r["mapping"] for r in json.loads(stdout)] == ["1,0,2,3,2"]
 
 
 def test_sweep_error_row_fails(capsys):

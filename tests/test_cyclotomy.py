@@ -1,5 +1,7 @@
 """Cyclotomic classes, H-sets, and the partition of Z_{2 p^m q^n}."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,8 @@ def test_partition_covers_everything():
         assert np.array_equal(part, again)
 
 
-@pytest.mark.parametrize("p,q,m,n", GRID[:5])
+@pytest.mark.parametrize("p,q,m,n", GRID[:5] + [
+    (7, 3, 2, 1), (17, 3, 1, 1), (7, 5, 1, 2)])
 def test_classify_index_matches_partition(p, q, m, n):
     system = build_system(p, q, m, n)
     for t in range(system.period):
@@ -98,9 +101,11 @@ def test_bucket_sizes():
 
 def test_labels_deterministic():
     labels = partition_labels(1, 1)
-    assert labels[0] == ZERO_LABEL and labels[1] == HALF_LABEL
-    assert ClassId("2pq", 1, 1, 0) in labels
-    assert ClassId("pq", 1, 1, 0, doubled=True) in labels
+    assert labels == (ZERO_LABEL, HALF_LABEL) + tuple(
+        lab for shape, i, j in (("pq", 1, 1), ("p", 1, 0), ("q", 0, 1))
+        for h in (0, 1)
+        for lab in (ClassId("2" + shape, i, j, h),
+                    ClassId(shape, i, j, h, doubled=True)))
     assert partition_labels(2, 1) == partition_labels(2, 1)
 
 
@@ -109,6 +114,59 @@ def test_structural_lemmas_clean():
         system = build_system(p, q, m, n)
         assert check_structural_lemmas(system) == []
         assert check_residue_rules(system) == []
+
+
+def _lemma(detail, shape, i, j, h, witness):
+    cid = ClassId(shape, i, j, h)
+    return f"{detail} [shape={cid}, witness={witness}]"
+
+
+LIFT = "class set identity failed"
+REDUCE = "doubled class does not reduce onto the odd class"
+
+
+@pytest.mark.parametrize("params,swaps,expected", [
+    # two families corrupted: the p family is reported before the pq family
+    ((3, 5, 2, 1), [("pq", 1, 1), ("p", 1, 0)], [
+        _lemma(LIFT, "2p", 1, 0, 0, 1), _lemma(LIFT, "p", 2, 0, 0, 1),
+        _lemma(LIFT, "2p", 2, 0, 0, 1),
+        _lemma(LIFT, "2pq", 1, 1, 0, 1), _lemma(LIFT, "pq", 2, 1, 0, 1),
+        _lemma(LIFT, "2pq", 2, 1, 0, 1), _lemma(REDUCE, "2pq", 1, 1, 0, 1),
+        _lemma(LIFT, "2p", 1, 0, 1, 1), _lemma(LIFT, "p", 2, 0, 1, 1),
+        _lemma(LIFT, "2p", 2, 0, 1, 1),
+        _lemma(LIFT, "2pq", 1, 1, 1, 1), _lemma(LIFT, "pq", 2, 1, 1, 1),
+        _lemma(LIFT, "2pq", 2, 1, 1, 1), _lemma(REDUCE, "2pq", 1, 1, 1, 2),
+        "side of 2 varies with the exponent [shape=p, witness=[0, 1]]",
+        "side of 2 varies with the exponents [shape=pq, witness=[0, 1]]",
+        "side of 2 breaks the mod-8 rule [shape=p, witness=1]",
+        "pq side of 2 does not follow q's mod-8 rule "
+        "[shape=pq, witness=(1, 1)]"]),
+    ((3, 5, 1, 2), [("q", 0, 1)], [
+        _lemma(LIFT, "2q", 0, 1, 0, 1), _lemma(LIFT, "q", 0, 2, 0, 1),
+        _lemma(LIFT, "2q", 0, 2, 0, 1), _lemma(LIFT, "2q", 0, 1, 1, 1),
+        _lemma(LIFT, "q", 0, 2, 1, 1), _lemma(LIFT, "2q", 0, 2, 1, 1),
+        "side of 2 varies with the exponent [shape=q, witness=[0, 1]]",
+        "side of 2 breaks the mod-8 rule [shape=q, witness=1]"]),
+    ((3, 5, 1, 2), [("q", 0, 2)], [
+        _lemma(LIFT, "q", 0, 2, 0, 1), _lemma(LIFT, "q", 0, 2, 1, 1),
+        "side of 2 varies with the exponent [shape=q, witness=[0, 1]]",
+        "side of 2 breaks the mod-8 rule [shape=q, witness=2]"]),
+])
+def test_lemmas_report_swapped_class(params, swaps, expected):
+    # swap the least element of D_0 with the least of D_1 in each class;
+    # every swap here moves 2 to the other side
+    system = build_system(*params)
+    classes = dict(system.classes)
+    for family in swaps:
+        d0, d1 = (classes[ClassId(*family, h)] for h in (0, 1))
+        classes[ClassId(*family, 0)] = np.sort(np.r_[d1[:1], d0[1:]])
+        classes[ClassId(*family, 1)] = np.sort(np.r_[d0[:1], d1[1:]])
+    bad = dataclasses.replace(system, classes=classes)
+    found = check_structural_lemmas(bad) + check_residue_rules(bad)
+    assert [str(v) for v in found] == expected
+    for shape, i, j in swaps:
+        assert (residue_side_of_2(bad, shape, i=i, j=j)
+                != residue_side_of_2(system, shape, i=i, j=j))
 
 
 def test_residue_side_examples(sys15):
@@ -140,6 +198,6 @@ def test_collapsed_class_enumeration_raises(monkeypatch, sys15):
     real = cyclotomy._coset
     monkeypatch.setattr(cyclotomy, "_coset", lambda *a: real(*a)[1:])
     with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
-        cyclotomy.build_class_pq(sys15.constants, 1, 1, 0)
+        cyclotomy.build_class(sys15.constants, ClassId("pq", 1, 1, 0))
     with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
-        cyclotomy.build_class_prime_power(sys15.constants, "q", 1, True, 1)
+        cyclotomy.build_class(sys15.constants, ClassId("2q", 0, 1, 1))

@@ -130,6 +130,11 @@ def test_system_constants_towers():
         assert is_primitive_root(c.g, mod)
     assert c.d_ij[(2, 1)] * c.e_ij[(2, 1)] == euler_phi(45)
     assert c.d_ij[(2, 1)] == mult_order(c.g, 45)
+    # the prime-power families: i = 0 or j = 0, with e_ij = 1
+    assert sorted(c.d_ij) == [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+    for (i, j), mod in {(1, 0): 3, (2, 0): 9, (0, 1): 5}.items():
+        assert c.e_ij[(i, j)] == 1
+        assert c.d_ij[(i, j)] == mult_order(c.g, mod) == euler_phi(mod)
 
 
 def test_constants_rejections():

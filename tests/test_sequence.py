@@ -60,6 +60,11 @@ def test_forbidden_e_values():
     assert forbidden_e_values(3, m) == {3, 2}
     assert forbidden_e_values(7, m) == {3}
     assert degenerate_e_values(3, m) == [2, 3]
+    # b = 0 makes 0 a forbidden value; c = 0 makes e = b and e = b + c one
+    assert degenerate_e_values(3, Mapping(1, 0, 2, 3, 1)) == [0, 2]
+    assert e_constraint_violations(3, Mapping(1, 2, 0, 3, 2)) == [
+        "e = b is forbidden when p is +/-3 mod 8",
+        "e = b + c is forbidden when p is +/-3 mod 8"]
 
 
 def test_build_sequence_example_1(sys15):
