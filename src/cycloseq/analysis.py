@@ -8,8 +8,26 @@ polynomial is the quotient (x^P - 1) / gcd, which for full-period input
 is exactly the monic normalization of the unique minimal connection
 polynomial. The two routes must agree on both the length and the
 polynomial; analyze and verify_theorem enforce that.
+
+Route two never runs Euclid on degree-P inputs. Write P = 2^a N with N
+odd and F = x^N - 1; F is squarefree and x^P - 1 = F^(2^a), so the gcd
+is the product of G_1, ..., G_(2^a), where G_j is the product of the
+irreducible factors of F whose roots are roots of S of multiplicity at
+least j:
+
+    G_1     = gcd(F, S mod F)            (the fold: S mod F is the XOR
+                                          of the 2^a blocks of length N)
+    G_(j+1) = gcd(G_j, D^(j) S mod F)
+
+A root of F is a root of S of multiplicity > j exactly when the Hasse
+derivatives D^(0) S, ..., D^(j) S all vanish there. D^(j) S has s_t at
+x^(t - j) when t & j == j (Lucas: binom(t, j) is odd) and 0 otherwise;
+the factor x^(-j) is a unit mod F, so only the mask is applied. The
+steps stop at the first G_j = 1, so on P = 2N they are at most two gcds
+of degree <= N.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +90,10 @@ def lc_via_gcd(symbols):
     """Linear complexity from gcd(x^P - 1, S(x)) for one full period.
 
     Returns (lc, minimal_polynomial) with the minimal polynomial monic.
-    The zero sequence has lc 0 and minimal polynomial 1.
+    The zero sequence has lc 0 and minimal polynomial 1. The gcd comes
+    from the folded steps of the module docstring, and the minimal
+    polynomial from one exact division of x^P - 1 by their product;
+    a nonzero remainder raises MethodDisagreement.
     """
     if isinstance(symbols, QuaternarySequence):
         symbols = symbols.symbols
@@ -82,26 +103,28 @@ def lc_via_gcd(symbols):
         raise InvalidParams("need at least one symbol")
     if s.max(initial=0) > 3:
         raise InvalidParams("symbols must be field elements 0..3")
-    big = gf4.x_pow_n_minus_1(period)
-    spoly = gf4.poly_trim(s.copy())
-    common = gf4.poly_gcd(big, spoly) if not gf4.poly_is_zero(spoly) else big
-    quotient, rem = gf4.poly_divmod(big, common)
-    if not gf4.poly_is_zero(rem):
+    twos = (period & -period).bit_length() - 1
+    odd = period >> twos
+    # j < 2^a, so t & j depends only on t mod 2^a
+    low_bits = np.arange(period) & ((1 << twos) - 1)
+    common = (0, 1 << odd | 1)
+    factors = []
+    for j in range(1 << twos):
+        hasse = np.where((low_bits & j) == j, s, 0).reshape(-1, odd)
+        common = gf4.gcd_planes(
+            *common, *gf4.to_planes(np.bitwise_xor.reduce(hasse)))
+        if common == (0, 1):
+            break
+        factors.append(gf4.from_planes(*common))
+    if not factors:
+        return period, gf4.x_pow_n_minus_1(period)
+    divisor = functools.reduce(gf4.poly_mul, factors)
+    quotient, r1, r0 = gf4.divmod_planes(0, 1 << period | 1,
+                                         *gf4.to_planes(divisor))
+    if r1 | r0:
         raise MethodDisagreement(
             "gcd(x^P - 1, S(x)) does not divide x^P - 1")
-    return period - gf4.poly_deg(common), gf4.poly_monic(quotient)
-
-
-def connection_reciprocal(length, conn):
-    """x^L C(1/x): the annihilator form of the BM recurrence.
-
-    Applying it as a shift-operator polynomial sends every window of the
-    sequence to zero; the minimal polynomial in this module's quotient
-    convention is its reversal.
-    """
-    padded = np.zeros(length + 1, dtype=np.uint8)
-    padded[:len(conn)] = conn
-    return gf4.poly_trim(padded[::-1].copy())
+    return period - gf4.poly_deg(divisor), np.array(quotient, dtype=np.uint8)
 
 
 def methods_consistent(lc_bm, conn, lc_gcd, minpoly):

@@ -15,6 +15,7 @@ left unlabeled or labeled twice.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -295,9 +296,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """build_parser() once per process, on the first main() call.
+
+    A parser holds a few hundred objects in reference cycles; building one
+    per call leaves them for the cyclic collector.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidParams, InvalidMapping) as exc:

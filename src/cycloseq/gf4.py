@@ -14,7 +14,7 @@ trailing zeros in canonical form. The zero polynomial is the empty array
 and poly_deg returns -1 for it (the "minus infinity" sentinel in degree
 comparisons).
 
-The long-running kernels (division, gcd, and Berlekamp-Massey in
+The long-running kernels (division, gcd, and both LC routes in
 analysis) work on bit planes instead: a vector of digits becomes two
 Python ints (hi, lo) where bit i of hi is c1 and bit i of lo is c0 of
 digit i. Adding two vectors is one exclusive-or per plane, shifting by x^k
@@ -43,11 +43,6 @@ _MUL = MUL_TABLE.tolist()
 INV_TABLE = (0, 1, 3, 2)
 
 SYMBOL_NAMES = ("0", "1", "alpha", "alpha+1")
-
-
-def gf4_add(a, b):
-    """Field addition: exclusive-or of encodings (characteristic 2)."""
-    return a ^ b
 
 
 def gf4_mul(a, b):
@@ -92,15 +87,6 @@ def poly_eq(a, b):
     return np.array_equal(poly_trim(a), poly_trim(b))
 
 
-def poly_add(a, b):
-    """Sum; coefficientwise exclusive-or with zero padding."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] ^= b
-    return poly_trim(out)
-
-
 def poly_mul(a, b):
     """Schoolbook product; fine at desk scale."""
     if poly_is_zero(a) or poly_is_zero(b):
@@ -111,11 +97,6 @@ def poly_mul(a, b):
     for i in np.nonzero(a)[0]:
         out[i: i + len(b)] ^= MUL_TABLE[a[i], b]
     return poly_trim(out)
-
-
-def poly_scale(f, s):
-    """Multiply every coefficient by the scalar s."""
-    return poly_trim(MUL_TABLE[s, f]) if s else f[:0]
 
 
 def poly_monic(f):
@@ -133,20 +114,13 @@ def poly_divmod(a, b):
     b1, b0 = to_planes(b)
     if not (b1 | b0):
         raise DivisionByZeroPolynomial("division by the zero polynomial")
-    quot, r1, r0 = _divmod_planes(*to_planes(a), b1, b0)
+    quot, r1, r0 = divmod_planes(*to_planes(a), b1, b0)
     return np.array(quot, dtype=np.uint8), from_planes(r1, r0)
 
 
 def poly_gcd(a, b):
     """Monic greatest common divisor by the Euclidean algorithm."""
-    a1, a0 = to_planes(a)
-    b1, b0 = to_planes(b)
-    if not (a1 | a0 | b1 | b0):
-        raise InvalidParams("gcd(0, 0) is undefined")
-    while b1 | b0:
-        _, r1, r0 = _divmod_planes(a1, a0, b1, b0)
-        a1, a0, b1, b0 = b1, b0, r1, r0
-    return poly_monic(from_planes(a1, a0))
+    return from_planes(*gcd_planes(*to_planes(a), *to_planes(b)))
 
 
 def to_planes(f):
@@ -183,7 +157,19 @@ def planes_scale(hi, lo, c):
     return 0, 0
 
 
-def _divmod_planes(r1, r0, b1, b0):
+def gcd_planes(a1, a0, b1, b0):
+    """Planes of the monic gcd of two polynomials given as planes."""
+    if not (a1 | a0 | b1 | b0):
+        raise InvalidParams("gcd(0, 0) is undefined")
+    while b1 | b0:
+        _, r1, r0 = divmod_planes(a1, a0, b1, b0)
+        a1, a0, b1, b0 = b1, b0, r1, r0
+    top = max(a1.bit_length(), a0.bit_length()) - 1
+    lead = ((a1 >> top) & 1) << 1 | ((a0 >> top) & 1)
+    return planes_scale(a1, a0, INV_TABLE[lead])
+
+
+def divmod_planes(r1, r0, b1, b0):
     """Long division on planes: (quotient digits, rem hi, rem lo).
 
     b must be nonzero. Each step cancels the leading digit of the
@@ -226,7 +212,7 @@ def poly_to_digits(f):
     """Coefficient digits, constant term first; '0' for the zero polynomial."""
     if poly_is_zero(f):
         return "0"
-    return "".join(str(int(c)) for c in f)
+    return (np.asarray(f, dtype=np.uint8) + ord("0")).tobytes().decode()
 
 
 def poly_from_digits(s):

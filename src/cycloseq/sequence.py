@@ -179,11 +179,6 @@ def balance_profile(system, seq):
     )
 
 
-def generating_polynomial(seq):
-    """S(x) = sum s_t x^t as a gf4 polynomial (trimmed coefficient array)."""
-    return gf4.poly_trim(np.array(seq.symbols, dtype=np.uint8))
-
-
 @dataclass(frozen=True)
 class SpectrumProfile:
     """Predicted values of S(beta^k) by saturation regime.

@@ -21,8 +21,7 @@ from cycloseq.extfield import (build_extension, verify_case_table,
                                verify_char_sum_tables)
 from cycloseq.numtheory import is_prime
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
-                               build_sequence, generating_polynomial,
-                               max_complexity_mappings)
+                               build_sequence, max_complexity_mappings)
 
 GRID_PAIRS = ((3, 5), (3, 7), (5, 7), (3, 11), (5, 11), (7, 11))
 GRID_EXPONENTS = ((1, 1), (2, 1), (1, 2))
@@ -66,7 +65,8 @@ def _example_reproduction(log, num, p, q, frozen_sets, frozen_lc, budget=1.0):
     sets_ok = _bucket_index_sets(system) == frozen_sets
     seq = build_sequence(system)
     half = gf4.x_pow_n_minus_1(system.half_period)
-    gcd_one = gf4.poly_eq(gf4.poly_gcd(half, generating_polynomial(seq)),
+    spoly = gf4.poly_trim(np.array(seq.symbols, dtype=np.uint8))
+    gcd_one = gf4.poly_eq(gf4.poly_gcd(half, spoly),
                           gf4.poly([1]))
     report = analyze_symbols(seq.symbols)
     lc_ok = report.lc_bm == report.lc_gcd == frozen_lc

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, connection_reciprocal,
-                               degenerate_lower_bound, lc_via_gcd,
-                               methods_consistent, verify_theorem)
+                               berlekamp_massey, degenerate_lower_bound,
+                               lc_via_gcd, methods_consistent, verify_theorem)
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
@@ -135,6 +134,18 @@ def test_methods_agree_random_periods():
         assert gf4.poly_is_zero(rem)
 
 
+def connection_reciprocal(length, conn):
+    """x^L C(1/x): the annihilator form of the BM recurrence.
+
+    Applying it as a shift-operator polynomial sends every window of the
+    sequence to zero; the minimal polynomial in lc_via_gcd's quotient
+    convention is its reversal.
+    """
+    padded = np.zeros(length + 1, dtype=np.uint8)
+    padded[:len(conn)] = conn
+    return gf4.poly_trim(padded[::-1].copy())
+
+
 def test_connection_reciprocal_annihilates():
     rng = random.Random(903)
     for _ in range(60):
@@ -161,16 +172,123 @@ def test_analyze_symbols_random_periods(digits):
     assert report.lc_bm == report.lc_gcd == gf4.poly_deg(minpoly)
     # scaled to constant term 1, the minimal polynomial is the connection
     # polynomial of the periodic sequence
-    conn = gf4.poly_scale(minpoly, gf4.gf4_inv(int(minpoly[0])))
+    conn = MUL_TABLE[gf4.gf4_inv(int(minpoly[0])), minpoly]
     assert _generates(report.lc_gcd, conn, np.tile(s, 2))
 
 
 def test_lc_via_gcd_checks_the_division(monkeypatch):
-    def bad_divmod(a, b):
-        return gf4.poly([1]), gf4.poly([1])
-    monkeypatch.setattr(gf4, "poly_divmod", bad_divmod)
+    # all ones, P = 6: G_1 = x^3 + 1 and G_2 = x^2 + x + 1, so the route
+    # divides x^6 - 1 by their product; corrupt only that division's
+    # remainder, not the divisions inside the gcds
+    period = 6
+    real = gf4.divmod_planes
+
+    def bad_divmod(a1, a0, b1, b0):
+        quot, r1, r0 = real(a1, a0, b1, b0)
+        if (a1, a0) == (0, 1 << period | 1):
+            r0 ^= 1
+        return quot, r1, r0
+
+    assert lc_via_gcd([1] * period)[0] == 1
+    monkeypatch.setattr(gf4, "divmod_planes", bad_divmod)
     with pytest.raises(MethodDisagreement):
-        lc_via_gcd([1, 2, 3])
+        lc_via_gcd([1] * period)
+
+
+def _lc_via_unfolded_gcd(symbols):
+    """The direct route: Euclid on x^P - 1 and S(x), then one division.
+
+    lc_via_gcd folds this into gcds of degree <= N; this is the reference
+    it must reproduce.
+    """
+    period = len(symbols)
+    big = gf4.x_pow_n_minus_1(period)
+    spoly = gf4.poly_trim(np.array(symbols, dtype=np.uint8))
+    common = gf4.poly_gcd(big, spoly) if len(spoly) else big
+    quotient, rem = gf4.poly_divmod(big, common)
+    assert not len(rem)
+    return period - gf4.poly_deg(common), gf4.poly_monic(quotient)
+
+
+def _assert_same_route_answer(symbols):
+    lc, minpoly = lc_via_gcd(symbols)
+    lc_ref, minpoly_ref = _lc_via_unfolded_gcd(symbols)
+    assert lc == lc_ref
+    assert minpoly.dtype == np.uint8
+    assert np.array_equal(minpoly, minpoly_ref)
+    return lc, minpoly
+
+
+# one pair per (p mod 8, q mod 8) class, then prime-power systems
+FOLD_SYSTEMS = tuple(
+    (p, q, 1, 1) for p, q in (
+        (17, 41), (17, 3), (17, 5), (17, 7), (3, 17), (3, 11), (3, 5),
+        (3, 7), (5, 17), (5, 3), (5, 13), (5, 7), (7, 17), (7, 3), (7, 5),
+        (7, 23))) + ((3, 5, 2, 1), (3, 5, 1, 2), (5, 7, 2, 2))
+ALL_MAPPINGS = tuple(Mapping(*perm, e)
+                     for perm in itertools.permutations(range(4))
+                     for e in (1, 2, 3))
+
+
+@pytest.mark.parametrize("params", FOLD_SYSTEMS,
+                         ids=lambda params: ",".join(map(str, params)))
+def test_folded_route_matches_unfolded_on_all_mappings(params):
+    system = build_system(*params)
+    half = gf4.x_pow_n_minus_1(system.half_period)
+    multiplicities = set()
+    for mapping in ALL_MAPPINGS:
+        seq = build_sequence(system, mapping, allow_degenerate=True)
+        lc, minpoly = _assert_same_route_answer(seq.symbols)
+        # x^P - 1 = F^2 with F = x^N - 1: a factor of F missing from the
+        # minimal polynomial is a double root of S, one that divides it
+        # once is a simple root
+        if lc < seq.period:
+            double = gf4.poly_deg(gf4.poly_gcd(minpoly, half)) < len(half) - 1
+            multiplicities.add(2 if double else 1)
+    assert len(ALL_MAPPINGS) == 72
+    # on (3,5) towers both the one-gcd and the two-gcd exits are taken
+    if params[:2] == (3, 5):
+        assert multiplicities == {1, 2}
+
+
+@st.composite
+def folded_inputs(draw):
+    """One period P = 2^a N, a <= 6: random, tiled, constant or zero.
+
+    A block of length P / 2^b repeated 2^b times is B(x)(x^L - 1)^(2^b - 1)
+    with L = P / 2^b, so every root of x^L - 1 that B misses has
+    multiplicity at least 2^b - 1 in S.
+    """
+    twos = draw(st.integers(0, 6))
+    period = draw(st.sampled_from((1, 3, 5, 7, 9, 15))) << twos
+    tiles = 1 << draw(st.integers(0, twos))
+    size = period // tiles
+    block = draw(st.one_of(
+        st.lists(st.integers(0, 3), min_size=size, max_size=size),
+        st.integers(0, 3).map(lambda c: [c] * size)))
+    return np.tile(np.array(block, dtype=np.uint8), tiles)
+
+
+@settings(deadline=None, max_examples=300)
+@given(folded_inputs())
+def test_folded_route_matches_unfolded_property(symbols):
+    _assert_same_route_answer(symbols)
+
+
+def test_folded_route_multiplicities():
+    # P = 4 * 3: zero has every G_j = x^3 - 1, all four of them
+    zero = np.zeros(12, dtype=np.uint8)
+    lc, minpoly = lc_via_gcd(zero)
+    assert lc == 0 and gf4.poly_eq(minpoly, gf4.poly([1]))
+    # constant of period 8: S = c (x^8 - 1)/(x - 1) = c (x + 1)^7
+    lc, minpoly = lc_via_gcd(np.full(8, 3, dtype=np.uint8))
+    assert lc == 1 and gf4.poly_eq(minpoly, gf4.poly([1, 1]))
+    # impulse of period 8: S = 1, so the minimal polynomial is x^8 - 1
+    lc, minpoly = lc_via_gcd(np.eye(1, 8, dtype=np.uint8)[0])
+    assert lc == 8 and gf4.poly_eq(minpoly, gf4.x_pow_n_minus_1(8))
+    # s_t = t mod 2 over period 4: S = x (x^4 - 1)/(x^2 - 1) = x (x + 1)^2
+    lc, minpoly = lc_via_gcd([0, 1, 0, 1])
+    assert lc == 2 and gf4.poly_eq(minpoly, gf4.poly([1, 0, 1]))
 
 
 def test_bm_rejects_non_field_symbols():

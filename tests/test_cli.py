@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cycloseq import cli
 from cycloseq.cli import main
 
 
@@ -226,3 +227,50 @@ def test_unwritable_out(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2
     assert err.startswith("error:") and "out.txt" in err
+
+
+# Each call's flags must not leak into the next: --degenerate, --out and
+# --cap are set on one call and left off the call after it.
+SUCCESSIVE_CALLS = (
+    ["generate", "--p", "3", "--q", "5", "--map", "2,3,1,0,3",
+     "--degenerate", "--out", "seq.txt"],
+    ["generate", "--p", "3", "--q", "5", "--map", "2,3,1,0,3",
+     "--out", "seq2.txt"],
+    ["analyze", "--file", "seq.txt", "--out", "file.json"],
+    ["analyze", "--p", "3", "--q", "7", "--format", "text"],
+    ["sweep", "--pairs", "3:5", "--exponents", "1:1", "--degenerate",
+     "--format", "csv", "--out", "sweep.csv"],
+    ["sweep", "--pairs", "3:5", "--exponents", "1:1"],
+    ["verify", "--p", "3", "--q", "5", "--cap", "10"],
+    ["verify", "--p", "3", "--q", "5", "--format", "csv"],
+    ["analyze", "--p", "3", "--q", "5", "--map", "2,3,1,0,3",
+     "--degenerate", "--cap", "1000"],
+    ["analyze", "--p", "3", "--q", "5", "--map", "2,3,1,0,3"],
+)
+
+
+def _run_in(directory, capsys, monkeypatch, argv, fresh):
+    monkeypatch.chdir(directory)
+    if fresh:
+        cli._shared_parser.cache_clear()
+    before = set(directory.iterdir())
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    written = {path.name: path.read_text()
+               for path in sorted(set(directory.iterdir()) - before)}
+    return code, captured.out, captured.err, written
+
+
+def test_successive_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    shared_dir, fresh_dir = tmp_path / "shared", tmp_path / "fresh"
+    shared_dir.mkdir()
+    fresh_dir.mkdir()
+    cli._shared_parser.cache_clear()
+    shared = [_run_in(shared_dir, capsys, monkeypatch, argv, fresh=False)
+              for argv in SUCCESSIVE_CALLS]
+    assert cli._shared_parser.cache_info().misses == 1
+    fresh = [_run_in(fresh_dir, capsys, monkeypatch, argv, fresh=True)
+             for argv in SUCCESSIVE_CALLS]
+    assert [result[0] for result in shared] == [0, 2, 0, 0, 0, 0, 3, 0, 0, 2]
+    for argv, one, other in zip(SUCCESSIVE_CALLS, shared, fresh):
+        assert one == other, argv

@@ -101,7 +101,7 @@ def test_irreducibility_against_product_oracle():
         for poly in monic(d):
             irreducible = gf4.poly_to_digits(poly) not in reducible
             assert is_irreducible(poly) == irreducible
-            assert is_irreducible(gf4.poly_scale(poly, scalar)) == \
+            assert is_irreducible(gf4.MUL_TABLE[scalar, poly]) == \
                 irreducible
 
 

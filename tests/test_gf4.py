@@ -11,11 +11,30 @@ from cycloseq import gf4
 from cycloseq.errors import DivisionByZeroPolynomial, InvalidParams
 
 
+def gf4_add(a, b):
+    """Field addition: exclusive-or of encodings (characteristic 2)."""
+    return a ^ b
+
+
+def poly_add(a, b):
+    """Sum; coefficientwise exclusive-or with zero padding."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] ^= b
+    return gf4.poly_trim(out)
+
+
+def poly_scale(f, s):
+    """Multiply every coefficient by the scalar s."""
+    return gf4.poly_trim(gf4.MUL_TABLE[s, f]) if s else f[:0]
+
+
 def test_field_tables():
     # alpha^2 = alpha + 1, addition is xor
     assert gf4.gf4_mul(gf4.ALPHA, gf4.ALPHA) == gf4.ALPHA1
     assert gf4.gf4_mul(gf4.ALPHA, gf4.ALPHA1) == 1
-    assert gf4.gf4_add(gf4.ALPHA, gf4.ALPHA1) == 1
+    assert gf4_add(gf4.ALPHA, gf4.ALPHA1) == 1
     for x in range(4):
         assert gf4.gf4_mul(x, 0) == 0
         assert gf4.gf4_mul(x, 1) == x
@@ -29,10 +48,10 @@ def test_field_axioms_random():
     rng = random.Random(4)
     for _ in range(200):
         x, y, z = (rng.randrange(4) for _ in range(3))
-        assert gf4.gf4_mul(x, gf4.gf4_add(y, z)) == \
-            gf4.gf4_add(gf4.gf4_mul(x, y), gf4.gf4_mul(x, z))
+        assert gf4.gf4_mul(x, gf4_add(y, z)) == \
+            gf4_add(gf4.gf4_mul(x, y), gf4.gf4_mul(x, z))
         assert gf4.gf4_mul(x, y) == gf4.gf4_mul(y, x)
-        assert gf4.gf4_add(x, x) == 0
+        assert gf4_add(x, x) == 0
 
 
 def test_poly_basics():
@@ -85,7 +104,7 @@ def test_mul_divmod_roundtrip_random():
         assert gf4.poly_is_zero(r)
         # division identity on arbitrary a
         q2, r2 = gf4.poly_divmod(a, b)
-        back = gf4.poly_add(gf4.poly_mul(q2, b), r2)
+        back = poly_add(gf4.poly_mul(q2, b), r2)
         assert gf4.poly_eq(back, a)
         assert gf4.poly_deg(r2) < gf4.poly_deg(b)
 
@@ -147,7 +166,7 @@ def test_planes_scale_matches_table():
         f = gf4.poly(digits)
         for c in range(4):
             scaled = gf4.from_planes(*gf4.planes_scale(*gf4.to_planes(f), c))
-            assert np.array_equal(scaled, gf4.poly_scale(f, c))
+            assert np.array_equal(scaled, poly_scale(f, c))
 
 
 @settings(deadline=None)
@@ -159,4 +178,21 @@ def test_poly_divmod_identity(a_digits, b_digits):
     assert np.array_equal(q, gf4.poly_trim(q))
     assert np.array_equal(r, gf4.poly_trim(r))
     assert gf4.poly_deg(r) < gf4.poly_deg(b)
-    assert np.array_equal(gf4.poly_add(gf4.poly_mul(q, b), r), a)
+    assert np.array_equal(poly_add(gf4.poly_mul(q, b), r), a)
+
+
+@given(digit_lists)
+def test_poly_to_digits_matches_joined_digits(digits):
+    f = gf4.poly(digits)
+    text = gf4.poly_to_digits(f)
+    assert type(text) is str
+    assert text == ("".join(str(int(c)) for c in f) or "0")
+    assert np.array_equal(gf4.poly_from_digits(text), f)
+
+
+def test_poly_to_digits_large_and_strided():
+    assert gf4.poly_to_digits(gf4.x_pow_n_minus_1(20250)) == \
+        "1" + "0" * 20249 + "1"
+    # a view with a stride, as slices of symbol arrays are
+    assert gf4.poly_to_digits(np.array([1, 9, 2, 9, 3], np.uint8)[::2]) \
+        == "123"

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from cycloseq import gf4
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
                                build_sequence, degenerate_e_values,
                                e_constraint_violations, forbidden_e_values,
-                               generating_polynomial, max_complexity_mappings,
+                               max_complexity_mappings,
                                read_sequence_file, read_sidecar,
                                spectrum_profile, structural_violations,
                                validate_mapping, write_sequence_file)
@@ -111,6 +112,11 @@ def test_balance(sys15, sys21):
         assert prof.symbol_counts[3] == half          # b = alpha+1
         assert prof.symbol_counts[1] == half + 1      # c plus the half term
         assert prof.symbol_counts[0] == half + 1      # d plus position zero
+
+
+def generating_polynomial(seq):
+    """S(x) = sum s_t x^t as a gf4 polynomial (trimmed coefficient array)."""
+    return gf4.poly_trim(np.array(seq.symbols, dtype=np.uint8))
 
 
 def test_generating_polynomial(sys15):
