@@ -6,19 +6,24 @@ bits per GF4 coefficient (digit i at bits 2i, 2i+1), which keeps the whole
 field in uint32 for d <= 12 and makes addition a plain XOR.
 
 ext_mul, a Horner product on packed elements reduced through the packed
-tail of any monic modulus, is the only multiplication. The module builds
-the context deterministically (least monic irreducible modulus in
-lexicographic coefficient order, found by Rabin's test squaring with
-ext_mul modulo each candidate; first generator by packed-code order) and
-tabulates beta^r for 0 <= r < N. Every sum it then measures has
-the form XOR of beta^(k t mod N) over an index set T, so one kernel,
-_power_sums, evaluates a whole table of them: every multiplier k against
-every set at once, in blocks of about _BLOCK_ELEMENTS gathered elements
-(one k when a single row is larger), so temporary memory stays below a
-megabyte instead of growing as N^2. The character sums over every H-set
-and the full sequence spectrum S(beta^k) are each one such table, compared
-against their closed forms with array operations; a mismatch is reported
-at the first k, in ascending order, that shows one.
+tail of any monic modulus, is the only multiplication; maps that are
+GF(2)-linear on whole arrays (times a fixed element, x -> x^4) run on
+_vec_linear from the images of the 2d bits. The module builds the context
+deterministically (least monic irreducible modulus in lexicographic
+coefficient order, found by Rabin's test squaring with ext_mul modulo each
+candidate; first generator by packed-code order) and tabulates beta^r for
+0 <= r < N. Every sum it then measures is an XOR of beta^(k t mod N) over
+an index set T, and one kernel, _power_sums, gathers a table of them in
+blocks of about _BLOCK_ELEMENTS elements, so temporary memory stays below
+a megabyte instead of growing as N^2. x -> x^4 fixes GF(4), so the row of
+4k is the Frobenius image of the row of k: _orbit_sums gathers only the
+least k of each orbit of k -> 4k mod N (the cyclotomic cosets of the
+Mattson-Solomon view) and walks the orbit from it. The character sums
+over every H-set and the full spectrum S(beta^k) are each one such table,
+compared cell by cell against their closed forms; a mismatch is reported
+at the first k, in ascending order, that shows one. The boundary root sums
+on the expected side are order-2 Gaussian periods, chosen by the class of
+the multiplier, with no Frobenius map and no read of beta_powers.
 """
 
 import itertools
@@ -111,13 +116,11 @@ def ext_pow(x, e, d, tail, lomask):
     return out
 
 
-def _vec_mul_scalar(arr, y, d, tail, lomask):
-    # arr * y for a whole uint32 array of packed elements, scalar y. Product
-    # by a fixed y is GF(2)-linear, so it is the XOR of the images of the
-    # set bits of each element.
+def _vec_linear(arr, images):
+    # A GF(2)-linear map on a uint32 array of packed elements, given the
+    # images of the single bits: the XOR of the images of the set bits.
     acc = np.zeros_like(arr)
-    for bit in range(2 * d):
-        image = np.uint32(ext_mul(1 << bit, y, d, tail, lomask))
+    for bit, image in enumerate(images):
         acc ^= (arr >> bit & 1) * image
     return acc
 
@@ -191,9 +194,6 @@ class ExtFieldContext:
     generator: int
     beta: int
     beta_powers: np.ndarray = field(repr=False)
-    zeta_p: int
-    zeta_q: int
-    zeta_pq: int
     exp_table: object = field(repr=False)
 
     @property
@@ -206,27 +206,20 @@ class ExtFieldContext:
     def pow(self, x, e):
         return ext_pow(x, e, self.d, self.tail, self.lomask)
 
-    def element_order(self, x):
-        if x == 0:
-            raise InvalidParams("zero has no multiplicative order")
-        order = self.group_order
-        for r in factorize(order):
-            while order % r == 0 and self.pow(x, order // r) == 1:
-                order //= r
-        return order
-
 
 def _power_table(x, size, d, tail, lomask):
-    # x^r for 0 <= r < size, doubling the filled prefix at each step
+    # x^r for 0 <= r < size, doubling the filled prefix at each step: the
+    # prefix times x^filled, a linear map that squares from step to step
     out = np.zeros(size, dtype=np.uint32)
     out[0] = 1
+    images = np.array([ext_mul(1 << bit, x, d, tail, lomask)
+                       for bit in range(2 * d)], dtype=np.uint32)
     filled = 1
     while filled < size:
-        scalar = ext_pow(x, filled, d, tail, lomask)
         take = min(filled, size - filled)
-        out[filled:filled + take] = _vec_mul_scalar(out[:take], scalar,
-                                                    d, tail, lomask)
+        out[filled:filled + take] = _vec_linear(out[:take], images)
         filled += take
+        images = _vec_linear(images, images)
     return out
 
 
@@ -273,11 +266,7 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
     return ExtFieldContext(
         N=N, p=p, q=q, m=m, n=n, d=d, modulus=modulus, tail=tail,
         lomask=lomask, generator=generator, beta=beta,
-        beta_powers=beta_powers,
-        zeta_p=int(beta_powers[(p**(m - 1) * q**n) % N]),
-        zeta_q=int(beta_powers[(p**m * q**(n - 1)) % N]),
-        zeta_pq=int(beta_powers[(p**(m - 1) * q**(n - 1)) % N]),
-        exp_table=None)
+        beta_powers=beta_powers, exp_table=None)
 
 
 def _require_matching(system, context):
@@ -313,6 +302,48 @@ def _power_sums(beta_powers, sets, ks):
     return out
 
 
+def _frobenius_images(context):
+    # x -> x^4 fixes GF(4), so it is GF(2)-linear: the bits of digit i,
+    # X^i and alpha X^i, go to X^(4i) and alpha X^(4i) (X is packed as 4)
+    step = context.pow(4, 4)
+    images, power = [], 1
+    for _ in range(context.d):
+        images += [power, _mul_alpha(power, context.lomask)]
+        power = context.mul(power, step)
+    return np.array(images, dtype=np.uint32)
+
+
+def _orbit_sums(context, sets, first_k):
+    """_power_sums over k = first_k..N-1, one gather per Frobenius orbit.
+
+    The XOR of beta^(4kt) over a set is the XOR of beta^(kt), raised to
+    the 4th power, so row 4k is the Frobenius image of row k. Only the
+    least k of each orbit of k -> 4k mod N is gathered; the orbit is then
+    walked from it, one Frobenius step per row, until it closes (after d
+    steps or fewer, when k shares a factor with N).
+    """
+    N, d = context.N, context.d
+    ks = np.arange(first_k, N, dtype=np.int32 if 4 * N < 2**31 else np.int64)
+    least = np.ones(len(ks), dtype=bool)
+    image = ks
+    for _ in range(d - 1):
+        image = image * 4 % N
+        least &= ks <= image
+    start = ks[least]
+    sums = _power_sums(context.beta_powers, sets, start)
+    out = np.empty((len(ks), len(sets)), dtype=np.uint32)
+    out[start - first_k] = sums
+    frobenius = _frobenius_images(context)
+    row = start
+    for _ in range(d - 1):
+        row = row * 4 % N
+        walking = row != start
+        row, start = row[walking], start[walking]
+        sums = _vec_linear(sums[walking], frobenius)
+        out[row - first_k] = sums
+    return out
+
+
 def char_sum(system, context, class_id, k):
     """Sum of beta^{k t} over the H-set of class_id, as a packed element."""
     _require_matching(system, context)
@@ -325,8 +356,9 @@ def measure_spectrum(system, context, mapping, allow_degenerate=True):
     """S(beta^k) for 0 <= k < N, exactly, as packed elements.
 
     Folds the two half-periods first (beta^{t+N} = beta^t), sums beta^{kt}
-    over the support of each symbol value for every k in one table, then
-    scales the three columns by their GF4 values. The default allows
+    over the support of each symbol value for every k in one table (one
+    gather per Frobenius orbit of k, see _orbit_sums), then scales the
+    three columns by their GF4 values. The default allows
     degenerate mappings since measuring those is the point of the
     falsification probes.
     """
@@ -334,9 +366,8 @@ def measure_spectrum(system, context, mapping, allow_degenerate=True):
     seq = build_sequence(system, mapping, allow_degenerate=allow_degenerate)
     N = context.N
     folded = seq.symbols[:N] ^ seq.symbols[N:]
-    sums = _power_sums(context.beta_powers,
-                       [np.nonzero(folded == v)[0] for v in (1, 2, 3)],
-                       np.arange(N))
+    sums = _orbit_sums(context,
+                       [np.nonzero(folded == v)[0] for v in (1, 2, 3)], 0)
     # 1*s1 + alpha*s2 + (alpha+1)*s3, with multiplication by alpha linear
     return sums[:, 0] ^ sums[:, 2] ^ _mul_alpha(sums[:, 1] ^ sums[:, 2],
                                                 np.uint32(context.lomask))
@@ -435,6 +466,39 @@ _CHAR_SUM_DETAIL = {
 }
 
 
+def _boundary_roots(system, context, a, b, l):
+    """Root sums of the boundary cells for k = p^a q^b l: out[shape][r, h].
+
+    The 2pq, 2p and 2q cells sum zeta^(u t) over the base class D_h mod
+    M = pq, p, q, with zeta of order M and u = l, q^b l, p^a l. D_0 has
+    index 2 in the units mod M and D_1 is its coset, so a unit u maps D_h
+    onto D_(h xor c(u)), c(u) being the class of u: the sum is the
+    Gaussian period eta_(h xor c(u)), and a u in neither class raises
+    LemmaViolation. The periods come from a power table of zeta_pq
+    computed afresh from beta, independent of beta_powers, which the
+    measured side reads.
+    """
+    p, q = system.constants.p, system.constants.q
+    zeta_powers = _power_table(context.pow(context.beta, context.N // (p * q)),
+                               p * q, context.d, context.tail, context.lomask)
+    out = {}
+    for shape, i, j, u in (("pq", 1, 1, l), ("p", 1, 0, q**b * l),
+                           ("q", 0, 1, p**a * l)):
+        M = p**i * q**j
+        base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
+        eta = np.array([np.bitwise_xor.reduce(zeta_powers[cls * (p * q // M)])
+                        for cls in base], dtype=np.uint32)
+        side = np.full(M, -1, dtype=np.int8)
+        for h, cls in enumerate(base):
+            side[cls] = h
+        c = side[u % M]
+        if (c < 0).any():
+            raise LemmaViolation("multiplier outside both base classes",
+                                 shape=shape, u=int(u[np.argmax(c < 0)]))
+        out["2" + shape] = eta[np.bitwise_xor.outer(c, (0, 1))]
+    return out
+
+
 def verify_char_sum_tables(system, context):
     """Check every character sum over every doubled-modulus H-set.
 
@@ -442,10 +506,11 @@ def verify_char_sum_tables(system, context):
     measured sum must match its closed form: an integer constant reduced
     mod 2 when the cell's exponents are dominated by (a, b), a root-of-
     unity sum over the base class on the boundary, and 0 beyond it. Both
-    the measured and the expected values are whole (k, cell) tables; the
-    root-of-unity sums come from power tables of zeta_pq, zeta_p and zeta_q
-    computed afresh from beta, so a corrupted beta_powers entry cannot
-    shift both sides alike.
+    the measured and the expected values are whole (k, cell) tables. The
+    measured one comes from _orbit_sums, whose row k = 1 reads every
+    nonzero entry of beta_powers once; the root sums come from
+    _boundary_roots, which never reads beta_powers, so a corrupted entry
+    cannot shift both sides alike.
     Raises LemmaViolation with the witness (k, cell) on the first
     mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
     (i, h) and the 2q cells (j, h).
@@ -458,25 +523,10 @@ def verify_char_sum_tables(system, context):
     ks = np.arange(1, N, dtype=np.int64)
     a = _valuations(ks, p, N)
     b = _valuations(ks, q, N)
-    l = ks // (p**a * q**b)
-
-    def root_sums(shape, i, j, zeta_exp, mult):
-        # sums over the base class of zeta^(mult * l * t) with zeta =
-        # beta^zeta_exp, from zeta's own power table: independent of
-        # beta_powers, which the measured side reads
-        zeta = context.pow(context.beta, zeta_exp)
-        table = _power_table(zeta, N // zeta_exp, context.d, context.tail,
-                             context.lomask)
-        base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
-        return _power_sums(table, base, mult * l)
-
-    roots = {"2pq": root_sums("pq", 1, 1, p**(m - 1) * q**(n - 1), 1),
-             "2p": root_sums("p", 1, 0, p**(m - 1) * q**n, q**b),
-             "2q": root_sums("q", 0, 1, p**m * q**(n - 1), p**a)}
+    roots = _boundary_roots(system, context, a, b, ks // (p**a * q**b))
     cells = [cid for cid in all_class_ids(m, n)
              if cid.shape in DOUBLED_SHAPES]
-    measured = _power_sums(context.beta_powers,
-                           [h_set(system, cid) for cid in cells], ks)
+    measured = _orbit_sums(context, [h_set(system, cid) for cid in cells], 1)
 
     columns = []
     for cid in cells:

@@ -20,6 +20,7 @@ from cycloseq.extfield import (build_extension, char_sum, is_irreducible,
                                least_irreducible, measure_spectrum, ord_4_mod,
                                packed_to_poly, poly_to_packed,
                                verify_case_table, verify_char_sum_tables)
+from cycloseq.numtheory import factorize
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                                spectrum_profile, validate_mapping)
 
@@ -146,10 +147,24 @@ def test_ext_pow_fermat(ctx15):
         ctx15.pow(2, -1)
 
 
+def _order(ctx, x):
+    # multiplicative order of a nonzero packed element
+    order = ctx.group_order
+    for r in factorize(order):
+        while order % r == 0 and ctx.pow(x, order // r) == 1:
+            order //= r
+    return order
+
+
+def _zeta(ctx, r):
+    # beta^(N/r): a primitive r-th root of unity for every divisor r of N
+    return ctx.pow(ctx.beta, ctx.N // r)
+
+
 def test_context_shape(ctx15, ctx21):
     assert ctx15.d == 2 and ctx15.group_order == 15
     # 4^2 - 1 = 15 = N: beta generates the whole multiplicative group
-    assert ctx15.element_order(ctx15.beta) == 15
+    assert _order(ctx15, ctx15.beta) == 15
     assert ctx21.d == 3
     assert ctx21.beta == ctx21.pow(ctx21.generator, 3)
     for ctx, (p, q) in ((ctx15, (3, 5)), (ctx21, (3, 7))):
@@ -157,17 +172,18 @@ def test_context_shape(ctx15, ctx21):
         assert ctx.pow(ctx.beta, N) == 1
         assert ctx.pow(ctx.beta, N // p) != 1
         assert ctx.pow(ctx.beta, N // q) != 1
-        assert ctx.element_order(ctx.zeta_p) == p
-        assert ctx.element_order(ctx.zeta_q) == q
-        assert ctx.element_order(ctx.zeta_pq) == p * q
+        assert _order(ctx, _zeta(ctx, p)) == p
+        assert _order(ctx, _zeta(ctx, q)) == q
+        assert _order(ctx, _zeta(ctx, p * q)) == p * q
 
 
 def test_zeta_orders_tower():
     ctx = build_extension(45)
     assert ctx.d == 6
-    assert ctx.element_order(ctx.zeta_p) == 3
-    assert ctx.element_order(ctx.zeta_q) == 5
-    assert ctx.element_order(ctx.zeta_pq) == 15
+    assert _order(ctx, ctx.beta) == 45
+    assert _order(ctx, _zeta(ctx, 3)) == 3
+    assert _order(ctx, _zeta(ctx, 5)) == 5
+    assert _order(ctx, _zeta(ctx, 15)) == 15
 
 
 def test_geometric_sums(ctx15):
@@ -178,10 +194,10 @@ def test_geometric_sums(ctx15):
             acc ^= int(ctx15.beta_powers[(k * r) % 15])
         assert acc == 0
     # sum over the units of a prime-order root is 1 in characteristic 2
-    for zeta, r in ((ctx15.zeta_p, 3), (ctx15.zeta_q, 5)):
+    for r in (3, 5):
         acc = 0
         for t in range(1, r):
-            acc ^= ctx15.pow(zeta, t)
+            acc ^= ctx15.pow(_zeta(ctx15, r), t)
         assert acc == 1
 
 
@@ -482,3 +498,95 @@ def test_blocked_kernel_matches_single_block(monkeypatch):
     assert not whole[:, -1].any()
     for r in list(range(40)) + [len(ks) - 1]:
         assert [_xsum(ctx, s, int(ks[r])) for s in sets] == whole[r].tolist()
+
+
+# --- orbit evaluation and the closed-form root sums ------------------------
+
+@pytest.mark.parametrize("params, d", [
+    ((3, 5, 1, 1), 2), ((3, 7, 1, 1), 3), ((3, 5, 2, 1), 6),
+    ((3, 257, 1, 1), 8), ((3, 19, 1, 1), 9), ((13, 17, 1, 1), 12)])
+def test_orbit_sums_match_power_sums(params, d):
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    N = ctx.N
+    assert ctx.d == d
+    # k that share a factor with N have orbits under k -> 4k shorter than d
+    lengths = {k: next(s for s in range(1, d + 1) if k * 4**s % N == k)
+               for k in range(1, N)}
+    assert min(lengths.values()) < d == max(lengths.values())
+    folded = build_sequence(system, Mapping(2, 3, 1, 0, 3),
+                            allow_degenerate=True).symbols
+    folded = folded[:N] ^ folded[N:]
+    rng = np.random.default_rng(N)
+    sets = ([h_set(system, cid) for cid in system.classes]
+            + [np.nonzero(folded == v)[0] for v in (1, 2, 3)]
+            + [np.array([], dtype=np.int64), np.array([0, N - 1]),
+               rng.choice(2 * N, size=N // 3, replace=False)])
+    for first_k in (0, 1):
+        assert np.array_equal(
+            extfield._orbit_sums(ctx, sets, first_k),
+            extfield._power_sums(ctx.beta_powers, sets,
+                                 np.arange(first_k, N)))
+
+
+def test_frobenius_images_match_pow():
+    rng = random.Random(914)
+    for N in (15, 21, 45, 771, 221):
+        ctx = build_extension(N)
+        xs = [rng.randrange(4**ctx.d) for _ in range(300)]
+        got = extfield._vec_linear(np.array(xs, dtype=np.uint32),
+                                   extfield._frobenius_images(ctx))
+        assert got.tolist() == [ctx.pow(x, 4) for x in xs]
+
+
+def _direct_root_sums(system, ctx, a, b, l):
+    # the per-k root tables the closed form replaced: the sum over the base
+    # class of zeta^(u t), gathered from zeta's own power table at every u
+    c = system.constants
+    p, q, m, n = c.p, c.q, c.m, c.n
+
+    def root_sums(shape, i, j, zeta_exp, mult):
+        table = extfield._power_table(ctx.pow(ctx.beta, zeta_exp),
+                                      ctx.N // zeta_exp, ctx.d, ctx.tail,
+                                      ctx.lomask)
+        base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
+        return extfield._power_sums(table, base, mult * l)
+
+    return {"2pq": root_sums("pq", 1, 1, p**(m - 1) * q**(n - 1), 1),
+            "2p": root_sums("p", 1, 0, p**(m - 1) * q**n, q**b),
+            "2q": root_sums("q", 0, 1, p**m * q**(n - 1), p**a)}
+
+
+@pytest.mark.parametrize("params", [
+    (3, 5, 1, 1), (5, 3, 1, 1), (3, 7, 1, 1), (7, 3, 1, 1), (3, 5, 2, 1),
+    (5, 3, 2, 1), (3, 5, 1, 2), (5, 3, 1, 2), (3, 13, 1, 1)])
+def test_boundary_roots_match_direct_reference(params):
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    p, q, N = params[0], params[1], ctx.N
+    ks = np.arange(1, N, dtype=np.int64)
+    a = extfield._valuations(ks, p, N)
+    b = extfield._valuations(ks, q, N)
+    l = ks // (p**a * q**b)
+    want = _direct_root_sums(system, ctx, a, b, l)
+    got = extfield._boundary_roots(system, ctx, a, b, l)
+    assert got.keys() == want.keys()
+    for shape in want:
+        assert got[shape].dtype == want[shape].dtype
+        assert np.array_equal(got[shape], want[shape]), shape
+    # the Gaussian periods never read beta_powers
+    blank = dataclasses.replace(ctx, beta_powers=np.zeros_like(
+        ctx.beta_powers))
+    for shape, table in extfield._boundary_roots(system, blank, a, b,
+                                                 l).items():
+        assert np.array_equal(table, got[shape])
+
+
+def test_boundary_roots_reject_a_nonunit_multiplier(sys15, ctx15):
+    zero = np.zeros(5, dtype=np.int64)
+    l = np.array([1, 2, 4, 7, 8], dtype=np.int64)
+    roots = extfield._boundary_roots(sys15, ctx15, zero, zero, l)
+    assert all(table.shape == (5, 2) for table in roots.values())
+    with pytest.raises(LemmaViolation) as info:
+        extfield._boundary_roots(sys15, ctx15, zero, zero, l + 3)
+    assert info.value.witness == {"shape": "pq", "u": 5}
