@@ -28,7 +28,8 @@ for params in ((3, 5, 1, 1), (3, 7, 1, 1), (3, 5, 2, 1)):
     zeta = {r: context.pow(context.beta, N // r) for r in (p, q, p * q)}
     print(f"\nN = {N}: F_4^{context.d}, modulus digits "
           f"{''.join(str((context.tail >> (2 * i)) & 3) for i in range(context.d))}1, "
-          f"beta = generator^{(4**context.d - 1) // N}")
+          f"beta = c^{(4**context.d - 1) // N} for the packed code "
+          f"c = {context.beta_base}")
     print(f"  zeta orders: p -> {order(context, zeta[p])}, "
           f"q -> {order(context, zeta[q])}, "
           f"pq -> {order(context, zeta[p * q])}")

@@ -6,7 +6,8 @@ an OSError on a file such as an --out path that cannot be written, 3 cap
 exceeded, 4 malformed sequence file. The parameter cap (default
 2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be overridden by
 --cap or the CYCLOSEQ_CAP environment variable; extension-field
-verification is additionally capped at N <= 5000 and degree d <= 12.
+verification is additionally capped at N <= 5000 and degree d <= 12, both
+checked before `verify` builds any class table.
 
 In the verify report, partition_ok: true rests on build_system, which
 paints the partition and raises PartitionViolation (exit 1) on any index
@@ -30,7 +31,7 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      MalformedSequenceFile, MethodDisagreement,
                      PartitionViolation, TheoremViolation)
 from .extfield import build_extension, verify_case_table, verify_char_sum_tables
-from .numtheory import DEFAULT_PARAM_CAP
+from .numtheory import DEFAULT_PARAM_CAP, build_system_constants
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        degenerate_e_values, read_sequence_file,
                        write_sequence_file)
@@ -155,15 +156,16 @@ def cmd_analyze(args):
 def cmd_verify(args):
     cap = _resolve_cap(args)
     mapping = _parse_mapping(args.map)
-    system = build_system(args.p, args.q, args.m, args.n, cap=cap)
-    violations = check_structural_lemmas(system) + check_residue_rules(system)
-    if violations:
-        raise violations[0]
-    N = system.half_period
+    N = build_system_constants(args.p, args.q, args.m, args.n,
+                               cap=cap).half_period
     if N > VERIFY_N_CAP:
         raise CapExceeded(
             f"N = {N} beyond the verification cap {VERIFY_N_CAP}")
     context = build_extension(N)
+    system = build_system(args.p, args.q, args.m, args.n, cap=cap)
+    violations = check_structural_lemmas(system) + check_residue_rules(system)
+    if violations:
+        raise violations[0]
     char_report = verify_char_sum_tables(system, context)
     case_report = verify_case_table(system, context, mapping)
     lc_report = verify_theorem(system, mapping, strict=True)
@@ -181,13 +183,16 @@ def cmd_verify(args):
     return 0
 
 
-def _sweep_row(task):
+def _sweep_row(task, systems):
     """One sweep row and its exit code: 0 holds, 1 fails, 2 invalid input."""
     p, q, m, n, mapping, cap, degenerate = task
     row = {"p": p, "q": q, "m": m, "n": n,
            "mapping": ",".join(str(v) for v in mapping.as_tuple())}
     try:
-        system = build_system(p, q, m, n, cap=cap)
+        if (p, q, m, n) not in systems:
+            systems.clear()
+            systems[p, q, m, n] = build_system(p, q, m, n, cap=cap)
+        system = systems[p, q, m, n]
         if degenerate:
             report = analyze_degenerate(system, mapping)
             row.update({
@@ -232,7 +237,8 @@ def cmd_sweep(args):
     if not tasks:
         _emit([], args.format, args.out)
         return 0
-    results = [_sweep_row(t) for t in tasks]
+    systems = {}  # the rows of one system are consecutive: keep the last
+    results = [_sweep_row(t, systems) for t in tasks]
     _emit([row for row, _ in results], args.format, args.out)
     return max(code for _, code in results)
 

@@ -109,6 +109,13 @@ def _coset(mod, square, y, half_order, y_count, start):
     return np.array(sorted(elems), dtype=np.int64)
 
 
+def _sorted_set(arr):
+    # the distinct values of arr, ascending, by marking them on their range
+    mask = np.zeros(arr.max() - arr.min() + 1, dtype=bool)
+    mask[arr - arr.min()] = True
+    return np.nonzero(mask)[0] + arr.min()
+
+
 def build_class(constants, cid):
     """D_h modulo p^i q^j (times 2 for a doubled shape), sorted.
 
@@ -189,15 +196,12 @@ class CyclotomicSystem:
     def half_period(self):
         return self.constants.half_period
 
-    def class_of(self, cid):
-        return self.classes[ClassId(cid.shape, cid.i, cid.j, cid.h)]
-
 
 def h_set(system, cid):
     """The class scaled by its cofactor (and by 2 when the label says so)."""
     constants = system.constants
     _check_class_id(constants, cid)
-    base = system.class_of(cid)
+    base = system.classes[ClassId(cid.shape, cid.i, cid.j, cid.h)]
     mult = cofactor_of(constants, cid) * (2 if cid.doubled else 1)
     return base * mult
 
@@ -314,10 +318,6 @@ def residue_side_of_2(system, shape, i=1, j=1):
                       j if "q" in shape else 0)
 
 
-def _as_set(arr):
-    return set(int(x) for x in arr)
-
-
 def check_structural_lemmas(system):
     """Exhaustive set-identity checks on the class tables.
 
@@ -325,8 +325,9 @@ def check_structural_lemmas(system):
     are the base classes lifted by multiples of the base modulus (with the
     odd-correction term for doubled moduli), that reducing a doubled-shape
     class modulo its odd part recovers the odd-shape class, and that the
-    side of 2 is constant across exponents within each family. Returns a
-    list of unraised LemmaViolation records; empty means everything holds.
+    side of 2 is constant across exponents within each family, with sets
+    as sorted arrays of distinct values. Returns a list of unraised
+    LemmaViolation records; empty means everything holds.
     """
     out = []
     c = system.constants
@@ -334,35 +335,34 @@ def check_structural_lemmas(system):
     families = _families(c.m, c.n)
 
     def check(cid, expected):
-        got = _as_set(system.classes[cid])
-        if got != expected:
-            diff = sorted(got.symmetric_difference(expected))
+        got, expected = _sorted_set(system.classes[cid]), _sorted_set(expected)
+        if not np.array_equal(got, expected):
+            diff = set(got.tolist()).symmetric_difference(expected.tolist())
             out.append(LemmaViolation("class set identity failed",
-                                      shape=cid, witness=diff[0]))
+                                      shape=cid, witness=min(diff)))
 
     for h in (0, 1):
         for (bi, bj), members in families.items():
-            base_set = _as_set(
-                system.classes[ClassId(_shape(bi, bj), bi, bj, h)])
+            base = system.classes[ClassId(_shape(bi, bj), bi, bj, h)]
             step = p**bi * q**bj
             for i, j in members:
                 mod = p**i * q**j
-                lifted = {x + step * y for x in base_set
-                          for y in range(mod // step)}
+                lifted = np.add.outer(step * np.arange(mod // step), base)
                 if (i, j) != (bi, bj):
                     check(ClassId(_shape(i, j), i, j, h), lifted)
                 # the doubled modulus takes the odd member of {v, v + mod}
                 check(ClassId(_shape(i, j, two=True), i, j, h),
-                      {v if v % 2 else v + mod for v in lifted})
+                      lifted + mod * (lifted % 2 == 0))
 
         # doubled shape reduced mod its odd part must be the odd shape
         for i, j in families[1, 1]:
-            got = _as_set(system.classes[ClassId("2pq", i, j, h)]
-                          % (p**i * q**j))
-            if got != _as_set(system.classes[ClassId("pq", i, j, h)]):
+            got = _sorted_set(system.classes[ClassId("2pq", i, j, h)]
+                              % (p**i * q**j))
+            odd = _sorted_set(system.classes[ClassId("pq", i, j, h)])
+            if not np.array_equal(got, odd):
                 out.append(LemmaViolation(
                     "doubled class does not reduce onto the odd class",
-                    shape=ClassId("2pq", i, j, h), witness=min(got)))
+                    shape=ClassId("2pq", i, j, h), witness=int(got[0])))
 
     # side of 2 must not depend on the exponent
     for base, members in families.items():

@@ -8,18 +8,19 @@ field in uint32 for d <= 12 and makes addition a plain XOR.
 ext_mul, a Horner product on packed elements reduced through the packed
 tail of any monic modulus, is the only multiplication; maps that are
 GF(2)-linear on whole arrays (times a fixed element, x -> x^4) run on
-_vec_linear from the images of the 2d bits. The module builds the context
-deterministically (least monic irreducible modulus in lexicographic
-coefficient order, found by Rabin's test squaring with ext_mul modulo each
-candidate; first generator by packed-code order) and tabulates beta^r for
-0 <= r < N. Every sum it then measures is an XOR of beta^(k t mod N) over
+_vec_linear, one 256-entry table lookup per input byte. The modulus is the
+least monic irreducible in lexicographic coefficient order: candidates
+with a root in GF(4) are skipped, Rabin's test decides the rest. beta is
+c^((4^d - 1)/N) for the least packed c >= x for which that power has order
+N, so no group generator is searched for. The module tabulates beta^r for
+0 <= r < N; every sum it then measures is an XOR of beta^(k t mod N) over
 an index set T, and one kernel, _power_sums, gathers a table of them in
 blocks of about _BLOCK_ELEMENTS elements, so temporary memory stays below
 a megabyte instead of growing as N^2. x -> x^4 fixes GF(4), so the row of
 4k is the Frobenius image of the row of k: _orbit_sums gathers only the
 least k of each orbit of k -> 4k mod N (the cyclotomic cosets of the
-Mattson-Solomon view) and walks the orbit from it. The character sums
-over every H-set and the full spectrum S(beta^k) are each one such table,
+Mattson-Solomon view) and walks the orbit from it. The character sums over
+every H-set and the full spectrum S(beta^k) are each one such table,
 compared cell by cell against their closed forms; a mismatch is reported
 at the first k, in ascending order, that shows one. The boundary root sums
 on the expected side are order-2 Gaussian periods, chosen by the class of
@@ -27,14 +28,14 @@ the multiplier, with no Frobenius map and no read of beta_powers.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import gf4
 from .cyclotomy import DOUBLED_SHAPES, ClassId, all_class_ids, h_set
 from .errors import (CapExceeded, CaseViolation, InvalidMapping,
-                     InvalidParams, LemmaViolation, NotCoprime)
+                     InvalidParams, LemmaViolation)
 from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile, validate_mapping
 
@@ -46,13 +47,8 @@ _BLOCK_ELEMENTS = 1 << 16
 
 def ord_4_mod(n):
     """Multiplicative order of 4 modulo n; n must be odd (coprime to 4)."""
-    if n < 1:
-        raise InvalidParams("modulus must be positive")
-    if n == 1:
-        return 1
-    if n % 2 == 0:
-        raise NotCoprime("4 shares a factor with an even modulus")
-    return mult_order(4, n)
+    # mult_order raises InvalidParams below 2 and NotCoprime on even n
+    return 1 if n == 1 else mult_order(4, n)
 
 
 # --- packed-element arithmetic -------------------------------------------
@@ -116,12 +112,22 @@ def ext_pow(x, e, d, tail, lomask):
     return out
 
 
-def _vec_linear(arr, images):
-    # A GF(2)-linear map on a uint32 array of packed elements, given the
-    # images of the single bits: the XOR of the images of the set bits.
+def _byte_tables(images):
+    # the GF(2)-linear map with these images of the single bits, as one
+    # table per input byte: tables[c, b] = XOR of images[8c + i], i in b
+    chunks = np.zeros((-(-len(images) // 8), 8), dtype=np.uint32)
+    chunks.flat[:len(images)] = images
+    tables = np.zeros((len(chunks), 256), dtype=np.uint32)
+    for i in range(8):
+        tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ chunks[:, i, None]
+    return tables
+
+
+def _vec_linear(arr, tables):
+    # the map of _byte_tables on a uint32 array: one lookup per input byte
     acc = np.zeros_like(arr)
-    for bit, image in enumerate(images):
-        acc ^= (arr >> bit & 1) * image
+    for c, table in enumerate(tables):
+        acc ^= table[arr >> 8 * c & 255]
     return acc
 
 
@@ -144,28 +150,33 @@ def is_irreducible(poly):
     for _ in range(d):
         t = ext_mul(frob[-1], frob[-1], d, tail, lomask)
         frob.append(ext_mul(t, t, d, tail, lomask))
-    if frob[d] != 4:
-        return False
-    for r in factorize(d):
-        sub = frob[d // r] ^ 4
-        if sub == 0:
-            return False
-        if gf4.poly_deg(gf4.poly_gcd(packed_to_poly(sub, d), poly)) != 0:
-            return False
-    return True
+    # gcd(x^(4^(d/r)) - x, poly) = 1 for every prime r | d
+    return frob[d] == 4 and all(
+        gf4.poly_deg(gf4.poly_gcd(packed_to_poly(frob[d // r] ^ 4, d), poly))
+        == 0 for r in factorize(d))
+
+
+def _has_gf4_root(coeffs):
+    # v^3 = 1 for v != 0: f(v) = s0 + v s1 + v^2 s2, s_r over degrees = r mod 3
+    s = [0, 0, 0]
+    for i, c in enumerate(coeffs):
+        s[i % 3] ^= c
+    return any(s[0] ^ gf4.gf4_mul(v, s[1]) ^ gf4.gf4_mul(v2, s[2]) == 0
+               for v, v2 in ((1, 1), (2, 3), (3, 2)))
 
 
 def least_irreducible(d):
     """Least monic irreducible of degree d, coefficients compared from the
-    constant term up. A zero constant term divides by x, so the scan can
-    start at constant term 1."""
+    constant term up, which starts at 1 (else x divides). From degree 2 on,
+    a candidate with a root in GF(4) has a linear factor: no Rabin test."""
     if d < 1:
         raise InvalidParams("degree must be positive")
     for c0 in (1, 2, 3):
         for rest in itertools.product(range(4), repeat=d - 1):
-            cand = gf4.poly((c0,) + rest + (1,))
-            if is_irreducible(cand):
-                return cand
+            cand = (c0,) + rest + (1,)
+            if ((d == 1 or not _has_gf4_root(cand))
+                    and is_irreducible(gf4.poly(cand))):
+                return gf4.poly(cand)
     raise InvalidParams(f"no irreducible of degree {d}")  # unreachable
 
 
@@ -175,11 +186,11 @@ def least_irreducible(d):
 class ExtFieldContext:
     """Everything needed to evaluate sums of beta powers for one N.
 
-    Packed-integer elements throughout; beta_powers[r] is beta^r for
-    0 <= r < N, the workhorse table behind every character sum. exp_table
-    is always None: the generator's power table is no longer built, and
-    the field stays only because the benchmark tracer (perfbench/tracer.py)
-    still reads it when it sizes the context's tables.
+    Packed-integer elements; beta = beta_base^((4^d - 1)/N) for the least
+    code beta_base >= 4 (the element x) giving order N, and beta_powers[r]
+    = beta^r for 0 <= r < N backs every character sum. exp_table is always
+    None: no generator's power table is built, and the field stays only
+    because perfbench/tracer.py reads it to size the context's tables.
     """
 
     N: int
@@ -191,7 +202,7 @@ class ExtFieldContext:
     modulus: np.ndarray = field(repr=False)
     tail: int = field(repr=False)
     lomask: int = field(repr=False)
-    generator: int
+    beta_base: int
     beta: int
     beta_powers: np.ndarray = field(repr=False)
     exp_table: object = field(repr=False)
@@ -217,9 +228,10 @@ def _power_table(x, size, d, tail, lomask):
     filled = 1
     while filled < size:
         take = min(filled, size - filled)
-        out[filled:filled + take] = _vec_linear(out[:take], images)
+        tables = _byte_tables(images)
+        out[filled:filled + take] = _vec_linear(out[:take], tables)
         filled += take
-        images = _vec_linear(images, images)
+        images = _vec_linear(images, tables)
     return out
 
 
@@ -243,19 +255,15 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
     tail = poly_to_packed(modulus[:d])
     lomask = _lomask(d)
     group = 4**d - 1
-    if group % N:
-        raise LemmaViolation("N does not divide 4^d - 1", N=N, d=d)
-    group_primes = list(factorize(group))
-    generator = None
-    for cand in range(2, 4**d):
-        if all(ext_pow(cand, group // r, d, tail, lomask) != 1
-               for r in group_primes):
-            generator = cand
+    # c^((4^d - 1)/N) has order dividing N, and exactly N unless its N/p
+    # or N/q power is 1; the scan starts at x, the first code outside GF(4)
+    for beta_base in range(4, 4**d):
+        beta = ext_pow(beta_base, group // N, d, tail, lomask)
+        if all(ext_pow(beta, N // r, d, tail, lomask) != 1 for r in (p, q)):
             break
-    if generator is None:
-        raise LemmaViolation("no generator of the multiplicative group", d=d)
+    else:
+        raise LemmaViolation("no primitive N-th root of unity", N=N, d=d)
 
-    beta = ext_pow(generator, group // N, d, tail, lomask)
     beta_powers = _power_table(beta, N, d, tail, lomask)
     closing = ext_mul(int(beta_powers[-1]), beta, d, tail, lomask)
     if closing != 1:
@@ -265,7 +273,7 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
 
     return ExtFieldContext(
         N=N, p=p, q=q, m=m, n=n, d=d, modulus=modulus, tail=tail,
-        lomask=lomask, generator=generator, beta=beta,
+        lomask=lomask, beta_base=beta_base, beta=beta,
         beta_powers=beta_powers, exp_table=None)
 
 
@@ -333,7 +341,7 @@ def _orbit_sums(context, sets, first_k):
     sums = _power_sums(context.beta_powers, sets, start)
     out = np.empty((len(ks), len(sets)), dtype=np.uint32)
     out[start - first_k] = sums
-    frobenius = _frobenius_images(context)
+    frobenius = _byte_tables(_frobenius_images(context))
     row = start
     for _ in range(d - 1):
         row = row * 4 % N
@@ -386,15 +394,7 @@ class CaseReport:
     max_complexity_predicted: bool
 
     def to_json_dict(self):
-        return {
-            "s_at_1": self.s_at_1,
-            "value_generic": self.value_generic,
-            "value_p_saturated": self.value_p_saturated,
-            "value_q_saturated": self.value_q_saturated,
-            "checked": self.checked,
-            "all_values_nonzero": self.all_values_nonzero,
-            "max_complexity_predicted": self.max_complexity_predicted,
-        }
+        return asdict(self)
 
 
 def verify_case_table(system, context, mapping):
@@ -427,15 +427,9 @@ def verify_case_table(system, context, mapping):
         raise CaseViolation(k, int(expected[k]), int(spectrum[k]))
     values = (mapping.e, prof.value_generic, prof.value_p_saturated,
               prof.value_q_saturated)
-    nonzero = all(v != 0 for v in values)
-    return CaseReport(
-        s_at_1=mapping.e,
-        value_generic=prof.value_generic,
-        value_p_saturated=prof.value_p_saturated,
-        value_q_saturated=prof.value_q_saturated,
-        checked=context.N,
-        all_values_nonzero=nonzero,
-        max_complexity_predicted=nonzero)
+    return CaseReport(*values, checked=context.N,
+                      all_values_nonzero=all(values),
+                      max_complexity_predicted=all(values))
 
 
 @dataclass(frozen=True)
@@ -446,7 +440,7 @@ class CharSumReport:
     cells_checked: int
 
     def to_json_dict(self):
-        return {"k_count": self.k_count, "cells_checked": self.cells_checked}
+        return asdict(self)
 
 
 def _valuations(ks, prime, N):

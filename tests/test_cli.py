@@ -1,10 +1,12 @@
 """End-to-end runs of the command line through main(argv)."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
-from cycloseq import cli
+from cycloseq import cli, cyclotomy
 from cycloseq.cli import main
 
 
@@ -274,3 +276,58 @@ def test_successive_calls_share_one_parser(tmp_path, capsys, monkeypatch):
     assert [result[0] for result in shared] == [0, 2, 0, 0, 0, 0, 3, 0, 0, 2]
     for argv, one, other in zip(SUCCESSIVE_CALLS, shared, fresh):
         assert one == other, argv
+
+
+def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
+    def no_classes(*args):
+        raise AssertionError("a capped verify built a class table")
+
+    monkeypatch.setattr(cyclotomy, "build_class", no_classes)
+    # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
+    code, _, err = run(capsys, "verify", "--p", "41", "--q", "107")
+    assert (code, err) == (3, "error: extension degree 530 exceeds the cap "
+                              "12\n")
+    code, _, err = run(capsys, "verify", "--p", "71", "--q", "73")
+    assert (code, err) == (3, "error: N = 5183 beyond the verification cap "
+                              "5000\n")
+    # invalid input still exits 2, before either cap
+    for argv in (("--p", "4", "--q", "107"), ("--p", "41", "--q", "41"),
+                 ("--p", "41", "--q", "107", "--m", "0"),
+                 ("--p", "71", "--q", "73", "--map", "0,1")):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 2 and err.startswith("error: "), argv
+    code, _, err = run(capsys, "verify", "--p", "3", "--q", "5",
+                       "--cap", "10")
+    assert (code, err) == (3, "error: period 30 exceeds cap 10\n")
+
+
+def test_sweep_builds_each_system_once(capsys, monkeypatch):
+    argv = ("sweep", "--degenerate", "--pairs", "3:5,3:3,5:7",
+            "--exponents", "1:1,2:1", "--format", "csv")
+    code, want, _ = run(capsys, *argv)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return cyclotomy.build_system(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_system", counted)
+    # the same rows as a sweep that builds per row: each row alone
+    tasks = [(p, q, m, n, mapping, cyclotomy.DEFAULT_PARAM_CAP, True)
+             for p, q in ((3, 5), (3, 3), (5, 7)) for m, n in ((1, 1), (2, 1))
+             for mapping in cli._degenerate_variants(p, cli.DEFAULT_MAPPING)]
+    alone = [cli._sweep_row(task, {}) for task in tasks]
+    builds.clear()
+    assert run(capsys, *argv)[:2] == (code, want)
+    assert len(want.splitlines()) == len(tasks) + 1 and code == 2
+    # a build that fails (p = q) is not kept, so each of its rows retries
+    keys = [task[:4] for task in tasks]
+    once = {k for k in keys if k[0] != k[1]}
+    assert sorted(builds) == sorted(list(once) + [k for k in keys
+                                                  if k[0] == k[1]])
+    assert len(once) == 4 and len(builds) < len(tasks)
+    assert max(c for _, c in alone) == code
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit([row for row, _ in alone], "csv")
+    assert buf.getvalue() == want

@@ -169,6 +169,108 @@ def test_lemmas_report_swapped_class(params, swaps, expected):
                 != residue_side_of_2(system, shape, i=i, j=j))
 
 
+# --- the set-based lemma check that the array comparisons replaced ---------
+
+def _as_set(arr):
+    return set(int(x) for x in arr)
+
+
+def _ref_structural_lemmas(system):
+    out = []
+    c = system.constants
+    p, q = c.p, c.q
+    families = cyclotomy._families(c.m, c.n)
+
+    def check(cid, expected):
+        got = _as_set(system.classes[cid])
+        if got != expected:
+            diff = sorted(got.symmetric_difference(expected))
+            out.append(LemmaViolation("class set identity failed",
+                                      shape=cid, witness=diff[0]))
+
+    for h in (0, 1):
+        for (bi, bj), members in families.items():
+            base_set = _as_set(
+                system.classes[ClassId(cyclotomy._shape(bi, bj), bi, bj, h)])
+            step = p**bi * q**bj
+            for i, j in members:
+                mod = p**i * q**j
+                lifted = {x + step * y for x in base_set
+                          for y in range(mod // step)}
+                if (i, j) != (bi, bj):
+                    check(ClassId(cyclotomy._shape(i, j), i, j, h), lifted)
+                check(ClassId(cyclotomy._shape(i, j, two=True), i, j, h),
+                      {v if v % 2 else v + mod for v in lifted})
+
+        for i, j in families[1, 1]:
+            got = _as_set(system.classes[ClassId("2pq", i, j, h)]
+                          % (p**i * q**j))
+            if got != _as_set(system.classes[ClassId("pq", i, j, h)]):
+                out.append(LemmaViolation(
+                    "doubled class does not reduce onto the odd class",
+                    shape=ClassId("2pq", i, j, h), witness=min(got)))
+
+    for base, members in families.items():
+        sides = {cyclotomy._side_of_2(system, i, j) for i, j in members}
+        if len(sides) > 1:
+            plural = "s" if base == (1, 1) else ""
+            out.append(LemmaViolation(
+                f"side of 2 varies with the exponent{plural}",
+                shape=cyclotomy._shape(*base), witness=sorted(sides)))
+    return out
+
+
+def _replaced(system, cid, arr):
+    return dataclasses.replace(system, classes={**system.classes, cid: arr})
+
+
+def _corruptions(system):
+    # (corrupted class, corrupted system): one class of each doubled shape
+    # at the highest exponents, one 2pq coset swap that breaks both lifts
+    # and both reductions, and two rewrites that change no set
+    c = system.constants
+    out = []
+    for cid in (ClassId("2p", c.m, 0, 0), ClassId("2pq", c.m, c.n, 1),
+                ClassId("2q", 0, c.n, 1)):
+        cls = system.classes[cid]
+        mod = 2 * c.p**cid.i * c.q**cid.j
+        # the largest member moves to the even partner of the least one
+        moved = np.sort(np.r_[cls[:-1], (cls[0] + mod // 2) % mod])
+        out.append((cid, _replaced(system, cid, moved)))
+    d0, d1 = (system.classes[ClassId("2pq", 1, 1, h)] for h in (0, 1))
+    swapped = dict(system.classes)
+    swapped[ClassId("2pq", 1, 1, 0)] = np.sort(np.r_[d1[-1:], d0[1:]])
+    swapped[ClassId("2pq", 1, 1, 1)] = np.sort(np.r_[d0[:1], d1[:-1]])
+    out.append((ClassId("2pq", 1, 1, 0),
+                dataclasses.replace(system, classes=swapped)))
+    base, doubled = (system.classes[ClassId(shape, 1, 1, 0)]
+                     for shape in ("pq", "2pq"))
+    out.append((None, _replaced(system, ClassId("pq", 1, 1, 0),
+                                np.sort(np.r_[base, base[:2]]))))
+    out.append((None, _replaced(system, ClassId("2pq", 1, 1, 0),
+                                doubled[::-1].copy())))
+    return out
+
+
+@pytest.mark.parametrize("params", GRID + [(5, 3, 1, 1), (5, 3, 2, 2)])
+def test_lemma_witnesses_match_set_reference(params):
+    system = build_system(*params)
+    assert check_structural_lemmas(system) == _ref_structural_lemmas(system)
+    details = set()
+    for cid, bad in _corruptions(system):
+        got = check_structural_lemmas(bad)
+        want = _ref_structural_lemmas(bad)
+        assert [str(v) for v in got] == [str(v) for v in want], cid
+        assert [v.witness for v in got] == [v.witness for v in want], cid
+        assert all(type(v.witness["witness"]) in (int, list) for v in got)
+        if cid is None:
+            assert got == []
+        else:
+            assert cid in [v.witness["shape"] for v in got]
+        details.update(str(v).split(" [")[0] for v in got)
+    assert details == {LIFT, REDUCE}
+
+
 def test_residue_side_examples(sys15):
     # 3 = +/-3 and 5 = +/-3 mod 8: 2 sits in D_1 for every odd shape
     assert residue_side_of_2(sys15, "p") == 1

@@ -166,7 +166,7 @@ def test_context_shape(ctx15, ctx21):
     # 4^2 - 1 = 15 = N: beta generates the whole multiplicative group
     assert _order(ctx15, ctx15.beta) == 15
     assert ctx21.d == 3
-    assert ctx21.beta == ctx21.pow(ctx21.generator, 3)
+    assert ctx21.beta == ctx21.pow(ctx21.beta_base, 3)
     for ctx, (p, q) in ((ctx15, (3, 5)), (ctx21, (3, 7))):
         N = ctx.N
         assert ctx.pow(ctx.beta, N) == 1
@@ -534,8 +534,9 @@ def test_frobenius_images_match_pow():
     for N in (15, 21, 45, 771, 221):
         ctx = build_extension(N)
         xs = [rng.randrange(4**ctx.d) for _ in range(300)]
-        got = extfield._vec_linear(np.array(xs, dtype=np.uint32),
-                                   extfield._frobenius_images(ctx))
+        got = extfield._vec_linear(
+            np.array(xs, dtype=np.uint32),
+            extfield._byte_tables(extfield._frobenius_images(ctx)))
         assert got.tolist() == [ctx.pow(x, 4) for x in xs]
 
 
@@ -590,3 +591,62 @@ def test_boundary_roots_reject_a_nonunit_multiplier(sys15, ctx15):
     with pytest.raises(LemmaViolation) as info:
         extfield._boundary_roots(sys15, ctx15, zero, zero, l + 3)
     assert info.value.witness == {"shape": "pq", "u": 5}
+
+
+# --- byte tables, the direct beta and the root prefilter -------------------
+
+def _vec_linear_per_bit(arr, images):
+    # the per-bit kernel the byte tables replaced: XOR the image of every
+    # set bit, one pass over the array per bit
+    acc = np.zeros_like(arr)
+    for bit, image in enumerate(images):
+        acc ^= (arr >> bit & 1) * image
+    return acc
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_byte_tables_match_per_bit_reference(d):
+    # 2d = 2..24 bits: for d not a multiple of 4 the last byte is partial
+    rng = np.random.default_rng(d)
+    images = rng.integers(0, 4**d, 2 * d, dtype=np.uint32)
+    tables = extfield._byte_tables(images)
+    assert tables.shape == (-(-2 * d // 8), 256)
+    arrays = [rng.integers(0, 4**d, 500, dtype=np.uint32),
+              rng.integers(0, 4**d, (37, 5), dtype=np.uint32),
+              np.zeros(9, dtype=np.uint32), np.zeros((3, 0), dtype=np.uint32),
+              1 << np.arange(2 * d, dtype=np.uint32), images]
+    for arr in arrays:
+        got = extfield._vec_linear(arr, tables)
+        assert got.dtype == np.uint32 and got.shape == arr.shape
+        assert np.array_equal(got, _vec_linear_per_bit(arr, images))
+    # the single bits map to their own images
+    assert np.array_equal(extfield._vec_linear(arrays[4], tables), images)
+
+
+@pytest.mark.parametrize("params", [
+    (7, 73, 1, 1), (3, 19, 3, 1), (3, 73, 2, 1), (3, 241, 1, 1),
+    (3, 257, 1, 1), (5, 31, 2, 1), (5, 41, 2, 1), (5, 241, 1, 1),
+    (31, 41, 1, 1), (5, 257, 1, 1), (19, 73, 1, 1), (7, 241, 1, 1),
+    (3, 73, 3, 1), (23, 89, 1, 1), (3, 683, 1, 1), (3, 241, 2, 1),
+    (13, 241, 1, 1), (17, 241, 1, 1), (17, 257, 1, 1),
+    (3, 5, 1, 1), (5, 3, 1, 1), (3, 7, 1, 1), (3, 5, 2, 1)])
+def test_beta_has_order_exactly_n(params):
+    p, q, m, n = params
+    N = p**m * q**n
+    ctx = build_extension(N)
+    assert _order(ctx, ctx.beta) == N
+    assert ctx.beta == ctx.pow(ctx.beta_base, ctx.group_order // N)
+    # beta_base is the least code from x (packed 4) on that gives order N
+    for c in range(4, ctx.beta_base):
+        assert _order(ctx, ctx.pow(c, ctx.group_order // N)) < N
+    assert ctx.beta_powers[1] == ctx.beta
+    assert ctx.mul(int(ctx.beta_powers[-1]), ctx.beta) == 1
+
+
+def test_root_prefilter_matches_evaluation():
+    for d in range(1, 5):
+        for code in range(4**(d + 1)):
+            coeffs = tuple((code >> (2 * i)) & 3 for i in range(d + 1))
+            has_root = any(_eval_gf4(gf4.poly(coeffs), v) == 0
+                           for v in (1, 2, 3))
+            assert extfield._has_gf4_root(coeffs) == has_root, coeffs
