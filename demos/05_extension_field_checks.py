@@ -3,6 +3,7 @@
 # every character sum over every H-set against its closed form, and
 # measures the full spectrum S(beta^k) against the per-regime table.
 
+from cycloseq import gf4
 from cycloseq.cyclotomy import ClassId, build_system
 from cycloseq.extfield import (build_extension, char_sum, verify_case_table,
                                verify_char_sum_tables)
@@ -27,7 +28,7 @@ for params in ((3, 5, 1, 1), (3, 7, 1, 1), (3, 5, 2, 1)):
     # beta^(N/r) is a primitive r-th root of unity for each divisor r of N
     zeta = {r: context.pow(context.beta, N // r) for r in (p, q, p * q)}
     print(f"\nN = {N}: F_4^{context.d}, modulus digits "
-          f"{''.join(str((context.tail >> (2 * i)) & 3) for i in range(context.d))}1, "
+          f"{gf4.poly_to_digits(context.modulus)}, "
           f"beta = c^{(4**context.d - 1) // N} for the packed code "
           f"c = {context.beta_base}")
     print(f"  zeta orders: p -> {order(context, zeta[p])}, "

@@ -27,7 +27,6 @@ steps stop at the first G_j = 1, so on P = 2N they are at most two gcds
 of degree <= N.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,23 +107,21 @@ def lc_via_gcd(symbols):
     # j < 2^a, so t & j depends only on t mod 2^a
     low_bits = np.arange(period) & ((1 << twos) - 1)
     common = (0, 1 << odd | 1)
-    factors = []
+    divisor = (0, 1)
     for j in range(1 << twos):
         hasse = np.where((low_bits & j) == j, s, 0).reshape(-1, odd)
         common = gf4.gcd_planes(
             *common, *gf4.to_planes(np.bitwise_xor.reduce(hasse)))
         if common == (0, 1):
             break
-        factors.append(gf4.from_planes(*common))
-    if not factors:
+        divisor = common if j == 0 else gf4.mul_planes(*common, *divisor)
+    if divisor == (0, 1):
         return period, gf4.x_pow_n_minus_1(period)
-    divisor = functools.reduce(gf4.poly_mul, factors)
-    quotient, r1, r0 = gf4.divmod_planes(0, 1 << period | 1,
-                                         *gf4.to_planes(divisor))
+    quotient, r1, r0 = gf4.divmod_planes(0, 1 << period | 1, *divisor)
     if r1 | r0:
         raise MethodDisagreement(
             "gcd(x^P - 1, S(x)) does not divide x^P - 1")
-    return period - gf4.poly_deg(divisor), np.array(quotient, dtype=np.uint8)
+    return len(quotient) - 1, np.array(quotient, dtype=np.uint8)
 
 
 def methods_consistent(lc_bm, conn, lc_gcd, minpoly):

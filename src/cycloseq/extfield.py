@@ -1,30 +1,27 @@
 """The extension field F_{4^d} and numerical checks of the character sums.
 
 d is the multiplicative order of 4 modulo N = p^m q^n, so F_{4^d} contains
-a primitive N-th root of unity beta. Elements are packed integers, two
-bits per GF4 coefficient (digit i at bits 2i, 2i+1), which keeps the whole
-field in uint32 for d <= 12 and makes addition a plain XOR.
-
-ext_mul, a Horner product on packed elements reduced through the packed
-tail of any monic modulus, is the only multiplication; maps that are
-GF(2)-linear on whole arrays (times a fixed element, x -> x^4) run on
+a primitive N-th root of unity beta. Elements are gf4's packed ints (uint32
+for d <= 12, addition a plain XOR), multiplied by gf4.field_mul; maps that
+are GF(2)-linear on whole arrays (times a fixed element, x -> x^4) run on
 _vec_linear, one 256-entry table lookup per input byte. The modulus is the
-least monic irreducible in lexicographic coefficient order: candidates
-with a root in GF(4) are skipped, Rabin's test decides the rest. beta is
-c^((4^d - 1)/N) for the least packed c >= x for which that power has order
-N, so no group generator is searched for. The module tabulates beta^r for
-0 <= r < N; every sum it then measures is an XOR of beta^(k t mod N) over
-an index set T, and one kernel, _power_sums, gathers a table of them in
-blocks of about _BLOCK_ELEMENTS elements, so temporary memory stays below
-a megabyte instead of growing as N^2. x -> x^4 fixes GF(4), so the row of
-4k is the Frobenius image of the row of k: _orbit_sums gathers only the
-least k of each orbit of k -> 4k mod N (the cyclotomic cosets of the
-Mattson-Solomon view) and walks the orbit from it. The character sums over
-every H-set and the full spectrum S(beta^k) are each one such table,
-compared cell by cell against their closed forms; a mismatch is reported
-at the first k, in ascending order, that shows one. The boundary root sums
-on the expected side are order-2 Gaussian periods, chosen by the class of
-the multiplier, with no Frobenius map and no read of beta_powers.
+least monic irreducible in lexicographic coefficient order: candidates with
+a root in GF(4) are skipped, Rabin's test decides the rest. beta is the
+first c^((4^d - 1)/N) of order N, c running from x on with its digits
+compared from the top, so no group generator is searched for. The module
+tabulates beta^r for 0 <= r < N; every sum it then measures is an XOR of
+beta^(k t mod N) over an index set T, and one kernel, _power_sums,
+gathers a table of them in blocks of about _BLOCK_ELEMENTS elements, so
+temporary memory stays below a megabyte instead of growing as N^2.
+x -> x^4 fixes GF(4), so the row of 4k is the Frobenius image of the row
+of k: _orbit_sums gathers only the least k of each orbit of k -> 4k mod N
+(the cyclotomic cosets of the Mattson-Solomon view) and walks the orbit
+from it. The character sums over every H-set and the full spectrum
+S(beta^k) are each one such table, compared cell by cell against their
+closed forms; a mismatch is reported at the first k, in ascending order,
+that shows one. The boundary root sums on the expected side are order-2
+Gaussian periods, chosen by the class of the multiplier, with no Frobenius
+map and no read of beta_powers.
 """
 
 import itertools
@@ -53,61 +50,16 @@ def ord_4_mod(n):
 
 # --- packed-element arithmetic -------------------------------------------
 
-def _lomask(d):
-    # binary 01 repeated d times: mask of all low coefficient bits
-    return ((1 << (2 * d)) - 1) // 3
-
-
-def _mul_alpha(x, lomask):
-    """Multiply every GF4 digit of x by alpha, digitwise; works on arrays."""
-    hi = (x >> 1) & lomask
-    lo = x & lomask
-    return ((hi ^ lo) << 1) | hi
-
-
-def poly_to_packed(poly):
-    return sum(int(c) << (2 * i) for i, c in enumerate(poly))
-
-
-def packed_to_poly(x, d):
-    return gf4.poly_trim(np.array([(x >> (2 * i)) & 3 for i in range(d)],
-                                  dtype=np.uint8))
-
-
-def ext_mul(x, y, d, tail, lomask):
-    """Product of two packed elements modulo the packed tail of the modulus.
-
-    Horner over the digits of y; each degree overflow folds back through
-    x^d = tail.
-    """
-    full = (1 << (2 * d)) - 1
-    topshift = 2 * (d - 1)
-    ta = _mul_alpha(tail, lomask)
-    tails = (0, tail, ta, tail ^ ta)
-    acc = 0
-    for pos in range(d - 1, -1, -1):
-        top = (acc >> topshift) & 3
-        acc = ((acc << 2) & full) ^ tails[top]
-        dig = (y >> (2 * pos)) & 3
-        if dig == 1:
-            acc ^= x
-        elif dig == 2:
-            acc ^= _mul_alpha(x, lomask)
-        elif dig == 3:
-            acc ^= x ^ _mul_alpha(x, lomask)
-    return acc
-
-
-def ext_pow(x, e, d, tail, lomask):
-    """x^e by square and multiply; e >= 0."""
+def ext_pow(x, e, d, x_to_d):
+    """x^e by square and multiply in GF(4)[X]/(X^d + x_to_d); e >= 0."""
     if e < 0:
         raise InvalidParams("negative exponent")
     out = 1
     base = x
     while e:
         if e & 1:
-            out = ext_mul(out, base, d, tail, lomask)
-        base = ext_mul(base, base, d, tail, lomask)
+            out = gf4.field_mul(out, base, d, x_to_d)
+        base = gf4.field_mul(base, base, d, x_to_d)
         e >>= 1
     return out
 
@@ -134,26 +86,21 @@ def _vec_linear(arr, tables):
 # --- modulus selection -----------------------------------------------------
 
 def is_irreducible(poly):
-    """Rabin's test over GF(4), squaring with ext_mul modulo poly itself."""
+    """Rabin's test over GF(4), squaring with field_mul modulo poly itself."""
     d = gf4.poly_deg(poly)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    poly = gf4.poly_monic(poly)
-    tail = poly_to_packed(poly[:d])
-    lomask = _lomask(d)
-    # frob[k] = x^(4^k) mod poly, packed; x itself is the packed code 4
-    frob = [4]
+    if d <= 1 or poly[0] == 0:  # a constant, a linear factor, or x | poly
+        return d == 1
+    m1, m0 = gf4.monic_planes(*gf4.to_planes(poly))
+    x_to_d = gf4.pack(m1, m0 ^ 1 << d, d)  # poly minus its leading X^d
+    x = gf4.pack(0, 0b10, d)
+    frob = [x]  # frob[k] = x^(4^k) mod poly
     for _ in range(d):
-        t = ext_mul(frob[-1], frob[-1], d, tail, lomask)
-        frob.append(ext_mul(t, t, d, tail, lomask))
+        t = gf4.field_mul(frob[-1], frob[-1], d, x_to_d)
+        frob.append(gf4.field_mul(t, t, d, x_to_d))
     # gcd(x^(4^(d/r)) - x, poly) = 1 for every prime r | d
-    return frob[d] == 4 and all(
-        gf4.poly_deg(gf4.poly_gcd(packed_to_poly(frob[d // r] ^ 4, d), poly))
-        == 0 for r in factorize(d))
+    return frob[d] == x and all(
+        gf4.gcd_planes(*gf4.unpack(frob[d // r] ^ x, d), m1, m0) == (0, 1)
+        for r in factorize(d))
 
 
 def _has_gf4_root(coeffs):
@@ -186,11 +133,11 @@ def least_irreducible(d):
 class ExtFieldContext:
     """Everything needed to evaluate sums of beta powers for one N.
 
-    Packed-integer elements; beta = beta_base^((4^d - 1)/N) for the least
-    code beta_base >= 4 (the element x) giving order N, and beta_powers[r]
-    = beta^r for 0 <= r < N backs every character sum. exp_table is always
-    None: no generator's power table is built, and the field stays only
-    because perfbench/tracer.py reads it to size the context's tables.
+    gf4's packed elements modulo the uint8 digits of modulus, X^d being
+    x_to_d; beta = beta_base^((4^d - 1)/N) (see build_extension), and
+    beta_powers[r] = beta^r for 0 <= r < N backs every character sum.
+    exp_table is always None: no generator's power table is built, and the
+    field stays only because perfbench/tracer.py reads it.
     """
 
     N: int
@@ -200,8 +147,7 @@ class ExtFieldContext:
     n: int
     d: int
     modulus: np.ndarray = field(repr=False)
-    tail: int = field(repr=False)
-    lomask: int = field(repr=False)
+    x_to_d: int = field(repr=False)
     beta_base: int
     beta: int
     beta_powers: np.ndarray = field(repr=False)
@@ -212,18 +158,18 @@ class ExtFieldContext:
         return 4**self.d - 1
 
     def mul(self, x, y):
-        return ext_mul(x, y, self.d, self.tail, self.lomask)
+        return gf4.field_mul(x, y, self.d, self.x_to_d)
 
     def pow(self, x, e):
-        return ext_pow(x, e, self.d, self.tail, self.lomask)
+        return ext_pow(x, e, self.d, self.x_to_d)
 
 
-def _power_table(x, size, d, tail, lomask):
+def _power_table(x, size, d, x_to_d):
     # x^r for 0 <= r < size, doubling the filled prefix at each step: the
     # prefix times x^filled, a linear map that squares from step to step
     out = np.zeros(size, dtype=np.uint32)
     out[0] = 1
-    images = np.array([ext_mul(1 << bit, x, d, tail, lomask)
+    images = np.array([gf4.field_mul(1 << bit, x, d, x_to_d)
                        for bit in range(2 * d)], dtype=np.uint32)
     filled = 1
     while filled < size:
@@ -252,29 +198,30 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
         raise CapExceeded(f"extension degree {d} exceeds the cap {max_degree}")
 
     modulus = least_irreducible(d)
-    tail = poly_to_packed(modulus[:d])
-    lomask = _lomask(d)
-    group = 4**d - 1
-    # c^((4^d - 1)/N) has order dividing N, and exactly N unless its N/p
-    # or N/q power is 1; the scan starts at x, the first code outside GF(4)
-    for beta_base in range(4, 4**d):
-        beta = ext_pow(beta_base, group // N, d, tail, lomask)
-        if all(ext_pow(beta, N // r, d, tail, lomask) != 1 for r in (p, q)):
+    x_to_d = gf4.pack(*gf4.to_planes(modulus[:d]), d)
+    # c^((4^d - 1)/N) has order N unless its N/p or N/q power is 1. c runs
+    # from x on, digits compared from the top, not in packed order, which
+    # starts with all of F_{2^d} when the modulus is over GF(2)
+    for top_first in itertools.islice(itertools.product(range(4), repeat=d),
+                                      4, None):
+        beta_base = gf4.pack(*gf4.to_planes(top_first[::-1]), d)
+        beta = ext_pow(beta_base, (4**d - 1) // N, d, x_to_d)
+        if all(ext_pow(beta, N // r, d, x_to_d) != 1 for r in (p, q)):
             break
     else:
         raise LemmaViolation("no primitive N-th root of unity", N=N, d=d)
 
-    beta_powers = _power_table(beta, N, d, tail, lomask)
-    closing = ext_mul(int(beta_powers[-1]), beta, d, tail, lomask)
+    beta_powers = _power_table(beta, N, d, x_to_d)
+    closing = gf4.field_mul(int(beta_powers[-1]), beta, d, x_to_d)
     if closing != 1:
         raise LemmaViolation("beta^N does not close the cycle",
                              N=N, beta=beta, beta_to_N=closing)
     beta_powers.flags.writeable = False
 
     return ExtFieldContext(
-        N=N, p=p, q=q, m=m, n=n, d=d, modulus=modulus, tail=tail,
-        lomask=lomask, beta_base=beta_base, beta=beta,
-        beta_powers=beta_powers, exp_table=None)
+        N=N, p=p, q=q, m=m, n=n, d=d, modulus=modulus, x_to_d=x_to_d,
+        beta_base=beta_base, beta=beta, beta_powers=beta_powers,
+        exp_table=None)
 
 
 def _require_matching(system, context):
@@ -311,14 +258,14 @@ def _power_sums(beta_powers, sets, ks):
 
 
 def _frobenius_images(context):
-    # x -> x^4 fixes GF(4), so it is GF(2)-linear: the bits of digit i,
-    # X^i and alpha X^i, go to X^(4i) and alpha X^(4i) (X is packed as 4)
-    step = context.pow(4, 4)
-    images, power = [], 1
-    for _ in range(context.d):
-        images += [power, _mul_alpha(power, context.lomask)]
-        power = context.mul(power, step)
-    return np.array(images, dtype=np.uint32)
+    # x -> x^4 fixes GF(4), so it is GF(2)-linear: the lo bits, X^i, go to
+    # X^(4i), and the hi bits, alpha X^i, to alpha X^(4i)
+    d = context.d
+    step = context.pow(gf4.pack(0, 0b10, d), 4)
+    lo = np.array(list(itertools.accumulate(
+        itertools.repeat(step, d - 1), context.mul, initial=1)), np.uint32)
+    return np.concatenate(
+        [lo, gf4.pack(*gf4.planes_scale(*gf4.unpack(lo, d), 2), d)])
 
 
 def _orbit_sums(context, sets, first_k):
@@ -376,9 +323,10 @@ def measure_spectrum(system, context, mapping, allow_degenerate=True):
     folded = seq.symbols[:N] ^ seq.symbols[N:]
     sums = _orbit_sums(context,
                        [np.nonzero(folded == v)[0] for v in (1, 2, 3)], 0)
-    # 1*s1 + alpha*s2 + (alpha+1)*s3, with multiplication by alpha linear
-    return sums[:, 0] ^ sums[:, 2] ^ _mul_alpha(sums[:, 1] ^ sums[:, 2],
-                                                np.uint32(context.lomask))
+    # 1*s1 + alpha*s2 + (alpha+1)*s3 = s1 + s3 + alpha*(s2 + s3)
+    planes = gf4.unpack(sums[:, 1] ^ sums[:, 2], context.d)
+    return sums[:, 0] ^ sums[:, 2] ^ gf4.pack(
+        *gf4.planes_scale(*planes, 2), context.d)
 
 
 @dataclass(frozen=True)
@@ -403,9 +351,9 @@ def verify_case_table(system, context, mapping):
     The prediction is regime-based: S(1) = e, and for k = p^a q^b l the
     value depends only on which of p^m, q^n divide k (see
     sequence.spectrum_profile). Raises CaseViolation at the first k whose
-    measured value differs; the report also says whether every value is
-    nonzero, which is exactly the condition for LC to reach the full
-    period.
+    measured value differs, with both values as packed elements; the
+    report also says whether every value is nonzero, which is exactly the
+    condition for LC to reach the full period.
     """
     _require_matching(system, context)
     bad = validate_mapping(system.constants.p, mapping)
@@ -414,16 +362,16 @@ def verify_case_table(system, context, mapping):
     prof = spectrum_profile(system, mapping)
     spectrum = measure_spectrum(system, context, mapping,
                                 allow_degenerate=True)
-    if int(spectrum[0]) != mapping.e:
-        raise CaseViolation(0, mapping.e, int(spectrum[0]))
     c = system.constants
     ks = np.arange(context.N)
     expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
                         np.where(ks % c.q**c.n == 0, prof.value_q_saturated,
                                  prof.value_generic))
-    bad = np.nonzero(spectrum[1:] != expected[1:])[0]
+    expected[0] = mapping.e
+    expected = gf4.pack_scalar(expected, context.d)
+    bad = np.nonzero(spectrum != expected)[0]
     if bad.size:
-        k = int(bad[0]) + 1
+        k = int(bad[0])
         raise CaseViolation(k, int(expected[k]), int(spectrum[k]))
     values = (mapping.e, prof.value_generic, prof.value_p_saturated,
               prof.value_q_saturated)
@@ -474,7 +422,7 @@ def _boundary_roots(system, context, a, b, l):
     """
     p, q = system.constants.p, system.constants.q
     zeta_powers = _power_table(context.pow(context.beta, context.N // (p * q)),
-                               p * q, context.d, context.tail, context.lomask)
+                               p * q, context.d, context.x_to_d)
     out = {}
     for shape, i, j, u in (("pq", 1, 1, l), ("p", 1, 0, q**b * l),
                            ("q", 0, 1, p**a * l)):

@@ -10,17 +10,17 @@ table. The same digits 0..3 are the on-disk symbol encoding used by
 sequence files and reports.
 
 Polynomials are numpy uint8 coefficient arrays, index = power of x, with no
-trailing zeros in canonical form. The zero polynomial is the empty array
-and poly_deg returns -1 for it (the "minus infinity" sentinel in degree
-comparisons).
+trailing zeros in canonical form; the zero polynomial is the empty array,
+of degree -1. Products, division and gcd run on bit planes, which the uint8
+functions wrap: a vector of digits becomes two Python ints (hi, lo), bit i
+of hi being c1 and bit i of lo c0 of digit i. Adding is one exclusive-or
+per plane, shifting by x^k one shift per plane, a scalar multiple a mix of
+the planes (planes_scale), a product three carry-less products.
 
-The long-running kernels (division, gcd, and both LC routes in
-analysis) work on bit planes instead: a vector of digits becomes two
-Python ints (hi, lo) where bit i of hi is c1 and bit i of lo is c0 of
-digit i. Adding two vectors is one exclusive-or per plane, shifting by x^k
-is one shift per plane, and multiplying by a scalar only swaps and mixes
-the planes (planes_scale). to_planes and from_planes convert between the
-two forms.
+An element of F_{4^d} = GF(4)[X]/(f), f monic of degree d, packs its
+remainder's planes into one int: lo in bits 0..d-1, hi in bits d..2d-1.
+That fits uint32 for d <= 12; pack, unpack and planes_scale also work on
+numpy arrays, and field_mul multiplies. No other module knows the layout.
 """
 
 import numpy as np
@@ -41,8 +41,6 @@ _MUL = MUL_TABLE.tolist()
 
 # INV_TABLE[a] = 1/a for a != 0; the nonzero elements form a 3-cycle.
 INV_TABLE = (0, 1, 3, 2)
-
-SYMBOL_NAMES = ("0", "1", "alpha", "alpha+1")
 
 
 def gf4_mul(a, b):
@@ -88,25 +86,16 @@ def poly_eq(a, b):
 
 
 def poly_mul(a, b):
-    """Schoolbook product; fine at desk scale."""
-    if poly_is_zero(a) or poly_is_zero(b):
-        return a[:0]
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.uint8)
-    for i in np.nonzero(a)[0]:
-        out[i: i + len(b)] ^= MUL_TABLE[a[i], b]
-    return poly_trim(out)
+    """Product of two polynomials."""
+    return from_planes(*mul_planes(*to_planes(a), *to_planes(b)))
 
 
 def poly_monic(f):
     """Scale a nonzero polynomial so its leading coefficient is 1."""
-    if poly_is_zero(f):
+    hi, lo = to_planes(f)
+    if not (hi | lo):
         raise DivisionByZeroPolynomial("cannot normalize the zero polynomial")
-    lead = int(f[-1])
-    if lead == 1:
-        return f
-    return MUL_TABLE[INV_TABLE[lead], f]
+    return from_planes(*monic_planes(hi, lo))
 
 
 def poly_divmod(a, b):
@@ -164,9 +153,69 @@ def gcd_planes(a1, a0, b1, b0):
     while b1 | b0:
         _, r1, r0 = divmod_planes(a1, a0, b1, b0)
         a1, a0, b1, b0 = b1, b0, r1, r0
-    top = max(a1.bit_length(), a0.bit_length()) - 1
-    lead = ((a1 >> top) & 1) << 1 | ((a0 >> top) & 1)
-    return planes_scale(a1, a0, INV_TABLE[lead])
+    return monic_planes(a1, a0)
+
+
+def monic_planes(hi, lo):
+    """Planes of the monic scalar multiple of a nonzero polynomial."""
+    top = max(hi.bit_length(), lo.bit_length()) - 1
+    lead = ((hi >> top) & 1) << 1 | ((lo >> top) & 1)
+    return planes_scale(hi, lo, INV_TABLE[lead])
+
+
+def _clmul(a, b):
+    # carry-less product: one shifted copy of b per set bit of a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def mul_planes(a1, a0, b1, b0):
+    """Planes of a product: with alpha^2 = alpha + 1, hi = a1 b1 + a1 b0 +
+    a0 b1 = (a1 + a0)(b1 + b0) + a0 b0 and lo = a1 b1 + a0 b0. The cost is
+    one shifted copy of b per set bit of a, so a should be the sparser."""
+    low = _clmul(a0, b0)
+    return _clmul(a1 ^ a0, b1 ^ b0) ^ low, _clmul(a1, b1) ^ low
+
+
+def pack(hi, lo, d):
+    """Packed F_{4^d} element from the planes of its remainder (deg < d)."""
+    return hi << d | lo
+
+
+def unpack(x, d):
+    """(hi, lo) planes of a packed F_{4^d} element."""
+    return x >> d, x & ((1 << d) - 1)
+
+
+def pack_scalar(c, d):
+    """The field element c (0..3) as a packed F_{4^d} element."""
+    return pack(c >> 1, c & 1, d)
+
+
+def field_mul(x, y, d, x_to_d):
+    """Product of packed elements of GF(4)[X]/(X^d + x_to_d), x_to_d being
+    the monic modulus without its leading term. Horner over the digits of
+    y, top first, read at bits d - 1 and 2d - 1 as y moves up: times X,
+    the digit leaving degree d - 1 folded back in times x_to_d, plus the
+    digit times x, both looked up among their four scalar multiples, which
+    planes_scale gives (written out here for speed)."""
+    keep = ((1 << 2 * d) - 1) ^ (1 << d)  # lo's top bit, shifted into hi
+    hi_top, lo_top, mask = 2 * d - 2, d - 1, (1 << d) - 1
+    hi, lo = x_to_d >> d, x_to_d & mask
+    folds = 0, x_to_d, (hi ^ lo) << d | hi, lo << d | (hi ^ lo)
+    hi, lo = x >> d, x & mask
+    terms = 0, x, (hi ^ lo) << d | hi, lo << d | (hi ^ lo)
+    acc = 0
+    for _ in range(d):
+        acc = (((acc << 1) & keep)
+               ^ folds[((acc >> hi_top) & 2) | ((acc >> lo_top) & 1)]
+               ^ terms[((y >> hi_top) & 2) | ((y >> lo_top) & 1)])
+        y <<= 1
+    return acc
 
 
 def divmod_planes(r1, r0, b1, b0):

@@ -194,17 +194,27 @@ class SystemConstants:
 
 
 def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
-    """Validate parameters and derive the full constant set."""
+    """Validate parameters and derive the full constant set.
+
+    The period is multiplied up only until it passes the cap, and trial
+    division comes after that, so a huge p or exponent fails fast.
+    """
     for v, name in ((p, "p"), (q, "q")):
-        if v < 3 or v % 2 == 0 or not is_prime(v):
+        if v < 3 or v % 2 == 0:
             raise InvalidParams(f"{name} must be an odd prime, got {v}")
     if p == q:
         raise InvalidParams("p and q must be distinct")
     if m < 1 or n < 1:
         raise InvalidParams(f"m and n must be >= 1, got m={m}, n={n}")
-    period = 2 * p**m * q**n
-    if period > cap:
-        raise CapExceeded(f"period {period} exceeds cap {cap}")
+    period = 2
+    for count in range(1, m + n + 1):
+        period *= p if count <= m else q
+        if period > cap:
+            shown = period if count == m + n else f"2 * {p}^{m} * {q}^{n}"
+            raise CapExceeded(f"period {shown} exceeds cap {cap}")
+    for v, name in ((p, "p"), (q, "q")):
+        if not is_prime(v):
+            raise InvalidParams(f"{name} must be an odd prime, got {v}")
 
     g1 = smallest_odd_primitive_root_mod_p2(p)
     g2 = smallest_odd_primitive_root_mod_p2(q)

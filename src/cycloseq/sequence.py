@@ -78,11 +78,6 @@ def _forbidden_e(p, mapping):
     return [("b", mapping.b), ("b + c", mapping.b ^ mapping.c)]
 
 
-def forbidden_e_values(p, mapping):
-    """The e values excluded by the mod-8 rule for this p and (b, c, d)."""
-    return {value for _, value in _forbidden_e(p, mapping)}
-
-
 def e_constraint_violations(p, mapping):
     residues = "+/-1" if two_is_square_mod(p) else "+/-3"
     return [f"e = {name} is forbidden when p is {residues} mod 8"
@@ -243,7 +238,7 @@ def spectrum_profile(system, mapping):
 
 def degenerate_e_values(p, mapping):
     """The forbidden e values for this (p, b, c, d), for sweep reporting."""
-    return sorted(forbidden_e_values(p, mapping))
+    return sorted({value for _, value in _forbidden_e(p, mapping)})
 
 
 def max_complexity_mappings(system, count=3):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cycloseq import cli, cyclotomy
+from cycloseq import cli, cyclotomy, numtheory
 from cycloseq.cli import main
 
 
@@ -331,3 +331,33 @@ def test_sweep_builds_each_system_once(capsys, monkeypatch):
     with contextlib.redirect_stdout(buf):
         cli._emit([row for row, _ in alone], "csv")
     assert buf.getvalue() == want
+
+
+@pytest.mark.parametrize("m", ["10000", "1000000000"])
+def test_huge_exponent_exits_3(capsys, m):
+    # the period is multiplied up only until it passes the cap
+    code, out, err = run(capsys, "analyze", "--p", "3", "--q", "5", "--m", m)
+    assert (code, out) == (3, "")
+    assert err == f"error: period 2 * 3^{m} * 5^1 exceeds cap 10000000\n"
+
+
+def test_huge_prime_meets_the_cap_before_trial_division(capsys, monkeypatch):
+    def no_trial_division(n):
+        raise AssertionError("is_prime ran before the cap")
+
+    monkeypatch.setattr(numtheory, "is_prime", no_trial_division)
+    # 10^15 + 1 is composite, and still the cap answers first
+    for p in ("100000000000031", "1000000000000001"):
+        code, _, err = run(capsys, "analyze", "--p", p, "--q", "5")
+        assert code == 3
+        assert err == f"error: period 2 * {p}^1 * 5^1 exceeds cap 10000000\n"
+
+
+def test_sweep_row_with_huge_exponent(capsys):
+    code, out, _ = run(capsys, "sweep", "--pairs", "3:5",
+                       "--exponents", "10000:1,1:1")
+    rows = json.loads(out)
+    assert code == 1
+    assert rows[0]["m"] == 10000 and rows[0]["error"] == (
+        "CapExceeded: period 2 * 3^10000 * 5^1 exceeds cap 10000000")
+    assert rows[1]["theorem_holds"] is True

@@ -18,7 +18,6 @@ from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              NotCoprime)
 from cycloseq.extfield import (build_extension, char_sum, is_irreducible,
                                least_irreducible, measure_spectrum, ord_4_mod,
-                               packed_to_poly, poly_to_packed,
                                verify_case_table, verify_char_sum_tables)
 from cycloseq.numtheory import factorize
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
@@ -59,13 +58,22 @@ def test_ord_4_mod():
         ord_4_mod(0)
 
 
+def _to_packed(poly, d):
+    return gf4.pack(*gf4.to_planes(poly), d)
+
+
+def _from_packed(x, d):
+    return gf4.from_planes(*gf4.unpack(x, d))
+
+
 def test_packed_roundtrip():
     rng = random.Random(911)
     for _ in range(50):
         d = rng.randrange(1, 10)
         coeffs = [rng.randrange(4) for _ in range(d)]
-        packed = poly_to_packed(np.array(coeffs, dtype=np.uint8))
-        back = packed_to_poly(packed, d)
+        packed = _to_packed(np.array(coeffs, dtype=np.uint8), d)
+        assert packed < 4**d
+        back = _from_packed(packed, d)
         assert gf4.poly_eq(back, gf4.poly_trim(np.array(coeffs,
                                                         dtype=np.uint8)))
 
@@ -89,7 +97,7 @@ def test_irreducibility_against_root_oracle():
 
 def test_irreducibility_against_product_oracle():
     # degree 4 and 5: reducible iff a product of two monic polynomials of
-    # lower degree, formed with the dense poly_mul; a scalar multiple of a
+    # lower degree, formed with poly_mul; a scalar multiple of a
     # polynomial is irreducible exactly when the polynomial is
     def monic(deg):
         return [gf4.poly(c + (1,))
@@ -131,10 +139,10 @@ def test_ext_mul_matches_poly_arithmetic(ctx15, ctx21):
             x = rng.randrange(size)
             y = rng.randrange(size)
             got = ctx.mul(x, y)
-            prod = gf4.poly_mul(packed_to_poly(x, ctx.d),
-                                packed_to_poly(y, ctx.d))
+            prod = gf4.poly_mul(_from_packed(x, ctx.d),
+                                _from_packed(y, ctx.d))
             rem = gf4.poly_divmod(prod, ctx.modulus)[1]
-            assert got == poly_to_packed(rem)
+            assert got == _to_packed(rem, ctx.d)
 
 
 def test_ext_pow_fermat(ctx15):
@@ -230,8 +238,8 @@ def test_context_mismatch(sys15, ctx21):
 
 def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
     # direct Horner evaluation of S(x) at beta^k, for every mapping and k; a
-    # GF4 scalar embeds as the packed constant digit, so xor-ing the symbol
-    # in is exact
+    # GF4 scalar embeds as the packed constant (gf4.pack_scalar), so xor-ing
+    # the symbol in is exact
     for system, ctx in ((sys15, ctx15), (sys21, ctx21)):
         for mapping in ALL_MAPPINGS:
             symbols = build_sequence(system, mapping,
@@ -242,7 +250,7 @@ def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
                 x = int(ctx.beta_powers[k])
                 acc = 0
                 for sym in symbols[::-1]:
-                    acc = ctx.mul(acc, x) ^ int(sym)
+                    acc = ctx.mul(acc, x) ^ gf4.pack_scalar(int(sym), ctx.d)
                 assert int(spec[k]) == acc, (mapping, k)
 
 
@@ -388,7 +396,8 @@ def _ref_spectrum(system, ctx, mapping):
     for k in range(ctx.N):
         acc = 0
         for v in (1, 2, 3):
-            acc ^= ctx.mul(_xsum(ctx, np.nonzero(folded == v)[0], k), v)
+            acc ^= ctx.mul(_xsum(ctx, np.nonzero(folded == v)[0], k),
+                           gf4.pack_scalar(v, ctx.d))
         spec.append(acc)
     return spec
 
@@ -399,8 +408,9 @@ def _ref_case_table(system, ctx, mapping):
         raise InvalidMapping(bad)
     prof = spectrum_profile(system, mapping)
     spec = _ref_spectrum(system, ctx, mapping)
-    if spec[0] != mapping.e:
-        raise CaseViolation(0, mapping.e, spec[0])
+    e = gf4.pack_scalar(mapping.e, ctx.d)
+    if spec[0] != e:
+        raise CaseViolation(0, e, spec[0])
     c = system.constants
     for k in range(1, ctx.N):
         if k % c.p**c.m == 0:
@@ -409,6 +419,7 @@ def _ref_case_table(system, ctx, mapping):
             expected = prof.value_q_saturated
         else:
             expected = prof.value_generic
+        expected = gf4.pack_scalar(expected, ctx.d)
         if spec[k] != expected:
             raise CaseViolation(k, expected, spec[k])
     return ctx.N
@@ -548,8 +559,7 @@ def _direct_root_sums(system, ctx, a, b, l):
 
     def root_sums(shape, i, j, zeta_exp, mult):
         table = extfield._power_table(ctx.pow(ctx.beta, zeta_exp),
-                                      ctx.N // zeta_exp, ctx.d, ctx.tail,
-                                      ctx.lomask)
+                                      ctx.N // zeta_exp, ctx.d, ctx.x_to_d)
         base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
         return extfield._power_sums(table, base, mult * l)
 
@@ -636,9 +646,16 @@ def test_beta_has_order_exactly_n(params):
     ctx = build_extension(N)
     assert _order(ctx, ctx.beta) == N
     assert ctx.beta == ctx.pow(ctx.beta_base, ctx.group_order // N)
-    # beta_base is the least code from x (packed 4) on that gives order N
-    for c in range(4, ctx.beta_base):
+    # beta_base is the first c from x on that gives order N, polynomials
+    # ordered as base-4 numbers (digit i worth 4^i), not by packed code
+    for code in range(4, 4**ctx.d):
+        digits = [(code >> 2 * i) & 3 for i in range(ctx.d)]
+        c = _to_packed(np.array(digits, dtype=np.uint8), ctx.d)
+        if c == ctx.beta_base:
+            break
         assert _order(ctx, ctx.pow(c, ctx.group_order // N)) < N
+    else:
+        raise AssertionError("beta_base not met in the scan")
     assert ctx.beta_powers[1] == ctx.beta
     assert ctx.mul(int(ctx.beta_powers[-1]), ctx.beta) == 1
 

@@ -1,5 +1,6 @@
 """GF(4) scalars and polynomial arithmetic."""
 
+import functools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cycloseq import gf4
 from cycloseq.errors import DivisionByZeroPolynomial, InvalidParams
+from cycloseq.extfield import least_irreducible
 
 
 def gf4_add(a, b):
@@ -28,6 +30,16 @@ def poly_add(a, b):
 def poly_scale(f, s):
     """Multiply every coefficient by the scalar s."""
     return gf4.poly_trim(gf4.MUL_TABLE[s, f]) if s else f[:0]
+
+
+def schoolbook(a, b):
+    """uint8 product: one table-scaled copy of b per nonzero digit of a."""
+    if not len(a) or not len(b):
+        return a[:0]
+    out = np.zeros(len(a) + len(b) - 1, dtype=np.uint8)
+    for i in np.nonzero(a)[0]:
+        out[i: i + len(b)] ^= gf4.MUL_TABLE[a[i], b]
+    return gf4.poly_trim(out)
 
 
 def test_field_tables():
@@ -179,6 +191,40 @@ def test_poly_divmod_identity(a_digits, b_digits):
     assert np.array_equal(r, gf4.poly_trim(r))
     assert gf4.poly_deg(r) < gf4.poly_deg(b)
     assert np.array_equal(poly_add(gf4.poly_mul(q, b), r), a)
+
+
+@given(digit_lists, digit_lists)
+def test_poly_mul_matches_schoolbook(a_digits, b_digits):
+    a, b = gf4.poly(a_digits), gf4.poly(b_digits)
+    prod = gf4.poly_mul(a, b)
+    assert prod.dtype == np.uint8
+    assert np.array_equal(prod, schoolbook(a, b))
+
+
+@functools.cache
+def _field(d):
+    modulus = least_irreducible(d)
+    return modulus, gf4.pack(*gf4.to_planes(modulus[:d]), d)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_field_mul_matches_reduced_schoolbook(d, data):
+    modulus, x_to_d = _field(d)
+    elements = st.lists(st.integers(0, 3), max_size=d).map(gf4.poly)
+    a, b = data.draw(elements), data.draw(elements)
+    packed = []
+    for f in (a, b):
+        x = gf4.pack(*gf4.to_planes(f), d)
+        assert 0 <= x < 4**d
+        assert np.array_equal(gf4.from_planes(*gf4.unpack(x, d)), f)
+        packed.append(x)
+    want = gf4.poly_divmod(schoolbook(a, b), modulus)[1]
+    got = gf4.field_mul(*packed, d, x_to_d)
+    assert np.array_equal(gf4.from_planes(*gf4.unpack(got, d)), want)
+    for c in range(4):
+        assert gf4.pack_scalar(c, d) == gf4.pack(*gf4.to_planes([c]), d)
 
 
 @given(digit_lists)

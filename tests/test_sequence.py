@@ -11,7 +11,7 @@ from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
                                build_sequence, degenerate_e_values,
-                               e_constraint_violations, forbidden_e_values,
+                               e_constraint_violations,
                                max_complexity_mappings,
                                read_sequence_file, read_sidecar,
                                spectrum_profile, structural_violations,
@@ -58,9 +58,8 @@ def test_validate_mapping_reports_never_raises():
 
 def test_forbidden_e_values():
     m = DEFAULT_MAPPING
-    assert forbidden_e_values(3, m) == {3, 2}
-    assert forbidden_e_values(7, m) == {3}
     assert degenerate_e_values(3, m) == [2, 3]
+    assert degenerate_e_values(7, m) == [3]
     # b = 0 makes 0 a forbidden value; c = 0 makes e = b and e = b + c one
     assert degenerate_e_values(3, Mapping(1, 0, 2, 3, 1)) == [0, 2]
     assert e_constraint_violations(3, Mapping(1, 2, 0, 3, 2)) == [
