@@ -6,30 +6,4 @@ method, and verifies the supporting class structure and character-sum
 identities numerically.
 """
 
-from .analysis import (DegenerateReport, LinearComplexityReport,
-                       analyze_degenerate, analyze_symbols,
-                       berlekamp_massey, degenerate_lower_bound, lc_via_gcd,
-                       verify_theorem)
-from .cyclotomy import (ClassId, CyclotomicSystem, build_partition,
-                        build_system, check_residue_rules,
-                        check_structural_lemmas, classify_index, h_set,
-                        residue_side_of_2)
-from .errors import (CapExceeded, CaseViolation, CycloseqError,
-                     DivisionByZeroPolynomial, IncompatibleCongruences,
-                     InvalidMapping, InvalidParams, LemmaViolation,
-                     MalformedSequenceFile, MethodDisagreement, NotCoprime,
-                     PartitionViolation, TheoremViolation)
-from .extfield import (ExtFieldContext, build_extension, char_sum,
-                       measure_spectrum, ord_4_mod, verify_case_table,
-                       verify_char_sum_tables)
-from .numtheory import (Congruence, SystemConstants, build_system_constants,
-                        crt_solve, extended_gcd)
-from .sequence import (DEFAULT_MAPPING, BalanceProfile, Mapping,
-                       QuaternarySequence, balance_profile, build_sequence,
-                       max_complexity_mappings, read_sequence_file,
-                       spectrum_profile, validate_mapping,
-                       write_sequence_file)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

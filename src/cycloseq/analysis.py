@@ -33,8 +33,7 @@ import numpy as np
 
 from . import gf4
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
-from .sequence import (DEFAULT_MAPPING, QuaternarySequence, build_sequence,
-                       spectrum_profile, validate_mapping)
+from .sequence import DEFAULT_MAPPING, build_sequence, spectrum_profile
 
 
 def berlekamp_massey(symbols):
@@ -94,8 +93,6 @@ def lc_via_gcd(symbols):
     polynomial from one exact division of x^P - 1 by their product;
     a nonzero remainder raises MethodDisagreement.
     """
-    if isinstance(symbols, QuaternarySequence):
-        symbols = symbols.symbols
     s = np.asarray(symbols, dtype=np.uint8)
     period = len(s)
     if period == 0:
@@ -205,17 +202,6 @@ class DegenerateReport:
     lower_bound: int
     reduced: bool
     minimal_polynomial: np.ndarray
-
-    def to_json_dict(self):
-        return {
-            "mapping": list(self.mapping),
-            "violations": list(self.violations),
-            "lc_bm": self.lc_bm,
-            "lc_gcd": self.lc_gcd,
-            "lower_bound": self.lower_bound,
-            "reduced": self.reduced,
-            "minimal_polynomial": gf4.poly_to_digits(self.minimal_polynomial),
-        }
 
 
 def analyze_degenerate(system, mapping):

@@ -22,8 +22,7 @@ import json
 import os
 import sys
 
-from .analysis import (analyze_degenerate, analyze_symbols,
-                       degenerate_lower_bound, verify_theorem)
+from .analysis import analyze_degenerate, analyze_symbols, verify_theorem
 from .cyclotomy import (build_system, check_residue_rules,
                         check_structural_lemmas)
 from .errors import (CapExceeded, CaseViolation, CycloseqError,
@@ -53,10 +52,6 @@ def _resolve_cap(args):
         except ValueError:
             raise InvalidParams(f"CYCLOSEQ_CAP must be an integer, got {env!r}")
     return DEFAULT_PARAM_CAP
-
-
-def _parse_mapping(text):
-    return Mapping.from_text(text)
 
 
 def _parse_grid(pairs_text, exponents_text):
@@ -120,7 +115,7 @@ def _flatten(d, prefix=""):
 
 def cmd_generate(args):
     cap = _resolve_cap(args)
-    mapping = _parse_mapping(args.map)
+    mapping = Mapping.from_text(args.map)
     system = build_system(args.p, args.q, args.m, args.n, cap=cap)
     seq = build_sequence(system, mapping, allow_degenerate=args.degenerate)
     out = args.out or f"seq_p{args.p}q{args.q}m{args.m}n{args.n}.txt"
@@ -141,7 +136,7 @@ def cmd_analyze(args):
         if args.p is None or args.q is None:
             raise InvalidParams("give --file or the parameters --p/--q")
         cap = _resolve_cap(args)
-        mapping = _parse_mapping(args.map)
+        mapping = Mapping.from_text(args.map)
         system = build_system(args.p, args.q, args.m, args.n, cap=cap)
         seq = build_sequence(system, mapping,
                              allow_degenerate=args.degenerate)
@@ -155,7 +150,7 @@ def cmd_analyze(args):
 
 def cmd_verify(args):
     cap = _resolve_cap(args)
-    mapping = _parse_mapping(args.map)
+    mapping = Mapping.from_text(args.map)
     N = build_system_constants(args.p, args.q, args.m, args.n,
                                cap=cap).half_period
     if N > VERIFY_N_CAP:
@@ -225,7 +220,7 @@ def _degenerate_variants(p, base):
 
 def cmd_sweep(args):
     cap = _resolve_cap(args)
-    base = _parse_mapping(args.map)
+    base = Mapping.from_text(args.map)
     grid = _parse_grid(args.pairs, args.exponents)
     tasks = []
     for p, q, m, n in grid:

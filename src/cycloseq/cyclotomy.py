@@ -24,7 +24,7 @@ independently so the two paths can be cross-checked.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +53,6 @@ class ClassId(NamedTuple):
     h: int
     doubled: bool = False
 
-
-Label = Union[str, ClassId]
 
 
 def _shape(i, j, two=False):

@@ -23,10 +23,6 @@ class NotCoprime(CycloseqError):
     """Operand shares a factor with the modulus where a unit is required."""
 
 
-class IncompatibleCongruences(CycloseqError):
-    """Congruence system has no solution: residues clash modulo a shared gcd."""
-
-
 class DivisionByZeroPolynomial(CycloseqError):
     """Polynomial division or inversion by the zero polynomial."""
 
@@ -62,7 +58,11 @@ class LemmaViolation(CycloseqError):
 
 
 class CaseViolation(CycloseqError):
-    """A measured spectrum value disagrees with its predicted constant."""
+    """A measured spectrum value disagrees with its predicted constant.
+
+    expected and measured are F_{4^d} elements written as the digits of
+    their remainder polynomials, constant term first (gf4.poly_to_digits).
+    """
 
     def __init__(self, k, expected, measured):
         self.k = k

@@ -42,12 +42,6 @@ DEFAULT_DEGREE_CAP = 12
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def ord_4_mod(n):
-    """Multiplicative order of 4 modulo n; n must be odd (coprime to 4)."""
-    # mult_order raises InvalidParams below 2 and NotCoprime on even n
-    return 1 if n == 1 else mult_order(4, n)
-
-
 # --- packed-element arithmetic -------------------------------------------
 
 def ext_pow(x, e, d, x_to_d):
@@ -141,10 +135,6 @@ class ExtFieldContext:
     """
 
     N: int
-    p: int
-    q: int
-    m: int
-    n: int
     d: int
     modulus: np.ndarray = field(repr=False)
     x_to_d: int = field(repr=False)
@@ -181,21 +171,23 @@ def _power_table(x, size, d, x_to_d):
     return out
 
 
-def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
+def build_extension(N):
     """Deterministic F_{4^d} context for N = p^m q^n.
 
-    Raises CapExceeded when the required degree exceeds max_degree and
-    InvalidParams when N is not a product of exactly two odd prime powers.
+    Raises CapExceeded when the required degree exceeds DEFAULT_DEGREE_CAP
+    and InvalidParams when N is not a product of exactly two odd prime
+    powers.
     """
     if N < 3:
         raise InvalidParams("N must be an odd composite p^m q^n")
     fac = factorize(N)
     if len(fac) != 2 or 2 in fac:
         raise InvalidParams("N must be p^m q^n for distinct odd primes")
-    (p, m), (q, n) = sorted(fac.items())
-    d = ord_4_mod(N)
-    if d > max_degree:
-        raise CapExceeded(f"extension degree {d} exceeds the cap {max_degree}")
+    p, q = fac
+    d = mult_order(4, N)
+    if d > DEFAULT_DEGREE_CAP:
+        raise CapExceeded(
+            f"extension degree {d} exceeds the cap {DEFAULT_DEGREE_CAP}")
 
     modulus = least_irreducible(d)
     x_to_d = gf4.pack(*gf4.to_planes(modulus[:d]), d)
@@ -219,9 +211,14 @@ def build_extension(N, max_degree=DEFAULT_DEGREE_CAP):
     beta_powers.flags.writeable = False
 
     return ExtFieldContext(
-        N=N, p=p, q=q, m=m, n=n, d=d, modulus=modulus, x_to_d=x_to_d,
+        N=N, d=d, modulus=modulus, x_to_d=x_to_d,
         beta_base=beta_base, beta=beta, beta_powers=beta_powers,
         exp_table=None)
+
+
+def _digits(x, d):
+    # a packed element as a witness: its remainder's digits, constant first
+    return gf4.poly_to_digits(gf4.from_planes(*gf4.unpack(int(x), d)))
 
 
 def _require_matching(system, context):
@@ -307,18 +304,18 @@ def char_sum(system, context, class_id, k):
                            [k % context.N])[0, 0])
 
 
-def measure_spectrum(system, context, mapping, allow_degenerate=True):
+def measure_spectrum(system, context, mapping):
     """S(beta^k) for 0 <= k < N, exactly, as packed elements.
 
     Folds the two half-periods first (beta^{t+N} = beta^t), sums beta^{kt}
     over the support of each symbol value for every k in one table (one
     gather per Frobenius orbit of k, see _orbit_sums), then scales the
-    three columns by their GF4 values. The default allows
-    degenerate mappings since measuring those is the point of the
-    falsification probes.
+    three columns by their GF4 values. Degenerate mappings are
+    allowed, since measuring those is the point of the falsification
+    probes.
     """
     _require_matching(system, context)
-    seq = build_sequence(system, mapping, allow_degenerate=allow_degenerate)
+    seq = build_sequence(system, mapping, allow_degenerate=True)
     N = context.N
     folded = seq.symbols[:N] ^ seq.symbols[N:]
     sums = _orbit_sums(context,
@@ -351,7 +348,8 @@ def verify_case_table(system, context, mapping):
     The prediction is regime-based: S(1) = e, and for k = p^a q^b l the
     value depends only on which of p^m, q^n divide k (see
     sequence.spectrum_profile). Raises CaseViolation at the first k whose
-    measured value differs, with both values as packed elements; the
+    measured value differs, with both values as the digits of their
+    remainder polynomials (gf4.poly_to_digits: alpha is 2, X is 01); the
     report also says whether every value is nonzero, which is exactly the
     condition for LC to reach the full period.
     """
@@ -360,8 +358,7 @@ def verify_case_table(system, context, mapping):
     if bad:
         raise InvalidMapping(bad)
     prof = spectrum_profile(system, mapping)
-    spectrum = measure_spectrum(system, context, mapping,
-                                allow_degenerate=True)
+    spectrum = measure_spectrum(system, context, mapping)
     c = system.constants
     ks = np.arange(context.N)
     expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
@@ -372,7 +369,8 @@ def verify_case_table(system, context, mapping):
     bad = np.nonzero(spectrum != expected)[0]
     if bad.size:
         k = int(bad[0])
-        raise CaseViolation(k, int(expected[k]), int(spectrum[k]))
+        raise CaseViolation(k, _digits(expected[k], context.d),
+                            _digits(spectrum[k], context.d))
     values = (mapping.e, prof.value_generic, prof.value_p_saturated,
               prof.value_q_saturated)
     return CaseReport(*values, checked=context.N,
@@ -455,7 +453,8 @@ def verify_char_sum_tables(system, context):
     cannot shift both sides alike.
     Raises LemmaViolation with the witness (k, cell) on the first
     mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
-    (i, h) and the 2q cells (j, h).
+    (i, h) and the 2q cells (j, h); the expected and measured values are
+    remainder digits, as in verify_case_table.
     """
     _require_matching(system, context)
     c = system.constants
@@ -494,5 +493,6 @@ def verify_char_sum_tables(system, context):
         r, col = divmod(int(np.argmax(bad)), len(cells))
         raise LemmaViolation(
             _CHAR_SUM_DETAIL[cells[col].shape], k=r + 1, cell=cells[col],
-            expected=int(expected[r, col]), measured=int(measured[r, col]))
+            expected=_digits(expected[r, col], context.d),
+            measured=_digits(measured[r, col], context.d))
     return CharSumReport(k_count=N - 1, cells_checked=bad.size)

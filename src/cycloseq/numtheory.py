@@ -14,63 +14,9 @@ trivial on the q side, and the order tables e_ij / d_ij.
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, IncompatibleCongruences, InvalidParams, NotCoprime
+from .errors import CapExceeded, InvalidParams, NotCoprime
 
 DEFAULT_PARAM_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class Congruence:
-    """x = residue (mod modulus), stored reduced: 0 <= residue < modulus."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise InvalidParams(f"congruence modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
-            raise InvalidParams(
-                f"residue {self.residue} is not reduced modulo {self.modulus}")
-
-
-def extended_gcd(a, b):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    if a == 0 and b == 0:
-        raise InvalidParams("extended_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def crt_solve(congruences):
-    """Combine congruences into a single one modulo the lcm of the moduli.
-
-    The system is solvable iff every pair agrees modulo the gcd of its
-    moduli; a clash raises IncompatibleCongruences naming the pair.
-    """
-    if not congruences:
-        raise InvalidParams("crt_solve needs at least one congruence")
-    acc_r, acc_m = congruences[0].residue, congruences[0].modulus
-    for c in congruences[1:]:
-        g, u, _ = extended_gcd(acc_m, c.modulus)
-        if (c.residue - acc_r) % g != 0:
-            raise IncompatibleCongruences(
-                f"x = {acc_r} (mod {acc_m}) clashes with "
-                f"x = {c.residue} (mod {c.modulus}): residues differ mod {g}")
-        lcm = acc_m // g * c.modulus
-        step = (c.residue - acc_r) // g * u % (c.modulus // g)
-        acc_r = (acc_r + acc_m * step) % lcm
-        acc_m = lcm
-    return Congruence(acc_r, acc_m)
 
 
 def is_prime(n):
@@ -162,6 +108,16 @@ def smallest_odd_primitive_root_mod_p2(p):
         r += 2
 
 
+def _lift(a, b, P, Q):
+    """The x in [0, 2PQ) with x = a (mod 2P) and x = b (mod 2Q).
+
+    The Chinese remainder theorem for the two moduli 2P and 2Q, which share
+    only the factor 2: P and Q are coprime and odd, a and b are odd. Then
+    x = a + 2P t, where P t = (b - a) / 2 (mod Q).
+    """
+    return (a + 2 * P * ((b - a) // 2 * pow(P, -1, Q) % Q)) % (2 * P * Q)
+
+
 @dataclass(frozen=True)
 class SystemConstants:
     """Derived constants for one (p, q, m, n) parameter choice.
@@ -218,9 +174,9 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
 
     g1 = smallest_odd_primitive_root_mod_p2(p)
     g2 = smallest_odd_primitive_root_mod_p2(q)
-    mp, mq = 2 * p**m, 2 * q**n
-    g = crt_solve([Congruence(g1 % mp, mp), Congruence(g2 % mq, mq)]).residue
-    y = crt_solve([Congruence(g % mp, mp), Congruence(1, mq)]).residue
+    P, Q = p**m, q**n
+    g = _lift(g1, g2, P, Q)
+    y = _lift(g, 1, P, Q)
 
     e_ij, d_ij = {}, {}
     for i in range(m + 1):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import (CyclotomicSystem, bucket_of_label, build_system,
-                        residue_side_of_2)
+from .cyclotomy import bucket_of_label, residue_side_of_2
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
 from .numtheory import two_is_square_mod
 
@@ -110,10 +109,6 @@ class QuaternarySequence:
     def period(self):
         return len(self.symbols)
 
-    @property
-    def half_period(self):
-        return len(self.symbols) // 2
-
 
 def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
     """Evaluate the mapping over the partition in one vectorized gather.
@@ -146,13 +141,6 @@ class BalanceProfile:
     symbol_counts: dict
     bucket_counts: dict
     expected_bucket_size: int
-
-    def to_json_dict(self):
-        return {
-            "symbol_counts": {str(k): v for k, v in self.symbol_counts.items()},
-            "bucket_counts": dict(self.bucket_counts),
-            "expected_bucket_size": self.expected_bucket_size,
-        }
 
 
 def balance_profile(system, seq):
@@ -194,15 +182,6 @@ class SpectrumProfile:
         return all(v != 0 for v in (self.e_value, self.value_generic,
                                     self.value_p_saturated,
                                     self.value_q_saturated))
-
-    def to_json_dict(self):
-        return {
-            "e_value": self.e_value,
-            "value_generic": self.value_generic,
-            "value_p_saturated": self.value_p_saturated,
-            "value_q_saturated": self.value_q_saturated,
-            "attains_max": self.attains_max,
-        }
 
 
 def _lambda(side, mapping):

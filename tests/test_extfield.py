@@ -14,10 +14,9 @@ from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
                                 build_system, h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
-                             InvalidMapping, InvalidParams, LemmaViolation,
-                             NotCoprime)
+                             InvalidMapping, InvalidParams, LemmaViolation)
 from cycloseq.extfield import (build_extension, char_sum, is_irreducible,
-                               least_irreducible, measure_spectrum, ord_4_mod,
+                               least_irreducible, measure_spectrum,
                                verify_case_table, verify_char_sum_tables)
 from cycloseq.numtheory import factorize
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
@@ -47,23 +46,16 @@ def ctx21():
     return build_extension(21)
 
 
-def test_ord_4_mod():
-    assert ord_4_mod(1) == 1
-    assert ord_4_mod(15) == 2
-    assert ord_4_mod(21) == 3
-    assert ord_4_mod(45) == 6
-    with pytest.raises(NotCoprime):
-        ord_4_mod(30)
-    with pytest.raises(InvalidParams):
-        ord_4_mod(0)
-
-
 def _to_packed(poly, d):
     return gf4.pack(*gf4.to_planes(poly), d)
 
 
 def _from_packed(x, d):
     return gf4.from_planes(*gf4.unpack(x, d))
+
+
+def _digits(x, d):
+    return gf4.poly_to_digits(_from_packed(x, d))
 
 
 def test_packed_roundtrip():
@@ -303,8 +295,6 @@ def test_build_extension_rejections():
     with pytest.raises(InvalidParams):
         build_extension(30)       # even
     with pytest.raises(CapExceeded):
-        build_extension(15, max_degree=1)
-    with pytest.raises(CapExceeded):
         build_extension(11 * 13)  # ord_{143}(4) = 30 > 12
 
 
@@ -385,7 +375,8 @@ def _ref_char_sums(system, ctx):
             checked += 1
             if got != expected:
                 raise LemmaViolation(_DETAIL[cid.shape], k=k, cell=cid,
-                                     expected=expected, measured=got)
+                                     expected=_digits(expected, ctx.d),
+                                     measured=_digits(got, ctx.d))
     return checked
 
 
@@ -410,7 +401,7 @@ def _ref_case_table(system, ctx, mapping):
     spec = _ref_spectrum(system, ctx, mapping)
     e = gf4.pack_scalar(mapping.e, ctx.d)
     if spec[0] != e:
-        raise CaseViolation(0, e, spec[0])
+        raise CaseViolation(0, _digits(e, ctx.d), _digits(spec[0], ctx.d))
     c = system.constants
     for k in range(1, ctx.N):
         if k % c.p**c.m == 0:
@@ -421,7 +412,8 @@ def _ref_case_table(system, ctx, mapping):
             expected = prof.value_generic
         expected = gf4.pack_scalar(expected, ctx.d)
         if spec[k] != expected:
-            raise CaseViolation(k, expected, spec[k])
+            raise CaseViolation(k, _digits(expected, ctx.d),
+                                _digits(spec[k], ctx.d))
     return ctx.N
 
 
@@ -487,6 +479,24 @@ def test_case_table_witness_matches_reference(params, position):
             assert got == want
             raised.add(got[0])
     assert "CaseViolation" in raised
+
+
+def test_witness_values_are_remainder_digits():
+    # beta^1 + X at d = 3: X, whose packed code is 2, prints as 01, and
+    # (alpha + 1)(1 + X), packed 27, as 33
+    system = build_system(3, 7, 1, 1)
+    ctx = build_extension(21)
+    bp = ctx.beta_powers.copy()
+    bp[1] ^= 2
+    bad = dataclasses.replace(ctx, beta_powers=bp)
+    with pytest.raises(LemmaViolation) as info:
+        verify_char_sum_tables(system, bad)
+    assert info.value.witness["expected"] == "0"
+    assert info.value.witness["measured"] == "01"
+    with pytest.raises(CaseViolation) as info:
+        verify_case_table(system, bad, DEFAULT_MAPPING)
+    assert (info.value.k, info.value.expected, info.value.measured) == \
+        (1, "3", "33")
 
 
 def test_blocked_kernel_matches_single_block(monkeypatch):

@@ -1,67 +1,30 @@
-"""Integer helpers: gcd, CRT, primitive roots, system constants."""
+"""Integer helpers: primitive roots, the two-modulus lift, system constants."""
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cycloseq.errors import (CapExceeded, IncompatibleCongruences,
-                             InvalidParams, NotCoprime)
-from cycloseq.numtheory import (Congruence, build_system_constants, crt_solve,
-                                euler_phi, extended_gcd, factorize, is_prime,
-                                is_primitive_root, mult_order,
+from cycloseq.errors import CapExceeded, InvalidParams, NotCoprime
+from cycloseq.numtheory import (_lift, build_system_constants, euler_phi,
+                                factorize, is_prime, is_primitive_root,
+                                mult_order,
                                 smallest_odd_primitive_root_mod_p2)
 
-
-def test_congruence_validates():
-    c = Congruence(residue=5, modulus=6)
-    assert (c.residue, c.modulus) == (5, 6)
-    with pytest.raises(InvalidParams):
-        Congruence(residue=0, modulus=1)
-    with pytest.raises(InvalidParams):
-        Congruence(residue=-1, modulus=5)
-    with pytest.raises(InvalidParams):
-        Congruence(residue=5, modulus=5)
+ODD_PRIMES = [r for r in range(3, 120, 2) if is_prime(r)]
+ODD = st.integers(-10**6, 10**6).map(lambda v: 2 * v + 1)
 
 
-def test_extended_gcd_worked_examples():
-    assert extended_gcd(6, 10) == (2, 2, -1)
-    assert extended_gcd(0, 7) == (7, 0, 1)
-    with pytest.raises(InvalidParams):
-        extended_gcd(0, 0)
-
-
-def test_extended_gcd_bezout_random():
-    rng = random.Random(20240817)
-    for _ in range(300):
-        a = rng.randrange(-10**6, 10**6)
-        b = rng.randrange(-10**6, 10**6)
-        if a == 0 and b == 0:
-            continue
-        g, u, v = extended_gcd(a, b)
-        assert g > 0
-        assert a % g == 0 and b % g == 0
-        assert u * a + v * b == g
-
-
-def test_crt_examples():
-    merged = crt_solve([Congruence(5, 6), Congruence(3, 10)])
-    assert merged == Congruence(23, 30)
-    with pytest.raises(IncompatibleCongruences):
-        crt_solve([Congruence(1, 2), Congruence(0, 2)])
-    with pytest.raises(InvalidParams):
-        crt_solve([])
-
-
-def test_crt_random_consistency():
-    rng = random.Random(7)
-    for _ in range(200):
-        mods = [rng.randrange(2, 50) for _ in range(3)]
-        x = rng.randrange(10**6)
-        congs = [Congruence(x % m, m) for m in mods]
-        merged = crt_solve(congs)
-        for c in congs:
-            assert merged.residue % c.modulus == c.residue
-        assert 0 <= merged.residue < merged.modulus
+@given(st.lists(st.sampled_from(ODD_PRIMES), min_size=2, max_size=2,
+                unique=True),
+       st.integers(1, 4), st.integers(1, 4), ODD, ODD)
+def test_lift_solves_both_congruences(primes, m, n, a, b):
+    P, Q = primes[0]**m, primes[1]**n
+    x = _lift(a, b, P, Q)
+    assert 0 <= x < 2 * P * Q
+    assert (x - a) % (2 * P) == 0
+    assert (x - b) % (2 * Q) == 0
 
 
 def test_primality_and_phi():
@@ -122,6 +85,14 @@ def test_system_constants_example_21():
     c = build_system_constants(3, 7, 1, 1)
     assert c.g == 17 and c.y == 29
     assert c.e_ij[(1, 1)] == 2 and c.d_ij[(1, 1)] == 6
+
+
+@pytest.mark.parametrize("params, g, y", [
+    ((5, 3, 2, 1), 53, 103), ((7, 3, 1, 2), 59, 73), ((17, 7, 1, 1), 3, 71),
+    ((3, 5, 4, 3), 8753, 17501)])
+def test_system_constants_pinned(params, g, y):
+    c = build_system_constants(*params)
+    assert (c.g, c.y) == (g, y)
 
 
 def test_system_constants_towers():
