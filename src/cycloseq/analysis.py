@@ -33,7 +33,8 @@ import numpy as np
 
 from . import gf4
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
-from .sequence import DEFAULT_MAPPING, build_sequence, spectrum_profile
+from .sequence import (DEFAULT_MAPPING, build_sequence,
+                       e_constraint_violations, spectrum_profile)
 
 
 def berlekamp_massey(symbols):
@@ -195,13 +196,11 @@ def degenerate_lower_bound(p, q, m, n):
 class DegenerateReport:
     """Measured complexity of a mapping that breaks the mod-8 constraint."""
 
-    mapping: tuple
     violations: tuple
     lc_bm: int
     lc_gcd: int
     lower_bound: int
     reduced: bool
-    minimal_polynomial: np.ndarray
 
 
 def analyze_degenerate(system, mapping):
@@ -213,19 +212,12 @@ def analyze_degenerate(system, mapping):
     Raises TheoremViolation if the measured complexity dips below
     (p^m + 1)(q^n + 1)/2.
     """
-    from .sequence import e_constraint_violations, structural_violations
-    from .errors import InvalidMapping
-
-    bad = structural_violations(mapping)
-    if bad:
-        raise InvalidMapping(bad)
+    seq = build_sequence(system, mapping, allow_degenerate=True)
     c = system.constants
     soft = e_constraint_violations(c.p, mapping)
-    profile = spectrum_profile(system, mapping)
-    if not soft and profile.attains_max:
+    if not soft and spectrum_profile(system, mapping).attains_max:
         raise InvalidParams(
             "mapping is valid and attains the maximum; nothing degenerate")
-    seq = build_sequence(system, mapping, allow_degenerate=True)
     report = analyze_symbols(seq.symbols)
     bound = degenerate_lower_bound(c.p, c.q, c.m, c.n)
     if report.lc_gcd < bound:
@@ -233,11 +225,9 @@ def analyze_degenerate(system, mapping):
             f"complexity {report.lc_gcd} below the floor {bound} "
             f"for mapping {mapping.as_tuple()}")
     return DegenerateReport(
-        mapping=mapping.as_tuple(),
         violations=tuple(soft),
         lc_bm=report.lc_bm,
         lc_gcd=report.lc_gcd,
         lower_bound=bound,
         reduced=report.lc_gcd < seq.period,
-        minimal_polynomial=report.minimal_polynomial,
     )

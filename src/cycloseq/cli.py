@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 verification violation or failed sweep row,
 an OSError on a file such as an --out path that cannot be written, 3 cap
 exceeded, 4 malformed sequence file. The parameter cap (default
 2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be overridden by
---cap or the CYCLOSEQ_CAP environment variable; extension-field
-verification is additionally capped at N <= 5000 and degree d <= 12, both
-checked before `verify` builds any class table.
+--cap or the CYCLOSEQ_CAP environment variable; extfield.build_extension
+also caps extension-field verification at N <= 5000 and degree d <= 12,
+before `verify` builds any class table.
 
 In the verify report, partition_ok: true rests on build_system, which
 paints the partition and raises PartitionViolation (exit 1) on any index
@@ -35,7 +35,6 @@ from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        degenerate_e_values, read_sequence_file,
                        write_sequence_file)
 
-VERIFY_N_CAP = 5000
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
 CAP_HELP = (f"override the period cap 2 p^m q^n <= {DEFAULT_PARAM_CAP} "
@@ -61,8 +60,9 @@ def _parse_grid(pairs_text, exponents_text):
             return []
         out = []
         for item in text.split(","):
-            parts = item.strip().split(":")
-            if len(parts) != 2 or not all(s.strip().isdigit() for s in parts):
+            parts = [s.strip() for s in item.split(":")]
+            if len(parts) != 2 or not all(s.isascii() and s.isdigit()
+                                          for s in parts):
                 raise InvalidParams(f"bad {what} entry {item!r}; want A:B")
             out.append((int(parts[0]), int(parts[1])))
         return out
@@ -113,11 +113,15 @@ def _flatten(d, prefix=""):
     return out
 
 
-def cmd_generate(args):
+def _sequence_from_args(args):
     cap = _resolve_cap(args)
     mapping = Mapping.from_text(args.map)
     system = build_system(args.p, args.q, args.m, args.n, cap=cap)
-    seq = build_sequence(system, mapping, allow_degenerate=args.degenerate)
+    return build_sequence(system, mapping, allow_degenerate=args.degenerate)
+
+
+def cmd_generate(args):
+    seq = _sequence_from_args(args)
     out = args.out or f"seq_p{args.p}q{args.q}m{args.m}n{args.n}.txt"
     write_sequence_file(seq, out)
     print(f"wrote {seq.period} symbols to {out} (sidecar {out}.json)")
@@ -135,14 +139,11 @@ def cmd_analyze(args):
     else:
         if args.p is None or args.q is None:
             raise InvalidParams("give --file or the parameters --p/--q")
-        cap = _resolve_cap(args)
-        mapping = Mapping.from_text(args.map)
-        system = build_system(args.p, args.q, args.m, args.n, cap=cap)
-        seq = build_sequence(system, mapping,
-                             allow_degenerate=args.degenerate)
+        seq = _sequence_from_args(args)
         report = analyze_symbols(seq.symbols)
         payload = {"p": args.p, "q": args.q, "m": args.m, "n": args.n,
-                   "mapping": mapping.to_json_dict(), "period": seq.period}
+                   "mapping": seq.mapping.to_json_dict(),
+                   "period": seq.period}
     payload.update(report.to_json_dict())
     _emit(payload, args.format, args.out)
     return 0
@@ -151,12 +152,8 @@ def cmd_analyze(args):
 def cmd_verify(args):
     cap = _resolve_cap(args)
     mapping = Mapping.from_text(args.map)
-    N = build_system_constants(args.p, args.q, args.m, args.n,
-                               cap=cap).half_period
-    if N > VERIFY_N_CAP:
-        raise CapExceeded(
-            f"N = {N} beyond the verification cap {VERIFY_N_CAP}")
-    context = build_extension(N)
+    context = build_extension(build_system_constants(
+        args.p, args.q, args.m, args.n, cap=cap).half_period)
     system = build_system(args.p, args.q, args.m, args.n, cap=cap)
     violations = check_structural_lemmas(system) + check_residue_rules(system)
     if violations:
@@ -229,13 +226,10 @@ def cmd_sweep(args):
                 tasks.append((p, q, m, n, mapping, cap, True))
         else:
             tasks.append((p, q, m, n, base, cap, False))
-    if not tasks:
-        _emit([], args.format, args.out)
-        return 0
     systems = {}  # the rows of one system are consecutive: keep the last
     results = [_sweep_row(t, systems) for t in tasks]
     _emit([row for row, _ in results], args.format, args.out)
-    return max(code for _, code in results)
+    return max((code for _, code in results), default=0)
 
 
 def build_parser():
@@ -311,7 +305,7 @@ def main(argv=None):
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParams, InvalidMapping) as exc:
+    except (InvalidParams, InvalidMapping, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
@@ -320,9 +314,6 @@ def main(argv=None):
     except MalformedSequenceFile as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (LemmaViolation, CaseViolation, PartitionViolation,
             TheoremViolation, MethodDisagreement) as exc:
         print(f"violation: {exc}", file=sys.stderr)

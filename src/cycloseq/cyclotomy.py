@@ -177,13 +177,12 @@ class CyclotomicSystem:
 
     Immutable after construction; safe to share across workers. classes is
     keyed by ClassId with doubled=False; partition holds indices into
-    labels; label_index inverts labels.
+    labels.
     """
 
     constants: SystemConstants
     classes: dict = field(repr=False)
     labels: tuple = field(repr=False)
-    label_index: dict = field(repr=False)
     partition: np.ndarray = field(repr=False)
 
     @property
@@ -208,7 +207,7 @@ def _paint_partition(constants, classes, labels):
     period = constants.period
     part = np.full(period, -1, dtype=np.int16)
     stub = CyclotomicSystem(constants=constants, classes=classes,
-                            labels=labels, label_index={}, partition=part)
+                            labels=labels, partition=part)
     for idx, lab in enumerate(labels):
         if lab == ZERO_LABEL:
             positions = np.array([0], dtype=np.int64)
@@ -235,10 +234,8 @@ def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     labels = partition_labels(m, n)
     partition = _paint_partition(constants, classes, labels)
     partition.flags.writeable = False
-    label_index = {lab: k for k, lab in enumerate(labels)}
     return CyclotomicSystem(constants=constants, classes=classes,
-                            labels=labels, label_index=label_index,
-                            partition=partition)
+                            labels=labels, partition=partition)
 
 
 def build_partition(system):
@@ -280,9 +277,9 @@ def classify_index(system, t):
     if not 0 <= t < c.period:
         raise InvalidParams(f"index {t} outside Z_{c.period}")
     if t == 0:
-        return system.label_index[ZERO_LABEL]
+        return system.labels.index(ZERO_LABEL)
     if t == c.half_period:
-        return system.label_index[HALF_LABEL]
+        return system.labels.index(HALF_LABEL)
 
     doubled = t % 2 == 0
     u = t // 2 if doubled else t
@@ -297,7 +294,7 @@ def classify_index(system, t):
     h = _member_side(system, shape, i, j, u // cof)
     if h is None:
         raise PartitionViolation(t, f"residue missing from both {shape} cosets")
-    return system.label_index[ClassId(shape, i, j, h, doubled=doubled)]
+    return system.labels.index(ClassId(shape, i, j, h, doubled=doubled))
 
 
 def _side_of_2(system, i, j):

@@ -36,6 +36,7 @@ from .errors import (CapExceeded, CaseViolation, InvalidMapping,
 from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile, validate_mapping
 
+VERIFY_N_CAP = 5000
 DEFAULT_DEGREE_CAP = 12
 # gathered elements per block of _power_sums: 256 KB of int32 indices plus
 # 256 KB of gathered uint32, small enough to stay in cache
@@ -174,12 +175,15 @@ def _power_table(x, size, d, x_to_d):
 def build_extension(N):
     """Deterministic F_{4^d} context for N = p^m q^n.
 
-    Raises CapExceeded when the required degree exceeds DEFAULT_DEGREE_CAP
+    Raises CapExceeded when N > VERIFY_N_CAP or d > DEFAULT_DEGREE_CAP,
     and InvalidParams when N is not a product of exactly two odd prime
     powers.
     """
     if N < 3:
         raise InvalidParams("N must be an odd composite p^m q^n")
+    if N > VERIFY_N_CAP:
+        raise CapExceeded(
+            f"N = {N} beyond the verification cap {VERIFY_N_CAP}")
     fac = factorize(N)
     if len(fac) != 2 or 2 in fac:
         raise InvalidParams("N must be p^m q^n for distinct odd primes")
@@ -353,7 +357,6 @@ def verify_case_table(system, context, mapping):
     report also says whether every value is nonzero, which is exactly the
     condition for LC to reach the full period.
     """
-    _require_matching(system, context)
     bad = validate_mapping(system.constants.p, mapping)
     if bad:
         raise InvalidMapping(bad)
@@ -371,11 +374,10 @@ def verify_case_table(system, context, mapping):
         k = int(bad[0])
         raise CaseViolation(k, _digits(expected[k], context.d),
                             _digits(spectrum[k], context.d))
-    values = (mapping.e, prof.value_generic, prof.value_p_saturated,
-              prof.value_q_saturated)
-    return CaseReport(*values, checked=context.N,
-                      all_values_nonzero=all(values),
-                      max_complexity_predicted=all(values))
+    return CaseReport(mapping.e, prof.value_generic, prof.value_p_saturated,
+                      prof.value_q_saturated, checked=context.N,
+                      all_values_nonzero=prof.attains_max,
+                      max_complexity_predicted=prof.attains_max)
 
 
 @dataclass(frozen=True)

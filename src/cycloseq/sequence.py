@@ -5,9 +5,11 @@ a and b to the two cosets of the doubled-modulus H-sets, c and d to the
 two cosets of the doubled copies of the odd-modulus H-sets, e to the
 half-period position; position zero always carries 0. The defining
 constraints are that a, b, c, d are pairwise distinct, e is nonzero, and
-e avoids the forbidden combination determined by p mod 8 (b+d when
-p = +/-1, b or b+c when p = +/-3). Mappings violating only the mod-8
-constraint are still constructible with allow_degenerate for analysis.
+e avoids the combination the paper's mod-8 rule forbids (b+d when
+p = +/-1, b or b+c when p = +/-3). That rule is the gate, but
+spectrum_profile, from the side of 2 in the p, q and pq families, is what
+predicts full complexity; the two disagree on some mappings. Mappings
+violating only the mod-8 rule are constructible with allow_degenerate.
 """
 
 import json
@@ -19,7 +21,7 @@ import numpy as np
 from . import gf4
 from .cyclotomy import bucket_of_label, residue_side_of_2
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
-from .numtheory import two_is_square_mod
+from .numtheory import SystemConstants, two_is_square_mod
 
 MAPPING_FIELDS = ("a", "b", "c", "d", "e")
 
@@ -50,7 +52,8 @@ class Mapping:
     def from_text(cls, text):
         """Parse "2,3,1,0,1" (with or without spaces) into a Mapping."""
         parts = [s.strip() for s in text.split(",")]
-        if len(parts) != 5 or not all(s.isdigit() for s in parts):
+        if len(parts) != 5 or not all(s.isascii() and s.isdigit()
+                                      for s in parts):
             raise InvalidParams(
                 "mapping must be five comma-separated digits a,b,c,d,e")
         return cls(*(int(s) for s in parts))
@@ -97,12 +100,7 @@ class QuaternarySequence:
     """One full period of the sequence plus the parameters that built it."""
 
     symbols: np.ndarray
-    p: int
-    q: int
-    m: int
-    n: int
-    g: int
-    y: int
+    constants: SystemConstants
     mapping: Mapping
 
     @property
@@ -129,9 +127,8 @@ def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
                    dtype=np.uint8)
     symbols = lut[system.partition]
     symbols.flags.writeable = False
-    c = system.constants
-    return QuaternarySequence(symbols=symbols, p=c.p, q=c.q, m=c.m, n=c.n,
-                              g=c.g, y=c.y, mapping=mapping)
+    return QuaternarySequence(symbols=symbols, constants=system.constants,
+                              mapping=mapping)
 
 
 @dataclass(frozen=True)
@@ -251,8 +248,9 @@ def write_sequence_file(seq, path):
     digits = "".join("0123"[v] for v in seq.symbols)
     with open(path, "w") as fh:
         fh.write(digits + "\n")
-    meta = {"p": seq.p, "q": seq.q, "m": seq.m, "n": seq.n,
-            "g": seq.g, "y": seq.y, "mapping": seq.mapping.to_json_dict()}
+    c = seq.constants
+    meta = {"p": c.p, "q": c.q, "m": c.m, "n": c.n, "g": c.g, "y": c.y,
+            "mapping": seq.mapping.to_json_dict()}
     with open(sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
@@ -261,21 +259,22 @@ def write_sequence_file(seq, path):
 def read_sequence_file(path):
     """Read a digit file back into a uint8 symbol array.
 
-    Accepts exactly one line of 0-3 digits with an optional trailing
-    newline; anything else raises MalformedSequenceFile.
+    Accepts exactly one line of ASCII digits 0-3 and an optional trailing
+    LF; any other byte, CR included, raises MalformedSequenceFile.
     """
     if not os.path.exists(path):
         raise MalformedSequenceFile(f"no such file: {path}")
-    with open(path, "r") as fh:
-        text = fh.read()
-    text = text[:-1] if text.endswith("\n") else text
-    if not text:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    data = data[:-1] if data.endswith(b"\n") else data
+    if not data:
         raise MalformedSequenceFile("empty sequence file")
-    if any(ch not in "0123" for ch in text):
-        bad = next(ch for ch in text if ch not in "0123")
-        raise MalformedSequenceFile(f"invalid symbol {bad!r}")
-    return (np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-            - ord("0")).astype(np.uint8)
+    symbols = np.frombuffer(data, dtype=np.uint8) - np.uint8(ord("0"))
+    bad = np.flatnonzero(symbols > 3)
+    if bad.size:
+        raise MalformedSequenceFile(
+            f"invalid symbol {ascii(chr(data[bad[0]]))}")
+    return symbols
 
 
 def read_sidecar(path):

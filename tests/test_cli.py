@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycloseq import cli, cyclotomy, numtheory
 from cycloseq.cli import main
@@ -91,6 +93,11 @@ def test_analyze_malformed_files(tmp_path, capsys):
     odd.write_text("0123012\n")
     assert run(capsys, "analyze", "--file", str(odd))[0] == 4
     assert run(capsys, "analyze", "--file", str(tmp_path / "nope.txt"))[0] == 4
+    # not UTF-8: still a malformed file, not a decoding traceback
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(b"\xff\xfe0123\n")
+    assert run(capsys, "analyze", "--file", str(raw))[::2] == (
+        4, "error: invalid symbol '\\xff'\n")
 
 
 def test_verify_clean(capsys):
@@ -216,6 +223,10 @@ def test_sweep_csv(tmp_path, capsys):
 def test_bad_grid_entry(capsys):
     code, _, err = run(capsys, "sweep", "--pairs", "3-5")
     assert code == 2 and "error:" in err
+    # a digit to str.isdigit, not to int()
+    code, _, err = run(capsys, "sweep", "--pairs", "3:\u00b2")
+    assert (code, err) == (2, "error: bad prime pair entry '3:\u00b2'; "
+                              "want A:B\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,3 +372,59 @@ def test_sweep_row_with_huge_exponent(capsys):
     assert rows[0]["m"] == 10000 and rows[0]["error"] == (
         "CapExceeded: period 2 * 3^10000 * 5^1 exceeds cap 10000000")
     assert rows[1]["theorem_holds"] is True
+
+
+def _quiet_main(argv):
+    """main(argv) with its output dropped; argparse's own exit is returned
+    as its code, which must be 2."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return 2
+
+
+# text near the parsers' grammar, plus digits that only str.isdigit knows;
+# the grid runs under a small cap so that no row gets expensive
+ARG_TEXT = st.text(st.sampled_from("0123456789:,- \t\u00b2\u0661x") |
+                   st.characters(blacklist_categories=("Cs",)), max_size=16)
+
+
+@settings(deadline=None)
+@given(ARG_TEXT)
+@example("2,3,1,0,\u00b2")
+@example("2,3,\u0661,0,1")
+def test_any_map_text_exits_with_a_code(text):
+    for argv in (["analyze", "--p", "3", "--q", "5"],
+                 ["sweep", "--pairs", "3:5", "--exponents", "1:1",
+                  "--degenerate"]):
+        assert _quiet_main(argv + ["--map", text]) in (0, 1, 2)
+
+
+@settings(deadline=None)
+@given(ARG_TEXT)
+@example("3:\u00b2")
+@example("\u0663:5")
+def test_any_pairs_text_exits_with_a_code(text):
+    assert _quiet_main(["sweep", "--pairs", text, "--exponents", "1:1",
+                        "--cap", "2000"]) in (0, 1, 2)
+
+
+@settings(deadline=None)
+@given(ARG_TEXT)
+@example("1:\u00b2")
+def test_any_exponents_text_exits_with_a_code(text):
+    assert _quiet_main(["sweep", "--pairs", "3:5", "--exponents", text,
+                        "--cap", "2000"]) in (0, 1, 2)
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=64) | st.text("0123\n", max_size=64).map(str.encode))
+@example(b"\xff\xfe0123\n")
+@example(b"021202131312030103020313130212\n")
+def test_any_file_bytes_exit_0_or_4(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "seq.txt"
+    path.write_bytes(data)
+    assert _quiet_main(["analyze", "--file", str(path)]) in (0, 4)

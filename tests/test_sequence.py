@@ -1,9 +1,12 @@
 """Mapping validation, sequence assembly, balance, and file round trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycloseq import gf4
 from cycloseq.cyclotomy import build_system
@@ -36,6 +39,11 @@ def test_default_mapping():
         Mapping.from_text("2,3,1,0")
     with pytest.raises(InvalidParams):
         Mapping.from_text("2,3,1,0,x")
+    # str.isdigit accepts these, int() rejects the first and reads the
+    # second as 1: only ASCII digits are mapping digits
+    for text in ("2,3,1,0,\u00b2", "2,3,\u0661,0,1"):
+        with pytest.raises(InvalidParams):
+            Mapping.from_text(text)
     with pytest.raises(InvalidParams):
         Mapping(2, 3, 1, 0, 4)
 
@@ -189,6 +197,14 @@ def test_read_rejections(tmp_path):
     two_lines.write_text("0123\n0123\n")
     with pytest.raises(MalformedSequenceFile):
         read_sequence_file(two_lines)
+    # the file is bytes: none outside ASCII 0-3 and the one trailing LF
+    for data, shown in ((b"01x0\n", "'x'"), (b"\xff\xfe0123\n", "'\\xff'"),
+                        (b"0123\r\n", "'\\r'"), (b"01\xc2\xb2\n", "'\\xc2'")):
+        raw = tmp_path / "raw.txt"
+        raw.write_bytes(data)
+        with pytest.raises(MalformedSequenceFile) as info:
+            read_sequence_file(raw)
+        assert str(info.value) == f"invalid symbol {shown}"
     seq_file = tmp_path / "nosidecar.txt"
     seq_file.write_text("012\n")
     with pytest.raises(MalformedSequenceFile):
@@ -202,3 +218,13 @@ def test_sidecar_schema(tmp_path, sys15):
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
     assert set(meta) == {"p", "q", "m", "n", "g", "y", "mapping"}
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=200))
+def test_file_roundtrip_any_symbols(tmp_path_factory, sys15, digits):
+    seq = replace(build_sequence(sys15), symbols=np.array(digits, np.uint8))
+    path = tmp_path_factory.mktemp("roundtrip") / "seq.txt"
+    write_sequence_file(seq, path)
+    back = read_sequence_file(path)
+    assert back.dtype == np.uint8 and np.array_equal(back, seq.symbols)
