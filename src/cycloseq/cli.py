@@ -21,6 +21,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import analyze_degenerate, analyze_symbols, verify_theorem
 from .cyclotomy import (build_system, check_residue_rules,
@@ -31,8 +32,8 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      PartitionViolation, TheoremViolation)
 from .extfield import build_extension, verify_case_table, verify_char_sum_tables
 from .numtheory import DEFAULT_PARAM_CAP, build_system_constants
-from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
-                       degenerate_e_values, read_sequence_file,
+from .sequence import (Mapping, build_sequence, degenerate_e_values,
+                       parse_ascii_int, read_sequence_file,
                        write_sequence_file)
 
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
@@ -60,11 +61,10 @@ def _parse_grid(pairs_text, exponents_text):
             return []
         out = []
         for item in text.split(","):
-            parts = [s.strip() for s in item.split(":")]
-            if len(parts) != 2 or not all(s.isascii() and s.isdigit()
-                                          for s in parts):
+            parts = [parse_ascii_int(s) for s in item.split(":")]
+            if len(parts) != 2 or None in parts:
                 raise InvalidParams(f"bad {what} entry {item!r}; want A:B")
-            out.append((int(parts[0]), int(parts[1])))
+            out.append(tuple(parts))
         return out
 
     pairs = parse_list(pairs_text, "prime pair")
@@ -75,24 +75,19 @@ def _parse_grid(pairs_text, exponents_text):
 def _emit(payload, fmt, out_path=None):
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        buf = io.StringIO()
-        if rows:
-            flat = [_flatten(r) for r in rows]
-            fields = sorted({k for r in flat for k in r})
-            writer = csv.DictWriter(buf, fieldnames=fields)
-            writer.writeheader()
-            for r in flat:
-                writer.writerow(r)
-        text = buf.getvalue()
     else:
-        rows = payload if isinstance(payload, list) else [payload]
-        lines = []
-        for r in rows:
-            flat = _flatten(r)
-            lines.append("  ".join(f"{k}={flat[k]}" for k in sorted(flat)))
-        text = "\n".join(lines) + ("\n" if rows else "")
+        rows = [_flatten(r) for r in
+                (payload if isinstance(payload, list) else [payload])]
+        buf = io.StringIO()
+        if fmt == "csv" and rows:
+            writer = csv.DictWriter(
+                buf, fieldnames=sorted({k for r in rows for k in r}))
+            writer.writeheader()
+            writer.writerows(rows)
+        elif fmt == "text":
+            for r in rows:
+                buf.write("  ".join(f"{k}={r[k]}" for k in sorted(r)) + "\n")
+        text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -175,61 +170,50 @@ def cmd_verify(args):
     return 0
 
 
-def _sweep_row(task, systems):
-    """One sweep row and its exit code: 0 holds, 1 fails, 2 invalid input."""
-    p, q, m, n, mapping, cap, degenerate = task
-    row = {"p": p, "q": q, "m": m, "n": n,
-           "mapping": ",".join(str(v) for v in mapping.as_tuple())}
-    try:
-        if (p, q, m, n) not in systems:
-            systems.clear()
-            systems[p, q, m, n] = build_system(p, q, m, n, cap=cap)
-        system = systems[p, q, m, n]
-        if degenerate:
-            report = analyze_degenerate(system, mapping)
-            row.update({
-                "period": 2 * system.half_period,
-                "lc": report.lc_gcd,
-                "lower_bound": report.lower_bound,
-                "bound_ok": report.lc_gcd >= report.lower_bound,
-                "theorem_holds": report.lc_gcd == 2 * system.half_period,
-                "violations": list(report.violations),
-            })
-        else:
-            report = verify_theorem(system, mapping)
-            row.update({
-                "period": 2 * system.half_period,
-                "lc": report.lc_gcd,
-                "theorem_holds": report.theorem_holds,
-            })
-    except CycloseqError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        invalid = isinstance(exc, (InvalidParams, InvalidMapping))
-        return row, 2 if invalid else 1
-    holds = row["bound_ok"] if degenerate else row["theorem_holds"]
-    return row, 0 if holds else 1
-
-
-def _degenerate_variants(p, base):
-    return [Mapping(base.a, base.b, base.c, base.d, e)
-            for e in degenerate_e_values(p, base) if e]
+def _sweep_fields(system, mapping, degenerate):
+    """The measured fields of one sweep row. analyze_degenerate raises
+    TheoremViolation below its floor, so bound_ok is always true."""
+    period = 2 * system.half_period
+    if not degenerate:
+        lc = verify_theorem(system, mapping).lc_gcd
+        return {"period": period, "lc": lc, "theorem_holds": lc == period}
+    report = analyze_degenerate(system, mapping)
+    return {"period": period, "lc": report.lc_gcd,
+            "lower_bound": report.lower_bound, "bound_ok": True,
+            "theorem_holds": report.lc_gcd == period,
+            "violations": list(report.violations)}
 
 
 def cmd_sweep(args):
+    """One row per grid system and mapping; exit with the largest row code.
+
+    A row is 0 when it holds; 1 when plain LC falls short of the period or
+    a violation or cap ends it (such as TheoremViolation below the
+    --degenerate floor); 2 on InvalidParams or InvalidMapping. A system is
+    built at its first row; a build that fails is retried at each row.
+    """
     cap = _resolve_cap(args)
     base = Mapping.from_text(args.map)
-    grid = _parse_grid(args.pairs, args.exponents)
-    tasks = []
-    for p, q, m, n in grid:
-        if args.degenerate:
-            for mapping in _degenerate_variants(p, base):
-                tasks.append((p, q, m, n, mapping, cap, True))
-        else:
-            tasks.append((p, q, m, n, base, cap, False))
-    systems = {}  # the rows of one system are consecutive: keep the last
-    results = [_sweep_row(t, systems) for t in tasks]
-    _emit([row for row, _ in results], args.format, args.out)
-    return max((code for _, code in results), default=0)
+    rows, code = [], 0
+    for p, q, m, n in _parse_grid(args.pairs, args.exponents):
+        mappings = ([replace(base, e=e) for e in degenerate_e_values(p, base)
+                     if e] if args.degenerate else [base])
+        system = None
+        for mapping in mappings:
+            row = {"p": p, "q": q, "m": m, "n": n,
+                   "mapping": ",".join(str(v) for v in mapping.as_tuple())}
+            try:
+                system = system or build_system(p, q, m, n, cap=cap)
+                row.update(_sweep_fields(system, mapping, args.degenerate))
+                row_code = 0 if args.degenerate or row["theorem_holds"] else 1
+            except CycloseqError as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                invalid = isinstance(exc, (InvalidParams, InvalidMapping))
+                row_code = 2 if invalid else 1
+            rows.append(row)
+            code = max(code, row_code)
+    _emit(rows, args.format, args.out)
+    return code
 
 
 def build_parser():

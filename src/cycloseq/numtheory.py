@@ -20,19 +20,8 @@ DEFAULT_PARAM_CAP = 10**7
 
 
 def is_prime(n):
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality test, by factorize's trial division."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n):

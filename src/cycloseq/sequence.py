@@ -51,12 +51,21 @@ class Mapping:
     @classmethod
     def from_text(cls, text):
         """Parse "2,3,1,0,1" (with or without spaces) into a Mapping."""
-        parts = [s.strip() for s in text.split(",")]
-        if len(parts) != 5 or not all(s.isascii() and s.isdigit()
-                                      for s in parts):
+        values = [parse_ascii_int(s) for s in text.split(",")]
+        if len(values) != 5 or None in values:
             raise InvalidParams(
                 "mapping must be five comma-separated digits a,b,c,d,e")
-        return cls(*(int(s) for s in parts))
+        return cls(*values)
+
+
+def parse_ascii_int(text):
+    """int(text.strip()) for ASCII digits 0-9 only, else None; None also
+    for a digit run beyond Python's limit on int string conversion."""
+    text = text.strip()
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
 
 
 # alpha, alpha+1, 1, 0 on the H-set buckets and e = 1 at the half period
@@ -197,12 +206,8 @@ def spectrum_profile(system, mapping):
     where each L is b+d or b+c according to the coset of 2 modulo the
     family's odd modulus.
     """
-    side_p = residue_side_of_2(system, "p")
-    side_q = residue_side_of_2(system, "q")
-    side_pq = residue_side_of_2(system, "pq")
-    lam_p = _lambda(side_p, mapping)
-    lam_q = _lambda(side_q, mapping)
-    lam_pq = _lambda(side_pq, mapping)
+    lam_p, lam_q, lam_pq = (_lambda(residue_side_of_2(system, family), mapping)
+                            for family in ("p", "q", "pq"))
     e = mapping.e
     return SpectrumProfile(
         e_value=e,
@@ -239,10 +244,6 @@ def max_complexity_mappings(system, count=3):
     return found
 
 
-def sidecar_path(path):
-    return str(path) + ".json"
-
-
 def write_sequence_file(seq, path):
     """Write the symbol digits plus a JSON sidecar with the parameters."""
     digits = "".join("0123"[v] for v in seq.symbols)
@@ -251,7 +252,7 @@ def write_sequence_file(seq, path):
     c = seq.constants
     meta = {"p": c.p, "q": c.q, "m": c.m, "n": c.n, "g": c.g, "y": c.y,
             "mapping": seq.mapping.to_json_dict()}
-    with open(sidecar_path(path), "w") as fh:
+    with open(str(path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 
@@ -276,18 +277,3 @@ def read_sequence_file(path):
             f"invalid symbol {ascii(chr(data[bad[0]]))}")
     return symbols
 
-
-def read_sidecar(path):
-    """Parse the JSON sidecar written next to a sequence file."""
-    sp = sidecar_path(path)
-    if not os.path.exists(sp):
-        raise MalformedSequenceFile(f"missing sidecar: {sp}")
-    with open(sp, "r") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedSequenceFile(f"bad sidecar JSON: {exc}") from exc
-    for key in ("p", "q", "m", "n", "g", "y", "mapping"):
-        if key not in meta:
-            raise MalformedSequenceFile(f"sidecar missing {key!r}")
-    return meta

@@ -1,8 +1,10 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import contextlib
+import csv
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -312,10 +314,18 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
     assert (code, err) == (3, "error: period 30 exceeds cap 10\n")
 
 
+def _csv_rows(text):
+    # a sweep's csv rows, without the cells a wider header leaves empty
+    return [{k: v for k, v in row.items() if v != ""}
+            for row in csv.DictReader(io.StringIO(text))]
+
+
 def test_sweep_builds_each_system_once(capsys, monkeypatch):
-    argv = ("sweep", "--degenerate", "--pairs", "3:5,3:3,5:7",
-            "--exponents", "1:1,2:1", "--format", "csv")
-    code, want, _ = run(capsys, *argv)
+    pairs, exponents = ("3:5", "3:3", "5:7"), ("1:1", "2:1")
+    argv = ("sweep", "--degenerate", "--format", "csv")
+    # the one-system sweeps, in grid order
+    alone = [run(capsys, *argv, "--pairs", pq, "--exponents", mn)
+             for pq in pairs for mn in exponents]
     builds = []
 
     def counted(*args, **kwargs):
@@ -323,25 +333,22 @@ def test_sweep_builds_each_system_once(capsys, monkeypatch):
         return cyclotomy.build_system(*args, **kwargs)
 
     monkeypatch.setattr(cli, "build_system", counted)
-    # the same rows as a sweep that builds per row: each row alone
-    tasks = [(p, q, m, n, mapping, cyclotomy.DEFAULT_PARAM_CAP, True)
-             for p, q in ((3, 5), (3, 3), (5, 7)) for m, n in ((1, 1), (2, 1))
-             for mapping in cli._degenerate_variants(p, cli.DEFAULT_MAPPING)]
-    alone = [cli._sweep_row(task, {}) for task in tasks]
-    builds.clear()
-    assert run(capsys, *argv)[:2] == (code, want)
-    assert len(want.splitlines()) == len(tasks) + 1 and code == 2
-    # a build that fails (p = q) is not kept, so each of its rows retries
-    keys = [task[:4] for task in tasks]
-    once = {k for k in keys if k[0] != k[1]}
-    assert sorted(builds) == sorted(list(once) + [k for k in keys
-                                                  if k[0] == k[1]])
-    assert len(once) == 4 and len(builds) < len(tasks)
-    assert max(c for _, c in alone) == code
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        cli._emit([row for row, _ in alone], "csv")
-    assert buf.getvalue() == want
+    code, out, _ = run(capsys, *argv, "--pairs", ",".join(pairs),
+                       "--exponents", ",".join(exponents))
+    assert code == max(c for c, _, _ in alone) == 2
+    rows = _csv_rows(out)
+    assert rows == [row for _, text, _ in alone for row in _csv_rows(text)]
+    assert out.splitlines()[0].split(",") == sorted(
+        {k for _, text, _ in alone for k in text.splitlines()[0].split(",")})
+    # each valid system is built once; a build that fails (p = q) is not
+    # kept, so each of its rows tries again
+    per_system = Counter((int(r["p"]), int(r["q"]), int(r["m"]), int(r["n"]))
+                         for r in rows)
+    retried = {k: c for k, c in per_system.items() if k[0] == k[1]}
+    assert Counter(builds) == {k: 1 for k in per_system} | retried
+    assert len(per_system) == 6 and sorted(retried.values()) == [2, 2]
+    assert all(r["error"].startswith("InvalidParams: ") for r in rows
+               if r["p"] == r["q"])
 
 
 @pytest.mark.parametrize("m", ["10000", "1000000000"])
@@ -396,6 +403,7 @@ ARG_TEXT = st.text(st.sampled_from("0123456789:,- \t\u00b2\u0661x") |
 @given(ARG_TEXT)
 @example("2,3,1,0,\u00b2")
 @example("2,3,\u0661,0,1")
+@example("2,3,1,0," + "0" * 4999 + "1")  # beyond int()'s digit limit
 def test_any_map_text_exits_with_a_code(text):
     for argv in (["analyze", "--p", "3", "--q", "5"],
                  ["sweep", "--pairs", "3:5", "--exponents", "1:1",
@@ -407,6 +415,7 @@ def test_any_map_text_exits_with_a_code(text):
 @given(ARG_TEXT)
 @example("3:\u00b2")
 @example("\u0663:5")
+@example("3:" + "1" * 5000)
 def test_any_pairs_text_exits_with_a_code(text):
     assert _quiet_main(["sweep", "--pairs", text, "--exponents", "1:1",
                         "--cap", "2000"]) in (0, 1, 2)
@@ -415,6 +424,7 @@ def test_any_pairs_text_exits_with_a_code(text):
 @settings(deadline=None)
 @given(ARG_TEXT)
 @example("1:\u00b2")
+@example("1:" + "1" * 5000)
 def test_any_exponents_text_exits_with_a_code(text):
     assert _quiet_main(["sweep", "--pairs", "3:5", "--exponents", text,
                         "--cap", "2000"]) in (0, 1, 2)

@@ -16,7 +16,7 @@ from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
                                build_sequence, degenerate_e_values,
                                e_constraint_violations,
                                max_complexity_mappings,
-                               read_sequence_file, read_sidecar,
+                               read_sequence_file,
                                spectrum_profile, structural_violations,
                                validate_mapping, write_sequence_file)
 
@@ -176,7 +176,8 @@ def test_file_roundtrip(tmp_path, sys15):
     assert set(text.strip()) <= set("0123")
     back = read_sequence_file(path)
     assert np.array_equal(back, seq.symbols)
-    meta = read_sidecar(path)
+    with open(str(path) + ".json") as fh:
+        meta = json.load(fh)
     assert meta["p"] == 3 and meta["q"] == 5
     assert meta["g"] == 23 and meta["y"] == 11
     assert meta["mapping"] == {"a": 2, "b": 3, "c": 1, "d": 0, "e": 1}
@@ -205,10 +206,6 @@ def test_read_rejections(tmp_path):
         with pytest.raises(MalformedSequenceFile) as info:
             read_sequence_file(raw)
         assert str(info.value) == f"invalid symbol {shown}"
-    seq_file = tmp_path / "nosidecar.txt"
-    seq_file.write_text("012\n")
-    with pytest.raises(MalformedSequenceFile):
-        read_sidecar(seq_file)
 
 
 def test_sidecar_schema(tmp_path, sys15):
