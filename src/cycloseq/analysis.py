@@ -2,12 +2,22 @@
 
 Route one runs Berlekamp-Massey over GF(4) on two tiled periods of the
 sequence and returns the shortest LFSR length plus its connection
-polynomial C(x) with C(0) = 1. Route two is purely algebraic: for a
-sequence of period P, LC = P - deg gcd(x^P - 1, S(x)) and the minimal
-polynomial is the quotient (x^P - 1) / gcd, which for full-period input
-is exactly the monic normalization of the unique minimal connection
-polynomial. The two routes must agree on both the length and the
-polynomial; analyze and verify_theorem enforce that.
+polynomial C(x) with C(0) = 1. It keeps Massey's recurrence but reads
+each discrepancy off a series instead of computing an inner product
+(Sarwate and Shanbhag's reformulation): the coefficient of x^t in
+R(x) = C(x) S(x) is the discrepancy of C at t, and each update of C is
+made to R as well. A run of zero discrepancies is skipped in one step,
+and the loop stops once R has no term left before the end of the input.
+The stop is exact for any input, since every later discrepancy is zero
+and so C and L are final; on two periods of a sequence of linear
+complexity L it comes after about 2L of the 2P symbols.
+
+Route two is purely algebraic: for a sequence of period P,
+LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
+quotient (x^P - 1) / gcd, which for full-period input is exactly the
+monic normalization of the unique minimal connection polynomial. The two
+routes must agree on both the length and the polynomial; analyze and
+verify_theorem enforce that.
 
 Route two never runs Euclid on degree-P inputs. Write P = 2^a N with N
 odd and F = x^N - 1; F is squarefree and x^P - 1 = F^(2^a), so the gcd
@@ -42,10 +52,18 @@ def berlekamp_massey(symbols):
 
     Returns (L, C) where C is the connection polynomial, constant term 1,
     satisfying s_t = sum_{i=1..L} C_i s_{t-i} for all t >= L. O(len^2)
-    bit operations on gf4 bit planes: with the sequence reversed into
-    planes R, the window s_t, s_{t-1}, ... is R >> (len - 1 - t), each
-    discrepancy sum_i C_i s_{t-i} is the parity of two masked popcounts,
-    and each update C += coef x^shift B is a plane mix plus a shift.
+    bit operations on gf4 bit planes, in the series form of the module
+    docstring. Two series are kept: R = C S, and B S, where B is C as it
+    was before the last length change, made at step `last` with
+    discrepancy b. Both are held reversed (bit len - 1 - t for x^t), so
+    the next nonzero discrepancy d, at some t > last, is R's top bit:
+    zero discrepancies cost nothing, terms past the end of the input fall
+    off the bottom, and R = 0 means none is left. With shift = t - last,
+    the step C += (d / b) x^shift B is matched by R += (d / b) x^shift B S,
+    a right shift of B S on the reversed planes, which clears d. A length
+    change makes the old C the new B and the old R the new B S, with no
+    shift. The multiples of B and B S by d / b are made each time those
+    are set, so no step multiplies in the field.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
@@ -53,36 +71,48 @@ def berlekamp_massey(symbols):
         return 0, gf4.poly([1])
     if s.max() > 3:
         raise InvalidParams("symbols must be field elements 0..3")
+    # R's planes; bit size - 1 - t holds x^t
     r1, r0 = gf4.to_planes(s[::-1])
     c1, c0 = 0, 1
-    b1, b0 = 0, 1
+    # B = 1 and b = 1 at the start: a length change at t = -1, whose
+    # discrepancy 1 sits one bit above the input in B S
+    b_times = _multiples(0, 1, 1)
+    bs_times = _multiples(r1, r0 | 1 << size, 1)
     length = 0
-    shift = 1
-    inv_prev = 1
-    for t in range(size):
-        w1 = r1 >> (size - 1 - t)
-        w0 = r0 >> (size - 1 - t)
-        # (c1 alpha + c0)(w1 alpha + w0)
-        #     = (c1 w1 + c1 w0 + c0 w1) alpha + (c1 w1 + c0 w0)
-        hi = ((c1 & (w1 ^ w0)) ^ (c0 & w1)).bit_count() & 1
-        lo = ((c1 & w1) ^ (c0 & w0)).bit_count() & 1
-        d = hi << 1 | lo
-        if d == 0:
-            shift += 1
-            continue
-        x1, x0 = gf4.planes_scale(b1, b0, gf4.gf4_mul(d, inv_prev))
+    last = -1
+    # each pass clears the top term, so at most one pass per position
+    for _ in range(size):
+        top = max(r1.bit_length(), r0.bit_length())
+        if not top:
+            break
+        t = size - top
+        d = (r1 >> (top - 1)) << 1 | (r0 >> (top - 1))
+        shift = t - last
+        x1, x0 = b_times[d]
+        y1, y0 = bs_times[d]
         if 2 * length <= t:
-            b1, b0 = c1, c0
-            c1 ^= x1 << shift
-            c0 ^= x0 << shift
+            b_times = _multiples(c1, c0, d)
+            bs_times = _multiples(r1, r0, d)
             length = t + 1 - length
-            inv_prev = gf4.INV_TABLE[d]
-            shift = 1
-        else:
-            c1 ^= x1 << shift
-            c0 ^= x0 << shift
-            shift += 1
+            last = t
+        c1 ^= x1 << shift
+        c0 ^= x0 << shift
+        r1 ^= y1 >> shift
+        r0 ^= y0 >> shift
     return length, gf4.from_planes(c1, c0)
+
+
+def _multiples(hi, lo, b):
+    """The planes times d / b, indexed by d = 1..3 (index 0 unused).
+
+    Digit d is alpha^(d - 1), so d / b = alpha^((d - b) mod 3): the
+    multiples by 1, alpha and alpha^2 = alpha + 1, which cost one
+    exclusive-or, rotated by (1 - b) mod 3.
+    """
+    mix = hi ^ lo
+    powers = ((hi, lo), (mix, hi), (lo, mix))
+    turn = (1 - b) % 3
+    return (None,) + powers[turn:] + powers[:turn]
 
 
 def lc_via_gcd(symbols):

@@ -38,6 +38,8 @@ from .sequence import (Mapping, build_sequence, degenerate_e_values,
 
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
+# a bad grid entry longer than this is echoed cut, with its length
+ECHO_CHARS = 40
 CAP_HELP = (f"override the period cap 2 p^m q^n <= {DEFAULT_PARAM_CAP} "
             f"(also CYCLOSEQ_CAP)")
 
@@ -63,7 +65,9 @@ def _parse_grid(pairs_text, exponents_text):
         for item in text.split(","):
             parts = [parse_ascii_int(s) for s in item.split(":")]
             if len(parts) != 2 or None in parts:
-                raise InvalidParams(f"bad {what} entry {item!r}; want A:B")
+                shown = (repr(item) if len(item) <= ECHO_CHARS else
+                         f"{item[:ECHO_CHARS]!r}… ({len(item)} characters)")
+                raise InvalidParams(f"bad {what} entry {shown}; want A:B")
             out.append(tuple(parts))
         return out
 

@@ -108,6 +108,81 @@ def test_bm_exhaustive_short_sequences():
     assert checked == 5461
 
 
+def _textbook_bm(s):
+    """Massey's algorithm step by step on uint8 digits, O(n^2).
+
+    Each discrepancy is an inner product through MUL_TABLE and each update
+    a dense MUL_TABLE scaling, so it shares no code with the kernel.
+    """
+    s = np.asarray(s, dtype=np.uint8)
+    size = len(s)
+    conn = np.zeros(size + 1, dtype=np.uint8)
+    prev = np.zeros(size + 1, dtype=np.uint8)
+    conn[0] = prev[0] = 1
+    length, shift, b = 0, 1, 1
+    for t in range(size):
+        d = int(np.bitwise_xor.reduce(
+            MUL_TABLE[conn[:length + 1], s[t - length:t + 1][::-1]]))
+        if d == 0:
+            shift += 1
+            continue
+        coef = int(MUL_TABLE[d, gf4.gf4_inv(b)])
+        old = conn.copy()
+        conn[shift:] ^= MUL_TABLE[coef, prev[:size + 1 - shift]]
+        if 2 * length <= t:
+            length, prev, b, shift = t + 1 - length, old, d, 1
+        else:
+            shift += 1
+    return length, gf4.poly_trim(conn)
+
+
+def _assert_matches_textbook(s):
+    lc, conn = berlekamp_massey(s)
+    lc_ref, conn_ref = _textbook_bm(s)
+    assert lc == lc_ref
+    assert conn.dtype == np.uint8 and np.array_equal(conn, conn_ref)
+
+
+DIGITS = st.integers(0, 3)
+
+
+@st.composite
+def bm_inputs(draw):
+    """Random, zero-prefixed, tiled (period 1..40) or all-zero arrays."""
+    kind = draw(st.sampled_from(("random", "zero prefix", "tiled", "zero")))
+    if kind == "random":
+        digits = draw(st.lists(DIGITS, max_size=120))
+    elif kind == "zero prefix":
+        digits = ([0] * draw(st.integers(1, 40))
+                  + draw(st.lists(DIGITS, max_size=80)))
+    elif kind == "tiled":
+        block = draw(st.lists(DIGITS, min_size=1, max_size=40))
+        digits = (block * 4)[:draw(st.integers(len(block), 4 * len(block)))]
+    else:
+        digits = [0] * draw(st.integers(0, 80))
+    return np.array(digits, dtype=np.uint8)
+
+
+@settings(deadline=None, max_examples=400)
+@given(bm_inputs())
+def test_bm_matches_textbook_property(s):
+    _assert_matches_textbook(s)
+
+
+def test_bm_zero_run_lengths():
+    for k in range(1, 12):
+        # impulse: the zero run to the end needs no further change
+        lc, conn = berlekamp_massey([1] + [0] * k)
+        assert lc == 1 and gf4.poly_eq(conn, gf4.poly([1]))
+        # k zeros then a symbol: only a register of length k + 1 has it
+        lc, conn = berlekamp_massey([0] * k + [2])
+        assert lc == k + 1
+        assert gf4.poly_eq(conn, gf4.poly([1] + [0] * k + [2]))
+        # a zero run in the middle, skipped in one step
+        _assert_matches_textbook([3] + [0] * k + [1, 2])
+        _assert_matches_textbook([1, 2] + [0] * k + [3] + [0] * k + [2])
+
+
 def test_lc_via_gcd_small_cases():
     lc, mp = lc_via_gcd([0, 0, 0, 0, 0])
     assert lc == 0 and gf4.poly_eq(mp, gf4.poly([1]))
@@ -249,6 +324,24 @@ def test_folded_route_matches_unfolded_on_all_mappings(params):
     # on (3,5) towers both the one-gcd and the two-gcd exits are taken
     if params[:2] == (3, 5):
         assert multiplicities == {1, 2}
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1),
+                                    (7, 23, 1, 1)],
+                         ids=lambda params: ",".join(map(str, params)))
+def test_bm_early_exit_on_all_mappings(params):
+    # BM on two periods stops once no discrepancy is left, after about
+    # 2 LC symbols; a reduced LC stops well before the end
+    system = build_system(*params)
+    reduced = 0
+    for mapping in ALL_MAPPINGS:
+        seq = build_sequence(system, mapping, allow_degenerate=True)
+        lc, minpoly = lc_via_gcd(seq.symbols)
+        lc_bm, conn = berlekamp_massey(np.tile(seq.symbols, 2))
+        assert lc_bm == lc
+        assert np.array_equal(gf4.poly_monic(conn), minpoly)
+        reduced += lc < seq.period
+    assert reduced
 
 
 @st.composite

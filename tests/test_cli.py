@@ -231,6 +231,15 @@ def test_bad_grid_entry(capsys):
                               "want A:B\n")
 
 
+def test_long_bad_grid_entry_is_echoed_cut(capsys):
+    # beyond int()'s digit limit: one short line, not the whole entry
+    code, _, err = run(capsys, "sweep", "--pairs", "3:" + "1" * 5000)
+    assert code == 2
+    assert err.count("\n") == 1 and len(err) < 120
+    assert err == ("error: bad prime pair entry '3:" + "1" * 38
+                   + "'… (5002 characters); want A:B\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "--p", "3", "--q", "5"),
     ("analyze", "--p", "3", "--q", "5"),
