@@ -6,16 +6,15 @@
 
 from cycloseq.analysis import analyze_degenerate, degenerate_lower_bound
 from cycloseq.cyclotomy import build_system
-from cycloseq.sequence import (DEFAULT_MAPPING, Mapping,
-                               degenerate_e_values, spectrum_profile,
-                               validate_mapping)
+from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, forbidden_e,
+                               spectrum_profile, validate_mapping)
 
 for p, q in ((3, 5), (3, 7)):
     system = build_system(p, q, 1, 1)
     period = system.period
     bound = degenerate_lower_bound(p, q, 1, 1)
     print(f"\n(p,q) = ({p},{q}), period {period}, floor {bound}")
-    for e in degenerate_e_values(p, DEFAULT_MAPPING):
+    for e in sorted({e for e, _ in forbidden_e(p, DEFAULT_MAPPING)}):
         mapping = Mapping(2, 3, 1, 0, e)
         report = analyze_degenerate(system, mapping)
         tag = "reduced" if report.reduced else "still full"

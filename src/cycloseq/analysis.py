@@ -43,8 +43,8 @@ import numpy as np
 
 from . import gf4
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
-from .sequence import (DEFAULT_MAPPING, build_sequence,
-                       e_constraint_violations, spectrum_profile)
+from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
+                       validate_mapping)
 
 
 def berlekamp_massey(symbols):
@@ -244,7 +244,8 @@ def analyze_degenerate(system, mapping):
     """
     seq = build_sequence(system, mapping, allow_degenerate=True)
     c = system.constants
-    soft = e_constraint_violations(c.p, mapping)
+    # build_sequence raised on structure, so these are mod-8 violations
+    soft = validate_mapping(c.p, mapping)
     if not soft and spectrum_profile(system, mapping).attains_max:
         raise InvalidParams(
             "mapping is valid and attains the maximum; nothing degenerate")

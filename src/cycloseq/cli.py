@@ -32,10 +32,11 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      PartitionViolation, TheoremViolation)
 from .extfield import build_extension, verify_case_table, verify_char_sum_tables
 from .numtheory import DEFAULT_PARAM_CAP, build_system_constants
-from .sequence import (Mapping, build_sequence, degenerate_e_values,
-                       parse_ascii_int, read_sequence_file,
+from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
+                       forbidden_e, parse_ascii_int, read_sequence_file,
                        write_sequence_file)
 
+DEFAULT_MAP = ",".join(str(v) for v in DEFAULT_MAPPING.as_tuple())
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
 # a bad grid entry longer than this is echoed cut, with its length
@@ -200,8 +201,9 @@ def cmd_sweep(args):
     base = Mapping.from_text(args.map)
     rows, code = [], 0
     for p, q, m, n in _parse_grid(args.pairs, args.exponents):
-        mappings = ([replace(base, e=e) for e in degenerate_e_values(p, base)
-                     if e] if args.degenerate else [base])
+        mappings = ([replace(base, e=e) for e in
+                     sorted({e for e, _ in forbidden_e(p, base) if e})]
+                    if args.degenerate else [base])
         system = None
         for mapping in mappings:
             row = {"p": p, "q": q, "m": m, "n": n,
@@ -232,8 +234,8 @@ def build_parser():
         sp.add_argument("--q", type=int, required=required)
         sp.add_argument("--m", type=int, default=1)
         sp.add_argument("--n", type=int, default=1)
-        sp.add_argument("--map", default="2,3,1,0,1",
-                        help="mapping digits a,b,c,d,e (default 2,3,1,0,1)")
+        sp.add_argument("--map", default=DEFAULT_MAP,
+                        help="mapping digits a,b,c,d,e (default %(default)s)")
         sp.add_argument("--cap", type=int, default=None, help=CAP_HELP)
 
     gen = sub.add_parser("generate", help="write a sequence digit file")
@@ -267,7 +269,7 @@ def build_parser():
     sw.add_argument("--exponents", default=DEFAULT_EXPONENTS,
                     help=f"exponent pairs M:N, comma separated "
                          f"(default {DEFAULT_EXPONENTS})")
-    sw.add_argument("--map", default="2,3,1,0,1")
+    sw.add_argument("--map", default=DEFAULT_MAP)
     sw.add_argument("--cap", type=int, default=None, help=CAP_HELP)
     sw.add_argument("--degenerate", action="store_true",
                     help="sweep the forbidden e values and check the "

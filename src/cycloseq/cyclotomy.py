@@ -11,16 +11,18 @@ For every shape the units split into two equal halves: D_0 = <g^2, y> and
 its coset D_1 = g * D_0. With op = phi(p^i), oq = phi(q^j) (phi = 1 at
 exponent 0) that is lcm(op, oq)/2 powers of g^2 times gcd(op, oq) powers
 of y; on a prime-power family the y count is 1 and D_0 is the even-power
-coset of g. check_structural_lemmas confirms this agrees with lifting:
+coset of g. Each D_0 is enumerated once per modulus, and D_1 is g times
+it. check_structural_lemmas confirms this agrees with lifting:
 family (i, j) lifts its base class (min(i, 1), min(j, 1)) in steps of
 p^[i>0] q^[j>0].
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
 singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
-stored as a label array, is the single source of truth for sequence
-generation; the per-index classifier classify_index recomputes labels
-independently so the two paths can be cross-checked.
+painted from the class tables and stored as a label array, is the single
+source of truth for sequence generation; the per-index classifier
+classify_index recomputes labels independently so the two paths can be
+cross-checked.
 """
 
 from dataclasses import dataclass, field
@@ -54,7 +56,6 @@ class ClassId(NamedTuple):
     doubled: bool = False
 
 
-
 def _shape(i, j, two=False):
     return ("2" if two else "") + ("p" if i else "") + ("q" if j else "")
 
@@ -75,36 +76,40 @@ def _families(m, n):
     return out
 
 
-def _check_class_id(constants, cid):
-    if cid.shape not in ODD_SHAPES + DOUBLED_SHAPES:
-        raise InvalidParams(f"unknown shape {cid.shape!r}")
-    if cid.h not in (0, 1):
-        raise InvalidParams(f"h must be 0 or 1, got {cid.h}")
-    wants_i = "p" in cid.shape
-    wants_j = "q" in cid.shape
-    if wants_i and not 1 <= cid.i <= constants.m:
-        raise InvalidParams(f"i out of range for {cid}")
-    if wants_j and not 1 <= cid.j <= constants.n:
-        raise InvalidParams(f"j out of range for {cid}")
-    if not wants_i and cid.i != 0:
-        raise InvalidParams(f"i must be 0 for shape {cid.shape}")
-    if not wants_j and cid.j != 0:
-        raise InvalidParams(f"j must be 0 for shape {cid.shape}")
+def _check_class_id(cid, valid_ids):
+    if ClassId(*cid[:4]) not in valid_ids:
+        raise InvalidParams(f"{cid} names no class of the system")
     if cid.doubled and cid.shape not in ODD_SHAPES:
         raise InvalidParams("doubled applies only to odd-modulus shapes")
 
 
-def _coset(mod, square, y, half_order, y_count, start):
-    # Enumerates {start * square^t * y^k} for t < half_order, k < y_count.
+def _subgroup(mod, square, y, half_order, y_count):
+    # D_0 = {square^t * y^k} for t < half_order, k < y_count, sorted
     elems = set()
-    x = start % mod
+    x = 1
     for _ in range(half_order):
         v = x
         for _ in range(y_count):
             elems.add(v)
             v = v * y % mod
         x = x * square % mod
-    return np.array(sorted(elems), dtype=np.int64)
+    return sorted(elems)
+
+
+def _class_pair(constants, i, j, two):
+    # (D_0, D_1) modulo p^i q^j, doubled when two is set: D_0 enumerated
+    # once and D_1 = g * D_0, both in Python ints, so exact at any modulus
+    c = constants
+    mod = (2 if two else 1) * c.p**i * c.q**j
+    d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
+    d0 = _subgroup(mod, c.g * c.g % mod, c.y % mod, d // 2, e)
+    if len(d0) != d * e // 2:
+        # a short coset means g or y lacks the order the constants claim
+        raise LemmaViolation("class enumeration collapsed",
+                             cls=ClassId(_shape(i, j, two), i, j, 0),
+                             size=len(d0), expected=d * e // 2)
+    d1 = sorted(c.g * v % mod for v in d0)
+    return np.array(d0, dtype=np.int64), np.array(d1, dtype=np.int64)
 
 
 def _sorted_set(arr):
@@ -121,17 +126,8 @@ def build_class(constants, cid):
     d_ij * e_ij / 2 residues per class: d_ij/2 powers of g^2 times e_ij
     powers of y, with e_ij = 1 on the prime-power families.
     """
-    c = constants
-    _check_class_id(c, cid)
-    mod = (2 if cid.shape[0] == "2" else 1) * c.p**cid.i * c.q**cid.j
-    d, e = c.d_ij[(cid.i, cid.j)], c.e_ij[(cid.i, cid.j)]
-    start = 1 if cid.h == 0 else c.g
-    out = _coset(mod, c.g * c.g % mod, c.y % mod, d // 2, e, start)
-    if len(out) != d * e // 2:
-        # a short coset means g or y lacks the order the constants claim
-        raise LemmaViolation("class enumeration collapsed", cls=cid,
-                             size=len(out), expected=d * e // 2)
-    return out
+    _check_class_id(cid, all_class_ids(constants.m, constants.n))
+    return _class_pair(constants, cid.i, cid.j, cid.shape[0] == "2")[cid.h]
 
 
 def all_class_ids(m, n):
@@ -194,27 +190,23 @@ class CyclotomicSystem:
         return self.constants.half_period
 
 
+def _h_set(constants, classes, cid):
+    mult = cofactor_of(constants, cid) * (2 if cid.doubled else 1)
+    return classes[ClassId(*cid[:4])] * mult
+
+
 def h_set(system, cid):
     """The class scaled by its cofactor (and by 2 when the label says so)."""
-    constants = system.constants
-    _check_class_id(constants, cid)
-    base = system.classes[ClassId(cid.shape, cid.i, cid.j, cid.h)]
-    mult = cofactor_of(constants, cid) * (2 if cid.doubled else 1)
-    return base * mult
+    _check_class_id(cid, system.classes)
+    return _h_set(system.constants, system.classes, cid)
 
 
 def _paint_partition(constants, classes, labels):
-    period = constants.period
-    part = np.full(period, -1, dtype=np.int16)
-    stub = CyclotomicSystem(constants=constants, classes=classes,
-                            labels=labels, partition=part)
+    special = {ZERO_LABEL: [0], HALF_LABEL: [constants.half_period]}
+    part = np.full(constants.period, -1, dtype=np.int16)
     for idx, lab in enumerate(labels):
-        if lab == ZERO_LABEL:
-            positions = np.array([0], dtype=np.int64)
-        elif lab == HALF_LABEL:
-            positions = np.array([constants.half_period], dtype=np.int64)
-        else:
-            positions = h_set(stub, lab)
+        positions = (np.array(special[lab]) if lab in special
+                     else _h_set(constants, classes, lab))
         taken = positions[part[positions] != -1]
         if taken.size:
             t = int(taken[0])
@@ -230,7 +222,13 @@ def _paint_partition(constants, classes, labels):
 def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     """Build constants, all classes, and the verified partition array."""
     constants = build_system_constants(p, q, m, n, cap=cap)
-    classes = {cid: build_class(constants, cid) for cid in all_class_ids(m, n)}
+    classes = {}
+    for i, j in _family_indices(m, n):
+        odd, doubled = (_class_pair(constants, i, j, two)
+                        for two in (False, True))
+        for h in (0, 1):
+            classes[ClassId(_shape(i, j), i, j, h)] = odd[h]
+            classes[ClassId(_shape(i, j, two=True), i, j, h)] = doubled[h]
     labels = partition_labels(m, n)
     partition = _paint_partition(constants, classes, labels)
     partition.flags.writeable = False
@@ -297,20 +295,15 @@ def classify_index(system, t):
     return system.labels.index(ClassId(shape, i, j, h, doubled=doubled))
 
 
-def _side_of_2(system, i, j):
-    shape = _shape(i, j)
-    h = _member_side(system, shape, i, j, 2)
-    if h is None:
-        raise PartitionViolation(2, f"2 missing from both {shape} cosets")
-    return h
-
-
 def residue_side_of_2(system, shape, i=1, j=1):
     """h with 2 in D_h for an odd-modulus shape ("p", "q" or "pq")."""
     if shape not in ODD_SHAPES:
         raise InvalidParams("2 is a unit only modulo the odd shapes")
-    return _side_of_2(system, i if "p" in shape else 0,
-                      j if "q" in shape else 0)
+    i, j = (i if "p" in shape else 0), (j if "q" in shape else 0)
+    h = _member_side(system, shape, i, j, 2)
+    if h is None:
+        raise PartitionViolation(2, f"2 missing from both {shape} cosets")
+    return h
 
 
 def check_structural_lemmas(system):
@@ -361,7 +354,8 @@ def check_structural_lemmas(system):
 
     # side of 2 must not depend on the exponent
     for base, members in families.items():
-        sides = {_side_of_2(system, i, j) for i, j in members}
+        sides = {residue_side_of_2(system, _shape(i, j), i, j)
+                 for i, j in members}
         if len(sides) > 1:
             plural = "s" if base == (1, 1) else ""
             out.append(LemmaViolation(
@@ -382,7 +376,7 @@ def check_residue_rules(system):
     for base, members in _families(c.m, c.n).items():
         expect = 0 if two_is_square_mod(c.q if base[1] else c.p) else 1
         for i, j in members:
-            if _side_of_2(system, i, j) != expect:
+            if residue_side_of_2(system, _shape(i, j), i, j) != expect:
                 mixed = base == (1, 1)
                 out.append(LemmaViolation(
                     "pq side of 2 does not follow q's mod-8 rule" if mixed

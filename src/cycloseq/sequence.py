@@ -5,15 +5,18 @@ a and b to the two cosets of the doubled-modulus H-sets, c and d to the
 two cosets of the doubled copies of the odd-modulus H-sets, e to the
 half-period position; position zero always carries 0. The defining
 constraints are that a, b, c, d are pairwise distinct, e is nonzero, and
-e avoids the combination the paper's mod-8 rule forbids (b+d when
-p = +/-1, b or b+c when p = +/-3). That rule is the gate, but
+e avoids the values that forbidden_e, the paper's mod-8 rule, names (b+d
+when p = +/-1, b or b+c when p = +/-3). That rule is the gate, but
 spectrum_profile, from the side of 2 in the p, q and pq families, is what
 predicts full complexity; the two disagree on some mappings. Mappings
 violating only the mod-8 rule are constructible with allow_degenerate.
+write_sequence_file writes the digits and their sidecar all or nothing.
 """
 
+import contextlib
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +85,20 @@ def structural_violations(mapping):
     return out
 
 
-def _forbidden_e(p, mapping):
-    # the mod-8 rule as (name, value) pairs of the e values it excludes
+def forbidden_e(p, mapping):
+    """The mod-8 rule: (value, reason) for each e value it forbids at p.
+
+    e = b + d is out when p = +/-1 mod 8, e = b and e = b + c when
+    p = +/-3 mod 8. Two reasons can name one value (c = 0), and a value
+    can be 0 (b = 0 or b = d).
+    """
+    m = mapping
     if two_is_square_mod(p):
-        return [("b + d", mapping.b ^ mapping.d)]
-    return [("b", mapping.b), ("b + c", mapping.b ^ mapping.c)]
-
-
-def e_constraint_violations(p, mapping):
-    residues = "+/-1" if two_is_square_mod(p) else "+/-3"
-    return [f"e = {name} is forbidden when p is {residues} mod 8"
-            for name, value in _forbidden_e(p, mapping) if mapping.e == value]
+        residues, named = "+/-1", [("b + d", m.b ^ m.d)]
+    else:
+        residues, named = "+/-3", [("b", m.b), ("b + c", m.b ^ m.c)]
+    return [(value, f"e = {name} is forbidden when p is {residues} mod 8")
+            for name, value in named]
 
 
 def validate_mapping(p, mapping):
@@ -101,7 +107,9 @@ def validate_mapping(p, mapping):
     Returns a list of human-readable strings; an empty list means the
     mapping is valid. Never raises on a bad mapping.
     """
-    return structural_violations(mapping) + e_constraint_violations(p, mapping)
+    return structural_violations(mapping) + [
+        reason for value, reason in forbidden_e(p, mapping)
+        if mapping.e == value]
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,7 @@ def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
     bad = structural_violations(mapping)
     if bad:
         raise InvalidMapping(bad)
-    soft = e_constraint_violations(system.constants.p, mapping)
+    soft = validate_mapping(system.constants.p, mapping)
     if soft and not allow_degenerate:
         raise InvalidMapping(soft)
 
@@ -190,36 +198,24 @@ class SpectrumProfile:
                                     self.value_q_saturated))
 
 
-def _lambda(side, mapping):
-    # contribution of one prime-power family: b+d when 2 lies in D_0 of
-    # its odd modulus, b+c when it lies in D_1
-    if side == 0:
-        return mapping.b ^ mapping.d
-    return mapping.b ^ mapping.c
-
-
 def spectrum_profile(system, mapping):
     """Predict S(beta^k) in each saturation regime from the side of 2.
 
     S(beta^k) = e + [p unsaturated][q unsaturated] L_pq
                   + [p unsaturated] L_p + [q unsaturated] L_q
     where each L is b+d or b+c according to the coset of 2 modulo the
-    family's odd modulus.
+    family's odd modulus: b+d when 2 lies in D_0, b+c when it lies in D_1.
     """
-    lam_p, lam_q, lam_pq = (_lambda(residue_side_of_2(system, family), mapping)
-                            for family in ("p", "q", "pq"))
-    e = mapping.e
+    b, c, d, e = mapping.b, mapping.c, mapping.d, mapping.e
+    lam_p, lam_q, lam_pq = (
+        b ^ (c if residue_side_of_2(system, family) else d)
+        for family in ("p", "q", "pq"))
     return SpectrumProfile(
         e_value=e,
         value_generic=e ^ lam_pq ^ lam_p ^ lam_q,
         value_p_saturated=e ^ lam_q,
         value_q_saturated=e ^ lam_p,
     )
-
-
-def degenerate_e_values(p, mapping):
-    """The forbidden e values for this (p, b, c, d), for sweep reporting."""
-    return sorted({value for _, value in _forbidden_e(p, mapping)})
 
 
 def max_complexity_mappings(system, count=3):
@@ -244,17 +240,56 @@ def max_complexity_mappings(system, count=3):
     return found
 
 
+def _write_together(files):
+    """Write each (path, text) in full, or leave every path as it was.
+
+    Each text goes first to a temporary file beside its path, made as
+    open() makes any file, or with the mode of the file it replaces. The
+    temporary files then take their paths in order; if one cannot, each
+    path already taken gets its old file back from a second hard link kept
+    meanwhile (or is removed if it was new). No temporary name stays.
+    """
+    tag = f".{os.getpid()}"
+    made, moved = [], []
+    try:
+        for path, text in files:
+            with open(path + tag, "x") as fh:
+                made.append(fh.name)
+                fh.write(text)
+            if os.path.isfile(path):
+                shutil.copymode(path, fh.name)
+        for path, _ in files:
+            old = path + tag + ".old" if os.path.isfile(path) else None
+            if old:
+                os.link(path, old)
+                made.append(old)
+            os.replace(path + tag, path)
+            moved.append((path, old))
+    except BaseException:
+        for path, old in reversed(moved):
+            if old:
+                os.replace(old, path)
+            else:
+                os.remove(path)
+        raise
+    finally:
+        for name in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+
+
 def write_sequence_file(seq, path):
-    """Write the symbol digits plus a JSON sidecar with the parameters."""
+    """Write the symbol digits plus a JSON sidecar with the parameters.
+
+    Neither file changes unless both are written in full.
+    """
     digits = "".join("0123"[v] for v in seq.symbols)
-    with open(path, "w") as fh:
-        fh.write(digits + "\n")
     c = seq.constants
     meta = {"p": c.p, "q": c.q, "m": c.m, "n": c.n, "g": c.g, "y": c.y,
             "mapping": seq.mapping.to_json_dict()}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    path = os.fspath(path)
+    _write_together([(path, digits + "\n"),
+                     (path + ".json", json.dumps(meta, indent=2) + "\n")])
 
 
 def read_sequence_file(path):

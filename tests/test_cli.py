@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import stat
 from collections import Counter
 
 import pytest
@@ -253,6 +255,87 @@ def test_unwritable_out(tmp_path, capsys, argv):
     assert err.startswith("error:") and "out.txt" in err
 
 
+def _listing(directory):
+    return {path.name: path.read_bytes() if path.is_file() else None
+            for path in directory.iterdir()}
+
+
+def _generate_fails(capsys, out, *extra):
+    code, stdout, err = run(capsys, "generate", "--p", "3", "--q", "7",
+                            *extra, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and str(out) in err
+    assert err.count("\n") == 1
+
+
+def test_generate_sidecar_is_a_directory(tmp_path, capsys):
+    (tmp_path / "s.txt.json").mkdir()
+    _generate_fails(capsys, tmp_path / "s.txt")
+    assert _listing(tmp_path) == {"s.txt.json": None}
+    # an existing digit file keeps its bytes
+    (tmp_path / "s.txt").write_text("0123\n")
+    _generate_fails(capsys, tmp_path / "s.txt")
+    assert _listing(tmp_path) == {"s.txt.json": None, "s.txt": b"0123\n"}
+
+
+def test_generate_out_is_a_directory(tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    _generate_fails(capsys, tmp_path / "d")
+    assert _listing(tmp_path) == {"d": None}
+    # an existing sidecar keeps its bytes
+    (tmp_path / "d.json").write_text("{}\n")
+    _generate_fails(capsys, tmp_path / "d")
+    assert _listing(tmp_path) == {"d": None, "d.json": b"{}\n"}
+
+
+@pytest.mark.parametrize("failing", [".txt", ".json"])
+def test_generate_keeps_an_existing_pair(tmp_path, capsys, monkeypatch,
+                                         failing):
+    # a pair for (3, 5); then a (3, 7) write whose digit file or sidecar
+    # cannot take its place leaves both files as they were
+    out = tmp_path / "s.txt"
+    assert run(capsys, "generate", "--p", "3", "--q", "5",
+               "--out", str(out))[0] == 0
+    before = _listing(tmp_path)
+    real = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(failing):
+            raise PermissionError(13, "Permission denied", str(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    _generate_fails(capsys, out)
+    assert _listing(tmp_path) == before
+
+
+def test_generate_writes_with_the_default_mode(tmp_path, capsys):
+    umask = os.umask(0)
+    os.umask(umask)
+    out = tmp_path / "s.txt"
+    assert run(capsys, "generate", "--p", "3", "--q", "5",
+               "--out", str(out))[0] == 0
+    for path in (out, tmp_path / "s.txt.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    # a file replaced keeps its mode
+    out.chmod(0o600)
+    assert run(capsys, "generate", "--p", "3", "--q", "7",
+               "--out", str(out))[0] == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert len(out.read_text()) == 43
+    assert sorted(_listing(tmp_path)) == ["s.txt", "s.txt.json"]
+
+
+def test_map_default_and_help_come_from_the_package_default(capsys):
+    assert cli.DEFAULT_MAP == "2,3,1,0,1"
+    parser = cli.build_parser()
+    for argv in (["generate", "--p", "3", "--q", "5"], ["sweep"]):
+        assert parser.parse_args(argv).map == "2,3,1,0,1"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify", "--help"])
+    assert "(default 2,3,1,0,1)" in " ".join(capsys.readouterr().out.split())
+
+
 # Each call's flags must not leak into the next: --degenerate, --out and
 # --cap are set on one call and left off the call after it.
 SUCCESSIVE_CALLS = (
@@ -304,7 +387,7 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
     def no_classes(*args):
         raise AssertionError("a capped verify built a class table")
 
-    monkeypatch.setattr(cyclotomy, "build_class", no_classes)
+    monkeypatch.setattr(cyclotomy, "_subgroup", no_classes)
     # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
     code, _, err = run(capsys, "verify", "--p", "41", "--q", "107")
     assert (code, err) == (3, "error: extension degree 530 exceeds the cap "

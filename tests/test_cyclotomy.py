@@ -12,8 +12,8 @@ from cycloseq.cyclotomy import (ClassId, HALF_LABEL, ZERO_LABEL,
                                 check_structural_lemmas, classify_index,
                                 cofactor_of, h_set, partition_labels,
                                 residue_side_of_2)
-from cycloseq.errors import InvalidParams, LemmaViolation
-from cycloseq.numtheory import euler_phi
+from cycloseq.errors import InvalidParams, LemmaViolation, PartitionViolation
+from cycloseq.numtheory import SystemConstants, euler_phi, is_prime
 
 GRID = [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1), (3, 11, 1, 1),
         (3, 5, 2, 1), (3, 5, 1, 2), (3, 7, 2, 1)]
@@ -211,7 +211,8 @@ def _ref_structural_lemmas(system):
                     shape=ClassId("2pq", i, j, h), witness=min(got)))
 
     for base, members in families.items():
-        sides = {cyclotomy._side_of_2(system, i, j) for i, j in members}
+        sides = {residue_side_of_2(system, cyclotomy._shape(i, j), i, j)
+                 for i, j in members}
         if len(sides) > 1:
             plural = "s" if base == (1, 1) else ""
             out.append(LemmaViolation(
@@ -294,12 +295,121 @@ def test_class_id_validation(sys15):
         h_set(sys15, ClassId("2p", 1, 0, 0, doubled=True))
     with pytest.raises(InvalidParams):
         h_set(sys15, ClassId("weird", 1, 1, 0))
+    with pytest.raises(InvalidParams):
+        h_set(sys15, ClassId("pq", 1, 1, 2))
+    with pytest.raises(InvalidParams):
+        cyclotomy.build_class(sys15.constants, ClassId("q", 1, 1, 0))
+    assert list(cyclotomy.build_class(sys15.constants,
+                                      ClassId("2q", 0, 1, 1))) == [3, 7]
 
 
 def test_collapsed_class_enumeration_raises(monkeypatch, sys15):
-    real = cyclotomy._coset
-    monkeypatch.setattr(cyclotomy, "_coset", lambda *a: real(*a)[1:])
+    real = cyclotomy._subgroup
+    monkeypatch.setattr(cyclotomy, "_subgroup", lambda *a: real(*a)[1:])
     with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
         cyclotomy.build_class(sys15.constants, ClassId("pq", 1, 1, 0))
     with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
         cyclotomy.build_class(sys15.constants, ClassId("2q", 0, 1, 1))
+    with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
+        build_system(3, 5, 1, 1)
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 5, 2, 1),
+                                    (3, 7, 2, 2)])
+def test_each_subgroup_enumerated_once_per_modulus(monkeypatch, params):
+    # D_1 = g * D_0: two enumerations per family (odd and doubled modulus)
+    calls = []
+    real = cyclotomy._subgroup
+    monkeypatch.setattr(cyclotomy, "_subgroup",
+                        lambda *a: calls.append(a[0]) or real(*a))
+    build_system(*params)
+    m, n = params[2:]
+    families = m * n + m + n
+    assert len(calls) == 2 * families
+    assert len(set(calls)) == 2 * families
+
+
+@pytest.mark.parametrize("params", GRID)
+def test_class_tables_match_definition(params):
+    # classes[h] = {g^h g^(2t) y^k mod M}, from the constants alone, with
+    # Python ints: 2 * 2F tables for a system with F families
+    system = build_system(*params)
+    c = system.constants
+    checked = 0
+    for (i, j), d in c.d_ij.items():
+        e = c.e_ij[(i, j)]
+        for two in (1, 2):
+            mod = two * c.p**i * c.q**j
+            shape = ("2" if two == 2 else "") + cyclotomy._shape(i, j)
+            for h in (0, 1):
+                want = sorted({pow(c.g, h + 2 * t, mod) * pow(c.y, k, mod)
+                               % mod for t in range(d // 2)
+                               for k in range(e)})
+                got = system.classes[ClassId(shape, i, j, h)]
+                assert got.tolist() == want, (shape, i, j, h)
+                checked += 1
+    assert checked == len(system.classes) == 4 * len(c.d_ij)
+
+
+def test_class_pair_is_exact_past_int64():
+    # a modulus P > 2^32, where g * D_0 would overflow int64 products:
+    # D_0 = {1, -1} and D_1 = {g, -g} for g of order 4
+    P = next(v for v in range(2**32 + 1, 2**32 + 10**4, 4) if is_prime(v))
+    a = next(a for a in range(2, P) if pow(a, (P - 1) // 2, P) == P - 1)
+    g = pow(a, (P - 1) // 4, P)
+    assert (g * (P - 1)) >= 2**63
+    constants = SystemConstants(p=P, q=3, m=1, n=1, g1=g, g2=1, g=g, y=1,
+                                e_ij={(1, 0): 1}, d_ij={(1, 0): 4})
+    d0, d1 = cyclotomy._class_pair(constants, 1, 0, False)
+    assert d0.tolist() == [1, P - 1]
+    assert d1.tolist() == sorted([g, P - g])
+
+
+def _painted(system, cid, arr):
+    bad = _replaced(system, cid, arr)
+    with pytest.raises(PartitionViolation) as info:
+        build_partition(bad)
+    return bad, info.value
+
+
+def test_partition_violation_doubly_labelled(sys15):
+    # D_0 of 2pq also takes the least member of D_1: index 7 gets both
+    d0, d1 = (sys15.classes[ClassId("2pq", 1, 1, h)] for h in (0, 1))
+    bad, exc = _painted(sys15, ClassId("2pq", 1, 1, 0),
+                        np.sort(np.r_[d0, d1[:1]]))
+    assert exc.index == 7
+    assert str(exc) == (
+        "index 7: already labeled ClassId(shape='2pq', i=1, j=1, h=0, "
+        "doubled=False) while labeling ClassId(shape='2pq', i=1, j=1, "
+        "h=1, doubled=False)")
+    # classify_index reads the first coset that holds the residue
+    assert bad.labels[classify_index(bad, 7)] == ClassId("2pq", 1, 1, 0)
+
+
+def test_partition_violation_unlabelled(sys15):
+    # D_1 of pq loses its largest member 13: index 26 = 2 * 13 is bare
+    d1 = sys15.classes[ClassId("pq", 1, 1, 1)]
+    bad, exc = _painted(sys15, ClassId("pq", 1, 1, 1), d1[:-1].copy())
+    assert exc.index == 26
+    assert str(exc) == "index 26: left unlabeled"
+    with pytest.raises(PartitionViolation,
+                       match="residue missing from both pq cosets") as info:
+        classify_index(bad, 26)
+    assert info.value.index == 26
+
+
+def test_partition_violation_residue_in_neither_coset(sys15):
+    # D_0 of 2q = {1, 9}: 1 becomes its even partner 6, which is in
+    # neither coset modulo 10; 3 * 6 = 18 lands on the doubled q class
+    bad, exc = _painted(sys15, ClassId("2q", 0, 1, 0),
+                        np.array([6, 9], dtype=np.int64))
+    assert exc.index == 18
+    assert str(exc) == (
+        "index 18: already labeled ClassId(shape='2q', i=0, j=1, h=0, "
+        "doubled=False) while labeling ClassId(shape='q', i=0, j=1, h=1, "
+        "doubled=True)")
+    # index 3 = 3 * 1 lost its label, and 1 is now in neither 2q coset
+    with pytest.raises(PartitionViolation,
+                       match="residue missing from both 2q cosets") as info:
+        classify_index(bad, 3)
+    assert info.value.index == 3

@@ -13,8 +13,7 @@ from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
-                               build_sequence, degenerate_e_values,
-                               e_constraint_violations,
+                               build_sequence, forbidden_e,
                                max_complexity_mappings,
                                read_sequence_file,
                                spectrum_profile, structural_violations,
@@ -61,18 +60,26 @@ def test_validate_mapping_reports_never_raises():
     # p = 7 is -1 mod 8: only e = b+d is out, and b+d = 3 here
     assert validate_mapping(7, Mapping(2, 3, 1, 0, 2)) == []
     assert validate_mapping(7, Mapping(2, 3, 1, 0, 1)) == []
-    assert e_constraint_violations(7, Mapping(2, 3, 1, 0, 3)) != []
+    assert validate_mapping(7, Mapping(2, 3, 1, 0, 3)) == [
+        "e = b + d is forbidden when p is +/-1 mod 8"]
+    assert forbidden_e(7, Mapping(2, 3, 1, 0, 3)) == [
+        (3, "e = b + d is forbidden when p is +/-1 mod 8")]
+
+
+def _forbidden_values(p, mapping):
+    return sorted({value for value, _ in forbidden_e(p, mapping)})
 
 
 def test_forbidden_e_values():
     m = DEFAULT_MAPPING
-    assert degenerate_e_values(3, m) == [2, 3]
-    assert degenerate_e_values(7, m) == [3]
+    assert _forbidden_values(3, m) == [2, 3]
+    assert _forbidden_values(7, m) == [3]
     # b = 0 makes 0 a forbidden value; c = 0 makes e = b and e = b + c one
-    assert degenerate_e_values(3, Mapping(1, 0, 2, 3, 1)) == [0, 2]
-    assert e_constraint_violations(3, Mapping(1, 2, 0, 3, 2)) == [
-        "e = b is forbidden when p is +/-3 mod 8",
-        "e = b + c is forbidden when p is +/-3 mod 8"]
+    assert _forbidden_values(3, Mapping(1, 0, 2, 3, 1)) == [0, 2]
+    both = ["e = b is forbidden when p is +/-3 mod 8",
+            "e = b + c is forbidden when p is +/-3 mod 8"]
+    assert forbidden_e(3, Mapping(1, 2, 0, 3, 2)) == [(2, why) for why in both]
+    assert validate_mapping(3, Mapping(1, 2, 0, 3, 2)) == both
 
 
 def test_build_sequence_example_1(sys15):
