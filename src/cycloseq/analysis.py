@@ -6,11 +6,14 @@ polynomial C(x) with C(0) = 1. It keeps Massey's recurrence but reads
 each discrepancy off a series instead of computing an inner product
 (Sarwate and Shanbhag's reformulation): the coefficient of x^t in
 R(x) = C(x) S(x) is the discrepancy of C at t, and each update of C is
-made to R as well. A run of zero discrepancies is skipped in one step,
-and the loop stops once R has no term left before the end of the input.
-The stop is exact for any input, since every later discrepancy is zero
-and so C and L are final; on two periods of a sequence of linear
-complexity L it comes after about 2L of the 2P symbols.
+made to R as well. A length change writes out the multiples of the old
+C and R by 1/d inline, as one of three fixed rotations of (v, alpha v,
+alpha^2 v) chosen by d, so no step multiplies in the field. A run of zero
+discrepancies is skipped in one step, and the loop stops once R has no
+term left before the end of the input. The stop is exact for any input,
+since every later discrepancy is zero and so C and L are final; on two
+periods of a sequence of linear complexity L it comes after about 2L of
+the 2P symbols.
 
 Route two is purely algebraic: for a sequence of period P,
 LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
@@ -62,8 +65,11 @@ def berlekamp_massey(symbols):
     the step C += (d / b) x^shift B is matched by R += (d / b) x^shift B S,
     a right shift of B S on the reversed planes, which clears d. A length
     change makes the old C the new B and the old R the new B S, with no
-    shift. The multiples of B and B S by d / b are made each time those
-    are set, so no step multiplies in the field.
+    shift. The multiples of B and B S by d / b are made when those are
+    set, so no step multiplies in the field: as digit d is alpha^(d - 1),
+    they are v, alpha v = (hi + lo, hi) and alpha^2 v = (lo, hi + lo) in
+    a rotation fixed by b. The leading digit comes from the planes'
+    lengths: 1 when lo is longer, else 2 plus lo's top bit.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
@@ -75,24 +81,36 @@ def berlekamp_massey(symbols):
     r1, r0 = gf4.to_planes(s[::-1])
     c1, c0 = 0, 1
     # B = 1 and b = 1 at the start: a length change at t = -1, whose
-    # discrepancy 1 sits one bit above the input in B S
-    b_times = _multiples(0, 1, 1)
-    bs_times = _multiples(r1, r0 | 1 << size, 1)
+    # discrepancy 1 sits one bit above the input in B S. times[d] holds
+    # the planes of (d / b) B and of (d / b) B S.
+    s0 = r0 | 1 << size
+    mix = r1 ^ s0
+    times = (None, (0, 1, r1, s0), (1, 0, mix, r1), (1, 1, s0, mix))
     length = 0
     last = -1
     # each pass clears the top term, so at most one pass per position
     for _ in range(size):
-        top = max(r1.bit_length(), r0.bit_length())
-        if not top:
+        top, low = r1.bit_length(), r0.bit_length()
+        if low > top:
+            top, d = low, 1
+        elif top:
+            d = 2 | (r0 >> (top - 1))
+        else:
             break
         t = size - top
-        d = (r1 >> (top - 1)) << 1 | (r0 >> (top - 1))
         shift = t - last
-        x1, x0 = b_times[d]
-        y1, y0 = bs_times[d]
+        x1, x0, y1, y0 = times[d]
         if 2 * length <= t:
-            b_times = _multiples(c1, c0, d)
-            bs_times = _multiples(r1, r0, d)
+            # the old C and R become B and B S, with b = d
+            mc, mr = c1 ^ c0, r1 ^ r0
+            one, alpha, alpha2 = ((c1, c0, r1, r0), (mc, c1, mr, r1),
+                                  (c0, mc, r0, mr))
+            if d == 1:
+                times = (None, one, alpha, alpha2)
+            elif d == 2:
+                times = (None, alpha2, one, alpha)
+            else:
+                times = (None, alpha, alpha2, one)
             length = t + 1 - length
             last = t
         c1 ^= x1 << shift
@@ -100,19 +118,6 @@ def berlekamp_massey(symbols):
         r1 ^= y1 >> shift
         r0 ^= y0 >> shift
     return length, gf4.from_planes(c1, c0)
-
-
-def _multiples(hi, lo, b):
-    """The planes times d / b, indexed by d = 1..3 (index 0 unused).
-
-    Digit d is alpha^(d - 1), so d / b = alpha^((d - b) mod 3): the
-    multiples by 1, alpha and alpha^2 = alpha + 1, which cost one
-    exclusive-or, rotated by (1 - b) mod 3.
-    """
-    mix = hi ^ lo
-    powers = ((hi, lo), (mix, hi), (lo, mix))
-    turn = (1 - b) % 3
-    return (None,) + powers[turn:] + powers[:turn]
 
 
 def lc_via_gcd(symbols):

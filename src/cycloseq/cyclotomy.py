@@ -300,6 +300,8 @@ def residue_side_of_2(system, shape, i=1, j=1):
     if shape not in ODD_SHAPES:
         raise InvalidParams("2 is a unit only modulo the odd shapes")
     i, j = (i if "p" in shape else 0), (j if "q" in shape else 0)
+    if ClassId(shape, i, j, 0) not in system.classes:
+        raise InvalidParams(f"no {shape} family (i, j) = ({i}, {j})")
     h = _member_side(system, shape, i, j, 2)
     if h is None:
         raise PartitionViolation(2, f"2 missing from both {shape} cosets")

@@ -226,12 +226,14 @@ def divmod_planes(r1, r0, b1, b0):
     """
     db = max(b1.bit_length(), b0.bit_length()) - 1
     quot_digit = _MUL[INV_TABLE[((b1 >> db) & 1) << 1 | ((b0 >> db) & 1)]]
+    # c * b for c = 1, 2, 3, as planes_scale makes them, once per call
+    scaled = (None, (b1, b0), (b1 ^ b0, b1), (b0, b1 ^ b0))
     top = max(r1.bit_length(), r0.bit_length()) - 1
     quot = [0] * max(top - db + 1, 0)
     while top >= db:
         shift = top - db
         c = quot_digit[((r1 >> top) & 1) << 1 | ((r0 >> top) & 1)]
-        m1, m0 = planes_scale(b1, b0, c)
+        m1, m0 = scaled[c]
         r1 ^= m1 << shift
         r0 ^= m0 << shift
         quot[shift] = c

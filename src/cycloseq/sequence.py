@@ -283,7 +283,7 @@ def write_sequence_file(seq, path):
 
     Neither file changes unless both are written in full.
     """
-    digits = "".join("0123"[v] for v in seq.symbols)
+    digits = gf4.poly_to_digits(seq.symbols)
     c = seq.constants
     meta = {"p": c.p, "q": c.q, "m": c.m, "n": c.n, "g": c.g, "y": c.y,
             "mapping": seq.mapping.to_json_dict()}

@@ -286,6 +286,14 @@ def test_residue_side_examples(sys15):
         residue_side_of_2(sys15, "2pq")
 
 
+@pytest.mark.parametrize("shape, i, j", [("p", 2, 1), ("q", 1, 2),
+                                         ("pq", 1, 0)])
+def test_residue_side_rejects_a_missing_family(sys15, shape, i, j):
+    # (3, 5, 1, 1) has only the p^1, q^1 and p^1 q^1 families
+    with pytest.raises(InvalidParams, match=f"no {shape} family"):
+        residue_side_of_2(sys15, shape, i=i, j=j)
+
+
 def test_class_id_validation(sys15):
     with pytest.raises(InvalidParams):
         h_set(sys15, ClassId("pq", 2, 1, 0))
