@@ -24,12 +24,13 @@ print(f"symbol counts: {prof.symbol_counts}")
 
 lc_g, minpoly = lc_via_gcd(seq.symbols)
 lc_b, conn = berlekamp_massey(np.tile(seq.symbols, 2))
+# both routes return gf4 bit planes (hi, lo); digits are for printing
 print(f"\ngcd method:        LC = {lc_g}, "
-      f"minimal polynomial degree {gf4.poly_deg(minpoly)}")
+      f"minimal polynomial degree {gf4.poly_deg(gf4.from_planes(*minpoly))}")
 print(f"Berlekamp-Massey:  LC = {lc_b}, "
-      f"connection C(x) digits {gf4.poly_to_digits(conn)}")
+      f"connection C(x) digits {gf4.poly_to_digits(gf4.from_planes(*conn))}")
 print("monic C(x) equals the minimal polynomial:",
-      gf4.poly_eq(gf4.poly_monic(conn), minpoly))
+      gf4.monic_planes(*conn) == minpoly)
 
 report = analyze_symbols(seq.symbols)
 print(f"\ncross-checked report: LC {report.lc_bm}, full period reached: "

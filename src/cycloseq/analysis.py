@@ -53,10 +53,10 @@ from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
 def berlekamp_massey(symbols):
     """Shortest LFSR over GF(4) generating the given symbol array.
 
-    Returns (L, C) where C is the connection polynomial, constant term 1,
-    satisfying s_t = sum_{i=1..L} C_i s_{t-i} for all t >= L. O(len^2)
-    bit operations on gf4 bit planes, in the series form of the module
-    docstring. Two series are kept: R = C S, and B S, where B is C as it
+    Returns (L, (c1, c0)): L and the gf4 planes of the connection
+    polynomial C, constant term 1, satisfying s_t = sum_{i=1..L} C_i s_{t-i}
+    for all t >= L. O(len^2) bit operations, in the series form of the
+    module docstring. Two series are kept: R = C S, and B S, where B is C as it
     was before the last length change, made at step `last` with
     discrepancy b. Both are held reversed (bit len - 1 - t for x^t), so
     the next nonzero discrepancy d, at some t > last, is R's top bit:
@@ -74,7 +74,7 @@ def berlekamp_massey(symbols):
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
     if size == 0:
-        return 0, gf4.poly([1])
+        return 0, (0, 1)
     if s.max() > 3:
         raise InvalidParams("symbols must be field elements 0..3")
     # R's planes; bit size - 1 - t holds x^t
@@ -117,17 +117,17 @@ def berlekamp_massey(symbols):
         c0 ^= x0 << shift
         r1 ^= y1 >> shift
         r0 ^= y0 >> shift
-    return length, gf4.from_planes(c1, c0)
+    return length, (c1, c0)
 
 
 def lc_via_gcd(symbols):
     """Linear complexity from gcd(x^P - 1, S(x)) for one full period.
 
-    Returns (lc, minimal_polynomial) with the minimal polynomial monic.
-    The zero sequence has lc 0 and minimal polynomial 1. The gcd comes
-    from the folded steps of the module docstring, and the minimal
-    polynomial from one exact division of x^P - 1 by their product;
-    a nonzero remainder raises MethodDisagreement.
+    Returns (lc, (m1, m0)), the gf4 planes of the monic minimal
+    polynomial. The zero sequence has lc 0 and minimal polynomial 1. The
+    gcd comes from the folded steps of the module docstring, and the
+    minimal polynomial from one exact division of x^P - 1 by their
+    product; a nonzero remainder raises MethodDisagreement.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     period = len(s)
@@ -149,12 +149,13 @@ def lc_via_gcd(symbols):
             break
         divisor = common if j == 0 else gf4.mul_planes(*common, *divisor)
     if divisor == (0, 1):
-        return period, gf4.x_pow_n_minus_1(period)
-    quotient, r1, r0 = gf4.divmod_planes(0, 1 << period | 1, *divisor)
+        return period, (0, 1 << period | 1)
+    q1, q0, r1, r0 = gf4.divmod_planes(0, 1 << period | 1, *divisor)
     if r1 | r0:
         raise MethodDisagreement(
             "gcd(x^P - 1, S(x)) does not divide x^P - 1")
-    return len(quotient) - 1, np.array(quotient, dtype=np.uint8)
+    # a monic quotient: its top digit 1 sits on the lo plane
+    return q0.bit_length() - 1, (q1, q0)
 
 
 def methods_consistent(lc_bm, conn, lc_gcd, minpoly):
@@ -162,16 +163,18 @@ def methods_consistent(lc_bm, conn, lc_gcd, minpoly):
 
     For a full-period input the reduced denominator of S(x)/(x^P - 1) is
     the unique minimal connection polynomial, so BM's C(x), normalized
-    monic, must coincide with the gcd quotient.
+    monic, must coincide with the gcd quotient. Both polynomials are gf4
+    planes.
     """
-    if lc_bm != lc_gcd:
-        return False
-    return gf4.poly_eq(gf4.poly_monic(conn), minpoly)
+    return lc_bm == lc_gcd and gf4.monic_planes(*conn) == minpoly
 
 
 @dataclass(frozen=True)
 class LinearComplexityReport:
-    """Both measurements plus the agreement and attainment verdicts."""
+    """Both measurements plus the agreement and attainment verdicts.
+
+    minimal_polynomial is a gf4 digit array, for reports and JSON.
+    """
 
     lc_bm: int
     lc_gcd: int
@@ -202,7 +205,8 @@ def analyze_symbols(symbols):
         raise MethodDisagreement(
             f"BM found {lc_bm}, gcd found {lc_gcd}, or minimal polynomials differ")
     return LinearComplexityReport(
-        lc_bm=lc_bm, lc_gcd=lc_gcd, minimal_polynomial=minpoly,
+        lc_bm=lc_bm, lc_gcd=lc_gcd,
+        minimal_polynomial=gf4.from_planes(*minpoly),
         methods_agree=True, theorem_holds=(lc_gcd == len(s)))
 
 

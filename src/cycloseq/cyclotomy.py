@@ -98,7 +98,9 @@ def _subgroup(mod, square, y, half_order, y_count):
 
 def _class_pair(constants, i, j, two):
     # (D_0, D_1) modulo p^i q^j, doubled when two is set: D_0 enumerated
-    # once and D_1 = g * D_0, both in Python ints, so exact at any modulus
+    # once and D_1 = g * D_0, both in Python ints, so exact at any modulus.
+    # Each has d_ij/2 powers of g^2 times e_ij powers of y (e_ij = 1 on
+    # the prime-power families), sorted.
     c = constants
     mod = (2 if two else 1) * c.p**i * c.q**j
     d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
@@ -117,17 +119,6 @@ def _sorted_set(arr):
     mask = np.zeros(arr.max() - arr.min() + 1, dtype=bool)
     mask[arr - arr.min()] = True
     return np.nonzero(mask)[0] + arr.min()
-
-
-def build_class(constants, cid):
-    """D_h modulo p^i q^j (times 2 for a doubled shape), sorted.
-
-    The doubled flag is ignored. Both moduli of a family have
-    d_ij * e_ij / 2 residues per class: d_ij/2 powers of g^2 times e_ij
-    powers of y, with e_ij = 1 on the prime-power families.
-    """
-    _check_class_id(cid, all_class_ids(constants.m, constants.n))
-    return _class_pair(constants, cid.i, cid.j, cid.shape[0] == "2")[cid.h]
 
 
 def all_class_ids(m, n):

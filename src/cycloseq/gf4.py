@@ -9,13 +9,18 @@ Addition is bitwise exclusive-or of encodings; multiplication is a 16-entry
 table. The same digits 0..3 are the on-disk symbol encoding used by
 sequence files and reports.
 
-Polynomials are numpy uint8 coefficient arrays, index = power of x, with no
-trailing zeros in canonical form; the zero polynomial is the empty array,
-of degree -1. Products, division and gcd run on bit planes, which the uint8
-functions wrap: a vector of digits becomes two Python ints (hi, lo), bit i
-of hi being c1 and bit i of lo c0 of digit i. Adding is one exclusive-or
-per plane, shifting by x^k one shift per plane, a scalar multiple a mix of
-the planes (planes_scale), a product three carry-less products.
+A polynomial is a pair of Python ints, its bit planes (hi, lo): bit i of
+hi is c1 and bit i of lo is c0 of the coefficient of x^i, and the zero
+polynomial is (0, 0). Adding is one exclusive-or per plane, shifting by
+x^k one shift per plane, a scalar multiple a mix of the planes
+(planes_scale), a product three carry-less products; division, gcd and
+the monic multiple take and return planes too. The leading digit is read
+off the planes' lengths: 1 when lo is longer, else 2 plus lo's top bit.
+
+Digits are the edge: a numpy uint8 array, index = power of x, with no
+trailing zeros (the zero polynomial is empty), as in reports, sequence
+files, witnesses and extfield's modulus search. to_planes and from_planes
+convert, and poly_to_digits writes the text.
 
 An element of F_{4^d} = GF(4)[X]/(f), f monic of degree d, packs its
 remainder's planes into one int: lo in bits 0..d-1, hi in bits d..2d-1.
@@ -48,13 +53,6 @@ def gf4_mul(a, b):
     return _MUL[a][b]
 
 
-def gf4_inv(a):
-    """Multiplicative inverse of a nonzero element."""
-    if a == 0:
-        raise InvalidParams("0 has no multiplicative inverse")
-    return INV_TABLE[a]
-
-
 def poly(coeffs):
     """Canonical polynomial from an iterable of coefficients 0..3."""
     arr = np.asarray(list(coeffs), dtype=np.uint8)
@@ -77,38 +75,22 @@ def poly_deg(f):
     return len(f) - 1
 
 
-def poly_is_zero(f):
-    return len(f) == 0
-
-
-def poly_eq(a, b):
-    return np.array_equal(poly_trim(a), poly_trim(b))
-
-
-def poly_mul(a, b):
-    """Product of two polynomials."""
-    return from_planes(*mul_planes(*to_planes(a), *to_planes(b)))
-
-
-def poly_monic(f):
-    """Scale a nonzero polynomial so its leading coefficient is 1."""
-    hi, lo = to_planes(f)
-    if not (hi | lo):
-        raise DivisionByZeroPolynomial("cannot normalize the zero polynomial")
-    return from_planes(*monic_planes(hi, lo))
-
-
 def poly_divmod(a, b):
-    """Quotient and remainder with deg r < deg b."""
-    b1, b0 = to_planes(b)
-    if not (b1 | b0):
-        raise DivisionByZeroPolynomial("division by the zero polynomial")
-    quot, r1, r0 = divmod_planes(*to_planes(a), b1, b0)
-    return np.array(quot, dtype=np.uint8), from_planes(r1, r0)
+    """divmod_planes on digit arrays: (quotient, remainder).
+
+    No program path calls it. It stays because perfbench/tracer.py names
+    it in TARGETS, and goes when ROADMAP item 5 re-points the tracer.
+    """
+    q1, q0, r1, r0 = divmod_planes(*to_planes(a), *to_planes(b))
+    return from_planes(q1, q0), from_planes(r1, r0)
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """gcd_planes on digit arrays: the monic gcd.
+
+    No program path calls it. It stays because perfbench/tracer.py names
+    it in TARGETS, and goes when ROADMAP item 5 re-points the tracer.
+    """
     return from_planes(*gcd_planes(*to_planes(a), *to_planes(b)))
 
 
@@ -151,16 +133,19 @@ def gcd_planes(a1, a0, b1, b0):
     if not (a1 | a0 | b1 | b0):
         raise InvalidParams("gcd(0, 0) is undefined")
     while b1 | b0:
-        _, r1, r0 = divmod_planes(a1, a0, b1, b0)
+        r1, r0 = divmod_planes(a1, a0, b1, b0)[2:]
         a1, a0, b1, b0 = b1, b0, r1, r0
     return monic_planes(a1, a0)
 
 
 def monic_planes(hi, lo):
     """Planes of the monic scalar multiple of a nonzero polynomial."""
-    top = max(hi.bit_length(), lo.bit_length()) - 1
-    lead = ((hi >> top) & 1) << 1 | ((lo >> top) & 1)
-    return planes_scale(hi, lo, INV_TABLE[lead])
+    top = hi.bit_length()
+    if lo.bit_length() > top:
+        return hi, lo
+    if not top:
+        raise DivisionByZeroPolynomial("cannot normalize the zero polynomial")
+    return planes_scale(hi, lo, INV_TABLE[2 | (lo >> (top - 1))])
 
 
 def _clmul(a, b):
@@ -219,55 +204,40 @@ def field_mul(x, y, d, x_to_d):
 
 
 def divmod_planes(r1, r0, b1, b0):
-    """Long division on planes: (quotient digits, rem hi, rem lo).
+    """Long division on planes: (q hi, q lo, r hi, r lo), deg r < deg b.
 
-    b must be nonzero. Each step cancels the leading digit of the
-    remainder with one scaled, shifted copy of b.
+    Each step cancels the leading digit of the remainder with one scaled,
+    shifted copy of b and sets the matching quotient digit.
     """
-    db = max(b1.bit_length(), b0.bit_length()) - 1
-    quot_digit = _MUL[INV_TABLE[((b1 >> db) & 1) << 1 | ((b0 >> db) & 1)]]
-    # c * b for c = 1, 2, 3, as planes_scale makes them, once per call
-    scaled = (None, (b1, b0), (b1 ^ b0, b1), (b0, b1 ^ b0))
-    top = max(r1.bit_length(), r0.bit_length()) - 1
-    quot = [0] * max(top - db + 1, 0)
-    while top >= db:
-        shift = top - db
-        c = quot_digit[((r1 >> top) & 1) << 1 | ((r0 >> top) & 1)]
-        m1, m0 = scaled[c]
+    size, low = b1.bit_length(), b0.bit_length()
+    if low > size:
+        size, lead = low, 1
+    elif size:
+        lead = 2 | (b0 >> (size - 1))
+    else:
+        raise DivisionByZeroPolynomial("division by the zero polynomial")
+    quot_digit = _MUL[INV_TABLE[lead]]
+    # the planes of c and of c * b for c = 1, 2, 3, made once per call
+    scaled = (None, (0, 1, b1, b0), (1, 0, b1 ^ b0, b1), (1, 1, b0, b1 ^ b0))
+    q1 = q0 = 0
+    while True:
+        top, low = r1.bit_length(), r0.bit_length()
+        if low > top:
+            top, d = low, 1
+        elif top:
+            d = 2 | (r0 >> (top - 1))
+        if top < size:
+            return q1, q0, r1, r0
+        shift = top - size
+        c1, c0, m1, m0 = scaled[quot_digit[d]]
+        q1 |= c1 << shift
+        q0 |= c0 << shift
         r1 ^= m1 << shift
         r0 ^= m0 << shift
-        quot[shift] = c
-        top = max(r1.bit_length(), r0.bit_length()) - 1
-    return quot, r1, r0
-
-
-def poly_derivative(f):
-    """Formal derivative; even-power terms vanish in characteristic 2."""
-    if len(f) <= 1:
-        return f[:0]
-    out = np.zeros(len(f) - 1, dtype=np.uint8)
-    out[0::2] = f[1::2]
-    return poly_trim(out)
-
-
-def x_pow_n_minus_1(n):
-    """x**n - 1, which is x**n + 1 here."""
-    if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
-    out = np.zeros(n + 1, dtype=np.uint8)
-    out[0] = out[n] = 1
-    return out
 
 
 def poly_to_digits(f):
     """Coefficient digits, constant term first; '0' for the zero polynomial."""
-    if poly_is_zero(f):
+    if len(f) == 0:
         return "0"
     return (np.asarray(f, dtype=np.uint8) + ord("0")).tobytes().decode()
-
-
-def poly_from_digits(s):
-    """Inverse of poly_to_digits."""
-    if not s or any(ch not in "0123" for ch in s):
-        raise InvalidParams(f"not a GF(4) digit string: {s!r}")
-    return poly_trim(np.frombuffer(s.encode(), dtype=np.uint8) - ord("0"))

@@ -64,10 +64,8 @@ def _example_reproduction(log, num, p, q, frozen_sets, frozen_lc, budget=1.0):
     system = build_system(p, q, 1, 1)
     sets_ok = _bucket_index_sets(system) == frozen_sets
     seq = build_sequence(system)
-    half = gf4.x_pow_n_minus_1(system.half_period)
-    spoly = gf4.poly_trim(np.array(seq.symbols, dtype=np.uint8))
-    gcd_one = gf4.poly_eq(gf4.poly_gcd(half, spoly),
-                          gf4.poly([1]))
+    half = (0, 1 << system.half_period | 1)
+    gcd_one = gf4.gcd_planes(*half, *gf4.to_planes(seq.symbols)) == (0, 1)
     report = analyze_symbols(seq.symbols)
     lc_ok = report.lc_bm == report.lc_gcd == frozen_lc
     elapsed = time.monotonic() - t0

@@ -15,7 +15,7 @@ from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
-from cycloseq.gf4 import MUL_TABLE
+from cycloseq.gf4 import INV_TABLE, MUL_TABLE, to_planes
 from cycloseq.sequence import DEFAULT_MAPPING, Mapping, build_sequence
 
 
@@ -30,19 +30,14 @@ def sys21():
 
 
 def test_bm_small_cases():
-    lc, conn = berlekamp_massey([])
-    assert lc == 0 and gf4.poly_eq(conn, gf4.poly([1]))
-    lc, conn = berlekamp_massey([0, 0, 0, 0])
-    assert lc == 0 and gf4.poly_eq(conn, gf4.poly([1]))
+    assert berlekamp_massey([]) == (0, to_planes([1]))
+    assert berlekamp_massey([0, 0, 0, 0]) == (0, to_planes([1]))
     # impulse: one-stage register with zero feedback
-    lc, conn = berlekamp_massey([1, 0, 0, 0])
-    assert lc == 1 and gf4.poly_eq(conn, gf4.poly([1]))
+    assert berlekamp_massey([1, 0, 0, 0]) == (1, to_planes([1]))
     # constant: s_t = s_{t-1}
-    lc, conn = berlekamp_massey([1, 1, 1, 1, 1, 1])
-    assert lc == 1 and gf4.poly_eq(conn, gf4.poly([1, 1]))
+    assert berlekamp_massey([1, 1, 1, 1, 1, 1]) == (1, to_planes([1, 1]))
     # geometric in alpha: s_t = alpha s_{t-1}
-    lc, conn = berlekamp_massey([1, 2, 3, 1, 2, 3])
-    assert lc == 1 and gf4.poly_eq(conn, gf4.poly([1, 2]))
+    assert berlekamp_massey([1, 2, 3, 1, 2, 3]) == (1, to_planes([1, 2]))
 
 
 def test_bm_recurrence_holds():
@@ -51,6 +46,7 @@ def test_bm_recurrence_holds():
         size = rng.randrange(2, 40)
         s = np.array([rng.randrange(4) for _ in range(size)], dtype=np.uint8)
         lc, conn = berlekamp_massey(s)
+        conn = gf4.from_planes(*conn)
         assert gf4.poly_deg(conn) <= lc
         assert int(conn[0]) == 1
         for t in range(lc, size):
@@ -103,7 +99,7 @@ def test_bm_exhaustive_short_sequences():
         for s, expected in zip(seqs, lengths):
             lc, conn = berlekamp_massey(s)
             assert lc == expected, s
-            assert _generates(lc, conn, s), s
+            assert _generates(lc, gf4.from_planes(*conn), s), s
             checked += 1
     assert checked == 5461
 
@@ -126,7 +122,7 @@ def _textbook_bm(s):
         if d == 0:
             shift += 1
             continue
-        coef = int(MUL_TABLE[d, gf4.gf4_inv(b)])
+        coef = int(MUL_TABLE[d, INV_TABLE[b]])
         old = conn.copy()
         conn[shift:] ^= MUL_TABLE[coef, prev[:size + 1 - shift]]
         if 2 * length <= t:
@@ -137,10 +133,8 @@ def _textbook_bm(s):
 
 
 def _assert_matches_textbook(s):
-    lc, conn = berlekamp_massey(s)
     lc_ref, conn_ref = _textbook_bm(s)
-    assert lc == lc_ref
-    assert conn.dtype == np.uint8 and np.array_equal(conn, conn_ref)
+    assert berlekamp_massey(s) == (lc_ref, to_planes(conn_ref))
 
 
 DIGITS = st.integers(0, 3)
@@ -172,23 +166,39 @@ def test_bm_matches_textbook_property(s):
 def test_bm_zero_run_lengths():
     for k in range(1, 12):
         # impulse: the zero run to the end needs no further change
-        lc, conn = berlekamp_massey([1] + [0] * k)
-        assert lc == 1 and gf4.poly_eq(conn, gf4.poly([1]))
+        assert berlekamp_massey([1] + [0] * k) == (1, to_planes([1]))
         # k zeros then a symbol: only a register of length k + 1 has it
-        lc, conn = berlekamp_massey([0] * k + [2])
-        assert lc == k + 1
-        assert gf4.poly_eq(conn, gf4.poly([1] + [0] * k + [2]))
+        assert berlekamp_massey([0] * k + [2]) == \
+            (k + 1, to_planes([1] + [0] * k + [2]))
         # a zero run in the middle, skipped in one step
         _assert_matches_textbook([3] + [0] * k + [1, 2])
         _assert_matches_textbook([1, 2] + [0] * k + [3] + [0] * k + [2])
 
 
+def _x_pow_n_minus_1(n):
+    out = np.zeros(n + 1, dtype=np.uint8)
+    out[0] = out[n] = 1
+    return out
+
+
+def _divmod_digits(a, b):
+    """Long division on uint8 digits through MUL_TABLE and INV_TABLE,
+    sharing no code with gf4's plane kernels: (quotient, remainder)."""
+    rem, db = a.copy(), len(b) - 1
+    quot = np.zeros(max(len(a) - db, 0), dtype=np.uint8)
+    scale = MUL_TABLE[INV_TABLE[b[-1]]]
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = scale[rem[shift + db]]
+        if c:
+            rem[shift: shift + db + 1] ^= MUL_TABLE[c, b]
+            quot[shift] = c
+    return gf4.poly_trim(quot), gf4.poly_trim(rem[:db])
+
+
 def test_lc_via_gcd_small_cases():
-    lc, mp = lc_via_gcd([0, 0, 0, 0, 0])
-    assert lc == 0 and gf4.poly_eq(mp, gf4.poly([1]))
+    assert lc_via_gcd([0, 0, 0, 0, 0]) == (0, to_planes([1]))
     # constant nonzero of odd period: minimal polynomial is x + 1
-    lc, mp = lc_via_gcd([2, 2, 2, 2, 2])
-    assert lc == 1 and gf4.poly_eq(mp, gf4.poly([1, 1]))
+    assert lc_via_gcd([2, 2, 2, 2, 2]) == (1, to_planes([1, 1]))
     with pytest.raises(InvalidParams):
         lc_via_gcd([])
     with pytest.raises(InvalidParams):
@@ -205,8 +215,8 @@ def test_methods_agree_random_periods():
         lc_b, conn = berlekamp_massey(np.tile(s, 2))
         assert methods_consistent(lc_b, conn, lc_g, mp)
         # the minimal polynomial divides x^P - 1
-        _, rem = gf4.poly_divmod(gf4.x_pow_n_minus_1(period), mp)
-        assert gf4.poly_is_zero(rem)
+        assert _divmod_digits(_x_pow_n_minus_1(period),
+                              gf4.from_planes(*mp))[1].size == 0
 
 
 def connection_reciprocal(length, conn):
@@ -229,7 +239,7 @@ def test_connection_reciprocal_annihilates():
                      dtype=np.uint8)
         doubled = np.tile(s, 2)
         lc, conn = berlekamp_massey(doubled)
-        rec = connection_reciprocal(lc, conn)
+        rec = connection_reciprocal(lc, gf4.from_planes(*conn))
         # rec applied as a shift operator maps every window to zero
         for start in range(len(doubled) - lc):
             acc = 0
@@ -247,7 +257,7 @@ def test_analyze_symbols_random_periods(digits):
     assert report.lc_bm == report.lc_gcd == gf4.poly_deg(minpoly)
     # scaled to constant term 1, the minimal polynomial is the connection
     # polynomial of the periodic sequence
-    conn = MUL_TABLE[gf4.gf4_inv(int(minpoly[0])), minpoly]
+    conn = MUL_TABLE[INV_TABLE[minpoly[0]], minpoly]
     assert _generates(report.lc_gcd, conn, np.tile(s, 2))
 
 
@@ -259,10 +269,10 @@ def test_lc_via_gcd_checks_the_division(monkeypatch):
     real = gf4.divmod_planes
 
     def bad_divmod(a1, a0, b1, b0):
-        quot, r1, r0 = real(a1, a0, b1, b0)
+        q1, q0, r1, r0 = real(a1, a0, b1, b0)
         if (a1, a0) == (0, 1 << period | 1):
             r0 ^= 1
-        return quot, r1, r0
+        return q1, q0, r1, r0
 
     assert lc_via_gcd([1] * period)[0] == 1
     monkeypatch.setattr(gf4, "divmod_planes", bad_divmod)
@@ -274,23 +284,23 @@ def _lc_via_unfolded_gcd(symbols):
     """The direct route: Euclid on x^P - 1 and S(x), then one division.
 
     lc_via_gcd folds this into gcds of degree <= N; this is the reference
-    it must reproduce.
+    it must reproduce, on uint8 digits rather than gf4's planes.
     """
     period = len(symbols)
-    big = gf4.x_pow_n_minus_1(period)
-    spoly = gf4.poly_trim(np.array(symbols, dtype=np.uint8))
-    common = gf4.poly_gcd(big, spoly) if len(spoly) else big
-    quotient, rem = gf4.poly_divmod(big, common)
+    big = _x_pow_n_minus_1(period)
+    common, other = big, gf4.poly_trim(np.array(symbols, dtype=np.uint8))
+    while len(other):
+        common, other = other, _divmod_digits(common, other)[1]
+    quotient, rem = _divmod_digits(big, common)
     assert not len(rem)
-    return period - gf4.poly_deg(common), gf4.poly_monic(quotient)
+    # the quotient's leading digit is 1 / common's
+    return period - gf4.poly_deg(common), MUL_TABLE[common[-1], quotient]
 
 
 def _assert_same_route_answer(symbols):
     lc, minpoly = lc_via_gcd(symbols)
     lc_ref, minpoly_ref = _lc_via_unfolded_gcd(symbols)
-    assert lc == lc_ref
-    assert minpoly.dtype == np.uint8
-    assert np.array_equal(minpoly, minpoly_ref)
+    assert (lc, minpoly) == (lc_ref, to_planes(minpoly_ref))
     return lc, minpoly
 
 
@@ -309,7 +319,7 @@ ALL_MAPPINGS = tuple(Mapping(*perm, e)
                          ids=lambda params: ",".join(map(str, params)))
 def test_folded_route_matches_unfolded_on_all_mappings(params):
     system = build_system(*params)
-    half = gf4.x_pow_n_minus_1(system.half_period)
+    half = (0, 1 << system.half_period | 1)
     multiplicities = set()
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
@@ -318,7 +328,7 @@ def test_folded_route_matches_unfolded_on_all_mappings(params):
         # minimal polynomial is a double root of S, one that divides it
         # once is a simple root
         if lc < seq.period:
-            double = gf4.poly_deg(gf4.poly_gcd(minpoly, half)) < len(half) - 1
+            double = gf4.gcd_planes(*minpoly, *half) != half
             multiplicities.add(2 if double else 1)
     assert len(ALL_MAPPINGS) == 72
     # on (3,5) towers both the one-gcd and the two-gcd exits are taken
@@ -339,7 +349,7 @@ def test_bm_early_exit_on_all_mappings(params):
         lc, minpoly = lc_via_gcd(seq.symbols)
         lc_bm, conn = berlekamp_massey(np.tile(seq.symbols, 2))
         assert lc_bm == lc
-        assert np.array_equal(gf4.poly_monic(conn), minpoly)
+        assert gf4.monic_planes(*conn) == minpoly
         reduced += lc < seq.period
     assert reduced
 
@@ -371,17 +381,14 @@ def test_folded_route_matches_unfolded_property(symbols):
 def test_folded_route_multiplicities():
     # P = 4 * 3: zero has every G_j = x^3 - 1, all four of them
     zero = np.zeros(12, dtype=np.uint8)
-    lc, minpoly = lc_via_gcd(zero)
-    assert lc == 0 and gf4.poly_eq(minpoly, gf4.poly([1]))
+    assert lc_via_gcd(zero) == (0, to_planes([1]))
     # constant of period 8: S = c (x^8 - 1)/(x - 1) = c (x + 1)^7
-    lc, minpoly = lc_via_gcd(np.full(8, 3, dtype=np.uint8))
-    assert lc == 1 and gf4.poly_eq(minpoly, gf4.poly([1, 1]))
+    assert lc_via_gcd(np.full(8, 3, dtype=np.uint8)) == (1, to_planes([1, 1]))
     # impulse of period 8: S = 1, so the minimal polynomial is x^8 - 1
-    lc, minpoly = lc_via_gcd(np.eye(1, 8, dtype=np.uint8)[0])
-    assert lc == 8 and gf4.poly_eq(minpoly, gf4.x_pow_n_minus_1(8))
+    assert lc_via_gcd(np.eye(1, 8, dtype=np.uint8)[0]) == \
+        (8, to_planes(_x_pow_n_minus_1(8)))
     # s_t = t mod 2 over period 4: S = x (x^4 - 1)/(x^2 - 1) = x (x + 1)^2
-    lc, minpoly = lc_via_gcd([0, 1, 0, 1])
-    assert lc == 2 and gf4.poly_eq(minpoly, gf4.poly([1, 0, 1]))
+    assert lc_via_gcd([0, 1, 0, 1]) == (2, to_planes([1, 0, 1]))
 
 
 def test_bm_rejects_non_field_symbols():
@@ -390,9 +397,11 @@ def test_bm_rejects_non_field_symbols():
 
 
 def test_methods_consistent_negatives():
-    assert not methods_consistent(3, gf4.poly([1, 1]), 4, gf4.poly([1, 1]))
-    assert not methods_consistent(1, gf4.poly([1, 2]), 1, gf4.poly([1, 1]))
-    assert methods_consistent(1, gf4.poly([2, 2]), 1, gf4.poly([1, 1]))
+    x1 = to_planes([1, 1])
+    assert not methods_consistent(3, x1, 4, x1)
+    assert not methods_consistent(1, to_planes([1, 2]), 1, x1)
+    assert methods_consistent(1, to_planes([2, 2]), 1, x1)
+    assert methods_consistent(1, to_planes([3, 3]), 1, x1)
 
 
 def test_example_complexities(sys15, sys21):

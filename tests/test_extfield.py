@@ -66,8 +66,7 @@ def test_packed_roundtrip():
         packed = _to_packed(np.array(coeffs, dtype=np.uint8), d)
         assert packed < 4**d
         back = _from_packed(packed, d)
-        assert gf4.poly_eq(back, gf4.poly_trim(np.array(coeffs,
-                                                        dtype=np.uint8)))
+        assert np.array_equal(back, gf4.poly(coeffs))
 
 
 def _eval_gf4(poly, v):
@@ -89,18 +88,18 @@ def test_irreducibility_against_root_oracle():
 
 def test_irreducibility_against_product_oracle():
     # degree 4 and 5: reducible iff a product of two monic polynomials of
-    # lower degree, formed with poly_mul; a scalar multiple of a
+    # lower degree, formed with mul_planes; a scalar multiple of a
     # polynomial is irreducible exactly when the polynomial is
     def monic(deg):
         return [gf4.poly(c + (1,))
                 for c in itertools.product(range(4), repeat=deg)]
 
     for d, scalar in ((4, 2), (5, 3)):
-        reducible = {gf4.poly_to_digits(gf4.poly_mul(f, g))
+        reducible = {gf4.mul_planes(*gf4.to_planes(f), *gf4.to_planes(g))
                      for low in range(1, d // 2 + 1)
                      for f in monic(low) for g in monic(d - low)}
         for poly in monic(d):
-            irreducible = gf4.poly_to_digits(poly) not in reducible
+            irreducible = gf4.to_planes(poly) not in reducible
             assert is_irreducible(poly) == irreducible
             assert is_irreducible(gf4.MUL_TABLE[scalar, poly]) == \
                 irreducible
@@ -131,10 +130,10 @@ def test_ext_mul_matches_poly_arithmetic(ctx15, ctx21):
             x = rng.randrange(size)
             y = rng.randrange(size)
             got = ctx.mul(x, y)
-            prod = gf4.poly_mul(_from_packed(x, ctx.d),
-                                _from_packed(y, ctx.d))
-            rem = gf4.poly_divmod(prod, ctx.modulus)[1]
-            assert got == _to_packed(rem, ctx.d)
+            prod = gf4.mul_planes(*gf4.unpack(x, ctx.d),
+                                  *gf4.unpack(y, ctx.d))
+            rem = gf4.divmod_planes(*prod, *gf4.to_planes(ctx.modulus))[2:]
+            assert got == gf4.pack(*rem, ctx.d)
 
 
 def test_ext_pow_fermat(ctx15):

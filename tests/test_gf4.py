@@ -42,6 +42,17 @@ def schoolbook(a, b):
     return gf4.poly_trim(out)
 
 
+def _schoolbook_mod(f, modulus):
+    """uint8 remainder: cancel the top digit with a table-scaled modulus."""
+    r, db = f.copy(), len(modulus) - 1
+    inv = gf4.INV_TABLE[int(modulus[-1])]
+    for top in range(len(r) - 1, db - 1, -1):
+        if r[top]:
+            r[top - db: top + 1] ^= gf4.MUL_TABLE[
+                gf4.MUL_TABLE[r[top], inv], modulus]
+    return gf4.poly_trim(r[:db])
+
+
 def test_field_tables():
     # alpha^2 = alpha + 1, addition is xor
     assert gf4.gf4_mul(gf4.ALPHA, gf4.ALPHA) == gf4.ALPHA1
@@ -51,9 +62,7 @@ def test_field_tables():
         assert gf4.gf4_mul(x, 0) == 0
         assert gf4.gf4_mul(x, 1) == x
         if x:
-            assert gf4.gf4_mul(x, gf4.gf4_inv(x)) == 1
-    with pytest.raises(InvalidParams):
-        gf4.gf4_inv(0)
+            assert gf4.gf4_mul(x, gf4.INV_TABLE[x]) == 1
 
 
 def test_field_axioms_random():
@@ -67,96 +76,94 @@ def test_field_axioms_random():
 
 
 def test_poly_basics():
-    p = gf4.poly([1, 1])  # x + 1
-    sq = gf4.poly_mul(p, p)
-    assert gf4.poly_eq(sq, gf4.poly([1, 0, 1]))  # frobenius: (x+1)^2 = x^2+1
+    p = gf4.to_planes([1, 1])  # x + 1
+    # frobenius: (x+1)^2 = x^2+1
+    assert gf4.mul_planes(*p, *p) == gf4.to_planes([1, 0, 1])
     assert gf4.poly_deg(gf4.poly([])) == -1
-    assert gf4.poly_is_zero(gf4.poly_trim(gf4.poly([0, 0])))
+    assert len(gf4.poly_trim(gf4.poly([0, 0]))) == 0
     with pytest.raises(InvalidParams):
         gf4.poly([1, 4])
 
 
 def test_poly_divmod_example():
     q, r = gf4.poly_divmod(gf4.poly([1, 0, 1]), gf4.poly([1, 1]))
-    assert gf4.poly_eq(q, gf4.poly([1, 1]))
-    assert gf4.poly_is_zero(r)
+    assert np.array_equal(q, gf4.poly([1, 1]))
+    assert len(r) == 0
     with pytest.raises(DivisionByZeroPolynomial):
         gf4.poly_divmod(gf4.poly([1]), gf4.poly([]))
 
 
 def test_poly_gcd_example():
     g = gf4.poly_gcd(gf4.poly([1, 0, 1]), gf4.poly([1, 1]))
-    assert gf4.poly_eq(g, gf4.poly([1, 1]))
+    assert np.array_equal(g, gf4.poly([1, 1]))
     with pytest.raises(InvalidParams):
         gf4.poly_gcd(gf4.poly([]), gf4.poly([]))
     # gcd of anything with zero is the monic normalization of the other
     g2 = gf4.poly_gcd(gf4.poly([]), gf4.poly([0, 2]))
-    assert gf4.poly_eq(g2, gf4.poly([0, 1]))
+    assert np.array_equal(g2, gf4.poly([0, 1]))
 
 
-def test_poly_derivative():
-    # d/dx (x^3 + alpha x^2 + x + 1) = x^2 + 1 in characteristic 2
-    d = gf4.poly_derivative(gf4.poly([1, 1, 2, 1]))
-    assert gf4.poly_eq(d, gf4.poly([1, 0, 1]))
-    assert gf4.poly_is_zero(gf4.poly_derivative(gf4.poly([3])))
+def _random_planes(rng, size):
+    return int(rng.integers(0, 1 << size)), int(rng.integers(0, 1 << size))
 
 
 def test_mul_divmod_roundtrip_random():
     rng = np.random.default_rng(1234)
     for _ in range(300):
-        a = gf4.poly_trim(rng.integers(0, 4, int(rng.integers(1, 40)))
-                          .astype(np.uint8))
-        b = gf4.poly_trim(rng.integers(0, 4, int(rng.integers(1, 20)))
-                          .astype(np.uint8))
-        if gf4.poly_is_zero(b):
+        a = _random_planes(rng, int(rng.integers(1, 40)))
+        b = _random_planes(rng, int(rng.integers(1, 20)))
+        if b == (0, 0):
             continue
-        prod = gf4.poly_mul(a, b)
-        q, r = gf4.poly_divmod(prod, b)
-        assert gf4.poly_eq(q, a)
-        assert gf4.poly_is_zero(r)
+        prod = gf4.mul_planes(*a, *b)
+        assert gf4.divmod_planes(*prod, *b) == (*a, 0, 0)
         # division identity on arbitrary a
-        q2, r2 = gf4.poly_divmod(a, b)
-        back = poly_add(gf4.poly_mul(q2, b), r2)
-        assert gf4.poly_eq(back, a)
-        assert gf4.poly_deg(r2) < gf4.poly_deg(b)
+        q1, q0, r1, r0 = gf4.divmod_planes(*a, *b)
+        b_size = max(b[0].bit_length(), b[1].bit_length())
+        assert max(r1.bit_length(), r0.bit_length()) < b_size
+        q_b = gf4.mul_planes(q1, q0, *b)
+        assert (q_b[0] ^ r1, q_b[1] ^ r0) == a
 
 
 def test_gcd_divides_both_random():
     rng = np.random.default_rng(77)
     for _ in range(200):
-        a = gf4.poly_trim(rng.integers(0, 4, int(rng.integers(1, 30)))
-                          .astype(np.uint8))
-        b = gf4.poly_trim(rng.integers(0, 4, int(rng.integers(1, 30)))
-                          .astype(np.uint8))
-        if gf4.poly_is_zero(a) or gf4.poly_is_zero(b):
+        a = _random_planes(rng, int(rng.integers(1, 30)))
+        b = _random_planes(rng, int(rng.integers(1, 30)))
+        if (0, 0) in (a, b):
             continue
-        g = gf4.poly_gcd(a, b)
-        assert int(g[-1]) == 1  # monic
+        g1, g0 = gf4.gcd_planes(*a, *b)
+        assert g0.bit_length() > g1.bit_length()  # monic: top digit 1
         for f in (a, b):
-            _, rem = gf4.poly_divmod(f, g)
-            assert gf4.poly_is_zero(rem)
-
-
-def test_x_pow_n_minus_1():
-    f = gf4.x_pow_n_minus_1(5)
-    assert gf4.poly_deg(f) == 5
-    assert int(f[0]) == 1 and int(f[5]) == 1 and int(f[2]) == 0
+            assert gf4.divmod_planes(*f, g1, g0)[2:] == (0, 0)
 
 
 def test_digits_roundtrip():
     assert gf4.poly_to_digits(gf4.poly([])) == "0"
+    assert gf4.poly_to_digits(gf4.from_planes(0, 0)) == "0"
     assert gf4.poly_to_digits(gf4.poly([1, 2, 1])) == "121"
-    p = gf4.poly_from_digits("103")
-    assert gf4.poly_eq(p, gf4.poly([1, 0, 3]))
-    with pytest.raises(InvalidParams):
-        gf4.poly_from_digits("14")
+    # 1 + (alpha + 1) x^2 on planes: hi 0b100, lo 0b101
+    assert gf4.poly_to_digits(gf4.from_planes(0b100, 0b101)) == "103"
+    assert gf4.to_planes(gf4.poly([1, 0, 3, 0])) == (0b100, 0b101)
 
 
 def test_monic():
-    m = gf4.poly_monic(gf4.poly([2, 2]))
-    assert gf4.poly_eq(m, gf4.poly([1, 1]))
+    m = gf4.monic_planes(*gf4.to_planes([2, 2]))
+    assert m == gf4.to_planes([1, 1])
+    for digits in ([3], [1, 3], [0, 2, 1], [3, 0, 0, 2], [2, 1, 3]):
+        hi, lo = gf4.monic_planes(*gf4.to_planes(digits))
+        want = gf4.MUL_TABLE[gf4.INV_TABLE[digits[-1]], digits]
+        assert np.array_equal(gf4.from_planes(hi, lo), want)
+
+
+def test_monic_planes_rejects_zero():
     with pytest.raises(DivisionByZeroPolynomial):
-        gf4.poly_monic(gf4.poly([]))
+        gf4.monic_planes(0, 0)
+
+
+def test_divmod_planes_rejects_zero_divisor():
+    for a in ((1, 1), (0, 0), (0, 1 << 40 | 1)):
+        with pytest.raises(DivisionByZeroPolynomial):
+            gf4.divmod_planes(*a, 0, 0)
 
 
 digit_lists = st.lists(st.integers(0, 3), max_size=200)
@@ -190,15 +197,39 @@ def test_poly_divmod_identity(a_digits, b_digits):
     assert np.array_equal(q, gf4.poly_trim(q))
     assert np.array_equal(r, gf4.poly_trim(r))
     assert gf4.poly_deg(r) < gf4.poly_deg(b)
-    assert np.array_equal(poly_add(gf4.poly_mul(q, b), r), a)
+    assert np.array_equal(poly_add(schoolbook(q, b), r), a)
+
+
+@st.composite
+def division_cases(draw):
+    """(q, b, r) with deg r < deg b: b may be a constant, and q may have
+    runs of zero digits inside it."""
+    b = gf4.poly(draw(st.lists(st.integers(0, 3), max_size=40))
+                 + [draw(st.integers(1, 3))])
+    pieces = draw(st.lists(
+        st.one_of(st.lists(st.integers(1, 3), min_size=1, max_size=8),
+                  st.integers(1, 30).map(lambda k: [0] * k)),
+        max_size=8))
+    q = gf4.poly([c for piece in pieces for c in piece])
+    r = gf4.poly(draw(st.lists(st.integers(0, 3), max_size=len(b) - 1)))
+    return q, b, r
+
+
+@settings(deadline=None, max_examples=300)
+@given(division_cases())
+def test_divmod_planes_matches_schoolbook(case):
+    q, b, r = case
+    a = poly_add(schoolbook(q, b), r)
+    # q and r are the only pair with a = q b + r and deg r < deg b
+    assert gf4.divmod_planes(*gf4.to_planes(a), *gf4.to_planes(b)) == \
+        (*gf4.to_planes(q), *gf4.to_planes(r))
 
 
 @given(digit_lists, digit_lists)
-def test_poly_mul_matches_schoolbook(a_digits, b_digits):
+def test_mul_planes_matches_schoolbook(a_digits, b_digits):
     a, b = gf4.poly(a_digits), gf4.poly(b_digits)
-    prod = gf4.poly_mul(a, b)
-    assert prod.dtype == np.uint8
-    assert np.array_equal(prod, schoolbook(a, b))
+    prod = gf4.mul_planes(*gf4.to_planes(a), *gf4.to_planes(b))
+    assert prod == gf4.to_planes(schoolbook(a, b))
 
 
 @functools.cache
@@ -220,7 +251,7 @@ def test_field_mul_matches_reduced_schoolbook(d, data):
         assert 0 <= x < 4**d
         assert np.array_equal(gf4.from_planes(*gf4.unpack(x, d)), f)
         packed.append(x)
-    want = gf4.poly_divmod(schoolbook(a, b), modulus)[1]
+    want = _schoolbook_mod(schoolbook(a, b), modulus)
     got = gf4.field_mul(*packed, d, x_to_d)
     assert np.array_equal(gf4.from_planes(*gf4.unpack(got, d)), want)
     for c in range(4):
@@ -233,11 +264,11 @@ def test_poly_to_digits_matches_joined_digits(digits):
     text = gf4.poly_to_digits(f)
     assert type(text) is str
     assert text == ("".join(str(int(c)) for c in f) or "0")
-    assert np.array_equal(gf4.poly_from_digits(text), f)
+    assert np.array_equal(gf4.poly(int(ch) for ch in text), f)
 
 
 def test_poly_to_digits_large_and_strided():
-    assert gf4.poly_to_digits(gf4.x_pow_n_minus_1(20250)) == \
+    assert gf4.poly_to_digits(gf4.from_planes(0, 1 << 20250 | 1)) == \
         "1" + "0" * 20249 + "1"
     # a view with a stride, as slices of symbol arrays are
     assert gf4.poly_to_digits(np.array([1, 9, 2, 9, 3], np.uint8)[::2]) \
