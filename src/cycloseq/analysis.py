@@ -36,6 +36,7 @@ A root of F is a root of S of multiplicity > j exactly when the Hasse
 derivatives D^(0) S, ..., D^(j) S all vanish there. D^(j) S has s_t at
 x^(t - j) when t & j == j (Lucas: binom(t, j) is odd) and 0 otherwise;
 the factor x^(-j) is a unit mod F, so only the mask is applied. The
+masks and the fold are ANDs, shifts and XORs on S's gf4 bit planes. The
 steps stop at the first G_j = 1, so on P = 2N they are at most two gcds
 of degree <= N.
 """
@@ -136,15 +137,19 @@ def lc_via_gcd(symbols):
     if s.max(initial=0) > 3:
         raise InvalidParams("symbols must be field elements 0..3")
     twos = (period & -period).bit_length() - 1
-    odd = period >> twos
-    # j < 2^a, so t & j depends only on t mod 2^a
-    low_bits = np.arange(period) & ((1 << twos) - 1)
+    odd, step = period >> twos, 1 << twos
+    planes = gf4.to_planes(s)
+    # the bits t = 0 mod 2^a; as j < 2^a, the bits t with t & j == j are
+    # its shifts by the r < 2^a with r & j == j
+    every_step = ((1 << period) - 1) // ((1 << step) - 1)
     common = (0, 1 << odd | 1)
     divisor = (0, 1)
-    for j in range(1 << twos):
-        hasse = np.where((low_bits & j) == j, s, 0).reshape(-1, odd)
-        common = gf4.gcd_planes(
-            *common, *gf4.to_planes(np.bitwise_xor.reduce(hasse)))
+    for j in range(step):
+        mask = sum(every_step << r for r in range(step) if r & j == j)
+        hasse = [x & mask for x in planes]
+        for width in (odd << k for k in reversed(range(twos))):  # the fold
+            hasse = [(x >> width) ^ (x & ((1 << width) - 1)) for x in hasse]
+        common = gf4.gcd_planes(*common, *hasse)
         if common == (0, 1):
             break
         divisor = common if j == 0 else gf4.mul_planes(*common, *divisor)
@@ -173,14 +178,19 @@ def methods_consistent(lc_bm, conn, lc_gcd, minpoly):
 class LinearComplexityReport:
     """Both measurements plus the agreement and attainment verdicts.
 
-    minimal_polynomial is a gf4 digit array, for reports and JSON.
+    minimal_planes holds the minimal polynomial's gf4 planes; its digit
+    array, for reports and JSON, is made when minimal_polynomial is read.
     """
 
     lc_bm: int
     lc_gcd: int
-    minimal_polynomial: np.ndarray
+    minimal_planes: tuple
     methods_agree: bool
     theorem_holds: bool
+
+    @property
+    def minimal_polynomial(self):
+        return gf4.from_planes(*self.minimal_planes)
 
     def to_json_dict(self):
         return {
@@ -206,7 +216,7 @@ def analyze_symbols(symbols):
             f"BM found {lc_bm}, gcd found {lc_gcd}, or minimal polynomials differ")
     return LinearComplexityReport(
         lc_bm=lc_bm, lc_gcd=lc_gcd,
-        minimal_polynomial=gf4.from_planes(*minpoly),
+        minimal_planes=minpoly,
         methods_agree=True, theorem_holds=(lc_gcd == len(s)))
 
 

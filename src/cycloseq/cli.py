@@ -7,11 +7,11 @@ exceeded, 4 malformed sequence file. The parameter cap (default
 2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be overridden by
 --cap or the CYCLOSEQ_CAP environment variable; extfield.build_extension
 also caps extension-field verification at N <= 5000 and degree d <= 12,
-before `verify` builds any class table.
+before `verify` builds any class table, from the constants it built once.
 
-In the verify report, partition_ok: true rests on build_system, which
-paints the partition and raises PartitionViolation (exit 1) on any index
-left unlabeled or labeled twice.
+In the verify report, partition_ok: true rests on the class-table build,
+which paints the partition and raises PartitionViolation (exit 1) on any
+index left unlabeled or labeled twice.
 """
 
 import argparse
@@ -24,8 +24,8 @@ import sys
 from dataclasses import replace
 
 from .analysis import analyze_degenerate, analyze_symbols, verify_theorem
-from .cyclotomy import (build_system, check_residue_rules,
-                        check_structural_lemmas)
+from .cyclotomy import (_system_from_constants, build_system,
+                        check_residue_rules, check_structural_lemmas)
 from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      InvalidMapping, InvalidParams, LemmaViolation,
                      MalformedSequenceFile, MethodDisagreement,
@@ -152,9 +152,9 @@ def cmd_analyze(args):
 def cmd_verify(args):
     cap = _resolve_cap(args)
     mapping = Mapping.from_text(args.map)
-    context = build_extension(build_system_constants(
-        args.p, args.q, args.m, args.n, cap=cap).half_period)
-    system = build_system(args.p, args.q, args.m, args.n, cap=cap)
+    constants = build_system_constants(args.p, args.q, args.m, args.n, cap=cap)
+    context = build_extension(constants.half_period)
+    system = _system_from_constants(constants)
     violations = check_structural_lemmas(system) + check_residue_rules(system)
     if violations:
         raise violations[0]

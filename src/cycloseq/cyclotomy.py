@@ -19,10 +19,10 @@ p^[i>0] q^[j>0].
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
 singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
-painted from the class tables and stored as a label array, is the single
-source of truth for sequence generation; the per-index classifier
-classify_index recomputes labels independently so the two paths can be
-cross-checked.
+painted from the class tables in one scatter and stored as a label array,
+is the single source of truth for sequence generation; the per-index
+classifier classify_index recomputes labels independently so the two
+paths can be cross-checked.
 """
 
 from dataclasses import dataclass, field
@@ -130,11 +130,11 @@ def all_class_ids(m, n):
 
 def partition_labels(m, n):
     """Label table for the partition of Z_{2 p^m q^n}, fixed order."""
-    # all_class_ids pairs each odd class with its doubled-modulus twin
-    ids = all_class_ids(m, n)
+    # each doubled-modulus class, then two times its odd-modulus twin
     return (ZERO_LABEL, HALF_LABEL) + tuple(
-        lab for odd, twin in zip(ids[::2], ids[1::2])
-        for lab in (twin, odd._replace(doubled=True)))
+        ClassId(_shape(i, j, two), i, j, h, not two)
+        for i, j in _family_indices(m, n)
+        for h in (0, 1) for two in (True, False))
 
 
 def bucket_of_label(label):
@@ -153,9 +153,10 @@ def bucket_of_label(label):
 
 
 def cofactor_of(constants, cid):
-    """Scale factor embedding a class into Z_{p^m q^n} / Z_{2 p^m q^n}."""
+    """Scale factor embedding a class into Z_{p^m q^n} / Z_{2 p^m q^n},
+    times 2 for a doubled label."""
     c = constants
-    return c.p**(c.m - cid.i) * c.q**(c.n - cid.j)
+    return c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (2 if cid.doubled else 1)
 
 
 @dataclass(frozen=True)
@@ -181,46 +182,58 @@ class CyclotomicSystem:
         return self.constants.half_period
 
 
-def _h_set(constants, classes, cid):
-    mult = cofactor_of(constants, cid) * (2 if cid.doubled else 1)
-    return classes[ClassId(*cid[:4])] * mult
-
-
 def h_set(system, cid):
     """The class scaled by its cofactor (and by 2 when the label says so)."""
     _check_class_id(cid, system.classes)
-    return _h_set(system.constants, system.classes, cid)
+    mult = cofactor_of(system.constants, cid)
+    return system.classes[ClassId(*cid[:4])] * mult
 
 
 def _paint_partition(constants, classes, labels):
-    special = {ZERO_LABEL: [0], HALF_LABEL: [constants.half_period]}
-    part = np.full(constants.period, -1, dtype=np.int16)
-    for idx, lab in enumerate(labels):
-        positions = (np.array(special[lab]) if lab in special
-                     else _h_set(constants, classes, lab))
+    # one scatter: the labels tile Z_period exactly when they hold period
+    # positions and leave none at -1; a special label is {1} times its index
+    period, one = constants.period, np.ones(1, dtype=np.int64)
+    special = {ZERO_LABEL: 0, HALF_LABEL: constants.half_period}
+    sets = [one if lab in special else classes[ClassId(*lab[:4])]
+            for lab in labels]
+    mults = [special[lab] if lab in special else cofactor_of(constants, lab)
+             for lab in labels]
+    sizes = [len(s) for s in sets]
+    pos = np.concatenate(sets)
+    pos *= np.repeat(mults, sizes)
+    part = np.full(period, -1, dtype=np.int16)
+    part[pos] = np.repeat(np.arange(len(labels), dtype=np.int16), sizes)
+    if len(pos) == period and part.min() >= 0:
+        return part
+    # name the fault label by label: an index an earlier label holds, then
+    # an index no label holds, then an index one label holds twice
+    part[:] = -1
+    for idx, positions in enumerate(np.split(pos, np.cumsum(sizes)[:-1])):
         taken = positions[part[positions] != -1]
         if taken.size:
             t = int(taken[0])
-            raise PartitionViolation(
-                t, f"already labeled {labels[part[t]]} while labeling {lab}")
+            raise PartitionViolation(t, f"already labeled {labels[part[t]]} "
+                                        f"while labeling {labels[idx]}")
         part[positions] = idx
     missing = np.nonzero(part == -1)[0]
     if missing.size:
         raise PartitionViolation(int(missing[0]), "left unlabeled")
-    return part
+    t = int(np.nonzero(np.bincount(pos) > 1)[0][0])
+    raise PartitionViolation(t, f"labeled twice by {labels[part[t]]}")
 
 
 def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     """Build constants, all classes, and the verified partition array."""
-    constants = build_system_constants(p, q, m, n, cap=cap)
+    return _system_from_constants(build_system_constants(p, q, m, n, cap=cap))
+
+
+def _system_from_constants(constants):
     classes = {}
-    for i, j in _family_indices(m, n):
-        odd, doubled = (_class_pair(constants, i, j, two)
-                        for two in (False, True))
-        for h in (0, 1):
-            classes[ClassId(_shape(i, j), i, j, h)] = odd[h]
-            classes[ClassId(_shape(i, j, two=True), i, j, h)] = doubled[h]
-    labels = partition_labels(m, n)
+    for i, j in _family_indices(constants.m, constants.n):
+        for two in (False, True):
+            for h, cls in enumerate(_class_pair(constants, i, j, two)):
+                classes[ClassId(_shape(i, j, two), i, j, h)] = cls
+    labels = partition_labels(constants.m, constants.n)
     partition = _paint_partition(constants, classes, labels)
     partition.flags.writeable = False
     return CyclotomicSystem(constants=constants, classes=classes,

@@ -14,7 +14,8 @@ hi is c1 and bit i of lo is c0 of the coefficient of x^i, and the zero
 polynomial is (0, 0). Adding is one exclusive-or per plane, shifting by
 x^k one shift per plane, a scalar multiple a mix of the planes
 (planes_scale), a product three carry-less products; division, gcd and
-the monic multiple take and return planes too. The leading digit is read
+the monic multiple take and return planes too, and the gcd keeps only
+remainders, never forming a quotient. The leading digit is read
 off the planes' lengths: 1 when lo is longer, else 2 plus lo's top bit.
 
 Digits are the edge: a numpy uint8 array, index = power of x, with no
@@ -133,8 +134,21 @@ def gcd_planes(a1, a0, b1, b0):
     if not (a1 | a0 | b1 | b0):
         raise InvalidParams("gcd(0, 0) is undefined")
     while b1 | b0:
-        r1, r0 = divmod_planes(a1, a0, b1, b0)[2:]
-        a1, a0, b1, b0 = b1, b0, r1, r0
+        # a mod b, no quotient: a's leading digit d cancels against d x^k b
+        b1, b0 = monic_planes(b1, b0)
+        size = b0.bit_length()
+        scaled = (None, (b1, b0), (b1 ^ b0, b1), (b0, b1 ^ b0))
+        while True:
+            top, low = a1.bit_length(), a0.bit_length()
+            if low > top:
+                top, d = low, 1
+            elif top:
+                d = 2 | (a0 >> (top - 1))
+            if top < size:
+                break
+            m1, m0 = scaled[d]
+            a1, a0 = a1 ^ (m1 << (top - size)), a0 ^ (m0 << (top - size))
+        a1, a0, b1, b0 = b1, b0, a1, a0
     return monic_planes(a1, a0)
 
 

@@ -68,15 +68,6 @@ def mult_order(a, n):
     return order
 
 
-def is_primitive_root(a, n):
-    """True iff a generates the units mod n.
-
-    Meaningful when the unit group is cyclic (n in {2, 4, p^k, 2 p^k});
-    the caller is responsible for that shape.
-    """
-    return mult_order(a, n) == euler_phi(n)
-
-
 def two_is_square_mod(r):
     """True iff 2 is a square modulo the odd prime r: r = +/-1 (mod 8)."""
     return r % 8 in (1, 7)
@@ -90,11 +81,12 @@ def smallest_odd_primitive_root_mod_p2(p):
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InvalidParams(f"expected an odd prime, got {p}")
+    # a unit r generates unless r^(p(p - 1)/f) = 1 for a prime f | p(p - 1)
+    powers = [p - 1] + [p * (p - 1) // f for f in factorize(p - 1)]
     r = 3
-    while True:
-        if r % p != 0 and is_primitive_root(r, p * p):
-            return r
+    while r % p == 0 or any(pow(r, e, p * p) == 1 for e in powers):
         r += 2
+    return r
 
 
 def _lift(a, b, P, Q):

@@ -355,14 +355,14 @@ def test_bm_early_exit_on_all_mappings(params):
 
 
 @st.composite
-def folded_inputs(draw):
-    """One period P = 2^a N, a <= 6: random, tiled, constant or zero.
+def folded_inputs(draw, twos=st.integers(0, 6)):
+    """One period P = 2^a N, a from twos: random, tiled, constant or zero.
 
     A block of length P / 2^b repeated 2^b times is B(x)(x^L - 1)^(2^b - 1)
     with L = P / 2^b, so every root of x^L - 1 that B misses has
     multiplicity at least 2^b - 1 in S.
     """
-    twos = draw(st.integers(0, 6))
+    twos = draw(twos)
     period = draw(st.sampled_from((1, 3, 5, 7, 9, 15))) << twos
     tiles = 1 << draw(st.integers(0, twos))
     size = period // tiles
@@ -376,6 +376,15 @@ def folded_inputs(draw):
 @given(folded_inputs())
 def test_folded_route_matches_unfolded_property(symbols):
     _assert_same_route_answer(symbols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(folded_inputs(st.integers(2, 3)))
+def test_lc_via_gcd_matches_bm_at_four_and_eight_times_odd(symbols):
+    # the fold over 2^a > 2 blocks, which no CLI period (2N, N odd) reaches
+    lc, minpoly = lc_via_gcd(symbols)
+    lc_bm, conn = berlekamp_massey(np.tile(symbols, 2))
+    assert methods_consistent(lc_bm, conn, lc, minpoly)
 
 
 def test_folded_route_multiplicities():
@@ -413,6 +422,19 @@ def test_example_complexities(sys15, sys21):
     d = r.to_json_dict()
     assert d["lc_bm"] == 42
     assert isinstance(d["minimal_polynomial"], str)
+
+
+def test_report_makes_digits_only_when_read(sys21, monkeypatch):
+    calls = []
+    real = gf4.from_planes
+    monkeypatch.setattr(gf4, "from_planes",
+                        lambda *planes: calls.append(planes) or real(*planes))
+    r = analyze_symbols(build_sequence(sys21).symbols)
+    assert calls == []
+    assert gf4.poly_deg(r.minimal_polynomial) == r.lc_gcd == 42
+    assert r.to_json_dict()["minimal_polynomial"] == \
+        gf4.poly_to_digits(r.minimal_polynomial)
+    assert calls == [r.minimal_planes] * 3
 
 
 def test_tower_complexity():

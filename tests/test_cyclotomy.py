@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cycloseq import cyclotomy
 from cycloseq.cyclotomy import (ClassId, HALF_LABEL, ZERO_LABEL,
@@ -416,3 +418,84 @@ def test_partition_violation_residue_in_neither_coset(sys15):
                        match="residue missing from both 2q cosets") as info:
         classify_index(bad, 3)
     assert info.value.index == 3
+
+
+def test_partition_violation_repeated_within_one_label(sys15):
+    # D_0 of pq lists 4 and 11 twice: every index is still labeled, but
+    # the doubled label holds 2 * 4 = 8 and 2 * 11 = 22 twice each, and
+    # the tables no longer tile; the least such index is named
+    d0 = sys15.classes[ClassId("pq", 1, 1, 0)]
+    bad, exc = _painted(sys15, ClassId("pq", 1, 1, 0),
+                        np.r_[d0, d0[2:0:-1]])
+    assert exc.index == 8
+    assert str(exc) == ("index 8: labeled twice by ClassId(shape='pq', i=1, "
+                        "j=1, h=0, doubled=True)")
+
+
+def _reference_paint(system):
+    """Label by label, index by index, in Python: the first index an
+    earlier label holds, else the least index no label holds, else the
+    least index one label holds twice."""
+    c, labels = system.constants, system.labels
+    owner, twice = {}, []
+    for idx, lab in enumerate(labels):
+        positions = ([0] if lab == ZERO_LABEL else [c.half_period]
+                     if lab == HALF_LABEL else h_set(system, lab).tolist())
+        clash = [t for t in positions if owner.get(t, idx) != idx]
+        if clash:
+            t = clash[0]
+            raise PartitionViolation(t, f"already labeled {labels[owner[t]]} "
+                                        f"while labeling {lab}")
+        for t in positions:
+            if t in owner:
+                twice.append(t)
+            owner[t] = idx
+    missing = [t for t in range(c.period) if t not in owner]
+    if missing:
+        raise PartitionViolation(missing[0], "left unlabeled")
+    if twice:
+        t = min(twice)
+        raise PartitionViolation(t, f"labeled twice by {labels[owner[t]]}")
+    return np.array([owner[t] for t in range(c.period)], dtype=np.int16)
+
+
+CORRUPTIONS = ("none", "shared", "repeated", "repeated in place", "dropped")
+
+
+@st.composite
+def corrupted_systems(draw):
+    """A small system with at most one class table corrupted: a member of
+    the other coset added (an index two labels share), a member listed
+    twice, a member overwritten by another, or a member dropped."""
+    system = build_system(*draw(st.sampled_from(GRID[:5])))
+    cid = draw(st.sampled_from(sorted(system.classes)))
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    arr = system.classes[cid].copy()
+    k = draw(st.integers(0, len(arr) - 1))
+    if kind == "shared":
+        other = system.classes[cid._replace(h=1 - cid.h)]
+        arr = np.r_[arr, other[draw(st.integers(0, len(other) - 1))]]
+    elif kind == "repeated":
+        arr = np.r_[arr, arr[k]]
+    elif kind == "repeated in place":
+        assume(len(arr) > 1)
+        arr[k] = arr[k - 1]
+    elif kind == "dropped":
+        arr = np.delete(arr, k)
+    return kind, _replaced(system, cid, arr)
+
+
+@settings(deadline=None, max_examples=300)
+@given(corrupted_systems())
+def test_one_scatter_paint_matches_sequential_reference(case):
+    kind, system = case
+    try:
+        want = _reference_paint(system)
+    except PartitionViolation as exc:
+        assert kind != "none"
+        with pytest.raises(PartitionViolation) as info:
+            build_partition(system)
+        assert (info.value.index, str(info.value)) == (exc.index, str(exc))
+    else:
+        assert kind == "none"
+        assert np.array_equal(build_partition(system), want)

@@ -225,6 +225,43 @@ def test_divmod_planes_matches_schoolbook(case):
         (*gf4.to_planes(q), *gf4.to_planes(r))
 
 
+def _euclid_by_divmod(a, b):
+    """Monic gcd by Euclid on divmod_planes, keeping its remainders."""
+    while b != (0, 0):
+        a, b = b, gf4.divmod_planes(*a, *b)[2:]
+    return gf4.monic_planes(*a)
+
+
+@st.composite
+def gcd_operands(draw):
+    """Two polynomials on planes, not both zero, with a random common
+    factor: of random degrees, of equal degrees, or one of them zero."""
+    def of_degree(deg):
+        return gf4.poly(draw(st.lists(st.integers(0, 3), min_size=deg,
+                                      max_size=deg))
+                        + [draw(st.integers(1, 3))])
+
+    common = of_degree(draw(st.integers(0, 8)))
+    a = schoolbook(of_degree(draw(st.integers(0, 40))), common)
+    kind = draw(st.sampled_from(("random", "equal degrees", "zero")))
+    if kind == "zero":
+        b = gf4.poly([])
+    else:
+        deg = (len(a) - len(common) if kind == "equal degrees"
+               else draw(st.integers(0, 40)))
+        b = schoolbook(of_degree(deg), common)
+    if draw(st.booleans()):
+        a, b = b, a
+    return gf4.to_planes(a), gf4.to_planes(b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gcd_operands())
+def test_gcd_planes_matches_euclid_by_divmod(operands):
+    a, b = operands
+    assert gf4.gcd_planes(*a, *b) == _euclid_by_divmod(a, b)
+
+
 @given(digit_lists, digit_lists)
 def test_mul_planes_matches_schoolbook(a_digits, b_digits):
     a, b = gf4.poly(a_digits), gf4.poly(b_digits)

@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from cycloseq.errors import CapExceeded, InvalidParams, NotCoprime
 from cycloseq.numtheory import (_lift, build_system_constants, euler_phi,
-                                factorize, is_prime, is_primitive_root,
-                                mult_order,
+                                factorize, is_prime, mult_order,
                                 smallest_odd_primitive_root_mod_p2)
 
 ODD_PRIMES = [r for r in range(3, 120, 2) if is_prime(r)]
 ODD = st.integers(-10**6, 10**6).map(lambda v: 2 * v + 1)
+
+
+def is_primitive_root(a, n):
+    # a generates the units mod n, for n with a cyclic unit group
+    return mult_order(a, n) == euler_phi(n)
 
 
 @given(st.lists(st.sampled_from(ODD_PRIMES), min_size=2, max_size=2,
@@ -64,6 +68,16 @@ def test_smallest_odd_primitive_roots():
         r = smallest_odd_primitive_root_mod_p2(p)
         assert r % 2 == 1 and r >= 3
         assert is_primitive_root(r, p * p)
+
+
+def test_smallest_odd_primitive_root_matches_the_order_search():
+    # the least odd r >= 3 whose multiplicative order mod p^2 is phi(p^2)
+    # 5 generates the units mod 40487 but not mod 40487^2
+    for p in [r for r in range(3, 400, 2) if is_prime(r)] + [40487]:
+        want = next(r for r in range(3, p * p, 2)
+                    if r % p and is_primitive_root(r, p * p))
+        assert smallest_odd_primitive_root_mod_p2(p) == want, p
+    assert smallest_odd_primitive_root_mod_p2(40487) == 13
 
 
 def test_system_constants_example_15():
