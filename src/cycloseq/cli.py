@@ -158,8 +158,8 @@ def cmd_verify(args):
     violations = check_structural_lemmas(system) + check_residue_rules(system)
     if violations:
         raise violations[0]
-    char_report = verify_char_sum_tables(system, context)
-    case_report = verify_case_table(system, context, mapping)
+    chars = verify_char_sum_tables(system, context)
+    case_report = verify_case_table(system, context, mapping, char_sums=chars)
     lc_report = verify_theorem(system, mapping, strict=True)
     payload = {
         "p": args.p, "q": args.q, "m": args.m, "n": args.n,
@@ -167,7 +167,7 @@ def cmd_verify(args):
         "partition_ok": True,
         "structural_violations": 0,
         "residue_violations": 0,
-        "char_sums": char_report.to_json_dict(),
+        "char_sums": chars.to_json_dict(),
         "case_table": case_report.to_json_dict(),
         "linear_complexity": lc_report.to_json_dict(),
     }

@@ -16,12 +16,13 @@ temporary memory stays below a megabyte instead of growing as N^2.
 x -> x^4 fixes GF(4), so the row of 4k is the Frobenius image of the row
 of k: _orbit_sums gathers only the least k of each orbit of k -> 4k mod N
 (the cyclotomic cosets of the Mattson-Solomon view) and walks the orbit
-from it. The character sums over every H-set and the full spectrum
-S(beta^k) are each one such table, compared cell by cell against their
-closed forms; a mismatch is reported at the first k, in ascending order,
-that shows one. The boundary root sums on the expected side are order-2
-Gaussian periods, chosen by the class of the multiplier, with no Frobenius
-map and no read of beta_powers.
+from it. The character sums over the doubled-modulus H-sets are one such
+table, checked cell by cell against their closed forms, a mismatch shown
+at its least k. The folded sequence s_t + s_(t+N) is constant on each of
+those cells, so the spectrum S(beta^k) is a GF(4) combination of the
+table's columns, and verify gathers once. The boundary root sums on the
+expected side are order-2 Gaussian periods, chosen by the class of the
+multiplier, with no Frobenius map and no read of beta_powers.
 """
 
 import itertools
@@ -57,6 +58,11 @@ def ext_pow(x, e, d, x_to_d):
         base = gf4.field_mul(base, base, d, x_to_d)
         e >>= 1
     return out
+
+
+def _scale(x, c, d):
+    # c * x for a GF(4) scalar c and packed x, elementwise on arrays
+    return gf4.pack(*gf4.planes_scale(*gf4.unpack(x, d), c), d)
 
 
 def _byte_tables(images):
@@ -265,12 +271,11 @@ def _frobenius_images(context):
     step = context.pow(gf4.pack(0, 0b10, d), 4)
     lo = np.array(list(itertools.accumulate(
         itertools.repeat(step, d - 1), context.mul, initial=1)), np.uint32)
-    return np.concatenate(
-        [lo, gf4.pack(*gf4.planes_scale(*gf4.unpack(lo, d), 2), d)])
+    return np.concatenate([lo, _scale(lo, 2, d)])
 
 
-def _orbit_sums(context, sets, first_k):
-    """_power_sums over k = first_k..N-1, one gather per Frobenius orbit.
+def _orbit_sums(context, sets):
+    """_power_sums over k = 1..N-1, one gather per Frobenius orbit.
 
     The XOR of beta^(4kt) over a set is the XOR of beta^(kt), raised to
     the 4th power, so row 4k is the Frobenius image of row k. Only the
@@ -279,7 +284,7 @@ def _orbit_sums(context, sets, first_k):
     steps or fewer, when k shares a factor with N).
     """
     N, d = context.N, context.d
-    ks = np.arange(first_k, N, dtype=np.int32 if 4 * N < 2**31 else np.int64)
+    ks = np.arange(1, N, dtype=np.int32 if 4 * N < 2**31 else np.int64)
     least = np.ones(len(ks), dtype=bool)
     image = ks
     for _ in range(d - 1):
@@ -288,7 +293,7 @@ def _orbit_sums(context, sets, first_k):
     start = ks[least]
     sums = _power_sums(context.beta_powers, sets, start)
     out = np.empty((len(ks), len(sets)), dtype=np.uint32)
-    out[start - first_k] = sums
+    out[start - 1] = sums
     frobenius = _byte_tables(_frobenius_images(context))
     row = start
     for _ in range(d - 1):
@@ -296,7 +301,7 @@ def _orbit_sums(context, sets, first_k):
         walking = row != start
         row, start = row[walking], start[walking]
         sums = _vec_linear(sums[walking], frobenius)
-        out[row - first_k] = sums
+        out[row - 1] = sums
     return out
 
 
@@ -308,26 +313,46 @@ def char_sum(system, context, class_id, k):
                            [k % context.N])[0, 0])
 
 
-def measure_spectrum(system, context, mapping):
+def _cells(system):
+    # the doubled-modulus H-sets: the char-sum table's columns, in order
+    c = system.constants
+    return [cid for cid in all_class_ids(c.m, c.n)
+            if cid.shape in DOUBLED_SHAPES]
+
+
+def measure_spectrum(system, context, mapping, char_sums=None):
     """S(beta^k) for 0 <= k < N, exactly, as packed elements.
 
-    Folds the two half-periods first (beta^{t+N} = beta^t), sums beta^{kt}
-    over the support of each symbol value for every k in one table (one
-    gather per Frobenius orbit of k, see _orbit_sums), then scales the
-    three columns by their GF4 values. Degenerate mappings are
-    allowed, since measuring those is the point of the falsification
-    probes.
+    Folds the two half-periods (beta^{t+N} = beta^t). The folded sequence
+    is one value v on each doubled-modulus H-set mod N, checked at every
+    position (else LemmaViolation names the cell and its least t off v),
+    so for k >= 1 S(beta^k) is the XOR of v times the cell's column of the
+    char-sum table, plus folded[0] beta_powers[0], and S(beta^0) is the
+    XOR of the folded symbols times beta_powers[0]. The table is that of
+    char_sums (verify_char_sum_tables' report) or is gathered here. Where
+    beta^0 lies in GF(4), the result is, bit for bit, the orbit gather over
+    the three value supports. Degenerate mappings are allowed.
     """
     _require_matching(system, context)
     seq = build_sequence(system, mapping, allow_degenerate=True)
-    N = context.N
+    N, d = context.N, context.d
     folded = seq.symbols[:N] ^ seq.symbols[N:]
-    sums = _orbit_sums(context,
-                       [np.nonzero(folded == v)[0] for v in (1, 2, 3)], 0)
+    cells = _cells(system)
+    sets = [h_set(system, cid) % N for cid in cells]
+    table = char_sums.table if char_sums else _orbit_sums(context, sets)
+    values = np.array([folded[ts.min()] for ts in sets])
+    for cid, ts, v in zip(cells, sets, values):
+        off = ts[folded[ts] != v]
+        if off.size:
+            raise LemmaViolation("folded sequence not constant on a cell",
+                                 cell=cid, t=int(off.min()))
+    s1, s2, s3 = (np.bitwise_xor.reduce(table[:, values == v], axis=1)
+                  for v in (1, 2, 3))
+    one = int(context.beta_powers[0])
     # 1*s1 + alpha*s2 + (alpha+1)*s3 = s1 + s3 + alpha*(s2 + s3)
-    planes = gf4.unpack(sums[:, 1] ^ sums[:, 2], context.d)
-    return sums[:, 0] ^ sums[:, 2] ^ gf4.pack(
-        *gf4.planes_scale(*planes, 2), context.d)
+    rest = s1 ^ s3 ^ _scale(s2 ^ s3, 2, d) ^ _scale(one, int(folded[0]), d)
+    return np.insert(rest, 0,
+                     _scale(one, int(np.bitwise_xor.reduce(folded)), d))
 
 
 @dataclass(frozen=True)
@@ -346,22 +371,22 @@ class CaseReport:
         return asdict(self)
 
 
-def verify_case_table(system, context, mapping):
+def verify_case_table(system, context, mapping, char_sums=None):
     """Measure every S(beta^k) and compare with the closed-form prediction.
 
-    The prediction is regime-based: S(1) = e, and for k = p^a q^b l the
-    value depends only on which of p^m, q^n divide k (see
+    The prediction is regime-based: S(1) = e, and for k = p^a q^b l the value
+    depends only on which of p^m, q^n divide k (see
     sequence.spectrum_profile). Raises CaseViolation at the first k whose
-    measured value differs, with both values as the digits of their
-    remainder polynomials (gf4.poly_to_digits: alpha is 2, X is 01); the
-    report also says whether every value is nonzero, which is exactly the
-    condition for LC to reach the full period.
+    measured value differs, with both values as the digits of their remainder
+    polynomials (gf4.poly_to_digits: alpha is 2, X is 01); the report also
+    says whether every value is nonzero, which is exactly the condition for LC
+    to reach the full period. char_sums goes on to measure_spectrum.
     """
     bad = validate_mapping(system.constants.p, mapping)
     if bad:
         raise InvalidMapping(bad)
     prof = spectrum_profile(system, mapping)
-    spectrum = measure_spectrum(system, context, mapping)
+    spectrum = measure_spectrum(system, context, mapping, char_sums)
     c = system.constants
     ks = np.arange(context.N)
     expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
@@ -382,13 +407,15 @@ def verify_case_table(system, context, mapping):
 
 @dataclass(frozen=True)
 class CharSumReport:
-    """Tally of the exhaustive character-sum table verification."""
+    """Tally of the exhaustive character-sum table verification; table,
+    k = 1..N-1 by doubled-modulus H-set, feeds measure_spectrum only."""
 
     k_count: int
     cells_checked: int
+    table: np.ndarray = field(repr=False, compare=False)
 
     def to_json_dict(self):
-        return asdict(self)
+        return {"k_count": self.k_count, "cells_checked": self.cells_checked}
 
 
 def _valuations(ks, prime, N):
@@ -459,17 +486,14 @@ def verify_char_sum_tables(system, context):
     remainder digits, as in verify_case_table.
     """
     _require_matching(system, context)
-    c = system.constants
-    p, q, m, n = c.p, c.q, c.m, c.n
-    N = context.N
+    p, q, N = system.constants.p, system.constants.q, context.N
 
     ks = np.arange(1, N, dtype=np.int64)
     a = _valuations(ks, p, N)
     b = _valuations(ks, q, N)
     roots = _boundary_roots(system, context, a, b, ks // (p**a * q**b))
-    cells = [cid for cid in all_class_ids(m, n)
-             if cid.shape in DOUBLED_SHAPES]
-    measured = _orbit_sums(context, [h_set(system, cid) for cid in cells], 1)
+    cells = _cells(system)
+    measured = _orbit_sums(context, [h_set(system, cid) for cid in cells])
 
     columns = []
     for cid in cells:
@@ -497,4 +521,5 @@ def verify_char_sum_tables(system, context):
             _CHAR_SUM_DETAIL[cells[col].shape], k=r + 1, cell=cells[col],
             expected=_digits(expected[r, col], context.d),
             measured=_digits(measured[r, col], context.d))
-    return CharSumReport(k_count=N - 1, cells_checked=bad.size)
+    return CharSumReport(k_count=N - 1, cells_checked=bad.size,
+                         table=measured)

@@ -480,6 +480,113 @@ def test_case_table_witness_matches_reference(params, position):
     assert "CaseViolation" in raised
 
 
+# --- the spectrum read off the character-sum table -------------------------
+
+def _three_support_spectrum(system, ctx, mapping, t0_as_read=False):
+    # the gather measure_spectrum read the spectrum from before it used the
+    # char-sum table: beta powers summed over the three value supports of
+    # the folded sequence, k = 0 by itself and k >= 1 one orbit at a time.
+    # t0_as_read takes t = 0 out of the walk: its term folded[0] beta^0 is
+    # then added to every row as read, as the definition of S has it
+    symbols = build_sequence(system, mapping, allow_degenerate=True).symbols
+    folded = symbols[:ctx.N] ^ symbols[ctx.N:]
+    supports = [np.nonzero(folded == v)[0] for v in (1, 2, 3)]
+    if t0_as_read:
+        supports = [ts[ts > 0] for ts in supports]
+    sums = np.vstack([extfield._power_sums(ctx.beta_powers, supports, [0]),
+                      extfield._orbit_sums(ctx, supports)])
+    planes = gf4.unpack(sums[:, 1] ^ sums[:, 2], ctx.d)
+    spectrum = sums[:, 0] ^ sums[:, 2] ^ gf4.pack(
+        *gf4.planes_scale(*planes, 2), ctx.d)
+    if t0_as_read:
+        one = gf4.unpack(int(ctx.beta_powers[0]), ctx.d)
+        spectrum ^= gf4.pack(*gf4.planes_scale(*one, int(folded[0])), ctx.d)
+    return spectrum
+
+
+# one verify-admissible system (N <= 5 000, d <= 12) per (p mod 8, q mod 8)
+# class, the least N in each; class (7, 7) has none at any exponents, so it
+# is missing. Then two prime-power systems and the grid's 14-cell system.
+SPECTRUM_SYSTEMS = [
+    (17, 241, 1, 1), (17, 3, 1, 1), (17, 5, 1, 1), (17, 7, 1, 1),
+    (3, 17, 1, 1), (3, 11, 1, 1), (3, 5, 1, 1), (3, 7, 1, 1),
+    (5, 17, 1, 1), (5, 3, 1, 1), (5, 13, 1, 1), (5, 7, 1, 1),
+    (7, 17, 1, 1), (7, 3, 1, 1), (7, 5, 1, 1),
+    (3, 5, 2, 1), (3, 5, 1, 2), (3, 19, 3, 1)]
+
+
+@pytest.mark.parametrize("params", SPECTRUM_SYSTEMS)
+def test_spectrum_off_the_table_matches_three_support_gather(params):
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    chars = verify_char_sum_tables(system, ctx)
+    assert chars.table.shape == (ctx.N - 1, chars.cells_checked // (ctx.N - 1))
+    for i, mapping in enumerate(ALL_MAPPINGS):
+        want = _three_support_spectrum(system, ctx, mapping)
+        got = measure_spectrum(system, ctx, mapping, chars)
+        assert got.dtype == np.uint32 and np.array_equal(got, want), mapping
+        if i % 12 == 0:
+            assert np.array_equal(
+                measure_spectrum(system, ctx, mapping), want), mapping
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)])
+def test_spectrum_off_the_table_under_every_table_flip(params):
+    # both routes are GF(2)-linear in beta_powers and walk the same orbits,
+    # so a corrupted table gives the gather's answer bit for bit. The one
+    # exception is a beta^0 outside GF(4): the old walk raised the t = 0
+    # term to 4^j-th powers along each orbit, while measure_spectrum reads
+    # beta_powers[0] on every row; the two agree once t = 0 is read alike
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    gf4_bits = 1 | 1 << ctx.d
+    flips = itertools.product(range(ctx.N), range(2 * ctx.d))
+    moved = 0
+    for i, (position, bit) in enumerate(flips):
+        bp = ctx.beta_powers.copy()
+        bp[position] ^= 1 << bit
+        bad = dataclasses.replace(ctx, beta_powers=bp)
+        outside = bool(int(bp[0]) & ~gf4_bits)
+        for mapping in (DEFAULT_MAPPING, ALL_MAPPINGS[i % 72]):
+            got = measure_spectrum(system, bad, mapping)
+            want = _three_support_spectrum(system, bad, mapping)
+            assert np.array_equal(got, want) or outside, (position, bit)
+            assert np.array_equal(got, _three_support_spectrum(
+                system, bad, mapping, t0_as_read=True)), (position, bit)
+            moved += not np.array_equal(got, want)
+    assert moved  # the exception occurs, and the test sees it
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_spectrum_checks_the_folded_sequence_is_constant_on_cells(
+        sys15, ctx15, rank):
+    # swap the labels of the rank-th least positions t of the two 2pq cells:
+    # the folded sequence then changes on cell (2pq, 1, 1, 0) at t only.
+    # The cell's value is read at its least t, so at rank 0 the witness is
+    # the second-least t, whose value differs from the one read at t
+    cell, twin = ClassId("2pq", 1, 1, 0), ClassId("2pq", 1, 1, 1)
+    ts = np.sort(h_set(sys15, cell) % 15)
+    t1 = int(ts[rank])
+    t2 = int(np.sort(h_set(sys15, twin) % 15)[rank])
+    u1, u2 = (t if t % 2 else t + 15 for t in (t1, t2))  # the odd positions
+    part = sys15.partition.copy()
+    part[[u1, u2]] = part[[u2, u1]]
+    swapped = dataclasses.replace(sys15, partition=part)
+    chars = verify_char_sum_tables(sys15, ctx15)
+    calls = [lambda: measure_spectrum(swapped, ctx15, DEFAULT_MAPPING),
+             lambda: measure_spectrum(swapped, ctx15, DEFAULT_MAPPING, chars),
+             lambda: verify_case_table(swapped, ctx15, DEFAULT_MAPPING),
+             lambda: verify_case_table(swapped, ctx15, DEFAULT_MAPPING,
+                                       char_sums=chars)]
+    for call in calls:
+        with pytest.raises(LemmaViolation, match="not constant") as info:
+            call()
+        assert info.value.witness == {"cell": cell, "t": int(ts[1])}
+    # the unswapped system reads the same table without complaint
+    assert verify_case_table(sys15, ctx15, DEFAULT_MAPPING,
+                             char_sums=chars).checked == 15
+
+
 def test_witness_values_are_remainder_digits():
     # beta^1 + X at d = 3: X, whose packed code is 2, prints as 01, and
     # (alpha + 1)(1 + X), packed 27, as 33
@@ -542,11 +649,9 @@ def test_orbit_sums_match_power_sums(params, d):
             + [np.nonzero(folded == v)[0] for v in (1, 2, 3)]
             + [np.array([], dtype=np.int64), np.array([0, N - 1]),
                rng.choice(2 * N, size=N // 3, replace=False)])
-    for first_k in (0, 1):
-        assert np.array_equal(
-            extfield._orbit_sums(ctx, sets, first_k),
-            extfield._power_sums(ctx.beta_powers, sets,
-                                 np.arange(first_k, N)))
+    assert np.array_equal(
+        extfield._orbit_sums(ctx, sets),
+        extfield._power_sums(ctx.beta_powers, sets, np.arange(1, N)))
 
 
 def test_frobenius_images_match_pow():
