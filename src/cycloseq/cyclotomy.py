@@ -11,18 +11,17 @@ For every shape the units split into two equal halves: D_0 = <g^2, y> and
 its coset D_1 = g * D_0. With op = phi(p^i), oq = phi(q^j) (phi = 1 at
 exponent 0) that is lcm(op, oq)/2 powers of g^2 times gcd(op, oq) powers
 of y; on a prime-power family the y count is 1 and D_0 is the even-power
-coset of g. Each D_0 is enumerated once per modulus, and D_1 is g times
-it. check_structural_lemmas confirms this agrees with lifting:
+coset of g. check_structural_lemmas confirms this agrees with lifting:
 family (i, j) lifts its base class (min(i, 1), min(j, 1)) in steps of
 p^[i>0] q^[j>0].
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
 singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
-painted from the class tables in one scatter and stored as a label array,
-is the single source of truth for sequence generation; the per-index
-classifier classify_index recomputes labels independently so the two
-paths can be cross-checked.
+painted from one table of g^s y^k mod 2 p^m q^n and stored as a label
+array, is the single source of truth for sequence generation, and the
+class tables are read off it; the per-index classifier classify_index
+recomputes labels independently so the two paths can be cross-checked.
 """
 
 from dataclasses import dataclass, field
@@ -83,35 +82,16 @@ def _check_class_id(cid, valid_ids):
         raise InvalidParams("doubled applies only to odd-modulus shapes")
 
 
-def _subgroup(mod, square, y, half_order, y_count):
-    # D_0 = {square^t * y^k} for t < half_order, k < y_count, sorted
-    elems = set()
-    x = 1
-    for _ in range(half_order):
-        v = x
-        for _ in range(y_count):
-            elems.add(v)
-            v = v * y % mod
-        x = x * square % mod
-    return sorted(elems)
-
-
-def _class_pair(constants, i, j, two):
-    # (D_0, D_1) modulo p^i q^j, doubled when two is set: D_0 enumerated
-    # once and D_1 = g * D_0, both in Python ints, so exact at any modulus.
-    # Each has d_ij/2 powers of g^2 times e_ij powers of y (e_ij = 1 on
-    # the prime-power families), sorted.
-    c = constants
-    mod = (2 if two else 1) * c.p**i * c.q**j
-    d, e = c.d_ij[(i, j)], c.e_ij[(i, j)]
-    d0 = _subgroup(mod, c.g * c.g % mod, c.y % mod, d // 2, e)
-    if len(d0) != d * e // 2:
-        # a short coset means g or y lacks the order the constants claim
-        raise LemmaViolation("class enumeration collapsed",
-                             cls=ClassId(_shape(i, j, two), i, j, 0),
-                             size=len(d0), expected=d * e // 2)
-    d1 = sorted(c.g * v % mod for v in d0)
-    return np.array(d0, dtype=np.int64), np.array(d1, dtype=np.int64)
+def _powers(base, count, mod):
+    # base^0 .. base^(count-1) mod mod, by doubling the filled prefix;
+    # int64 products stay exact while mod < 2^31, Python ints past that
+    out = np.empty(count, dtype=np.int64 if mod < 2**31 else object)
+    out[0], filled, step = 1 % mod, 1, base % mod
+    while filled < count:
+        k = min(filled, count - filled)
+        out[filled:filled + k] = out[:k] * step % mod
+        filled, step = filled + k, step * step % mod
+    return out
 
 
 def _sorted_set(arr):
@@ -223,21 +203,66 @@ def _paint_partition(constants, classes, labels):
 
 
 def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
-    """Build constants, all classes, and the verified partition array."""
+    """Build constants, the partition off one power table, and its classes."""
     return _system_from_constants(build_system_constants(p, q, m, n, cap=cap))
 
 
 def _system_from_constants(constants):
-    classes = {}
-    for i, j in _family_indices(constants.m, constants.n):
-        for two in (False, True):
-            for h, cls in enumerate(_class_pair(constants, i, j, two)):
-                classes[ClassId(_shape(i, j, two), i, j, h)] = cls
-    labels = partition_labels(constants.m, constants.n)
-    partition = _paint_partition(constants, classes, labels)
-    partition.flags.writeable = False
+    """The system painted from T = g^s y^k mod 2N, s < d_mn, k < e_mn.
+
+    Family (i, j), cofactor cof, is T[:d_ij, :e_ij], row s in coset s mod
+    2; x = T mod 2 p^i q^j lands at the odd positions cof x, x = T mod
+    p^i q^j at the even ones 2 cof x. 2N writes with no -1 left tile Z_2N;
+    a class is then the x painted at its label's positions, ascending."""
+    c = constants
+    period, fams = c.period, _family_indices(c.m, c.n)
+    table = (np.outer(_powers(c.g, c.d_ij[c.m, c.n], period),
+                      _powers(c.y, c.e_ij[c.m, c.n], period))
+             % period).astype(np.int64, copy=False)
+    # family f, coset h: label 4 f + 2 h + 2 at odd positions, + 3 at even
+    coset = 2 * (np.arange(len(table))[:, None] % 2)
+    labels = partition_labels(c.m, c.n)
+    part = np.full(period, -1, dtype=np.int16)
+    part[0], part[c.half_period] = 0, 1
+    res, sizes = np.empty(period, dtype=np.int64), [1, 1]
+    for f, (i, j) in enumerate(fams):
+        d, e, mod = c.d_ij[i, j], c.e_ij[i, j], c.p**i * c.q**j
+        cof, block = period // (2 * mod), table[:d, :e]
+        for lab, scale, x in ((2, cof, block % (2 * mod)),
+                              (3, 2 * cof, block % mod)):
+            pos = scale * x
+            part[pos], res[pos] = coset[:d] + 4 * f + lab, x
+        sizes += [d * e // 2] * 4
+    if sum(sizes) != period or part.min() < 0:
+        classes = _tables_by_modulus(c, table)
+        part = _paint_partition(c, classes, labels)
+    else:
+        flat = res[np.argsort(part, kind="stable")]
+        ends = np.cumsum(sizes).tolist()
+        classes = {ClassId(*lab[:4]): flat[start:end] for lab, start, end
+                   in zip(labels[2:], ends[1:], ends[2:])}
+    part.flags.writeable = False
     return CyclotomicSystem(constants=constants, classes=classes,
-                            labels=labels, partition=partition)
+                            labels=labels, partition=part)
+
+
+def _tables_by_modulus(constants, table):
+    # each modulus in turn, odd before doubled: the first whose D_0 rows
+    # hold fewer than d e / 2 residues collapsed (g or y lacks the order
+    # the constants claim); else the sorted tables go to _paint_partition
+    c, classes = constants, {}
+    for i, j in _family_indices(c.m, c.n):
+        d, e = c.d_ij[i, j], c.e_ij[i, j]
+        for two in (False, True):
+            block = table[:d, :e] % ((2 if two else 1) * c.p**i * c.q**j)
+            d0, shape = np.unique(block[::2]), _shape(i, j, two)
+            if len(d0) != d * e // 2:
+                raise LemmaViolation("class enumeration collapsed",
+                                     cls=ClassId(shape, i, j, 0),
+                                     size=len(d0), expected=d * e // 2)
+            classes[ClassId(shape, i, j, 0)] = d0
+            classes[ClassId(shape, i, j, 1)] = np.sort(block[1::2], axis=None)
+    return classes
 
 
 def build_partition(system):

@@ -387,7 +387,10 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
     def no_classes(*args):
         raise AssertionError("a capped verify built a class table")
 
-    monkeypatch.setattr(cyclotomy, "_subgroup", no_classes)
+    monkeypatch.setattr(cyclotomy, "_powers", no_classes)
+    # the class tables are built from _powers alone, so the patch bites
+    with pytest.raises(AssertionError, match="built a class table"):
+        cyclotomy.build_system(3, 5, 1, 1)
     # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
     code, _, err = run(capsys, "verify", "--p", "41", "--q", "107")
     assert (code, err) == (3, "error: extension degree 530 exceeds the cap "

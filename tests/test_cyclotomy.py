@@ -8,17 +8,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycloseq import cyclotomy
-from cycloseq.cyclotomy import (ClassId, HALF_LABEL, ZERO_LABEL,
-                                bucket_of_label, build_partition,
+from cycloseq.cyclotomy import (ClassId, CyclotomicSystem, HALF_LABEL,
+                                ZERO_LABEL, bucket_of_label, build_partition,
                                 build_system, check_residue_rules,
                                 check_structural_lemmas, classify_index,
                                 cofactor_of, h_set, partition_labels,
                                 residue_side_of_2)
 from cycloseq.errors import InvalidParams, LemmaViolation, PartitionViolation
-from cycloseq.numtheory import SystemConstants, euler_phi, is_prime
+from cycloseq.numtheory import (build_system_constants, euler_phi,
+                                is_prime)
 
 GRID = [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1), (3, 11, 1, 1),
         (3, 5, 2, 1), (3, 5, 1, 2), (3, 7, 2, 1)]
+# the largest system of the benchmark's analyze ladder, P = 20 250
+LADDER_TOP = (3, 5, 4, 3)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +80,7 @@ def test_partition_covers_everything():
 
 
 @pytest.mark.parametrize("p,q,m,n", GRID[:5] + [
-    (7, 3, 2, 1), (17, 3, 1, 1), (7, 5, 1, 2)])
+    (7, 3, 2, 1), (17, 3, 1, 1), (7, 5, 1, 2), LADDER_TOP])
 def test_classify_index_matches_partition(p, q, m, n):
     system = build_system(p, q, m, n)
     for t in range(system.period):
@@ -116,6 +119,14 @@ def test_structural_lemmas_clean():
         system = build_system(p, q, m, n)
         assert check_structural_lemmas(system) == []
         assert check_residue_rules(system) == []
+
+
+def test_structural_lemmas_clean_on_the_ladder_top():
+    # 19 families and 78 labels, every one painted from one power table
+    system = build_system(*LADDER_TOP)
+    assert len(system.labels) == 78
+    assert check_structural_lemmas(system) == []
+    assert check_residue_rules(system) == []
 
 
 def _lemma(detail, shape, i, j, h, witness):
@@ -313,25 +324,32 @@ def test_class_id_validation(sys15):
 
 
 def test_collapsed_class_enumeration_raises(monkeypatch):
-    real = cyclotomy._subgroup
-    monkeypatch.setattr(cyclotomy, "_subgroup", lambda *a: real(*a)[1:])
-    with pytest.raises(LemmaViolation, match="class enumeration collapsed"):
+    # a g table of period 2 where the constants claim order 4: the two
+    # D_0 rows of the first modulus, p q, coincide
+    real = cyclotomy._powers
+    monkeypatch.setattr(cyclotomy, "_powers",
+                        lambda base, count, mod:
+                        np.resize(real(base, min(count, 2), mod), count))
+    with pytest.raises(LemmaViolation) as info:
         build_system(3, 5, 1, 1)
+    assert str(info.value) == (
+        "class enumeration collapsed [cls=ClassId(shape='pq', i=1, j=1, h=0, "
+        "doubled=False), size=2, expected=4]")
 
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 5, 2, 1),
                                     (3, 7, 2, 2)])
 def test_each_subgroup_enumerated_once_per_modulus(monkeypatch, params):
-    # D_1 = g * D_0: two enumerations per family (odd and doubled modulus)
+    # one power table serves every modulus: two _powers calls per build,
+    # the powers of g and of y, both modulo 2N
     calls = []
-    real = cyclotomy._subgroup
-    monkeypatch.setattr(cyclotomy, "_subgroup",
-                        lambda *a: calls.append(a[0]) or real(*a))
-    build_system(*params)
-    m, n = params[2:]
-    families = m * n + m + n
-    assert len(calls) == 2 * families
-    assert len(set(calls)) == 2 * families
+    real = cyclotomy._powers
+    monkeypatch.setattr(cyclotomy, "_powers",
+                        lambda *a: calls.append(a) or real(*a))
+    system = build_system(*params)
+    c = system.constants
+    assert calls == [(c.g, c.d_ij[c.m, c.n], c.period),
+                     (c.y, c.e_ij[c.m, c.n], c.period)]
 
 
 @pytest.mark.parametrize("params", GRID)
@@ -356,18 +374,25 @@ def test_class_tables_match_definition(params):
     assert checked == len(system.classes) == 4 * len(c.d_ij)
 
 
-def test_class_pair_is_exact_past_int64():
-    # a modulus P > 2^32, where g * D_0 would overflow int64 products:
-    # D_0 = {1, -1} and D_1 = {g, -g} for g of order 4
+def test_powers_are_exact_past_int64():
+    # a modulus P > 2^32, where products of two residues overflow int64:
+    # the powers of a g of order 4 are 1, g, -1, -g, in Python ints
     P = next(v for v in range(2**32 + 1, 2**32 + 10**4, 4) if is_prime(v))
     a = next(a for a in range(2, P) if pow(a, (P - 1) // 2, P) == P - 1)
     g = pow(a, (P - 1) // 4, P)
-    assert (g * (P - 1)) >= 2**63
-    constants = SystemConstants(p=P, q=3, m=1, n=1, g1=g, g2=1, g=g, y=1,
-                                e_ij={(1, 0): 1}, d_ij={(1, 0): 4})
-    d0, d1 = cyclotomy._class_pair(constants, 1, 0, False)
-    assert d0.tolist() == [1, P - 1]
-    assert d1.tolist() == sorted([g, P - g])
+    assert g * (P - 1) >= 2**63
+    got = cyclotomy._powers(g, 9, P)
+    assert got.dtype == object
+    assert got.tolist() == [1, g, P - 1, P - g] * 2 + [1]
+    base = 3**40 % P
+    assert cyclotomy._powers(base, 37, P).tolist() == [
+        pow(base, k, P) for k in range(37)]
+    # below 2^31 the table is int64 and the same powers
+    for mod in (2, 30, 2**31 - 1):
+        got = cyclotomy._powers(mod - 1 - mod // 3, 21, mod)
+        assert got.dtype == np.int64
+        assert got.tolist() == [pow(mod - 1 - mod // 3, k, mod)
+                                for k in range(21)]
 
 
 def _painted(system, cid, arr):
@@ -499,3 +524,114 @@ def test_one_scatter_paint_matches_sequential_reference(case):
     else:
         assert kind == "none"
         assert np.array_equal(build_partition(system), want)
+
+
+def _subgroup(mod, square, y, half_order, y_count):
+    # D_0 = {square^t * y^k} for t < half_order, k < y_count, sorted
+    elems = set()
+    x = 1
+    for _ in range(half_order):
+        v = x
+        for _ in range(y_count):
+            elems.add(v)
+            v = v * y % mod
+        x = x * square % mod
+    return sorted(elems)
+
+
+def _reference_system(constants):
+    """The builder one modulus at a time, in Python ints: D_0 enumerated
+    from g^2 and y, a short D_0 named as collapsed, D_1 = g * D_0, both
+    sorted, then the partition painted from the class tables."""
+    c, classes = constants, {}
+    for i, j in cyclotomy._family_indices(c.m, c.n):
+        d, e = c.d_ij[i, j], c.e_ij[i, j]
+        for two in (False, True):
+            mod = (2 if two else 1) * c.p**i * c.q**j
+            shape = cyclotomy._shape(i, j, two)
+            d0 = _subgroup(mod, c.g * c.g % mod, c.y % mod, d // 2, e)
+            if len(d0) != d * e // 2:
+                raise LemmaViolation("class enumeration collapsed",
+                                     cls=ClassId(shape, i, j, 0),
+                                     size=len(d0), expected=d * e // 2)
+            d1 = sorted(c.g * v % mod for v in d0)
+            classes[ClassId(shape, i, j, 0)] = np.array(d0, dtype=np.int64)
+            classes[ClassId(shape, i, j, 1)] = np.array(d1, dtype=np.int64)
+    labels = partition_labels(c.m, c.n)
+    return CyclotomicSystem(
+        constants=c, classes=classes, labels=labels,
+        partition=cyclotomy._paint_partition(c, classes, labels))
+
+
+def _assert_same_system(got, want):
+    assert got.labels == want.labels
+    assert got.partition.dtype == want.partition.dtype
+    assert np.array_equal(got.partition, want.partition)
+    assert got.classes.keys() == want.classes.keys()
+    for cid, arr in want.classes.items():
+        assert got.classes[cid].dtype == np.int64, cid
+        assert got.classes[cid].tolist() == arr.tolist(), cid
+
+
+# the benchmark's systems: verify-grid, sweep-mappings, analyze-ladder
+BENCH_SYSTEMS = [
+    (7, 73, 1, 1), (3, 19, 3, 1), (3, 73, 2, 1), (3, 241, 1, 1),
+    (3, 257, 1, 1), (5, 31, 2, 1), (5, 41, 2, 1), (5, 241, 1, 1),
+    (31, 41, 1, 1), (5, 257, 1, 1), (19, 73, 1, 1), (7, 241, 1, 1),
+    (3, 73, 3, 1), (23, 89, 1, 1), (3, 683, 1, 1), (3, 241, 2, 1),
+    (13, 241, 1, 1), (17, 241, 1, 1), (17, 257, 1, 1),
+] + [(p, q, 1, 1) for p, q in (
+    (17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5), (7, 23),
+    (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3), (5, 13), (5, 7))
+] + [(5, 7, 2, 2), (11, 13, 1, 2), (13, 17, 1, 2), LADDER_TOP]
+
+
+@pytest.mark.parametrize("params", BENCH_SYSTEMS + [(7, 11, 3, 2)])
+def test_power_table_matches_reference_builder(monkeypatch, params):
+    constants = build_system_constants(*params)
+    want = _reference_system(constants)
+    # valid constants tile at once: the per-modulus fault path never runs
+    monkeypatch.setattr(cyclotomy, "_tables_by_modulus", None)
+    _assert_same_system(cyclotomy._system_from_constants(constants), want)
+
+
+@st.composite
+def stray_generators(draw):
+    """Valid constants with g or y swapped for another residue mod 2N:
+    any residue, or one built from g, y and -1 that keeps some or all of
+    their structure."""
+    c = build_system_constants(*draw(st.sampled_from(GRID + [(3, 7, 2, 2)])))
+    name = draw(st.sampled_from(("g", "y")))
+    P = c.period
+    near = [pow(c.g, k, P) for k in (2, 3, 5)] + [
+        P - c.g, P - c.y, c.g * c.y % P, c.y * c.y % P, c.half_period + 2]
+    value = draw(st.one_of(st.integers(0, P - 1), st.sampled_from(near)))
+    return dataclasses.replace(c, **{name: value})
+
+
+@settings(deadline=None, max_examples=200)
+@given(stray_generators())
+def test_power_table_fails_as_the_reference_builder(constants):
+    try:
+        want = _reference_system(constants)
+    except (LemmaViolation, PartitionViolation) as exc:
+        with pytest.raises(type(exc)) as info:
+            cyclotomy._system_from_constants(constants)
+        assert str(info.value) == str(exc)
+    else:
+        _assert_same_system(cyclotomy._system_from_constants(constants), want)
+
+
+def test_overclaimed_order_fails_as_the_reference_builder():
+    # d = 4 claimed for the p family of (3, 5, 2, 1), where g has order 2:
+    # its rows 2 and 3 repaint rows 0 and 1, so every index is painted,
+    # but 2N + 4 writes do not tile Z_2N and the family is named collapsed
+    c = build_system_constants(3, 5, 2, 1)
+    bad = dataclasses.replace(c, d_ij={**c.d_ij, (1, 0): 4})
+    with pytest.raises(LemmaViolation) as want:
+        _reference_system(bad)
+    with pytest.raises(LemmaViolation) as got:
+        cyclotomy._system_from_constants(bad)
+    assert str(got.value) == str(want.value) == (
+        "class enumeration collapsed [cls=ClassId(shape='p', i=1, j=0, h=0, "
+        "doubled=False), size=1, expected=2]")
