@@ -3,15 +3,17 @@
 Exit codes: 0 success, 1 verification violation or failed sweep row,
 2 invalid parameters or mapping (also when a sweep row fails on one), or
 an OSError on a file such as an --out path that cannot be written, 3 cap
-exceeded, 4 malformed sequence file. The parameter cap (default
-2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be overridden by
---cap or the CYCLOSEQ_CAP environment variable; extfield.build_extension
-also caps extension-field verification at N <= 5000 and degree d <= 12,
-before `verify` builds any class table, from the constants it built once.
+exceeded or memory run out, 4 malformed sequence file. The parameter cap
+(default 2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be
+overridden by --cap or the CYCLOSEQ_CAP environment variable, up to the
+period ceiling 2^31 - 1 (numtheory.PERIOD_CEILING) that no cap lifts;
+extfield.build_extension also caps extension-field verification at
+N <= 5000 and degree d <= 12, before `verify` builds any class table, from
+the constants it built once.
 
 In the verify report, partition_ok: true rests on the class-table build,
-which paints the partition and raises PartitionViolation (exit 1) on any
-index left unlabeled or labeled twice.
+which paints the partition and raises PartitionViolation (exit 1) on an
+index left unlabeled or on more writes than Z_2N has indices.
 """
 
 import argparse
@@ -31,7 +33,8 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      MalformedSequenceFile, MethodDisagreement,
                      PartitionViolation, TheoremViolation)
 from .extfield import build_extension, verify_case_table, verify_char_sum_tables
-from .numtheory import DEFAULT_PARAM_CAP, build_system_constants
+from .numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING,
+                        build_system_constants)
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        forbidden_e, parse_ascii_int, read_sequence_file,
                        write_sequence_file)
@@ -42,7 +45,7 @@ DEFAULT_EXPONENTS = "1:1,2:1,1:2"
 # a bad grid entry longer than this is echoed cut, with its length
 ECHO_CHARS = 40
 CAP_HELP = (f"override the period cap 2 p^m q^n <= {DEFAULT_PARAM_CAP} "
-            f"(also CYCLOSEQ_CAP)")
+            f"(also CYCLOSEQ_CAP), up to the ceiling {PERIOD_CEILING}")
 
 
 def _resolve_cap(args):
@@ -298,8 +301,8 @@ def main(argv=None):
     except (InvalidParams, InvalidMapping, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapExceeded, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except MalformedSequenceFile as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,10 +18,12 @@ p^[i>0] q^[j>0].
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
 singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
-painted from one table of g^s y^k mod 2 p^m q^n and stored as a label
-array, is the single source of truth for sequence generation, and the
-class tables are read off it; the per-index classifier classify_index
-recomputes labels independently so the two paths can be cross-checked.
+painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below the
+period ceiling of numtheory) and stored as a label array, is the single
+source of truth for sequence generation, and the class tables are read off
+it; a paint that does not tile raises PartitionViolation. The per-index
+classifier classify_index recomputes labels independently so the two
+paths can be cross-checked.
 """
 
 from dataclasses import dataclass, field
@@ -83,9 +85,9 @@ def _check_class_id(cid, valid_ids):
 
 
 def _powers(base, count, mod):
-    # base^0 .. base^(count-1) mod mod, by doubling the filled prefix;
-    # int64 products stay exact while mod < 2^31, Python ints past that
-    out = np.empty(count, dtype=np.int64 if mod < 2**31 else object)
+    # base^0 .. base^(count-1) mod mod, by doubling the filled prefix; the
+    # period ceiling keeps mod below 2^31, so int64 products stay exact
+    out = np.empty(count, dtype=np.int64)
     out[0], filled, step = 1 % mod, 1, base % mod
     while filled < count:
         k = min(filled, count - filled)
@@ -213,12 +215,14 @@ def _system_from_constants(constants):
     Family (i, j), cofactor cof, is T[:d_ij, :e_ij], row s in coset s mod
     2; x = T mod 2 p^i q^j lands at the odd positions cof x, x = T mod
     p^i q^j at the even ones 2 cof x. 2N writes with no -1 left tile Z_2N;
-    a class is then the x painted at its label's positions, ascending."""
+    a class is then the x painted at its label's positions, ascending.
+    Any other paint means g or y lacks an order the constants claim: it
+    raises PartitionViolation at the least index left unlabeled or, with
+    every index painted, at index 2N on the count of its writes."""
     c = constants
     period, fams = c.period, _family_indices(c.m, c.n)
-    table = (np.outer(_powers(c.g, c.d_ij[c.m, c.n], period),
-                      _powers(c.y, c.e_ij[c.m, c.n], period))
-             % period).astype(np.int64, copy=False)
+    table = np.outer(_powers(c.g, c.d_ij[c.m, c.n], period),
+                     _powers(c.y, c.e_ij[c.m, c.n], period)) % period
     # family f, coset h: label 4 f + 2 h + 2 at odd positions, + 3 at even
     coset = 2 * (np.arange(len(table))[:, None] % 2)
     labels = partition_labels(c.m, c.n)
@@ -234,35 +238,18 @@ def _system_from_constants(constants):
             part[pos], res[pos] = coset[:d] + 4 * f + lab, x
         sizes += [d * e // 2] * 4
     if sum(sizes) != period or part.min() < 0:
-        classes = _tables_by_modulus(c, table)
-        part = _paint_partition(c, classes, labels)
-    else:
-        flat = res[np.argsort(part, kind="stable")]
-        ends = np.cumsum(sizes).tolist()
-        classes = {ClassId(*lab[:4]): flat[start:end] for lab, start, end
-                   in zip(labels[2:], ends[1:], ends[2:])}
+        bare = np.flatnonzero(part < 0)
+        if bare.size:
+            raise PartitionViolation(int(bare[0]), "left unlabeled")
+        raise PartitionViolation(period, f"{sum(sizes)} writes for "
+                                         f"{period} indices")
+    flat = res[np.argsort(part, kind="stable")]
+    ends = np.cumsum(sizes).tolist()
+    classes = {ClassId(*lab[:4]): flat[start:end] for lab, start, end
+               in zip(labels[2:], ends[1:], ends[2:])}
     part.flags.writeable = False
     return CyclotomicSystem(constants=constants, classes=classes,
                             labels=labels, partition=part)
-
-
-def _tables_by_modulus(constants, table):
-    # each modulus in turn, odd before doubled: the first whose D_0 rows
-    # hold fewer than d e / 2 residues collapsed (g or y lacks the order
-    # the constants claim); else the sorted tables go to _paint_partition
-    c, classes = constants, {}
-    for i, j in _family_indices(c.m, c.n):
-        d, e = c.d_ij[i, j], c.e_ij[i, j]
-        for two in (False, True):
-            block = table[:d, :e] % ((2 if two else 1) * c.p**i * c.q**j)
-            d0, shape = np.unique(block[::2]), _shape(i, j, two)
-            if len(d0) != d * e // 2:
-                raise LemmaViolation("class enumeration collapsed",
-                                     cls=ClassId(shape, i, j, 0),
-                                     size=len(d0), expected=d * e // 2)
-            classes[ClassId(shape, i, j, 0)] = d0
-            classes[ClassId(shape, i, j, 1)] = np.sort(block[1::2], axis=None)
-    return classes
 
 
 def build_partition(system):

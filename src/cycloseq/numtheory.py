@@ -2,8 +2,9 @@
 
 Everything runs on arbitrary-precision Python ints. Primality is
 deterministic trial division: inputs are desk-scale by design, enforced by
-the parameter cap (2 p^m q^n <= 10**7 unless overridden), so there is no
-need for probabilistic tests.
+the parameter cap (2 p^m q^n <= 10**7 unless overridden) and, whatever the
+cap, the period ceiling 2^31 - 1, so there is no need for probabilistic
+tests.
 
 The module ends in build_system_constants, which derives the full constant
 set for a parameter choice (p, q, m, n): the least odd primitive roots g1,
@@ -17,6 +18,9 @@ from dataclasses import dataclass, field
 from .errors import CapExceeded, InvalidParams, NotCoprime
 
 DEFAULT_PARAM_CAP = 10**7
+# no cap lifts a period past this: below it a product of two residues
+# mod the period is exact in int64, which the class tables rely on
+PERIOD_CEILING = 2**31 - 1
 
 
 def is_prime(n):
@@ -133,8 +137,9 @@ class SystemConstants:
 def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     """Validate parameters and derive the full constant set.
 
-    The period is multiplied up only until it passes the cap, and trial
-    division comes after that, so a huge p or exponent fails fast.
+    The period is multiplied up only until it passes the cap or the
+    period ceiling, whichever is lower, and trial division comes after
+    that, so a huge p or exponent fails fast.
     """
     for v, name in ((p, "p"), (q, "q")):
         if v < 3 or v % 2 == 0:
@@ -143,12 +148,13 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
         raise InvalidParams("p and q must be distinct")
     if m < 1 or n < 1:
         raise InvalidParams(f"m and n must be >= 1, got m={m}, n={n}")
-    period = 2
+    period, limit = 2, min(cap, PERIOD_CEILING)
     for count in range(1, m + n + 1):
         period *= p if count <= m else q
-        if period > cap:
+        if period > limit:
             shown = period if count == m + n else f"2 * {p}^{m} * {q}^{n}"
-            raise CapExceeded(f"period {shown} exceeds cap {cap}")
+            bound = "cap" if cap == limit else "the period ceiling"
+            raise CapExceeded(f"period {shown} exceeds {bound} {limit}")
     for v, name in ((p, "p"), (q, "q")):
         if not is_prime(v):
             raise InvalidParams(f"{name} must be an odd prime, got {v}")

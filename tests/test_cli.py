@@ -476,6 +476,41 @@ def test_sweep_row_with_huge_exponent(capsys):
     assert rows[1]["theorem_holds"] is True
 
 
+# a cap that would admit 2 * 3^40 * 5, whose array no numpy can allocate
+BIG_CAP = "100000000000000000000000"
+CEILING_ERROR = "period 2 * 3^40 * 5^1 exceeds the period ceiling 2147483647"
+
+
+def test_period_ceiling_holds_past_any_cap(capsys, monkeypatch):
+    code, out, err = run(capsys, "analyze", "--p", "3", "--q", "5",
+                         "--m", "40", "--cap", BIG_CAP)
+    assert (code, out, err) == (3, "", f"error: {CEILING_ERROR}\n")
+    monkeypatch.setenv("CYCLOSEQ_CAP", BIG_CAP)
+    code, out, _ = run(capsys, "sweep", "--pairs", "3:5",
+                       "--exponents", "40:1,1:1")
+    rows = json.loads(out)
+    assert code == 1
+    assert rows[0]["error"] == f"CapExceeded: {CEILING_ERROR}"
+    assert rows[1]["theorem_holds"] is True
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 9.62 GiB"),
+     "Unable to allocate 9.62 GiB")])
+def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
+                                            error, line):
+    # numpy's allocation failure is a MemoryError with a one-line message
+    def out_of_memory(*args):
+        raise error
+
+    monkeypatch.setattr(cyclotomy, "_powers", out_of_memory)
+    code, out, err = run(capsys, "generate", "--p", "3", "--q", "5",
+                         "--out", str(tmp_path / "s.txt"))
+    assert (code, out, err) == (3, "", f"error: {line}\n")
+    assert not list(tmp_path.iterdir())
+
+
 def _quiet_main(argv):
     """main(argv) with its output dropped; argparse's own exit is returned
     as its code, which must be 2."""

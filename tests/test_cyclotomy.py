@@ -15,8 +15,8 @@ from cycloseq.cyclotomy import (ClassId, CyclotomicSystem, HALF_LABEL,
                                 cofactor_of, h_set, partition_labels,
                                 residue_side_of_2)
 from cycloseq.errors import InvalidParams, LemmaViolation, PartitionViolation
-from cycloseq.numtheory import (build_system_constants, euler_phi,
-                                is_prime)
+from cycloseq.numtheory import (PERIOD_CEILING, build_system_constants,
+                                euler_phi)
 
 GRID = [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1), (3, 11, 1, 1),
         (3, 5, 2, 1), (3, 5, 1, 2), (3, 7, 2, 1)]
@@ -325,16 +325,16 @@ def test_class_id_validation(sys15):
 
 def test_collapsed_class_enumeration_raises(monkeypatch):
     # a g table of period 2 where the constants claim order 4: the two
-    # D_0 rows of the first modulus, p q, coincide
+    # D_0 rows of the first modulus, p q, coincide, and 2N writes leave
+    # index 4 = 2 * 2, the even place of pq's residue 2, unpainted
     real = cyclotomy._powers
     monkeypatch.setattr(cyclotomy, "_powers",
                         lambda base, count, mod:
                         np.resize(real(base, min(count, 2), mod), count))
-    with pytest.raises(LemmaViolation) as info:
+    with pytest.raises(PartitionViolation) as info:
         build_system(3, 5, 1, 1)
-    assert str(info.value) == (
-        "class enumeration collapsed [cls=ClassId(shape='pq', i=1, j=1, h=0, "
-        "doubled=False), size=2, expected=4]")
+    assert info.value.index == 4
+    assert str(info.value) == "index 4: left unlabeled"
 
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 5, 2, 1),
@@ -375,24 +375,14 @@ def test_class_tables_match_definition(params):
 
 
 def test_powers_are_exact_past_int64():
-    # a modulus P > 2^32, where products of two residues overflow int64:
-    # the powers of a g of order 4 are 1, g, -1, -g, in Python ints
-    P = next(v for v in range(2**32 + 1, 2**32 + 10**4, 4) if is_prime(v))
-    a = next(a for a in range(2, P) if pow(a, (P - 1) // 2, P) == P - 1)
-    g = pow(a, (P - 1) // 4, P)
-    assert g * (P - 1) >= 2**63
-    got = cyclotomy._powers(g, 9, P)
-    assert got.dtype == object
-    assert got.tolist() == [1, g, P - 1, P - g] * 2 + [1]
-    base = 3**40 % P
-    assert cyclotomy._powers(base, 37, P).tolist() == [
-        pow(base, k, P) for k in range(37)]
-    # below 2^31 the table is int64 and the same powers
-    for mod in (2, 30, 2**31 - 1):
-        got = cyclotomy._powers(mod - 1 - mod // 3, 21, mod)
-        assert got.dtype == np.int64
-        assert got.tolist() == [pow(mod - 1 - mod // 3, k, mod)
-                                for k in range(21)]
+    # at the period ceiling a product of two residues nears 2^62, past
+    # what a float64 holds exactly and still inside int64: every power
+    # of a base near -1, near -1/3 or of 3^40 reduced matches pow
+    for mod in (2, 30, PERIOD_CEILING - 1, PERIOD_CEILING):
+        for base in (mod - 2, mod - 1 - mod // 3, 3**40 % mod):
+            got = cyclotomy._powers(base, 37, mod)
+            assert got.dtype == np.int64
+            assert got.tolist() == [pow(base, k, mod) for k in range(37)]
 
 
 def _painted(system, cid, arr):
@@ -587,11 +577,9 @@ BENCH_SYSTEMS = [
 
 
 @pytest.mark.parametrize("params", BENCH_SYSTEMS + [(7, 11, 3, 2)])
-def test_power_table_matches_reference_builder(monkeypatch, params):
+def test_power_table_matches_reference_builder(params):
     constants = build_system_constants(*params)
     want = _reference_system(constants)
-    # valid constants tile at once: the per-modulus fault path never runs
-    monkeypatch.setattr(cyclotomy, "_tables_by_modulus", None)
     _assert_same_system(cyclotomy._system_from_constants(constants), want)
 
 
@@ -612,12 +600,17 @@ def stray_generators(draw):
 @settings(deadline=None, max_examples=200)
 @given(stray_generators())
 def test_power_table_fails_as_the_reference_builder(constants):
+    # the paint raises exactly when the reference does, as PartitionViolation
+    # at an index it left bare or, with none bare, on its write count
     try:
         want = _reference_system(constants)
-    except (LemmaViolation, PartitionViolation) as exc:
-        with pytest.raises(type(exc)) as info:
+    except (LemmaViolation, PartitionViolation):
+        with pytest.raises(PartitionViolation) as info:
             cyclotomy._system_from_constants(constants)
-        assert str(info.value) == str(exc)
+        bare = info.value.index < constants.period
+        assert str(info.value).endswith(
+            ": left unlabeled" if bare else f" writes for "
+                                            f"{constants.period} indices")
     else:
         _assert_same_system(cyclotomy._system_from_constants(constants), want)
 
@@ -625,13 +618,16 @@ def test_power_table_fails_as_the_reference_builder(constants):
 def test_overclaimed_order_fails_as_the_reference_builder():
     # d = 4 claimed for the p family of (3, 5, 2, 1), where g has order 2:
     # its rows 2 and 3 repaint rows 0 and 1, so every index is painted,
-    # but 2N + 4 writes do not tile Z_2N and the family is named collapsed
+    # but 2N + 4 writes do not tile Z_2N; the reference names the family
+    # collapsed, the paint its write count at index 2N
     c = build_system_constants(3, 5, 2, 1)
     bad = dataclasses.replace(c, d_ij={**c.d_ij, (1, 0): 4})
     with pytest.raises(LemmaViolation) as want:
         _reference_system(bad)
-    with pytest.raises(LemmaViolation) as got:
-        cyclotomy._system_from_constants(bad)
-    assert str(got.value) == str(want.value) == (
+    assert str(want.value) == (
         "class enumeration collapsed [cls=ClassId(shape='p', i=1, j=0, h=0, "
         "doubled=False), size=1, expected=2]")
+    with pytest.raises(PartitionViolation) as got:
+        cyclotomy._system_from_constants(bad)
+    assert got.value.index == c.period == 90
+    assert str(got.value) == "index 90: 94 writes for 90 indices"

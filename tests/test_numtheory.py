@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cycloseq.errors import CapExceeded, InvalidParams, NotCoprime
-from cycloseq.numtheory import (_lift, build_system_constants, euler_phi,
+from cycloseq.numtheory import (PERIOD_CEILING, _lift,
+                                build_system_constants, euler_phi,
                                 factorize, is_prime, mult_order,
                                 smallest_odd_primitive_root_mod_p2)
 
@@ -131,3 +132,19 @@ def test_constants_rejections():
         build_system_constants(3, 5, 0, 1)
     with pytest.raises(CapExceeded):
         build_system_constants(3, 5, 9, 9)
+
+
+def test_period_ceiling_bounds_every_cap():
+    # 2 * 3^19 * 5 = 11 622 614 670 passes a cap of 10^23 but not the
+    # ceiling, under which a product of two residues is exact in int64
+    with pytest.raises(CapExceeded) as info:
+        build_system_constants(3, 5, 19, 1, cap=10**23)
+    assert str(info.value) == ("period 2 * 3^19 * 5^1 exceeds the period "
+                               "ceiling 2147483647")
+    # a cap at or under the ceiling is named as before
+    with pytest.raises(CapExceeded, match="exceeds cap 2147483647$"):
+        build_system_constants(3, 5, 19, 1, cap=PERIOD_CEILING)
+    # 2 * 3^17 * 5 = 1 291 401 630 is under it: the constants, no tables
+    c = build_system_constants(3, 5, 17, 1, cap=10**23)
+    assert c.period == 1_291_401_630 < PERIOD_CEILING
+    assert (c.d_ij[17, 1], c.e_ij[17, 1]) == (4 * 3**16, 2)
