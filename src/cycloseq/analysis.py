@@ -1,4 +1,4 @@
-"""Linear complexity of quaternary sequences by two independent routes.
+"""Linear complexity of quaternary sequences by three independent routes.
 
 Route one runs Berlekamp-Massey over GF(4) on two tiled periods of the
 sequence and returns the shortest LFSR length plus its connection
@@ -18,9 +18,7 @@ the 2P symbols.
 Route two is purely algebraic: for a sequence of period P,
 LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
 quotient (x^P - 1) / gcd, which for full-period input is exactly the
-monic normalization of the unique minimal connection polynomial. The two
-routes must agree on both the length and the polynomial; analyze and
-verify_theorem enforce that.
+monic normalization of the unique minimal connection polynomial.
 
 Route two never runs Euclid on degree-P inputs. Write P = 2^a N with N
 odd and F = x^N - 1; F is squarefree and x^P - 1 = F^(2^a), so the gcd
@@ -39,6 +37,28 @@ the factor x^(-j) is a unit mod F, so only the mask is applied. The
 masks and the fold are ANDs, shifts and XORs on S's gf4 bit planes. The
 steps stop at the first G_j = 1, so on P = 2N they are at most two gcds
 of degree <= N.
+
+Route three, predict_lc, builds no sequence: it gives the LC of the
+construction from (p, q, m, n) and the mapping in closed form. As
+x^(2N) - 1 = (x^N - 1)^2, LC = 2N - sum of mu(k) over k in Z_N, where
+beta is a primitive N-th root of unity, S(beta^k) = E(k) + O(k) splits
+into its even-position and odd-position sums, and
+mu(k) = [E = O] (1 + [O = 0]): O(k) is beta^k times the derivative's
+value. Each family (i, j) adds its sums T_h = sum over x in D_h of
+zeta^(k x), zeta = beta^(N / p^i q^j), to O as a T_0 + b T_1 and to E as
+c T_s + d T_(1-s), where 2 lies in D_s; O also has e. D_0 is the squares
+mod p^i on a p-power family and {x : (x|q) = 1} on the others, so every
+T_h is 0, 1 or a quadratic Gaussian period of p or q in characteristic 2
+(Lidl and Niederreiter, Finite Fields, ch. 5; Ding, Helleseth and Shan,
+IEEE T-IT 44(3), 1998): {eta_0, eta_1} = {0, 1} when 2 is a square mod
+the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
+through v_p(k), v_q(k) and the Legendre symbols of its unit part, so
+mu is summed over those cells in plain integer arithmetic.
+
+Where they run: analyze and verify measure by BM and the gcd route and
+require both the length and the polynomial to agree (analyze_symbols,
+verify_theorem). sweep, plain and --degenerate, measures by the gcd route
+alone and requires it to equal predict_lc (checked_lc).
 """
 
 from dataclasses import dataclass
@@ -47,6 +67,7 @@ import numpy as np
 
 from . import gf4
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
+from .numtheory import two_is_square_mod
 from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
                        validate_mapping)
 
@@ -174,6 +195,81 @@ def methods_consistent(lc_bm, conn, lc_gcd, minpoly):
     return lc_bm == lc_gcd and gf4.monic_planes(*conn) == minpoly
 
 
+def _prime_power_sums(r, top, v, nonsquare):
+    """(T_0, T_1) summed over the families r^1 .. r^top at v = v_r(k).
+
+    T_h of family r^i sums zeta^(u r^v x) over x in D_h, the squares
+    (h = 0) or the non-squares mod r^i, with zeta a primitive r^i-th root
+    of unity and u a unit mod r, nonsquare = [(u|r) = -1]. It is 0 when
+    v < i - 1, the Gaussian period eta_(h + nonsquare) when v = i - 1, and
+    phi(r^i) / 2 ones, [r = 3 mod 4], when v >= i.
+    """
+    ones = min(v, top) % 2 * (r % 4 == 3)
+    if v >= top:
+        return ones, ones
+    periods = (0, 1) if two_is_square_mod(r) else (gf4.ALPHA, gf4.ALPHA1)
+    return ones ^ periods[nonsquare], ones ^ periods[1 - nonsquare]
+
+
+def predict_lc(constants, mapping):
+    """Exact LC of the sequence, in closed form (route three above).
+
+    k = p^a q^b l in Z_N is grouped by (a, b, [(l|p) = -1] if a < m,
+    [(l|q) = -1] if b < n); a group has phi(p^(m-a)) phi(q^(n-b)) / 2^s
+    members, s the number of Legendre symbols in its key. The p-power
+    families read k at p, the q-power families k at q. The mixed family
+    (i, j) is the Ramanujan sum mod p^i, odd exactly when a = i - 1,
+    times the sums of k p^(-i) at q. The unit part of a multiplier keeps
+    the other prime's power, so its Legendre symbol picks up (q|p)^b or
+    (p|q)^a, and (p|q) on the mixed families. Plain ints throughout.
+    """
+    c = constants
+    p, q, m, n = c.p, c.q, c.m, c.n
+    times_a, times_b, times_c, times_d = (
+        [gf4.gf4_mul(v, t) for t in range(4)]
+        for v in mapping.as_tuple()[:4])
+    side_p, side_q = (not two_is_square_mod(r) for r in (p, q))
+    q_at_p = int(pow(q, (p - 1) // 2, p) != 1)  # [(q|p) = -1]
+    p_at_q = int(pow(p, (q - 1) // 2, q) != 1)  # [(p|q) = -1]
+    lost = 0
+    for a in range(m + 1):
+        for b in range(n + 1):
+            size = ((p - 1) * p**(m - a - 1) if a < m else 1) * (
+                (q - 1) * q**(n - b - 1) if b < n else 1) >> (
+                (a < m) + (b < n))
+            for lp in (0, 1) if a < m else (0,):
+                p0, p1 = _prime_power_sums(p, m, a, lp ^ (b & q_at_p))
+                for lq in (0, 1) if b < n else (0,):
+                    q0, q1 = _prime_power_sums(q, n, b, lq ^ (a & p_at_q))
+                    if a < m:  # the mixed families (a + 1, j)
+                        x0, x1 = _prime_power_sums(q, n, b, lq ^ p_at_q)
+                        q0, q1 = q0 ^ x0, q1 ^ x1
+                    t0, t1 = p0 ^ q0, p1 ^ q1
+                    # T_s, with 2 in D_s: s is p's side on the p-power
+                    # families and q's on the others
+                    ts = (p1 if side_p else p0) ^ (q1 if side_q else q0)
+                    odd = mapping.e ^ times_a[t0] ^ times_b[t1]
+                    even = times_c[ts] ^ times_d[t0 ^ t1 ^ ts]
+                    if even == odd:
+                        lost += size << (odd == 0)
+    return 2 * c.half_period - lost
+
+
+def checked_lc(seq):
+    """LC of one period by the gcd route, which must equal predict_lc.
+
+    sweep's measurement. Raises MethodDisagreement naming both values and
+    the mapping when they differ.
+    """
+    lc, _ = lc_via_gcd(seq.symbols)
+    predicted = predict_lc(seq.constants, seq.mapping)
+    if lc != predicted:
+        raise MethodDisagreement(
+            f"gcd found {lc}, the closed form predicts {predicted} "
+            f"for mapping {seq.mapping.as_tuple()}")
+    return lc
+
+
 @dataclass(frozen=True)
 class LinearComplexityReport:
     """Both measurements plus the agreement and attainment verdicts.
@@ -246,7 +342,7 @@ class DegenerateReport:
     """Measured complexity of a mapping that breaks the mod-8 constraint."""
 
     violations: tuple
-    lc_bm: int
+    lc_predicted: int
     lc_gcd: int
     lower_bound: int
     reduced: bool
@@ -258,7 +354,8 @@ def analyze_degenerate(system, mapping):
     The mapping must be structurally sound and actually degenerate, either
     by the mod-8 rule or by a vanishing spectrum regime; a fully valid
     mapping that attains the maximum belongs to verify_theorem instead.
-    Raises TheoremViolation if the measured complexity dips below
+    LC comes from checked_lc, so the gcd route equals predict_lc. Raises
+    TheoremViolation if the measured complexity dips below
     (p^m + 1)(q^n + 1)/2.
     """
     seq = build_sequence(system, mapping, allow_degenerate=True)
@@ -268,16 +365,16 @@ def analyze_degenerate(system, mapping):
     if not soft and spectrum_profile(system, mapping).attains_max:
         raise InvalidParams(
             "mapping is valid and attains the maximum; nothing degenerate")
-    report = analyze_symbols(seq.symbols)
+    lc = checked_lc(seq)
     bound = degenerate_lower_bound(c.p, c.q, c.m, c.n)
-    if report.lc_gcd < bound:
+    if lc < bound:
         raise TheoremViolation(
-            f"complexity {report.lc_gcd} below the floor {bound} "
+            f"complexity {lc} below the floor {bound} "
             f"for mapping {mapping.as_tuple()}")
     return DegenerateReport(
         violations=tuple(soft),
-        lc_bm=report.lc_bm,
-        lc_gcd=report.lc_gcd,
+        lc_predicted=lc,
+        lc_gcd=lc,
         lower_bound=bound,
-        reduced=report.lc_gcd < seq.period,
+        reduced=lc < seq.period,
     )

@@ -1,12 +1,14 @@
 """Command-line surface: generate, analyze, verify, sweep.
 
-Exit codes: 0 success, 1 verification violation or failed sweep row,
-2 invalid parameters or mapping (also when a sweep row fails on one), or
-an OSError on a file such as an --out path that cannot be written, 3 cap
-exceeded or memory run out, 4 malformed sequence file. The parameter cap
-(default 2 p^m q^n <= 10^7, from numtheory.DEFAULT_PARAM_CAP) can be
-overridden by --cap or the CYCLOSEQ_CAP environment variable, up to the
-period ceiling 2^31 - 1 (numtheory.PERIOD_CEILING) that no cap lifts;
+Exit codes: 0 success, 1 verification violation or failed sweep row
+(also a row that runs out of memory: it records "MemoryError: ..." and
+the sweep keeps its other rows), 2 invalid parameters or mapping (also
+when a sweep row fails on one), or an OSError on a file such as an --out
+path that cannot be written, 3 cap exceeded or memory run out, 4
+malformed sequence file. The parameter cap (default 2 p^m q^n <= 10^7,
+from numtheory.DEFAULT_PARAM_CAP) can be overridden by --cap or the
+CYCLOSEQ_CAP environment variable, up to the period ceiling 2^31 - 1
+(numtheory.PERIOD_CEILING) that no cap lifts;
 extfield.build_extension also caps extension-field verification at
 N <= 5000 and degree d <= 12, before `verify` builds any class table, from
 the constants it built once.
@@ -25,7 +27,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .analysis import analyze_degenerate, analyze_symbols, verify_theorem
+from .analysis import (analyze_degenerate, analyze_symbols, checked_lc,
+                       verify_theorem)
 from .cyclotomy import (_system_from_constants, build_system,
                         check_residue_rules, check_structural_lemmas)
 from .errors import (CapExceeded, CaseViolation, CycloseqError,
@@ -179,11 +182,12 @@ def cmd_verify(args):
 
 
 def _sweep_fields(system, mapping, degenerate):
-    """The measured fields of one sweep row. analyze_degenerate raises
-    TheoremViolation below its floor, so bound_ok is always true."""
+    """The measured fields of one sweep row, by checked_lc on both paths.
+    analyze_degenerate raises TheoremViolation below its floor, so
+    bound_ok is always true."""
     period = 2 * system.half_period
     if not degenerate:
-        lc = verify_theorem(system, mapping).lc_gcd
+        lc = checked_lc(build_sequence(system, mapping))
         return {"period": period, "lc": lc, "theorem_holds": lc == period}
     report = analyze_degenerate(system, mapping)
     return {"period": period, "lc": report.lc_gcd,
@@ -196,9 +200,12 @@ def cmd_sweep(args):
     """One row per grid system and mapping; exit with the largest row code.
 
     A row is 0 when it holds; 1 when plain LC falls short of the period or
-    a violation or cap ends it (such as TheoremViolation below the
-    --degenerate floor); 2 on InvalidParams or InvalidMapping. A system is
-    built at its first row; a build that fails is retried at each row.
+    a violation, a cap or running out of memory ends it (such as
+    TheoremViolation below the --degenerate floor, or MethodDisagreement
+    when the gcd route and the closed form differ); 2 on InvalidParams or
+    InvalidMapping. A row that ends in an error carries it and the sweep
+    goes on. A system is built at its first row; a build that fails is
+    retried at each row.
     """
     cap = _resolve_cap(args)
     base = Mapping.from_text(args.map)
@@ -215,8 +222,9 @@ def cmd_sweep(args):
                 system = system or build_system(p, q, m, n, cap=cap)
                 row.update(_sweep_fields(system, mapping, args.degenerate))
                 row_code = 0 if args.degenerate or row["theorem_holds"] else 1
-            except CycloseqError as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
+            except (CycloseqError, MemoryError) as exc:
+                row["error"] = (f"{type(exc).__name__}: "
+                                f"{str(exc) or 'out of memory'}")
                 invalid = isinstance(exc, (InvalidParams, InvalidMapping))
                 row_code = 2 if invalid else 1
             rows.append(row)

@@ -140,7 +140,7 @@ def test_criterion_5_degenerate_lower_bound(acceptance_log):
     for p, q, e, frozen_lc, bound, reduced in rows:
         system = build_system(p, q, 1, 1)
         report = analyze_degenerate(system, Mapping(2, 3, 1, 0, e))
-        good = (report.lc_gcd == report.lc_bm == frozen_lc
+        good = (report.lc_gcd == report.lc_predicted == frozen_lc
                 and report.lower_bound == bound
                 and report.lc_gcd >= bound
                 and report.reduced == reduced)

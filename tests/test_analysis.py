@@ -2,21 +2,27 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq import gf4
+from cycloseq import analysis, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, degenerate_lower_bound,
-                               lc_via_gcd, methods_consistent, verify_theorem)
+                               berlekamp_massey, checked_lc,
+                               degenerate_lower_bound, lc_via_gcd,
+                               methods_consistent, predict_lc, verify_theorem)
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
+from cycloseq.extfield import build_extension
 from cycloseq.gf4 import INV_TABLE, MUL_TABLE, to_planes
-from cycloseq.sequence import DEFAULT_MAPPING, Mapping, build_sequence
+from cycloseq.numtheory import (build_system_constants, is_prime,
+                                two_is_square_mod)
+from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
+                               spectrum_profile)
 
 
 @pytest.fixture(scope="module")
@@ -479,3 +485,99 @@ def test_analyze_degenerate_rejections(sys15):
         analyze_degenerate(sys15, Mapping(2, 2, 1, 0, 3))
     with pytest.raises(InvalidParams):
         analyze_degenerate(sys15, DEFAULT_MAPPING)
+
+
+# one pair per (p mod 8, q mod 8) class, as in the sweep benchmark
+CLASS_PAIRS = ((17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5),
+               (7, 23), (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3),
+               (5, 13), (5, 7))
+# every structurally valid mapping: a, b, c, d distinct, e nonzero
+ALL_MAPPINGS = tuple(Mapping(*perm, e)
+                     for perm in itertools.permutations(range(4))
+                     for e in (1, 2, 3))
+
+
+def test_class_pairs_cover_every_class():
+    assert len({(p % 8, q % 8) for p, q in CLASS_PAIRS}) == 16
+    assert len(ALL_MAPPINGS) == 72
+
+
+@pytest.mark.parametrize("params", [(p, q, 1, 1) for p, q in CLASS_PAIRS] + [
+    (3, 5, 2, 1), (3, 5, 1, 2), (3, 5, 2, 2), (7, 17, 2, 1), (7, 17, 1, 2),
+    (17, 3, 2, 1), (3, 17, 1, 2), (5, 7, 2, 2), (7, 3, 2, 2), (3, 5, 4, 3)],
+    ids=str)
+def test_predict_lc_equals_the_gcd_route(params):
+    system = build_system(*params)
+    for mapping in ALL_MAPPINGS:
+        seq = build_sequence(system, mapping, allow_degenerate=True)
+        predicted = predict_lc(system.constants, mapping)
+        assert type(predicted) is int
+        assert predicted == lc_via_gcd(seq.symbols)[0], mapping
+
+
+def test_predict_lc_at_large_periods():
+    # LC as the gcd route measured it at P = 913 066, up to 16 s a row
+    constants = build_system_constants(7, 11, 3, 3)
+    assert predict_lc(constants, DEFAULT_MAPPING) == 913066
+    assert predict_lc(constants, Mapping(0, 1, 2, 3, 2)) == 457864
+    assert predict_lc(constants, Mapping(2, 1, 3, 0, 1)) == 230263
+
+
+def test_same_side_pairs_lose_to_two_values():
+    # at (1,1) with (2|p) = (2|q), the 24 mappings short of 2N split into
+    # N + 1 and (N + 3)/2; LC = 2N exactly when the spectrum profile says
+    primes = [r for r in range(3, 62) if is_prime(r)]
+    pairs = [(p, q) for p in primes for q in primes
+             if p < q and two_is_square_mod(p) == two_is_square_mod(q)]
+    assert len(pairs) == 70
+    for p, q in pairs + list(CLASS_PAIRS):
+        system, N = build_system(p, q, 1, 1), p * q
+        counts = Counter()
+        for mapping in ALL_MAPPINGS:
+            lc = predict_lc(system.constants, mapping)
+            assert ((lc == 2 * N)
+                    == spectrum_profile(system, mapping).attains_max)
+            counts[lc] += 1
+        if (p, q) in pairs:
+            assert counts == {2 * N: 48, N + 1: 12, (N + 3) // 2: 12}
+
+
+def test_checked_lc_names_both_values(sys15, monkeypatch):
+    seq = build_sequence(sys15, Mapping(2, 3, 1, 0, 2),
+                         allow_degenerate=True)
+    assert checked_lc(seq) == 16
+    monkeypatch.setattr(analysis, "predict_lc",
+                        lambda constants, mapping: 17)
+    with pytest.raises(MethodDisagreement) as info:
+        checked_lc(seq)
+    assert str(info.value) == ("gcd found 16, the closed form predicts 17 "
+                               "for mapping (2, 3, 1, 0, 2)")
+
+
+@pytest.mark.parametrize("r, top, other", [
+    (3, 1, 5), (3, 2, 5), (5, 2, 3), (7, 1, 3), (11, 1, 3), (13, 1, 3),
+    (17, 1, 3)], ids=str)
+def test_prime_power_sums_by_brute_force(r, top, other):
+    # sum over i <= top of zeta_i^(k x) over the squares and non-squares
+    # x mod r^i, zeta_i a primitive r^i-th root of unity in F_{4^d}, for
+    # k = u r^v; which Gaussian period is eta_0 depends on the root, so
+    # either orientation may hold, but the same one for every k
+    context = build_extension(r**top * other)
+    zeta = context.pow(context.beta, other)
+    nonsquare = next(u for u in range(2, r) if pow(u, (r - 1) // 2, r) != 1)
+    brute, by_formula = [], ([], [])
+    for v in range(top + 2):
+        for u in (1, nonsquare):
+            k, sums = u * r**v, [0, 0]
+            for i in range(1, top + 1):
+                root = context.pow(zeta, r**(top - i))
+                for x in range(1, r**i):
+                    if x % r:
+                        square = pow(x, (r - 1) // 2, r) == 1
+                        sums[not square] ^= context.pow(root, k * x % r**i)
+            brute.append(tuple(sums))
+            for flip in (0, 1):
+                by_formula[flip].append(tuple(
+                    gf4.pack_scalar(t, context.d) for t in
+                    analysis._prime_power_sums(r, top, v, (u != 1) ^ flip)))
+    assert brute in by_formula

@@ -8,11 +8,12 @@ import os
 import stat
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycloseq import cli, cyclotomy, numtheory
+from cycloseq import analysis, cli, cyclotomy, numtheory
 from cycloseq.cli import main
 
 
@@ -509,6 +510,74 @@ def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
                          "--out", str(tmp_path / "s.txt"))
     assert (code, out, err) == (3, "", f"error: {line}\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 1.28 GiB"),
+     "MemoryError: Unable to allocate 1.28 GiB"),
+    (MemoryError(), "MemoryError: out of memory")])
+def test_sweep_keeps_its_rows_on_memory_error(capsys, monkeypatch, error,
+                                              message):
+    # the second system's build runs out of memory: its row says so, and
+    # the rows before and after it stay
+    def build(p, q, m, n, cap):
+        if (p, q) == (3, 7):
+            raise error
+        return cyclotomy.build_system(p, q, m, n, cap=cap)
+
+    monkeypatch.setattr(cli, "build_system", build)
+    code, out, err = run(capsys, "sweep", "--pairs", "3:5,3:7,5:7",
+                         "--exponents", "1:1")
+    rows = json.loads(out)
+    assert (code, err) == (1, "")
+    assert [r.get("lc") for r in rows] == [30, None, 70]
+    assert rows[1] == {"p": 3, "q": 7, "m": 1, "n": 1,
+                       "mapping": "2,3,1,0,1", "error": message}
+
+
+def _sweep_rows(capsys, *argv):
+    code, out, _ = run(capsys, "sweep", *argv)
+    return code, [(r["mapping"], r.get("lc"), r.get("theorem_holds"),
+                   r.get("lower_bound"), r.get("error")) for r in
+                  json.loads(out)]
+
+
+def test_sweep_runs_no_berlekamp_massey(capsys, monkeypatch):
+    def absent(*args, **kwargs):
+        raise AssertionError("sweep ran Berlekamp-Massey")
+
+    monkeypatch.setattr(analysis, "berlekamp_massey", absent)
+    monkeypatch.setattr(np, "tile", absent)
+    assert _sweep_rows(capsys, "--pairs", "3:5,3:7",
+                       "--exponents", "1:1,2:1") == (0, [
+        ("2,3,1,0,1", 30, True, None, None),
+        ("2,3,1,0,1", 90, True, None, None),
+        ("2,3,1,0,1", 42, True, None, None),
+        ("2,3,1,0,1", 126, True, None, None)])
+    assert _sweep_rows(capsys, "--degenerate", "--pairs", "3:5,3:7",
+                       "--exponents", "1:1") == (0, [
+        ("2,3,1,0,2", 16, False, 12, None),
+        ("2,3,1,0,3", 30, True, 12, None),
+        ("2,3,1,0,2", 28, False, 16, None),
+        ("2,3,1,0,3", 33, False, 16, None)])
+    assert _sweep_rows(capsys, "--degenerate", "--pairs", "3:5",
+                       "--exponents", "1:1", "--map", "0,2,3,1,1") == (1, [
+        ("0,2,3,1,1", None, None, None, "TheoremViolation: complexity 9 "
+         "below the floor 12 for mapping (0, 2, 3, 1, 1)"),
+        ("0,2,3,1,2", 30, True, 12, None)])
+
+
+@pytest.mark.parametrize("degenerate", [(), ("--degenerate",)])
+def test_sweep_rows_check_the_closed_form(capsys, monkeypatch, degenerate):
+    real = analysis.predict_lc
+    monkeypatch.setattr(analysis, "predict_lc",
+                        lambda constants, mapping: real(constants, mapping) + 1)
+    code, rows = _sweep_rows(capsys, *degenerate, "--pairs", "3:5",
+                             "--exponents", "1:1")
+    assert code == 1 and rows
+    for mapping, lc, _, _, error in rows:
+        assert lc is None and error.startswith("MethodDisagreement: ")
+        assert f"({mapping.replace(',', ', ')})" in error
 
 
 def _quiet_main(argv):
