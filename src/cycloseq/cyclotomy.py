@@ -11,9 +11,11 @@ For every shape the units split into two equal halves: D_0 = <g^2, y> and
 its coset D_1 = g * D_0. With op = phi(p^i), oq = phi(q^j) (phi = 1 at
 exponent 0) that is lcm(op, oq)/2 powers of g^2 times gcd(op, oq) powers
 of y; on a prime-power family the y count is 1 and D_0 is the even-power
-coset of g. check_structural_lemmas confirms this agrees with lifting:
-family (i, j) lifts its base class (min(i, 1), min(j, 1)) in steps of
-p^[i>0] q^[j>0].
+coset of g. Since g is a primitive root mod p and mod q and y = 1 (mod q),
+these are Legendre classes: with r = q on the mixed and q-power families
+and r = p on the p-power ones, D_0 holds the units that are squares mod r
+and D_1 those that are not. check_structural_lemmas compares every class
+table with that set, built from p and q alone.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
@@ -21,9 +23,7 @@ singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
 painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below the
 period ceiling of numtheory) and stored as a label array, is the single
 source of truth for sequence generation, and the class tables are read off
-it; a paint that does not tile raises PartitionViolation. The per-index
-classifier classify_index recomputes labels independently so the two
-paths can be cross-checked.
+it; a paint that does not tile raises PartitionViolation.
 """
 
 from dataclasses import dataclass, field
@@ -69,8 +69,8 @@ def _family_indices(m, n):
 
 
 def _families(m, n):
-    # family members keyed by base class; the lemma checks report the p,
-    # q and pq families in that order
+    # family members keyed by base class; check_residue_rules reports the
+    # p, q and pq families in that order
     out = {(1, 0): [], (0, 1): [], (1, 1): []}
     for i, j in _family_indices(m, n):
         out[min(i, 1), min(j, 1)].append((i, j))
@@ -261,56 +261,6 @@ def build_partition(system):
     return _paint_partition(system.constants, system.classes, system.labels)
 
 
-def _valuation(x, p, limit):
-    v = 0
-    while v < limit and x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _member_side(system, shape, i, j, value):
-    for h in (0, 1):
-        arr = system.classes[ClassId(shape, i, j, h)]
-        pos = int(np.searchsorted(arr, value))
-        if pos < len(arr) and arr[pos] == value:
-            return h
-    return None
-
-
-def classify_index(system, t):
-    """Label index of position t, computed independently of the partition.
-
-    Walks the definition directly: split off the factor 2, read the p/q
-    valuations a, b (capped at m, n) to get the family (m - a, n - b),
-    divide out the cofactor p^a q^b and binary-search the residue in the
-    two candidate cosets.
-    """
-    c = system.constants
-    p, q, m, n = c.p, c.q, c.m, c.n
-    if not 0 <= t < c.period:
-        raise InvalidParams(f"index {t} outside Z_{c.period}")
-    if t == 0:
-        return system.labels.index(ZERO_LABEL)
-    if t == c.half_period:
-        return system.labels.index(HALF_LABEL)
-
-    doubled = t % 2 == 0
-    u = t // 2 if doubled else t
-    a = _valuation(u, p, m)
-    b = _valuation(u, q, n)
-    if a == m and b == n:
-        raise PartitionViolation(t, "divisible by p^m q^n yet not special")
-    i, j, cof = m - a, n - b, p**a * q**b
-    shape = _shape(i, j, two=not doubled)
-    if u % cof:
-        raise PartitionViolation(t, "cofactor does not divide the index")
-    h = _member_side(system, shape, i, j, u // cof)
-    if h is None:
-        raise PartitionViolation(t, f"residue missing from both {shape} cosets")
-    return system.labels.index(ClassId(shape, i, j, h, doubled=doubled))
-
-
 def residue_side_of_2(system, shape, i=1, j=1):
     """h with 2 in D_h for an odd-modulus shape ("p", "q" or "pq")."""
     if shape not in ODD_SHAPES:
@@ -318,67 +268,50 @@ def residue_side_of_2(system, shape, i=1, j=1):
     i, j = (i if "p" in shape else 0), (j if "q" in shape else 0)
     if ClassId(shape, i, j, 0) not in system.classes:
         raise InvalidParams(f"no {shape} family (i, j) = ({i}, {j})")
-    h = _member_side(system, shape, i, j, 2)
-    if h is None:
-        raise PartitionViolation(2, f"2 missing from both {shape} cosets")
-    return h
+    for h in (0, 1):
+        arr = system.classes[ClassId(shape, i, j, h)]
+        pos = int(np.searchsorted(arr, 2))
+        if pos < len(arr) and arr[pos] == 2:
+            return h
+    raise PartitionViolation(2, f"2 missing from both {shape} cosets")
 
 
 def check_structural_lemmas(system):
-    """Exhaustive set-identity checks on the class tables.
+    """Compare every class table with its Legendre class, from p and q alone.
 
-    Verifies, as exact set equalities, that prime-power and mixed classes
-    are the base classes lifted by multiples of the base modulus (with the
-    odd-correction term for doubled moduli), that reducing a doubled-shape
-    class modulo its odd part recovers the odd-shape class, and that the
-    side of 2 is constant across exponents within each family, with sets
-    as sorted arrays of distinct values. Returns a list of unraised
-    LemmaViolation records; empty means everything holds.
+    On family (i, j), modulus M = p^i q^j, take r = q if j > 0 else p: D_h
+    holds the units x < M whose side is h, side 0 when x is a square mod
+    r and 1 when it is not, and the doubled shape holds the odd units
+    x < 2M by the same rule. Each table is compared as a set of distinct
+    values; g and y are never read. Returns a list of unraised
+    LemmaViolation records, one per class that differs, witnessed by the
+    least element of the symmetric difference; empty means every class
+    holds.
     """
     out = []
     c = system.constants
-    p, q = c.p, c.q
-    families = _families(c.m, c.n)
 
     def check(cid, expected):
-        got, expected = _sorted_set(system.classes[cid]), _sorted_set(expected)
+        got = _sorted_set(system.classes[cid])
         if not np.array_equal(got, expected):
             diff = set(got.tolist()).symmetric_difference(expected.tolist())
             out.append(LemmaViolation("class set identity failed",
                                       shape=cid, witness=min(diff)))
 
-    for h in (0, 1):
-        for (bi, bj), members in families.items():
-            base = system.classes[ClassId(_shape(bi, bj), bi, bj, h)]
-            step = p**bi * q**bj
-            for i, j in members:
-                mod = p**i * q**j
-                lifted = np.add.outer(step * np.arange(mod // step), base)
-                if (i, j) != (bi, bj):
-                    check(ClassId(_shape(i, j), i, j, h), lifted)
-                # the doubled modulus takes the odd member of {v, v + mod}
-                check(ClassId(_shape(i, j, two=True), i, j, h),
-                      lifted + mod * (lifted % 2 == 0))
-
-        # doubled shape reduced mod its odd part must be the odd shape
-        for i, j in families[1, 1]:
-            got = _sorted_set(system.classes[ClassId("2pq", i, j, h)]
-                              % (p**i * q**j))
-            odd = _sorted_set(system.classes[ClassId("pq", i, j, h)])
-            if not np.array_equal(got, odd):
-                out.append(LemmaViolation(
-                    "doubled class does not reduce onto the odd class",
-                    shape=ClassId("2pq", i, j, h), witness=int(got[0])))
-
-    # side of 2 must not depend on the exponent
-    for base, members in families.items():
-        sides = {residue_side_of_2(system, _shape(i, j), i, j)
-                 for i, j in members}
-        if len(sides) > 1:
-            plural = "s" if base == (1, 1) else ""
-            out.append(LemmaViolation(
-                f"side of 2 varies with the exponent{plural}",
-                shape=_shape(*base), witness=sorted(sides)))
+    for i, j in _family_indices(c.m, c.n):
+        r, mod = (c.q if j else c.p), c.p**i * c.q**j
+        # side of x: 0 on the squares mod r, 1 on the other units, 2 off
+        # the units; it depends on x mod r (x mod pq on a mixed family)
+        side = np.ones(r, dtype=np.int8)
+        side[np.arange(1, r)**2 % r], side[0] = 0, 2
+        if i and j:
+            side = np.where(np.arange(c.p * r) % c.p, np.tile(side, c.p), 2)
+        side = np.tile(side, 2 * mod // len(side))
+        for h in (0, 1):
+            check(ClassId(_shape(i, j), i, j, h),
+                  np.flatnonzero(side[:mod] == h))
+            check(ClassId(_shape(i, j, two=True), i, j, h),
+                  2 * np.flatnonzero(side[1::2] == h) + 1)
     return out
 
 

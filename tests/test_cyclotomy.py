@@ -1,6 +1,7 @@
 """Cyclotomic classes, H-sets, and the partition of Z_{2 p^m q^n}."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from cycloseq import cyclotomy
 from cycloseq.cyclotomy import (ClassId, CyclotomicSystem, HALF_LABEL,
                                 ZERO_LABEL, bucket_of_label, build_partition,
                                 build_system, check_residue_rules,
-                                check_structural_lemmas, classify_index,
-                                cofactor_of, h_set, partition_labels,
-                                residue_side_of_2)
+                                check_structural_lemmas, cofactor_of, h_set,
+                                partition_labels, residue_side_of_2)
 from cycloseq.errors import InvalidParams, LemmaViolation, PartitionViolation
 from cycloseq.numtheory import (PERIOD_CEILING, build_system_constants,
                                 euler_phi)
@@ -79,18 +79,6 @@ def test_partition_covers_everything():
         assert np.array_equal(part, again)
 
 
-@pytest.mark.parametrize("p,q,m,n", GRID[:5] + [
-    (7, 3, 2, 1), (17, 3, 1, 1), (7, 5, 1, 2), LADDER_TOP])
-def test_classify_index_matches_partition(p, q, m, n):
-    system = build_system(p, q, m, n)
-    for t in range(system.period):
-        assert classify_index(system, t) == int(system.partition[t]), t
-    with pytest.raises(InvalidParams):
-        classify_index(system, system.period)
-    with pytest.raises(InvalidParams):
-        classify_index(system, -1)
-
-
 def test_bucket_sizes():
     for p, q, m, n in GRID:
         system = build_system(p, q, m, n)
@@ -114,11 +102,16 @@ def test_labels_deterministic():
     assert partition_labels(2, 1) == partition_labels(2, 1)
 
 
+SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 def test_structural_lemmas_clean():
-    for p, q, m, n in GRID:
-        system = build_system(p, q, m, n)
-        assert check_structural_lemmas(system) == []
-        assert check_residue_rules(system) == []
+    # every ordered pair of distinct primes below 30, p > q included
+    for p, q in itertools.permutations(SMALL_PRIMES, 2):
+        for m, n in ((1, 1), (2, 1), (1, 2)):
+            system = build_system(p, q, m, n)
+            assert check_structural_lemmas(system) == []
+            assert check_residue_rules(system) == []
 
 
 def test_structural_lemmas_clean_on_the_ladder_top():
@@ -135,34 +128,21 @@ def _lemma(detail, shape, i, j, h, witness):
 
 
 LIFT = "class set identity failed"
-REDUCE = "doubled class does not reduce onto the odd class"
 
 
 @pytest.mark.parametrize("params,swaps,expected", [
-    # two families corrupted: the p family is reported before the pq family
+    # two families corrupted: the pq family is reported before the p family
     ((3, 5, 2, 1), [("pq", 1, 1), ("p", 1, 0)], [
-        _lemma(LIFT, "2p", 1, 0, 0, 1), _lemma(LIFT, "p", 2, 0, 0, 1),
-        _lemma(LIFT, "2p", 2, 0, 0, 1),
-        _lemma(LIFT, "2pq", 1, 1, 0, 1), _lemma(LIFT, "pq", 2, 1, 0, 1),
-        _lemma(LIFT, "2pq", 2, 1, 0, 1), _lemma(REDUCE, "2pq", 1, 1, 0, 1),
-        _lemma(LIFT, "2p", 1, 0, 1, 1), _lemma(LIFT, "p", 2, 0, 1, 1),
-        _lemma(LIFT, "2p", 2, 0, 1, 1),
-        _lemma(LIFT, "2pq", 1, 1, 1, 1), _lemma(LIFT, "pq", 2, 1, 1, 1),
-        _lemma(LIFT, "2pq", 2, 1, 1, 1), _lemma(REDUCE, "2pq", 1, 1, 1, 2),
-        "side of 2 varies with the exponent [shape=p, witness=[0, 1]]",
-        "side of 2 varies with the exponents [shape=pq, witness=[0, 1]]",
+        _lemma(LIFT, "pq", 1, 1, 0, 1), _lemma(LIFT, "pq", 1, 1, 1, 1),
+        _lemma(LIFT, "p", 1, 0, 0, 1), _lemma(LIFT, "p", 1, 0, 1, 1),
         "side of 2 breaks the mod-8 rule [shape=p, witness=1]",
         "pq side of 2 does not follow q's mod-8 rule "
         "[shape=pq, witness=(1, 1)]"]),
     ((3, 5, 1, 2), [("q", 0, 1)], [
-        _lemma(LIFT, "2q", 0, 1, 0, 1), _lemma(LIFT, "q", 0, 2, 0, 1),
-        _lemma(LIFT, "2q", 0, 2, 0, 1), _lemma(LIFT, "2q", 0, 1, 1, 1),
-        _lemma(LIFT, "q", 0, 2, 1, 1), _lemma(LIFT, "2q", 0, 2, 1, 1),
-        "side of 2 varies with the exponent [shape=q, witness=[0, 1]]",
+        _lemma(LIFT, "q", 0, 1, 0, 1), _lemma(LIFT, "q", 0, 1, 1, 1),
         "side of 2 breaks the mod-8 rule [shape=q, witness=1]"]),
     ((3, 5, 1, 2), [("q", 0, 2)], [
         _lemma(LIFT, "q", 0, 2, 0, 1), _lemma(LIFT, "q", 0, 2, 1, 1),
-        "side of 2 varies with the exponent [shape=q, witness=[0, 1]]",
         "side of 2 breaks the mod-8 rule [shape=q, witness=2]"]),
 ])
 def test_lemmas_report_swapped_class(params, swaps, expected):
@@ -182,7 +162,28 @@ def test_lemmas_report_swapped_class(params, swaps, expected):
                 != residue_side_of_2(system, shape, i=i, j=j))
 
 
-# --- the set-based lemma check that the array comparisons replaced ---------
+@pytest.mark.parametrize("params,base", [
+    ((3, 5, 2, 2), (1, 0)), ((3, 5, 2, 2), (0, 1)), ((3, 5, 2, 2), (1, 1)),
+    ((7, 3, 2, 1), (1, 1)), ((17, 7, 1, 2), (0, 1))])
+def test_lemmas_report_a_family_with_its_cosets_swapped(params, base):
+    # D_0 and D_1 trade places in every class of one base family: each
+    # lift from the base and the side of 2 across exponents still agree,
+    # but every class is now the other Legendre class
+    system = build_system(*params)
+    members = cyclotomy._families(*params[2:])[base]
+    swapped = [ClassId(cyclotomy._shape(i, j, two), i, j, h)
+               for i, j in members for h in (0, 1) for two in (False, True)]
+    classes = {**system.classes, **{
+        cid: system.classes[cid._replace(h=1 - cid.h)] for cid in swapped}}
+    bad = dataclasses.replace(system, classes=classes)
+    found = check_structural_lemmas(bad)
+    assert len(found) == len(swapped) == (16 if len(members) == 4 else 8)
+    assert {v.witness["shape"] for v in found} == set(swapped)
+    assert {str(v).split(" [")[0] for v in found} == {LIFT}
+    assert len(check_residue_rules(bad)) == len(members)
+
+
+# --- the lift identities, an independent reference for the Legendre check -
 
 def _as_set(arr):
     return set(int(x) for x in arr)
@@ -274,15 +275,16 @@ def test_lemma_witnesses_match_set_reference(params):
     for cid, bad in _corruptions(system):
         got = check_structural_lemmas(bad)
         want = _ref_structural_lemmas(bad)
-        assert [str(v) for v in got] == [str(v) for v in want], cid
-        assert [v.witness for v in got] == [v.witness for v in want], cid
-        assert all(type(v.witness["witness"]) in (int, list) for v in got)
-        if cid is None:
-            assert got == []
-        else:
-            assert cid in [v.witness["shape"] for v in got]
+        assert bool(got) == bool(want) == (cid is not None), cid
+        assert all(type(v.witness["witness"]) is int for v in got)
+        if cid is not None:
+            # the corrupted class, with the reference's witness for it
+            named = [v.witness for v in got if v.witness["shape"] == cid]
+            ref = [v.witness for v in want
+                   if v.witness["shape"] == cid and str(v).startswith(LIFT)]
+            assert named and named == ref, cid
         details.update(str(v).split(" [")[0] for v in got)
-    assert details == {LIFT, REDUCE}
+    assert details == {LIFT}
 
 
 def test_residue_side_examples(sys15):
@@ -386,53 +388,40 @@ def test_powers_are_exact_past_int64():
 
 
 def _painted(system, cid, arr):
-    bad = _replaced(system, cid, arr)
     with pytest.raises(PartitionViolation) as info:
-        build_partition(bad)
-    return bad, info.value
+        build_partition(_replaced(system, cid, arr))
+    return info.value
 
 
 def test_partition_violation_doubly_labelled(sys15):
     # D_0 of 2pq also takes the least member of D_1: index 7 gets both
     d0, d1 = (sys15.classes[ClassId("2pq", 1, 1, h)] for h in (0, 1))
-    bad, exc = _painted(sys15, ClassId("2pq", 1, 1, 0),
-                        np.sort(np.r_[d0, d1[:1]]))
+    exc = _painted(sys15, ClassId("2pq", 1, 1, 0), np.sort(np.r_[d0, d1[:1]]))
     assert exc.index == 7
     assert str(exc) == (
         "index 7: already labeled ClassId(shape='2pq', i=1, j=1, h=0, "
         "doubled=False) while labeling ClassId(shape='2pq', i=1, j=1, "
         "h=1, doubled=False)")
-    # classify_index reads the first coset that holds the residue
-    assert bad.labels[classify_index(bad, 7)] == ClassId("2pq", 1, 1, 0)
 
 
 def test_partition_violation_unlabelled(sys15):
     # D_1 of pq loses its largest member 13: index 26 = 2 * 13 is bare
     d1 = sys15.classes[ClassId("pq", 1, 1, 1)]
-    bad, exc = _painted(sys15, ClassId("pq", 1, 1, 1), d1[:-1].copy())
+    exc = _painted(sys15, ClassId("pq", 1, 1, 1), d1[:-1].copy())
     assert exc.index == 26
     assert str(exc) == "index 26: left unlabeled"
-    with pytest.raises(PartitionViolation,
-                       match="residue missing from both pq cosets") as info:
-        classify_index(bad, 26)
-    assert info.value.index == 26
 
 
 def test_partition_violation_residue_in_neither_coset(sys15):
     # D_0 of 2q = {1, 9}: 1 becomes its even partner 6, which is in
     # neither coset modulo 10; 3 * 6 = 18 lands on the doubled q class
-    bad, exc = _painted(sys15, ClassId("2q", 0, 1, 0),
-                        np.array([6, 9], dtype=np.int64))
+    exc = _painted(sys15, ClassId("2q", 0, 1, 0),
+                   np.array([6, 9], dtype=np.int64))
     assert exc.index == 18
     assert str(exc) == (
         "index 18: already labeled ClassId(shape='2q', i=0, j=1, h=0, "
         "doubled=False) while labeling ClassId(shape='q', i=0, j=1, h=1, "
         "doubled=True)")
-    # index 3 = 3 * 1 lost its label, and 1 is now in neither 2q coset
-    with pytest.raises(PartitionViolation,
-                       match="residue missing from both 2q cosets") as info:
-        classify_index(bad, 3)
-    assert info.value.index == 3
 
 
 def test_partition_violation_repeated_within_one_label(sys15):
@@ -440,8 +429,7 @@ def test_partition_violation_repeated_within_one_label(sys15):
     # the doubled label holds 2 * 4 = 8 and 2 * 11 = 22 twice each, and
     # the tables no longer tile; the least such index is named
     d0 = sys15.classes[ClassId("pq", 1, 1, 0)]
-    bad, exc = _painted(sys15, ClassId("pq", 1, 1, 0),
-                        np.r_[d0, d0[2:0:-1]])
+    exc = _painted(sys15, ClassId("pq", 1, 1, 0), np.r_[d0, d0[2:0:-1]])
     assert exc.index == 8
     assert str(exc) == ("index 8: labeled twice by ClassId(shape='pq', i=1, "
                         "j=1, h=0, doubled=True)")
@@ -580,7 +568,10 @@ BENCH_SYSTEMS = [
 def test_power_table_matches_reference_builder(params):
     constants = build_system_constants(*params)
     want = _reference_system(constants)
-    _assert_same_system(cyclotomy._system_from_constants(constants), want)
+    got = cyclotomy._system_from_constants(constants)
+    _assert_same_system(got, want)
+    # the Legendre classes, built without g or y, agree as well
+    assert check_structural_lemmas(got) == []
 
 
 @st.composite
