@@ -10,12 +10,12 @@ from numtheory.DEFAULT_PARAM_CAP) can be overridden by --cap or the
 CYCLOSEQ_CAP environment variable, up to the period ceiling 2^31 - 1
 (numtheory.PERIOD_CEILING) that no cap lifts;
 extfield.build_extension also caps extension-field verification at
-N <= 5000 and degree d <= 12, before `verify` builds any class table, from
+N <= 5000 and degree d <= 12, before `verify` paints the partition, from
 the constants it built once.
 
-In the verify report, partition_ok: true rests on the class-table build,
-which paints the partition and raises PartitionViolation (exit 1) on an
-index left unlabeled or on more writes than Z_2N has indices.
+In the verify report, partition_ok: true rests on the system build, which
+paints the partition and raises PartitionViolation (exit 1) on an index
+left unlabeled or on more writes than Z_2N has indices.
 """
 
 import argparse

@@ -22,10 +22,12 @@ doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
 singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
 painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below the
 period ceiling of numtheory) and stored as a label array, is the single
-source of truth for sequence generation, and the class tables are read off
-it; a paint that does not tile raises PartitionViolation.
+source of truth: a sequence reads only its labels, and the class tables,
+which only verify's checks read, are derived from it on first read. A
+paint that does not tile raises PartitionViolation.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -39,6 +41,7 @@ ODD_SHAPES = ("pq", "p", "q")
 DOUBLED_SHAPES = ("2pq", "2p", "2q")
 ZERO_LABEL = "zero"
 HALF_LABEL = "half"
+BUCKETS = ("zero", "half", "a", "b", "c", "d")
 
 
 class ClassId(NamedTuple):
@@ -110,6 +113,8 @@ def all_class_ids(m, n):
             for h in (0, 1) for two in (False, True)]
 
 
+# one table per shape (m, n), of which the period ceiling allows a few hundred
+@functools.cache
 def partition_labels(m, n):
     """Label table for the partition of Z_{2 p^m q^n}, fixed order."""
     # each doubled-modulus class, then two times its odd-modulus twin
@@ -134,6 +139,15 @@ def bucket_of_label(label):
     return "c" if label.h == 0 else "d"
 
 
+@functools.cache
+def bucket_codes(m, n):
+    """Index into BUCKETS of each partition label, a read-only array."""
+    codes = np.array([BUCKETS.index(bucket_of_label(lab))
+                      for lab in partition_labels(m, n)], dtype=np.intp)
+    codes.flags.writeable = False
+    return codes
+
+
 def cofactor_of(constants, cid):
     """Scale factor embedding a class into Z_{p^m q^n} / Z_{2 p^m q^n},
     times 2 for a doubled label."""
@@ -143,17 +157,25 @@ def cofactor_of(constants, cid):
 
 @dataclass(frozen=True)
 class CyclotomicSystem:
-    """Constants plus every class table and the partition label array.
+    """Constants, the partition label array and every class table.
 
-    Immutable after construction; safe to share across workers. classes is
-    keyed by ClassId with doubled=False; partition holds indices into
-    labels.
+    Immutable after construction; partition holds indices into labels.
+    classes, keyed by ClassId with doubled=False, is derived on first read
+    and kept: each label's positions, ascending, divided by its cofactor.
     """
 
     constants: SystemConstants
-    classes: dict = field(repr=False)
     labels: tuple = field(repr=False)
     partition: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def classes(self):
+        c, labels = self.constants, self.labels
+        order = np.argsort(self.partition, kind="stable")
+        ends = np.cumsum(np.bincount(self.partition,
+                                     minlength=len(labels))).tolist()
+        return {ClassId(*lab[:4]): order[start:end] // cofactor_of(c, lab)
+                for lab, start, end in zip(labels[2:], ends[1:], ends[2:])}
 
     @property
     def period(self):
@@ -205,7 +227,7 @@ def _paint_partition(constants, classes, labels):
 
 
 def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
-    """Build constants, the partition off one power table, and its classes."""
+    """Build constants and the partition off one power table."""
     return _system_from_constants(build_system_constants(p, q, m, n, cap=cap))
 
 
@@ -214,8 +236,7 @@ def _system_from_constants(constants):
 
     Family (i, j), cofactor cof, is T[:d_ij, :e_ij], row s in coset s mod
     2; x = T mod 2 p^i q^j lands at the odd positions cof x, x = T mod
-    p^i q^j at the even ones 2 cof x. 2N writes with no -1 left tile Z_2N;
-    a class is then the x painted at its label's positions, ascending.
+    p^i q^j at the even ones 2 cof x. 2N writes with no -1 left tile Z_2N.
     Any other paint means g or y lacks an order the constants claim: it
     raises PartitionViolation at the least index left unlabeled or, with
     every index painted, at index 2N on the count of its writes."""
@@ -225,31 +246,24 @@ def _system_from_constants(constants):
                      _powers(c.y, c.e_ij[c.m, c.n], period)) % period
     # family f, coset h: label 4 f + 2 h + 2 at odd positions, + 3 at even
     coset = 2 * (np.arange(len(table))[:, None] % 2)
-    labels = partition_labels(c.m, c.n)
     part = np.full(period, -1, dtype=np.int16)
     part[0], part[c.half_period] = 0, 1
-    res, sizes = np.empty(period, dtype=np.int64), [1, 1]
+    writes = 2
     for f, (i, j) in enumerate(fams):
         d, e, mod = c.d_ij[i, j], c.e_ij[i, j], c.p**i * c.q**j
         cof, block = period // (2 * mod), table[:d, :e]
-        for lab, scale, x in ((2, cof, block % (2 * mod)),
-                              (3, 2 * cof, block % mod)):
-            pos = scale * x
-            part[pos], res[pos] = coset[:d] + 4 * f + lab, x
-        sizes += [d * e // 2] * 4
-    if sum(sizes) != period or part.min() < 0:
+        part[cof * (block % (2 * mod))] = coset[:d] + 4 * f + 2
+        part[2 * cof * (block % mod)] = coset[:d] + 4 * f + 3
+        writes += d * e // 2 * 4
+    if writes != period or part.min() < 0:
         bare = np.flatnonzero(part < 0)
         if bare.size:
             raise PartitionViolation(int(bare[0]), "left unlabeled")
-        raise PartitionViolation(period, f"{sum(sizes)} writes for "
+        raise PartitionViolation(period, f"{writes} writes for "
                                          f"{period} indices")
-    flat = res[np.argsort(part, kind="stable")]
-    ends = np.cumsum(sizes).tolist()
-    classes = {ClassId(*lab[:4]): flat[start:end] for lab, start, end
-               in zip(labels[2:], ends[1:], ends[2:])}
     part.flags.writeable = False
-    return CyclotomicSystem(constants=constants, classes=classes,
-                            labels=labels, partition=part)
+    return CyclotomicSystem(constants=constants,
+                            labels=partition_labels(c.m, c.n), partition=part)
 
 
 def build_partition(system):

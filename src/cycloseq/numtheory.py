@@ -19,7 +19,7 @@ from .errors import CapExceeded, InvalidParams, NotCoprime
 
 DEFAULT_PARAM_CAP = 10**7
 # no cap lifts a period past this: below it a product of two residues
-# mod the period is exact in int64, which the class tables rely on
+# mod the period is exact in int64, which the power table relies on
 PERIOD_CEILING = 2**31 - 1
 
 
@@ -169,7 +169,8 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     for i in range(m + 1):
         for j in range(n + 1):
             if i or j:
-                op, oq = euler_phi(p**i), euler_phi(q**j)
+                op, oq = ((r - 1) * r**(k - 1) if k else 1
+                          for r, k in ((p, i), (q, j)))
                 e = math.gcd(op, oq)
                 e_ij[(i, j)] = e
                 d_ij[(i, j)] = op * oq // e

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import bucket_of_label, residue_side_of_2
+from .cyclotomy import BUCKETS, bucket_codes, residue_side_of_2
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
 from .numtheory import SystemConstants, two_is_square_mod
 
@@ -138,10 +138,10 @@ def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
     if soft and not allow_degenerate:
         raise InvalidMapping(soft)
 
-    by_bucket = {"zero": 0, "half": mapping.e, "a": mapping.a,
-                 "b": mapping.b, "c": mapping.c, "d": mapping.d}
-    lut = np.array([by_bucket[bucket_of_label(lab)] for lab in system.labels],
-                   dtype=np.uint8)
+    # one symbol per bucket, in cyclotomy.BUCKETS order, then per label
+    c = system.constants
+    lut = np.array((0, mapping.e, mapping.a, mapping.b, mapping.c, mapping.d),
+                   dtype=np.uint8)[bucket_codes(c.m, c.n)]
     symbols = lut[system.partition]
     symbols.flags.writeable = False
     return QuaternarySequence(symbols=symbols, constants=system.constants,
@@ -165,13 +165,12 @@ def balance_profile(system, seq):
     special positions for 0 and e).
     """
     counts = np.bincount(seq.symbols, minlength=4)
-    label_counts = np.bincount(system.partition, minlength=len(system.labels))
-    buckets = {"zero": 0, "half": 0, "a": 0, "b": 0, "c": 0, "d": 0}
-    for idx, lab in enumerate(system.labels):
-        buckets[bucket_of_label(lab)] += int(label_counts[idx])
+    c = system.constants
+    per_bucket = np.bincount(bucket_codes(c.m, c.n)[system.partition],
+                             minlength=len(BUCKETS))
     return BalanceProfile(
         symbol_counts={v: int(counts[v]) for v in range(4)},
-        bucket_counts=buckets,
+        bucket_counts=dict(zip(BUCKETS, per_bucket.tolist())),
         expected_bucket_size=(system.half_period - 1) // 2,
     )
 

@@ -2,9 +2,11 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
+import pathlib
 import stat
 from collections import Counter
 
@@ -389,7 +391,8 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
         raise AssertionError("a capped verify built a class table")
 
     monkeypatch.setattr(cyclotomy, "_powers", no_classes)
-    # the class tables are built from _powers alone, so the patch bites
+    # the partition, and so every class table, comes from _powers alone,
+    # so the patch bites
     with pytest.raises(AssertionError, match="built a class table"):
         cyclotomy.build_system(3, 5, 1, 1)
     # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
@@ -408,6 +411,71 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--p", "3", "--q", "5",
                        "--cap", "10")
     assert (code, err) == (3, "error: period 30 exceeds cap 10\n")
+
+
+def _patch_class_tables(monkeypatch, derive):
+    # CyclotomicSystem.classes becomes a cached property around derive
+    prop = functools.cached_property(derive)
+    prop.__set_name__(cyclotomy.CyclotomicSystem, "classes")
+    monkeypatch.setattr(cyclotomy.CyclotomicSystem, "classes", prop)
+
+
+def _outcome(capsys, argv, out):
+    # exit code, stdout, stderr and the bytes of any pair generate wrote
+    code, stdout, err = run(capsys, *argv)
+    written = [pathlib.Path(name).read_bytes()
+               for name in (out, out + ".json") if argv[0] == "generate"]
+    return code, stdout, err, written
+
+
+def test_only_verify_derives_the_class_tables(tmp_path, capsys,
+                                              monkeypatch):
+    # sweep, analyze and generate read only the partition labels: with the
+    # class-table derivation raising, they give the same bytes and codes
+    out = str(tmp_path / "s.txt")
+    grid = ("--pairs", "3:5,7:17,5:3,17:41", "--exponents", "1:1,2:1")
+    calls = [
+        ("sweep",) + grid, ("sweep", "--degenerate") + grid,
+        ("sweep", "--degenerate", "--pairs", "3:5", "--exponents", "1:1",
+         "--map", "0,2,3,1,1", "--format", "csv"),
+        ("sweep", "--pairs", "3:7", "--exponents", "1:1", "--map",
+         "0,1,2,3,2", "--format", "text"),
+        ("analyze", "--p", "3", "--q", "7"),
+        ("analyze", "--p", "5", "--q", "3", "--m", "2", "--format", "csv"),
+        ("analyze", "--p", "3", "--q", "5", "--map", "2,3,1,0,3",
+         "--degenerate", "--format", "text"),
+        ("generate", "--p", "3", "--q", "7", "--n", "2", "--out", out),
+        ("analyze", "--file", out),
+        ("generate", "--p", "3", "--q", "5", "--map", "0,1,2,3,1",
+         "--degenerate", "--out", out),
+        ("analyze", "--file", out, "--format", "text"),
+    ]
+    want = [_outcome(capsys, argv, out) for argv in calls]
+    assert [w[0] for w in want] == [0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+    real = cyclotomy.CyclotomicSystem.__dict__["classes"].func
+
+    def refuse(system):
+        raise AssertionError("a class table was derived")
+
+    _patch_class_tables(monkeypatch, refuse)
+    for argv, expected in zip(calls, want):
+        assert _outcome(capsys, argv, out) == expected, argv
+    # verify derives them once per call, and a capped verify never
+    derived = []
+    verify_calls = [("--p", "3", "--q", "5"), ("--p", "5", "--q", "3",
+                                                "--m", "2"),
+                    ("--p", "3", "--q", "7", "--map", "0,1,2,3,2"),
+                    ("--p", "41", "--q", "107")]
+    monkeypatch.undo()
+    want = [_outcome(capsys, ("verify",) + argv, out)
+            for argv in verify_calls]
+    assert [w[0] for w in want] == [0, 0, 1, 3]
+    _patch_class_tables(monkeypatch,
+                        lambda system: derived.append(system) or real(system))
+    for argv, expected, times in zip(verify_calls, want, (1, 1, 1, 0)):
+        derived.clear()
+        assert _outcome(capsys, ("verify",) + argv, out) == expected, argv
+        assert len(derived) == times, argv
 
 
 def _csv_rows(text):

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import with_classes
 from cycloseq import cyclotomy
-from cycloseq.cyclotomy import (ClassId, CyclotomicSystem, HALF_LABEL,
-                                ZERO_LABEL, bucket_of_label, build_partition,
+from cycloseq.cyclotomy import (BUCKETS, ClassId, CyclotomicSystem,
+                                HALF_LABEL, ZERO_LABEL, bucket_codes,
+                                bucket_of_label, build_partition,
                                 build_system, check_residue_rules,
                                 check_structural_lemmas, cofactor_of, h_set,
                                 partition_labels, residue_side_of_2)
@@ -102,6 +104,19 @@ def test_labels_deterministic():
     assert partition_labels(2, 1) == partition_labels(2, 1)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (4, 3)])
+def test_bucket_codes_follow_the_labels(m, n):
+    labels, codes = partition_labels(m, n), bucket_codes(m, n)
+    assert [BUCKETS[k] for k in codes] == [bucket_of_label(lab)
+                                           for lab in labels]
+    # after zero and half, each family's four labels feed a, c, b, d
+    assert codes.tolist() == [0, 1] + [2, 4, 3, 5] * ((len(labels) - 2) // 4)
+    assert not codes.flags.writeable
+    # one label table per shape, shared by every system of that shape
+    assert build_system(3, 5, m, n).labels is labels
+    assert build_system(7, 3, m, n).labels is labels
+
+
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -154,7 +169,7 @@ def test_lemmas_report_swapped_class(params, swaps, expected):
         d0, d1 = (classes[ClassId(*family, h)] for h in (0, 1))
         classes[ClassId(*family, 0)] = np.sort(np.r_[d1[:1], d0[1:]])
         classes[ClassId(*family, 1)] = np.sort(np.r_[d0[:1], d1[1:]])
-    bad = dataclasses.replace(system, classes=classes)
+    bad = with_classes(system, classes)
     found = check_structural_lemmas(bad) + check_residue_rules(bad)
     assert [str(v) for v in found] == expected
     for shape, i, j in swaps:
@@ -175,7 +190,7 @@ def test_lemmas_report_a_family_with_its_cosets_swapped(params, base):
                for i, j in members for h in (0, 1) for two in (False, True)]
     classes = {**system.classes, **{
         cid: system.classes[cid._replace(h=1 - cid.h)] for cid in swapped}}
-    bad = dataclasses.replace(system, classes=classes)
+    bad = with_classes(system, classes)
     found = check_structural_lemmas(bad)
     assert len(found) == len(swapped) == (16 if len(members) == 4 else 8)
     assert {v.witness["shape"] for v in found} == set(swapped)
@@ -236,7 +251,7 @@ def _ref_structural_lemmas(system):
 
 
 def _replaced(system, cid, arr):
-    return dataclasses.replace(system, classes={**system.classes, cid: arr})
+    return with_classes(system, {**system.classes, cid: arr})
 
 
 def _corruptions(system):
@@ -257,7 +272,7 @@ def _corruptions(system):
     swapped[ClassId("2pq", 1, 1, 0)] = np.sort(np.r_[d1[-1:], d0[1:]])
     swapped[ClassId("2pq", 1, 1, 1)] = np.sort(np.r_[d0[:1], d1[:-1]])
     out.append((ClassId("2pq", 1, 1, 0),
-                dataclasses.replace(system, classes=swapped)))
+                with_classes(system, swapped)))
     base, doubled = (system.classes[ClassId(shape, 1, 1, 0)]
                      for shape in ("pq", "2pq"))
     out.append((None, _replaced(system, ClassId("pq", 1, 1, 0),
@@ -536,9 +551,9 @@ def _reference_system(constants):
             classes[ClassId(shape, i, j, 0)] = np.array(d0, dtype=np.int64)
             classes[ClassId(shape, i, j, 1)] = np.array(d1, dtype=np.int64)
     labels = partition_labels(c.m, c.n)
-    return CyclotomicSystem(
-        constants=c, classes=classes, labels=labels,
-        partition=cyclotomy._paint_partition(c, classes, labels))
+    return with_classes(CyclotomicSystem(
+        constants=c, labels=labels,
+        partition=cyclotomy._paint_partition(c, classes, labels)), classes)
 
 
 def _assert_same_system(got, want):
@@ -570,6 +585,9 @@ def test_power_table_matches_reference_builder(params):
     want = _reference_system(constants)
     got = cyclotomy._system_from_constants(constants)
     _assert_same_system(got, want)
+    # derived in label order, once: a second read returns the same dict
+    assert list(got.classes) == [ClassId(*lab[:4]) for lab in got.labels[2:]]
+    assert got.classes is got.classes
     # the Legendre classes, built without g or y, agree as well
     assert check_structural_lemmas(got) == []
 

@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import with_classes
 from cycloseq import gf4
 from cycloseq.analysis import analyze_symbols
 from cycloseq import extfield
@@ -571,7 +572,8 @@ def test_spectrum_checks_the_folded_sequence_is_constant_on_cells(
     u1, u2 = (t if t % 2 else t + 15 for t in (t1, t2))  # the odd positions
     part = sys15.partition.copy()
     part[[u1, u2]] = part[[u2, u1]]
-    swapped = dataclasses.replace(sys15, partition=part)
+    # the original tables: the cells keep their members, the values move
+    swapped = with_classes(sys15, sys15.classes, partition=part)
     chars = verify_char_sum_tables(sys15, ctx15)
     calls = [lambda: measure_spectrum(swapped, ctx15, DEFAULT_MAPPING),
              lambda: measure_spectrum(swapped, ctx15, DEFAULT_MAPPING, chars),

@@ -1,5 +1,7 @@
 """Integer helpers: primitive roots, the two-modulus lift, system constants."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cycloseq.errors import CapExceeded, InvalidParams, NotCoprime
-from cycloseq.numtheory import (PERIOD_CEILING, _lift,
+from cycloseq.numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING, _lift,
                                 build_system_constants, euler_phi,
                                 factorize, is_prime, mult_order,
                                 smallest_odd_primitive_root_mod_p2)
@@ -121,6 +123,29 @@ def test_system_constants_towers():
     for (i, j), mod in {(1, 0): 3, (2, 0): 9, (0, 1): 5}.items():
         assert c.e_ij[(i, j)] == 1
         assert c.d_ij[(i, j)] == mult_order(c.g, mod) == euler_phi(mod)
+
+
+def test_family_orders_match_euler_phi():
+    # e_ij = gcd(phi(p^i), phi(q^j)) and d_ij = lcm, the orders taken in
+    # closed form: every ordered pair of primes below 60 at (m, n) up to
+    # (3, 2); a period over the default cap raises before any order
+    built = capped = 0
+    for p, q in itertools.permutations([r for r in ODD_PRIMES if r < 60], 2):
+        for m, n in itertools.product((1, 2, 3), (1, 2)):
+            if 2 * p**m * q**n > DEFAULT_PARAM_CAP:
+                with pytest.raises(CapExceeded):
+                    build_system_constants(p, q, m, n)
+                capped += 1
+                continue
+            c = build_system_constants(p, q, m, n)
+            assert sorted(c.e_ij) == sorted(c.d_ij) == [
+                (i, j) for i in range(m + 1) for j in range(n + 1) if i or j]
+            for (i, j), e in c.e_ij.items():
+                op, oq = euler_phi(p**i), euler_phi(q**j)
+                assert (e, c.d_ij[i, j]) == (math.gcd(op, oq),
+                                             math.lcm(op, oq)), (p, q, i, j)
+            built += 1
+    assert built + capped == 16 * 15 * 6 and built and capped
 
 
 def test_constants_rejections():
