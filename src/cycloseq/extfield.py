@@ -2,29 +2,32 @@
 
 d is the multiplicative order of 4 modulo N = p^m q^n, so F_{4^d} contains
 a primitive N-th root of unity beta. Elements are gf4's packed ints (uint32
-for d <= 12, addition a plain XOR), multiplied by gf4.field_mul; maps that
-are GF(2)-linear on whole arrays (times a fixed element, x -> x^4) run on
-_vec_linear, one 256-entry table lookup per input byte. The modulus is the
-least monic irreducible in lexicographic coefficient order: candidates with
-a root in GF(4) are skipped, Rabin's test decides the rest. beta is the
-first c^((4^d - 1)/N) of order N, c running from x on with its digits
-compared from the top, so no group generator is searched for. The module
-tabulates beta^r for 0 <= r < N; every sum it then measures is an XOR of
-beta^(k t mod N) over an index set T, and one kernel, _power_sums,
-gathers a table of them in blocks of about _BLOCK_ELEMENTS elements, so
-temporary memory stays below a megabyte instead of growing as N^2.
-x -> x^4 fixes GF(4), so the row of 4k is the Frobenius image of the row
-of k: _orbit_sums gathers only the least k of each orbit of k -> 4k mod N
-(the cyclotomic cosets of the Mattson-Solomon view) and walks the orbit
+for d <= 12, addition a plain XOR), multiplied by gf4.field_mul. One field
+is built per degree: the least monic irreducible in lexicographic
+coefficient order (a candidate with a root in GF(4) skipped, Rabin's test
+deciding the rest), with the byte tables of x -> x^2 and x -> x^4. These
+maps and times a fixed element are GF(2)-linear, one 256-entry lookup per
+input byte (_vec_linear on arrays), so ext_pow squares by table. beta is
+the first c^((4^d - 1)/N) of order N, c running from x on, digits compared
+from the top, so no group generator is searched for. The module tabulates
+beta^r for 0 <= r < N by the base-4 digits of r, not by doubling: a round
+is one Frobenius map and three products by beta. Every sum it then measures
+is an XOR of beta^(k t mod N) over an index set T, and one kernel,
+_power_sums, gathers a table of them in blocks of about _BLOCK_ELEMENTS
+elements, so temporary memory stays below a megabyte instead of growing as
+N^2. x -> x^4 fixes GF(4), so the row of 4k is the Frobenius image of the
+row of k: _orbit_sums gathers only the least k of each orbit of k -> 4k mod
+N (the cyclotomic cosets of the Mattson-Solomon view) and walks the orbit
 from it. The character sums over the doubled-modulus H-sets are one such
-table, checked cell by cell against their closed forms, a mismatch shown
-at its least k. The folded sequence s_t + s_(t+N) is constant on each of
-those cells, so the spectrum S(beta^k) is a GF(4) combination of the
-table's columns, and verify gathers once. The boundary root sums on the
-expected side are order-2 Gaussian periods, chosen by the class of the
-multiplier, with no Frobenius map and no read of beta_powers.
+table, checked cell by cell against their closed forms, a mismatch shown at
+its least k. The folded sequence s_t + s_(t+N) is constant on each of those
+cells, so the spectrum S(beta^k) is a GF(4) combination of the table's
+columns, and verify gathers once. The boundary root sums on the expected
+side are order-2 Gaussian periods, chosen by the class of the multiplier,
+with no Frobenius map and no read of beta_powers.
 """
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass, field
 
@@ -47,16 +50,19 @@ _BLOCK_ELEMENTS = 1 << 16
 # --- packed-element arithmetic -------------------------------------------
 
 def ext_pow(x, e, d, x_to_d):
-    """x^e by square and multiply in GF(4)[X]/(X^d + x_to_d); e >= 0."""
+    """x^e in GF(4)[X]/(X^d + x_to_d), e >= 0: the bits of e from the top,
+    squaring by table (_linear_maps) and one field_mul per further set bit."""
     if e < 0:
         raise InvalidParams("negative exponent")
-    out = 1
-    base = x
-    while e:
-        if e & 1:
-            out = gf4.field_mul(out, base, d, x_to_d)
-        base = gf4.field_mul(base, base, d, x_to_d)
-        e >>= 1
+    square = _linear_maps(d, x_to_d)[0]
+    out = x if e else 1
+    for bit in bin(e)[3:]:
+        y, out = out, 0
+        for table in square:
+            out ^= table[y & 255]
+            y >>= 8
+        if bit == "1":
+            out = gf4.field_mul(out, x, d, x_to_d)
     return out
 
 
@@ -77,11 +83,38 @@ def _byte_tables(images):
 
 
 def _vec_linear(arr, tables):
-    # the map of _byte_tables on a uint32 array: one lookup per input byte
-    acc = np.zeros_like(arr)
+    # the map of _byte_tables on a contiguous uint32 array: one lookup per
+    # input byte, read through a little-endian byte view
+    octets = arr.astype("<u4", copy=False).view(np.uint8)
+    acc = np.zeros(arr.shape, dtype=np.uint32)
     for c, table in enumerate(tables):
-        acc ^= table[arr >> 8 * c & 255]
+        acc ^= table[octets[..., c::4]]
     return acc
+
+
+def _x_multiples(y, count, d, x_to_d):
+    # y X^i for 0 <= i < count, one shift and one fold a step: both planes
+    # move up a degree, the digit leaving degree d - 1 returns times x_to_d
+    out, mask = [y], (1 << d) - 1
+    for _ in range(count - 1):
+        hi, lo = gf4.unpack(out[-1], d)
+        out.append(gf4.pack(hi << 1 & mask, lo << 1 & mask, d)
+                   ^ _scale(x_to_d, (hi >> d - 1) << 1 | lo >> d - 1, d))
+    return np.array(out, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+def _linear_maps(d, x_to_d):
+    """Byte tables of x -> x^2 (tuples, for one element) and x -> x^4
+    (read-only, for _vec_linear) modulo X^d + x_to_d. Squaring is
+    GF(2)-linear, taking X^i to X^(2i) and alpha X^i to (alpha + 1)
+    X^(2i); the images of x -> x^4 are those of squaring, squared."""
+    powers = _x_multiples(1, 2 * d - 1, d, x_to_d)[::2]
+    images = np.concatenate([powers, _scale(powers, 3, d)])
+    square = _byte_tables(images)
+    frobenius = _byte_tables(_vec_linear(images, square))
+    frobenius.flags.writeable = False
+    return tuple(map(tuple, square.tolist())), frobenius
 
 
 # --- modulus selection -----------------------------------------------------
@@ -113,10 +146,12 @@ def _has_gf4_root(coeffs):
                for v, v2 in ((1, 1), (2, 3), (3, 2)))
 
 
+@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
 def least_irreducible(d):
     """Least monic irreducible of degree d, coefficients compared from the
     constant term up, which starts at 1 (else x divides). From degree 2 on,
-    a candidate with a root in GF(4) has a linear factor: no Rabin test."""
+    a candidate with a root in GF(4) has a linear factor: no Rabin test.
+    Searched once per degree; each call returns the same read-only array."""
     if d < 1:
         raise InvalidParams("degree must be positive")
     for c0 in (1, 2, 3):
@@ -124,7 +159,7 @@ def least_irreducible(d):
             cand = (c0,) + rest + (1,)
             if ((d == 1 or not _has_gf4_root(cand))
                     and is_irreducible(gf4.poly(cand))):
-                return gf4.poly(cand)
+                return np.frombuffer(bytes(cand), np.uint8)  # read-only
     raise InvalidParams(f"no irreducible of degree {d}")  # unreachable
 
 
@@ -154,27 +189,22 @@ class ExtFieldContext:
     def group_order(self):
         return 4**self.d - 1
 
-    def mul(self, x, y):
-        return gf4.field_mul(x, y, self.d, self.x_to_d)
-
     def pow(self, x, e):
         return ext_pow(x, e, self.d, self.x_to_d)
 
 
 def _power_table(x, size, d, x_to_d):
-    # x^r for 0 <= r < size, doubling the filled prefix at each step: the
-    # prefix times x^filled, a linear map that squares from step to step
-    out = np.zeros(size, dtype=np.uint32)
-    out[0] = 1
-    images = np.array([gf4.field_mul(1 << bit, x, d, x_to_d)
-                       for bit in range(2 * d)], dtype=np.uint32)
-    filled = 1
-    while filled < size:
-        take = min(filled, size - filled)
-        tables = _byte_tables(images)
-        out[filled:filled + take] = _vec_linear(out[:take], tables)
-        filled += take
-        images = _vec_linear(images, tables)
+    # x^r for 0 <= r < size by the base-4 digits of r, x^(4r + j) being
+    # x^j (x^r)^4: a round quadruples the prefix by x -> x^4, then j times x
+    lo = _x_multiples(x, d, d, x_to_d)
+    by_x = _byte_tables(np.concatenate([lo, _scale(lo, 2, d)]))
+    frobenius = _linear_maps(d, x_to_d)[1]
+    out = np.ones(1, dtype=np.uint32)
+    while len(out) < size:
+        cols = [_vec_linear(out[:-(-size // 4)], frobenius)]
+        for _ in range(3):
+            cols.append(_vec_linear(cols[-1], by_x))
+        out = np.stack(cols, axis=1).ravel()[:size]
     return out
 
 
@@ -264,16 +294,6 @@ def _power_sums(beta_powers, sets, ks):
     return out
 
 
-def _frobenius_images(context):
-    # x -> x^4 fixes GF(4), so it is GF(2)-linear: the lo bits, X^i, go to
-    # X^(4i), and the hi bits, alpha X^i, to alpha X^(4i)
-    d = context.d
-    step = context.pow(gf4.pack(0, 0b10, d), 4)
-    lo = np.array(list(itertools.accumulate(
-        itertools.repeat(step, d - 1), context.mul, initial=1)), np.uint32)
-    return np.concatenate([lo, _scale(lo, 2, d)])
-
-
 def _orbit_sums(context, sets):
     """_power_sums over k = 1..N-1, one gather per Frobenius orbit.
 
@@ -294,7 +314,7 @@ def _orbit_sums(context, sets):
     sums = _power_sums(context.beta_powers, sets, start)
     out = np.empty((len(ks), len(sets)), dtype=np.uint32)
     out[start - 1] = sums
-    frobenius = _byte_tables(_frobenius_images(context))
+    frobenius = _linear_maps(d, context.x_to_d)[1]
     row = start
     for _ in range(d - 1):
         row = row * 4 % N

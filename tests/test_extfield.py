@@ -2,14 +2,19 @@
 
 import dataclasses
 import itertools
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import with_classes
-from cycloseq import gf4
+from cycloseq import cli, gf4
 from cycloseq.analysis import analyze_symbols
 from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
@@ -57,6 +62,10 @@ def _from_packed(x, d):
 
 def _digits(x, d):
     return gf4.poly_to_digits(_from_packed(x, d))
+
+
+def _mul(ctx, x, y):
+    return gf4.field_mul(x, y, ctx.d, ctx.x_to_d)
 
 
 def test_packed_roundtrip():
@@ -130,7 +139,7 @@ def test_ext_mul_matches_poly_arithmetic(ctx15, ctx21):
         for _ in range(200):
             x = rng.randrange(size)
             y = rng.randrange(size)
-            got = ctx.mul(x, y)
+            got = _mul(ctx, x, y)
             prod = gf4.mul_planes(*gf4.unpack(x, ctx.d),
                                   *gf4.unpack(y, ctx.d))
             rem = gf4.divmod_planes(*prod, *gf4.to_planes(ctx.modulus))[2:]
@@ -242,7 +251,7 @@ def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
                 x = int(ctx.beta_powers[k])
                 acc = 0
                 for sym in symbols[::-1]:
-                    acc = ctx.mul(acc, x) ^ gf4.pack_scalar(int(sym), ctx.d)
+                    acc = _mul(ctx, acc, x) ^ gf4.pack_scalar(int(sym), ctx.d)
                 assert int(spec[k]) == acc, (mapping, k)
 
 
@@ -387,8 +396,8 @@ def _ref_spectrum(system, ctx, mapping):
     for k in range(ctx.N):
         acc = 0
         for v in (1, 2, 3):
-            acc ^= ctx.mul(_xsum(ctx, np.nonzero(folded == v)[0], k),
-                           gf4.pack_scalar(v, ctx.d))
+            acc ^= _mul(ctx, _xsum(ctx, np.nonzero(folded == v)[0], k),
+                        gf4.pack_scalar(v, ctx.d))
         spec.append(acc)
     return spec
 
@@ -656,15 +665,93 @@ def test_orbit_sums_match_power_sums(params, d):
         extfield._power_sums(ctx.beta_powers, sets, np.arange(1, N)))
 
 
-def test_frobenius_images_match_pow():
+def _x_to_d(d):
+    # the least irreducible of degree d without its leading X^d, packed
+    return _to_packed(least_irreducible(d)[:d], d)
+
+
+def test_square_and_frobenius_tables_match_field_arithmetic():
     rng = random.Random(914)
+    for d in range(1, 13):
+        x_to_d = _x_to_d(d)
+        square, frobenius = extfield._linear_maps(d, x_to_d)
+        xs = [rng.randrange(4**d) for _ in range(300)]
+        arr = np.array(xs, dtype=np.uint32)
+        squares = [gf4.field_mul(x, x, d, x_to_d) for x in xs]
+        assert extfield._vec_linear(
+            arr, np.array(square, dtype=np.uint32)).tolist() == squares
+        assert extfield._vec_linear(arr, frobenius).tolist() == \
+            [gf4.field_mul(y, y, d, x_to_d) for y in squares]
+        with pytest.raises(ValueError):
+            frobenius[0, 1] = 0
     for N in (15, 21, 45, 771, 221):
         ctx = build_extension(N)
         xs = [rng.randrange(4**ctx.d) for _ in range(300)]
         got = extfield._vec_linear(
             np.array(xs, dtype=np.uint32),
-            extfield._byte_tables(extfield._frobenius_images(ctx)))
+            extfield._linear_maps(ctx.d, ctx.x_to_d)[1])
         assert got.tolist() == [ctx.pow(x, 4) for x in xs]
+
+
+def _power_table_reference(x, size, d, x_to_d):
+    # the sequential table: one field_mul per entry
+    out = [1]
+    for _ in range(size - 1):
+        out.append(gf4.field_mul(out[-1], x, d, x_to_d))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 12])
+def test_power_table_matches_sequential_reference(d):
+    rng = random.Random(915 + d)
+    x_to_d = _x_to_d(d)
+    # 0, 1, X, alpha (the low bit of the hi plane), every digit 3
+    xs = [0, 1, 2, 1 << d, 4**d - 1] + [rng.randrange(4**d)
+                                        for _ in range(4)]
+    for x in xs:
+        want = _power_table_reference(x, 65, d, x_to_d)
+        for size in (1, 2, 3, 4, 5, 16, 17, 63, 64, 65):
+            got = extfield._power_table(x, size, d, x_to_d)
+            assert got.dtype == np.uint32
+            assert got.tolist() == want[:size], (x, size)
+
+
+def _ext_pow_reference(x, e, d, x_to_d):
+    # plain square and multiply, every step a field_mul
+    out = 1
+    while e:
+        if e & 1:
+            out = gf4.field_mul(out, x, d, x_to_d)
+        x = gf4.field_mul(x, x, d, x_to_d)
+        e >>= 1
+    return out
+
+
+def test_ext_pow_matches_square_and_multiply(monkeypatch):
+    rng = random.Random(916)
+    for d in range(1, 13):
+        x_to_d = _x_to_d(d)
+        order = 4**d - 1
+        for _ in range(40):
+            x = rng.randrange(4**d)
+            for e in (0, 1, 2, 3, 4, rng.randrange(4**d),
+                      rng.randrange(4**(2 * d))):
+                assert extfield.ext_pow(x, e, d, x_to_d) == \
+                    _ext_pow_reference(x, e, d, x_to_d), (d, x, e)
+            if x:
+                assert extfield.ext_pow(x, order, d, x_to_d) == 1
+        assert extfield.ext_pow(0, 0, d, x_to_d) == 1
+        assert extfield.ext_pow(0, order, d, x_to_d) == 0
+    # squares come from the table: one field_mul per set bit below the top
+    calls = []
+    real = gf4.field_mul
+    x_to_d = _x_to_d(12)
+    monkeypatch.setattr(gf4, "field_mul",
+                        lambda *args: calls.append(args) or real(*args))
+    for e in (0, 1, 2, 4**12 - 1, 241, 17, 4095, 1 << 23):
+        calls.clear()
+        extfield.ext_pow(3, e, 12, x_to_d)
+        assert len(calls) == max(bin(e).count("1") - 1, 0), e
 
 
 def _direct_root_sums(system, ctx, a, b, l):
@@ -745,16 +832,23 @@ def test_byte_tables_match_per_bit_reference(d):
         got = extfield._vec_linear(arr, tables)
         assert got.dtype == np.uint32 and got.shape == arr.shape
         assert np.array_equal(got, _vec_linear_per_bit(arr, images))
+        # the bytes are read in value order, whatever the array's own
+        assert np.array_equal(
+            extfield._vec_linear(arr.astype(">u4"), tables), got)
     # the single bits map to their own images
     assert np.array_equal(extfield._vec_linear(arrays[4], tables), images)
 
 
-@pytest.mark.parametrize("params", [
+# the 19 systems of the benchmark's verify grid
+VERIFY_GRID = [
     (7, 73, 1, 1), (3, 19, 3, 1), (3, 73, 2, 1), (3, 241, 1, 1),
     (3, 257, 1, 1), (5, 31, 2, 1), (5, 41, 2, 1), (5, 241, 1, 1),
     (31, 41, 1, 1), (5, 257, 1, 1), (19, 73, 1, 1), (7, 241, 1, 1),
     (3, 73, 3, 1), (23, 89, 1, 1), (3, 683, 1, 1), (3, 241, 2, 1),
-    (13, 241, 1, 1), (17, 241, 1, 1), (17, 257, 1, 1),
+    (13, 241, 1, 1), (17, 241, 1, 1), (17, 257, 1, 1)]
+
+
+@pytest.mark.parametrize("params", VERIFY_GRID + [
     (3, 5, 1, 1), (5, 3, 1, 1), (3, 7, 1, 1), (3, 5, 2, 1)])
 def test_beta_has_order_exactly_n(params):
     p, q, m, n = params
@@ -773,7 +867,14 @@ def test_beta_has_order_exactly_n(params):
     else:
         raise AssertionError("beta_base not met in the scan")
     assert ctx.beta_powers[1] == ctx.beta
-    assert ctx.mul(int(ctx.beta_powers[-1]), ctx.beta) == 1
+    assert _mul(ctx, int(ctx.beta_powers[-1]), ctx.beta) == 1
+    # beta's table and zeta_pq's, which _boundary_roots builds afresh,
+    # against the sequential reference
+    assert ctx.beta_powers.tolist() == _power_table_reference(
+        ctx.beta, N, ctx.d, ctx.x_to_d)
+    zeta = ctx.pow(ctx.beta, N // (p * q))
+    assert extfield._power_table(zeta, p * q, ctx.d, ctx.x_to_d).tolist() \
+        == _power_table_reference(zeta, p * q, ctx.d, ctx.x_to_d)
 
 
 def test_root_prefilter_matches_evaluation():
@@ -783,3 +884,54 @@ def test_root_prefilter_matches_evaluation():
             has_root = any(_eval_gf4(gf4.poly(coeffs), v) == 0
                            for v in (1, 2, 3))
             assert extfield._has_gf4_root(coeffs) == has_root, coeffs
+
+
+# --- one field per degree ---------------------------------------------------
+
+def test_least_irreducible_is_searched_once_and_read_only():
+    assert least_irreducible.cache_info().maxsize == \
+        extfield.DEFAULT_DEGREE_CAP
+    for d in (1, 5, 12):
+        first = least_irreducible(d)
+        assert least_irreducible(d) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 2
+    # d = 3 for N = 21 and N = 63, d = 12 for N = 4 097 and N = 3 133
+    for small, large in ((21, 63), (3133, 4097)):
+        a, b = build_extension(small), build_extension(large)
+        assert a.d == b.d and a.modulus is b.modulus
+        assert extfield._linear_maps(a.d, a.x_to_d) is \
+            extfield._linear_maps(b.d, b.x_to_d)
+
+
+def test_import_builds_no_field():
+    code = ("from cycloseq import extfield; "
+            "print(extfield.least_irreducible.cache_info().currsize, "
+            "extfield._linear_maps.cache_info().currsize)")
+    src = pathlib.Path(extfield.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["0", "0"]
+
+
+def test_repeat_verify_makes_few_field_products(monkeypatch, capsys):
+    # d = 12 at N = 4 097: the modulus and its byte tables are cached, and
+    # squarings and power tables run on byte tables, so a repeat call
+    # multiplies only at the set bits of its exponents
+    argv = ["verify", "--p", "17", "--q", "241"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    calls = []
+    real = gf4.field_mul
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gf4, "field_mul", counted)
+    assert cli.main(argv) == 0
+    assert 0 < len(calls) <= 64
+    report = json.loads(capsys.readouterr().out)
+    assert report["case_table"]["checked"] == 4097
