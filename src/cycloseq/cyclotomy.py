@@ -19,12 +19,16 @@ table with that set, built from p and q alone.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
-singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. That tiling,
-painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below the
-period ceiling of numtheory) and stored as a label array, is the single
-source of truth: a sequence reads only its labels, and the class tables,
-which only verify's checks read, are derived from it on first read. A
-paint that does not tile raises PartitionViolation.
+singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. The
+doubled-modulus H-sets and p^m q^n fill the odd positions, and the even
+half is their image under t -> 2t mod 2 p^m q^n. That tiling, its odd
+half painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below
+the period ceiling of numtheory) and its even half copied from the odd,
+is stored as a label array and is the single source of truth: a sequence
+reads only its labels, and the class tables, which only verify's checks
+read, are derived from it on first read. A paint that does not tile
+raises PartitionViolation, its witness the least unlabeled index among
+the bare odd positions and their doubles.
 """
 
 import functools
@@ -88,10 +92,15 @@ def _check_class_id(cid, valid_ids):
 
 
 def _powers(base, count, mod):
-    # base^0 .. base^(count-1) mod mod, by doubling the filled prefix; the
-    # period ceiling keeps mod below 2^31, so int64 products stay exact
+    # base^0 .. base^(count-1) mod mod: the first 64 by int products, then
+    # by doubling the filled prefix; the period ceiling keeps mod below
+    # 2^31, so int64 products stay exact
+    head = [1 % mod]
+    for _ in range(min(count, 64) - 1):
+        head.append(head[-1] * base % mod)
     out = np.empty(count, dtype=np.int64)
-    out[0], filled, step = 1 % mod, 1, base % mod
+    out[:len(head)] = head
+    filled, step = len(head), pow(base, len(head), mod)
     while filled < count:
         k = min(filled, count - filled)
         out[filled:filled + k] = out[:k] * step % mod
@@ -235,32 +244,40 @@ def _system_from_constants(constants):
     """The system painted from T = g^s y^k mod 2N, s < d_mn, k < e_mn.
 
     Family (i, j), cofactor cof, is T[:d_ij, :e_ij], row s in coset s mod
-    2; x = T mod 2 p^i q^j lands at the odd positions cof x, x = T mod
-    p^i q^j at the even ones 2 cof x. 2N writes with no -1 left tile Z_2N.
-    Any other paint means g or y lacks an order the constants claim: it
-    raises PartitionViolation at the least index left unlabeled or, with
-    every index painted, at index 2N on the count of its writes."""
+    2; x = T mod 2 p^i q^j lands at the odd position cof x. Only this odd
+    half is painted: as 2 cof x = 2 cof (x mod p^i q^j) (mod 2N), the even
+    position 2t mod 2N holds the label of t plus one, filled by two strided
+    copies, and the even half tiles exactly when the odd half does. It
+    does when its N writes (2N counted over both halves) leave no odd
+    index at -1. Any other paint means g or y lacks an order the constants
+    claim: it raises PartitionViolation at the least index left unlabeled,
+    taken over the bare odd indices and their doubles mod 2N, or, with
+    every index painted, at index 2N on its write count over both halves.
+    """
     c = constants
-    period, fams = c.period, _family_indices(c.m, c.n)
+    period, half, fams = c.period, c.half_period, _family_indices(c.m, c.n)
     table = np.outer(_powers(c.g, c.d_ij[c.m, c.n], period),
                      _powers(c.y, c.e_ij[c.m, c.n], period)) % period
     # family f, coset h: label 4 f + 2 h + 2 at odd positions, + 3 at even
-    coset = 2 * (np.arange(len(table))[:, None] % 2)
+    coset = 2 * (np.arange(len(table), dtype=np.int16)[:, None] % 2)
     part = np.full(period, -1, dtype=np.int16)
-    part[0], part[c.half_period] = 0, 1
+    part[half] = 1
     writes = 2
     for f, (i, j) in enumerate(fams):
-        d, e, mod = c.d_ij[i, j], c.e_ij[i, j], c.p**i * c.q**j
-        cof, block = period // (2 * mod), table[:d, :e]
-        part[cof * (block % (2 * mod))] = coset[:d] + 4 * f + 2
-        part[2 * cof * (block % mod)] = coset[:d] + 4 * f + 3
-        writes += d * e // 2 * 4
-    if writes != period or part.min() < 0:
-        bare = np.flatnonzero(part < 0)
+        d, e, mod = c.d_ij[i, j], c.e_ij[i, j], 2 * c.p**i * c.q**j
+        part[period // mod * (table[:d, :e] % mod)] = coset[:d] + (4 * f + 2)
+        writes += 2 * d * e
+    odd = part[1::2]
+    if writes != period or odd.min() < 0:
+        bare = 2 * np.flatnonzero(odd < 0) + 1
         if bare.size:
-            raise PartitionViolation(int(bare[0]), "left unlabeled")
+            least = min(bare.min(), (2 * bare % period).min())
+            raise PartitionViolation(int(least), "left unlabeled")
         raise PartitionViolation(period, f"{writes} writes for "
                                          f"{period} indices")
+    part[2::4] = part[1:half:2] + 1
+    part[0::4] = part[half::2] + 1
+    part[0] = 0
     part.flags.writeable = False
     return CyclotomicSystem(constants=constants,
                             labels=partition_labels(c.m, c.n), partition=part)

@@ -11,7 +11,7 @@ input byte (_vec_linear on arrays), so ext_pow squares by table. beta is
 the first c^((4^d - 1)/N) of order N, c running from x on, digits compared
 from the top, so no group generator is searched for. The module tabulates
 beta^r for 0 <= r < N by the base-4 digits of r, not by doubling: a round
-is one Frobenius map and three products by beta. Every sum it then measures
+is one gather of y -> beta^j y^4, j < 4. Every sum it then measures
 is an XOR of beta^(k t mod N) over an index set T, and one kernel,
 _power_sums, gathers a table of them in blocks of about _BLOCK_ELEMENTS
 elements, so temporary memory stays below a megabyte instead of growing as
@@ -73,10 +73,12 @@ def _scale(x, c, d):
 
 def _byte_tables(images):
     # the GF(2)-linear map with these images of the single bits, as one
-    # table per input byte: tables[c, b] = XOR of images[8c + i], i in b
-    chunks = np.zeros((-(-len(images) // 8), 8), dtype=np.uint32)
-    chunks.flat[:len(images)] = images
-    tables = np.zeros((len(chunks), 256), dtype=np.uint32)
+    # table per input byte: tables[c, b] = XOR of images[8c + i], i in b;
+    # a row of images per bit gives a row of outputs per table entry
+    chunks = np.zeros((-(-len(images) // 8), 8) + images.shape[1:],
+                      dtype=np.uint32)
+    chunks.reshape((-1,) + images.shape[1:])[:len(images)] = images
+    tables = np.zeros((len(chunks), 256) + images.shape[1:], dtype=np.uint32)
     for i in range(8):
         tables[:, 1 << i:2 << i] = tables[:, :1 << i] ^ chunks[:, i, None]
     return tables
@@ -84,11 +86,12 @@ def _byte_tables(images):
 
 def _vec_linear(arr, tables):
     # the map of _byte_tables on a contiguous uint32 array: one lookup per
-    # input byte, read through a little-endian byte view
+    # input byte, read through a little-endian byte view; stacked tables
+    # give each input a row of outputs
     octets = arr.astype("<u4", copy=False).view(np.uint8)
-    acc = np.zeros(arr.shape, dtype=np.uint32)
+    acc = 0
     for c, table in enumerate(tables):
-        acc ^= table[octets[..., c::4]]
+        acc = acc ^ table[octets[..., c::4]]
     return acc
 
 
@@ -195,16 +198,18 @@ class ExtFieldContext:
 
 def _power_table(x, size, d, x_to_d):
     # x^r for 0 <= r < size by the base-4 digits of r, x^(4r + j) being
-    # x^j (x^r)^4: a round quadruples the prefix by x -> x^4, then j times x
+    # x^j (x^r)^4: a round quadruples the prefix in one gather through the
+    # stacked byte tables of y -> x^j y^4, j = 0..3, columns interleaved
     lo = _x_multiples(x, d, d, x_to_d)
     by_x = _byte_tables(np.concatenate([lo, _scale(lo, 2, d)]))
-    frobenius = _linear_maps(d, x_to_d)[1]
+    cols = [_vec_linear(1 << np.arange(2 * d, dtype=np.uint32),
+                        _linear_maps(d, x_to_d)[1])]
+    for _ in range(3):
+        cols.append(_vec_linear(cols[-1], by_x))
+    maps = _byte_tables(np.stack(cols, axis=1))
     out = np.ones(1, dtype=np.uint32)
     while len(out) < size:
-        cols = [_vec_linear(out[:-(-size // 4)], frobenius)]
-        for _ in range(3):
-            cols.append(_vec_linear(cols[-1], by_x))
-        out = np.stack(cols, axis=1).ravel()[:size]
+        out = _vec_linear(out[:-(-size // 4)], maps).ravel()[:size]
     return out
 
 

@@ -12,6 +12,7 @@ g2 modulo p^2 and q^2, their common lift g, the partial lift y that is
 trivial on the q side, and the order tables e_ij / d_ij.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -77,6 +78,8 @@ def two_is_square_mod(r):
     return r % 8 in (1, 7)
 
 
+# one search per prime: a sweep builds many systems over few primes
+@functools.cache
 def smallest_odd_primitive_root_mod_p2(p):
     """Least odd r >= 3 that is a primitive root mod p**2.
 

@@ -515,6 +515,16 @@ def test_sweep_builds_each_system_once(capsys, monkeypatch):
                if r["p"] == r["q"])
 
 
+def test_default_sweep_searches_one_root_per_prime(capsys):
+    # 12 systems over the primes 3, 5, 7 and 11: 24 lookups, 4 searches
+    root = numtheory.smallest_odd_primitive_root_mod_p2
+    root.cache_clear()
+    code, out, _ = run(capsys, "sweep")
+    assert code == 0 and len(json.loads(out)) == 12
+    info = root.cache_info()
+    assert (info.misses, info.hits) == (4, 20)
+
+
 @pytest.mark.parametrize("m", ["10000", "1000000000"])
 def test_huge_exponent_exits_3(capsys, m):
     # the period is multiplied up only until it passes the cap

@@ -343,7 +343,9 @@ def test_class_id_validation(sys15):
 def test_collapsed_class_enumeration_raises(monkeypatch):
     # a g table of period 2 where the constants claim order 4: the two
     # D_0 rows of the first modulus, p q, coincide, and 2N writes leave
-    # index 4 = 2 * 2, the even place of pq's residue 2, unpainted
+    # the odd indices 7, 17, 19, ... unpainted, 17 the odd place of pq's
+    # residue 2; the least of them and their doubles mod 30 is 2 * 17 - 30
+    # = 4, the even place of that residue
     real = cyclotomy._powers
     monkeypatch.setattr(cyclotomy, "_powers",
                         lambda base, count, mod:
@@ -394,12 +396,15 @@ def test_class_tables_match_definition(params):
 def test_powers_are_exact_past_int64():
     # at the period ceiling a product of two residues nears 2^62, past
     # what a float64 holds exactly and still inside int64: every power
-    # of a base near -1, near -1/3 or of 3^40 reduced matches pow
+    # of a base near -1, near -1/3 or of 3^40 reduced matches pow; the
+    # first 64 come from int products, 65 and 200 from the doubling too
     for mod in (2, 30, PERIOD_CEILING - 1, PERIOD_CEILING):
         for base in (mod - 2, mod - 1 - mod // 3, 3**40 % mod):
-            got = cyclotomy._powers(base, 37, mod)
-            assert got.dtype == np.int64
-            assert got.tolist() == [pow(base, k, mod) for k in range(37)]
+            for count in (1, 37, 64, 65, 200):
+                got = cyclotomy._powers(base, count, mod)
+                assert got.dtype == np.int64
+                assert got.tolist() == [pow(base, k, mod)
+                                        for k in range(count)]
 
 
 def _painted(system, cid, arr):
@@ -622,6 +627,18 @@ def test_power_table_fails_as_the_reference_builder(constants):
                                             f"{constants.period} indices")
     else:
         _assert_same_system(cyclotomy._system_from_constants(constants), want)
+
+
+def test_unpainted_witness_is_the_least_bare_odd_index_or_double():
+    # g = 4 is even: rows 1 to 3 of its table are even, so their writes
+    # land at even positions, which the even half then repaints, and leave
+    # the odd indices 7, 9, 13, 17, ... bare; the least of them and their
+    # doubles mod 2N is 2 * 17 - 30 = 4, below 7
+    c = build_system_constants(3, 5, 1, 1)
+    with pytest.raises(PartitionViolation) as info:
+        cyclotomy._system_from_constants(dataclasses.replace(c, g=4))
+    assert info.value.index == 4
+    assert str(info.value) == "index 4: left unlabeled"
 
 
 def test_overclaimed_order_fails_as_the_reference_builder():

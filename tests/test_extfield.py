@@ -837,6 +837,16 @@ def test_byte_tables_match_per_bit_reference(d):
             extfield._vec_linear(arr.astype(">u4"), tables), got)
     # the single bits map to their own images
     assert np.array_equal(extfield._vec_linear(arrays[4], tables), images)
+    # four maps stacked: one gather gives each map's output in its column
+    stacked = rng.integers(0, 4**d, (2 * d, 4), dtype=np.uint32)
+    tables = extfield._byte_tables(stacked)
+    assert tables.shape == (-(-2 * d // 8), 256, 4)
+    for arr in arrays:
+        got = extfield._vec_linear(arr, tables)
+        assert got.dtype == np.uint32 and got.shape == arr.shape + (4,)
+        for j in range(4):
+            assert np.array_equal(got[..., j],
+                                  _vec_linear_per_bit(arr, stacked[:, j]))
 
 
 # the 19 systems of the benchmark's verify grid
