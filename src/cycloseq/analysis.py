@@ -53,7 +53,9 @@ T_h is 0, 1 or a quadratic Gaussian period of p or q in characteristic 2
 IEEE T-IT 44(3), 1998): {eta_0, eta_1} = {0, 1} when 2 is a square mod
 the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
 through v_p(k), v_q(k) and the Legendre symbols of its unit part, so
-mu is summed over those cells in plain integer arithmetic.
+mu is summed over those cells in plain integer arithmetic. The same
+closed form, family by family (cell_char_sums), is the expected side of
+verify's character-sum table, with the periods measured in F_{4^d}.
 
 Where they run: analyze and verify measure by BM and the gcd route and
 require both the length and the polynomial to agree (analyze_symbols,
@@ -66,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
+from .cyclotomy import _family_indices
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
 from .numtheory import two_is_square_mod
 from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
@@ -211,6 +214,11 @@ def _prime_power_sums(r, top, v, nonsquare):
     return ones ^ periods[nonsquare], ones ^ periods[1 - nonsquare]
 
 
+def _twists(p, q):
+    # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
+    return int(pow(q, p // 2, p) != 1), int(pow(p, q // 2, q) != 1)
+
+
 def predict_lc(constants, mapping):
     """Exact LC of the sequence, in closed form (route three above).
 
@@ -229,8 +237,7 @@ def predict_lc(constants, mapping):
         [gf4.gf4_mul(v, t) for t in range(4)]
         for v in mapping.as_tuple()[:4])
     side_p, side_q = (not two_is_square_mod(r) for r in (p, q))
-    q_at_p = int(pow(q, (p - 1) // 2, p) != 1)  # [(q|p) = -1]
-    p_at_q = int(pow(p, (q - 1) // 2, q) != 1)  # [(p|q) = -1]
+    q_at_p, p_at_q = _twists(p, q)
     lost = 0
     for a in range(m + 1):
         for b in range(n + 1):
@@ -253,6 +260,29 @@ def predict_lc(constants, mapping):
                     if even == odd:
                         lost += size << (odd == 0)
     return 2 * c.half_period - lost
+
+
+def cell_char_sums(constants, cell, periods):
+    """T_0, T_1 over each family's doubled-modulus H-sets, in extfield's
+    _cells order, at a k in predict_lc's cell (a, b, lp, lq): the terms
+    _prime_power_sums adds up, with predict_lc's twists; periods holds
+    (eta_0, eta_1) of p and of q in any form where 1 is 1 and + is XOR. A
+    mixed family is its Ramanujan sum mod p^i (odd iff a = i - 1) times q's.
+    """
+    c, (a, b, lp, lq) = constants, cell
+    q_at_p, p_at_q = _twists(c.p, c.q)
+    out = []
+    for i, j in _family_indices(c.m, c.n):
+        # family r^top at v = v_r(k), the unit part's Legendre bit ns
+        r, top, v, ns = ((c.q, j, b, lq ^ (p_at_q if i else a & p_at_q))
+                         if j else (c.p, i, a, lp ^ (b & q_at_p)))
+        if (i and j and a != i - 1) or v < top - 1:
+            out += 0, 0
+        elif v >= top:
+            out += (int(r % 4 == 3),) * 2
+        else:
+            out += periods[bool(j)][ns], periods[bool(j)][1 - ns]
+    return out
 
 
 def checked_lc(seq):

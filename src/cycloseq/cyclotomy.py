@@ -108,6 +108,13 @@ def _powers(base, count, mod):
     return out
 
 
+def _qr_sides(r):
+    # x mod the odd prime r: 0 on the squares, 1 on other units, 2 at 0
+    side = np.ones(r, dtype=np.int8)
+    side[np.arange(1, r)**2 % r], side[0] = 0, 2
+    return side
+
+
 def _sorted_set(arr):
     # the distinct values of arr, ascending, by marking them on their range
     mask = np.zeros(arr.max() - arr.min() + 1, dtype=bool)
@@ -333,8 +340,7 @@ def check_structural_lemmas(system):
         r, mod = (c.q if j else c.p), c.p**i * c.q**j
         # side of x: 0 on the squares mod r, 1 on the other units, 2 off
         # the units; it depends on x mod r (x mod pq on a mixed family)
-        side = np.ones(r, dtype=np.int8)
-        side[np.arange(1, r)**2 % r], side[0] = 0, 2
+        side = _qr_sides(r)
         if i and j:
             side = np.where(np.arange(c.p * r) % c.p, np.tile(side, c.p), 2)
         side = np.tile(side, 2 * mod // len(side))

@@ -22,9 +22,10 @@ from it. The character sums over the doubled-modulus H-sets are one such
 table, checked cell by cell against their closed forms, a mismatch shown at
 its least k. The folded sequence s_t + s_(t+N) is constant on each of those
 cells, so the spectrum S(beta^k) is a GF(4) combination of the table's
-columns, and verify gathers once. The boundary root sums on the expected
-side are order-2 Gaussian periods, chosen by the class of the multiplier,
-with no Frobenius map and no read of beta_powers.
+columns, and verify gathers once. The expected side is
+analysis.cell_char_sums, the closed form that predict_lc sums, at the cell
+of each k; its Gaussian periods are measured once per prime, from a power
+table of beta^(N/p) or beta^(N/q) and not from beta_powers.
 """
 
 import functools
@@ -34,7 +35,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gf4
-from .cyclotomy import DOUBLED_SHAPES, ClassId, all_class_ids, h_set
+from .analysis import cell_char_sums
+from .cyclotomy import DOUBLED_SHAPES, _qr_sides, all_class_ids, h_set
 from .errors import (CapExceeded, CaseViolation, InvalidMapping,
                      InvalidParams, LemmaViolation)
 from .numtheory import factorize, mult_order
@@ -443,14 +445,19 @@ class CharSumReport:
         return {"k_count": self.k_count, "cells_checked": self.cells_checked}
 
 
-def _valuations(ks, prime, N):
-    # exponent of prime in each k, for 1 <= k < N
-    v = np.zeros_like(ks)
-    power = prime
-    while power < N:
-        v += ks % power == 0
-        power *= prime
-    return v
+def _gaussian_periods(context, r):
+    """(eta_0, eta_1): zeta = beta^(N/r) summed over the squares and the
+    non-squares mod r, from zeta's own power table, not beta_powers;
+    LemmaViolation unless both lie in GF(4) (bit 0 of each plane only)."""
+    zetas = _power_table(context.pow(context.beta, context.N // r), r,
+                         context.d, context.x_to_d)
+    side = _qr_sides(r)
+    eta = [int(np.bitwise_xor.reduce(zetas[side == h])) for h in (0, 1)]
+    for h, value in enumerate(eta):
+        if value & ~(1 | 1 << context.d):
+            raise LemmaViolation("Gaussian period outside GF(4)", prime=r,
+                                 h=h, eta=_digits(value, context.d))
+    return eta
 
 
 _CHAR_SUM_DETAIL = {
@@ -460,50 +467,17 @@ _CHAR_SUM_DETAIL = {
 }
 
 
-def _boundary_roots(system, context, a, b, l):
-    """Root sums of the boundary cells for k = p^a q^b l: out[shape][r, h].
-
-    The 2pq, 2p and 2q cells sum zeta^(u t) over the base class D_h mod
-    M = pq, p, q, with zeta of order M and u = l, q^b l, p^a l. D_0 has
-    index 2 in the units mod M and D_1 is its coset, so a unit u maps D_h
-    onto D_(h xor c(u)), c(u) being the class of u: the sum is the
-    Gaussian period eta_(h xor c(u)), and a u in neither class raises
-    LemmaViolation. The periods come from a power table of zeta_pq
-    computed afresh from beta, independent of beta_powers, which the
-    measured side reads.
-    """
-    p, q = system.constants.p, system.constants.q
-    zeta_powers = _power_table(context.pow(context.beta, context.N // (p * q)),
-                               p * q, context.d, context.x_to_d)
-    out = {}
-    for shape, i, j, u in (("pq", 1, 1, l), ("p", 1, 0, q**b * l),
-                           ("q", 0, 1, p**a * l)):
-        M = p**i * q**j
-        base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
-        eta = np.array([np.bitwise_xor.reduce(zeta_powers[cls * (p * q // M)])
-                        for cls in base], dtype=np.uint32)
-        side = np.full(M, -1, dtype=np.int8)
-        for h, cls in enumerate(base):
-            side[cls] = h
-        c = side[u % M]
-        if (c < 0).any():
-            raise LemmaViolation("multiplier outside both base classes",
-                                 shape=shape, u=int(u[np.argmax(c < 0)]))
-        out["2" + shape] = eta[np.bitwise_xor.outer(c, (0, 1))]
-    return out
-
-
 def verify_char_sum_tables(system, context):
     """Check every character sum over every doubled-modulus H-set.
 
     For each k = p^a q^b l in 1..N-1 and each cell (shape, i, j, h) the
-    measured sum must match its closed form: an integer constant reduced
-    mod 2 when the cell's exponents are dominated by (a, b), a root-of-
-    unity sum over the base class on the boundary, and 0 beyond it. Both
-    the measured and the expected values are whole (k, cell) tables. The
-    measured one comes from _orbit_sums, whose row k = 1 reads every
-    nonzero entry of beta_powers once; the root sums come from
-    _boundary_roots, which never reads beta_powers, so a corrupted entry
+    measured sum must match its closed form, analysis.cell_char_sums at
+    the cell of predict_lc that holds k: 0 or 1 where (a, b) dominates the
+    cell's exponents, a Gaussian period of p or q on its boundary, and 0
+    beyond. Both sides are whole (k, cell) tables. The measured one comes
+    from _orbit_sums, whose row k = 1 reads every nonzero entry of
+    beta_powers once; the expected one takes its periods from
+    _gaussian_periods, which never reads beta_powers, so a corrupted entry
     cannot shift both sides alike.
     Raises LemmaViolation with the witness (k, cell) on the first
     mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
@@ -511,32 +485,22 @@ def verify_char_sum_tables(system, context):
     remainder digits, as in verify_case_table.
     """
     _require_matching(system, context)
-    p, q, N = system.constants.p, system.constants.q, context.N
-
+    c, N = system.constants, context.N
+    # k = p^a q^b l keyed by predict_lc's cell (a, b, lp, lq), (a, b)
+    # capped at (m, n), as ((a (n + 1) + b) 2 + lp) 2 + lq: a row per key
     ks = np.arange(1, N, dtype=np.int64)
-    a = _valuations(ks, p, N)
-    b = _valuations(ks, q, N)
-    roots = _boundary_roots(system, context, a, b, ks // (p**a * q**b))
+    a, b = (sum(ks % r**t == 0 for t in range(1, top + 1))
+            for r, top in ((c.p, c.m), (c.q, c.n)))
+    l = ks // (c.p**a * c.q**b)
+    lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
+    lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
+    periods = [_gaussian_periods(context, r) for r in (c.p, c.q)]
+    keys = itertools.product(range(c.m + 1), range(c.n + 1), (0, 1), (0, 1))
+    rows = np.array([cell_char_sums(c, key, periods) for key in keys],
+                    dtype=np.uint32)
+    expected = rows[((a * (c.n + 1) + b) * 2 + lp) * 2 + lq]
     cells = _cells(system)
     measured = _orbit_sums(context, [h_set(system, cid) for cid in cells])
-
-    columns = []
-    for cid in cells:
-        i, j, root = cid.i, cid.j, roots[cid.shape][:, cid.h]
-        if cid.shape == "2pq":
-            full = ((p - 1) * (q - 1) * p**(i - 1) * q**(j - 1) // 2) & 1
-            edge = np.where(j <= b, ((q - 1) // 2) & 1,
-                            np.where(j == b + 1, root, 0))
-            col = np.where((i <= a) & (j <= b), full,
-                           np.where(i == a + 1, edge, 0))
-        elif cid.shape == "2p":
-            col = np.where(i <= a, (p**(i - 1) * (p - 1) // 2) & 1,
-                           np.where(i == a + 1, root, 0))
-        else:
-            col = np.where(j <= b, (q**(j - 1) * (q - 1) // 2) & 1,
-                           np.where(j == b + 1, root, 0))
-        columns.append(col)
-    expected = np.stack(columns, axis=1)
 
     bad = measured != expected
     if bad.any():

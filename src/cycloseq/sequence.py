@@ -7,7 +7,7 @@ half-period position; position zero always carries 0. The defining
 constraints are that a, b, c, d are pairwise distinct, e is nonzero, and
 e avoids the values that forbidden_e, the paper's mod-8 rule, names (b+d
 when p = +/-1, b or b+c when p = +/-3). That rule is the gate, but
-spectrum_profile, from the side of 2 in the p, q and pq families, is what
+spectrum_profile, from whether 2 is a square mod p and mod q, is what
 predicts full complexity; the two disagree on some mappings. Mappings
 violating only the mod-8 rule are constructible with allow_degenerate.
 write_sequence_file writes the digits and their sidecar all or nothing.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import BUCKETS, bucket_codes, residue_side_of_2
+from .cyclotomy import BUCKETS, bucket_codes
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
 from .numtheory import SystemConstants, two_is_square_mod
 
@@ -198,23 +198,19 @@ class SpectrumProfile:
 
 
 def spectrum_profile(system, mapping):
-    """Predict S(beta^k) in each saturation regime from the side of 2.
+    """Predict S(beta^k) in each saturation regime from p and q alone.
 
     S(beta^k) = e + [p unsaturated][q unsaturated] L_pq
                   + [p unsaturated] L_p + [q unsaturated] L_q
-    where each L is b+d or b+c according to the coset of 2 modulo the
-    family's odd modulus: b+d when 2 lies in D_0, b+c when it lies in D_1.
+    where L_r = b + d when 2 is a square mod r and b + c when it is not,
+    2 then lying in D_0 or D_1 of the r-power families; the pq family's
+    coset of 2 is q's, so L_pq = L_q. No class table is read.
     """
-    b, c, d, e = mapping.b, mapping.c, mapping.d, mapping.e
-    lam_p, lam_q, lam_pq = (
-        b ^ (c if residue_side_of_2(system, family) else d)
-        for family in ("p", "q", "pq"))
-    return SpectrumProfile(
-        e_value=e,
-        value_generic=e ^ lam_pq ^ lam_p ^ lam_q,
-        value_p_saturated=e ^ lam_q,
-        value_q_saturated=e ^ lam_p,
-    )
+    c, m = system.constants, mapping
+    lam_p, lam_q = (m.b ^ (m.d if two_is_square_mod(r) else m.c)
+                    for r in (c.p, c.q))
+    # e, then the generic, p-saturated and q-saturated values
+    return SpectrumProfile(m.e, m.e ^ lam_p, m.e ^ lam_q, m.e ^ lam_p)
 
 
 def max_complexity_mappings(system, count=3):
@@ -246,7 +242,8 @@ def _write_together(files):
     open() makes any file, or with the mode of the file it replaces. The
     temporary files then take their paths in order; if one cannot, each
     path already taken gets its old file back from a second hard link kept
-    meanwhile (or is removed if it was new). No temporary name stays.
+    meanwhile (or is removed if it was new). No temporary name stays,
+    in the files or in an OSError raised, which names the path it was for.
     """
     tag = f".{os.getpid()}"
     made, moved = [], []
@@ -264,12 +261,14 @@ def _write_together(files):
                 made.append(old)
             os.replace(path + tag, path)
             moved.append((path, old))
-    except BaseException:
-        for path, old in reversed(moved):
+    except BaseException as exc:
+        for done, old in reversed(moved):
             if old:
-                os.replace(old, path)
+                os.replace(old, done)
             else:
-                os.remove(path)
+                os.remove(done)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
     finally:
         for name in made:

@@ -1,17 +1,20 @@
 """Berlekamp-Massey, gcd complexity, and their cross-checks."""
 
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycloseq import analysis, gf4
+from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, checked_lc,
+                               berlekamp_massey, cell_char_sums, checked_lc,
                                degenerate_lower_bound, lc_via_gcd,
                                methods_consistent, predict_lc, verify_theorem)
 from cycloseq.cyclotomy import build_system
@@ -19,8 +22,8 @@ from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
 from cycloseq.extfield import build_extension
 from cycloseq.gf4 import INV_TABLE, MUL_TABLE, to_planes
-from cycloseq.numtheory import (build_system_constants, is_prime,
-                                two_is_square_mod)
+from cycloseq.numtheory import (build_system_constants, euler_phi,
+                                is_prime, two_is_square_mod)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                                spectrum_profile)
 
@@ -581,3 +584,74 @@ def test_prime_power_sums_by_brute_force(r, top, other):
                     gf4.pack_scalar(t, context.d) for t in
                     analysis._prime_power_sums(r, top, v, (u != 1) ^ flip)))
     assert brute in by_formula
+
+
+def _periods_as_digits(r):
+    # (eta_0, eta_1) of r as predict_lc takes them, in GF(4) digits
+    return (0, 1) if two_is_square_mod(r) else (gf4.ALPHA, gf4.ALPHA1)
+
+
+def _xor_pairs(sums):
+    # (T_0, T_1) summed over the families whose (T_0, T_1) pairs are listed
+    return (functools.reduce(operator.xor, sums[0::2], 0),
+            functools.reduce(operator.xor, sums[1::2], 0))
+
+
+@pytest.mark.parametrize("r", [r for r in range(3, 44) if is_prime(r)])
+def test_prime_power_sums_add_up_the_cell_sums(r):
+    # r as p at cell (v, 0, ns, 0): its p-power families, the m * n mixed
+    # ones first; r as q at (0, v, 0, ns): its q-power families last, and
+    # the mixed families (1, j), twisted by (p|q), first
+    other = 5 if r == 3 else 3
+    p_at_q = int(pow(other, (r - 1) // 2, r) != 1)
+    for top in range(1, 5):
+        as_p = SimpleNamespace(p=r, q=other, m=top, n=1)
+        as_q = SimpleNamespace(p=other, q=r, m=1, n=top)
+        for v in range(top + 2):
+            for ns in (0, 1):
+                want = analysis._prime_power_sums(r, top, v, ns)
+                sums = cell_char_sums(as_p, (v, 0, ns, 0), (
+                    _periods_as_digits(r), _periods_as_digits(other)))
+                assert _xor_pairs(sums[2 * top:4 * top]) == want
+                sums = cell_char_sums(as_q, (0, v, 0, ns), (
+                    _periods_as_digits(other), _periods_as_digits(r)))
+                assert len(sums) == 4 * top + 2
+                assert _xor_pairs(sums[-2 * top:]) == want
+                assert _xor_pairs(sums[:2 * top]) == \
+                    analysis._prime_power_sums(r, top, v, ns ^ p_at_q)
+
+
+def _lc_from_cell_sums(c, mapping):
+    # predict_lc summed family by family: each family adds a T_0 + b T_1
+    # to O and c T_s + d T_(1-s) to E, s its prime's side of 2 (q's on the
+    # mixed families), and a cell loses its size once if E = O, twice if
+    # both vanish
+    periods = [_periods_as_digits(r) for r in (c.p, c.q)]
+    sides = [int(not two_is_square_mod(c.q if j else c.p))
+             for i, j in cyclotomy._family_indices(c.m, c.n)]
+    mul = gf4.gf4_mul
+    lost = 0
+    for a, b, lp, lq in itertools.product(range(c.m + 1), range(c.n + 1),
+                                          (0, 1), (0, 1)):
+        if (lp and a == c.m) or (lq and b == c.n):
+            continue
+        size = (euler_phi(c.p**(c.m - a)) * euler_phi(c.q**(c.n - b))
+                >> ((a < c.m) + (b < c.n)))
+        sums = cell_char_sums(c, (a, b, lp, lq), periods)
+        t0, t1 = _xor_pairs(sums)
+        ts = functools.reduce(operator.xor,
+                              (sums[2 * f + s] for f, s in enumerate(sides)))
+        odd = mapping.e ^ mul(mapping.a, t0) ^ mul(mapping.b, t1)
+        even = mul(mapping.c, ts) ^ mul(mapping.d, t0 ^ t1 ^ ts)
+        if even == odd:
+            lost += size << (odd == 0)
+    return c.period - lost
+
+
+@pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
+def test_cell_sums_give_predict_lc(p, q):
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        constants = build_system_constants(p, q, m, n)
+        for mapping in ALL_MAPPINGS:
+            assert (_lc_from_cell_sums(constants, mapping)
+                    == predict_lc(constants, mapping)), (m, n, mapping)

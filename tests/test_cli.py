@@ -269,6 +269,8 @@ def _generate_fails(capsys, out, *extra):
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and str(out) in err
     assert err.count("\n") == 1
+    # the path given, never the temporary name beside it
+    assert f".{os.getpid()}" not in err
 
 
 def test_generate_sidecar_is_a_directory(tmp_path, capsys):
@@ -279,6 +281,16 @@ def test_generate_sidecar_is_a_directory(tmp_path, capsys):
     (tmp_path / "s.txt").write_text("0123\n")
     _generate_fails(capsys, tmp_path / "s.txt")
     assert _listing(tmp_path) == {"s.txt.json": None, "s.txt": b"0123\n"}
+
+
+def test_generate_names_the_out_path_of_a_missing_directory(tmp_path,
+                                                            capsys):
+    out = tmp_path / "missing" / "x.txt"
+    code, stdout, err = run(capsys, "generate", "--p", "3", "--q", "5",
+                            "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert _listing(tmp_path) == {}
 
 
 def test_generate_out_is_a_directory(tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import with_classes
 from cycloseq import cli, gf4
-from cycloseq.analysis import analyze_symbols
+from cycloseq.analysis import analyze_symbols, cell_char_sums
 from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
                                 build_system, h_set)
@@ -771,39 +771,98 @@ def _direct_root_sums(system, ctx, a, b, l):
             "2q": root_sums("q", 0, 1, p**m * q**(n - 1), p**a)}
 
 
+def _cell_of(constants, k):
+    # predict_lc's cell of k, by trial division and Euler's criterion
+    c = constants
+    a = min(_valuation(k, c.p), c.m)
+    b = min(_valuation(k, c.q), c.n)
+    l = k // (c.p**a * c.q**b)
+    lp = int(a < c.m and pow(l, (c.p - 1) // 2, c.p) != 1)
+    lq = int(b < c.n and pow(l, (c.q - 1) // 2, c.q) != 1)
+    return a, b, lp, lq
+
+
 @pytest.mark.parametrize("params", [
     (3, 5, 1, 1), (5, 3, 1, 1), (3, 7, 1, 1), (7, 3, 1, 1), (3, 5, 2, 1),
     (5, 3, 2, 1), (3, 5, 1, 2), (5, 3, 1, 2), (3, 13, 1, 1)])
 def test_boundary_roots_match_direct_reference(params):
+    # the expected side of verify: cell_char_sums at k's cell, with the
+    # measured Gaussian periods, against the root sums gathered at every
+    # multiplier (boundary cells) and the scalar closed form (every cell)
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
-    p, q, N = params[0], params[1], ctx.N
+    c, N = system.constants, ctx.N
+    periods = [extfield._gaussian_periods(ctx, r) for r in (c.p, c.q)]
     ks = np.arange(1, N, dtype=np.int64)
-    a = extfield._valuations(ks, p, N)
-    b = extfield._valuations(ks, q, N)
-    l = ks // (p**a * q**b)
-    want = _direct_root_sums(system, ctx, a, b, l)
-    got = extfield._boundary_roots(system, ctx, a, b, l)
-    assert got.keys() == want.keys()
-    for shape in want:
-        assert got[shape].dtype == want[shape].dtype
-        assert np.array_equal(got[shape], want[shape]), shape
-    # the Gaussian periods never read beta_powers
-    blank = dataclasses.replace(ctx, beta_powers=np.zeros_like(
-        ctx.beta_powers))
-    for shape, table in extfield._boundary_roots(system, blank, a, b,
-                                                 l).items():
-        assert np.array_equal(table, got[shape])
+    a = np.array([_valuation(k, c.p) for k in range(1, N)])
+    b = np.array([_valuation(k, c.q) for k in range(1, N)])
+    roots = _direct_root_sums(system, ctx, a, b, ks // (c.p**a * c.q**b))
+    boundary = 0
+    for r, k in enumerate(range(1, N)):
+        got = cell_char_sums(c, _cell_of(c, k), periods)
+        assert len(got) == len(extfield._cells(system))
+        for cid, value in zip(extfield._cells(system), got):
+            assert value == _expected_cell(system, ctx, cid, k), (k, cid)
+            edge = {"2pq": cid.i == a[r] + 1 and cid.j == b[r] + 1,
+                    "2p": cid.i == a[r] + 1, "2q": cid.j == b[r] + 1}
+            if edge[cid.shape]:
+                boundary += 1
+                assert value == roots[cid.shape][r, cid.h], (k, cid)
+    assert boundary > 0
 
 
-def test_boundary_roots_reject_a_nonunit_multiplier(sys15, ctx15):
-    zero = np.zeros(5, dtype=np.int64)
-    l = np.array([1, 2, 4, 7, 8], dtype=np.int64)
-    roots = extfield._boundary_roots(sys15, ctx15, zero, zero, l)
-    assert all(table.shape == (5, 2) for table in roots.values())
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (5, 3, 1, 1),
+                                    (7, 17, 1, 1)])
+def test_swapped_gaussian_periods_are_caught(params, monkeypatch):
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    verify_char_sum_tables(system, ctx)
+    real = extfield._gaussian_periods
+    for prime in params[:2]:
+        def swapped(context, r):
+            eta = real(context, r)
+            return eta[::-1] if r == prime else eta
+
+        monkeypatch.setattr(extfield, "_gaussian_periods", swapped)
+        with pytest.raises(LemmaViolation):
+            verify_char_sum_tables(system, ctx)
+
+
+def test_a_gaussian_period_outside_gf4_is_refused(sys21, ctx21):
+    # beta of order 63 in F_64 in place of order 21: beta^(21/3) has order
+    # 9, so eta_0 of 3, the sum over the one square 1, leaves GF(4)
+    x = next(x for x in range(2, 4**ctx21.d) if _order(ctx21, x) == 63)
+    bad = dataclasses.replace(ctx21, beta=x)
     with pytest.raises(LemmaViolation) as info:
-        extfield._boundary_roots(sys15, ctx15, zero, zero, l + 3)
-    assert info.value.witness == {"shape": "pq", "u": 5}
+        verify_char_sum_tables(sys21, bad)
+    assert str(info.value).startswith("Gaussian period outside GF(4)")
+    assert info.value.witness["prime"] == 3
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 5, 2, 1),
+                                    (5, 3, 1, 2), (7, 17, 1, 1)])
+def test_expected_table_never_reads_beta_powers(params, monkeypatch):
+    # every entry of beta_powers zeroed, the measured table taken from the
+    # intact context: the check still passes, so the expected table is the
+    # one of the intact context, entry for entry
+    system = build_system(*params)
+    ctx = build_extension(system.constants.half_period)
+    table = verify_char_sum_tables(system, ctx).table
+    blank = dataclasses.replace(
+        ctx, beta_powers=np.zeros_like(ctx.beta_powers))
+    monkeypatch.setattr(extfield, "_orbit_sums", lambda *args: table)
+    assert verify_char_sum_tables(system, blank).cells_checked == table.size
+
+
+def test_a_class_short_of_one_unit_is_caught(sys15, ctx15):
+    # the expected side reads no class table, so one unit dropped from any
+    # doubled-modulus class shows as a mismatch at k = 1
+    for cid in extfield._cells(sys15):
+        classes = dict(sys15.classes)
+        classes[cid] = classes[cid][1:]
+        with pytest.raises(LemmaViolation) as info:
+            verify_char_sum_tables(with_classes(sys15, classes), ctx15)
+        assert info.value.witness["k"] == 1
 
 
 # --- byte tables, the direct beta and the root prefilter -------------------
@@ -878,13 +937,14 @@ def test_beta_has_order_exactly_n(params):
         raise AssertionError("beta_base not met in the scan")
     assert ctx.beta_powers[1] == ctx.beta
     assert _mul(ctx, int(ctx.beta_powers[-1]), ctx.beta) == 1
-    # beta's table and zeta_pq's, which _boundary_roots builds afresh,
-    # against the sequential reference
+    # beta's table and those of beta^(N/p) and beta^(N/q), which
+    # _gaussian_periods builds afresh, against the sequential reference
     assert ctx.beta_powers.tolist() == _power_table_reference(
         ctx.beta, N, ctx.d, ctx.x_to_d)
-    zeta = ctx.pow(ctx.beta, N // (p * q))
-    assert extfield._power_table(zeta, p * q, ctx.d, ctx.x_to_d).tolist() \
-        == _power_table_reference(zeta, p * q, ctx.d, ctx.x_to_d)
+    for r in (p, q):
+        zeta = ctx.pow(ctx.beta, N // r)
+        assert extfield._power_table(zeta, r, ctx.d, ctx.x_to_d).tolist() \
+            == _power_table_reference(zeta, r, ctx.d, ctx.x_to_d)
 
 
 def test_root_prefilter_matches_evaluation():

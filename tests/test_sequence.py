@@ -1,5 +1,6 @@
 """Mapping validation, sequence assembly, balance, and file round trips."""
 
+import itertools
 import json
 from dataclasses import replace
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq import gf4
-from cycloseq.cyclotomy import build_system
+from cycloseq.analysis import predict_lc
+from cycloseq.cyclotomy import build_system, residue_side_of_2
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
-from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
-                               build_sequence, forbidden_e,
+from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, SpectrumProfile,
+                               balance_profile, build_sequence, forbidden_e,
                                max_complexity_mappings,
                                read_sequence_file,
                                spectrum_profile, structural_violations,
@@ -162,6 +164,44 @@ def test_spectrum_profile_case2(sys21):
     wprof = spectrum_profile(sys21, witness)
     assert wprof.value_p_saturated == 0
     assert not wprof.attains_max
+
+
+def _profile_from_class_tables(system, mapping):
+    # the rule spectrum_profile followed before it read p and q alone: each
+    # L from the coset of 2 in its family's class tables
+    b, c, d, e = mapping.b, mapping.c, mapping.d, mapping.e
+    lam_p, lam_q, lam_pq = (
+        b ^ (c if residue_side_of_2(system, family) else d)
+        for family in ("p", "q", "pq"))
+    return SpectrumProfile(
+        e_value=e,
+        value_generic=e ^ lam_pq ^ lam_p ^ lam_q,
+        value_p_saturated=e ^ lam_q,
+        value_q_saturated=e ^ lam_p,
+    )
+
+
+# one pair per (p mod 8, q mod 8) class, as in the sweep benchmark
+CLASS_PAIRS = ((17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5),
+               (7, 23), (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3),
+               (5, 13), (5, 7))
+ALL_MAPPINGS = tuple(Mapping(*perm, e)
+                     for perm in itertools.permutations(range(4))
+                     for e in (1, 2, 3))
+
+
+@pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
+def test_spectrum_profile_reads_p_and_q_alone(p, q):
+    assert len({(p % 8, q % 8) for p, q in CLASS_PAIRS}) == 16
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        system = build_system(p, q, m, n)
+        profiles = [spectrum_profile(system, mapping)
+                    for mapping in ALL_MAPPINGS]
+        assert "classes" not in vars(system)
+        for mapping, prof in zip(ALL_MAPPINGS, profiles):
+            assert prof == _profile_from_class_tables(system, mapping)
+            assert prof.attains_max == (
+                predict_lc(system.constants, mapping) == system.period)
 
 
 def test_max_complexity_mappings(sys15, sys21):
