@@ -346,14 +346,15 @@ def analyze_symbols(symbols):
         methods_agree=True, theorem_holds=(lc_gcd == len(s)))
 
 
-def verify_theorem(system, mapping=DEFAULT_MAPPING, strict=False):
-    """Build the sequence for a valid mapping and check LC = 2 p^m q^n.
+def verify_theorem(system, mapping=DEFAULT_MAPPING, strict=False, seq=None):
+    """Build the sequence for a valid mapping, or take seq, which holds it
+    already, and check LC = 2 p^m q^n.
 
     Always raises on method disagreement; with strict=True also raises
     TheoremViolation when the measured complexity falls short, otherwise
     the report carries theorem_holds = False.
     """
-    seq = build_sequence(system, mapping)
+    seq = seq or build_sequence(system, mapping)
     report = analyze_symbols(seq.symbols)
     if strict and not report.theorem_holds:
         raise TheoremViolation(

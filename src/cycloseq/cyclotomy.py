@@ -14,8 +14,9 @@ of y; on a prime-power family the y count is 1 and D_0 is the even-power
 coset of g. Since g is a primitive root mod p and mod q and y = 1 (mod q),
 these are Legendre classes: with r = q on the mixed and q-power families
 and r = p on the p-power ones, D_0 holds the units that are squares mod r
-and D_1 those that are not. check_structural_lemmas compares every class
-table with that set, built from p and q alone.
+and D_1 those that are not. check_structural_lemmas accepts every class
+table that is that set, built from p and q alone, in one pass over its own
+entries, and compares it with the set only to name a table that is not.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidParams, LemmaViolation, PartitionViolation
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
-                        build_system_constants, two_is_square_mod)
+                        build_system_constants, euler_phi, two_is_square_mod)
 
 ODD_SHAPES = ("pq", "p", "q")
 DOUBLED_SHAPES = ("2pq", "2p", "2q")
@@ -320,17 +321,24 @@ def check_structural_lemmas(system):
     On family (i, j), modulus M = p^i q^j, take r = q if j > 0 else p: D_h
     holds the units x < M whose side is h, side 0 when x is a square mod
     r and 1 when it is not, and the doubled shape holds the odd units
-    x < 2M by the same rule. Each table is compared as a set of distinct
-    values; g and y are never read. Returns a list of unraised
-    LemmaViolation records, one per class that differs, witnessed by the
-    least element of the symmetric difference; empty means every class
-    holds.
+    x < 2M by the same rule; g and y are never read. Each table is first
+    accepted in one pass over its own entries: strictly increasing, in
+    range, phi(M)/2 of them (the size of its Legendre class), each on side
+    h and odd on the doubled shape, which together mean set equality. Only
+    a table that fails is then compared as a set of distinct values, to
+    name the fault. Returns a list of unraised LemmaViolation records, one
+    per class that differs, witnessed by the least element of the
+    symmetric difference; empty means every class holds.
     """
     out = []
     c = system.constants
 
-    def check(cid, expected):
-        got = _sorted_set(system.classes[cid])
+    def check(cid, side, h, size):
+        table = system.classes[cid]
+        if (len(table) == size and 0 <= table[0] and table[-1] < len(side)
+                and (np.diff(table) > 0).all() and (side[table] == h).all()):
+            return
+        got, expected = _sorted_set(table), np.flatnonzero(side == h)
         if not np.array_equal(got, expected):
             diff = set(got.tolist()).symmetric_difference(expected.tolist())
             out.append(LemmaViolation("class set identity failed",
@@ -344,11 +352,11 @@ def check_structural_lemmas(system):
         if i and j:
             side = np.where(np.arange(c.p * r) % c.p, np.tile(side, c.p), 2)
         side = np.tile(side, 2 * mod // len(side))
+        odd, size = side.copy(), euler_phi(mod) // 2
+        odd[::2] = 2
         for h in (0, 1):
-            check(ClassId(_shape(i, j), i, j, h),
-                  np.flatnonzero(side[:mod] == h))
-            check(ClassId(_shape(i, j, two=True), i, j, h),
-                  2 * np.flatnonzero(side[1::2] == h) + 1)
+            check(ClassId(_shape(i, j), i, j, h), side[:mod], h, size)
+            check(ClassId(_shape(i, j, two=True), i, j, h), odd, h, size)
     return out
 
 

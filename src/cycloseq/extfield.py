@@ -15,17 +15,18 @@ is one gather of y -> beta^j y^4, j < 4. Every sum it then measures
 is an XOR of beta^(k t mod N) over an index set T, and one kernel,
 _power_sums, gathers a table of them in blocks of about _BLOCK_ELEMENTS
 elements, so temporary memory stays below a megabyte instead of growing as
-N^2. x -> x^4 fixes GF(4), so the row of 4k is the Frobenius image of the
-row of k: _orbit_sums gathers only the least k of each orbit of k -> 4k mod
-N (the cyclotomic cosets of the Mattson-Solomon view) and walks the orbit
-from it. The character sums over the doubled-modulus H-sets are one such
-table, checked cell by cell against their closed forms, a mismatch shown at
-its least k. The folded sequence s_t + s_(t+N) is constant on each of those
-cells, so the spectrum S(beta^k) is a GF(4) combination of the table's
-columns, and verify gathers once. The expected side is
-analysis.cell_char_sums, the closed form that predict_lc sums, at the cell
-of each k; its Gaussian periods are measured once per prime, from a power
-table of beta^(N/p) or beta^(N/q) and not from beta_powers.
+N^2. Squaring is a field automorphism, so the row of 2k is the row of k
+squared: _orbit_sums gathers only the least k of each orbit of k -> 2k mod
+N (the 2-cyclotomic cosets of the Mattson-Solomon view), squares that row
+once when the orbit holds two orbits of k -> 4k, and walks each of those
+by the Frobenius x -> x^4. The character sums over the doubled-modulus
+H-sets are one such table, checked cell by cell against their closed
+forms, a mismatch shown at its least k. The folded sequence s_t + s_(t+N)
+is constant on each of those cells, so the spectrum S(beta^k) is a GF(4)
+combination of the table's columns, and verify gathers once. The expected
+side is analysis.cell_char_sums, the closed form that predict_lc sums, at
+the cell of each k; its Gaussian periods are measured once per prime, from
+a power table of beta^(N/p) or beta^(N/q) and not from beta_powers.
 """
 
 import functools
@@ -56,7 +57,7 @@ def ext_pow(x, e, d, x_to_d):
     squaring by table (_linear_maps) and one field_mul per further set bit."""
     if e < 0:
         raise InvalidParams("negative exponent")
-    square = _linear_maps(d, x_to_d)[0]
+    square = _square_rows(d, x_to_d)
     out = x if e else 1
     for bit in bin(e)[3:]:
         y, out = out, 0
@@ -110,16 +111,22 @@ def _x_multiples(y, count, d, x_to_d):
 
 @functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
 def _linear_maps(d, x_to_d):
-    """Byte tables of x -> x^2 (tuples, for one element) and x -> x^4
-    (read-only, for _vec_linear) modulo X^d + x_to_d. Squaring is
-    GF(2)-linear, taking X^i to X^(2i) and alpha X^i to (alpha + 1)
-    X^(2i); the images of x -> x^4 are those of squaring, squared."""
+    """Byte tables of x -> x^2 and x -> x^4 modulo X^d + x_to_d, read-only
+    arrays for _vec_linear. Squaring is GF(2)-linear, taking X^i to X^(2i)
+    and alpha X^i to (alpha + 1) X^(2i); the images of x -> x^4 are those
+    of squaring, squared."""
     powers = _x_multiples(1, 2 * d - 1, d, x_to_d)[::2]
     images = np.concatenate([powers, _scale(powers, 3, d)])
     square = _byte_tables(images)
     frobenius = _byte_tables(_vec_linear(images, square))
-    frobenius.flags.writeable = False
-    return tuple(map(tuple, square.tolist())), frobenius
+    square.flags.writeable = frobenius.flags.writeable = False
+    return square, frobenius
+
+
+@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+def _square_rows(d, x_to_d):
+    # _linear_maps' squaring tables as tuples, read one element at a time
+    return tuple(map(tuple, _linear_maps(d, x_to_d)[0].tolist()))
 
 
 # --- modulus selection -----------------------------------------------------
@@ -302,26 +309,34 @@ def _power_sums(beta_powers, sets, ks):
 
 
 def _orbit_sums(context, sets):
-    """_power_sums over k = 1..N-1, one gather per Frobenius orbit.
+    """_power_sums over k = 1..N-1, one gather per orbit of k -> 2k.
 
-    The XOR of beta^(4kt) over a set is the XOR of beta^(kt), raised to
-    the 4th power, so row 4k is the Frobenius image of row k. Only the
-    least k of each orbit of k -> 4k mod N is gathered; the orbit is then
-    walked from it, one Frobenius step per row, until it closes (after d
-    steps or fewer, when k shares a factor with N).
+    The XOR of beta^(2kt) over a set is the XOR of beta^(kt), squared, so
+    row 2k is the square of row k and row 4k its Frobenius image. Only the
+    least k of each orbit of k -> 2k mod N (a 2-cyclotomic coset) is
+    gathered. That orbit is one orbit of k -> 4k or two, k's and 2k's; the
+    second starts at 2k from row k squared, one squaring per paired orbit.
+    Each orbit of k -> 4k is then walked from its start, one Frobenius
+    step per row, until it closes (after d steps or fewer, when k shares a
+    factor with N).
     """
     N, d = context.N, context.d
     ks = np.arange(1, N, dtype=np.int32 if 4 * N < 2**31 else np.int64)
-    least = np.ones(len(ks), dtype=bool)
-    image = ks
+    least, image = ks, ks
     for _ in range(d - 1):
         image = image * 4 % N
-        least &= ks <= image
-    start = ks[least]
+        least = np.minimum(least, image)
+    # a leader of k -> 4k, and the least k of its twin orbit, that of 2k
+    start = ks[least == ks]
+    twin = least[2 * start % N - 1]
+    start, twin = start[twin >= start], twin[twin >= start]
+    square, frobenius = _linear_maps(d, context.x_to_d)
     sums = _power_sums(context.beta_powers, sets, start)
+    paired = twin > start
+    sums = np.concatenate([sums, _vec_linear(sums[paired], square)])
+    start = np.concatenate([start, 2 * start[paired] % N])
     out = np.empty((len(ks), len(sets)), dtype=np.uint32)
     out[start - 1] = sums
-    frobenius = _linear_maps(d, context.x_to_d)[1]
     row = start
     for _ in range(d - 1):
         row = row * 4 % N
@@ -347,7 +362,7 @@ def _cells(system):
             if cid.shape in DOUBLED_SHAPES]
 
 
-def measure_spectrum(system, context, mapping, char_sums=None):
+def measure_spectrum(system, context, mapping, char_sums=None, seq=None):
     """S(beta^k) for 0 <= k < N, exactly, as packed elements.
 
     Folds the two half-periods (beta^{t+N} = beta^t). The folded sequence
@@ -356,12 +371,13 @@ def measure_spectrum(system, context, mapping, char_sums=None):
     so for k >= 1 S(beta^k) is the XOR of v times the cell's column of the
     char-sum table, plus folded[0] beta_powers[0], and S(beta^0) is the
     XOR of the folded symbols times beta_powers[0]. The table is that of
-    char_sums (verify_char_sum_tables' report) or is gathered here. Where
-    beta^0 lies in GF(4), the result is, bit for bit, the orbit gather over
-    the three value supports. Degenerate mappings are allowed.
+    char_sums (verify_char_sum_tables' report) or is gathered here, and the
+    sequence that of seq or built here. Where beta^0 lies in GF(2), the
+    result is, bit for bit, the orbit gather over the three value supports.
+    Degenerate mappings are allowed.
     """
     _require_matching(system, context)
-    seq = build_sequence(system, mapping, allow_degenerate=True)
+    seq = seq or build_sequence(system, mapping, allow_degenerate=True)
     N, d = context.N, context.d
     folded = seq.symbols[:N] ^ seq.symbols[N:]
     cells = _cells(system)
@@ -398,7 +414,7 @@ class CaseReport:
         return asdict(self)
 
 
-def verify_case_table(system, context, mapping, char_sums=None):
+def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     """Measure every S(beta^k) and compare with the closed-form prediction.
 
     The prediction is regime-based: S(1) = e, and for k = p^a q^b l the value
@@ -407,13 +423,13 @@ def verify_case_table(system, context, mapping, char_sums=None):
     measured value differs, with both values as the digits of their remainder
     polynomials (gf4.poly_to_digits: alpha is 2, X is 01); the report also
     says whether every value is nonzero, which is exactly the condition for LC
-    to reach the full period. char_sums goes on to measure_spectrum.
+    to reach the full period. char_sums and seq go on to measure_spectrum.
     """
     bad = validate_mapping(system.constants.p, mapping)
     if bad:
         raise InvalidMapping(bad)
     prof = spectrum_profile(system, mapping)
-    spectrum = measure_spectrum(system, context, mapping, char_sums)
+    spectrum = measure_spectrum(system, context, mapping, char_sums, seq)
     c = system.constants
     ks = np.arange(context.N)
     expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycloseq import analysis, cli, cyclotomy, numtheory
+from cycloseq import analysis, cli, cyclotomy, extfield, numtheory, sequence
 from cycloseq.cli import main
 
 
@@ -122,6 +122,27 @@ def test_verify_rejects_degenerate_map(capsys):
     code, _, err = run(capsys, "verify", "--p", "3", "--q", "5",
                        "--map", "2,3,1,0,3")
     assert code == 2 and "error:" in err
+
+
+def test_verify_builds_the_sequence_once(capsys, monkeypatch):
+    # the spectrum check and the LC check read one sequence; a mapping
+    # they would refuse fails before it is built, with every reason
+    calls, real = [], sequence.build_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (cli, analysis, extfield):
+        monkeypatch.setattr(module, "build_sequence", counted)
+    assert run(capsys, "verify", "--p", "17", "--q", "3")[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    code, _, err = run(capsys, "verify", "--p", "3", "--q", "5",
+                       "--map", "1,1,1,1,1")
+    assert (code, err) == (2, "error: a, b, c, d must be pairwise distinct; "
+                              "e = b is forbidden when p is +/-3 mod 8\n")
+    assert calls == []
 
 
 def test_verify_vanishing_regime_is_a_violation(capsys):

@@ -597,6 +597,54 @@ def test_power_table_matches_reference_builder(params):
     assert check_structural_lemmas(got) == []
 
 
+def _spy_set_comparison(monkeypatch):
+    # the per-class set comparison reads its table through _sorted_set,
+    # and runs only on a class that the one-pass accept turned down
+    calls, real = [], cyclotomy._sorted_set
+    monkeypatch.setattr(cyclotomy, "_sorted_set",
+                        lambda arr: calls.append(len(arr)) or real(arr))
+    return calls
+
+
+def test_benchmark_classes_are_accepted_in_one_pass(monkeypatch):
+    # the 19 verify-grid systems, then the 16 sweep-mappings systems
+    calls = _spy_set_comparison(monkeypatch)
+    for params in BENCH_SYSTEMS[:35]:
+        assert check_structural_lemmas(build_system(*params)) == [], params
+    assert calls == []
+
+
+def test_a_repeated_entry_is_compared_as_a_set(monkeypatch):
+    # one entry twice is no longer strictly increasing, so the accept turns
+    # the table down; the set comparison then finds the same set, as before
+    system = build_system(3, 5, 2, 1)
+    calls = _spy_set_comparison(monkeypatch)
+    for cid, cls in system.classes.items():
+        calls.clear()
+        repeated = np.sort(np.r_[cls, cls[len(cls) // 2]])
+        assert check_structural_lemmas(_replaced(system, cid, repeated)) == []
+        assert calls == [len(cls) + 1], cid
+
+
+def test_a_table_off_its_class_by_one_entry_is_named():
+    # each table holds its class but for one entry: repeated, missing, or
+    # moved one modulus below or above the range, where a side table read
+    # at that index would wrap or stop. Every one is turned down and named
+    system = build_system(3, 5, 2, 1)
+    for cid, cls in system.classes.items():
+        # the range of the class: p^i q^j, doubled on the doubled shapes
+        M = 3**cid.i * 5**cid.j * (2 if cid.shape.startswith("2") else 1)
+        tables = [(np.r_[cls[0] - M, cls[1:]], cls[0] - M),
+                  (np.r_[cls[:-1], cls[-1] + M], cls[-1])]
+        if len(cls) > 1:
+            tables += [(cls[:-1], cls[-1]),
+                       (np.sort(np.r_[cls[:-1], cls[0]]), cls[-1])]
+        for table, witness in tables:
+            found = check_structural_lemmas(_replaced(system, cid, table))
+            assert [v.witness for v in found] == [
+                {"shape": cid, "witness": int(witness)}], (cid, table)
+
+
 @st.composite
 def stray_generators(draw):
     """Valid constants with g or y swapped for another residue mod 2N:

@@ -467,9 +467,12 @@ def test_every_table_flip_is_caught(params):
         for bit in range(2 * ctx.d):
             bp = ctx.beta_powers.copy()
             bp[position] ^= 1 << bit
-            with pytest.raises(LemmaViolation):
+            with pytest.raises(LemmaViolation) as info:
                 verify_char_sum_tables(
                     system, dataclasses.replace(ctx, beta_powers=bp))
+            # row 1 is gathered, and reads every entry but beta^0
+            if position:
+                assert info.value.witness["k"] == 1, (position, bit)
 
 
 @pytest.mark.parametrize("params, position", [
@@ -544,19 +547,19 @@ def test_spectrum_off_the_table_matches_three_support_gather(params):
 def test_spectrum_off_the_table_under_every_table_flip(params):
     # both routes are GF(2)-linear in beta_powers and walk the same orbits,
     # so a corrupted table gives the gather's answer bit for bit. The one
-    # exception is a beta^0 outside GF(4): the old walk raised the t = 0
-    # term to 4^j-th powers along each orbit, while measure_spectrum reads
-    # beta_powers[0] on every row; the two agree once t = 0 is read alike
+    # exception is a beta^0 outside GF(2): the old walk squared the t = 0
+    # term on a paired orbit and raised it to 4^j-th powers along each
+    # orbit, while measure_spectrum reads beta_powers[0] on every row; the
+    # two agree once t = 0 is read alike
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
-    gf4_bits = 1 | 1 << ctx.d
     flips = itertools.product(range(ctx.N), range(2 * ctx.d))
     moved = 0
     for i, (position, bit) in enumerate(flips):
         bp = ctx.beta_powers.copy()
         bp[position] ^= 1 << bit
         bad = dataclasses.replace(ctx, beta_powers=bp)
-        outside = bool(int(bp[0]) & ~gf4_bits)
+        outside = bool(int(bp[0]) & ~1)
         for mapping in (DEFAULT_MAPPING, ALL_MAPPINGS[i % 72]):
             got = measure_spectrum(system, bad, mapping)
             want = _three_support_spectrum(system, bad, mapping)
@@ -640,10 +643,25 @@ def test_blocked_kernel_matches_single_block(monkeypatch):
 
 # --- orbit evaluation and the closed-form root sums ------------------------
 
+def _doubling_orbits(N):
+    # the orbits of k -> 2k mod N on 1..N-1, the 2-cyclotomic cosets
+    seen, count = set(), 0
+    for k in range(1, N):
+        count += k not in seen
+        while k not in seen:
+            seen.add(k)
+            k = 2 * k % N
+    return count
+
+
+# at N = 511, ord_N(2) = ord_N(4) = 9: no orbit of k -> 2k holds two of
+# k -> 4k. In every other case some orbit does, and its second half is
+# squared from the first, not gathered
 @pytest.mark.parametrize("params, d", [
     ((3, 5, 1, 1), 2), ((3, 7, 1, 1), 3), ((3, 5, 2, 1), 6),
-    ((3, 257, 1, 1), 8), ((3, 19, 1, 1), 9), ((13, 17, 1, 1), 12)])
-def test_orbit_sums_match_power_sums(params, d):
+    ((3, 257, 1, 1), 8), ((3, 19, 1, 1), 9), ((13, 17, 1, 1), 12),
+    ((7, 73, 1, 1), 9)])
+def test_orbit_sums_match_power_sums(params, d, monkeypatch):
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
     N = ctx.N
@@ -663,6 +681,15 @@ def test_orbit_sums_match_power_sums(params, d):
     assert np.array_equal(
         extfield._orbit_sums(ctx, sets),
         extfield._power_sums(ctx.beta_powers, sets, np.arange(1, N)))
+    # one gathered row per orbit of k -> 2k
+    gathered, real = [], extfield._power_sums
+    monkeypatch.setattr(extfield, "_power_sums", lambda beta_powers, s, ks:
+                        gathered.append(len(ks)) or real(beta_powers, s, ks))
+    extfield._orbit_sums(ctx, sets)
+    assert gathered == [_doubling_orbits(N)]
+    paired = _doubling_orbits(N) < len({min(k * 4**s % N for s in range(d))
+                                        for k in range(1, N)})
+    assert paired == (N != 511)
 
 
 def _x_to_d(d):
