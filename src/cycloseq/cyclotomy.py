@@ -117,10 +117,8 @@ def _qr_sides(r):
 
 
 def _sorted_set(arr):
-    # the distinct values of arr, ascending, by marking them on their range
-    mask = np.zeros(arr.max() - arr.min() + 1, dtype=bool)
-    mask[arr - arr.min()] = True
-    return np.nonzero(mask)[0] + arr.min()
+    # the distinct values of arr, ascending; none for an empty table
+    return np.unique(arr)
 
 
 def all_class_ids(m, n):

@@ -1,25 +1,25 @@
 """The extension field F_{4^d} and numerical checks of the character sums.
 
 d is the multiplicative order of 4 modulo N = p^m q^n, so F_{4^d} contains
-a primitive N-th root of unity beta. Elements are gf4's packed ints (uint32
-for d <= 12, addition a plain XOR), multiplied by gf4.field_mul. One field
-is built per degree: the least monic irreducible in lexicographic
-coefficient order (a candidate with a root in GF(4) skipped, Rabin's test
-deciding the rest), with the byte tables of x -> x^2 and x -> x^4. These
-maps and times a fixed element are GF(2)-linear, one 256-entry lookup per
-input byte (_vec_linear on arrays), so ext_pow squares by table. beta is
-the first c^((4^d - 1)/N) of order N, c running from x on, digits compared
-from the top, so no group generator is searched for. The module tabulates
-beta^r for 0 <= r < N by the base-4 digits of r, not by doubling: a round
-is one gather of y -> beta^j y^4, j < 4. Every sum it then measures
-is an XOR of beta^(k t mod N) over an index set T, and one kernel,
-_power_sums, gathers a table of them in blocks of about _BLOCK_ELEMENTS
-elements, so temporary memory stays below a megabyte instead of growing as
-N^2. Squaring is a field automorphism, so the row of 2k is the row of k
-squared: _orbit_sums gathers only the least k of each orbit of k -> 2k mod
-N (the 2-cyclotomic cosets of the Mattson-Solomon view), squares that row
-once when the orbit holds two orbits of k -> 4k, and walks each of those
-by the Frobenius x -> x^4. The character sums over the doubled-modulus
+a primitive N-th root of unity beta. Elements are gf4's packed ints
+(uint32 for d <= 12, addition a plain XOR), multiplied by gf4.field_mul.
+One field is built per degree: the least monic irreducible in
+lexicographic coefficient order (a candidate with a root in GF(4) skipped,
+Rabin's test deciding the rest), with the byte tables of x -> x^(2^i) for
+i = 0..2d, stacked in one array. These maps and times a fixed element are
+GF(2)-linear, one 256-entry lookup per input byte (_vec_linear on arrays),
+so ext_pow squares by table. beta is the first c^((4^d - 1)/N) of order N,
+c running from x on, digits compared from the top, so no group generator
+is searched for. The module tabulates beta^r for 0 <= r < N by the base-4
+digits of r, not by doubling: a round is one gather of y -> beta^j y^4,
+j < 4. Every sum it then measures is an XOR of beta^(k t mod N) over an
+index set T, and one kernel, _power_sums, gathers a table of them in
+blocks of about _BLOCK_ELEMENTS elements, so temporary memory stays below
+a megabyte instead of growing as N^2. Squaring is a field automorphism, so
+the row of 2k is the row of k squared: _orbit_sums gathers only the least
+k of each orbit of k -> 2k mod N (the 2-cyclotomic cosets of the
+Mattson-Solomon view) and fills the rows k 2^i of its orbit by one lookup
+through the stacked tables. The character sums over the doubled-modulus
 H-sets are one such table, checked cell by cell against their closed
 forms, a mismatch shown at its least k. The folded sequence s_t + s_(t+N)
 is constant on each of those cells, so the spectrum S(beta^k) is a GF(4)
@@ -111,22 +111,26 @@ def _x_multiples(y, count, d, x_to_d):
 
 @functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
 def _linear_maps(d, x_to_d):
-    """Byte tables of x -> x^2 and x -> x^4 modulo X^d + x_to_d, read-only
-    arrays for _vec_linear. Squaring is GF(2)-linear, taking X^i to X^(2i)
-    and alpha X^i to (alpha + 1) X^(2i); the images of x -> x^4 are those
-    of squaring, squared."""
+    """Byte tables of y -> y^(2^i) modulo X^d + x_to_d for i = 0..2d,
+    stacked on the last axis, one read-only array for _vec_linear: column
+    1 squares, column 2 is the Frobenius y -> y^4, and column 2d, y^(4^d),
+    is y again. Squaring is GF(2)-linear, taking X^i to X^(2i) and alpha
+    X^i to (alpha + 1) X^(2i); each column's images are the previous
+    column's, squared."""
     powers = _x_multiples(1, 2 * d - 1, d, x_to_d)[::2]
-    images = np.concatenate([powers, _scale(powers, 3, d)])
-    square = _byte_tables(images)
-    frobenius = _byte_tables(_vec_linear(images, square))
-    square.flags.writeable = frobenius.flags.writeable = False
-    return square, frobenius
+    square = _byte_tables(np.concatenate([powers, _scale(powers, 3, d)]))
+    cols = [1 << np.arange(2 * d, dtype=np.uint32)]
+    for _ in range(2 * d):
+        cols.append(_vec_linear(cols[-1], square))
+    maps = _byte_tables(np.stack(cols, axis=1))
+    maps.flags.writeable = False
+    return maps
 
 
 @functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
 def _square_rows(d, x_to_d):
-    # _linear_maps' squaring tables as tuples, read one element at a time
-    return tuple(map(tuple, _linear_maps(d, x_to_d)[0].tolist()))
+    # _linear_maps' squaring column as tuples, read one element at a time
+    return tuple(map(tuple, _linear_maps(d, x_to_d)[..., 1].tolist()))
 
 
 # --- modulus selection -----------------------------------------------------
@@ -212,7 +216,7 @@ def _power_table(x, size, d, x_to_d):
     lo = _x_multiples(x, d, d, x_to_d)
     by_x = _byte_tables(np.concatenate([lo, _scale(lo, 2, d)]))
     cols = [_vec_linear(1 << np.arange(2 * d, dtype=np.uint32),
-                        _linear_maps(d, x_to_d)[1])]
+                        _linear_maps(d, x_to_d)[..., 2])]
     for _ in range(3):
         cols.append(_vec_linear(cols[-1], by_x))
     maps = _byte_tables(np.stack(cols, axis=1))
@@ -312,47 +316,26 @@ def _orbit_sums(context, sets):
     """_power_sums over k = 1..N-1, one gather per orbit of k -> 2k.
 
     The XOR of beta^(2kt) over a set is the XOR of beta^(kt), squared, so
-    row 2k is the square of row k and row 4k its Frobenius image. Only the
-    least k of each orbit of k -> 2k mod N (a 2-cyclotomic coset) is
-    gathered. That orbit is one orbit of k -> 4k or two, k's and 2k's; the
-    second starts at 2k from row k squared, one squaring per paired orbit.
-    Each orbit of k -> 4k is then walked from its start, one Frobenius
-    step per row, until it closes (after d steps or fewer, when k shares a
-    factor with N).
+    row k 2^i is row k raised to the 2^i-th power. Only the least k of
+    each orbit of k -> 2k mod N (a 2-cyclotomic coset) is gathered, and
+    one lookup through _linear_maps fills the rows k 2^i mod N for
+    i = 0..2d. As 2^(2d) = 4^d = 1 mod N, that covers the whole orbit; an
+    orbit shorter than 2d writes some rows more than once, always with the
+    same value.
     """
     N, d = context.N, context.d
-    ks = np.arange(1, N, dtype=np.int32 if 4 * N < 2**31 else np.int64)
+    ks = np.arange(1, N, dtype=np.int64)
     least, image = ks, ks
-    for _ in range(d - 1):
-        image = image * 4 % N
+    for _ in range(2 * d - 1):
+        image = image * 2 % N
         least = np.minimum(least, image)
-    # a leader of k -> 4k, and the least k of its twin orbit, that of 2k
-    start = ks[least == ks]
-    twin = least[2 * start % N - 1]
-    start, twin = start[twin >= start], twin[twin >= start]
-    square, frobenius = _linear_maps(d, context.x_to_d)
-    sums = _power_sums(context.beta_powers, sets, start)
-    paired = twin > start
-    sums = np.concatenate([sums, _vec_linear(sums[paired], square)])
-    start = np.concatenate([start, 2 * start[paired] % N])
-    out = np.empty((len(ks), len(sets)), dtype=np.uint32)
-    out[start - 1] = sums
-    row = start
-    for _ in range(d - 1):
-        row = row * 4 % N
-        walking = row != start
-        row, start = row[walking], start[walking]
-        sums = _vec_linear(sums[walking], frobenius)
-        out[row - 1] = sums
+    leaders = ks[least == ks]
+    rows = np.multiply.outer(leaders, [pow(2, i, N) for i in range(2 * d + 1)])
+    sums = _power_sums(context.beta_powers, sets, leaders)
+    out = np.empty((N - 1, len(sets)), dtype=np.uint32)
+    out[rows % N - 1] = _vec_linear(
+        sums, _linear_maps(d, context.x_to_d)).swapaxes(1, 2)
     return out
-
-
-def char_sum(system, context, class_id, k):
-    """Sum of beta^{k t} over the H-set of class_id, as a packed element."""
-    _require_matching(system, context)
-    elems = h_set(system, class_id)
-    return int(_power_sums(context.beta_powers, [elems],
-                           [k % context.N])[0, 0])
 
 
 def _cells(system):
@@ -464,13 +447,13 @@ class CharSumReport:
 def _gaussian_periods(context, r):
     """(eta_0, eta_1): zeta = beta^(N/r) summed over the squares and the
     non-squares mod r, from zeta's own power table, not beta_powers;
-    LemmaViolation unless both lie in GF(4) (bit 0 of each plane only)."""
+    LemmaViolation unless both lie in GF(4), each plane 0 or 1."""
     zetas = _power_table(context.pow(context.beta, context.N // r), r,
                          context.d, context.x_to_d)
     side = _qr_sides(r)
     eta = [int(np.bitwise_xor.reduce(zetas[side == h])) for h in (0, 1)]
     for h, value in enumerate(eta):
-        if value & ~(1 | 1 << context.d):
+        if max(gf4.unpack(value, context.d)) > 1:
             raise LemmaViolation("Gaussian period outside GF(4)", prime=r,
                                  h=h, eta=_digits(value, context.d))
     return eta

@@ -645,6 +645,18 @@ def test_a_table_off_its_class_by_one_entry_is_named():
                 {"shape": cid, "witness": int(witness)}], (cid, table)
 
 
+def test_an_empty_table_is_named():
+    # an empty table has no least or greatest entry: it is turned down by
+    # its size and named at the least member of its class, 1, a square mod 3
+    system = build_system(3, 5, 1, 1)
+    cid = ClassId("p", 1, 0, 0)
+    found = check_structural_lemmas(
+        _replaced(system, cid, np.array([], dtype=np.int64)))
+    assert [(type(v), str(v).split(" [")[0], v.witness) for v in found] == [
+        (LemmaViolation, "class set identity failed",
+         {"shape": cid, "witness": 1})]
+
+
 @st.composite
 def stray_generators(draw):
     """Valid constants with g or y swapped for another residue mod 2N:

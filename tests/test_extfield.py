@@ -21,7 +21,7 @@ from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
                                 build_system, h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              InvalidMapping, InvalidParams, LemmaViolation)
-from cycloseq.extfield import (build_extension, char_sum, is_irreducible,
+from cycloseq.extfield import (build_extension, is_irreducible,
                                least_irreducible, measure_spectrum,
                                verify_case_table, verify_char_sum_tables)
 from cycloseq.numtheory import factorize
@@ -211,11 +211,10 @@ def test_geometric_sums(ctx15):
 
 
 def test_char_sum_at_zero(sys15, ctx15):
-    for cid, cls in sys15.classes.items():
-        assert char_sum(sys15, ctx15, cid, 0) == len(cls) % 2
-        # k acts mod N, also beyond the int64 range
-        assert char_sum(sys15, ctx15, cid, 15 * 10**30 + 7) == \
-            char_sum(sys15, ctx15, cid, 7) == char_sum(sys15, ctx15, cid, -8)
+    # at k = 0 every term is beta^0 = 1: the sum is the parity of the set
+    sets = [h_set(sys15, cid) for cid in sys15.classes]
+    assert extfield._power_sums(ctx15.beta_powers, sets, [0])[0].tolist() \
+        == [len(cls) % 2 for cls in sys15.classes.values()]
 
 
 def test_complementary_sums():
@@ -224,17 +223,18 @@ def test_complementary_sums():
         system = build_system(*params)
         ctx = build_extension(system.constants.half_period)
         pq = params[0] * params[1]
-        for k in range(1, ctx.N):
-            if math.gcd(k, pq) != 1:
-                continue
-            s0 = char_sum(system, ctx, ClassId("pq", 1, 1, 0), k)
-            s1 = char_sum(system, ctx, ClassId("pq", 1, 1, 1), k)
-            assert s0 ^ s1 == 1
+        units = [k for k in range(1, ctx.N) if math.gcd(k, pq) == 1]
+        sums = extfield._power_sums(
+            ctx.beta_powers,
+            [h_set(system, ClassId("pq", 1, 1, h)) for h in (0, 1)], units)
+        assert (sums[:, 0] ^ sums[:, 1] == 1).all()
 
 
 def test_context_mismatch(sys15, ctx21):
     with pytest.raises(InvalidParams):
-        char_sum(sys15, ctx21, ClassId("pq", 1, 1, 0), 1)
+        verify_char_sum_tables(sys15, ctx21)
+    with pytest.raises(InvalidParams):
+        measure_spectrum(sys15, ctx21, DEFAULT_MAPPING)
 
 
 def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
@@ -545,12 +545,12 @@ def test_spectrum_off_the_table_matches_three_support_gather(params):
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)])
 def test_spectrum_off_the_table_under_every_table_flip(params):
-    # both routes are GF(2)-linear in beta_powers and walk the same orbits,
+    # both routes are GF(2)-linear in beta_powers and fill the same orbits,
     # so a corrupted table gives the gather's answer bit for bit. The one
-    # exception is a beta^0 outside GF(2): the old walk squared the t = 0
-    # term on a paired orbit and raised it to 4^j-th powers along each
-    # orbit, while measure_spectrum reads beta_powers[0] on every row; the
-    # two agree once t = 0 is read alike
+    # exception is a beta^0 outside GF(2): the old gather raised the t = 0
+    # term to the 2^i-th power on row k 2^i of each orbit, while
+    # measure_spectrum reads beta_powers[0] on every row; the two agree
+    # once t = 0 is read alike
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
     flips = itertools.product(range(ctx.N), range(2 * ctx.d))
@@ -654,22 +654,25 @@ def _doubling_orbits(N):
     return count
 
 
-# at N = 511, ord_N(2) = ord_N(4) = 9: no orbit of k -> 2k holds two of
-# k -> 4k. In every other case some orbit does, and its second half is
-# squared from the first, not gathered
+# every row of an orbit of k -> 2k is filled from its least k, the one row
+# gathered. At N = 511, ord_N(2) = ord_N(4) = 9, so the lookup over
+# i = 0..2d writes each row twice; p > q at (17, 3) and (5, 3, 2, 1)
 @pytest.mark.parametrize("params, d", [
     ((3, 5, 1, 1), 2), ((3, 7, 1, 1), 3), ((3, 5, 2, 1), 6),
     ((3, 257, 1, 1), 8), ((3, 19, 1, 1), 9), ((13, 17, 1, 1), 12),
-    ((7, 73, 1, 1), 9)])
+    ((7, 73, 1, 1), 9), ((17, 3, 1, 1), 4), ((5, 3, 2, 1), 10),
+    ((7, 17, 1, 1), 12)])
 def test_orbit_sums_match_power_sums(params, d, monkeypatch):
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
     N = ctx.N
     assert ctx.d == d
-    # k that share a factor with N have orbits under k -> 4k shorter than d
-    lengths = {k: next(s for s in range(1, d + 1) if k * 4**s % N == k)
+    # k that share a factor with N have orbits under k -> 2k shorter than
+    # the longest, which divides 2d
+    lengths = {k: next(s for s in range(1, 2 * d + 1) if k * 2**s % N == k)
                for k in range(1, N)}
-    assert min(lengths.values()) < d == max(lengths.values())
+    assert min(lengths.values()) < max(lengths.values())
+    assert (2 * d) % max(lengths.values()) == 0
     folded = build_sequence(system, Mapping(2, 3, 1, 0, 3),
                             allow_degenerate=True).symbols
     folded = folded[:N] ^ folded[N:]
@@ -687,9 +690,6 @@ def test_orbit_sums_match_power_sums(params, d, monkeypatch):
                         gathered.append(len(ks)) or real(beta_powers, s, ks))
     extfield._orbit_sums(ctx, sets)
     assert gathered == [_doubling_orbits(N)]
-    paired = _doubling_orbits(N) < len({min(k * 4**s % N for s in range(d))
-                                        for k in range(1, N)})
-    assert paired == (N != 511)
 
 
 def _x_to_d(d):
@@ -698,25 +698,26 @@ def _x_to_d(d):
 
 
 def test_square_and_frobenius_tables_match_field_arithmetic():
+    # column i of the stack is y -> y^(2^i), i = 0..2d: i squarings
     rng = random.Random(914)
     for d in range(1, 13):
         x_to_d = _x_to_d(d)
-        square, frobenius = extfield._linear_maps(d, x_to_d)
+        maps = extfield._linear_maps(d, x_to_d)
+        assert maps.shape[-1] == 2 * d + 1
         xs = [rng.randrange(4**d) for _ in range(300)]
-        arr = np.array(xs, dtype=np.uint32)
-        squares = [gf4.field_mul(x, x, d, x_to_d) for x in xs]
-        assert extfield._vec_linear(
-            arr, np.array(square, dtype=np.uint32)).tolist() == squares
-        assert extfield._vec_linear(arr, frobenius).tolist() == \
-            [gf4.field_mul(y, y, d, x_to_d) for y in squares]
+        got = extfield._vec_linear(np.array(xs, dtype=np.uint32), maps)
+        for i in range(2 * d + 1):
+            assert got[:, i].tolist() == xs, (d, i)
+            xs = [gf4.field_mul(x, x, d, x_to_d) for x in xs]
+        assert not maps.flags.writeable
         with pytest.raises(ValueError):
-            frobenius[0, 1] = 0
+            maps[0, 1, 2] = 0
     for N in (15, 21, 45, 771, 221):
         ctx = build_extension(N)
         xs = [rng.randrange(4**ctx.d) for _ in range(300)]
         got = extfield._vec_linear(
             np.array(xs, dtype=np.uint32),
-            extfield._linear_maps(ctx.d, ctx.x_to_d)[1])
+            extfield._linear_maps(ctx.d, ctx.x_to_d)[..., 2])
         assert got.tolist() == [ctx.pow(x, 4) for x in xs]
 
 
