@@ -24,7 +24,9 @@ print(f"symbol counts: {prof.symbol_counts}")
 
 lc_g, minpoly = lc_via_gcd(seq.symbols)
 lc_b, conn = berlekamp_massey(np.tile(seq.symbols, 2))
-# both routes return gf4 bit planes (hi, lo); digits are for printing
+# both routes return gf4 bit planes (hi, lo); digits are for printing.
+# Here LC = P = 30, so C(x) is the forced 1 + x^30: analyze_symbols
+# therefore asks BM for the length alone and keeps C only below P.
 print(f"\ngcd method:        LC = {lc_g}, "
       f"minimal polynomial degree {gf4.poly_deg(gf4.from_planes(*minpoly))}")
 print(f"Berlekamp-Massey:  LC = {lc_b}, "

@@ -13,7 +13,8 @@ discrepancies is skipped in one step, and the loop stops once R has no
 term left before the end of the input. The stop is exact for any input,
 since every later discrepancy is zero and so C and L are final; on two
 periods of a sequence of linear complexity L it comes after about 2L of
-the 2P symbols.
+the 2P symbols. Asked for the length alone, it seeds C with 0 in place
+of 1: C stays 0, and R and L are as before.
 
 Route two is purely algebraic: for a sequence of period P,
 LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
@@ -57,10 +58,11 @@ mu is summed over those cells in plain integer arithmetic. The same
 closed form, family by family (cell_char_sums), is the expected side of
 verify's character-sum table, with the periods measured in F_{4^d}.
 
-Where they run: analyze and verify measure by BM and the gcd route and
-require both the length and the polynomial to agree (analyze_symbols,
-verify_theorem). sweep, plain and --degenerate, measures by the gcd route
-alone and requires it to equal predict_lc (checked_lc).
+Where they run: analyze and verify measure by the gcd route, then by BM,
+and require the lengths and, below full period, the polynomials to agree
+(analyze_symbols, verify_theorem); at LC = P the minimal polynomial is
+forced to be x^P - 1. sweep, plain and --degenerate, measures by the gcd
+route alone and requires it to equal predict_lc (checked_lc).
 """
 
 from dataclasses import dataclass
@@ -75,14 +77,18 @@ from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
                        validate_mapping)
 
 
-def berlekamp_massey(symbols):
+def berlekamp_massey(symbols, connection=True):
     """Shortest LFSR over GF(4) generating the given symbol array.
 
     Returns (L, (c1, c0)): L and the gf4 planes of the connection
     polynomial C, constant term 1, satisfying s_t = sum_{i=1..L} C_i s_{t-i}
-    for all t >= L. O(len^2) bit operations, in the series form of the
-    module docstring. Two series are kept: R = C S, and B S, where B is C as it
-    was before the last length change, made at step `last` with
+    for all t >= L. With connection=False it returns (L, None): C and B
+    are seeded with 0, and as C is linear in that seed every update of C
+    shifts 0, while R = C S and so L are as before.
+
+    O(len^2) bit operations, in the series form of the module docstring.
+    Two series are kept: R = C S, and B S, where B is C as it was before
+    the last length change, made at step `last` with
     discrepancy b. Both are held reversed (bit len - 1 - t for x^t), so
     the next nonzero discrepancy d, at some t > last, is R's top bit:
     zero discrepancies cost nothing, terms past the end of the input fall
@@ -99,18 +105,20 @@ def berlekamp_massey(symbols):
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
     if size == 0:
-        return 0, (0, 1)
+        return 0, (0, 1) if connection else None
     if s.max() > 3:
         raise InvalidParams("symbols must be field elements 0..3")
     # R's planes; bit size - 1 - t holds x^t
     r1, r0 = gf4.to_planes(s[::-1])
-    c1, c0 = 0, 1
-    # B = 1 and b = 1 at the start: a length change at t = -1, whose
-    # discrepancy 1 sits one bit above the input in B S. times[d] holds
-    # the planes of (d / b) B and of (d / b) B S.
+    seed = int(connection)
+    c1, c0 = 0, seed
+    # B = C = seed and b = 1 at the start: a length change at t = -1,
+    # whose discrepancy 1 sits one bit above the input in B S. times[d]
+    # holds the planes of (d / b) B and of (d / b) B S.
     s0 = r0 | 1 << size
     mix = r1 ^ s0
-    times = (None, (0, 1, r1, s0), (1, 0, mix, r1), (1, 1, s0, mix))
+    times = (None, (0, seed, r1, s0), (seed, 0, mix, r1),
+             (seed, seed, s0, mix))
     length = 0
     last = -1
     # each pass clears the top term, so at most one pass per position
@@ -142,7 +150,7 @@ def berlekamp_massey(symbols):
         c0 ^= x0 << shift
         r1 ^= y1 >> shift
         r0 ^= y0 >> shift
-    return length, (c1, c0)
+    return length, (c1, c0) if connection else None
 
 
 def lc_via_gcd(symbols):
@@ -193,9 +201,11 @@ def methods_consistent(lc_bm, conn, lc_gcd, minpoly):
     For a full-period input the reduced denominator of S(x)/(x^P - 1) is
     the unique minimal connection polynomial, so BM's C(x), normalized
     monic, must coincide with the gcd quotient. Both polynomials are gf4
-    planes.
+    planes. conn is None when BM ran on lengths only, at lc_gcd = P, where
+    the minimal polynomial is x^P - 1.
     """
-    return lc_bm == lc_gcd and gf4.monic_planes(*conn) == minpoly
+    bm_poly = (0, 1 << lc_bm | 1) if conn is None else gf4.monic_planes(*conn)
+    return lc_bm == lc_gcd and bm_poly == minpoly
 
 
 def _prime_power_sums(r, top, v, nonsquare):
@@ -331,12 +341,15 @@ class LinearComplexityReport:
 def analyze_symbols(symbols):
     """Measure one period by both methods and cross-check them.
 
+    The gcd route runs first. At lc_gcd = P, where the minimal polynomial
+    is forced to be x^P - 1, BM checks the length alone: a gcd route that
+    wrongly reports P meets a BM length below it.
     theorem_holds reports whether the complexity equals the full period.
     Raises MethodDisagreement when the two routes differ.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     lc_gcd, minpoly = lc_via_gcd(s)
-    lc_bm, conn = berlekamp_massey(np.tile(s, 2))
+    lc_bm, conn = berlekamp_massey(np.tile(s, 2), connection=lc_gcd < len(s))
     if not methods_consistent(lc_bm, conn, lc_gcd, minpoly):
         raise MethodDisagreement(
             f"BM found {lc_bm}, gcd found {lc_gcd}, or minimal polynomials differ")

@@ -40,6 +40,7 @@ def sys21():
 
 def test_bm_small_cases():
     assert berlekamp_massey([]) == (0, to_planes([1]))
+    assert berlekamp_massey([], connection=False) == (0, None)
     assert berlekamp_massey([0, 0, 0, 0]) == (0, to_planes([1]))
     # impulse: one-stage register with zero feedback
     assert berlekamp_massey([1, 0, 0, 0]) == (1, to_planes([1]))
@@ -109,6 +110,7 @@ def test_bm_exhaustive_short_sequences():
             lc, conn = berlekamp_massey(s)
             assert lc == expected, s
             assert _generates(lc, gf4.from_planes(*conn), s), s
+            assert berlekamp_massey(s, connection=False) == (lc, None), s
             checked += 1
     assert checked == 5461
 
@@ -144,6 +146,7 @@ def _textbook_bm(s):
 def _assert_matches_textbook(s):
     lc_ref, conn_ref = _textbook_bm(s)
     assert berlekamp_massey(s) == (lc_ref, to_planes(conn_ref))
+    assert berlekamp_massey(s, connection=False) == (lc_ref, None)
 
 
 DIGITS = st.integers(0, 3)
@@ -356,9 +359,11 @@ def test_bm_early_exit_on_all_mappings(params):
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
         lc, minpoly = lc_via_gcd(seq.symbols)
-        lc_bm, conn = berlekamp_massey(np.tile(seq.symbols, 2))
+        doubled = np.tile(seq.symbols, 2)
+        lc_bm, conn = berlekamp_massey(doubled)
         assert lc_bm == lc
         assert gf4.monic_planes(*conn) == minpoly
+        assert berlekamp_massey(doubled, connection=False) == (lc, None)
         reduced += lc < seq.period
     assert reduced
 
@@ -420,6 +425,39 @@ def test_methods_consistent_negatives():
     assert not methods_consistent(1, to_planes([1, 2]), 1, x1)
     assert methods_consistent(1, to_planes([2, 2]), 1, x1)
     assert methods_consistent(1, to_planes([3, 3]), 1, x1)
+    # no connection polynomial: only x^L - 1 of degree L = lc_gcd passes
+    assert methods_consistent(1, None, 1, x1)
+    assert methods_consistent(2, None, 2, to_planes([1, 0, 1]))
+    assert not methods_consistent(2, None, 2, to_planes([1, 1, 1]))
+    assert not methods_consistent(2, None, 1, x1)
+
+
+def test_a_wrong_gcd_answer_meets_a_bm_that_disagrees(sys15, sys21,
+                                                      monkeypatch):
+    # the gcd route's length picks which BM runs; a wrong length or
+    # polynomial either way still raises
+    reduced = build_sequence(sys21, Mapping(0, 1, 2, 3, 2),
+                             allow_degenerate=True).symbols
+    full = build_sequence(sys15).symbols
+    lc, (m1, m0) = lc_via_gcd(reduced)
+    assert lc == 36 < len(reduced)
+
+    def claim(answer):
+        monkeypatch.setattr(analysis, "lc_via_gcd", lambda s: answer)
+
+    claim((42, (0, 1 << 42 | 1)))
+    with pytest.raises(MethodDisagreement, match="BM found 36, gcd found 42"):
+        analyze_symbols(reduced)
+    for t in range(lc):  # one coefficient flipped, the degree kept
+        for flipped in ((m1 ^ 1 << t, m0), (m1, m0 ^ 1 << t)):
+            claim((lc, flipped))
+            with pytest.raises(MethodDisagreement):
+                analyze_symbols(reduced)
+    for short in (0, 1, 15, 29):
+        claim((short, (0, 1 << short | 1)))
+        with pytest.raises(MethodDisagreement,
+                           match=f"BM found 30, gcd found {short}"):
+            analyze_symbols(full)
 
 
 def test_example_complexities(sys15, sys21):

@@ -145,6 +145,36 @@ def test_verify_builds_the_sequence_once(capsys, monkeypatch):
     assert calls == []
 
 
+def test_berlekamp_massey_keeps_its_polynomial_only_below_full_period(
+        tmp_path, capsys, monkeypatch):
+    # at LC = P the minimal polynomial is x^P - 1, so BM runs on lengths
+    # only; below it BM's connection polynomial is compared
+    calls, real = [], analysis.berlekamp_massey
+
+    def spy(symbols, connection=True):
+        calls.append(connection)
+        return real(symbols, connection=connection)
+
+    monkeypatch.setattr(analysis, "berlekamp_massey", spy)
+    out = str(tmp_path / "s.txt")
+    assert run(capsys, "generate", "--p", "3", "--q", "7",
+               "--out", out)[0] == 0
+    assert calls == []
+    for argv, lc, connection in [
+            (("analyze", "--p", "3", "--q", "5", "--m", "4", "--n", "3"),
+             20250, False),
+            (("analyze", "--file", out), 42, False),
+            (("verify", "--p", "3", "--q", "5"), 30, False),
+            (("analyze", "--p", "3", "--q", "7", "--map", "0,1,2,3,2"),
+             36, True)]:
+        calls.clear()
+        code, stdout, _ = run(capsys, *argv)
+        report = json.loads(stdout)
+        report = report.get("linear_complexity", report)
+        assert (code, report["lc_bm"], report["lc_gcd"]) == (0, lc, lc)
+        assert calls == [connection], argv
+
+
 def test_verify_vanishing_regime_is_a_violation(capsys):
     # e = b + d at (3,7) passes the gate but cannot reach full complexity
     code, _, err = run(capsys, "verify", "--p", "3", "--q", "7",
