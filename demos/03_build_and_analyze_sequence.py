@@ -4,7 +4,8 @@
 # the gcd of S(x) with x^P - 1.
 
 from cycloseq import gf4
-from cycloseq.analysis import analyze_symbols, berlekamp_massey, lc_via_gcd
+from cycloseq.analysis import (analyze_symbols, berlekamp_massey,
+                               generates, lc_via_gcd)
 from cycloseq.cyclotomy import build_system
 from cycloseq.sequence import (DEFAULT_MAPPING, balance_profile,
                                build_sequence)
@@ -23,16 +24,15 @@ print(f"bucket counts: {prof.bucket_counts} "
 print(f"symbol counts: {prof.symbol_counts}")
 
 lc_g, minpoly = lc_via_gcd(seq.symbols)
-lc_b, conn = berlekamp_massey(np.tile(seq.symbols, 2))
-# both routes return gf4 bit planes (hi, lo); digits are for printing.
-# Here LC = P = 30, so C(x) is the forced 1 + x^30: analyze_symbols
-# therefore asks BM for the length alone and keeps C only below P.
+lc_b = berlekamp_massey(np.tile(seq.symbols, 2))
+# the gcd route returns gf4 bit planes (hi, lo); digits are for printing.
+# BM gives the length alone; at that length only the minimal polynomial
+# generates the first 2 LC symbols, and with them the whole sequence.
 print(f"\ngcd method:        LC = {lc_g}, "
       f"minimal polynomial degree {gf4.poly_deg(gf4.from_planes(*minpoly))}")
-print(f"Berlekamp-Massey:  LC = {lc_b}, "
-      f"connection C(x) digits {gf4.poly_to_digits(gf4.from_planes(*conn))}")
-print("monic C(x) equals the minimal polynomial:",
-      gf4.monic_planes(*conn) == minpoly)
+print(f"Berlekamp-Massey:  LC = {lc_b}")
+print("the minimal polynomial generates the sequence:",
+      generates(seq.symbols, lc_g, minpoly))
 
 report = analyze_symbols(seq.symbols)
 print(f"\ncross-checked report: LC {report.lc_bm}, full period reached: "

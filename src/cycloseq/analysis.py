@@ -1,20 +1,19 @@
 """Linear complexity of quaternary sequences by three independent routes.
 
 Route one runs Berlekamp-Massey over GF(4) on two tiled periods of the
-sequence and returns the shortest LFSR length plus its connection
-polynomial C(x) with C(0) = 1. It keeps Massey's recurrence but reads
-each discrepancy off a series instead of computing an inner product
+sequence and returns the shortest LFSR length L. It keeps Massey's
+recurrence for the connection polynomial C(x) but reads each
+discrepancy off a series instead of computing an inner product
 (Sarwate and Shanbhag's reformulation): the coefficient of x^t in
 R(x) = C(x) S(x) is the discrepancy of C at t, and each update of C is
-made to R as well. A length change writes out the multiples of the old
-C and R by 1/d inline, as one of three fixed rotations of (v, alpha v,
-alpha^2 v) chosen by d, so no step multiplies in the field. A run of zero
-discrepancies is skipped in one step, and the loop stops once R has no
-term left before the end of the input. The stop is exact for any input,
-since every later discrepancy is zero and so C and L are final; on two
-periods of a sequence of linear complexity L it comes after about 2L of
-the 2P symbols. Asked for the length alone, it seeds C with 0 in place
-of 1: C stays 0, and R and L are as before.
+made to R alone, so C itself is never formed. A length change writes
+out the multiples of the old R by 1/d inline, as one of three fixed
+rotations of (v, alpha v, alpha^2 v) chosen by d, so no step multiplies
+in the field. A run of zero discrepancies is skipped in one step, and
+the loop stops once R has no term left before the end of the input. The
+stop is exact for any input, since every later discrepancy is zero and
+so L is final; on two periods of a sequence of linear complexity L it
+comes after about 2L of the 2P symbols.
 
 Route two is purely algebraic: for a sequence of period P,
 LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
@@ -59,10 +58,10 @@ closed form, family by family (cell_char_sums), is the expected side of
 verify's character-sum table, with the periods measured in F_{4^d}.
 
 Where they run: analyze and verify measure by the gcd route, then by BM,
-and require the lengths and, below full period, the polynomials to agree
-(analyze_symbols, verify_theorem); at LC = P the minimal polynomial is
-forced to be x^P - 1. sweep, plain and --degenerate, measures by the gcd
-route alone and requires it to equal predict_lc (checked_lc).
+and require the lengths to agree and the gcd route's minimal polynomial
+to generate the sequence (analyze_symbols, verify_theorem). sweep, plain
+and --degenerate, measures by the gcd route alone and requires it to
+equal predict_lc (checked_lc).
 """
 
 from dataclasses import dataclass
@@ -77,48 +76,39 @@ from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
                        validate_mapping)
 
 
-def berlekamp_massey(symbols, connection=True):
-    """Shortest LFSR over GF(4) generating the given symbol array.
+def berlekamp_massey(symbols):
+    """Length of the shortest LFSR over GF(4) generating the symbol array.
 
-    Returns (L, (c1, c0)): L and the gf4 planes of the connection
-    polynomial C, constant term 1, satisfying s_t = sum_{i=1..L} C_i s_{t-i}
-    for all t >= L. With connection=False it returns (L, None): C and B
-    are seeded with 0, and as C is linear in that seed every update of C
-    shifts 0, while R = C S and so L are as before.
-
-    O(len^2) bit operations, in the series form of the module docstring.
-    Two series are kept: R = C S, and B S, where B is C as it was before
-    the last length change, made at step `last` with
-    discrepancy b. Both are held reversed (bit len - 1 - t for x^t), so
-    the next nonzero discrepancy d, at some t > last, is R's top bit:
-    zero discrepancies cost nothing, terms past the end of the input fall
-    off the bottom, and R = 0 means none is left. With shift = t - last,
-    the step C += (d / b) x^shift B is matched by R += (d / b) x^shift B S,
-    a right shift of B S on the reversed planes, which clears d. A length
-    change makes the old C the new B and the old R the new B S, with no
-    shift. The multiples of B and B S by d / b are made when those are
-    set, so no step multiplies in the field: as digit d is alpha^(d - 1),
-    they are v, alpha v = (hi + lo, hi) and alpha^2 v = (lo, hi + lo) in
-    a rotation fixed by b. The leading digit comes from the planes'
-    lengths: 1 when lo is longer, else 2 plus lo's top bit.
+    O(len^2) bit operations, in the series form of the module docstring,
+    with C itself never formed. Two series are kept: R = C S, and B S,
+    where B is C as it was before the last length change, made at step
+    `last` with discrepancy b. Both are held reversed (bit len - 1 - t for
+    x^t), so the next nonzero discrepancy d, at some t > last, is R's top
+    bit: zero discrepancies cost nothing, terms past the end of the input
+    fall off the bottom, and R = 0 means none is left. With
+    shift = t - last, the step C += (d / b) x^shift B is the step
+    R += (d / b) x^shift B S, a right shift of B S on the reversed planes,
+    which clears d. A length change makes the old R the new B S, with no
+    shift. The multiples of B S by d / b are made when it is set, so no
+    step multiplies in the field: as digit d is alpha^(d - 1), they are
+    v, alpha v = (hi + lo, hi) and alpha^2 v = (lo, hi + lo) in a rotation
+    fixed by b. The leading digit comes from the planes' lengths: 1 when
+    lo is longer, else 2 plus lo's top bit.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
     if size == 0:
-        return 0, (0, 1) if connection else None
+        return 0
     if s.max() > 3:
         raise InvalidParams("symbols must be field elements 0..3")
     # R's planes; bit size - 1 - t holds x^t
     r1, r0 = gf4.to_planes(s[::-1])
-    seed = int(connection)
-    c1, c0 = 0, seed
-    # B = C = seed and b = 1 at the start: a length change at t = -1,
-    # whose discrepancy 1 sits one bit above the input in B S. times[d]
-    # holds the planes of (d / b) B and of (d / b) B S.
+    # B = C = 1 and b = 1 at the start: a length change at t = -1, whose
+    # discrepancy 1 sits one bit above the input in B S. times[d] holds
+    # the planes of (d / b) B S.
     s0 = r0 | 1 << size
     mix = r1 ^ s0
-    times = (None, (0, seed, r1, s0), (seed, 0, mix, r1),
-             (seed, seed, s0, mix))
+    times = (None, (r1, s0), (mix, r1), (s0, mix))
     length = 0
     last = -1
     # each pass clears the top term, so at most one pass per position
@@ -132,12 +122,11 @@ def berlekamp_massey(symbols, connection=True):
             break
         t = size - top
         shift = t - last
-        x1, x0, y1, y0 = times[d]
+        y1, y0 = times[d]
         if 2 * length <= t:
-            # the old C and R become B and B S, with b = d
-            mc, mr = c1 ^ c0, r1 ^ r0
-            one, alpha, alpha2 = ((c1, c0, r1, r0), (mc, c1, mr, r1),
-                                  (c0, mc, r0, mr))
+            # the old R becomes B S, with b = d
+            mr = r1 ^ r0
+            one, alpha, alpha2 = (r1, r0), (mr, r1), (r0, mr)
             if d == 1:
                 times = (None, one, alpha, alpha2)
             elif d == 2:
@@ -146,11 +135,9 @@ def berlekamp_massey(symbols, connection=True):
                 times = (None, alpha, alpha2, one)
             length = t + 1 - length
             last = t
-        c1 ^= x1 << shift
-        c0 ^= x0 << shift
         r1 ^= y1 >> shift
         r0 ^= y0 >> shift
-    return length, (c1, c0) if connection else None
+    return length
 
 
 def lc_via_gcd(symbols):
@@ -195,17 +182,21 @@ def lc_via_gcd(symbols):
     return q0.bit_length() - 1, (q1, q0)
 
 
-def methods_consistent(lc_bm, conn, lc_gcd, minpoly):
-    """True when both lengths match and the BM recurrence is minimal.
+def generates(symbols, lc, minpoly):
+    """True when minpoly, monic of degree lc, generates the periodic
+    sequence of which symbols is one period.
 
-    For a full-period input the reduced denominator of S(x)/(x^P - 1) is
-    the unique minimal connection polynomial, so BM's C(x), normalized
-    monic, must coincide with the gcd quotient. Both polynomials are gf4
-    planes. conn is None when BM ran on lengths only, at lc_gcd = P, where
-    the minimal polynomial is x^P - 1.
+    Its product with the first 2 lc terms, read round the period, must
+    vanish at x^lc .. x^(2 lc - 1), where each coefficient is
+    sum_i m_i s_(t - i) at one t. At lc = LC only the minimal polynomial
+    passes: a register of length LC that generates 2 LC terms is unique
+    (Massey, Theorem 1), so it generates the whole sequence.
     """
-    bm_poly = (0, 1 << lc_bm | 1) if conn is None else gf4.monic_planes(*conn)
-    return lc_bm == lc_gcd and bm_poly == minpoly
+    m1, m0 = minpoly
+    if m1 >> lc or (m0 >> lc) != 1:
+        return False
+    w1, w0 = gf4.mul_planes(m1, m0, *gf4.to_planes(np.resize(symbols, 2 * lc)))
+    return not ((w1 | w0) >> lc) & ((1 << lc) - 1)
 
 
 def _prime_power_sums(r, top, v, nonsquare):
@@ -341,18 +332,19 @@ class LinearComplexityReport:
 def analyze_symbols(symbols):
     """Measure one period by both methods and cross-check them.
 
-    The gcd route runs first. At lc_gcd = P, where the minimal polynomial
-    is forced to be x^P - 1, BM checks the length alone: a gcd route that
-    wrongly reports P meets a BM length below it.
-    theorem_holds reports whether the complexity equals the full period.
-    Raises MethodDisagreement when the two routes differ.
+    The gcd route gives LC and the minimal polynomial m; BM on two periods
+    gives LC again, and m must generate the sequence (generates), which
+    at that LC only the minimal polynomial does. theorem_holds reports
+    whether the complexity equals the full period. Raises
+    MethodDisagreement when the two routes differ.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     lc_gcd, minpoly = lc_via_gcd(s)
-    lc_bm, conn = berlekamp_massey(np.tile(s, 2), connection=lc_gcd < len(s))
-    if not methods_consistent(lc_bm, conn, lc_gcd, minpoly):
+    lc_bm = berlekamp_massey(np.tile(s, 2))
+    if lc_bm != lc_gcd or not generates(s, lc_gcd, minpoly):
         raise MethodDisagreement(
-            f"BM found {lc_bm}, gcd found {lc_gcd}, or minimal polynomials differ")
+            f"BM found {lc_bm}, gcd found {lc_gcd}, or the minimal "
+            f"polynomial does not generate the sequence")
     return LinearComplexityReport(
         lc_bm=lc_bm, lc_gcd=lc_gcd,
         minimal_planes=minpoly,

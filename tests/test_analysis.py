@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                berlekamp_massey, cell_char_sums, checked_lc,
-                               degenerate_lower_bound, lc_via_gcd,
-                               methods_consistent, predict_lc, verify_theorem)
+                               degenerate_lower_bound, generates,
+                               lc_via_gcd, predict_lc, verify_theorem)
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
@@ -39,32 +39,16 @@ def sys21():
 
 
 def test_bm_small_cases():
-    assert berlekamp_massey([]) == (0, to_planes([1]))
-    assert berlekamp_massey([], connection=False) == (0, None)
-    assert berlekamp_massey([0, 0, 0, 0]) == (0, to_planes([1]))
+    assert berlekamp_massey([]) == 0
+    assert berlekamp_massey([0, 0, 0, 0]) == 0
     # impulse: one-stage register with zero feedback
-    assert berlekamp_massey([1, 0, 0, 0]) == (1, to_planes([1]))
+    assert berlekamp_massey([1, 0, 0, 0]) == 1
     # constant: s_t = s_{t-1}
-    assert berlekamp_massey([1, 1, 1, 1, 1, 1]) == (1, to_planes([1, 1]))
+    assert berlekamp_massey([1, 1, 1, 1, 1, 1]) == 1
     # geometric in alpha: s_t = alpha s_{t-1}
-    assert berlekamp_massey([1, 2, 3, 1, 2, 3]) == (1, to_planes([1, 2]))
-
-
-def test_bm_recurrence_holds():
-    rng = random.Random(901)
-    for _ in range(150):
-        size = rng.randrange(2, 40)
-        s = np.array([rng.randrange(4) for _ in range(size)], dtype=np.uint8)
-        lc, conn = berlekamp_massey(s)
-        conn = gf4.from_planes(*conn)
-        assert gf4.poly_deg(conn) <= lc
-        assert int(conn[0]) == 1
-        for t in range(lc, size):
-            acc = int(s[t])
-            for i in range(1, min(lc, len(conn) - 1) + 1):
-                if i < len(conn):
-                    acc ^= gf4.gf4_mul(int(conn[i]), int(s[t - i]))
-            assert acc == 0
+    assert berlekamp_massey([1, 2, 3, 1, 2, 3]) == 1
+    # a register of length 2 is forced by the third symbol
+    assert berlekamp_massey([0, 1, 0]) == 2
 
 
 def _generates(length, conn, s):
@@ -107,16 +91,14 @@ def test_bm_exhaustive_short_sequences():
     for n in range(7):
         seqs, lengths = _brute_force_lengths(n)
         for s, expected in zip(seqs, lengths):
-            lc, conn = berlekamp_massey(s)
-            assert lc == expected, s
-            assert _generates(lc, gf4.from_planes(*conn), s), s
-            assert berlekamp_massey(s, connection=False) == (lc, None), s
+            assert berlekamp_massey(s) == expected, s
             checked += 1
     assert checked == 5461
 
 
 def _textbook_bm(s):
-    """Massey's algorithm step by step on uint8 digits, O(n^2).
+    """Massey's algorithm step by step on uint8 digits, O(n^2): the
+    length of the shortest LFSR.
 
     Each discrepancy is an inner product through MUL_TABLE and each update
     a dense MUL_TABLE scaling, so it shares no code with the kernel.
@@ -140,13 +122,11 @@ def _textbook_bm(s):
             length, prev, b, shift = t + 1 - length, old, d, 1
         else:
             shift += 1
-    return length, gf4.poly_trim(conn)
+    return length
 
 
 def _assert_matches_textbook(s):
-    lc_ref, conn_ref = _textbook_bm(s)
-    assert berlekamp_massey(s) == (lc_ref, to_planes(conn_ref))
-    assert berlekamp_massey(s, connection=False) == (lc_ref, None)
+    assert berlekamp_massey(s) == _textbook_bm(s)
 
 
 DIGITS = st.integers(0, 3)
@@ -178,10 +158,9 @@ def test_bm_matches_textbook_property(s):
 def test_bm_zero_run_lengths():
     for k in range(1, 12):
         # impulse: the zero run to the end needs no further change
-        assert berlekamp_massey([1] + [0] * k) == (1, to_planes([1]))
+        assert berlekamp_massey([1] + [0] * k) == 1
         # k zeros then a symbol: only a register of length k + 1 has it
-        assert berlekamp_massey([0] * k + [2]) == \
-            (k + 1, to_planes([1] + [0] * k + [2]))
+        assert berlekamp_massey([0] * k + [2]) == k + 1
         # a zero run in the middle, skipped in one step
         _assert_matches_textbook([3] + [0] * k + [1, 2])
         _assert_matches_textbook([1, 2] + [0] * k + [3] + [0] * k + [2])
@@ -224,40 +203,11 @@ def test_methods_agree_random_periods():
         s = np.array([rng.randrange(4) for _ in range(period)],
                      dtype=np.uint8)
         lc_g, mp = lc_via_gcd(s)
-        lc_b, conn = berlekamp_massey(np.tile(s, 2))
-        assert methods_consistent(lc_b, conn, lc_g, mp)
+        assert berlekamp_massey(np.tile(s, 2)) == lc_g
+        assert generates(s, lc_g, mp)
         # the minimal polynomial divides x^P - 1
         assert _divmod_digits(_x_pow_n_minus_1(period),
                               gf4.from_planes(*mp))[1].size == 0
-
-
-def connection_reciprocal(length, conn):
-    """x^L C(1/x): the annihilator form of the BM recurrence.
-
-    Applying it as a shift-operator polynomial sends every window of the
-    sequence to zero; the minimal polynomial in lc_via_gcd's quotient
-    convention is its reversal.
-    """
-    padded = np.zeros(length + 1, dtype=np.uint8)
-    padded[:len(conn)] = conn
-    return gf4.poly_trim(padded[::-1].copy())
-
-
-def test_connection_reciprocal_annihilates():
-    rng = random.Random(903)
-    for _ in range(60):
-        period = rng.choice([5, 7, 9, 15])
-        s = np.array([rng.randrange(4) for _ in range(period)],
-                     dtype=np.uint8)
-        doubled = np.tile(s, 2)
-        lc, conn = berlekamp_massey(doubled)
-        rec = connection_reciprocal(lc, gf4.from_planes(*conn))
-        # rec applied as a shift operator maps every window to zero
-        for start in range(len(doubled) - lc):
-            acc = 0
-            for i, coef in enumerate(rec):
-                acc ^= gf4.gf4_mul(int(coef), int(doubled[start + i]))
-            assert acc == 0
 
 
 @settings(deadline=None)
@@ -359,11 +309,8 @@ def test_bm_early_exit_on_all_mappings(params):
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
         lc, minpoly = lc_via_gcd(seq.symbols)
-        doubled = np.tile(seq.symbols, 2)
-        lc_bm, conn = berlekamp_massey(doubled)
-        assert lc_bm == lc
-        assert gf4.monic_planes(*conn) == minpoly
-        assert berlekamp_massey(doubled, connection=False) == (lc, None)
+        assert berlekamp_massey(np.tile(seq.symbols, 2)) == lc
+        assert generates(seq.symbols, lc, minpoly)
         reduced += lc < seq.period
     assert reduced
 
@@ -397,8 +344,8 @@ def test_folded_route_matches_unfolded_property(symbols):
 def test_lc_via_gcd_matches_bm_at_four_and_eight_times_odd(symbols):
     # the fold over 2^a > 2 blocks, which no CLI period (2N, N odd) reaches
     lc, minpoly = lc_via_gcd(symbols)
-    lc_bm, conn = berlekamp_massey(np.tile(symbols, 2))
-    assert methods_consistent(lc_bm, conn, lc, minpoly)
+    assert berlekamp_massey(np.tile(symbols, 2)) == lc
+    assert generates(symbols, lc, minpoly)
 
 
 def test_folded_route_multiplicities():
@@ -419,23 +366,80 @@ def test_bm_rejects_non_field_symbols():
         berlekamp_massey([0, 4])
 
 
-def test_methods_consistent_negatives():
+def test_generates_negatives():
+    ones = np.ones(5, dtype=np.uint8)
     x1 = to_planes([1, 1])
-    assert not methods_consistent(3, x1, 4, x1)
-    assert not methods_consistent(1, to_planes([1, 2]), 1, x1)
-    assert methods_consistent(1, to_planes([2, 2]), 1, x1)
-    assert methods_consistent(1, to_planes([3, 3]), 1, x1)
-    # no connection polynomial: only x^L - 1 of degree L = lc_gcd passes
-    assert methods_consistent(1, None, 1, x1)
-    assert methods_consistent(2, None, 2, to_planes([1, 0, 1]))
-    assert not methods_consistent(2, None, 2, to_planes([1, 1, 1]))
-    assert not methods_consistent(2, None, 1, x1)
+    assert generates(ones, 1, x1)
+    # (x + 1) m, x^2 + m and a scalar multiple of m, each claimed at LC 1
+    assert not generates(ones, 1, to_planes([1, 0, 1]))
+    assert not generates(ones, 1, to_planes([1, 1, 1]))
+    assert not generates(ones, 1, to_planes([2, 2]))
+    # m claimed at the wrong length
+    assert not generates(ones, 2, x1)
+    assert not generates(ones, 0, x1)
+    # the zero sequence: 1 at LC 0, and nothing else
+    zero = np.zeros(4, dtype=np.uint8)
+    assert generates(zero, 0, to_planes([1]))
+    assert not generates(zero, 0, to_planes([2]))
+    assert not generates(zero, 0, x1)
+    # the forced x^P + 1 at LC = P, and its neighbours
+    impulse = np.eye(1, 7, dtype=np.uint8)[0]
+    assert generates(impulse, 7, to_planes(_x_pow_n_minus_1(7)))
+    assert not generates(impulse, 7, to_planes([0] * 7 + [1]))
+    assert not generates(impulse, 7, to_planes([1] + [0] * 6 + [3]))
+    assert not generates(impulse, 6, to_planes(_x_pow_n_minus_1(7)))
+
+
+def _monic_candidates(degree):
+    """The gf4 planes of every monic polynomial of the given degree."""
+    for low in itertools.product(range(4), repeat=degree):
+        yield to_planes(np.array(low + (1,), dtype=np.uint8))
+
+
+def test_generates_only_the_minimal_polynomial():
+    # every sequence of period <= 4 against every monic polynomial of
+    # degree LC, zero constant terms included: only lc_via_gcd's passes
+    candidates = 0
+    for period in range(1, 5):
+        for s in itertools.product(range(4), repeat=period):
+            s = np.array(s, dtype=np.uint8)
+            lc, minpoly = lc_via_gcd(s)
+            for planes in _monic_candidates(lc):
+                assert generates(s, lc, planes) == (planes == minpoly), s
+                candidates += 1
+    assert candidates == 54844
+
+
+def test_generates_random_periods():
+    # random periods 5..33, most with 2 LC > P, where the window of 2 LC
+    # terms wraps round the period; tiled blocks give 2 LC <= P
+    rng = random.Random(904)
+    wraps = short = 0
+    for _ in range(300):
+        period = rng.randrange(5, 34)
+        if rng.random() < 0.25:
+            block = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+            s = np.resize(np.array(block, dtype=np.uint8), period)
+        else:
+            s = np.array([rng.randrange(4) for _ in range(period)],
+                         dtype=np.uint8)
+        lc, (m1, m0) = lc_via_gcd(s)
+        assert berlekamp_massey(np.tile(s, 2)) == lc
+        assert generates(s, lc, (m1, m0))
+        wraps += 2 * lc > period
+        short += 2 * lc <= period
+        for t in range(lc):  # one coefficient flipped, the degree kept
+            assert not generates(s, lc, (m1 ^ 1 << t, m0)), s
+            assert not generates(s, lc, (m1, m0 ^ 1 << t)), s
+        # a term above the window changes the degree only
+        assert not generates(s, lc, (m1, m0 ^ 1 << 2 * lc))
+    assert wraps > 100 and short > 20
 
 
 def test_a_wrong_gcd_answer_meets_a_bm_that_disagrees(sys15, sys21,
                                                       monkeypatch):
-    # the gcd route's length picks which BM runs; a wrong length or
-    # polynomial either way still raises
+    # a wrong length or a wrong polynomial from the gcd route raises,
+    # below full period and at it
     reduced = build_sequence(sys21, Mapping(0, 1, 2, 3, 2),
                              allow_degenerate=True).symbols
     full = build_sequence(sys15).symbols
@@ -458,6 +462,11 @@ def test_a_wrong_gcd_answer_meets_a_bm_that_disagrees(sys15, sys21,
         with pytest.raises(MethodDisagreement,
                            match=f"BM found 30, gcd found {short}"):
             analyze_symbols(full)
+    for t in (0, 1, 14, 29):  # x^30 - 1 with one coefficient flipped
+        for flipped in ((1 << t, 1 << 30 | 1), (0, (1 << 30 | 1) ^ 1 << t)):
+            claim((30, flipped))
+            with pytest.raises(MethodDisagreement, match="does not generate"):
+                analyze_symbols(full)
 
 
 def test_example_complexities(sys15, sys21):

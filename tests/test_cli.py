@@ -145,34 +145,36 @@ def test_verify_builds_the_sequence_once(capsys, monkeypatch):
     assert calls == []
 
 
-def test_berlekamp_massey_keeps_its_polynomial_only_below_full_period(
-        tmp_path, capsys, monkeypatch):
-    # at LC = P the minimal polynomial is x^P - 1, so BM runs on lengths
-    # only; below it BM's connection polynomial is compared
+def test_berlekamp_massey_runs_once_on_two_periods(tmp_path, capsys,
+                                                   monkeypatch):
+    # analyze and verify measure the length by BM once, on 2P symbols,
+    # at full LC and below it; sweep runs no BM
     calls, real = [], analysis.berlekamp_massey
 
-    def spy(symbols, connection=True):
-        calls.append(connection)
-        return real(symbols, connection=connection)
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs, len(args[0])))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "berlekamp_massey", spy)
     out = str(tmp_path / "s.txt")
     assert run(capsys, "generate", "--p", "3", "--q", "7",
                "--out", out)[0] == 0
+    assert run(capsys, "sweep", "--pairs", "3:7", "--exponents", "1:1",
+               "--degenerate")[0] == 0
     assert calls == []
-    for argv, lc, connection in [
+    for argv, period, lc in [
             (("analyze", "--p", "3", "--q", "5", "--m", "4", "--n", "3"),
-             20250, False),
-            (("analyze", "--file", out), 42, False),
-            (("verify", "--p", "3", "--q", "5"), 30, False),
+             20250, 20250),
+            (("analyze", "--file", out), 42, 42),
+            (("verify", "--p", "3", "--q", "5"), 30, 30),
             (("analyze", "--p", "3", "--q", "7", "--map", "0,1,2,3,2"),
-             36, True)]:
+             42, 36)]:
         calls.clear()
         code, stdout, _ = run(capsys, *argv)
         report = json.loads(stdout)
         report = report.get("linear_complexity", report)
         assert (code, report["lc_bm"], report["lc_gcd"]) == (0, lc, lc)
-        assert calls == [connection], argv
+        assert calls == [(1, {}, 2 * period)], argv
 
 
 def test_verify_vanishing_regime_is_a_violation(capsys):
