@@ -5,7 +5,7 @@
 
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_symbols, berlekamp_massey,
-                               generates, lc_via_gcd)
+                               generates, lc_via_gcd, minimal_planes)
 from cycloseq.cyclotomy import build_system
 from cycloseq.sequence import (DEFAULT_MAPPING, balance_profile,
                                build_sequence)
@@ -23,11 +23,14 @@ print(f"bucket counts: {prof.bucket_counts} "
       f"(expected {prof.expected_bucket_size} per letter bucket)")
 print(f"symbol counts: {prof.symbol_counts}")
 
-lc_g, minpoly = lc_via_gcd(seq.symbols)
+lc_g, factors = lc_via_gcd(seq.symbols)
+minpoly = minimal_planes(seq.period, factors)
 lc_b = berlekamp_massey(np.tile(seq.symbols, 2))
-# the gcd route returns gf4 bit planes (hi, lo); digits are for printing.
-# BM gives the length alone; at that length only the minimal polynomial
-# generates the first 2 LC symbols, and with them the whole sequence.
+# the gcd route gives LC from the degrees of its gcd factors, and the
+# minimal polynomial (x^P - 1) / their product as gf4 bit planes (hi, lo);
+# digits are for printing. BM gives the length alone; at that length only
+# the minimal polynomial generates the first 2 LC symbols, and with them
+# the whole sequence.
 print(f"\ngcd method:        LC = {lc_g}, "
       f"minimal polynomial degree {gf4.poly_deg(gf4.from_planes(*minpoly))}")
 print(f"Berlekamp-Massey:  LC = {lc_b}")

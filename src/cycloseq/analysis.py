@@ -19,6 +19,9 @@ Route two is purely algebraic: for a sequence of period P,
 LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
 quotient (x^P - 1) / gcd, which for full-period input is exactly the
 monic normalization of the unique minimal connection polynomial.
+lc_via_gcd reads LC off the degrees of the gcd's factors G_j (below)
+alone; minimal_planes forms their product and the quotient, only where
+the minimal polynomial is read.
 
 Route two never runs Euclid on degree-P inputs. Write P = 2^a N with N
 odd and F = x^N - 1; F is squarefree and x^P - 1 = F^(2^a), so the gcd
@@ -59,11 +62,13 @@ verify's character-sum table, with the periods measured in F_{4^d}.
 
 Where they run: analyze and verify measure by the gcd route, then by BM,
 and require the lengths to agree and the gcd route's minimal polynomial
-to generate the sequence (analyze_symbols, verify_theorem). sweep, plain
-and --degenerate, measures by the gcd route alone and requires it to
+to generate the sequence (analyze_symbols, verify_theorem); theirs is the
+one call of minimal_planes. sweep, plain and --degenerate, measures by
+the gcd route alone, reads its LC and no polynomial, and requires it to
 equal predict_lc (checked_lc).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +148,12 @@ def berlekamp_massey(symbols):
 def lc_via_gcd(symbols):
     """Linear complexity from gcd(x^P - 1, S(x)) for one full period.
 
-    Returns (lc, (m1, m0)), the gf4 planes of the monic minimal
-    polynomial. The zero sequence has lc 0 and minimal polynomial 1. The
-    gcd comes from the folded steps of the module docstring, and the
-    minimal polynomial from one exact division of x^P - 1 by their
-    product; a nonzero remainder raises MethodDisagreement.
+    Returns (lc, factors): the gf4 planes of the folded steps' monic G_j
+    of the module docstring, in order and stopping before the first
+    G_j = 1, and lc = P - sum of deg G_j. The zero sequence has every G_j
+    equal to x^N - 1 and lc 0. No product of the G_j is formed and
+    nothing is divided; minimal_planes does that where the minimal
+    polynomial is read.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     period = len(s)
@@ -162,7 +168,7 @@ def lc_via_gcd(symbols):
     # its shifts by the r < 2^a with r & j == j
     every_step = ((1 << period) - 1) // ((1 << step) - 1)
     common = (0, 1 << odd | 1)
-    divisor = (0, 1)
+    factors = []
     for j in range(step):
         mask = sum(every_step << r for r in range(step) if r & j == j)
         hasse = [x & mask for x in planes]
@@ -171,15 +177,26 @@ def lc_via_gcd(symbols):
         common = gf4.gcd_planes(*common, *hasse)
         if common == (0, 1):
             break
-        divisor = common if j == 0 else gf4.mul_planes(*common, *divisor)
-    if divisor == (0, 1):
-        return period, (0, 1 << period | 1)
+        factors.append(common)
+    # a monic G_j: its top digit 1 sits on the lo plane
+    return (period - sum(g0.bit_length() - 1 for _, g0 in factors),
+            tuple(factors))
+
+
+def minimal_planes(period, factors):
+    """Planes of the monic minimal polynomial (x^P - 1) / prod G_j, from
+    lc_via_gcd's factors; a nonzero remainder raises MethodDisagreement.
+    """
+    if not factors:
+        return 0, 1 << period | 1
+    divisor = factors[0]
+    for g in factors[1:]:
+        divisor = gf4.mul_planes(*g, *divisor)
     q1, q0, r1, r0 = gf4.divmod_planes(0, 1 << period | 1, *divisor)
     if r1 | r0:
         raise MethodDisagreement(
             "gcd(x^P - 1, S(x)) does not divide x^P - 1")
-    # a monic quotient: its top digit 1 sits on the lo plane
-    return q0.bit_length() - 1, (q1, q0)
+    return q1, q0
 
 
 def generates(symbols, lc, minpoly):
@@ -215,6 +232,15 @@ def _prime_power_sums(r, top, v, nonsquare):
     return ones ^ periods[nonsquare], ones ^ periods[1 - nonsquare]
 
 
+# one table per prime power: a sweep reads the same few primes row after row
+@functools.cache
+def _prime_sums_table(r, top):
+    """_prime_power_sums at every valuation v = 0..top and Legendre bit ns,
+    as table[v][ns]."""
+    return tuple(tuple(_prime_power_sums(r, top, v, ns) for ns in (0, 1))
+                 for v in range(top + 1))
+
+
 def _twists(p, q):
     # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
     return int(pow(q, p // 2, p) != 1), int(pow(p, q // 2, q) != 1)
@@ -234,11 +260,12 @@ def predict_lc(constants, mapping):
     """
     c = constants
     p, q, m, n = c.p, c.q, c.m, c.n
+    # rows of the product table: times_a[t] = a t
     times_a, times_b, times_c, times_d = (
-        [gf4.gf4_mul(v, t) for t in range(4)]
-        for v in mapping.as_tuple()[:4])
+        gf4._MUL[v] for v in mapping.as_tuple()[:4])
     side_p, side_q = (not two_is_square_mod(r) for r in (p, q))
     q_at_p, p_at_q = _twists(p, q)
+    sums_p, sums_q = _prime_sums_table(p, m), _prime_sums_table(q, n)
     lost = 0
     for a in range(m + 1):
         for b in range(n + 1):
@@ -246,11 +273,11 @@ def predict_lc(constants, mapping):
                 (q - 1) * q**(n - b - 1) if b < n else 1) >> (
                 (a < m) + (b < n))
             for lp in (0, 1) if a < m else (0,):
-                p0, p1 = _prime_power_sums(p, m, a, lp ^ (b & q_at_p))
+                p0, p1 = sums_p[a][lp ^ (b & q_at_p)]
                 for lq in (0, 1) if b < n else (0,):
-                    q0, q1 = _prime_power_sums(q, n, b, lq ^ (a & p_at_q))
+                    q0, q1 = sums_q[b][lq ^ (a & p_at_q)]
                     if a < m:  # the mixed families (a + 1, j)
-                        x0, x1 = _prime_power_sums(q, n, b, lq ^ p_at_q)
+                        x0, x1 = sums_q[b][lq ^ p_at_q]
                         q0, q1 = q0 ^ x0, q1 ^ x1
                     t0, t1 = p0 ^ q0, p1 ^ q1
                     # T_s, with 2 in D_s: s is p's side on the p-power
@@ -339,7 +366,8 @@ def analyze_symbols(symbols):
     MethodDisagreement when the two routes differ.
     """
     s = np.asarray(symbols, dtype=np.uint8)
-    lc_gcd, minpoly = lc_via_gcd(s)
+    lc_gcd, factors = lc_via_gcd(s)
+    minpoly = minimal_planes(len(s), factors)
     lc_bm = berlekamp_massey(np.tile(s, 2))
     if lc_bm != lc_gcd or not generates(s, lc_gcd, minpoly):
         raise MethodDisagreement(

@@ -324,12 +324,14 @@ def _orbit_sums(context, sets):
     same value.
     """
     N, d = context.N, context.d
-    ks = np.arange(1, N, dtype=np.int64)
-    least, image = ks, ks
-    for _ in range(2 * d - 1):
-        image = image * 2 % N
-        least = np.minimum(least, image)
-    leaders = ks[least == ks]
+    ks = np.arange(N, dtype=np.int64)
+    # pointer doubling: after each round, least[k] is the least of
+    # k 2^i mod N over the span i < span, and step[k] is k 2^span mod N
+    least, step, span = ks, ks * 2 % N, 1
+    while span < 2 * d:
+        least, step = np.minimum(least, least[step]), step[step]
+        span *= 2
+    leaders = np.flatnonzero(least == ks)[1:]
     rows = np.multiply.outer(leaders, [pow(2, i, N) for i in range(2 * d + 1)])
     sums = _power_sums(context.beta_powers, sets, leaders)
     out = np.empty((N - 1, len(sets)), dtype=np.uint32)

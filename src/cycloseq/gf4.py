@@ -80,7 +80,7 @@ def poly_divmod(a, b):
     """divmod_planes on digit arrays: (quotient, remainder).
 
     No program path calls it. It stays because perfbench/tracer.py names
-    it in TARGETS, and goes when ROADMAP item 5 re-points the tracer.
+    it in TARGETS, and goes when ROADMAP item 13 re-points the tracer.
     """
     q1, q0, r1, r0 = divmod_planes(*to_planes(a), *to_planes(b))
     return from_planes(q1, q0), from_planes(r1, r0)
@@ -90,7 +90,7 @@ def poly_gcd(a, b):
     """gcd_planes on digit arrays: the monic gcd.
 
     No program path calls it. It stays because perfbench/tracer.py names
-    it in TARGETS, and goes when ROADMAP item 5 re-points the tracer.
+    it in TARGETS, and goes when ROADMAP item 13 re-points the tracer.
     """
     return from_planes(*gcd_planes(*to_planes(a), *to_planes(b)))
 

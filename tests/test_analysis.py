@@ -16,7 +16,8 @@ from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                berlekamp_massey, cell_char_sums, checked_lc,
                                degenerate_lower_bound, generates,
-                               lc_via_gcd, predict_lc, verify_theorem)
+                               lc_via_gcd, minimal_planes, predict_lc,
+                               verify_theorem)
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
@@ -186,10 +187,21 @@ def _divmod_digits(a, b):
     return gf4.poly_trim(quot), gf4.poly_trim(rem[:db])
 
 
+def _route_two(symbols):
+    """lc_via_gcd's length and the minimal polynomial made from its
+    factors, as analyze_symbols reads them."""
+    lc, factors = lc_via_gcd(symbols)
+    return lc, minimal_planes(len(symbols), factors)
+
+
 def test_lc_via_gcd_small_cases():
-    assert lc_via_gcd([0, 0, 0, 0, 0]) == (0, to_planes([1]))
-    # constant nonzero of odd period: minimal polynomial is x + 1
-    assert lc_via_gcd([2, 2, 2, 2, 2]) == (1, to_planes([1, 1]))
+    # zero: G_1 = x^5 - 1, and the minimal polynomial is 1
+    assert lc_via_gcd([0, 0, 0, 0, 0]) == (0, (to_planes([1, 0, 0, 0, 0, 1]),))
+    assert _route_two([0, 0, 0, 0, 0]) == (0, to_planes([1]))
+    # constant nonzero of odd period: G_1 = (x^5 - 1) / (x - 1), and the
+    # minimal polynomial is x + 1
+    assert lc_via_gcd([2, 2, 2, 2, 2]) == (1, (to_planes([1] * 5),))
+    assert _route_two([2, 2, 2, 2, 2]) == (1, to_planes([1, 1]))
     with pytest.raises(InvalidParams):
         lc_via_gcd([])
     with pytest.raises(InvalidParams):
@@ -202,7 +214,7 @@ def test_methods_agree_random_periods():
         period = rng.choice([3, 5, 7, 9, 15, 21, 33])
         s = np.array([rng.randrange(4) for _ in range(period)],
                      dtype=np.uint8)
-        lc_g, mp = lc_via_gcd(s)
+        lc_g, mp = _route_two(s)
         assert berlekamp_massey(np.tile(s, 2)) == lc_g
         assert generates(s, lc_g, mp)
         # the minimal polynomial divides x^P - 1
@@ -223,10 +235,10 @@ def test_analyze_symbols_random_periods(digits):
     assert _generates(report.lc_gcd, conn, np.tile(s, 2))
 
 
-def test_lc_via_gcd_checks_the_division(monkeypatch):
-    # all ones, P = 6: G_1 = x^3 + 1 and G_2 = x^2 + x + 1, so the route
-    # divides x^6 - 1 by their product; corrupt only that division's
-    # remainder, not the divisions inside the gcds
+def test_minimal_planes_checks_the_division(monkeypatch):
+    # all ones, P = 6: G_1 = x^3 + 1 and G_2 = x^2 + x + 1, so
+    # minimal_planes divides x^6 - 1 by their product; corrupt only that
+    # division's remainder
     period = 6
     real = gf4.divmod_planes
 
@@ -236,10 +248,16 @@ def test_lc_via_gcd_checks_the_division(monkeypatch):
             r0 ^= 1
         return q1, q0, r1, r0
 
-    assert lc_via_gcd([1] * period)[0] == 1
+    factors = (to_planes([1, 0, 0, 1]), to_planes([1, 1, 1]))
+    assert lc_via_gcd([1] * period) == (1, factors)
+    assert minimal_planes(period, factors) == to_planes([1, 1])
     monkeypatch.setattr(gf4, "divmod_planes", bad_divmod)
+    # lc_via_gcd divides nothing, so only minimal_planes sees the fault
+    assert lc_via_gcd([1] * period) == (1, factors)
     with pytest.raises(MethodDisagreement):
-        lc_via_gcd([1] * period)
+        minimal_planes(period, factors)
+    with pytest.raises(MethodDisagreement):
+        analyze_symbols([1] * period)
 
 
 def _lc_via_unfolded_gcd(symbols):
@@ -260,9 +278,14 @@ def _lc_via_unfolded_gcd(symbols):
 
 
 def _assert_same_route_answer(symbols):
-    lc, minpoly = lc_via_gcd(symbols)
+    lc, factors = lc_via_gcd(symbols)
+    minpoly = minimal_planes(len(symbols), factors)
     lc_ref, minpoly_ref = _lc_via_unfolded_gcd(symbols)
     assert (lc, minpoly) == (lc_ref, to_planes(minpoly_ref))
+    # monic factors, each dividing the one before it
+    assert all(g0.bit_length() > g1.bit_length() for g1, g0 in factors)
+    for big, small in zip(factors, factors[1:]):
+        assert gf4.divmod_planes(*big, *small)[2:] == (0, 0)
     return lc, minpoly
 
 
@@ -308,7 +331,7 @@ def test_bm_early_exit_on_all_mappings(params):
     reduced = 0
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
-        lc, minpoly = lc_via_gcd(seq.symbols)
+        lc, minpoly = _route_two(seq.symbols)
         assert berlekamp_massey(np.tile(seq.symbols, 2)) == lc
         assert generates(seq.symbols, lc, minpoly)
         reduced += lc < seq.period
@@ -343,7 +366,7 @@ def test_folded_route_matches_unfolded_property(symbols):
 @given(folded_inputs(st.integers(2, 3)))
 def test_lc_via_gcd_matches_bm_at_four_and_eight_times_odd(symbols):
     # the fold over 2^a > 2 blocks, which no CLI period (2N, N odd) reaches
-    lc, minpoly = lc_via_gcd(symbols)
+    lc, minpoly = _route_two(symbols)
     assert berlekamp_massey(np.tile(symbols, 2)) == lc
     assert generates(symbols, lc, minpoly)
 
@@ -351,14 +374,21 @@ def test_lc_via_gcd_matches_bm_at_four_and_eight_times_odd(symbols):
 def test_folded_route_multiplicities():
     # P = 4 * 3: zero has every G_j = x^3 - 1, all four of them
     zero = np.zeros(12, dtype=np.uint8)
-    assert lc_via_gcd(zero) == (0, to_planes([1]))
-    # constant of period 8: S = c (x^8 - 1)/(x - 1) = c (x + 1)^7
-    assert lc_via_gcd(np.full(8, 3, dtype=np.uint8)) == (1, to_planes([1, 1]))
-    # impulse of period 8: S = 1, so the minimal polynomial is x^8 - 1
-    assert lc_via_gcd(np.eye(1, 8, dtype=np.uint8)[0]) == \
-        (8, to_planes(_x_pow_n_minus_1(8)))
+    assert lc_via_gcd(zero) == (0, (to_planes([1, 0, 0, 1]),) * 4)
+    assert _route_two(zero) == (0, to_planes([1]))
+    # constant of period 8: S = c (x^8 - 1)/(x - 1) = c (x + 1)^7, so
+    # G_1 .. G_7 are x + 1
+    const = np.full(8, 3, dtype=np.uint8)
+    assert lc_via_gcd(const) == (1, (to_planes([1, 1]),) * 7)
+    assert _route_two(const) == (1, to_planes([1, 1]))
+    # impulse of period 8: S = 1, so G_1 = 1 and the minimal polynomial
+    # is x^8 - 1
+    impulse = np.eye(1, 8, dtype=np.uint8)[0]
+    assert lc_via_gcd(impulse) == (8, ())
+    assert _route_two(impulse) == (8, to_planes(_x_pow_n_minus_1(8)))
     # s_t = t mod 2 over period 4: S = x (x^4 - 1)/(x^2 - 1) = x (x + 1)^2
-    assert lc_via_gcd([0, 1, 0, 1]) == (2, to_planes([1, 0, 1]))
+    assert lc_via_gcd([0, 1, 0, 1]) == (2, (to_planes([1, 1]),) * 2)
+    assert _route_two([0, 1, 0, 1]) == (2, to_planes([1, 0, 1]))
 
 
 def test_bm_rejects_non_field_symbols():
@@ -403,7 +433,7 @@ def test_generates_only_the_minimal_polynomial():
     for period in range(1, 5):
         for s in itertools.product(range(4), repeat=period):
             s = np.array(s, dtype=np.uint8)
-            lc, minpoly = lc_via_gcd(s)
+            lc, minpoly = _route_two(s)
             for planes in _monic_candidates(lc):
                 assert generates(s, lc, planes) == (planes == minpoly), s
                 candidates += 1
@@ -423,7 +453,7 @@ def test_generates_random_periods():
         else:
             s = np.array([rng.randrange(4) for _ in range(period)],
                          dtype=np.uint8)
-        lc, (m1, m0) = lc_via_gcd(s)
+        lc, (m1, m0) = _route_two(s)
         assert berlekamp_massey(np.tile(s, 2)) == lc
         assert generates(s, lc, (m1, m0))
         wraps += 2 * lc > period
@@ -443,11 +473,15 @@ def test_a_wrong_gcd_answer_meets_a_bm_that_disagrees(sys15, sys21,
     reduced = build_sequence(sys21, Mapping(0, 1, 2, 3, 2),
                              allow_degenerate=True).symbols
     full = build_sequence(sys15).symbols
-    lc, (m1, m0) = lc_via_gcd(reduced)
+    lc, (m1, m0) = _route_two(reduced)
     assert lc == 36 < len(reduced)
 
     def claim(answer):
-        monkeypatch.setattr(analysis, "lc_via_gcd", lambda s: answer)
+        # the length from lc_via_gcd, the polynomial from minimal_planes
+        length, minpoly = answer
+        monkeypatch.setattr(analysis, "lc_via_gcd", lambda s: (length, ()))
+        monkeypatch.setattr(analysis, "minimal_planes",
+                            lambda period, factors: minpoly)
 
     claim((42, (0, 1 << 42 | 1)))
     with pytest.raises(MethodDisagreement, match="BM found 36, gcd found 42"):
@@ -563,6 +597,24 @@ def test_predict_lc_equals_the_gcd_route(params):
         predicted = predict_lc(system.constants, mapping)
         assert type(predicted) is int
         assert predicted == lc_via_gcd(seq.symbols)[0], mapping
+
+
+def test_predict_lc_sums_each_prime_power_once(monkeypatch):
+    # the family sums of p^m and q^n are worked out once, at each
+    # valuation and Legendre bit, however many mappings are predicted
+    calls, real = [], analysis._prime_power_sums
+    monkeypatch.setattr(analysis, "_prime_power_sums",
+                        lambda *args: calls.append(args) or real(*args))
+    analysis._prime_sums_table.cache_clear()
+    constants = build_system_constants(3, 5, 2, 1)
+    try:
+        for mapping in ALL_MAPPINGS:
+            predict_lc(constants, mapping)
+    finally:
+        analysis._prime_sums_table.cache_clear()
+    assert sorted(calls) == sorted(
+        (r, top, v, ns) for r, top in ((3, 2), (5, 1))
+        for v in range(top + 1) for ns in (0, 1))
 
 
 def test_predict_lc_at_large_periods():

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycloseq import analysis, cli, cyclotomy, extfield, numtheory, sequence
+from cycloseq import (analysis, cli, cyclotomy, extfield, gf4, numtheory,
+                      sequence)
 from cycloseq.cli import main
 
 
@@ -175,6 +176,37 @@ def test_berlekamp_massey_runs_once_on_two_periods(tmp_path, capsys,
         report = report.get("linear_complexity", report)
         assert (code, report["lc_bm"], report["lc_gcd"]) == (0, lc, lc)
         assert calls == [(1, {}, 2 * period)], argv
+
+
+def test_sweep_forms_no_minimal_polynomial(capsys, monkeypatch):
+    # sweep reads LC alone, from the degrees of the gcd route's factors:
+    # no product and no division outside the gcds, also on reduced rows;
+    # analyze forms the minimal polynomial once, for its report
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(gf4, "divmod_planes")
+    spy(gf4, "mul_planes")
+    spy(analysis, "minimal_planes")
+    for argv in (("sweep", "--pairs", "3:7,7:17", "--exponents", "1:1",
+                  "--map", "0,1,2,3,2"),
+                 ("sweep", "--pairs", "3:5,3:7", "--exponents", "1:1,2:1",
+                  "--degenerate")):
+        _, stdout, _ = run(capsys, *argv)
+        rows = json.loads(stdout)
+        assert any(row["lc"] < row["period"] for row in rows), argv
+    assert calls == Counter()
+    code, stdout, _ = run(capsys, "analyze", "--p", "3", "--q", "7",
+                          "--map", "0,1,2,3,2")
+    assert (code, json.loads(stdout)["lc_gcd"]) == (0, 36)
+    assert calls["minimal_planes"] == 1
 
 
 def test_verify_vanishing_regime_is_a_violation(capsys):
