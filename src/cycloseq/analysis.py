@@ -55,10 +55,11 @@ T_h is 0, 1 or a quadratic Gaussian period of p or q in characteristic 2
 (Lidl and Niederreiter, Finite Fields, ch. 5; Ding, Helleseth and Shan,
 IEEE T-IT 44(3), 1998): {eta_0, eta_1} = {0, 1} when 2 is a square mod
 the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
-through v_p(k), v_q(k) and the Legendre symbols of its unit part, so
-mu is summed over those cells in plain integer arithmetic. The same
-closed form, family by family (cell_char_sums), is the expected side of
-verify's character-sum table, with the periods measured in F_{4^d}.
+through its cell: v_p(k), v_q(k), capped at m and n, and the Legendre
+symbols of its unit part (cells, cell_index). predict_lc adds the sums at
+each cell (cell_char_sums) over the families once per system and sums mu
+over the cells in integer arithmetic; verify's expected character-sum
+table is cell_char_sums per cell, the periods measured in F_{4^d}.
 
 Where they run: analyze and verify measure by the gcd route, then by BM,
 and require the lengths to agree and the gcd route's minimal polynomial
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import _family_indices
+from .cyclotomy import _family_indices, _qr_sides
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
 from .numtheory import two_is_square_mod
 from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
@@ -216,94 +217,59 @@ def generates(symbols, lc, minpoly):
     return not ((w1 | w0) >> lc) & ((1 << lc) - 1)
 
 
-def _prime_power_sums(r, top, v, nonsquare):
-    """(T_0, T_1) summed over the families r^1 .. r^top at v = v_r(k).
-
-    T_h of family r^i sums zeta^(u r^v x) over x in D_h, the squares
-    (h = 0) or the non-squares mod r^i, with zeta a primitive r^i-th root
-    of unity and u a unit mod r, nonsquare = [(u|r) = -1]. It is 0 when
-    v < i - 1, the Gaussian period eta_(h + nonsquare) when v = i - 1, and
-    phi(r^i) / 2 ones, [r = 3 mod 4], when v >= i.
+def cells(p, q, m, n):
+    """Each live cell (a, b, lp, lq) of Z_N with its size, keys ascending.
+    k = p^a q^b l, (a, b) capped at (m, n), lies in the cell
+    (a, b, [(l|p) = -1], [(l|q) = -1]), a Legendre bit being 0 at its cap.
+    The cell holds phi(p^(m-a)) phi(q^(n-b)) / 2^s members, s the number
+    of bits below their cap.
     """
-    ones = min(v, top) % 2 * (r % 4 == 3)
-    if v >= top:
-        return ones, ones
-    periods = (0, 1) if two_is_square_mod(r) else (gf4.ALPHA, gf4.ALPHA1)
-    return ones ^ periods[nonsquare], ones ^ periods[1 - nonsquare]
-
-
-# one table per prime power: a sweep reads the same few primes row after row
-@functools.cache
-def _prime_sums_table(r, top):
-    """_prime_power_sums at every valuation v = 0..top and Legendre bit ns,
-    as table[v][ns]."""
-    return tuple(tuple(_prime_power_sums(r, top, v, ns) for ns in (0, 1))
-                 for v in range(top + 1))
-
-
-def _twists(p, q):
-    # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
-    return int(pow(q, p // 2, p) != 1), int(pow(p, q // 2, q) != 1)
-
-
-def predict_lc(constants, mapping):
-    """Exact LC of the sequence, in closed form (route three above).
-
-    k = p^a q^b l in Z_N is grouped by (a, b, [(l|p) = -1] if a < m,
-    [(l|q) = -1] if b < n); a group has phi(p^(m-a)) phi(q^(n-b)) / 2^s
-    members, s the number of Legendre symbols in its key. The p-power
-    families read k at p, the q-power families k at q. The mixed family
-    (i, j) is the Ramanujan sum mod p^i, odd exactly when a = i - 1,
-    times the sums of k p^(-i) at q. The unit part of a multiplier keeps
-    the other prime's power, so its Legendre symbol picks up (q|p)^b or
-    (p|q)^a, and (p|q) on the mixed families. Plain ints throughout.
-    """
-    c = constants
-    p, q, m, n = c.p, c.q, c.m, c.n
-    # rows of the product table: times_a[t] = a t
-    times_a, times_b, times_c, times_d = (
-        gf4._MUL[v] for v in mapping.as_tuple()[:4])
-    side_p, side_q = (not two_is_square_mod(r) for r in (p, q))
-    q_at_p, p_at_q = _twists(p, q)
-    sums_p, sums_q = _prime_sums_table(p, m), _prime_sums_table(q, n)
-    lost = 0
     for a in range(m + 1):
         for b in range(n + 1):
             size = ((p - 1) * p**(m - a - 1) if a < m else 1) * (
                 (q - 1) * q**(n - b - 1) if b < n else 1) >> (
                 (a < m) + (b < n))
             for lp in (0, 1) if a < m else (0,):
-                p0, p1 = sums_p[a][lp ^ (b & q_at_p)]
                 for lq in (0, 1) if b < n else (0,):
-                    q0, q1 = sums_q[b][lq ^ (a & p_at_q)]
-                    if a < m:  # the mixed families (a + 1, j)
-                        x0, x1 = sums_q[b][lq ^ p_at_q]
-                        q0, q1 = q0 ^ x0, q1 ^ x1
-                    t0, t1 = p0 ^ q0, p1 ^ q1
-                    # T_s, with 2 in D_s: s is p's side on the p-power
-                    # families and q's on the others
-                    ts = (p1 if side_p else p0) ^ (q1 if side_q else q0)
-                    odd = mapping.e ^ times_a[t0] ^ times_b[t1]
-                    even = times_c[ts] ^ times_d[t0 ^ t1 ^ ts]
-                    if even == odd:
-                        lost += size << (odd == 0)
-    return 2 * c.half_period - lost
+                    yield (a, b, lp, lq), size
 
 
-def cell_char_sums(constants, cell, periods):
-    """T_0, T_1 over each family's doubled-modulus H-sets, in extfield's
-    _cells order, at a k in predict_lc's cell (a, b, lp, lq): the terms
-    _prime_power_sums adds up, with predict_lc's twists; periods holds
-    (eta_0, eta_1) of p and of q in any form where 1 is 1 and + is XOR. A
-    mixed family is its Ramanujan sum mod p^i (odd iff a = i - 1) times q's.
+def cell_index(constants, ks):
+    """Position in cells' order of the cell of each k in the int array ks,
+    taken mod N."""
+    c = constants
+    ks = np.asarray(ks, dtype=np.int64) % c.half_period
+    a, b = (sum(ks % r**t == 0 for t in range(1, top + 1))
+            for r, top in ((c.p, c.m), (c.q, c.n)))
+    l = ks // (c.p**a * c.q**b)
+    lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
+    lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
+    # position by key, dead keys left unset
+    keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
+    where = np.empty((c.m + 1, c.n + 1, 2, 2), dtype=np.intp)
+    where[tuple(zip(*keys))] = range(len(keys))
+    return where[a, b, lp, lq]
+
+
+def cell_char_sums(p, q, m, n, cell, periods):
+    """T_0, T_1 of each family, in _family_indices order, at a k in the
+    cell (a, b, lp, lq); periods holds (eta_0, eta_1) of p and of q in any
+    form where 1 is 1 and + is XOR.
+
+    Family r^i, at v = v_r(k) and the Legendre bit ns of k's unit part, has
+    T_h = 0 when v < i - 1, eta_(h + ns) when v = i - 1, and phi(r^i) / 2
+    ones, [r = 3 mod 4], when v >= i. The unit part keeps the other prime's
+    power, so ns picks up (q|p)^b on the p-power families and (p|q)^a on
+    the q-power ones. A mixed family (i, j) is its Ramanujan sum mod p^i,
+    odd iff a = i - 1, times the sums of k p^(-i) at q, twisted by (p|q).
     """
-    c, (a, b, lp, lq) = constants, cell
-    q_at_p, p_at_q = _twists(c.p, c.q)
+    a, b, lp, lq = cell
+    # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
+    q_at_p, p_at_q = (int(pow(x, r // 2, r) != 1) for x, r in ((q, p), (p, q)))
     out = []
-    for i, j in _family_indices(c.m, c.n):
-        # family r^top at v = v_r(k), the unit part's Legendre bit ns
-        r, top, v, ns = ((c.q, j, b, lq ^ (p_at_q if i else a & p_at_q))
-                         if j else (c.p, i, a, lp ^ (b & q_at_p)))
+    for i, j in _family_indices(m, n):
+        r, top, v, ns = ((q, j, b, lq ^ (p_at_q if i else a & p_at_q))
+                         if j else (p, i, a, lp ^ (b & q_at_p)))
         if (i and j and a != i - 1) or v < top - 1:
             out += 0, 0
         elif v >= top:
@@ -311,6 +277,45 @@ def cell_char_sums(constants, cell, periods):
         else:
             out += periods[bool(j)][ns], periods[bool(j)][1 - ns]
     return out
+
+
+# one table per system: a sweep predicts every mapping on the same cells
+@functools.cache
+def _cell_sums(p, q, m, n):
+    """(size, T_0, T_1, T_s) per cell: cell_char_sums added over the
+    families, with the GF(4) periods (0, 1), or (alpha, alpha^2) where 2
+    is no square; T_s adds each family's T_h with 2 in D_h, p's side on
+    the p-power families and q's on the others."""
+    periods = [(0, 1) if two_is_square_mod(r) else (gf4.ALPHA, gf4.ALPHA1)
+               for r in (p, q)]
+    sides = [not two_is_square_mod(q if j else p)
+             for _, j in _family_indices(m, n)]
+    out = []
+    for key, size in cells(p, q, m, n):
+        sums = cell_char_sums(p, q, m, n, key, periods)
+        t0 = t1 = ts = 0
+        for x0, x1, side in zip(sums[0::2], sums[1::2], sides):
+            t0, t1, ts = t0 ^ x0, t1 ^ x1, ts ^ (x1 if side else x0)
+        out.append((size, t0, t1, ts))
+    return tuple(out)
+
+
+def predict_lc(constants, mapping):
+    """Exact LC of the sequence, in closed form (route three above): one
+    pass over the cells' sums, a cell losing its size once where E = O and
+    twice where both vanish. Plain ints throughout.
+    """
+    c = constants
+    # rows of the product table: times_a[t] = a t
+    times_a, times_b, times_c, times_d = (
+        gf4._MUL[v] for v in mapping.as_tuple()[:4])
+    lost = 0
+    for size, t0, t1, ts in _cell_sums(c.p, c.q, c.m, c.n):
+        odd = mapping.e ^ times_a[t0] ^ times_b[t1]
+        even = times_c[ts] ^ times_d[t0 ^ t1 ^ ts]
+        if even == odd:
+            lost += size << (odd == 0)
+    return 2 * c.half_period - lost
 
 
 def checked_lc(seq):

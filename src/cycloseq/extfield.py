@@ -24,9 +24,9 @@ H-sets are one such table, checked cell by cell against their closed
 forms, a mismatch shown at its least k. The folded sequence s_t + s_(t+N)
 is constant on each of those cells, so the spectrum S(beta^k) is a GF(4)
 combination of the table's columns, and verify gathers once. The expected
-side is analysis.cell_char_sums, the closed form that predict_lc sums, at
-the cell of each k; its Gaussian periods are measured once per prime, from
-a power table of beta^(N/p) or beta^(N/q) and not from beta_powers.
+side is analysis.cell_char_sums, a row per cell of analysis.cells gathered
+to each k by analysis.cell_index; its Gaussian periods are measured once
+per prime, from a power table of beta^(N/p) or beta^(N/q), not beta_powers.
 """
 
 import functools
@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gf4
-from .analysis import cell_char_sums
+from . import analysis
 from .cyclotomy import DOUBLED_SHAPES, _qr_sides, all_class_ids, h_set
 from .errors import (CapExceeded, CaseViolation, InvalidMapping,
                      InvalidParams, LemmaViolation)
@@ -472,14 +472,13 @@ def verify_char_sum_tables(system, context):
     """Check every character sum over every doubled-modulus H-set.
 
     For each k = p^a q^b l in 1..N-1 and each cell (shape, i, j, h) the
-    measured sum must match its closed form, analysis.cell_char_sums at
-    the cell of predict_lc that holds k: 0 or 1 where (a, b) dominates the
-    cell's exponents, a Gaussian period of p or q on its boundary, and 0
-    beyond. Both sides are whole (k, cell) tables. The measured one comes
-    from _orbit_sums, whose row k = 1 reads every nonzero entry of
-    beta_powers once; the expected one takes its periods from
-    _gaussian_periods, which never reads beta_powers, so a corrupted entry
-    cannot shift both sides alike.
+    measured sum must match its closed form: 0 or 1 where (a, b) dominates
+    the cell's exponents, a Gaussian period of p or q on its boundary, and
+    0 beyond. Both sides are whole (k, cell) tables. The expected one is
+    analysis.cell_char_sums per analysis.cells, gathered by cell_index,
+    its periods from _gaussian_periods, which never reads beta_powers; the
+    measured one is _orbit_sums, whose row k = 1 reads beta_powers[1:]
+    once, so a corrupted entry cannot shift both sides alike.
     Raises LemmaViolation with the witness (k, cell) on the first
     mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
     (i, h) and the 2q cells (j, h); the expected and measured values are
@@ -487,19 +486,11 @@ def verify_char_sum_tables(system, context):
     """
     _require_matching(system, context)
     c, N = system.constants, context.N
-    # k = p^a q^b l keyed by predict_lc's cell (a, b, lp, lq), (a, b)
-    # capped at (m, n), as ((a (n + 1) + b) 2 + lp) 2 + lq: a row per key
-    ks = np.arange(1, N, dtype=np.int64)
-    a, b = (sum(ks % r**t == 0 for t in range(1, top + 1))
-            for r, top in ((c.p, c.m), (c.q, c.n)))
-    l = ks // (c.p**a * c.q**b)
-    lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
-    lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
     periods = [_gaussian_periods(context, r) for r in (c.p, c.q)]
-    keys = itertools.product(range(c.m + 1), range(c.n + 1), (0, 1), (0, 1))
-    rows = np.array([cell_char_sums(c, key, periods) for key in keys],
-                    dtype=np.uint32)
-    expected = rows[((a * (c.n + 1) + b) * 2 + lp) * 2 + lq]
+    params = c.p, c.q, c.m, c.n
+    rows = np.array([analysis.cell_char_sums(*params, key, periods)
+                     for key, _ in analysis.cells(*params)], dtype=np.uint32)
+    expected = rows[analysis.cell_index(c, np.arange(1, N))]
     cells = _cells(system)
     measured = _orbit_sums(context, [h_set(system, cid) for cid in cells])
 

@@ -5,7 +5,6 @@ import itertools
 import operator
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, cell_char_sums, checked_lc,
-                               degenerate_lower_bound, generates,
+                               berlekamp_massey, cell_char_sums, cells,
+                               checked_lc, degenerate_lower_bound, generates,
                                lc_via_gcd, minimal_planes, predict_lc,
                                verify_theorem)
 from cycloseq.cyclotomy import build_system
@@ -599,22 +598,21 @@ def test_predict_lc_equals_the_gcd_route(params):
         assert predicted == lc_via_gcd(seq.symbols)[0], mapping
 
 
-def test_predict_lc_sums_each_prime_power_once(monkeypatch):
-    # the family sums of p^m and q^n are worked out once, at each
-    # valuation and Legendre bit, however many mappings are predicted
-    calls, real = [], analysis._prime_power_sums
-    monkeypatch.setattr(analysis, "_prime_power_sums",
-                        lambda *args: calls.append(args) or real(*args))
-    analysis._prime_sums_table.cache_clear()
+def test_predict_lc_sums_each_cell_once(monkeypatch):
+    # the family sums are worked out once per cell of the system, however
+    # many mappings are predicted
+    calls, real = [], analysis.cell_char_sums
+    monkeypatch.setattr(analysis, "cell_char_sums",
+                        lambda *args: calls.append(args[4]) or real(*args))
+    analysis._cell_sums.cache_clear()
     constants = build_system_constants(3, 5, 2, 1)
     try:
         for mapping in ALL_MAPPINGS:
             predict_lc(constants, mapping)
     finally:
-        analysis._prime_sums_table.cache_clear()
-    assert sorted(calls) == sorted(
-        (r, top, v, ns) for r, top in ((3, 2), (5, 1))
-        for v in range(top + 1) for ns in (0, 1))
+        analysis._cell_sums.cache_clear()
+    keys = [key for key, _ in cells(3, 5, 2, 1)]
+    assert calls == keys and len(keys) == 15
 
 
 def test_predict_lc_at_large_periods():
@@ -660,29 +658,40 @@ def test_checked_lc_names_both_values(sys15, monkeypatch):
     (3, 1, 5), (3, 2, 5), (5, 2, 3), (7, 1, 3), (11, 1, 3), (13, 1, 3),
     (17, 1, 3)], ids=str)
 def test_prime_power_sums_by_brute_force(r, top, other):
-    # sum over i <= top of zeta_i^(k x) over the squares and non-squares
-    # x mod r^i, zeta_i a primitive r^i-th root of unity in F_{4^d}, for
-    # k = u r^v; which Gaussian period is eta_0 depends on the root, so
-    # either orientation may hold, but the same one for every k
+    # family by family, the sum over i <= top of zeta_i^(k x) over the
+    # squares and non-squares x mod r^i, zeta_i a primitive r^i-th root of
+    # unity in F_{4^d}, for k = u r^v: r's families of cell_char_sums, with
+    # r as p at (v, 0, ns, 0) and as q at (0, v, 0, ns). Which Gaussian
+    # period is eta_0 depends on the root, so either orientation may hold,
+    # but the same one for every k and both roles of r
     context = build_extension(r**top * other)
     zeta = context.pow(context.beta, other)
     nonsquare = next(u for u in range(2, r) if pow(u, (r - 1) // 2, r) != 1)
-    brute, by_formula = [], ([], [])
+    eta, eta_other = _periods_as_digits(r), _periods_as_digits(other)
+    brute, as_p, as_q = [], ([], []), ([], [])
     for v in range(top + 2):
         for u in (1, nonsquare):
-            k, sums = u * r**v, [0, 0]
+            k = u * r**v
             for i in range(1, top + 1):
-                root = context.pow(zeta, r**(top - i))
+                root, sums = context.pow(zeta, r**(top - i)), [0, 0]
                 for x in range(1, r**i):
                     if x % r:
                         square = pow(x, (r - 1) // 2, r) == 1
                         sums[not square] ^= context.pow(root, k * x % r**i)
-            brute.append(tuple(sums))
-            for flip in (0, 1):
-                by_formula[flip].append(tuple(
-                    gf4.pack_scalar(t, context.d) for t in
-                    analysis._prime_power_sums(r, top, v, (u != 1) ^ flip)))
-    assert brute in by_formula
+                brute += sums
+            # a cell's Legendre bit is 0 once r's power is saturated
+            a, ns = min(v, top), int(u != 1 and v < top)
+            for flip, periods in enumerate((eta, eta[::-1])):
+                # r's families: after the mixed ones as p, last as q
+                sums_p = cell_char_sums(r, other, top, 1, (a, 0, ns, 0),
+                                        (periods, eta_other))
+                sums_q = cell_char_sums(other, r, 1, top, (0, a, 0, ns),
+                                        (eta_other, periods))
+                as_p[flip].extend(gf4.pack_scalar(t, context.d)
+                                  for t in sums_p[2 * top:4 * top])
+                as_q[flip].extend(gf4.pack_scalar(t, context.d)
+                                  for t in sums_q[-2 * top:])
+    assert any(brute == as_p[flip] == as_q[flip] for flip in (0, 1))
 
 
 def _periods_as_digits(r):
@@ -698,26 +707,26 @@ def _xor_pairs(sums):
 
 @pytest.mark.parametrize("r", [r for r in range(3, 44) if is_prime(r)])
 def test_prime_power_sums_add_up_the_cell_sums(r):
-    # r as p at cell (v, 0, ns, 0): its p-power families, the m * n mixed
-    # ones first; r as q at (0, v, 0, ns): its q-power families last, and
-    # the mixed families (1, j), twisted by (p|q), first
+    # r's families of cell_char_sums, family by family: as p at the cell
+    # (v, 0, ns, 0), after the m * n mixed ones, they equal r's families as
+    # q at (0, v, 0, ns), the last ones; as q, the mixed families (1, j),
+    # first, are r's families at ns twisted by (p|q). A Legendre bit is 0
+    # at its cap
     other = 5 if r == 3 else 3
     p_at_q = int(pow(other, (r - 1) // 2, r) != 1)
     for top in range(1, 5):
-        as_p = SimpleNamespace(p=r, q=other, m=top, n=1)
-        as_q = SimpleNamespace(p=other, q=r, m=1, n=top)
-        for v in range(top + 2):
-            for ns in (0, 1):
-                want = analysis._prime_power_sums(r, top, v, ns)
-                sums = cell_char_sums(as_p, (v, 0, ns, 0), (
+        for v in range(top + 1):
+            for ns in (0, 1) if v < top else (0,):
+                as_p = cell_char_sums(r, other, top, 1, (v, 0, ns, 0), (
                     _periods_as_digits(r), _periods_as_digits(other)))
-                assert _xor_pairs(sums[2 * top:4 * top]) == want
-                sums = cell_char_sums(as_q, (0, v, 0, ns), (
+                as_q = cell_char_sums(other, r, 1, top, (0, v, 0, ns), (
                     _periods_as_digits(other), _periods_as_digits(r)))
-                assert len(sums) == 4 * top + 2
-                assert _xor_pairs(sums[-2 * top:]) == want
-                assert _xor_pairs(sums[:2 * top]) == \
-                    analysis._prime_power_sums(r, top, v, ns ^ p_at_q)
+                assert len(as_p) == len(as_q) == 4 * top + 2
+                assert as_p[2 * top:4 * top] == as_q[-2 * top:]
+                twisted = cell_char_sums(other, r, 1, top, (
+                    0, v, 0, ns ^ p_at_q if v < top else 0), (
+                    _periods_as_digits(other), _periods_as_digits(r)))
+                assert as_q[:2 * top] == twisted[-2 * top:]
 
 
 def _lc_from_cell_sums(c, mapping):
@@ -736,7 +745,8 @@ def _lc_from_cell_sums(c, mapping):
             continue
         size = (euler_phi(c.p**(c.m - a)) * euler_phi(c.q**(c.n - b))
                 >> ((a < c.m) + (b < c.n)))
-        sums = cell_char_sums(c, (a, b, lp, lq), periods)
+        sums = cell_char_sums(c.p, c.q, c.m, c.n, (a, b, lp, lq),
+                              periods)
         t0, t1 = _xor_pairs(sums)
         ts = functools.reduce(operator.xor,
                               (sums[2 * f + s] for f, s in enumerate(sides)))
@@ -754,3 +764,25 @@ def test_cell_sums_give_predict_lc(p, q):
         for mapping in ALL_MAPPINGS:
             assert (_lc_from_cell_sums(constants, mapping)
                     == predict_lc(constants, mapping)), (m, n, mapping)
+
+
+@pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
+def test_cell_sums_give_the_spectrum_profile(p, q):
+    # S = E + O at each cell of predict_lc's table is spectrum_profile's
+    # value in the cell's regime: e at k = 0, the cell (m, n), then the
+    # p-saturated, q-saturated and generic values
+    mul = gf4.gf4_mul
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        system = build_system(p, q, m, n)
+        table = analysis._cell_sums(p, q, m, n)
+        keys = [key for key, _ in cells(p, q, m, n)]
+        for mapping in ALL_MAPPINGS:
+            prof = spectrum_profile(system, mapping)
+            for (a, b, _, _), (_, t0, t1, ts) in zip(keys, table):
+                odd = mapping.e ^ mul(mapping.a, t0) ^ mul(mapping.b, t1)
+                even = mul(mapping.c, ts) ^ mul(mapping.d, t0 ^ t1 ^ ts)
+                want = {(True, True): mapping.e,
+                        (True, False): prof.value_p_saturated,
+                        (False, True): prof.value_q_saturated,
+                        (False, False): prof.value_generic}[a == m, b == n]
+                assert even ^ odd == want, (m, n, mapping, a, b)

@@ -15,7 +15,8 @@ import pytest
 
 from conftest import with_classes
 from cycloseq import cli, gf4
-from cycloseq.analysis import analyze_symbols, cell_char_sums
+from cycloseq.analysis import (analyze_symbols, cell_char_sums,
+                               cell_index, cells)
 from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
                                 build_system, h_set)
@@ -24,7 +25,7 @@ from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
 from cycloseq.extfield import (build_extension, is_irreducible,
                                least_irreducible, measure_spectrum,
                                verify_case_table, verify_char_sum_tables)
-from cycloseq.numtheory import factorize
+from cycloseq.numtheory import build_system_constants, factorize
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                                spectrum_profile, validate_mapping)
 
@@ -810,6 +811,30 @@ def _cell_of(constants, k):
     return a, b, lp, lq
 
 
+# one pair per (p mod 8, q mod 8) class, as in the sweep benchmark
+CLASS_PAIRS = ((17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5),
+               (7, 23), (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3),
+               (5, 13), (5, 7))
+
+
+@pytest.mark.parametrize("params", [
+    (p, q, m, n) for p, q in CLASS_PAIRS
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2))] + [(3, 19, 3, 1)], ids=str)
+def test_cells_tile_z_n(params):
+    # the cells' sizes add up to N, and the k -> cell map puts exactly that
+    # many k in each cell, each where trial division puts it
+    c = build_system_constants(*params)
+    N = c.half_period
+    keys, sizes = zip(*cells(*params))
+    assert sum(sizes) == N
+    index = cell_index(c, np.arange(N))
+    assert np.bincount(index, minlength=len(keys)).tolist() == list(sizes)
+    # every power of p and q divides k = 0
+    assert keys[index[0]] == (c.m, c.n, 0, 0)
+    assert [keys[i] for i in index[1:].tolist()] == [
+        _cell_of(c, k) for k in range(1, N)]
+
+
 @pytest.mark.parametrize("params", [
     (3, 5, 1, 1), (5, 3, 1, 1), (3, 7, 1, 1), (7, 3, 1, 1), (3, 5, 2, 1),
     (5, 3, 2, 1), (3, 5, 1, 2), (5, 3, 1, 2), (3, 13, 1, 1)])
@@ -827,7 +852,7 @@ def test_boundary_roots_match_direct_reference(params):
     roots = _direct_root_sums(system, ctx, a, b, ks // (c.p**a * c.q**b))
     boundary = 0
     for r, k in enumerate(range(1, N)):
-        got = cell_char_sums(c, _cell_of(c, k), periods)
+        got = cell_char_sums(c.p, c.q, c.m, c.n, _cell_of(c, k), periods)
         assert len(got) == len(extfield._cells(system))
         for cid, value in zip(extfield._cells(system), got):
             assert value == _expected_cell(system, ctx, cid, k), (k, cid)
