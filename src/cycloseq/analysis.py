@@ -70,6 +70,7 @@ equal predict_lc (checked_lc).
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ from . import gf4
 from .cyclotomy import _family_indices, _qr_sides
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
 from .numtheory import two_is_square_mod
-from .sequence import (DEFAULT_MAPPING, build_sequence, spectrum_profile,
+from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        validate_mapping)
 
 
@@ -318,6 +319,27 @@ def predict_lc(constants, mapping):
     return 2 * c.half_period - lost
 
 
+def max_complexity_mappings(system, count=3):
+    """First `count` valid mappings whose predict_lc is the full period.
+
+    Deterministic enumeration: e ascending, then the lexicographic
+    permutations of (0, 1, 2, 3) over (a, b, c, d).
+    """
+    c = system.constants
+    found = []
+    for e in range(1, 4):
+        for perm in itertools.permutations(range(4)):
+            mapping = Mapping(*perm, e)
+            if validate_mapping(c.p, mapping):
+                continue
+            if predict_lc(c, mapping) != system.period:
+                continue
+            found.append(mapping)
+            if len(found) == count:
+                return found
+    return found
+
+
 def checked_lc(seq):
     """LC of one period by the gcd route, which must equal predict_lc.
 
@@ -421,17 +443,17 @@ def analyze_degenerate(system, mapping):
     """Measure a degenerate mapping and check the lower bound.
 
     The mapping must be structurally sound and actually degenerate, either
-    by the mod-8 rule or by a vanishing spectrum regime; a fully valid
-    mapping that attains the maximum belongs to verify_theorem instead.
-    LC comes from checked_lc, so the gcd route equals predict_lc. Raises
-    TheoremViolation if the measured complexity dips below
-    (p^m + 1)(q^n + 1)/2.
+    by the mod-8 rule or by predict_lc falling short of the period; a
+    fully valid mapping that attains the maximum belongs to verify_theorem
+    instead. LC comes from checked_lc, so the gcd route equals
+    predict_lc. Raises TheoremViolation if the measured complexity dips
+    below (p^m + 1)(q^n + 1)/2.
     """
     seq = build_sequence(system, mapping, allow_degenerate=True)
     c = system.constants
     # build_sequence raised on structure, so these are mod-8 violations
     soft = validate_mapping(c.p, mapping)
-    if not soft and spectrum_profile(system, mapping).attains_max:
+    if not soft and predict_lc(c, mapping) == seq.period:
         raise InvalidParams(
             "mapping is valid and attains the maximum; nothing degenerate")
     lc = checked_lc(seq)

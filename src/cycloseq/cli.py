@@ -40,7 +40,7 @@ from .numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING,
                         build_system_constants)
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        forbidden_e, parse_ascii_int, read_sequence_file,
-                       validate_mapping, write_sequence_file)
+                       write_sequence_file)
 
 DEFAULT_MAP = ",".join(str(v) for v in DEFAULT_MAPPING.as_tuple())
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
@@ -165,12 +165,7 @@ def cmd_verify(args):
     if violations:
         raise violations[0]
     chars = verify_char_sum_tables(system, context)
-    # the spectrum and LC checks share one sequence; the mapping is checked
-    # first, so an invalid one fails with every reason verify_case_table
-    # gives, not only those build_sequence stops at
-    bad = validate_mapping(constants.p, mapping)
-    if bad:
-        raise InvalidMapping(bad)
+    # the spectrum and LC checks share one sequence
     seq = build_sequence(system, mapping)
     case_report = verify_case_table(system, context, mapping, char_sums=chars,
                                     seq=seq)

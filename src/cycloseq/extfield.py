@@ -20,13 +20,14 @@ the row of 2k is the row of k squared: _orbit_sums gathers only the least
 k of each orbit of k -> 2k mod N (the 2-cyclotomic cosets of the
 Mattson-Solomon view) and fills the rows k 2^i of its orbit by one lookup
 through the stacked tables. The character sums over the doubled-modulus
-H-sets are one such table, checked cell by cell against their closed
-forms, a mismatch shown at its least k. The folded sequence s_t + s_(t+N)
-is constant on each of those cells, so the spectrum S(beta^k) is a GF(4)
-combination of the table's columns, and verify gathers once. The expected
-side is analysis.cell_char_sums, a row per cell of analysis.cells gathered
-to each k by analysis.cell_index; its Gaussian periods are measured once
-per prime, from a power table of beta^(N/p) or beta^(N/q), not beta_powers.
+H-sets are one such table, a column per H-set, checked entry by entry
+against their closed forms, a mismatch shown at its least k. The folded
+sequence s_t + s_(t+N) is constant on each of those H-sets, so the
+spectrum S(beta^k) is a GF(4) combination of the table's columns, and
+verify gathers once. The expected side is analysis.cell_char_sums, a row
+per cell of analysis.cells gathered to each k by analysis.cell_index; the
+Gaussian periods of p and q are read off one power table of
+beta^(N/pq), not beta_powers.
 """
 
 import functools
@@ -38,10 +39,9 @@ import numpy as np
 from . import gf4
 from . import analysis
 from .cyclotomy import DOUBLED_SHAPES, _qr_sides, all_class_ids, h_set
-from .errors import (CapExceeded, CaseViolation, InvalidMapping,
-                     InvalidParams, LemmaViolation)
+from .errors import CapExceeded, CaseViolation, InvalidParams, LemmaViolation
 from .numtheory import factorize, mult_order
-from .sequence import build_sequence, spectrum_profile, validate_mapping
+from .sequence import build_sequence, spectrum_profile
 
 VERIFY_N_CAP = 5000
 DEFAULT_DEGREE_CAP = 12
@@ -290,17 +290,17 @@ def _power_sums(beta_powers, sets, ks):
     The whole uint32 table at once: rows go in blocks of about
     _BLOCK_ELEMENTS gathered elements, each block one outer product and
     reduction mod N, one gather, and one xor-reduceat over the
-    concatenated sets. An empty set gives a zero column.
+    concatenated sets. An empty set gives a zero column. Indices are
+    int32: N <= VERIFY_N_CAP keeps every product k t below (N - 1)^2 < 2^31.
     """
     N = len(beta_powers)
-    dtype = np.int32 if (N - 1)**2 < 2**31 else np.int64
-    ks = (np.asarray(ks, dtype=np.int64) % N).astype(dtype)
+    ks = (np.asarray(ks, dtype=np.int64) % N).astype(np.int32)
     out = np.zeros((len(ks), len(sets)), dtype=np.uint32)
     cols = [j for j, s in enumerate(sets) if len(s)]
     if not cols:
         return out
     flat = np.concatenate([np.asarray(sets[j], dtype=np.int64) % N
-                           for j in cols]).astype(dtype)
+                           for j in cols]).astype(np.int32)
     starts = np.cumsum([0] + [len(sets[j]) for j in cols[:-1]])
     step = max(1, _BLOCK_ELEMENTS // flat.size)
     for lo in range(0, len(ks), step):
@@ -340,7 +340,7 @@ def _orbit_sums(context, sets):
     return out
 
 
-def _cells(system):
+def _columns(system):
     # the doubled-modulus H-sets: the char-sum table's columns, in order
     c = system.constants
     return [cid for cid in all_class_ids(c.m, c.n)
@@ -352,8 +352,8 @@ def measure_spectrum(system, context, mapping, char_sums=None, seq=None):
 
     Folds the two half-periods (beta^{t+N} = beta^t). The folded sequence
     is one value v on each doubled-modulus H-set mod N, checked at every
-    position (else LemmaViolation names the cell and its least t off v),
-    so for k >= 1 S(beta^k) is the XOR of v times the cell's column of the
+    position (else LemmaViolation names the H-set and its least t off v),
+    so for k >= 1 S(beta^k) is the XOR of v times the H-set's column of the
     char-sum table, plus folded[0] beta_powers[0], and S(beta^0) is the
     XOR of the folded symbols times beta_powers[0]. The table is that of
     char_sums (verify_char_sum_tables' report) or is gathered here, and the
@@ -365,11 +365,11 @@ def measure_spectrum(system, context, mapping, char_sums=None, seq=None):
     seq = seq or build_sequence(system, mapping, allow_degenerate=True)
     N, d = context.N, context.d
     folded = seq.symbols[:N] ^ seq.symbols[N:]
-    cells = _cells(system)
-    sets = [h_set(system, cid) % N for cid in cells]
+    columns = _columns(system)
+    sets = [h_set(system, cid) % N for cid in columns]
     table = char_sums.table if char_sums else _orbit_sums(context, sets)
     values = np.array([folded[ts.min()] for ts in sets])
-    for cid, ts, v in zip(cells, sets, values):
+    for cid, ts, v in zip(columns, sets, values):
         off = ts[folded[ts] != v]
         if off.size:
             raise LemmaViolation("folded sequence not constant on a cell",
@@ -406,13 +406,13 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     depends only on which of p^m, q^n divide k (see
     sequence.spectrum_profile). Raises CaseViolation at the first k whose
     measured value differs, with both values as the digits of their remainder
-    polynomials (gf4.poly_to_digits: alpha is 2, X is 01); the report also
-    says whether every value is nonzero, which is exactly the condition for LC
-    to reach the full period. char_sums and seq go on to measure_spectrum.
+    polynomials (gf4.poly_to_digits: alpha is 2, X is 01). The report says
+    whether every measured value is nonzero and whether analysis.predict_lc
+    gives 2N, which agree: LC = 2N exactly when no S(beta^k) vanishes. The
+    sequence is seq or built here by build_sequence, the gate on mappings;
+    it and char_sums go on to measure_spectrum.
     """
-    bad = validate_mapping(system.constants.p, mapping)
-    if bad:
-        raise InvalidMapping(bad)
+    seq = seq or build_sequence(system, mapping)
     prof = spectrum_profile(system, mapping)
     spectrum = measure_spectrum(system, context, mapping, char_sums, seq)
     c = system.constants
@@ -429,8 +429,9 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
                             _digits(spectrum[k], context.d))
     return CaseReport(mapping.e, prof.value_generic, prof.value_p_saturated,
                       prof.value_q_saturated, checked=context.N,
-                      all_values_nonzero=prof.attains_max,
-                      max_complexity_predicted=prof.attains_max)
+                      all_values_nonzero=bool(spectrum.all()),
+                      max_complexity_predicted=(
+                          analysis.predict_lc(c, mapping) == c.period))
 
 
 @dataclass(frozen=True)
@@ -446,19 +447,25 @@ class CharSumReport:
         return {"k_count": self.k_count, "cells_checked": self.cells_checked}
 
 
-def _gaussian_periods(context, r):
-    """(eta_0, eta_1): zeta = beta^(N/r) summed over the squares and the
-    non-squares mod r, from zeta's own power table, not beta_powers;
-    LemmaViolation unless both lie in GF(4), each plane 0 or 1."""
-    zetas = _power_table(context.pow(context.beta, context.N // r), r,
-                         context.d, context.x_to_d)
-    side = _qr_sides(r)
-    eta = [int(np.bitwise_xor.reduce(zetas[side == h])) for h in (0, 1)]
-    for h, value in enumerate(eta):
-        if max(gf4.unpack(value, context.d)) > 1:
-            raise LemmaViolation("Gaussian period outside GF(4)", prime=r,
-                                 h=h, eta=_digits(value, context.d))
-    return eta
+def _gaussian_periods(context, p, q):
+    """(eta_0, eta_1) of p and of q: zeta_r = beta^(N/r) summed over the
+    squares and the non-squares mod r. Both zetas are powers of
+    w = beta^(N/pq), zeta_p^x = w^(qx) and zeta_q^x = w^(px), read from
+    one power table of w, not beta_powers; LemmaViolation unless each
+    lies in GF(4), each plane 0 or 1."""
+    ws = _power_table(context.pow(context.beta, context.N // (p * q)),
+                      p * q, context.d, context.x_to_d)
+    out = []
+    for r, other in ((p, q), (q, p)):
+        zetas, side = ws[other * np.arange(r)], _qr_sides(r)
+        eta = [int(np.bitwise_xor.reduce(zetas[side == h])) for h in (0, 1)]
+        for h, value in enumerate(eta):
+            if max(gf4.unpack(value, context.d)) > 1:
+                raise LemmaViolation("Gaussian period outside GF(4)",
+                                     prime=r, h=h,
+                                     eta=_digits(value, context.d))
+        out.append(eta)
+    return out
 
 
 _CHAR_SUM_DETAIL = {
@@ -471,35 +478,35 @@ _CHAR_SUM_DETAIL = {
 def verify_char_sum_tables(system, context):
     """Check every character sum over every doubled-modulus H-set.
 
-    For each k = p^a q^b l in 1..N-1 and each cell (shape, i, j, h) the
+    For each k = p^a q^b l in 1..N-1 and each H-set (shape, i, j, h) the
     measured sum must match its closed form: 0 or 1 where (a, b) dominates
-    the cell's exponents, a Gaussian period of p or q on its boundary, and
-    0 beyond. Both sides are whole (k, cell) tables. The expected one is
+    the H-set's exponents, a Gaussian period of p or q on its boundary, and
+    0 beyond. Both sides are whole (k, H-set) tables. The expected one is
     analysis.cell_char_sums per analysis.cells, gathered by cell_index,
     its periods from _gaussian_periods, which never reads beta_powers; the
     measured one is _orbit_sums, whose row k = 1 reads beta_powers[1:]
     once, so a corrupted entry cannot shift both sides alike.
-    Raises LemmaViolation with the witness (k, cell) on the first
-    mismatch, k ascending, then the 2pq cells (i, j, h), the 2p cells
-    (i, h) and the 2q cells (j, h); the expected and measured values are
-    remainder digits, as in verify_case_table.
+    Raises LemmaViolation with the witness k and cell, the H-set, on the
+    first mismatch, k ascending, then the 2pq H-sets (i, j, h), the 2p
+    H-sets (i, h) and the 2q H-sets (j, h); the expected and measured
+    values are remainder digits, as in verify_case_table.
     """
     _require_matching(system, context)
     c, N = system.constants, context.N
-    periods = [_gaussian_periods(context, r) for r in (c.p, c.q)]
+    periods = _gaussian_periods(context, c.p, c.q)
     params = c.p, c.q, c.m, c.n
     rows = np.array([analysis.cell_char_sums(*params, key, periods)
                      for key, _ in analysis.cells(*params)], dtype=np.uint32)
     expected = rows[analysis.cell_index(c, np.arange(1, N))]
-    cells = _cells(system)
-    measured = _orbit_sums(context, [h_set(system, cid) for cid in cells])
+    columns = _columns(system)
+    measured = _orbit_sums(context, [h_set(system, cid) for cid in columns])
 
     bad = measured != expected
     if bad.any():
-        # row-major argmax: the first mismatch in (k, cell) order
-        r, col = divmod(int(np.argmax(bad)), len(cells))
+        # row-major argmax: the first mismatch in (k, column) order
+        r, col = divmod(int(np.argmax(bad)), len(columns))
         raise LemmaViolation(
-            _CHAR_SUM_DETAIL[cells[col].shape], k=r + 1, cell=cells[col],
+            _CHAR_SUM_DETAIL[columns[col].shape], k=r + 1, cell=columns[col],
             expected=_digits(expected[r, col], context.d),
             measured=_digits(measured[r, col], context.d))
     return CharSumReport(k_count=N - 1, cells_checked=bad.size,

@@ -6,10 +6,10 @@ two cosets of the doubled copies of the odd-modulus H-sets, e to the
 half-period position; position zero always carries 0. The defining
 constraints are that a, b, c, d are pairwise distinct, e is nonzero, and
 e avoids the values that forbidden_e, the paper's mod-8 rule, names (b+d
-when p = +/-1, b or b+c when p = +/-3). That rule is the gate, but
-spectrum_profile, from whether 2 is a square mod p and mod q, is what
-predicts full complexity; the two disagree on some mappings. Mappings
-violating only the mod-8 rule are constructible with allow_degenerate.
+when p = +/-1, b or b+c when p = +/-3). build_sequence is the one gate;
+mappings violating only the mod-8 rule pass it with allow_degenerate.
+analysis.predict_lc, not the rule, decides full complexity, and the two
+disagree on some mappings; spectrum_profile predicts S(beta^k) per regime.
 write_sequence_file writes the digits and their sidecar all or nothing.
 """
 
@@ -128,15 +128,14 @@ class QuaternarySequence:
 def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
     """Evaluate the mapping over the partition in one vectorized gather.
 
-    Structural violations always raise InvalidMapping; mod-8 violations
-    raise unless allow_degenerate is set.
+    The one gate on mappings: InvalidMapping lists every violation
+    validate_mapping finds, or with allow_degenerate only the structural
+    ones.
     """
-    bad = structural_violations(mapping)
+    bad = (structural_violations(mapping) if allow_degenerate
+           else validate_mapping(system.constants.p, mapping))
     if bad:
         raise InvalidMapping(bad)
-    soft = validate_mapping(system.constants.p, mapping)
-    if soft and not allow_degenerate:
-        raise InvalidMapping(soft)
 
     # one symbol per bucket, in cyclotomy.BUCKETS order, then per label
     c = system.constants
@@ -180,21 +179,13 @@ class SpectrumProfile:
     """Predicted values of S(beta^k) by saturation regime.
 
     value_generic applies when p^m and q^n both miss k, value_p_saturated
-    when p^m | k, value_q_saturated when q^n | k; S(1) = e always. The
-    prediction for the full period holds exactly when every regime value
-    and e are nonzero.
+    when p^m | k, value_q_saturated when q^n | k; S(1) = e always.
     """
 
     e_value: int
     value_generic: int
     value_p_saturated: int
     value_q_saturated: int
-
-    @property
-    def attains_max(self):
-        return all(v != 0 for v in (self.e_value, self.value_generic,
-                                    self.value_p_saturated,
-                                    self.value_q_saturated))
 
 
 def spectrum_profile(system, mapping):
@@ -211,28 +202,6 @@ def spectrum_profile(system, mapping):
                     for r in (c.p, c.q))
     # e, then the generic, p-saturated and q-saturated values
     return SpectrumProfile(m.e, m.e ^ lam_p, m.e ^ lam_q, m.e ^ lam_p)
-
-
-def max_complexity_mappings(system, count=3):
-    """First `count` valid mappings whose spectrum avoids zero everywhere.
-
-    Deterministic enumeration: e ascending, then the lexicographic
-    permutations of (0, 1, 2, 3) over (a, b, c, d).
-    """
-    import itertools
-
-    found = []
-    for e in range(1, 4):
-        for perm in itertools.permutations(range(4)):
-            mapping = Mapping(*perm, e)
-            if validate_mapping(system.constants.p, mapping):
-                continue
-            if not spectrum_profile(system, mapping).attains_max:
-                continue
-            found.append(mapping)
-            if len(found) == count:
-                return found
-    return found
 
 
 def _write_together(files):

@@ -13,7 +13,7 @@ import numpy as np
 
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               verify_theorem)
+                               max_complexity_mappings, verify_theorem)
 from cycloseq.cyclotomy import (bucket_of_label, build_partition,
                                 build_system, check_residue_rules,
                                 check_structural_lemmas, residue_side_of_2)
@@ -21,7 +21,7 @@ from cycloseq.extfield import (build_extension, verify_case_table,
                                verify_char_sum_tables)
 from cycloseq.numtheory import is_prime
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
-                               build_sequence, max_complexity_mappings)
+                               build_sequence)
 
 GRID_PAIRS = ((3, 5), (3, 7), (5, 7), (3, 11), (5, 11), (7, 11))
 GRID_EXPONENTS = ((1, 1), (2, 1), (1, 2))

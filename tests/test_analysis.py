@@ -625,7 +625,8 @@ def test_predict_lc_at_large_periods():
 
 def test_same_side_pairs_lose_to_two_values():
     # at (1,1) with (2|p) = (2|q), the 24 mappings short of 2N split into
-    # N + 1 and (N + 3)/2; LC = 2N exactly when the spectrum profile says
+    # N + 1 and (N + 3)/2; LC = 2N exactly when e and the spectrum
+    # profile's three regime values are all nonzero
     primes = [r for r in range(3, 62) if is_prime(r)]
     pairs = [(p, q) for p in primes for q in primes
              if p < q and two_is_square_mod(p) == two_is_square_mod(q)]
@@ -635,8 +636,10 @@ def test_same_side_pairs_lose_to_two_values():
         counts = Counter()
         for mapping in ALL_MAPPINGS:
             lc = predict_lc(system.constants, mapping)
-            assert ((lc == 2 * N)
-                    == spectrum_profile(system, mapping).attains_max)
+            prof = spectrum_profile(system, mapping)
+            assert (lc == 2 * N) == all(
+                (prof.e_value, prof.value_generic, prof.value_p_saturated,
+                 prof.value_q_saturated))
             counts[lc] += 1
         if (p, q) in pairs:
             assert counts == {2 * N: 48, N + 1: 12, (N + 3) // 2: 12}

@@ -127,12 +127,13 @@ def test_verify_rejects_degenerate_map(capsys):
 
 def test_verify_builds_the_sequence_once(capsys, monkeypatch):
     # the spectrum check and the LC check read one sequence; a mapping
-    # they would refuse fails before it is built, with every reason
+    # they would refuse is never built, and fails with every reason
     calls, real = [], sequence.build_sequence
 
     def counted(*args, **kwargs):
+        seq = real(*args, **kwargs)
         calls.append(args)
-        return real(*args, **kwargs)
+        return seq
 
     for module in (cli, analysis, extfield):
         monkeypatch.setattr(module, "build_sequence", counted)
@@ -144,6 +145,23 @@ def test_verify_builds_the_sequence_once(capsys, monkeypatch):
     assert (code, err) == (2, "error: a, b, c, d must be pairwise distinct; "
                               "e = b is forbidden when p is +/-3 mod 8\n")
     assert calls == []
+
+
+def test_every_command_names_every_reason(tmp_path, capsys):
+    # build_sequence is the one gate: generate, analyze and verify refuse
+    # a mapping that breaks both the structure and the mod-8 rule with
+    # the same two reasons; --degenerate lifts the rule, not the structure
+    both = ("error: a, b, c, d must be pairwise distinct; "
+            "e = b is forbidden when p is +/-3 mod 8\n")
+    out = str(tmp_path / "s.txt")
+    params = ("--p", "3", "--q", "5", "--map", "1,1,1,1,1")
+    for argv in (("generate", *params, "--out", out), ("analyze", *params),
+                 ("verify", *params)):
+        assert run(capsys, *argv) == (2, "", both), argv
+    for command in ("generate", "analyze"):
+        assert run(capsys, command, *params, "--out", out, "--degenerate") \
+            == (2, "", "error: a, b, c, d must be pairwise distinct\n")
+    assert not os.path.exists(out)
 
 
 def test_berlekamp_massey_runs_once_on_two_periods(tmp_path, capsys,

@@ -16,7 +16,7 @@ import pytest
 from conftest import with_classes
 from cycloseq import cli, gf4
 from cycloseq.analysis import (analyze_symbols, cell_char_sums,
-                               cell_index, cells)
+                               cell_index, cells, lc_via_gcd)
 from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
                                 build_system, h_set)
@@ -282,6 +282,29 @@ def test_case_table_cross_checks_complexity(sys21, ctx21):
         assert rep.max_complexity_predicted == (lc == seq.period)
 
 
+@pytest.mark.parametrize("params", [(3, 5), (3, 7), (17, 3)], ids=str)
+def test_case_table_verdicts_agree_with_lc(params):
+    # on every mapping verify_case_table accepts, the measured spectrum has
+    # no zero exactly when predict_lc and the gcd route give LC = 2N
+    system = build_system(*params, 1, 1)
+    ctx = build_extension(system.half_period)
+    reports = {}
+    for mapping in ALL_MAPPINGS:
+        try:
+            rep = verify_case_table(system, ctx, mapping)
+        except InvalidMapping:
+            continue
+        reports[mapping] = rep
+        lc = lc_via_gcd(build_sequence(system, mapping).symbols)[0]
+        assert (rep.all_values_nonzero == rep.max_complexity_predicted
+                == (lc == system.period)), mapping
+    assert list(reports) == [mapping for mapping in ALL_MAPPINGS
+                             if not validate_mapping(params[0], mapping)]
+    if params == (3, 7):
+        # the reduced witness passes the mod-8 rule
+        assert not reports[Mapping(0, 3, 1, 2, 1)].all_values_nonzero
+
+
 def test_case_table_rejects_degenerate(sys15, ctx15):
     with pytest.raises(InvalidMapping):
         verify_case_table(sys15, ctx15, Mapping(2, 3, 1, 0, 3))
@@ -330,9 +353,12 @@ def _xsum(ctx, elems, k):
     return acc
 
 
-def _valuation(x, prime):
+def _valuation(x, prime, cap=math.inf):
+    # the power of prime in x, at most cap; every power divides x = 0
+    if x == 0:
+        return cap
     v = 0
-    while x % prime == 0:
+    while v < cap and x % prime == 0:
         x //= prime
         v += 1
     return v
@@ -620,6 +646,11 @@ def test_witness_values_are_remainder_digits():
         (1, "3", "33")
 
 
+def test_verify_cap_keeps_products_in_int32():
+    # _power_sums forms k t mod N in int32, k and t below N
+    assert (extfield.VERIFY_N_CAP - 1)**2 < 2**31
+
+
 def test_blocked_kernel_matches_single_block(monkeypatch):
     system = build_system(3, 5, 2, 1)
     ctx = build_extension(system.constants.half_period)
@@ -803,8 +834,8 @@ def _direct_root_sums(system, ctx, a, b, l):
 def _cell_of(constants, k):
     # predict_lc's cell of k, by trial division and Euler's criterion
     c = constants
-    a = min(_valuation(k, c.p), c.m)
-    b = min(_valuation(k, c.q), c.n)
+    a = _valuation(k, c.p, c.m)
+    b = _valuation(k, c.q, c.n)
     l = k // (c.p**a * c.q**b)
     lp = int(a < c.m and pow(l, (c.p - 1) // 2, c.p) != 1)
     lq = int(b < c.n and pow(l, (c.q - 1) // 2, c.q) != 1)
@@ -829,10 +860,10 @@ def test_cells_tile_z_n(params):
     assert sum(sizes) == N
     index = cell_index(c, np.arange(N))
     assert np.bincount(index, minlength=len(keys)).tolist() == list(sizes)
-    # every power of p and q divides k = 0
-    assert keys[index[0]] == (c.m, c.n, 0, 0)
-    assert [keys[i] for i in index[1:].tolist()] == [
-        _cell_of(c, k) for k in range(1, N)]
+    # every power of p and q divides k = 0, which lies in (m, n, 0, 0)
+    assert _cell_of(c, 0) == (c.m, c.n, 0, 0)
+    assert [keys[i] for i in index.tolist()] == [
+        _cell_of(c, k) for k in range(N)]
 
 
 @pytest.mark.parametrize("params", [
@@ -845,7 +876,7 @@ def test_boundary_roots_match_direct_reference(params):
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
     c, N = system.constants, ctx.N
-    periods = [extfield._gaussian_periods(ctx, r) for r in (c.p, c.q)]
+    periods = extfield._gaussian_periods(ctx, c.p, c.q)
     ks = np.arange(1, N, dtype=np.int64)
     a = np.array([_valuation(k, c.p) for k in range(1, N)])
     b = np.array([_valuation(k, c.q) for k in range(1, N)])
@@ -853,8 +884,8 @@ def test_boundary_roots_match_direct_reference(params):
     boundary = 0
     for r, k in enumerate(range(1, N)):
         got = cell_char_sums(c.p, c.q, c.m, c.n, _cell_of(c, k), periods)
-        assert len(got) == len(extfield._cells(system))
-        for cid, value in zip(extfield._cells(system), got):
+        assert len(got) == len(extfield._columns(system))
+        for cid, value in zip(extfield._columns(system), got):
             assert value == _expected_cell(system, ctx, cid, k), (k, cid)
             edge = {"2pq": cid.i == a[r] + 1 and cid.j == b[r] + 1,
                     "2p": cid.i == a[r] + 1, "2q": cid.j == b[r] + 1}
@@ -871,10 +902,11 @@ def test_swapped_gaussian_periods_are_caught(params, monkeypatch):
     ctx = build_extension(system.constants.half_period)
     verify_char_sum_tables(system, ctx)
     real = extfield._gaussian_periods
-    for prime in params[:2]:
-        def swapped(context, r):
-            eta = real(context, r)
-            return eta[::-1] if r == prime else eta
+    for side in (0, 1):
+        def swapped(context, p, q):
+            periods = real(context, p, q)
+            periods[side] = periods[side][::-1]
+            return periods
 
         monkeypatch.setattr(extfield, "_gaussian_periods", swapped)
         with pytest.raises(LemmaViolation):
@@ -910,7 +942,7 @@ def test_expected_table_never_reads_beta_powers(params, monkeypatch):
 def test_a_class_short_of_one_unit_is_caught(sys15, ctx15):
     # the expected side reads no class table, so one unit dropped from any
     # doubled-modulus class shows as a mismatch at k = 1
-    for cid in extfield._cells(sys15):
+    for cid in extfield._columns(sys15):
         classes = dict(sys15.classes)
         classes[cid] = classes[cid][1:]
         with pytest.raises(LemmaViolation) as info:
@@ -990,14 +1022,24 @@ def test_beta_has_order_exactly_n(params):
         raise AssertionError("beta_base not met in the scan")
     assert ctx.beta_powers[1] == ctx.beta
     assert _mul(ctx, int(ctx.beta_powers[-1]), ctx.beta) == 1
-    # beta's table and those of beta^(N/p) and beta^(N/q), which
-    # _gaussian_periods builds afresh, against the sequential reference
+    # beta's table and that of w = beta^(N/pq), which _gaussian_periods
+    # builds afresh, against the sequential reference
     assert ctx.beta_powers.tolist() == _power_table_reference(
         ctx.beta, N, ctx.d, ctx.x_to_d)
+    w = ctx.pow(ctx.beta, N // (p * q))
+    assert extfield._power_table(w, p * q, ctx.d, ctx.x_to_d).tolist() \
+        == _power_table_reference(w, p * q, ctx.d, ctx.x_to_d)
+    # the periods read off w's table are those of zeta = beta^(N/r) summed
+    # over the squares and the non-squares mod r, power by power
+    want = []
     for r in (p, q):
         zeta = ctx.pow(ctx.beta, N // r)
-        assert extfield._power_table(zeta, r, ctx.d, ctx.x_to_d).tolist() \
-            == _power_table_reference(zeta, r, ctx.d, ctx.x_to_d)
+        squares = {x * x % r for x in range(1, r)}
+        eta = [0, 0]
+        for x in range(1, r):
+            eta[x not in squares] ^= ctx.pow(zeta, x)
+        want.append(eta)
+    assert extfield._gaussian_periods(ctx, p, q) == want
 
 
 def test_root_prefilter_matches_evaluation():

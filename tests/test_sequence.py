@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq import gf4
-from cycloseq.analysis import predict_lc
+from cycloseq.analysis import max_complexity_mappings, predict_lc
 from cycloseq.cyclotomy import build_system, residue_side_of_2
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, SpectrumProfile,
                                balance_profile, build_sequence, forbidden_e,
-                               max_complexity_mappings,
                                read_sequence_file,
                                spectrum_profile, structural_violations,
                                validate_mapping, write_sequence_file)
@@ -142,13 +141,24 @@ def test_generating_polynomial(sys15):
     assert int(poly[0]) == 0 and int(poly[1]) == 2
 
 
+def _nonzero(prof):
+    # e and the three regime values all nonzero: no S(beta^k) vanishes
+    return all(v != 0 for v in (prof.e_value, prof.value_generic,
+                                prof.value_p_saturated,
+                                prof.value_q_saturated))
+
+
+def _full_lc(system, mapping):
+    return predict_lc(system.constants, mapping) == system.period
+
+
 def test_spectrum_profile_case4(sys15):
     # p = 3, q = 5: both +/-3 mod 8, all three regimes collapse to e+b+c
     prof = spectrum_profile(sys15, DEFAULT_MAPPING)
     assert prof.e_value == 1
     assert prof.value_generic == prof.value_p_saturated == \
         prof.value_q_saturated == 3
-    assert prof.attains_max
+    assert _nonzero(prof) and _full_lc(sys15, DEFAULT_MAPPING)
 
 
 def test_spectrum_profile_case2(sys21):
@@ -157,13 +167,13 @@ def test_spectrum_profile_case2(sys21):
     assert prof.value_generic == 3
     assert prof.value_p_saturated == 2
     assert prof.value_q_saturated == 3
-    assert prof.attains_max
+    assert _nonzero(prof) and _full_lc(sys21, DEFAULT_MAPPING)
     # e = b+d zeroes the p-saturated regime yet passes validation
     witness = Mapping(0, 3, 1, 2, 1)
     assert validate_mapping(3, witness) == []
     wprof = spectrum_profile(sys21, witness)
     assert wprof.value_p_saturated == 0
-    assert not wprof.attains_max
+    assert not _nonzero(wprof) and not _full_lc(sys21, witness)
 
 
 def _profile_from_class_tables(system, mapping):
@@ -200,8 +210,7 @@ def test_spectrum_profile_reads_p_and_q_alone(p, q):
         assert "classes" not in vars(system)
         for mapping, prof in zip(ALL_MAPPINGS, profiles):
             assert prof == _profile_from_class_tables(system, mapping)
-            assert prof.attains_max == (
-                predict_lc(system.constants, mapping) == system.period)
+            assert _nonzero(prof) == _full_lc(system, mapping)
 
 
 def test_max_complexity_mappings(sys15, sys21):
@@ -211,7 +220,18 @@ def test_max_complexity_mappings(sys15, sys21):
         assert len(set(m.as_tuple() for m in found)) == 3
         for m in found:
             assert validate_mapping(system.constants.p, m) == []
-            assert spectrum_profile(system, m).attains_max
+            assert _nonzero(spectrum_profile(system, m))
+            assert _full_lc(system, m)
+    # the list the spectrum profile's nonzero values pick, in the same
+    # order: e ascending, then the permutations of (a, b, c, d)
+    by_e = sorted(ALL_MAPPINGS, key=lambda m: m.e)
+    for p, q in CLASS_PAIRS:
+        for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            system = build_system(p, q, m, n)
+            want = [mp for mp in by_e if not validate_mapping(p, mp)
+                    and _nonzero(spectrum_profile(system, mp))]
+            assert max_complexity_mappings(system, count=72) == want
+            assert max_complexity_mappings(system) == want[:3]
 
 
 def test_file_roundtrip(tmp_path, sys15):
