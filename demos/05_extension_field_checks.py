@@ -41,7 +41,9 @@ for params in ((3, 5, 1, 1), (3, 7, 1, 1), (3, 5, 2, 1)):
     print(f"  character sums: {chars.cells_checked} cells over "
           f"{chars.k_count} values of k, all exact")
 
-    case = verify_case_table(system, context, DEFAULT_MAPPING)
+    # the spectrum is read off the table just checked, not checked again
+    case = verify_case_table(system, context, DEFAULT_MAPPING,
+                             char_sums=chars)
     print(f"  spectrum: S(1) = {case.s_at_1}; generic {case.value_generic}, "
           f"p-saturated {case.value_p_saturated}, "
           f"q-saturated {case.value_q_saturated}; "

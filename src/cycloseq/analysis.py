@@ -430,10 +430,10 @@ def degenerate_lower_bound(p, q, m, n):
 
 @dataclass(frozen=True)
 class DegenerateReport:
-    """Measured complexity of a mapping that breaks the mod-8 constraint."""
+    """Measured complexity of a mapping that breaks the mod-8 constraint;
+    lc_gcd passed checked_lc, so it is also predict_lc's value."""
 
     violations: tuple
-    lc_predicted: int
     lc_gcd: int
     lower_bound: int
     reduced: bool
@@ -464,7 +464,6 @@ def analyze_degenerate(system, mapping):
             f"for mapping {mapping.as_tuple()}")
     return DegenerateReport(
         violations=tuple(soft),
-        lc_predicted=lc,
         lc_gcd=lc,
         lower_bound=bound,
         reduced=lc < seq.period,

@@ -5,10 +5,9 @@ Exit codes: 0 success, 1 verification violation or failed sweep row
 the sweep keeps its other rows), 2 invalid parameters or mapping (also
 when a sweep row fails on one), or an OSError on a file such as an --out
 path that cannot be written, 3 cap exceeded or memory run out, 4
-malformed sequence file. The parameter cap (default 2 p^m q^n <= 10^7,
-from numtheory.DEFAULT_PARAM_CAP) can be overridden by --cap or the
-CYCLOSEQ_CAP environment variable, up to the period ceiling 2^31 - 1
-(numtheory.PERIOD_CEILING) that no cap lifts;
+malformed sequence file. --cap alone sets the period cap, 2 p^m q^n <=
+--cap (default 10^7, numtheory.DEFAULT_PARAM_CAP), and no cap lifts a
+period past the ceiling 2^31 - 1 (numtheory.PERIOD_CEILING);
 extfield.build_extension also caps extension-field verification at
 N <= 5000 and degree d <= 12, before `verify` paints the partition, from
 the constants it built once.
@@ -23,7 +22,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -47,20 +45,8 @@ DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
 # a bad grid entry longer than this is echoed cut, with its length
 ECHO_CHARS = 40
-CAP_HELP = (f"override the period cap 2 p^m q^n <= {DEFAULT_PARAM_CAP} "
-            f"(also CYCLOSEQ_CAP), up to the ceiling {PERIOD_CEILING}")
-
-
-def _resolve_cap(args):
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("CYCLOSEQ_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParams(f"CYCLOSEQ_CAP must be an integer, got {env!r}")
-    return DEFAULT_PARAM_CAP
+CAP_HELP = (f"period cap on 2 p^m q^n (default %(default)s); no cap lifts "
+            f"a period past the ceiling {PERIOD_CEILING}")
 
 
 def _parse_grid(pairs_text, exponents_text):
@@ -120,9 +106,8 @@ def _flatten(d, prefix=""):
 
 
 def _sequence_from_args(args):
-    cap = _resolve_cap(args)
     mapping = Mapping.from_text(args.map)
-    system = build_system(args.p, args.q, args.m, args.n, cap=cap)
+    system = build_system(args.p, args.q, args.m, args.n, cap=args.cap)
     return build_sequence(system, mapping, allow_degenerate=args.degenerate)
 
 
@@ -156,9 +141,9 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    cap = _resolve_cap(args)
     mapping = Mapping.from_text(args.map)
-    constants = build_system_constants(args.p, args.q, args.m, args.n, cap=cap)
+    constants = build_system_constants(args.p, args.q, args.m, args.n,
+                                       cap=args.cap)
     context = build_extension(constants.half_period)
     system = _system_from_constants(constants)
     violations = check_structural_lemmas(system) + check_residue_rules(system)
@@ -210,7 +195,6 @@ def cmd_sweep(args):
     goes on. A system is built at its first row; a build that fails is
     retried at each row.
     """
-    cap = _resolve_cap(args)
     base = Mapping.from_text(args.map)
     rows, code = [], 0
     for p, q, m, n in _parse_grid(args.pairs, args.exponents):
@@ -222,7 +206,7 @@ def cmd_sweep(args):
             row = {"p": p, "q": q, "m": m, "n": n,
                    "mapping": ",".join(str(v) for v in mapping.as_tuple())}
             try:
-                system = system or build_system(p, q, m, n, cap=cap)
+                system = system or build_system(p, q, m, n, cap=args.cap)
                 row.update(_sweep_fields(system, mapping, args.degenerate))
                 row_code = 0 if args.degenerate or row["theorem_holds"] else 1
             except (CycloseqError, MemoryError) as exc:
@@ -250,7 +234,8 @@ def build_parser():
         sp.add_argument("--n", type=int, default=1)
         sp.add_argument("--map", default=DEFAULT_MAP,
                         help="mapping digits a,b,c,d,e (default %(default)s)")
-        sp.add_argument("--cap", type=int, default=None, help=CAP_HELP)
+        sp.add_argument("--cap", type=int, default=DEFAULT_PARAM_CAP,
+                        help=CAP_HELP)
 
     gen = sub.add_parser("generate", help="write a sequence digit file")
     add_params(gen)
@@ -284,7 +269,8 @@ def build_parser():
                     help=f"exponent pairs M:N, comma separated "
                          f"(default {DEFAULT_EXPONENTS})")
     sw.add_argument("--map", default=DEFAULT_MAP)
-    sw.add_argument("--cap", type=int, default=None, help=CAP_HELP)
+    sw.add_argument("--cap", type=int, default=DEFAULT_PARAM_CAP,
+                    help=CAP_HELP)
     sw.add_argument("--degenerate", action="store_true",
                     help="sweep the forbidden e values and check the "
                          "lower bound instead of full complexity")

@@ -23,11 +23,12 @@ through the stacked tables. The character sums over the doubled-modulus
 H-sets are one such table, a column per H-set, checked entry by entry
 against their closed forms, a mismatch shown at its least k. The folded
 sequence s_t + s_(t+N) is constant on each of those H-sets, so the
-spectrum S(beta^k) is a GF(4) combination of the table's columns, and
-verify gathers once. The expected side is analysis.cell_char_sums, a row
-per cell of analysis.cells gathered to each k by analysis.cell_index; the
-Gaussian periods of p and q are read off one power table of
-beta^(N/pq), not beta_powers.
+spectrum S(beta^k) is a GF(4) combination of the table's columns:
+measure_spectrum reads only that table, once it has passed its check, and
+gathers nothing of its own. The expected side is analysis.cell_char_sums,
+a row per cell of analysis.cells gathered to each k by
+analysis.cell_index; the Gaussian periods of p and q are read off one
+power table of beta^(N/pq), not beta_powers.
 """
 
 import functools
@@ -279,11 +280,6 @@ def _digits(x, d):
     return gf4.poly_to_digits(gf4.from_planes(*gf4.unpack(int(x), d)))
 
 
-def _require_matching(system, context):
-    if system.constants.half_period != context.N:
-        raise InvalidParams("context was built for a different N")
-
-
 def _power_sums(beta_powers, sets, ks):
     """out[r, j] = XOR of beta_powers[ks[r] * t mod N] over t in sets[j].
 
@@ -347,29 +343,23 @@ def _columns(system):
             if cid.shape in DOUBLED_SHAPES]
 
 
-def measure_spectrum(system, context, mapping, char_sums=None, seq=None):
-    """S(beta^k) for 0 <= k < N, exactly, as packed elements.
+def measure_spectrum(context, char_sums, seq):
+    """S(beta^k) for 0 <= k < N, exactly, as packed elements, read off the
+    checked char-sum table of char_sums (verify_char_sum_tables' report).
 
-    Folds the two half-periods (beta^{t+N} = beta^t). The folded sequence
-    is one value v on each doubled-modulus H-set mod N, checked at every
-    position (else LemmaViolation names the H-set and its least t off v),
-    so for k >= 1 S(beta^k) is the XOR of v times the H-set's column of the
-    char-sum table, plus folded[0] beta_powers[0], and S(beta^0) is the
-    XOR of the folded symbols times beta_powers[0]. The table is that of
-    char_sums (verify_char_sum_tables' report) or is gathered here, and the
-    sequence that of seq or built here. Where beta^0 lies in GF(2), the
-    result is, bit for bit, the orbit gather over the three value supports.
-    Degenerate mappings are allowed.
+    Folds the two half-periods of seq (beta^{t+N} = beta^t). The folded
+    sequence is one value v on each of the report's H-sets mod N, checked
+    at every position (else LemmaViolation names the H-set and its least t
+    off v), so for k >= 1 S(beta^k) is the XOR of v times the H-set's
+    column of the table, plus folded[0] beta_powers[0], and S(beta^0) is
+    the XOR of the folded symbols times beta_powers[0]. Where beta^0 lies
+    in GF(2), the result is, bit for bit, the orbit gather over the three
+    value supports. seq may come from a degenerate mapping.
     """
-    _require_matching(system, context)
-    seq = seq or build_sequence(system, mapping, allow_degenerate=True)
-    N, d = context.N, context.d
+    N, d, table = context.N, context.d, char_sums.table
     folded = seq.symbols[:N] ^ seq.symbols[N:]
-    columns = _columns(system)
-    sets = [h_set(system, cid) % N for cid in columns]
-    table = char_sums.table if char_sums else _orbit_sums(context, sets)
-    values = np.array([folded[ts.min()] for ts in sets])
-    for cid, ts, v in zip(columns, sets, values):
+    values = np.array([folded[ts.min()] for ts in char_sums.sets])
+    for cid, ts, v in zip(char_sums.columns, char_sums.sets, values):
         off = ts[folded[ts] != v]
         if off.size:
             raise LemmaViolation("folded sequence not constant on a cell",
@@ -408,13 +398,16 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     measured value differs, with both values as the digits of their remainder
     polynomials (gf4.poly_to_digits: alpha is 2, X is 01). The report says
     whether every measured value is nonzero and whether analysis.predict_lc
-    gives 2N, which agree: LC = 2N exactly when no S(beta^k) vanishes. The
-    sequence is seq or built here by build_sequence, the gate on mappings;
-    it and char_sums go on to measure_spectrum.
+    gives 2N, which agree: LC = 2N exactly when no S(beta^k) vanishes.
+    The spectrum is read off a checked table only: char_sums, or
+    verify_char_sum_tables run here, which raises LemmaViolation before
+    any spectrum is read. The sequence is seq, or built here by
+    build_sequence, the gate on mappings.
     """
+    char_sums = char_sums or verify_char_sum_tables(system, context)
     seq = seq or build_sequence(system, mapping)
     prof = spectrum_profile(system, mapping)
-    spectrum = measure_spectrum(system, context, mapping, char_sums, seq)
+    spectrum = measure_spectrum(context, char_sums, seq)
     c = system.constants
     ks = np.arange(context.N)
     expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
@@ -436,12 +429,16 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
 
 @dataclass(frozen=True)
 class CharSumReport:
-    """Tally of the exhaustive character-sum table verification; table,
-    k = 1..N-1 by doubled-modulus H-set, feeds measure_spectrum only."""
+    """Tally of the exhaustive character-sum table verification. The
+    table (k = 1..N-1 by H-set), its columns (the doubled-modulus H-sets,
+    in order) and their sets mod N are what was checked; only
+    measure_spectrum reads them."""
 
     k_count: int
     cells_checked: int
     table: np.ndarray = field(repr=False, compare=False)
+    columns: list = field(repr=False, compare=False)
+    sets: list = field(repr=False, compare=False)
 
     def to_json_dict(self):
         return {"k_count": self.k_count, "cells_checked": self.cells_checked}
@@ -485,21 +482,24 @@ def verify_char_sum_tables(system, context):
     analysis.cell_char_sums per analysis.cells, gathered by cell_index,
     its periods from _gaussian_periods, which never reads beta_powers; the
     measured one is _orbit_sums, whose row k = 1 reads beta_powers[1:]
-    once, so a corrupted entry cannot shift both sides alike.
+    once, so a corrupted entry cannot shift both sides alike. The report
+    carries the measured table with its columns and their H-sets mod N.
     Raises LemmaViolation with the witness k and cell, the H-set, on the
     first mismatch, k ascending, then the 2pq H-sets (i, j, h), the 2p
     H-sets (i, h) and the 2q H-sets (j, h); the expected and measured
     values are remainder digits, as in verify_case_table.
     """
-    _require_matching(system, context)
     c, N = system.constants, context.N
+    if c.half_period != N:
+        raise InvalidParams("context was built for a different N")
     periods = _gaussian_periods(context, c.p, c.q)
     params = c.p, c.q, c.m, c.n
     rows = np.array([analysis.cell_char_sums(*params, key, periods)
                      for key, _ in analysis.cells(*params)], dtype=np.uint32)
     expected = rows[analysis.cell_index(c, np.arange(1, N))]
     columns = _columns(system)
-    measured = _orbit_sums(context, [h_set(system, cid) for cid in columns])
+    sets = [h_set(system, cid) % N for cid in columns]
+    measured = _orbit_sums(context, sets)
 
     bad = measured != expected
     if bad.any():
@@ -510,4 +510,4 @@ def verify_char_sum_tables(system, context):
             expected=_digits(expected[r, col], context.d),
             measured=_digits(measured[r, col], context.d))
     return CharSumReport(k_count=N - 1, cells_checked=bad.size,
-                         table=measured)
+                         table=measured, columns=columns, sets=sets)

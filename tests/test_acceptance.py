@@ -140,7 +140,7 @@ def test_criterion_5_degenerate_lower_bound(acceptance_log):
     for p, q, e, frozen_lc, bound, reduced in rows:
         system = build_system(p, q, 1, 1)
         report = analyze_degenerate(system, Mapping(2, 3, 1, 0, e))
-        good = (report.lc_gcd == report.lc_predicted == frozen_lc
+        good = (report.lc_gcd == frozen_lc
                 and report.lower_bound == bound
                 and report.lc_gcd >= bound
                 and report.reduced == reduced)
@@ -215,7 +215,8 @@ def test_criterion_8_extension_field_proof(acceptance_log):
         system = build_system(*params)
         context = build_extension(system.half_period)
         char_report = verify_char_sum_tables(system, context)
-        case_report = verify_case_table(system, context, DEFAULT_MAPPING)
+        case_report = verify_case_table(system, context, DEFAULT_MAPPING,
+                                        char_sums=char_report)
         good = (context.d == degree
                 and char_report.cells_checked == cells
                 and case_report.s_at_1 == DEFAULT_MAPPING.e

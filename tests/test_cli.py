@@ -245,20 +245,18 @@ def test_verify_caps(capsys):
     assert code == 3
 
 
-def test_cap_environment(tmp_path, capsys, monkeypatch):
+def test_cap_comes_from_the_flag_alone(tmp_path, capsys, monkeypatch):
+    # --cap is the one way to set the cap: a CYCLOSEQ_CAP environment
+    # variable, once a second way, leaves the default in force
     monkeypatch.setenv("CYCLOSEQ_CAP", "10")
-    out = tmp_path / "s.txt"
-    code, _, err = run(capsys, "generate", "--p", "3", "--q", "5",
-                       "--out", str(out))
-    assert code == 3
-    # explicit flag outranks the environment
     code, _, _ = run(capsys, "generate", "--p", "3", "--q", "5",
-                     "--cap", "100", "--out", str(out))
+                     "--out", str(tmp_path / "s.txt"))
     assert code == 0
-    monkeypatch.setenv("CYCLOSEQ_CAP", "lots")
-    code, _, err = run(capsys, "generate", "--p", "3", "--q", "5",
-                       "--out", str(out))
-    assert code == 2 and "CYCLOSEQ_CAP" in err
+    code, out, err = run(capsys, "generate", "--p", "3", "--q", "5",
+                         "--cap", "10", "--out", str(tmp_path / "t.txt"))
+    assert (code, out) == (3, "")
+    assert err == "error: period 30 exceeds cap 10\n"
+    assert not (tmp_path / "t.txt").exists()
 
 
 def test_sweep_single_row(capsys):
@@ -675,13 +673,12 @@ BIG_CAP = "100000000000000000000000"
 CEILING_ERROR = "period 2 * 3^40 * 5^1 exceeds the period ceiling 2147483647"
 
 
-def test_period_ceiling_holds_past_any_cap(capsys, monkeypatch):
+def test_period_ceiling_holds_past_any_cap(capsys):
     code, out, err = run(capsys, "analyze", "--p", "3", "--q", "5",
                          "--m", "40", "--cap", BIG_CAP)
     assert (code, out, err) == (3, "", f"error: {CEILING_ERROR}\n")
-    monkeypatch.setenv("CYCLOSEQ_CAP", BIG_CAP)
     code, out, _ = run(capsys, "sweep", "--pairs", "3:5",
-                       "--exponents", "40:1,1:1")
+                       "--exponents", "40:1,1:1", "--cap", BIG_CAP)
     rows = json.loads(out)
     assert code == 1
     assert rows[0]["error"] == f"CapExceeded: {CEILING_ERROR}"

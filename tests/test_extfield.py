@@ -15,8 +15,7 @@ import pytest
 
 from conftest import with_classes
 from cycloseq import cli, gf4
-from cycloseq.analysis import (analyze_symbols, cell_char_sums,
-                               cell_index, cells, lc_via_gcd)
+from cycloseq.analysis import cell_char_sums, cell_index, cells, lc_via_gcd
 from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
                                 build_system, h_set)
@@ -235,7 +234,7 @@ def test_context_mismatch(sys15, ctx21):
     with pytest.raises(InvalidParams):
         verify_char_sum_tables(sys15, ctx21)
     with pytest.raises(InvalidParams):
-        measure_spectrum(sys15, ctx21, DEFAULT_MAPPING)
+        verify_case_table(sys15, ctx21, DEFAULT_MAPPING)
 
 
 def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
@@ -243,15 +242,15 @@ def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
     # GF4 scalar embeds as the packed constant (gf4.pack_scalar), so xor-ing
     # the symbol in is exact
     for system, ctx in ((sys15, ctx15), (sys21, ctx21)):
+        chars = verify_char_sum_tables(system, ctx)
         for mapping in ALL_MAPPINGS:
-            symbols = build_sequence(system, mapping,
-                                     allow_degenerate=True).symbols
-            spec = measure_spectrum(system, ctx, mapping)
+            seq = _degenerate_seq(system, mapping)
+            spec = measure_spectrum(ctx, chars, seq)
             assert len(spec) == ctx.N
             for k in range(ctx.N):
                 x = int(ctx.beta_powers[k])
                 acc = 0
-                for sym in symbols[::-1]:
+                for sym in seq.symbols[::-1]:
                     acc = _mul(ctx, acc, x) ^ gf4.pack_scalar(int(sym), ctx.d)
                 assert int(spec[k]) == acc, (mapping, k)
 
@@ -270,16 +269,6 @@ def test_case_table_values(sys15, ctx15, sys21, ctx21):
     assert rep.max_complexity_predicted
     d = rep.to_json_dict()
     assert d["checked"] == 21 and d["all_values_nonzero"] is True
-
-
-def test_case_table_cross_checks_complexity(sys21, ctx21):
-    # nonzero spectrum everywhere is equivalent to LC = 2N, measured both ways
-    for mapping in (DEFAULT_MAPPING, Mapping(0, 3, 1, 2, 1),
-                    Mapping(3, 2, 0, 1, 1)):
-        rep = verify_case_table(sys21, ctx21, mapping)
-        seq = build_sequence(sys21, mapping)
-        lc = analyze_symbols(seq.symbols).lc_gcd
-        assert rep.max_complexity_predicted == (lc == seq.period)
 
 
 @pytest.mark.parametrize("params", [(3, 5), (3, 7), (17, 3)], ids=str)
@@ -460,6 +449,19 @@ def _outcome(fn, *args):
         return (type(exc).__name__, str(exc), vars(exc))
 
 
+def _unchecked_report(system, ctx):
+    # a char-sum report whose table is gathered by _orbit_sums and never
+    # checked, so a spectrum can be read off a corrupted context's table
+    columns = extfield._columns(system)
+    sets = [h_set(system, cid) % ctx.N for cid in columns]
+    table = extfield._orbit_sums(ctx, sets)
+    return extfield.CharSumReport(ctx.N - 1, table.size, table, columns, sets)
+
+
+def _degenerate_seq(system, mapping):
+    return build_sequence(system, mapping, allow_degenerate=True)
+
+
 def _corrupted_contexts(ctx, position):
     bp = ctx.beta_powers.copy()
     bp[position] ^= 1
@@ -509,9 +511,11 @@ def test_case_table_witness_matches_reference(params, position):
     ctx = build_extension(system.constants.half_period)
     raised = set()
     for bad in [ctx] + _corrupted_contexts(ctx, position):
+        unchecked = _unchecked_report(system, bad)
         for mapping in (DEFAULT_MAPPING, Mapping(0, 3, 1, 2, 1),
                         Mapping(3, 2, 0, 1, 1), Mapping(2, 3, 1, 0, 3)):
-            got = _outcome(verify_case_table, system, bad, mapping)
+            got = _outcome(verify_case_table, system, bad, mapping,
+                           unchecked)
             want = _outcome(_ref_case_table, system, bad, mapping)
             if got[0] == "ok":
                 got = ("ok", got[1].checked)
@@ -561,13 +565,10 @@ def test_spectrum_off_the_table_matches_three_support_gather(params):
     ctx = build_extension(system.constants.half_period)
     chars = verify_char_sum_tables(system, ctx)
     assert chars.table.shape == (ctx.N - 1, chars.cells_checked // (ctx.N - 1))
-    for i, mapping in enumerate(ALL_MAPPINGS):
+    for mapping in ALL_MAPPINGS:
         want = _three_support_spectrum(system, ctx, mapping)
-        got = measure_spectrum(system, ctx, mapping, chars)
+        got = measure_spectrum(ctx, chars, _degenerate_seq(system, mapping))
         assert got.dtype == np.uint32 and np.array_equal(got, want), mapping
-        if i % 12 == 0:
-            assert np.array_equal(
-                measure_spectrum(system, ctx, mapping), want), mapping
 
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)])
@@ -586,9 +587,11 @@ def test_spectrum_off_the_table_under_every_table_flip(params):
         bp = ctx.beta_powers.copy()
         bp[position] ^= 1 << bit
         bad = dataclasses.replace(ctx, beta_powers=bp)
+        unchecked = _unchecked_report(system, bad)
         outside = bool(int(bp[0]) & ~1)
         for mapping in (DEFAULT_MAPPING, ALL_MAPPINGS[i % 72]):
-            got = measure_spectrum(system, bad, mapping)
+            got = measure_spectrum(bad, unchecked,
+                                   _degenerate_seq(system, mapping))
             want = _three_support_spectrum(system, bad, mapping)
             assert np.array_equal(got, want) or outside, (position, bit)
             assert np.array_equal(got, _three_support_spectrum(
@@ -614,8 +617,10 @@ def test_spectrum_checks_the_folded_sequence_is_constant_on_cells(
     # the original tables: the cells keep their members, the values move
     swapped = with_classes(sys15, sys15.classes, partition=part)
     chars = verify_char_sum_tables(sys15, ctx15)
-    calls = [lambda: measure_spectrum(swapped, ctx15, DEFAULT_MAPPING),
-             lambda: measure_spectrum(swapped, ctx15, DEFAULT_MAPPING, chars),
+    seq = build_sequence(swapped, DEFAULT_MAPPING)
+    calls = [lambda: measure_spectrum(
+                 ctx15, _unchecked_report(swapped, ctx15), seq),
+             lambda: measure_spectrum(ctx15, chars, seq),
              lambda: verify_case_table(swapped, ctx15, DEFAULT_MAPPING),
              lambda: verify_case_table(swapped, ctx15, DEFAULT_MAPPING,
                                        char_sums=chars)]
@@ -641,9 +646,37 @@ def test_witness_values_are_remainder_digits():
     assert info.value.witness["expected"] == "0"
     assert info.value.witness["measured"] == "01"
     with pytest.raises(CaseViolation) as info:
-        verify_case_table(system, bad, DEFAULT_MAPPING)
+        verify_case_table(system, bad, DEFAULT_MAPPING,
+                          char_sums=_unchecked_report(system, bad))
     assert (info.value.k, info.value.expected, info.value.measured) == \
         (1, "3", "33")
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)], ids=str)
+def test_case_table_reads_no_unchecked_table(params, monkeypatch):
+    # without char_sums, the case table checks the char-sum table first: a
+    # flipped beta power raises the char-sum violation, with its witness k
+    # and H-set, and no spectrum is read off the corrupted table
+    system = build_system(*params)
+    ctx = build_extension(system.half_period)
+    calls, real = [], extfield.measure_spectrum
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extfield, "measure_spectrum", spy)
+    for position in range(ctx.N):
+        bp = ctx.beta_powers.copy()
+        bp[position] ^= 1
+        bad = dataclasses.replace(ctx, beta_powers=bp)
+        got = _outcome(verify_case_table, system, bad, DEFAULT_MAPPING)
+        assert got == _outcome(verify_char_sum_tables, system, bad)
+        assert got[0] == "LemmaViolation", position
+        assert {"k", "cell"} <= got[2]["witness"].keys()
+    assert not calls
+    assert verify_case_table(system, ctx, DEFAULT_MAPPING).checked == ctx.N
+    assert len(calls) == 1
 
 
 def test_verify_cap_keeps_products_in_int32():
@@ -659,14 +692,15 @@ def test_blocked_kernel_matches_single_block(monkeypatch):
             if cid.shape in DOUBLED_SHAPES] + [np.array([], dtype=np.int64)]
     ks = np.append(np.arange(-3, 2 * ctx.N), 10**15 + 7)
     whole = extfield._power_sums(ctx.beta_powers, sets, ks)
-    spectrum = measure_spectrum(system, ctx, DEFAULT_MAPPING)
+    seq = build_sequence(system, DEFAULT_MAPPING)
+    spectrum = measure_spectrum(ctx, _unchecked_report(system, ctx), seq)
     witness = _outcome(verify_char_sum_tables, system, bad)
     for budget in (1, 50, 1000):
         monkeypatch.setattr(extfield, "_BLOCK_ELEMENTS", budget)
         assert np.array_equal(
             extfield._power_sums(ctx.beta_powers, sets, ks), whole)
-        assert np.array_equal(
-            measure_spectrum(system, ctx, DEFAULT_MAPPING), spectrum)
+        assert np.array_equal(measure_spectrum(
+            ctx, _unchecked_report(system, ctx), seq), spectrum)
         assert _outcome(verify_char_sum_tables, system, bad) == witness
     assert not whole[:, -1].any()
     for r in list(range(40)) + [len(ks) - 1]:
