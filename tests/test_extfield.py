@@ -271,6 +271,16 @@ def test_case_table_values(sys15, ctx15, sys21, ctx21):
     assert d["checked"] == 21 and d["all_values_nonzero"] is True
 
 
+def test_case_table_cross_checks_complexity(sys21, ctx21):
+    # nonzero spectrum everywhere is equivalent to LC = 2N, measured both ways
+    for mapping in (DEFAULT_MAPPING, Mapping(0, 3, 1, 2, 1),
+                    Mapping(3, 2, 0, 1, 1)):
+        rep = verify_case_table(sys21, ctx21, mapping)
+        seq = build_sequence(sys21, mapping)
+        lc = lc_via_gcd(seq.symbols)[0]
+        assert rep.max_complexity_predicted == (lc == seq.period)
+
+
 @pytest.mark.parametrize("params", [(3, 5), (3, 7), (17, 3)], ids=str)
 def test_case_table_verdicts_agree_with_lc(params):
     # on every mapping verify_case_table accepts, the measured spectrum has
