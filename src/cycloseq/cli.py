@@ -15,6 +15,12 @@ the constants it built once.
 In the verify report, partition_ok: true rests on the system build, which
 paints the partition and raises PartitionViolation (exit 1) on an index
 left unlabeled or on more writes than Z_2N has indices.
+
+generate, analyze and sweep get their systems from
+cyclotomy.build_system, which holds what it painted (periods summing to
+at most cyclotomy.HELD_POSITIONS), so later main() calls in one process
+repaint no system; each call still checks its own --cap. verify paints
+its system afresh, after the extension-field caps, and holds none.
 """
 
 import argparse
@@ -70,7 +76,10 @@ def _parse_grid(pairs_text, exponents_text):
 
 
 def _emit(payload, fmt, out_path=None):
-    if fmt == "json":
+    if fmt == "json" and isinstance(payload, list):
+        # one sweep row per line, by json's C encoder, which indent bypasses
+        text = "[\n" + ",\n".join(map(json.dumps, payload)) + "\n]\n"
+    elif fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         rows = [_flatten(r) for r in

@@ -30,9 +30,21 @@ reads only its labels, and the class tables, which only verify's checks
 read, are derived from it on first read. A paint that does not tile
 raises PartitionViolation, its witness the least unlabeled index among
 the bare odd positions and their doubles.
+
+build_system holds the systems it has painted, keyed by (p, q, m, n), so
+a process paints each system once: a sweep per mapping over one grid
+repaints nothing. The least recently used system goes first, and the
+held periods sum to at most HELD_POSITIONS label positions (16 MB of
+int16); a system larger than that is returned and not held. Every call
+is still checked against its cap, and a call that raises holds nothing.
+A held system is read-only: its partition, its class tables, the
+mapping of them and its constants' order tables.
 """
 
+import collections
 import functools
+import threading
+import types
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,6 +59,9 @@ DOUBLED_SHAPES = ("2pq", "2p", "2q")
 ZERO_LABEL = "zero"
 HALF_LABEL = "half"
 BUCKETS = ("zero", "half", "a", "b", "c", "d")
+# label positions build_system may hold: a census of the 980 pairs with
+# pq <= 5 000 at (1, 1) paints 4 904 576
+HELD_POSITIONS = 2**23
 
 
 class ClassId(NamedTuple):
@@ -176,7 +191,8 @@ class CyclotomicSystem:
 
     Immutable after construction; partition holds indices into labels.
     classes, keyed by ClassId with doubled=False, is derived on first read
-    and kept: each label's positions, ascending, divided by its cofactor.
+    and kept: each label's positions, ascending, divided by its cofactor,
+    in a read-only mapping of read-only arrays.
     """
 
     constants: SystemConstants
@@ -189,8 +205,11 @@ class CyclotomicSystem:
         order = np.argsort(self.partition, kind="stable")
         ends = np.cumsum(np.bincount(self.partition,
                                      minlength=len(labels))).tolist()
-        return {ClassId(*lab[:4]): order[start:end] // cofactor_of(c, lab)
-                for lab, start, end in zip(labels[2:], ends[1:], ends[2:])}
+        classes = {ClassId(*lab[:4]): order[start:end] // cofactor_of(c, lab)
+                   for lab, start, end in zip(labels[2:], ends[1:], ends[2:])}
+        for table in classes.values():
+            table.flags.writeable = False
+        return types.MappingProxyType(classes)
 
     @property
     def period(self):
@@ -241,9 +260,54 @@ def _paint_partition(constants, classes, labels):
     raise PartitionViolation(t, f"labeled twice by {labels[part[t]]}")
 
 
+class _HeldSystems:
+    """Painted systems by key, least recently used first, whose periods
+    sum to at most budget positions; safe to share between threads."""
+
+    def __init__(self, budget):
+        self.budget, self.positions = budget, 0
+        self.systems = collections.OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, key, cap):
+        # a system over cap is not returned: the cold call raises
+        with self.lock:
+            system = self.systems.get(key)
+            if system is None or system.period > cap:
+                return None
+            self.systems.move_to_end(key)
+            return system
+
+    def hold(self, key, system):
+        # two threads may paint one key; the first to finish is held
+        with self.lock:
+            if system.period > self.budget or key in self.systems:
+                return
+            while self.positions + system.period > self.budget:
+                self.positions -= self.systems.popitem(last=False)[1].period
+            self.systems[key] = system
+            self.positions += system.period
+
+    def clear(self):
+        with self.lock:
+            self.systems.clear()
+            self.positions = 0
+
+
+HELD = _HeldSystems(HELD_POSITIONS)
+
+
 def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
-    """Build constants and the partition off one power table."""
-    return _system_from_constants(build_system_constants(p, q, m, n, cap=cap))
+    """Build constants and the partition off one power table, or return
+    the system an earlier call built, when its period is within cap."""
+    # typed, as 3.0 == 3 while a cold call refuses 3.0
+    key = (p, q, m, n, type(p), type(q), type(m), type(n))
+    system = HELD.get(key, cap)
+    if system is None:
+        system = _system_from_constants(
+            build_system_constants(p, q, m, n, cap=cap))
+        HELD.hold(key, system)
+    return system
 
 
 def _system_from_constants(constants):

@@ -402,8 +402,10 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     The spectrum is read off a checked table only: char_sums, or
     verify_char_sum_tables run here, which raises LemmaViolation before
     any spectrum is read. The sequence is seq, or built here by
-    build_sequence, the gate on mappings.
+    build_sequence, the gate on mappings. InvalidParams, naming both
+    values, when system, context and char_sums disagree on N.
     """
+    _check_same_n(system, context, char_sums)
     char_sums = char_sums or verify_char_sum_tables(system, context)
     seq = seq or build_sequence(system, mapping)
     prof = spectrum_profile(system, mapping)
@@ -472,6 +474,16 @@ _CHAR_SUM_DETAIL = {
 }
 
 
+def _check_same_n(system, context, char_sums=None):
+    N = context.N
+    if system.half_period != N:
+        raise InvalidParams(f"system has N = {system.half_period}, "
+                            f"context N = {N}")
+    if char_sums is not None and char_sums.k_count + 1 != N:
+        raise InvalidParams(f"char sums were checked for N = "
+                            f"{char_sums.k_count + 1}, context N = {N}")
+
+
 def verify_char_sum_tables(system, context):
     """Check every character sum over every doubled-modulus H-set.
 
@@ -489,9 +501,8 @@ def verify_char_sum_tables(system, context):
     H-sets (i, h) and the 2q H-sets (j, h); the expected and measured
     values are remainder digits, as in verify_case_table.
     """
+    _check_same_n(system, context)
     c, N = system.constants, context.N
-    if c.half_period != N:
-        raise InvalidParams("context was built for a different N")
     periods = _gaussian_periods(context, c.p, c.q)
     params = c.p, c.q, c.m, c.n
     rows = np.array([analysis.cell_char_sums(*params, key, periods)

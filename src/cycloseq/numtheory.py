@@ -14,6 +14,7 @@ trivial on the q side, and the order tables e_ij / d_ij.
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InvalidParams, NotCoprime
@@ -114,7 +115,8 @@ class SystemConstants:
     range; y lifts g on the p side and 1 on the q side. e_ij and d_ij are
     keyed by the family index (i, j) with 0 <= i <= m, 0 <= j <= n, not
     both 0; d_ij is the order of g modulo p^i q^j, |units| = d_ij * e_ij,
-    and e_ij = 1 on the prime-power families (i = 0 or j = 0).
+    and e_ij = 1 on the prime-power families (i = 0 or j = 0). Both are
+    read-only mappings.
     """
 
     p: int
@@ -125,8 +127,8 @@ class SystemConstants:
     g2: int
     g: int
     y: int
-    e_ij: dict = field(repr=False)
-    d_ij: dict = field(repr=False)
+    e_ij: types.MappingProxyType = field(repr=False)
+    d_ij: types.MappingProxyType = field(repr=False)
 
     @property
     def half_period(self):
@@ -178,4 +180,5 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
                 e_ij[(i, j)] = e
                 d_ij[(i, j)] = op * oq // e
     return SystemConstants(p=p, q=q, m=m, n=n, g1=g1, g2=g2, g=g, y=y,
-                           e_ij=e_ij, d_ij=d_ij)
+                           e_ij=types.MappingProxyType(e_ij),
+                           d_ij=types.MappingProxyType(d_ij))

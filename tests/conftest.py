@@ -1,5 +1,5 @@
-"""Shared test plumbing: the acceptance verdict report, and systems whose
-class tables are given rather than derived.
+"""Shared test plumbing: the acceptance verdict report, systems whose
+class tables are given rather than derived, and builds that paint.
 
 Criterion tests append one line each; the terminal-summary hook prints
 them after capture ends so the verdicts show under any pytest invocation.
@@ -8,6 +8,8 @@ them after capture ends so the verdicts show under any pytest invocation.
 import dataclasses
 
 import pytest
+
+from cycloseq import cyclotomy
 
 ACCEPTANCE_VERDICTS = []
 
@@ -37,3 +39,10 @@ def with_classes(system, classes, partition=None):
     # classes is a cached property: filling its slot skips the derivation
     object.__setattr__(out, "classes", classes)
     return out
+
+
+@pytest.fixture
+def cold_builds():
+    """build_system holds no system, so the test's first build of each
+    system paints it, through any patch the test has made."""
+    cyclotomy.HELD.clear()

@@ -476,6 +476,7 @@ def _run_in(directory, capsys, monkeypatch, argv, fresh):
     monkeypatch.chdir(directory)
     if fresh:
         cli._shared_parser.cache_clear()
+        cyclotomy.HELD.clear()
     before = set(directory.iterdir())
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -499,7 +500,8 @@ def test_successive_calls_share_one_parser(tmp_path, capsys, monkeypatch):
         assert one == other, argv
 
 
-def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch):
+def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch,
+                                                  cold_builds):
     def no_classes(*args):
         raise AssertionError("a capped verify built a class table")
 
@@ -542,7 +544,7 @@ def _outcome(capsys, argv, out):
 
 
 def test_only_verify_derives_the_class_tables(tmp_path, capsys,
-                                              monkeypatch):
+                                              monkeypatch, cold_builds):
     # sweep, analyze and generate read only the partition labels: with the
     # class-table derivation raising, they give the same bytes and codes
     out = str(tmp_path / "s.txt")
@@ -628,7 +630,55 @@ def test_sweep_builds_each_system_once(capsys, monkeypatch):
                if r["p"] == r["q"])
 
 
-def test_default_sweep_searches_one_root_per_prime(capsys):
+def test_sweeps_in_one_process_paint_each_system_once(capsys, monkeypatch,
+                                                     cold_builds):
+    # one sweep per mapping over one grid: the first paints, the rest and
+    # an analyze of a grid system reuse; verify paints its own
+    painted, real = [], cyclotomy._system_from_constants
+
+    def spy(c):
+        painted.append((c.p, c.q, c.m, c.n))
+        return real(c)
+
+    for module in (cli, cyclotomy):
+        monkeypatch.setattr(module, "_system_from_constants", spy)
+    grid = ("--pairs", "3:5,3:7,5:7", "--exponents", "1:1,2:1")
+    first = run(capsys, "sweep", *grid)
+    assert run(capsys, "sweep", *grid) == first
+    for argv in (("--map", "0,1,2,3,2"), ("--degenerate",)):
+        run(capsys, "sweep", *grid, *argv)
+    assert run(capsys, "analyze", "--p", "5", "--q", "7", "--m", "2")[0] == 0
+    assert Counter(painted) == {(p, q, m, n): 1 for p, q in
+                                ((3, 5), (3, 7), (5, 7))
+                                for m, n in ((1, 1), (2, 1))}
+    # a held system is still checked against each call's cap
+    assert run(capsys, "analyze", "--p", "3", "--q", "5", "--cap", "29") \
+        == (3, "", "error: period 30 exceeds cap 29\n")
+    painted.clear()
+    assert run(capsys, "verify", "--p", "3", "--q", "5")[0] == 0
+    assert painted == [(3, 5, 1, 1)]
+
+
+def test_sweep_json_holds_one_row_per_line(capsys):
+    code, out, _ = run(capsys, "sweep", "--pairs", "3:5,3:3,3:7",
+                       "--exponents", "1:1,2:1", "--degenerate")
+    rows, lines = json.loads(out), out.splitlines()
+    assert code == 2 and len(rows) == 12
+    assert lines[0] == "[" and lines[-1] == "]" and out.endswith("]\n")
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == rows
+    code, csv_out, _ = run(capsys, "sweep", "--pairs", "3:5,3:3,3:7",
+                           "--exponents", "1:1,2:1", "--degenerate",
+                           "--format", "csv")
+    assert [{k: str(v) for k, v in cli._flatten(row).items()}
+            for row in rows] == _csv_rows(csv_out)
+    # analyze and verify keep their indented reports
+    for argv in (("analyze", "--p", "3", "--q", "5"),
+                 ("verify", "--p", "3", "--q", "5")):
+        _, out, _ = run(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
+def test_default_sweep_searches_one_root_per_prime(capsys, cold_builds):
     # 12 systems over the primes 3, 5, 7 and 11: 24 lookups, 4 searches
     root = numtheory.smallest_odd_primitive_root_mod_p2
     root.cache_clear()
@@ -690,7 +740,7 @@ def test_period_ceiling_holds_past_any_cap(capsys):
     (MemoryError("Unable to allocate 9.62 GiB"),
      "Unable to allocate 9.62 GiB")])
 def test_memory_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch,
-                                            error, line):
+                                            cold_builds, error, line):
     # numpy's allocation failure is a MemoryError with a one-line message
     def out_of_memory(*args):
         raise error

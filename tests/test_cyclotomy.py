@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from cycloseq.cyclotomy import (BUCKETS, ClassId, CyclotomicSystem,
                                 build_system, check_residue_rules,
                                 check_structural_lemmas, cofactor_of, h_set,
                                 partition_labels, residue_side_of_2)
-from cycloseq.errors import InvalidParams, LemmaViolation, PartitionViolation
+from cycloseq.errors import (CapExceeded, InvalidParams, LemmaViolation,
+                             PartitionViolation)
 from cycloseq.numtheory import (PERIOD_CEILING, build_system_constants,
                                 euler_phi)
 
@@ -340,7 +343,7 @@ def test_class_id_validation(sys15):
     assert list(sys15.classes[ClassId("2q", 0, 1, 1)]) == [3, 7]
 
 
-def test_collapsed_class_enumeration_raises(monkeypatch):
+def test_collapsed_class_enumeration_raises(monkeypatch, cold_builds):
     # a g table of period 2 where the constants claim order 4: the two
     # D_0 rows of the first modulus, p q, coincide, and 2N writes leave
     # the odd indices 7, 17, 19, ... unpainted, 17 the odd place of pq's
@@ -358,7 +361,8 @@ def test_collapsed_class_enumeration_raises(monkeypatch):
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 5, 2, 1),
                                     (3, 7, 2, 2)])
-def test_each_subgroup_enumerated_once_per_modulus(monkeypatch, params):
+def test_each_subgroup_enumerated_once_per_modulus(monkeypatch, cold_builds,
+                                                   params):
     # one power table serves every modulus: two _powers calls per build,
     # the powers of g and of y, both modulo 2N
     calls = []
@@ -717,3 +721,115 @@ def test_overclaimed_order_fails_as_the_reference_builder():
         cyclotomy._system_from_constants(bad)
     assert got.value.index == c.period == 90
     assert str(got.value) == "index 90: 94 writes for 90 indices"
+
+
+def test_a_repeated_build_returns_the_held_system(cold_builds):
+    system = build_system(3, 5, 1, 1)
+    assert build_system(3, 5, 1, 1) is system
+    assert build_system(3, 5, 1, 1, cap=30) is system
+    # 3.0 == 3, but a cold call refuses it, so a held system must too
+    with pytest.raises(TypeError):
+        build_system(3.0, 5, 1, 1)
+
+
+def test_a_held_system_over_cap_raises_as_a_cold_call(cold_builds):
+    build_system(*LADDER_TOP)
+    with pytest.raises(CapExceeded) as held:
+        build_system(*LADDER_TOP, cap=100)
+    cyclotomy.HELD.clear()
+    with pytest.raises(CapExceeded) as cold:
+        build_system(*LADDER_TOP, cap=100)
+    assert str(held.value) == str(cold.value) == (
+        "period 2 * 3^4 * 5^3 exceeds cap 100")
+    assert not cyclotomy.HELD.systems
+
+
+def test_a_failed_paint_is_not_held(monkeypatch, cold_builds):
+    monkeypatch.setattr(cyclotomy, "_powers",
+                        lambda base, count, mod: np.ones(count, np.int64))
+    for _ in range(2):
+        with pytest.raises(PartitionViolation):
+            build_system(3, 5, 1, 1)
+    assert not cyclotomy.HELD.systems and cyclotomy.HELD.positions == 0
+
+
+def test_held_positions_stay_within_the_budget(monkeypatch):
+    # periods 30, 42, 70 and 90 in a 200-position budget
+    held = cyclotomy._HeldSystems(200)
+    monkeypatch.setattr(cyclotomy, "HELD", held)
+    assert cyclotomy.HELD_POSITIONS == 2**23
+
+    def keys():
+        return [key[:4] for key in held.systems]
+
+    for params in ((3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1)):
+        build_system(*params)
+    assert keys() == [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1)]
+    # a hit is the most recent; a new system evicts the least recent
+    build_system(3, 5, 1, 1)
+    build_system(3, 5, 2, 1)
+    assert keys() == [(5, 7, 1, 1), (3, 5, 1, 1), (3, 5, 2, 1)]
+    assert held.positions == 70 + 30 + 90
+    # P = 450 is past the budget: returned, not held, and evicting nothing
+    big = build_system(3, 5, 2, 2)
+    assert big.period == 450 and build_system(3, 5, 2, 2) is not big
+    assert keys() == [(5, 7, 1, 1), (3, 5, 1, 1), (3, 5, 2, 1)]
+    for params in GRID:
+        build_system(*params)
+        assert held.positions == sum(
+            s.period for s in held.systems.values()) <= 200
+
+
+def test_threads_share_the_held_systems(monkeypatch):
+    # 8 threads build the grid's 7 systems in a 200-position budget; a
+    # lost update would leave the count off the held periods, or evict
+    # from an empty memo
+    held = cyclotomy._HeldSystems(200)
+    monkeypatch.setattr(cyclotomy, "HELD", held)
+    want = {params: build_system_constants(*params).period
+            for params in GRID}
+    failures = []
+
+    def work(seed):
+        try:
+            for k in range(40):
+                params = GRID[(seed + 3 * k) % len(GRID)]
+                assert build_system(*params).period == want[params]
+        except Exception as exc:  # reported below, by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert held.positions == sum(
+        s.period for s in held.systems.values()) <= 200
+
+
+def test_held_systems_are_read_only():
+    system = build_system(3, 5, 1, 1)
+    cid = ClassId("pq", 1, 1, 0)
+    with pytest.raises(TypeError):
+        system.classes[cid] = np.arange(4)
+    with pytest.raises(ValueError):
+        system.classes[cid][0] = 0
+    with pytest.raises(ValueError):
+        system.classes[cid] += 1
+    with pytest.raises(ValueError):
+        system.partition[0] = 1
+    with pytest.raises(TypeError):
+        system.constants.d_ij[1, 1] = 1
+    # copies stay writable, and systems built from them work
+    classes = dict(system.classes)
+    classes[cid] = classes[cid][1:]
+    assert check_structural_lemmas(with_classes(system, classes))
+    assert build_system(3, 5, 1, 1).classes[cid].tolist() == [1, 4, 11, 14]

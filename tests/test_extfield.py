@@ -237,6 +237,24 @@ def test_context_mismatch(sys15, ctx21):
         verify_case_table(sys15, ctx21, DEFAULT_MAPPING)
 
 
+def test_case_table_names_both_values_of_a_mismatched_n(sys15, ctx15, sys21,
+                                                       ctx21):
+    # a char-sum report, a system and a context for different N are
+    # refused by name, both ways, before any table is read
+    chars15 = verify_char_sum_tables(sys15, ctx15)
+    chars21 = verify_char_sum_tables(sys21, ctx21)
+    for system, ctx, chars, message in (
+            (sys15, ctx15, chars21, "char sums were checked for N = 21, "
+                                    "context N = 15"),
+            (sys21, ctx21, chars15, "char sums were checked for N = 15, "
+                                    "context N = 21"),
+            (sys15, ctx21, chars21, "system has N = 15, context N = 21"),
+            (sys21, ctx15, chars15, "system has N = 21, context N = 15")):
+        with pytest.raises(InvalidParams) as info:
+            verify_case_table(system, ctx, DEFAULT_MAPPING, char_sums=chars)
+        assert str(info.value) == message
+
+
 def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
     # direct Horner evaluation of S(x) at beta^k, for every mapping and k; a
     # GF4 scalar embeds as the packed constant (gf4.pack_scalar), so xor-ing

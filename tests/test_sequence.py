@@ -201,7 +201,7 @@ ALL_MAPPINGS = tuple(Mapping(*perm, e)
 
 
 @pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
-def test_spectrum_profile_reads_p_and_q_alone(p, q):
+def test_spectrum_profile_reads_p_and_q_alone(cold_builds, p, q):
     assert len({(p % 8, q % 8) for p, q in CLASS_PAIRS}) == 16
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
