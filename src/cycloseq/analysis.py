@@ -64,9 +64,11 @@ table is cell_char_sums per cell, the periods measured in F_{4^d}.
 Where they run: analyze and verify measure by the gcd route, then by BM,
 and require the lengths to agree and the gcd route's minimal polynomial
 to generate the sequence (analyze_symbols, verify_theorem); theirs is the
-one call of minimal_planes. sweep, plain and --degenerate, measures by
-the gcd route alone, reads its LC and no polynomial, and requires it to
-equal predict_lc (checked_lc).
+one call of minimal_planes. They hand in digits, which lc_via_gcd turns
+into planes. sweep, plain and --degenerate, measures by the gcd route
+alone, on the planes the sequence ORs from its system's bucket planes
+(lc_via_gcd_planes, with no digits made), reads its LC and no polynomial,
+and requires it to equal predict_lc (checked_lc).
 """
 
 import functools
@@ -148,7 +150,19 @@ def berlekamp_massey(symbols):
 
 
 def lc_via_gcd(symbols):
-    """Linear complexity from gcd(x^P - 1, S(x)) for one full period.
+    """Linear complexity from gcd(x^P - 1, S(x)) for one full period of
+    digits: lc_via_gcd_planes on their gf4 planes."""
+    s = np.asarray(symbols, dtype=np.uint8)
+    if len(s) == 0:
+        raise InvalidParams("need at least one symbol")
+    if s.max() > 3:
+        raise InvalidParams("symbols must be field elements 0..3")
+    return lc_via_gcd_planes(len(s), *gf4.to_planes(s))
+
+
+def lc_via_gcd_planes(period, hi, lo):
+    """Linear complexity from gcd(x^P - 1, S(x)), S given by its planes
+    and P = period >= 1.
 
     Returns (lc, factors): the gf4 planes of the folded steps' monic G_j
     of the module docstring, in order and stopping before the first
@@ -157,15 +171,8 @@ def lc_via_gcd(symbols):
     nothing is divided; minimal_planes does that where the minimal
     polynomial is read.
     """
-    s = np.asarray(symbols, dtype=np.uint8)
-    period = len(s)
-    if period == 0:
-        raise InvalidParams("need at least one symbol")
-    if s.max(initial=0) > 3:
-        raise InvalidParams("symbols must be field elements 0..3")
     twos = (period & -period).bit_length() - 1
     odd, step = period >> twos, 1 << twos
-    planes = gf4.to_planes(s)
     # the bits t = 0 mod 2^a; as j < 2^a, the bits t with t & j == j are
     # its shifts by the r < 2^a with r & j == j
     every_step = ((1 << period) - 1) // ((1 << step) - 1)
@@ -173,7 +180,7 @@ def lc_via_gcd(symbols):
     factors = []
     for j in range(step):
         mask = sum(every_step << r for r in range(step) if r & j == j)
-        hasse = [x & mask for x in planes]
+        hasse = [x & mask for x in (hi, lo)]
         for width in (odd << k for k in reversed(range(twos))):  # the fold
             hasse = [(x >> width) ^ (x & ((1 << width) - 1)) for x in hasse]
         common = gf4.gcd_planes(*common, *hasse)
@@ -346,7 +353,7 @@ def checked_lc(seq):
     sweep's measurement. Raises MethodDisagreement naming both values and
     the mapping when they differ.
     """
-    lc, _ = lc_via_gcd(seq.symbols)
+    lc, _ = lc_via_gcd_planes(seq.period, *seq.planes)
     predicted = predict_lc(seq.constants, seq.mapping)
     if lc != predicted:
         raise MethodDisagreement(

@@ -26,8 +26,9 @@ half is their image under t -> 2t mod 2 p^m q^n. That tiling, its odd
 half painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below
 the period ceiling of numtheory) and its even half copied from the odd,
 is stored as a label array and is the single source of truth: a sequence
-reads only its labels, and the class tables, which only verify's checks
-read, are derived from it on first read. A paint that does not tile
+reads only its labels, or the per-bucket indicator planes derived from
+them on first read, and the class tables, which only verify's checks
+read, are derived from it on first read too. A paint that does not tile
 raises PartitionViolation, its witness the least unlabeled index among
 the bare odd positions and their doubles.
 
@@ -38,7 +39,8 @@ held periods sum to at most HELD_POSITIONS label positions (16 MB of
 int16); a system larger than that is returned and not held. Every call
 is still checked against its cap, and a call that raises holds nothing.
 A held system is read-only: its partition, its class tables, the
-mapping of them and its constants' order tables.
+mapping of them, its bucket planes and its constants' order tables; it
+keeps what it derived, so each system derives them once per process.
 """
 
 import collections
@@ -192,7 +194,9 @@ class CyclotomicSystem:
     Immutable after construction; partition holds indices into labels.
     classes, keyed by ClassId with doubled=False, is derived on first read
     and kept: each label's positions, ascending, divided by its cofactor,
-    in a read-only mapping of read-only arrays.
+    in a read-only mapping of read-only arrays. So is bucket_planes: per
+    bucket, in BUCKETS order, the int whose bit t is set when position t
+    lies in the bucket, from which a sequence ORs its gf4 planes.
     """
 
     constants: SystemConstants
@@ -210,6 +214,15 @@ class CyclotomicSystem:
         for table in classes.values():
             table.flags.writeable = False
         return types.MappingProxyType(classes)
+
+    @functools.cached_property
+    def bucket_planes(self):
+        c = self.constants
+        codes = bucket_codes(c.m, c.n).astype(np.uint8)[self.partition]
+        return tuple(
+            int.from_bytes(np.packbits(codes == b, bitorder="little"),
+                           "little")
+            for b in range(len(BUCKETS)))
 
     @property
     def period(self):

@@ -15,13 +15,16 @@ polynomial is (0, 0). Adding is one exclusive-or per plane, shifting by
 x^k one shift per plane, a scalar multiple a mix of the planes
 (planes_scale), a product three carry-less products; division, gcd and
 the monic multiple take and return planes too, and the gcd keeps only
-remainders, never forming a quotient. The leading digit is read
-off the planes' lengths: 1 when lo is longer, else 2 plus lo's top bit.
+remainders, never forming a quotient; it makes each divisor monic
+inline and cancels each leading digit with one of the divisor's three
+multiples. The leading digit is read off the planes' lengths: 1 when lo
+is longer, else 2 plus lo's top bit.
 
 Digits are the edge: a numpy uint8 array, index = power of x, with no
 trailing zeros (the zero polynomial is empty), as in reports, sequence
 files, witnesses and extfield's modulus search. to_planes and from_planes
-convert, and poly_to_digits writes the text.
+convert, and poly_to_digits writes the text. A sweep row never converts:
+its planes come straight from the system's bucket planes.
 
 An element of F_{4^d} = GF(4)[X]/(f), f monic of degree d, packs its
 remainder's planes into one int: lo in bits 0..d-1, hi in bits d..2d-1.
@@ -134,20 +137,39 @@ def gcd_planes(a1, a0, b1, b0):
     if not (a1 | a0 | b1 | b0):
         raise InvalidParams("gcd(0, 0) is undefined")
     while b1 | b0:
-        # a mod b, no quotient: a's leading digit d cancels against d x^k b
-        b1, b0 = monic_planes(b1, b0)
-        size = b0.bit_length()
-        scaled = (None, (b1, b0), (b1 ^ b0, b1), (b0, b1 ^ b0))
+        # b made monic inline: times alpha when it leads with alpha^2,
+        # times alpha^2 when it leads with alpha; mix = hi + lo follows.
+        # Scaling the multiples instead gives the same gcd but carries
+        # non-monic remainders, whose planes are often both long where a
+        # monic one has a short plane, and so runs slower.
+        size, top = b0.bit_length(), b1.bit_length()
+        mix = b1 ^ b0
+        if size <= top:
+            if b0 >> (top - 1):
+                b1, b0, mix = mix, b1, b0
+            else:
+                b1, b0, mix = b0, mix, b1
+            size = top
+        # a mod b, no quotient: a's leading digit d cancels against d x^k b,
+        # which is b, alpha b = (mix, b1) or alpha^2 b = (b0, mix)
         while True:
-            top, low = a1.bit_length(), a0.bit_length()
+            low, top = a0.bit_length(), a1.bit_length()
             if low > top:
-                top, d = low, 1
-            elif top:
-                d = 2 | (a0 >> (top - 1))
-            if top < size:
-                break
-            m1, m0 = scaled[d]
-            a1, a0 = a1 ^ (m1 << (top - size)), a0 ^ (m0 << (top - size))
+                shift = low - size
+                if shift < 0:
+                    break
+                a1 ^= b1 << shift
+                a0 ^= b0 << shift
+            else:
+                shift = top - size
+                if shift < 0:
+                    break
+                if a0 >> (top - 1):
+                    a1 ^= b0 << shift
+                    a0 ^= mix << shift
+                else:
+                    a1 ^= mix << shift
+                    a0 ^= b1 << shift
         a1, a0, b1, b0 = b1, b0, a1, a0
     return monic_planes(a1, a0)
 

@@ -10,21 +10,28 @@ when p = +/-1, b or b+c when p = +/-3). build_sequence is the one gate;
 mappings violating only the mod-8 rule pass it with allow_degenerate.
 analysis.predict_lc, not the rule, decides full complexity, and the two
 disagree on some mappings; spectrum_profile predicts S(beta^k) per regime.
-write_sequence_file writes the digits and their sidecar all or nothing.
+
+As s = sum over buckets of v_b 1_b, a sequence is held as its system and
+mapping, and each form of s is made on first read: its gf4 planes, ORs of
+the system's bucket planes, which is all a sweep row reads, or its uint8
+digits, one gather, which generate, analyze and verify read. Digits are
+the I/O form: write_sequence_file writes them and their sidecar all or
+nothing.
 """
 
 import contextlib
+import functools
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gf4
-from .cyclotomy import BUCKETS, bucket_codes
+from .cyclotomy import BUCKETS, CyclotomicSystem, bucket_codes
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
-from .numtheory import SystemConstants, two_is_square_mod
+from .numtheory import two_is_square_mod
 
 MAPPING_FIELDS = ("a", "b", "c", "d", "e")
 
@@ -114,19 +121,53 @@ def validate_mapping(p, mapping):
 
 @dataclass(frozen=True)
 class QuaternarySequence:
-    """One full period of the sequence plus the parameters that built it."""
+    """One period of the sequence as the system and mapping that build it.
 
-    symbols: np.ndarray
-    constants: SystemConstants
+    Its two views are made on first read and kept: planes, where a
+    bucket's plane joins hi when bit 1 of its symbol is set and lo when bit
+    0 is, and symbols, a read-only uint8 array, one digit per position,
+    trailing zeros included.
+    """
+
+    system: CyclotomicSystem = field(repr=False)
     mapping: Mapping
 
     @property
+    def constants(self):
+        return self.system.constants
+
+    @property
     def period(self):
-        return len(self.symbols)
+        return self.system.period
+
+    @functools.cached_property
+    def planes(self):
+        hi = lo = 0
+        for value, plane in zip(_bucket_symbols(self.mapping),
+                                self.system.bucket_planes):
+            if value & 2:
+                hi |= plane
+            if value & 1:
+                lo |= plane
+        return hi, lo
+
+    @functools.cached_property
+    def symbols(self):
+        c = self.constants
+        lut = np.array(_bucket_symbols(self.mapping),
+                       dtype=np.uint8)[bucket_codes(c.m, c.n)]
+        symbols = lut[self.system.partition]
+        symbols.flags.writeable = False
+        return symbols
+
+
+def _bucket_symbols(mapping):
+    # one symbol per bucket, in cyclotomy.BUCKETS order
+    return 0, mapping.e, mapping.a, mapping.b, mapping.c, mapping.d
 
 
 def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
-    """Evaluate the mapping over the partition in one vectorized gather.
+    """The sequence of a mapping over the partition, its views unmade.
 
     The one gate on mappings: InvalidMapping lists every violation
     validate_mapping finds, or with allow_degenerate only the structural
@@ -136,15 +177,7 @@ def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
            else validate_mapping(system.constants.p, mapping))
     if bad:
         raise InvalidMapping(bad)
-
-    # one symbol per bucket, in cyclotomy.BUCKETS order, then per label
-    c = system.constants
-    lut = np.array((0, mapping.e, mapping.a, mapping.b, mapping.c, mapping.d),
-                   dtype=np.uint8)[bucket_codes(c.m, c.n)]
-    symbols = lut[system.partition]
-    symbols.flags.writeable = False
-    return QuaternarySequence(symbols=symbols, constants=system.constants,
-                              mapping=mapping)
+    return QuaternarySequence(system=system, mapping=mapping)
 
 
 @dataclass(frozen=True)

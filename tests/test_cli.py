@@ -528,11 +528,12 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch,
     assert (code, err) == (3, "error: period 30 exceeds cap 10\n")
 
 
-def _patch_class_tables(monkeypatch, derive):
-    # CyclotomicSystem.classes becomes a cached property around derive
+def _patch_class_tables(monkeypatch, derive, name="classes"):
+    # CyclotomicSystem.classes, or the cached property name, becomes a
+    # cached property around derive
     prop = functools.cached_property(derive)
-    prop.__set_name__(cyclotomy.CyclotomicSystem, "classes")
-    monkeypatch.setattr(cyclotomy.CyclotomicSystem, "classes", prop)
+    prop.__set_name__(cyclotomy.CyclotomicSystem, name)
+    monkeypatch.setattr(cyclotomy.CyclotomicSystem, name, prop)
 
 
 def _outcome(capsys, argv, out):
@@ -657,6 +658,38 @@ def test_sweeps_in_one_process_paint_each_system_once(capsys, monkeypatch,
     painted.clear()
     assert run(capsys, "verify", "--p", "3", "--q", "5")[0] == 0
     assert painted == [(3, 5, 1, 1)]
+
+
+def test_sweep_rows_read_only_the_held_bucket_planes(capsys, monkeypatch,
+                                                     cold_builds):
+    # a held system derives its bucket planes at its first row, and every
+    # row's sequence ORs its planes from them and gathers no digits
+    derived, seqs = [], []
+    real = cyclotomy.CyclotomicSystem.__dict__["bucket_planes"].func
+
+    def derive(system):
+        c = system.constants
+        derived.append((c.p, c.q, c.m, c.n))
+        return real(system)
+
+    def spy(seq, real_lc=analysis.checked_lc):
+        seqs.append(seq)
+        return real_lc(seq)
+
+    _patch_class_tables(monkeypatch, derive, name="bucket_planes")
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "checked_lc", spy)
+    grid = ("--pairs", "3:5,7:17,5:3", "--exponents", "1:1,2:1")
+    for argv in ((), ("--map", "1,0,2,3,1"), ("--degenerate",)):
+        # (7, 17) has degenerate rows below the floor: exit 1
+        code = run(capsys, "sweep", *grid, *argv)[0]
+        assert code == ("--degenerate" in argv)
+    assert Counter(derived) == {(p, q, m, n): 1 for p, q in
+                                ((3, 5), (7, 17), (5, 3))
+                                for m, n in ((1, 1), (2, 1))}
+    assert len(seqs) == 6 + 6 + 10
+    for seq in seqs:
+        assert "planes" in vars(seq) and "symbols" not in vars(seq)
 
 
 def test_sweep_json_holds_one_row_per_line(capsys):

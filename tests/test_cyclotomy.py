@@ -120,6 +120,23 @@ def test_bucket_codes_follow_the_labels(m, n):
     assert build_system(7, 3, m, n).labels is labels
 
 
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (7, 3, 2, 1),
+                                    (3, 5, 4, 3)], ids=str)
+def test_bucket_planes_tile_the_period(params):
+    # bit t of a bucket's plane is set exactly where position t's label
+    # feeds that bucket, so the planes are disjoint and cover Z_P
+    system = build_system(*params)
+    planes = system.bucket_planes
+    assert type(planes) is tuple and len(planes) == len(BUCKETS)
+    assert system.bucket_planes is planes
+    c = system.constants
+    codes = bucket_codes(c.m, c.n)[system.partition]
+    for b, plane in enumerate(planes):
+        assert plane == sum(1 << int(t) for t in np.flatnonzero(codes == b))
+    assert planes[0] == 1 and planes[1] == 1 << c.half_period
+    assert sum(planes) == (1 << c.period) - 1
+
+
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 

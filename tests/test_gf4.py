@@ -235,7 +235,8 @@ def _euclid_by_divmod(a, b):
 @st.composite
 def gcd_operands(draw):
     """Two polynomials on planes, not both zero, with a random common
-    factor: of random degrees, of equal degrees, or one of them zero."""
+    factor: of random degrees, of equal degrees, one of them zero, one a
+    nonzero constant, or both the same polynomial."""
     def of_degree(deg):
         return gf4.poly(draw(st.lists(st.integers(0, 3), min_size=deg,
                                       max_size=deg))
@@ -243,9 +244,14 @@ def gcd_operands(draw):
 
     common = of_degree(draw(st.integers(0, 8)))
     a = schoolbook(of_degree(draw(st.integers(0, 40))), common)
-    kind = draw(st.sampled_from(("random", "equal degrees", "zero")))
+    kind = draw(st.sampled_from(("random", "equal degrees", "zero",
+                                 "constant", "equal")))
     if kind == "zero":
         b = gf4.poly([])
+    elif kind == "constant":
+        b = of_degree(0)
+    elif kind == "equal":
+        b = a
     else:
         deg = (len(a) - len(common) if kind == "equal degrees"
                else draw(st.integers(0, 40)))

@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from dataclasses import replace
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycloseq import gf4
-from cycloseq.analysis import max_complexity_mappings, predict_lc
+from cycloseq.analysis import (checked_lc, lc_via_gcd, max_complexity_mappings,
+                               predict_lc)
 from cycloseq.cyclotomy import build_system, residue_side_of_2
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
@@ -213,6 +214,30 @@ def test_spectrum_profile_reads_p_and_q_alone(cold_builds, p, q):
             assert _nonzero(prof) == _full_lc(system, mapping)
 
 
+@pytest.mark.parametrize(
+    "params", [(p, q, 1, 1) for p, q in CLASS_PAIRS] + [(3, 5, 4, 3)], ids=str)
+def test_planes_and_symbols_are_one_sequence(params):
+    system = build_system(*params)
+    trailing_zeros = 0
+    for mapping in ALL_MAPPINGS:
+        seq = build_sequence(system, mapping, allow_degenerate=True)
+        # sweep's read: the gcd route on planes, with no digits made
+        lc = checked_lc(seq)
+        assert "symbols" not in vars(seq)
+        symbols = seq.symbols
+        assert symbols.dtype == np.uint8
+        assert len(symbols) == seq.period == system.period
+        trailing_zeros += symbols[-1] == 0
+        assert not symbols.flags.writeable
+        with pytest.raises(ValueError):
+            symbols[0] = 1
+        assert seq.planes == gf4.to_planes(symbols)
+        assert lc == lc_via_gcd(symbols)[0]
+        assert seq.symbols is symbols and seq.constants is system.constants
+    # a = 0 or b = 0 puts a zero at position P - 1, which planes drop
+    assert trailing_zeros
+
+
 def test_max_complexity_mappings(sys15, sys21):
     for system in (sys15, sys21):
         found = max_complexity_mappings(system, count=3)
@@ -287,7 +312,12 @@ def test_sidecar_schema(tmp_path, sys15):
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=200))
 def test_file_roundtrip_any_symbols(tmp_path_factory, sys15, digits):
-    seq = replace(build_sequence(sys15), symbols=np.array(digits, np.uint8))
+    # symbols is a view of a sequence's system and mapping, so a stand-in
+    # carries any digits, of any length, with a real sequence's parameters
+    real = build_sequence(sys15)
+    seq = types.SimpleNamespace(symbols=np.array(digits, np.uint8),
+                                constants=real.constants,
+                                mapping=real.mapping)
     path = tmp_path_factory.mktemp("roundtrip") / "seq.txt"
     write_sequence_file(seq, path)
     back = read_sequence_file(path)
