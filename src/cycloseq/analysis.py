@@ -1,10 +1,9 @@
 """Linear complexity of quaternary sequences by three independent routes.
 
-Route one runs Berlekamp-Massey over GF(4) on two tiled periods of the
-sequence and returns the shortest LFSR length L. It keeps Massey's
-recurrence for the connection polynomial C(x) but reads each
-discrepancy off a series instead of computing an inner product
-(Sarwate and Shanbhag's reformulation): the coefficient of x^t in
+Route one runs Berlekamp-Massey over GF(4) and returns the shortest LFSR
+length L. It keeps Massey's recurrence for the connection polynomial C(x)
+but reads each discrepancy off a series instead of computing an inner
+product (Sarwate and Shanbhag's reformulation): the coefficient of x^t in
 R(x) = C(x) S(x) is the discrepancy of C at t, and each update of C is
 made to R alone, so C itself is never formed. A length change writes
 out the multiples of the old R by 1/d inline, as one of three fixed
@@ -14,6 +13,20 @@ the loop stops once R has no term left before the end of the input. The
 stop is exact for any input, since every later discrepancy is zero and
 so L is final; on two periods of a sequence of linear complexity L it
 comes after about 2L of the 2P symbols.
+
+Route one decides full LC on the N-periodic fold f, the XOR of the 2^a
+blocks of length N of one period (P = 2^a N, N odd, F = x^N - 1), whose
+polynomial is S mod F:
+
+    LC = P <=> gcd(x^P - 1, S) = 1 <=> gcd(F, S) = 1, as x^P - 1 = F^(2^a);
+    S = f mod F, so gcd(F, S) = gcd(F, f), and that is 1 <=> LC(f) = N.
+
+So BM runs on two periods of f, 2N symbols, and where it returns N,
+LC = P; otherwise BM runs again on two periods of s for the exact LC (at
+odd P, f is s and one run answers). The routes share only
+x^P - 1 = F^(2^a): route one XORs digit blocks and runs BM, route two
+masks planes and runs Euclid. A false full LC from route two meets a fold
+BM below N, whose second run then gives the true LC.
 
 Route two is purely algebraic: for a sequence of period P,
 LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
@@ -61,7 +74,8 @@ each cell (cell_char_sums) over the families once per system and sums mu
 over the cells in integer arithmetic; verify's expected character-sum
 table is cell_char_sums per cell, the periods measured in F_{4^d}.
 
-Where they run: analyze and verify measure by the gcd route, then by BM,
+Where they run: analyze and verify measure by the gcd route, then by BM
+(once on the fold at full LC, once more on two periods of s below it),
 and require the lengths to agree and the gcd route's minimal polynomial
 to generate the sequence (analyze_symbols, verify_theorem); theirs is the
 one call of minimal_planes. They hand in digits, which lc_via_gcd turns
@@ -393,16 +407,24 @@ class LinearComplexityReport:
 def analyze_symbols(symbols):
     """Measure one period by both methods and cross-check them.
 
-    The gcd route gives LC and the minimal polynomial m; BM on two periods
-    gives LC again, and m must generate the sequence (generates), which
-    at that LC only the minimal polynomial does. theorem_holds reports
-    whether the complexity equals the full period. Raises
-    MethodDisagreement when the two routes differ.
+    The gcd route gives LC and the minimal polynomial m; BM gives LC
+    again, on two periods of the fold where that reaches its full length
+    N and on two periods of s otherwise (module docstring), and m must
+    generate the sequence (generates), which at that LC only the minimal
+    polynomial does. theorem_holds reports whether the complexity equals
+    the full period. Raises MethodDisagreement when the two routes differ.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     lc_gcd, factors = lc_via_gcd(s)
-    minpoly = minimal_planes(len(s), factors)
-    lc_bm = berlekamp_massey(np.tile(s, 2))
+    period = len(s)
+    minpoly = minimal_planes(period, factors)
+    odd = period >> ((period & -period).bit_length() - 1)
+    lc_bm = berlekamp_massey(np.tile(
+        np.bitwise_xor.reduce(s.reshape(-1, odd), axis=0), 2))
+    if lc_bm == odd:
+        lc_bm = period
+    elif odd < period:
+        lc_bm = berlekamp_massey(np.tile(s, 2))
     if lc_bm != lc_gcd or not generates(s, lc_gcd, minpoly):
         raise MethodDisagreement(
             f"BM found {lc_bm}, gcd found {lc_gcd}, or the minimal "
@@ -410,7 +432,7 @@ def analyze_symbols(symbols):
     return LinearComplexityReport(
         lc_bm=lc_bm, lc_gcd=lc_gcd,
         minimal_planes=minpoly,
-        methods_agree=True, theorem_holds=(lc_gcd == len(s)))
+        methods_agree=True, theorem_holds=(lc_gcd == period))
 
 
 def verify_theorem(system, mapping=DEFAULT_MAPPING, strict=False, seq=None):

@@ -370,6 +370,135 @@ def test_lc_via_gcd_matches_bm_at_four_and_eight_times_odd(symbols):
     assert generates(symbols, lc, minpoly)
 
 
+def _fold_bm(symbols):
+    """(BM on two periods of the N-periodic fold, N): the fold XORs the
+    P / N blocks of length N, N the odd part of P."""
+    s = np.asarray(symbols, dtype=np.uint8)
+    odd = len(s)
+    while odd % 2 == 0:
+        odd //= 2
+    fold = np.zeros(odd, dtype=np.uint8)
+    for start in range(0, len(s), odd):
+        fold ^= s[start:start + odd]
+    return berlekamp_massey(np.tile(fold, 2)), odd
+
+
+@st.composite
+def fold_criterion_inputs(draw):
+    """One period P = 2^a N, a = 0..3: random or constant (zero
+    included), with one digit flipped or not, so full and near-full LC
+    both occur."""
+    period = draw(st.sampled_from((1, 3, 5, 7, 9, 15, 21))) << draw(
+        st.integers(0, 3))
+    kind = draw(st.sampled_from(("random", "constant")))
+    if kind == "random":
+        s = np.array(draw(st.lists(st.integers(0, 3), min_size=period,
+                                   max_size=period)), dtype=np.uint8)
+    else:
+        s = np.full(period, draw(st.integers(0, 3)), dtype=np.uint8)
+    if draw(st.booleans()):
+        s[draw(st.integers(0, period - 1))] ^= draw(st.integers(1, 3))
+    return s
+
+
+@settings(deadline=None, max_examples=400)
+@given(fold_criterion_inputs())
+def test_fold_criterion_decides_full_lc(symbols):
+    # LC = P exactly when the fold reaches its full length N, and BM on
+    # the fold, then on two periods, gives the LC of two periods
+    lc = berlekamp_massey(np.tile(symbols, 2))
+    fold_lc, odd = _fold_bm(symbols)
+    assert (fold_lc == odd) == (lc == len(symbols))
+    assert analyze_symbols(symbols).lc_bm == lc
+
+
+def test_fold_criterion_on_every_constant_and_flip():
+    # both sides of the criterion at a = 0..3: a constant folds to zero
+    # at even P; with one flipped digit it is full at even P, and at odd P
+    # one short of full when the flip cancels S(1)
+    seen = set()
+    for period in (3, 5, 6, 10, 12, 20, 24, 40):
+        for c, at, v in itertools.product(range(4), (0, period - 1),
+                                          range(4)):
+            s = np.full(period, c, dtype=np.uint8)
+            s[at] ^= v
+            lc = analyze_symbols(s).lc_bm
+            assert lc == berlekamp_massey(np.tile(s, 2))
+            full = lc == period
+            fold_lc, odd = _fold_bm(s)
+            assert (fold_lc == odd) == full
+            seen.add((period % 2, full))
+    assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
+@pytest.mark.parametrize("params", FOLD_SYSTEMS,
+                         ids=lambda params: ",".join(map(str, params)))
+def test_fold_criterion_matches_predict_lc(params):
+    system = build_system(*params)
+    full = 0
+    for mapping in ALL_MAPPINGS:
+        seq = build_sequence(system, mapping, allow_degenerate=True)
+        fold_lc, odd = _fold_bm(seq.symbols)
+        assert odd == system.half_period
+        at_full = predict_lc(system.constants, mapping) == seq.period
+        assert (fold_lc == odd) == at_full, mapping
+        full += at_full
+    assert 0 < full < len(ALL_MAPPINGS)
+
+
+def _bm_spy(monkeypatch, answer=None):
+    """Record the length of each BM input; where answer(symbols) returns
+    an int, it replaces BM's result."""
+    calls, real = [], analysis.berlekamp_massey
+
+    def spy(symbols):
+        calls.append(len(symbols))
+        forced = answer(symbols) if answer else None
+        return real(symbols) if forced is None else forced
+
+    monkeypatch.setattr(analysis, "berlekamp_massey", spy)
+    return calls
+
+
+def test_fold_bm_branches_are_live(sys15, sys21, monkeypatch):
+    reduced = build_sequence(sys21, Mapping(0, 1, 2, 3, 2),
+                             allow_degenerate=True).symbols
+    full = build_sequence(sys15).symbols
+    # a fold BM that claims N on a reduced sequence gives LC = P, which
+    # the gcd route's 36 refutes
+    calls = _bm_spy(monkeypatch,
+                    lambda s: 21 if len(s) == 42 else None)
+    with pytest.raises(MethodDisagreement, match="BM found 42, gcd found 36"):
+        analyze_symbols(reduced)
+    assert calls == [42]
+    # a fold BM one short of N on a full sequence falls back to two
+    # periods, which agree at P
+    calls = _bm_spy(monkeypatch, lambda s: 14 if len(s) == 30 else None)
+    report = analyze_symbols(full)
+    assert report.lc_bm == report.lc_gcd == 30 and report.theorem_holds
+    assert calls == [30, 60]
+
+
+def test_odd_period_runs_one_bm(monkeypatch):
+    # at odd P the fold is s itself, and its BM is the answer at any LC
+    calls = _bm_spy(monkeypatch)
+    for s, lc in (([1, 0, 0, 0, 0], 5), ([2] * 5, 1), ([0] * 7, 0),
+                  ([1, 1, 0, 1, 0, 0, 0], 4)):
+        calls.clear()
+        assert analyze_symbols(s).lc_bm == lc
+        assert calls == [2 * len(s)]
+
+
+def test_fold_bm_at_a_period_no_cli_test_reaches(monkeypatch):
+    # P = 913 066 at full LC: one BM, on the 913 066 symbols of two
+    # periods of the fold
+    seq = build_sequence(build_system(7, 11, 3, 3))
+    calls = _bm_spy(monkeypatch)
+    report = analyze_symbols(seq.symbols)
+    assert report.lc_bm == report.lc_gcd == seq.period == 913066
+    assert calls == [913066]
+
+
 def test_folded_route_multiplicities():
     # P = 4 * 3: zero has every G_j = x^3 - 1, all four of them
     zero = np.zeros(12, dtype=np.uint8)
