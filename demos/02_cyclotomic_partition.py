@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 # Builds the cyclotomic system for (p, q, m, n) = (3, 5, 1, 1) and walks
 # through its pieces: the system constants, the classes for each modulus
-# shape, the H-sets, and the exact partition of Z_30.
+# shape, the H-sets, the exact partition of Z_30, and the same labels
+# recomputed from p and q alone through the cells of Z_15.
 
 from collections import defaultdict
 
-from cycloseq.cyclotomy import (bucket_of_label, build_system, h_set,
-                                residue_side_of_2)
+from cycloseq.cyclotomy import (bucket_of_label, build_partition,
+                                build_system, h_set, residue_side_of_2)
 
 system = build_system(3, 5, 1, 1)
 c = system.constants
@@ -29,6 +30,9 @@ for t in range(system.period):
 print("\npartition of Z_30 into symbol buckets:")
 for name in ("zero", "half", "a", "b", "c", "d"):
     print(f"  {name:>4}: {buckets[name]}")
+
+same = (build_partition(system) == system.partition).all()
+print(f"\nbuild_partition, from p and q alone, equals the paint: {same}")
 
 print("\nwhich coset holds 2 (0 = the subgroup <g^2, y>):")
 for shape in ("p", "q", "pq"):

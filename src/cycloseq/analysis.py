@@ -69,7 +69,8 @@ T_h is 0, 1 or a quadratic Gaussian period of p or q in characteristic 2
 IEEE T-IT 44(3), 1998): {eta_0, eta_1} = {0, 1} when 2 is a square mod
 the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
 through its cell: v_p(k), v_q(k), capped at m and n, and the Legendre
-symbols of its unit part (cells, cell_index). predict_lc adds the sums at
+symbols of its unit part (cells and cell_index, which live in cyclotomy,
+where the same cells label the partition). predict_lc adds the sums at
 each cell (cell_char_sums) over the families once per system and sums mu
 over the cells in integer arithmetic; verify's expected character-sum
 table is cell_char_sums per cell, the periods measured in F_{4^d}.
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import _family_indices, _qr_sides
+from .cyclotomy import _family_indices, cells
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
 from .numtheory import two_is_square_mod
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
@@ -237,40 +238,6 @@ def generates(symbols, lc, minpoly):
         return False
     w1, w0 = gf4.mul_planes(m1, m0, *gf4.to_planes(np.resize(symbols, 2 * lc)))
     return not ((w1 | w0) >> lc) & ((1 << lc) - 1)
-
-
-def cells(p, q, m, n):
-    """Each live cell (a, b, lp, lq) of Z_N with its size, keys ascending.
-    k = p^a q^b l, (a, b) capped at (m, n), lies in the cell
-    (a, b, [(l|p) = -1], [(l|q) = -1]), a Legendre bit being 0 at its cap.
-    The cell holds phi(p^(m-a)) phi(q^(n-b)) / 2^s members, s the number
-    of bits below their cap.
-    """
-    for a in range(m + 1):
-        for b in range(n + 1):
-            size = ((p - 1) * p**(m - a - 1) if a < m else 1) * (
-                (q - 1) * q**(n - b - 1) if b < n else 1) >> (
-                (a < m) + (b < n))
-            for lp in (0, 1) if a < m else (0,):
-                for lq in (0, 1) if b < n else (0,):
-                    yield (a, b, lp, lq), size
-
-
-def cell_index(constants, ks):
-    """Position in cells' order of the cell of each k in the int array ks,
-    taken mod N."""
-    c = constants
-    ks = np.asarray(ks, dtype=np.int64) % c.half_period
-    a, b = (sum(ks % r**t == 0 for t in range(1, top + 1))
-            for r, top in ((c.p, c.m), (c.q, c.n)))
-    l = ks // (c.p**a * c.q**b)
-    lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
-    lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
-    # position by key, dead keys left unset
-    keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
-    where = np.empty((c.m + 1, c.n + 1, 2, 2), dtype=np.intp)
-    where[tuple(zip(*keys))] = range(len(keys))
-    return where[a, b, lp, lq]
 
 
 def cell_char_sums(p, q, m, n, cell, periods):

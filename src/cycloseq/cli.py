@@ -12,9 +12,11 @@ extfield.build_extension also caps extension-field verification at
 N <= 5000 and degree d <= 12, before `verify` paints the partition, from
 the constants it built once.
 
-In the verify report, partition_ok: true rests on the system build, which
-paints the partition and raises PartitionViolation (exit 1) on an index
-left unlabeled or on more writes than Z_2N has indices.
+In the verify report, partition_ok: true rests on two routes: the paint,
+from the powers of g and y, raises PartitionViolation (exit 1) on an index
+left unlabeled or on more writes than Z_2N has indices, and
+check_structural_lemmas compares it with the labels that the cells of Z_N
+name from p and q alone (LemmaViolation, exit 1).
 
 generate, analyze and sweep get their systems from
 cyclotomy.build_system, which holds what it painted (periods summing to

@@ -14,9 +14,10 @@ of y; on a prime-power family the y count is 1 and D_0 is the even-power
 coset of g. Since g is a primitive root mod p and mod q and y = 1 (mod q),
 these are Legendre classes: with r = q on the mixed and q-power families
 and r = p on the p-power ones, D_0 holds the units that are squares mod r
-and D_1 those that are not. check_structural_lemmas accepts every class
-table that is that set, built from p and q alone, in one pass over its own
-entries, and compares it with the set only to name a table that is not.
+and D_1 those that are not. So the label of every position follows from p
+and q alone, through the cells of Z_N (cells, cell_index): build_partition
+recomputes the label array that way, reading neither g nor y, and
+check_structural_lemmas compares the paint with it in one comparison.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
@@ -27,10 +28,10 @@ half painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below
 the period ceiling of numtheory) and its even half copied from the odd,
 is stored as a label array and is the single source of truth: a sequence
 reads only its labels, or the per-bucket indicator planes derived from
-them on first read, and the class tables, which only verify's checks
-read, are derived from it on first read too. A paint that does not tile
-raises PartitionViolation, its witness the least unlabeled index among
-the bare odd positions and their doubles.
+them on first read, and the class tables, the library's view of D_0 and
+D_1, which no program path reads, are derived from it on first read too.
+A paint that does not tile raises PartitionViolation, its witness the
+least unlabeled index among the bare odd positions and their doubles.
 
 build_system holds the systems it has painted, keyed by (p, q, m, n), so
 a process paints each system once: a sweep per mapping over one grid
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import InvalidParams, LemmaViolation, PartitionViolation
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
-                        build_system_constants, euler_phi, two_is_square_mod)
+                        build_system_constants, two_is_square_mod)
 
 ODD_SHAPES = ("pq", "p", "q")
 DOUBLED_SHAPES = ("2pq", "2p", "2q")
@@ -133,9 +134,38 @@ def _qr_sides(r):
     return side
 
 
-def _sorted_set(arr):
-    # the distinct values of arr, ascending; none for an empty table
-    return np.unique(arr)
+def cells(p, q, m, n):
+    """Each live cell (a, b, lp, lq) of Z_N with its size, keys ascending.
+    k = p^a q^b l, (a, b) capped at (m, n), lies in the cell
+    (a, b, [(l|p) = -1], [(l|q) = -1]), a Legendre bit being 0 at its cap.
+    The cell holds phi(p^(m-a)) phi(q^(n-b)) / 2^s members, s the number
+    of bits below their cap.
+    """
+    for a in range(m + 1):
+        for b in range(n + 1):
+            size = ((p - 1) * p**(m - a - 1) if a < m else 1) * (
+                (q - 1) * q**(n - b - 1) if b < n else 1) >> (
+                (a < m) + (b < n))
+            for lp in (0, 1) if a < m else (0,):
+                for lq in (0, 1) if b < n else (0,):
+                    yield (a, b, lp, lq), size
+
+
+def cell_index(constants, ks):
+    """Position in cells' order of the cell of each k in the int array ks,
+    taken mod N."""
+    c = constants
+    ks = np.asarray(ks, dtype=np.int64) % c.half_period
+    a, b = (sum(ks % r**t == 0 for t in range(1, top + 1))
+            for r, top in ((c.p, c.m), (c.q, c.n)))
+    l = ks // (c.p**a * c.q**b)
+    lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
+    lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
+    # position by key, dead keys left unset
+    keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
+    where = np.empty((c.m + 1, c.n + 1, 2, 2), dtype=np.intp)
+    where[tuple(zip(*keys))] = range(len(keys))
+    return where[a, b, lp, lq]
 
 
 def all_class_ids(m, n):
@@ -240,39 +270,6 @@ def h_set(system, cid):
     return system.classes[ClassId(*cid[:4])] * mult
 
 
-def _paint_partition(constants, classes, labels):
-    # one scatter: the labels tile Z_period exactly when they hold period
-    # positions and leave none at -1; a special label is {1} times its index
-    period, one = constants.period, np.ones(1, dtype=np.int64)
-    special = {ZERO_LABEL: 0, HALF_LABEL: constants.half_period}
-    sets = [one if lab in special else classes[ClassId(*lab[:4])]
-            for lab in labels]
-    mults = [special[lab] if lab in special else cofactor_of(constants, lab)
-             for lab in labels]
-    sizes = [len(s) for s in sets]
-    pos = np.concatenate(sets)
-    pos *= np.repeat(mults, sizes)
-    part = np.full(period, -1, dtype=np.int16)
-    part[pos] = np.repeat(np.arange(len(labels), dtype=np.int16), sizes)
-    if len(pos) == period and part.min() >= 0:
-        return part
-    # name the fault label by label: an index an earlier label holds, then
-    # an index no label holds, then an index one label holds twice
-    part[:] = -1
-    for idx, positions in enumerate(np.split(pos, np.cumsum(sizes)[:-1])):
-        taken = positions[part[positions] != -1]
-        if taken.size:
-            t = int(taken[0])
-            raise PartitionViolation(t, f"already labeled {labels[part[t]]} "
-                                        f"while labeling {labels[idx]}")
-        part[positions] = idx
-    missing = np.nonzero(part == -1)[0]
-    if missing.size:
-        raise PartitionViolation(int(missing[0]), "left unlabeled")
-    t = int(np.nonzero(np.bincount(pos) > 1)[0][0])
-    raise PartitionViolation(t, f"labeled twice by {labels[part[t]]}")
-
-
 class _HeldSystems:
     """Painted systems by key, least recently used first, whose periods
     sum to at most budget positions; safe to share between threads."""
@@ -367,72 +364,65 @@ def _system_from_constants(constants):
 
 
 def build_partition(system):
-    """Recompute the partition array from the stored classes.
-
-    Raises PartitionViolation if any index is unlabeled or doubly labeled;
-    that must never happen for a system built from valid parameters.
+    """The partition's label array from p and q alone, through the cells of
+    Z_N: no class table, g or y is read. Position t lies in the cell
+    (a, b, lp, lq) of k = t mod N at odd t and k = t / 2 at even t; its
+    label is family (m - a, n - b), coset lq when b < n and lp otherwise,
+    the doubled-modulus label at odd t and the doubled copy of the
+    odd-modulus class at even t. 0 and N keep zero and half.
     """
-    return _paint_partition(system.constants, system.classes, system.labels)
+    c = system.constants
+    # (0, 0) stands for the cell of k = 0, whose positions are set below
+    fams = _family_indices(c.m, c.n) + [(0, 0)]
+    # label 4 f + 2 h + 2 at the odd positions of family f, coset h
+    odd = np.array([4 * fams.index((c.m - a, c.n - b)) + 2
+                    + 2 * (lq if b < c.n else lp)
+                    for (a, b, lp, lq), _ in cells(c.p, c.q, c.m, c.n)],
+                   dtype=np.int16)[cell_index(c, np.arange(c.half_period))]
+    part = np.empty(c.period, dtype=np.int16)
+    part[0::2] = odd + 1
+    # the odd t < N, then the odd t > N, whose k = t - N are even
+    part[1::2] = np.concatenate([odd[1::2], odd[0::2]])
+    part[0], part[c.half_period] = 0, 1
+    return part
 
 
 def residue_side_of_2(system, shape, i=1, j=1):
-    """h with 2 in D_h for an odd-modulus shape ("p", "q" or "pq")."""
+    """h with 2 in D_h for an odd-modulus shape ("p", "q" or "pq"), read
+    off the paint at 4 cof mod 2N, the doubled copy of x = 2 in the family
+    (i, j) of cofactor cof."""
     if shape not in ODD_SHAPES:
         raise InvalidParams("2 is a unit only modulo the odd shapes")
+    c = system.constants
     i, j = (i if "p" in shape else 0), (j if "q" in shape else 0)
-    if ClassId(shape, i, j, 0) not in system.classes:
+    fams = _family_indices(c.m, c.n)
+    if (i, j) not in fams or _shape(i, j) != shape:
         raise InvalidParams(f"no {shape} family (i, j) = ({i}, {j})")
-    for h in (0, 1):
-        arr = system.classes[ClassId(shape, i, j, h)]
-        pos = int(np.searchsorted(arr, 2))
-        if pos < len(arr) and arr[pos] == 2:
-            return h
-    raise PartitionViolation(2, f"2 missing from both {shape} cosets")
+    t = 4 * c.p**(c.m - i) * c.q**(c.n - j) % c.period
+    # the doubled copy of coset h of family f is label 4 f + 2 h + 3
+    h, odd = divmod(int(system.partition[t]) - 4 * fams.index((i, j)) - 3, 2)
+    if odd or h not in (0, 1):
+        raise PartitionViolation(t, f"2 missing from both {shape} cosets")
+    return h
 
 
 def check_structural_lemmas(system):
-    """Compare every class table with its Legendre class, from p and q alone.
-
-    On family (i, j), modulus M = p^i q^j, take r = q if j > 0 else p: D_h
-    holds the units x < M whose side is h, side 0 when x is a square mod
-    r and 1 when it is not, and the doubled shape holds the odd units
-    x < 2M by the same rule; g and y are never read. Each table is first
-    accepted in one pass over its own entries: strictly increasing, in
-    range, phi(M)/2 of them (the size of its Legendre class), each on side
-    h and odd on the doubled shape, which together mean set equality. Only
-    a table that fails is then compared as a set of distinct values, to
-    name the fault. Returns a list of unraised LemmaViolation records, one
-    per class that differs, witnessed by the least element of the
-    symmetric difference; empty means every class holds.
+    """One comparison of the painted partition with build_partition's: the
+    paint comes from g and y, build_partition from p and q alone. Returns
+    unraised LemmaViolation records: none when they agree, else one naming
+    the least index t where they differ, its painted label and the label
+    its cell names.
     """
-    out = []
-    c = system.constants
-
-    def check(cid, side, h, size):
-        table = system.classes[cid]
-        if (len(table) == size and 0 <= table[0] and table[-1] < len(side)
-                and (np.diff(table) > 0).all() and (side[table] == h).all()):
-            return
-        got, expected = _sorted_set(table), np.flatnonzero(side == h)
-        if not np.array_equal(got, expected):
-            diff = set(got.tolist()).symmetric_difference(expected.tolist())
-            out.append(LemmaViolation("class set identity failed",
-                                      shape=cid, witness=min(diff)))
-
-    for i, j in _family_indices(c.m, c.n):
-        r, mod = (c.q if j else c.p), c.p**i * c.q**j
-        # side of x: 0 on the squares mod r, 1 on the other units, 2 off
-        # the units; it depends on x mod r (x mod pq on a mixed family)
-        side = _qr_sides(r)
-        if i and j:
-            side = np.where(np.arange(c.p * r) % c.p, np.tile(side, c.p), 2)
-        side = np.tile(side, 2 * mod // len(side))
-        odd, size = side.copy(), euler_phi(mod) // 2
-        odd[::2] = 2
-        for h in (0, 1):
-            check(ClassId(_shape(i, j), i, j, h), side[:mod], h, size)
-            check(ClassId(_shape(i, j, two=True), i, j, h), odd, h, size)
-    return out
+    want = build_partition(system)
+    differ = np.flatnonzero(system.partition != want)
+    if not differ.size:
+        return []
+    t, labels = int(differ[0]), system.labels
+    got = int(system.partition[t])
+    return [LemmaViolation(
+        "partition differs from its cells' labels", index=t,
+        painted=labels[got] if 0 <= got < len(labels) else got,
+        cells=labels[want[t]])]
 
 
 def check_residue_rules(system):

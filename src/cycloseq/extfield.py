@@ -25,10 +25,11 @@ against their closed forms, a mismatch shown at its least k. The folded
 sequence s_t + s_(t+N) is constant on each of those H-sets, so the
 spectrum S(beta^k) is a GF(4) combination of the table's columns:
 measure_spectrum reads only that table, once it has passed its check, and
-gathers nothing of its own. The expected side is analysis.cell_char_sums,
-a row per cell of analysis.cells gathered to each k by
-analysis.cell_index; the Gaussian periods of p and q are read off one
-power table of beta^(N/pq), not beta_powers.
+gathers nothing of its own. Its columns' H-sets are the positions that
+carry each doubled-modulus label in the partition, mod N. The expected
+side is analysis.cell_char_sums, a row per cell of cyclotomy.cells
+gathered to each k by cyclotomy.cell_index; the Gaussian periods of p and
+q are read off one power table of beta^(N/pq), not beta_powers.
 """
 
 import functools
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import gf4
 from . import analysis
-from .cyclotomy import DOUBLED_SHAPES, _qr_sides, all_class_ids, h_set
+from .cyclotomy import DOUBLED_SHAPES, _qr_sides, cell_index, cells
 from .errors import CapExceeded, CaseViolation, InvalidParams, LemmaViolation
 from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile
@@ -338,9 +339,7 @@ def _orbit_sums(context, sets):
 
 def _columns(system):
     # the doubled-modulus H-sets: the char-sum table's columns, in order
-    c = system.constants
-    return [cid for cid in all_class_ids(c.m, c.n)
-            if cid.shape in DOUBLED_SHAPES]
+    return [lab for lab in system.labels[2:] if lab.shape in DOUBLED_SHAPES]
 
 
 def measure_spectrum(context, char_sums, seq):
@@ -491,7 +490,7 @@ def verify_char_sum_tables(system, context):
     measured sum must match its closed form: 0 or 1 where (a, b) dominates
     the H-set's exponents, a Gaussian period of p or q on its boundary, and
     0 beyond. Both sides are whole (k, H-set) tables. The expected one is
-    analysis.cell_char_sums per analysis.cells, gathered by cell_index,
+    analysis.cell_char_sums per cyclotomy.cells, gathered by cell_index,
     its periods from _gaussian_periods, which never reads beta_powers; the
     measured one is _orbit_sums, whose row k = 1 reads beta_powers[1:]
     once, so a corrupted entry cannot shift both sides alike. The report
@@ -506,10 +505,11 @@ def verify_char_sum_tables(system, context):
     periods = _gaussian_periods(context, c.p, c.q)
     params = c.p, c.q, c.m, c.n
     rows = np.array([analysis.cell_char_sums(*params, key, periods)
-                     for key, _ in analysis.cells(*params)], dtype=np.uint32)
-    expected = rows[analysis.cell_index(c, np.arange(1, N))]
+                     for key, _ in cells(*params)], dtype=np.uint32)
+    expected = rows[cell_index(c, np.arange(1, N))]
     columns = _columns(system)
-    sets = [h_set(system, cid) % N for cid in columns]
+    sets = [np.flatnonzero(system.partition == system.labels.index(cid)) % N
+            for cid in columns]
     measured = _orbit_sums(context, sets)
 
     bad = measured != expected

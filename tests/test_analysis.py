@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, cell_char_sums, cells,
-                               checked_lc, degenerate_lower_bound, generates,
+                               berlekamp_massey, cell_char_sums, checked_lc,
+                               degenerate_lower_bound, generates,
                                lc_via_gcd, minimal_planes, predict_lc,
                                verify_theorem)
-from cycloseq.cyclotomy import build_system
+from cycloseq.cyclotomy import build_system, cells
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MethodDisagreement, TheoremViolation)
 from cycloseq.extfield import build_extension

@@ -506,13 +506,13 @@ def test_successive_calls_share_one_parser(tmp_path, capsys, monkeypatch):
 
 def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch,
                                                   cold_builds):
+    # the caps come before the paint
     def no_classes(*args):
-        raise AssertionError("a capped verify built a class table")
+        raise AssertionError("a capped verify painted a partition")
 
     monkeypatch.setattr(cyclotomy, "_powers", no_classes)
-    # the partition, and so every class table, comes from _powers alone,
-    # so the patch bites
-    with pytest.raises(AssertionError, match="built a class table"):
+    # the paint comes from _powers alone, so the patch bites
+    with pytest.raises(AssertionError, match="painted a partition"):
         cyclotomy.build_system(3, 5, 1, 1)
     # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
     code, _, err = run(capsys, "verify", "--p", "41", "--q", "107")
@@ -532,9 +532,8 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch,
     assert (code, err) == (3, "error: period 30 exceeds cap 10\n")
 
 
-def _patch_class_tables(monkeypatch, derive, name="classes"):
-    # CyclotomicSystem.classes, or the cached property name, becomes a
-    # cached property around derive
+def _patch_cached_property(monkeypatch, name, derive):
+    # the cached property name of CyclotomicSystem becomes one around derive
     prop = functools.cached_property(derive)
     prop.__set_name__(cyclotomy.CyclotomicSystem, name)
     monkeypatch.setattr(cyclotomy.CyclotomicSystem, name, prop)
@@ -550,8 +549,9 @@ def _outcome(capsys, argv, out):
 
 def test_only_verify_derives_the_class_tables(tmp_path, capsys,
                                               monkeypatch, cold_builds):
-    # sweep, analyze and generate read only the partition labels: with the
-    # class-table derivation raising, they give the same bytes and codes
+    # no command reads a class table: with the class-table derivation
+    # raising, sweep, analyze, generate and verify give the same bytes and
+    # codes
     out = str(tmp_path / "s.txt")
     grid = ("--pairs", "3:5,7:17,5:3,17:41", "--exponents", "1:1,2:1")
     calls = [
@@ -569,33 +569,27 @@ def test_only_verify_derives_the_class_tables(tmp_path, capsys,
         ("generate", "--p", "3", "--q", "5", "--map", "0,1,2,3,1",
          "--degenerate", "--out", out),
         ("analyze", "--file", out, "--format", "text"),
+        ("verify", "--p", "3", "--q", "5"),
+        ("verify", "--p", "5", "--q", "3", "--m", "2"),
+        ("verify", "--p", "3", "--q", "7", "--map", "0,1,2,3,2"),
+        ("verify", "--p", "41", "--q", "107"),
     ]
     want = [_outcome(capsys, argv, out) for argv in calls]
-    assert [w[0] for w in want] == [0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-    real = cyclotomy.CyclotomicSystem.__dict__["classes"].func
+    assert [w[0] for w in want] == [0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0,
+                                    0, 0, 1, 3]
+    derived = []
 
     def refuse(system):
+        derived.append(system)
         raise AssertionError("a class table was derived")
 
-    _patch_class_tables(monkeypatch, refuse)
+    # a property is a data descriptor: a system that derived its tables
+    # before the patch raises too
+    monkeypatch.setattr(cyclotomy.CyclotomicSystem, "classes",
+                        property(refuse))
     for argv, expected in zip(calls, want):
         assert _outcome(capsys, argv, out) == expected, argv
-    # verify derives them once per call, and a capped verify never
-    derived = []
-    verify_calls = [("--p", "3", "--q", "5"), ("--p", "5", "--q", "3",
-                                                "--m", "2"),
-                    ("--p", "3", "--q", "7", "--map", "0,1,2,3,2"),
-                    ("--p", "41", "--q", "107")]
-    monkeypatch.undo()
-    want = [_outcome(capsys, ("verify",) + argv, out)
-            for argv in verify_calls]
-    assert [w[0] for w in want] == [0, 0, 1, 3]
-    _patch_class_tables(monkeypatch,
-                        lambda system: derived.append(system) or real(system))
-    for argv, expected, times in zip(verify_calls, want, (1, 1, 1, 0)):
-        derived.clear()
-        assert _outcome(capsys, ("verify",) + argv, out) == expected, argv
-        assert len(derived) == times, argv
+    assert derived == []
 
 
 def _csv_rows(text):
@@ -680,7 +674,7 @@ def test_sweep_rows_read_only_the_held_bucket_planes(capsys, monkeypatch,
         seqs.append(seq)
         return real_lc(seq)
 
-    _patch_class_tables(monkeypatch, derive, name="bucket_planes")
+    _patch_cached_property(monkeypatch, "bucket_planes", derive)
     for module in (cli, analysis):
         monkeypatch.setattr(module, "checked_lc", spy)
     grid = ("--pairs", "3:5,7:17,5:3", "--exponents", "1:1,2:1")

@@ -157,39 +157,46 @@ def test_structural_lemmas_clean_on_the_ladder_top():
     assert check_residue_rules(system) == []
 
 
-def _lemma(detail, shape, i, j, h, witness):
-    cid = ClassId(shape, i, j, h)
-    return f"{detail} [shape={cid}, witness={witness}]"
+CELLS = "partition differs from its cells' labels"
 
 
-LIFT = "class set identity failed"
+def _lemma(index, painted, cells):
+    # painted and cells as (shape, i, j, h), both doubled copies
+    return (f"{CELLS} [index={index}, painted={ClassId(*painted, True)}, "
+            f"cells={ClassId(*cells, True)}]")
+
+
+def _relabelled(system, part):
+    return dataclasses.replace(system, partition=part)
 
 
 @pytest.mark.parametrize("params,swaps,expected", [
-    # two families corrupted: the pq family is reported before the p family
+    # two families corrupted: the least index differing is named, in the
+    # pq family at 2 * 3 * 1, then the side of 2 of each
     ((3, 5, 2, 1), [("pq", 1, 1), ("p", 1, 0)], [
-        _lemma(LIFT, "pq", 1, 1, 0, 1), _lemma(LIFT, "pq", 1, 1, 1, 1),
-        _lemma(LIFT, "p", 1, 0, 0, 1), _lemma(LIFT, "p", 1, 0, 1, 1),
+        _lemma(6, ("pq", 1, 1, 1), ("pq", 1, 1, 0)),
         "side of 2 breaks the mod-8 rule [shape=p, witness=1]",
         "pq side of 2 does not follow q's mod-8 rule "
         "[shape=pq, witness=(1, 1)]"]),
     ((3, 5, 1, 2), [("q", 0, 1)], [
-        _lemma(LIFT, "q", 0, 1, 0, 1), _lemma(LIFT, "q", 0, 1, 1, 1),
+        _lemma(30, ("q", 0, 1, 1), ("q", 0, 1, 0)),
         "side of 2 breaks the mod-8 rule [shape=q, witness=1]"]),
     ((3, 5, 1, 2), [("q", 0, 2)], [
-        _lemma(LIFT, "q", 0, 2, 0, 1), _lemma(LIFT, "q", 0, 2, 1, 1),
+        _lemma(6, ("q", 0, 2, 1), ("q", 0, 2, 0)),
         "side of 2 breaks the mod-8 rule [shape=q, witness=2]"]),
 ])
 def test_lemmas_report_swapped_class(params, swaps, expected):
-    # swap the least element of D_0 with the least of D_1 in each class;
-    # every swap here moves 2 to the other side
+    # the least element of D_0 trades labels with the least of D_1 in
+    # each class, at their doubled positions 2 cof x; every swap here
+    # moves 2 to the other side
     system = build_system(*params)
-    classes = dict(system.classes)
+    part = system.partition.copy()
     for family in swaps:
-        d0, d1 = (classes[ClassId(*family, h)] for h in (0, 1))
-        classes[ClassId(*family, 0)] = np.sort(np.r_[d1[:1], d0[1:]])
-        classes[ClassId(*family, 1)] = np.sort(np.r_[d0[:1], d1[1:]])
-    bad = with_classes(system, classes)
+        labels = [system.labels.index(ClassId(*family, h, True))
+                  for h in (0, 1)]
+        least = [np.flatnonzero(part == x)[0] for x in labels]
+        part[least] = labels[::-1]
+    bad = _relabelled(system, part)
     found = check_structural_lemmas(bad) + check_residue_rules(bad)
     assert [str(v) for v in found] == expected
     for shape, i, j in swaps:
@@ -201,21 +208,26 @@ def test_lemmas_report_swapped_class(params, swaps, expected):
     ((3, 5, 2, 2), (1, 0)), ((3, 5, 2, 2), (0, 1)), ((3, 5, 2, 2), (1, 1)),
     ((7, 3, 2, 1), (1, 1)), ((17, 7, 1, 2), (0, 1))])
 def test_lemmas_report_a_family_with_its_cosets_swapped(params, base):
-    # D_0 and D_1 trade places in every class of one base family: each
+    # D_0 and D_1 trade labels in every class of one base family: each
     # lift from the base and the side of 2 across exponents still agree,
-    # but every class is now the other Legendre class
+    # but every class is now the other Legendre class. One violation names
+    # the least index moved, painted with the twin of its cells' label
     system = build_system(*params)
     members = cyclotomy._families(*params[2:])[base]
-    swapped = [ClassId(cyclotomy._shape(i, j, two), i, j, h)
+    swapped = [ClassId(cyclotomy._shape(i, j, two), i, j, h, not two)
                for i, j in members for h in (0, 1) for two in (False, True)]
-    classes = {**system.classes, **{
-        cid: system.classes[cid._replace(h=1 - cid.h)] for cid in swapped}}
-    bad = with_classes(system, classes)
-    found = check_structural_lemmas(bad)
-    assert len(found) == len(swapped) == (16 if len(members) == 4 else 8)
-    assert {v.witness["shape"] for v in found} == set(swapped)
-    assert {str(v).split(" [")[0] for v in found} == {LIFT}
-    assert len(check_residue_rules(bad)) == len(members)
+    part = system.partition.copy()
+    for cid in swapped:
+        part[system.partition == system.labels.index(cid)] = \
+            system.labels.index(cid._replace(h=1 - cid.h))
+    found = check_structural_lemmas(_relabelled(system, part))
+    t = int(np.flatnonzero(part != system.partition)[0])
+    cells = system.labels[system.partition[t]]
+    assert cells in swapped
+    assert [(str(v).split(" [")[0], v.witness) for v in found] == [
+        (CELLS, {"index": t, "painted": cells._replace(h=1 - cells.h),
+                 "cells": cells})]
+    assert len(check_residue_rules(_relabelled(system, part))) == len(members)
 
 
 # --- the lift identities, an independent reference for the Legendre check -
@@ -275,35 +287,35 @@ def _replaced(system, cid, arr):
 
 
 def _corruptions(system):
-    # (corrupted class, corrupted system): one class of each doubled shape
-    # at the highest exponents, one 2pq coset swap that breaks both lifts
-    # and both reductions, and two rewrites that change no set
-    c = system.constants
+    # (corrupted label, corrupted system): the greatest position of one
+    # label of each doubled shape at the highest exponents relabelled to
+    # its twin coset, one 2pq coset swap of the least position of D_0 and
+    # the greatest of D_1, and two rewrites that change no label
+    c, labels = system.constants, system.labels
     out = []
     for cid in (ClassId("2p", c.m, 0, 0), ClassId("2pq", c.m, c.n, 1),
                 ClassId("2q", 0, c.n, 1)):
-        cls = system.classes[cid]
-        mod = 2 * c.p**cid.i * c.q**cid.j
-        # the largest member moves to the even partner of the least one
-        moved = np.sort(np.r_[cls[:-1], (cls[0] + mod // 2) % mod])
-        out.append((cid, _replaced(system, cid, moved)))
-    d0, d1 = (system.classes[ClassId("2pq", 1, 1, h)] for h in (0, 1))
-    swapped = dict(system.classes)
-    swapped[ClassId("2pq", 1, 1, 0)] = np.sort(np.r_[d1[-1:], d0[1:]])
-    swapped[ClassId("2pq", 1, 1, 1)] = np.sort(np.r_[d0[:1], d1[:-1]])
-    out.append((ClassId("2pq", 1, 1, 0),
-                with_classes(system, swapped)))
-    base, doubled = (system.classes[ClassId(shape, 1, 1, 0)]
-                     for shape in ("pq", "2pq"))
-    out.append((None, _replaced(system, ClassId("pq", 1, 1, 0),
-                                np.sort(np.r_[base, base[:2]]))))
-    out.append((None, _replaced(system, ClassId("2pq", 1, 1, 0),
-                                doubled[::-1].copy())))
+        x = labels.index(cid)
+        part = system.partition.copy()
+        part[np.flatnonzero(part == x)[-1]] = labels.index(
+            cid._replace(h=1 - cid.h))
+        out.append((cid, _relabelled(system, part)))
+    d0, d1 = (labels.index(ClassId("2pq", 1, 1, h)) for h in (0, 1))
+    part = system.partition.copy()
+    t0, t1 = (np.flatnonzero(part == d0)[0], np.flatnonzero(part == d1)[-1])
+    part[[t0, t1]] = d1, d0
+    out.append((ClassId("2pq", 1, 1, 0), _relabelled(system, part)))
+    out.append((None, _relabelled(system, system.partition.copy())))
+    out.append((None, _relabelled(system,
+                                  system.partition.astype(np.int64))))
     return out
 
 
 @pytest.mark.parametrize("params", GRID + [(5, 3, 1, 1), (5, 3, 2, 2)])
 def test_lemma_witnesses_match_set_reference(params):
+    # the lift identities, on the class tables derived from a corrupted
+    # partition, flag a class exactly when the label check names an index,
+    # and one of the classes they flag holds one of the two labels named
     system = build_system(*params)
     assert check_structural_lemmas(system) == _ref_structural_lemmas(system)
     details = set()
@@ -311,15 +323,18 @@ def test_lemma_witnesses_match_set_reference(params):
         got = check_structural_lemmas(bad)
         want = _ref_structural_lemmas(bad)
         assert bool(got) == bool(want) == (cid is not None), cid
-        assert all(type(v.witness["witness"]) is int for v in got)
         if cid is not None:
-            # the corrupted class, with the reference's witness for it
-            named = [v.witness for v in got if v.witness["shape"] == cid]
-            ref = [v.witness for v in want
-                   if v.witness["shape"] == cid and str(v).startswith(LIFT)]
-            assert named and named == ref, cid
+            (w,) = [v.witness for v in got]
+            t = int(np.flatnonzero(bad.partition != system.partition)[0])
+            assert w == {"index": t,
+                         "painted": system.labels[bad.partition[t]],
+                         "cells": system.labels[system.partition[t]]}
+            assert cid in (w["painted"], w["cells"])
+            flagged = {v.witness["shape"] for v in want}
+            assert flagged & {ClassId(*w[key][:4])
+                              for key in ("painted", "cells")}, cid
         details.update(str(v).split(" [")[0] for v in got)
-    assert details == {LIFT}
+    assert details == {CELLS}
 
 
 def test_residue_side_examples(sys15):
@@ -334,6 +349,51 @@ def test_residue_side_examples(sys15):
     assert residue_side_of_2(sys21, "pq") == 0
     with pytest.raises(InvalidParams):
         residue_side_of_2(sys15, "2pq")
+    # the side is read off the paint at 4 cof, the doubled copy of 2: a
+    # label there outside the family's two cosets is named at that index
+    part = sys15.partition.copy()
+    part[4] = 0
+    with pytest.raises(PartitionViolation,
+                       match="index 4: 2 missing from both pq cosets"):
+        residue_side_of_2(_relabelled(sys15, part), "pq")
+
+
+@pytest.mark.parametrize("params", GRID, ids=str)
+def test_residue_side_follows_the_mod_8_rule_on_every_family(params):
+    # 2 is a square mod r exactly when r = +/-1 mod 8; r is q on the mixed
+    # and q-power families and p on the p-power ones
+    p, q, m, n = params
+    system = build_system(*params)
+    for i, j in cyclotomy._family_indices(m, n):
+        r = q if j else p
+        assert residue_side_of_2(system, cyclotomy._shape(i, j), i, j) == (
+            0 if r % 8 in (1, 7) else 1), (i, j)
+
+
+@st.composite
+def relabelled_positions(draw):
+    """A small system, a position t of Z_2N (odd, even, 0 or N) and a
+    label other than its own."""
+    system = build_system(*draw(st.sampled_from(GRID)))
+    N = system.half_period
+    t = draw(st.one_of(st.sampled_from((0, N)),
+                       st.integers(0, N - 1).map(lambda k: 2 * k + 1),
+                       st.integers(0, N - 1).map(lambda k: 2 * k)))
+    label = draw(st.integers(0, len(system.labels) - 1).filter(
+        lambda x: x != system.partition[t]))
+    return system, t, label
+
+
+@settings(deadline=None, max_examples=200)
+@given(relabelled_positions())
+def test_one_relabelled_position_is_named_at_its_index(case):
+    system, t, label = case
+    part = system.partition.copy()
+    part[t] = label
+    found = check_structural_lemmas(_relabelled(system, part))
+    assert [v.witness for v in found] == [
+        {"index": t, "painted": system.labels[label],
+         "cells": system.labels[system.partition[t]]}]
 
 
 @pytest.mark.parametrize("shape, i, j", [("p", 2, 1), ("q", 1, 2),
@@ -428,52 +488,45 @@ def test_powers_are_exact_past_int64():
                                         for k in range(count)]
 
 
-def _painted(system, cid, arr):
-    with pytest.raises(PartitionViolation) as info:
-        build_partition(_replaced(system, cid, arr))
-    return info.value
+def _named(system, t, label):
+    # the one violation of system with position t painted label
+    part = system.partition.copy()
+    part[t] = label
+    (found,) = check_structural_lemmas(_relabelled(system, part))
+    return str(found)
 
 
 def test_partition_violation_doubly_labelled(sys15):
-    # D_0 of 2pq also takes the least member of D_1: index 7 gets both
-    d0, d1 = (sys15.classes[ClassId("2pq", 1, 1, h)] for h in (0, 1))
-    exc = _painted(sys15, ClassId("2pq", 1, 1, 0), np.sort(np.r_[d0, d1[:1]]))
-    assert exc.index == 7
-    assert str(exc) == (
-        "index 7: already labeled ClassId(shape='2pq', i=1, j=1, h=0, "
-        "doubled=False) while labeling ClassId(shape='2pq', i=1, j=1, "
-        "h=1, doubled=False)")
+    # index 7, the least member of D_1 of 2pq, painted D_0 of 2pq as well
+    assert _named(sys15, 7, sys15.labels.index(ClassId("2pq", 1, 1, 0))) == (
+        f"{CELLS} [index=7, painted=ClassId(shape='2pq', i=1, j=1, h=0, "
+        f"doubled=False), cells=ClassId(shape='2pq', i=1, j=1, h=1, "
+        f"doubled=False)]")
 
 
 def test_partition_violation_unlabelled(sys15):
-    # D_1 of pq loses its largest member 13: index 26 = 2 * 13 is bare
-    d1 = sys15.classes[ClassId("pq", 1, 1, 1)]
-    exc = _painted(sys15, ClassId("pq", 1, 1, 1), d1[:-1].copy())
-    assert exc.index == 26
-    assert str(exc) == "index 26: left unlabeled"
+    # index 26 = 2 * 13, of D_1 of pq, left at -1: named by its raw value
+    assert _named(sys15, 26, -1) == (
+        f"{CELLS} [index=26, painted=-1, cells=ClassId(shape='pq', i=1, "
+        f"j=1, h=1, doubled=True)]")
 
 
 def test_partition_violation_residue_in_neither_coset(sys15):
-    # D_0 of 2q = {1, 9}: 1 becomes its even partner 6, which is in
-    # neither coset modulo 10; 3 * 6 = 18 lands on the doubled q class
-    exc = _painted(sys15, ClassId("2q", 0, 1, 0),
-                   np.array([6, 9], dtype=np.int64))
-    assert exc.index == 18
-    assert str(exc) == (
-        "index 18: already labeled ClassId(shape='2q', i=0, j=1, h=0, "
-        "doubled=False) while labeling ClassId(shape='q', i=0, j=1, h=1, "
-        "doubled=True)")
+    # index 18 = 3 * 6, a doubled q position, painted D_0 of 2q, a label
+    # of odd positions only
+    assert _named(sys15, 18, sys15.labels.index(ClassId("2q", 0, 1, 0))) == (
+        f"{CELLS} [index=18, painted=ClassId(shape='2q', i=0, j=1, h=0, "
+        f"doubled=False), cells=ClassId(shape='q', i=0, j=1, h=1, "
+        f"doubled=True)]")
 
 
 def test_partition_violation_repeated_within_one_label(sys15):
-    # D_0 of pq lists 4 and 11 twice: every index is still labeled, but
-    # the doubled label holds 2 * 4 = 8 and 2 * 11 = 22 twice each, and
-    # the tables no longer tile; the least such index is named
+    # D_0 of pq listing 4 and 11 twice no longer reaches any check: the
+    # labels come from p and q alone, and the partition is intact
     d0 = sys15.classes[ClassId("pq", 1, 1, 0)]
-    exc = _painted(sys15, ClassId("pq", 1, 1, 0), np.r_[d0, d0[2:0:-1]])
-    assert exc.index == 8
-    assert str(exc) == ("index 8: labeled twice by ClassId(shape='pq', i=1, "
-                        "j=1, h=0, doubled=True)")
+    bad = _replaced(sys15, ClassId("pq", 1, 1, 0), np.r_[d0, d0[2:0:-1]])
+    assert np.array_equal(build_partition(bad), sys15.partition)
+    assert check_structural_lemmas(bad) == check_residue_rules(bad) == []
 
 
 def _reference_paint(system):
@@ -532,17 +585,19 @@ def corrupted_systems(draw):
 @settings(deadline=None, max_examples=300)
 @given(corrupted_systems())
 def test_one_scatter_paint_matches_sequential_reference(case):
+    # the sequential reference paints the tables, and raises on every
+    # corruption; the cells' labels read no table, so they equal the
+    # paint beside any tables, corrupted or not
     kind, system = case
     try:
         want = _reference_paint(system)
-    except PartitionViolation as exc:
+    except PartitionViolation:
         assert kind != "none"
-        with pytest.raises(PartitionViolation) as info:
-            build_partition(system)
-        assert (info.value.index, str(info.value)) == (exc.index, str(exc))
     else:
         assert kind == "none"
-        assert np.array_equal(build_partition(system), want)
+        assert np.array_equal(system.partition, want)
+    assert np.array_equal(build_partition(system), system.partition)
+    assert check_structural_lemmas(system) == []
 
 
 def _subgroup(mod, square, y, half_order, y_count):
@@ -576,10 +631,11 @@ def _reference_system(constants):
             d1 = sorted(c.g * v % mod for v in d0)
             classes[ClassId(shape, i, j, 0)] = np.array(d0, dtype=np.int64)
             classes[ClassId(shape, i, j, 1)] = np.array(d1, dtype=np.int64)
-    labels = partition_labels(c.m, c.n)
-    return with_classes(CyclotomicSystem(
-        constants=c, labels=labels,
-        partition=cyclotomy._paint_partition(c, classes, labels)), classes)
+    unpainted = with_classes(CyclotomicSystem(
+        constants=c, labels=partition_labels(c.m, c.n), partition=None),
+        classes)
+    return with_classes(unpainted, classes,
+                        partition=_reference_paint(unpainted))
 
 
 def _assert_same_system(got, want):
@@ -618,64 +674,61 @@ def test_power_table_matches_reference_builder(params):
     assert check_structural_lemmas(got) == []
 
 
-def _spy_set_comparison(monkeypatch):
-    # the per-class set comparison reads its table through _sorted_set,
-    # and runs only on a class that the one-pass accept turned down
-    calls, real = [], cyclotomy._sorted_set
-    monkeypatch.setattr(cyclotomy, "_sorted_set",
-                        lambda arr: calls.append(len(arr)) or real(arr))
-    return calls
-
-
 def test_benchmark_classes_are_accepted_in_one_pass(monkeypatch):
-    # the 19 verify-grid systems, then the 16 sweep-mappings systems
-    calls = _spy_set_comparison(monkeypatch)
+    # the 19 verify-grid systems, then the 16 sweep-mappings systems, pass
+    # both checks with no class table read; a property is a data
+    # descriptor, so held systems that derived their tables earlier raise
+    def refuse(system):
+        raise AssertionError("a class table was read")
+
+    monkeypatch.setattr(CyclotomicSystem, "classes", property(refuse))
     for params in BENCH_SYSTEMS[:35]:
-        assert check_structural_lemmas(build_system(*params)) == [], params
-    assert calls == []
+        system = build_system(*params)
+        assert check_structural_lemmas(system) == [], params
+        assert check_residue_rules(system) == [], params
 
 
-def test_a_repeated_entry_is_compared_as_a_set(monkeypatch):
-    # one entry twice is no longer strictly increasing, so the accept turns
-    # the table down; the set comparison then finds the same set, as before
+def test_a_repeated_entry_is_compared_as_a_set():
+    # a table with one entry twice, or every table emptied, beside an
+    # intact partition: neither check reads a table, so both pass
     system = build_system(3, 5, 2, 1)
-    calls = _spy_set_comparison(monkeypatch)
     for cid, cls in system.classes.items():
-        calls.clear()
         repeated = np.sort(np.r_[cls, cls[len(cls) // 2]])
-        assert check_structural_lemmas(_replaced(system, cid, repeated)) == []
-        assert calls == [len(cls) + 1], cid
+        bad = _replaced(system, cid, repeated)
+        assert check_structural_lemmas(bad) == check_residue_rules(bad) == []
+    empty = with_classes(system, dict.fromkeys(system.classes, np.array([])))
+    assert check_structural_lemmas(empty) == check_residue_rules(empty) == []
 
 
 def test_a_table_off_its_class_by_one_entry_is_named():
-    # each table holds its class but for one entry: repeated, missing, or
-    # moved one modulus below or above the range, where a side table read
-    # at that index would wrap or stop. Every one is turned down and named
+    # the least and the greatest position of each label painted its twin
+    # coset, or left at -1: every one is named at its index
     system = build_system(3, 5, 2, 1)
-    for cid, cls in system.classes.items():
-        # the range of the class: p^i q^j, doubled on the doubled shapes
-        M = 3**cid.i * 5**cid.j * (2 if cid.shape.startswith("2") else 1)
-        tables = [(np.r_[cls[0] - M, cls[1:]], cls[0] - M),
-                  (np.r_[cls[:-1], cls[-1] + M], cls[-1])]
-        if len(cls) > 1:
-            tables += [(cls[:-1], cls[-1]),
-                       (np.sort(np.r_[cls[:-1], cls[0]]), cls[-1])]
-        for table, witness in tables:
-            found = check_structural_lemmas(_replaced(system, cid, table))
+    for x, cid in enumerate(system.labels[2:], start=2):
+        ts = np.flatnonzero(system.partition == x)
+        twin = system.labels.index(cid._replace(h=1 - cid.h))
+        for t, label in itertools.product((ts[0], ts[-1]), (twin, -1)):
+            part = system.partition.copy()
+            part[t] = label
+            found = check_structural_lemmas(_relabelled(system, part))
+            painted = system.labels[label] if label >= 0 else -1
             assert [v.witness for v in found] == [
-                {"shape": cid, "witness": int(witness)}], (cid, table)
+                {"index": t, "painted": painted, "cells": cid}], (cid, t)
 
 
 def test_an_empty_table_is_named():
-    # an empty table has no least or greatest entry: it is turned down by
-    # its size and named at the least member of its class, 1, a square mod 3
+    # every position of one label painted its twin, so no position holds
+    # it: named at its least position, 10 = 2 * 5 * 1 for the doubled
+    # copy of D_0 of p in (3, 5, 1, 1)
     system = build_system(3, 5, 1, 1)
-    cid = ClassId("p", 1, 0, 0)
-    found = check_structural_lemmas(
-        _replaced(system, cid, np.array([], dtype=np.int64)))
+    cid = ClassId("p", 1, 0, 0, doubled=True)
+    part = system.partition.copy()
+    part[part == system.labels.index(cid)] = system.labels.index(
+        cid._replace(h=1))
+    found = check_structural_lemmas(_relabelled(system, part))
     assert [(type(v), str(v).split(" [")[0], v.witness) for v in found] == [
-        (LemmaViolation, "class set identity failed",
-         {"shape": cid, "witness": 1})]
+        (LemmaViolation, CELLS,
+         {"index": 10, "painted": cid._replace(h=1), "cells": cid})]
 
 
 @st.composite
@@ -696,7 +749,9 @@ def stray_generators(draw):
 @given(stray_generators())
 def test_power_table_fails_as_the_reference_builder(constants):
     # the paint raises exactly when the reference does, as PartitionViolation
-    # at an index it left bare or, with none bare, on its write count
+    # at an index it left bare or, with none bare, on its write count; a
+    # paint that succeeds passes the label check exactly when it is the
+    # honest system's
     try:
         want = _reference_system(constants)
     except (LemmaViolation, PartitionViolation):
@@ -707,7 +762,12 @@ def test_power_table_fails_as_the_reference_builder(constants):
             ": left unlabeled" if bare else f" writes for "
                                             f"{constants.period} indices")
     else:
-        _assert_same_system(cyclotomy._system_from_constants(constants), want)
+        got = cyclotomy._system_from_constants(constants)
+        _assert_same_system(got, want)
+        c = constants
+        honest = build_system(c.p, c.q, c.m, c.n)
+        assert (check_structural_lemmas(got) == []) == np.array_equal(
+            got.partition, honest.partition)
 
 
 def test_unpainted_witness_is_the_least_bare_odd_index_or_double():
@@ -848,5 +908,9 @@ def test_held_systems_are_read_only():
     # copies stay writable, and systems built from them work
     classes = dict(system.classes)
     classes[cid] = classes[cid][1:]
-    assert check_structural_lemmas(with_classes(system, classes))
+    part = system.partition.copy()
+    part[2] = system.labels.index(ClassId("pq", 1, 1, 1, True))
+    assert check_structural_lemmas(_relabelled(system, part))
     assert build_system(3, 5, 1, 1).classes[cid].tolist() == [1, 4, 11, 14]
+    assert build_system(3, 5, 1, 1).partition[2] == system.labels.index(
+        ClassId("pq", 1, 1, 0, True))

@@ -13,12 +13,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import with_classes
-from cycloseq import cli, gf4
-from cycloseq.analysis import cell_char_sums, cell_index, cells, lc_via_gcd
+from cycloseq import cli, cyclotomy, gf4
+from cycloseq.analysis import cell_char_sums, lc_via_gcd
 from cycloseq import extfield
 from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
-                                build_system, h_set)
+                                build_system, cell_index, cells,
+                                check_structural_lemmas, h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              InvalidMapping, InvalidParams, LemmaViolation)
 from cycloseq.extfield import (build_extension, is_irreducible,
@@ -642,20 +642,24 @@ def test_spectrum_checks_the_folded_sequence_is_constant_on_cells(
     u1, u2 = (t if t % 2 else t + 15 for t in (t1, t2))  # the odd positions
     part = sys15.partition.copy()
     part[[u1, u2]] = part[[u2, u1]]
-    # the original tables: the cells keep their members, the values move
-    swapped = with_classes(sys15, sys15.classes, partition=part)
+    swapped = dataclasses.replace(sys15, partition=part)
+    # the report checked on the real system: the cells keep their members,
+    # the values move
     chars = verify_char_sum_tables(sys15, ctx15)
     seq = build_sequence(swapped, DEFAULT_MAPPING)
-    calls = [lambda: measure_spectrum(
-                 ctx15, _unchecked_report(swapped, ctx15), seq),
-             lambda: measure_spectrum(ctx15, chars, seq),
-             lambda: verify_case_table(swapped, ctx15, DEFAULT_MAPPING),
+    calls = [lambda: measure_spectrum(ctx15, chars, seq),
              lambda: verify_case_table(swapped, ctx15, DEFAULT_MAPPING,
                                        char_sums=chars)]
     for call in calls:
         with pytest.raises(LemmaViolation, match="not constant") as info:
             call()
         assert info.value.witness == {"cell": cell, "t": int(ts[1])}
+    # the swapped partition fails the label check and, its H-sets read off
+    # it, the char-sum check, so verify never reads its spectrum
+    (found,) = check_structural_lemmas(swapped)
+    assert found.witness["index"] == min(u1, u2)
+    with pytest.raises(LemmaViolation, match="off its closed form"):
+        verify_char_sum_tables(swapped, ctx15)
     # the unswapped system reads the same table without complaint
     assert verify_case_table(sys15, ctx15, DEFAULT_MAPPING,
                              char_sums=chars).checked == 15
@@ -1002,14 +1006,41 @@ def test_expected_table_never_reads_beta_powers(params, monkeypatch):
 
 
 def test_a_class_short_of_one_unit_is_caught(sys15, ctx15):
-    # the expected side reads no class table, so one unit dropped from any
-    # doubled-modulus class shows as a mismatch at k = 1
+    # the expected side reads no partition, so one position of any
+    # doubled-modulus H-set relabelled to its twin coset shows as a
+    # mismatch at k = 1
     for cid in extfield._columns(sys15):
-        classes = dict(sys15.classes)
-        classes[cid] = classes[cid][1:]
+        x = sys15.labels.index(cid)
+        part = sys15.partition.copy()
+        part[np.flatnonzero(part == x)[0]] = sys15.labels.index(
+            cid._replace(h=1 - cid.h))
         with pytest.raises(LemmaViolation) as info:
-            verify_char_sum_tables(with_classes(sys15, classes), ctx15)
+            verify_char_sum_tables(
+                dataclasses.replace(sys15, partition=part), ctx15)
         assert info.value.witness["k"] == 1
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)], ids=str)
+def test_a_flipped_q_legendre_bit_fails_both_checks(params, monkeypatch):
+    # a cell_index that puts each k in the cell of the other q Legendre
+    # bit: the labels it names no longer match the paint, and the expected
+    # char sums no longer match the measured ones
+    system = build_system(*params)
+    ctx = build_extension(system.half_period)
+    real = cyclotomy.cell_index
+
+    def mutant(constants, ks):
+        c = constants
+        keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
+        flipped = [keys.index((a, b, lp, lq ^ (b < c.n)))
+                   for a, b, lp, lq in keys]
+        return np.array(flipped)[real(constants, ks)]
+
+    for module in (cyclotomy, extfield):
+        monkeypatch.setattr(module, "cell_index", mutant)
+    assert check_structural_lemmas(system)
+    with pytest.raises(LemmaViolation, match="off its closed form"):
+        verify_char_sum_tables(system, ctx)
 
 
 # --- byte tables, the direct beta and the root prefilter -------------------
