@@ -15,10 +15,12 @@ print(f"p={c.p} q={c.q} m={c.m} n={c.n}: period {system.period}")
 print(f"common primitive root g = {c.g}, mixing unit y = {c.y} "
       f"(g1 = {c.g1}, g2 = {c.g2})")
 
-print("\nclasses by (shape, i, j, h):")
-for cid, members in sorted(system.classes.items()):
+print("\nclasses by (shape, i, j, h), each label's positions over its "
+      "cofactor:")
+for cid in sorted(system.labels[2:]):
+    cofactor = c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (1 + cid.doubled)
     print(f"  {cid.shape:>3} i={cid.i} j={cid.j} h={cid.h}: "
-          f"{[int(t) for t in members]}")
+          f"{[int(t) // cofactor for t in h_set(system, cid)]}")
 
 print("\nH-sets scale each class by its cofactor; doubled labels also by 2:")
 for cid in system.labels[2:6]:

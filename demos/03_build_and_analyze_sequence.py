@@ -6,9 +6,8 @@
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_symbols, berlekamp_massey,
                                generates, lc_via_gcd, minimal_planes)
-from cycloseq.cyclotomy import build_system
-from cycloseq.sequence import (DEFAULT_MAPPING, balance_profile,
-                               build_sequence)
+from cycloseq.cyclotomy import BUCKETS, bucket_codes, build_system
+from cycloseq.sequence import DEFAULT_MAPPING, build_sequence
 
 import numpy as np
 
@@ -18,10 +17,14 @@ digits = "".join(str(int(v)) for v in seq.symbols)
 print(f"mapping (a,b,c,d,e) = {DEFAULT_MAPPING.as_tuple()}")
 print(f"sequence ({seq.period} symbols): {digits}")
 
-prof = balance_profile(system, seq)
-print(f"bucket counts: {prof.bucket_counts} "
-      f"(expected {prof.expected_bucket_size} per letter bucket)")
-print(f"symbol counts: {prof.symbol_counts}")
+# each letter bucket covers (N - 1) / 2 positions, N = p^m q^n
+c = system.constants
+buckets = np.bincount(bucket_codes(c.m, c.n)[system.partition],
+                      minlength=len(BUCKETS))
+print(f"bucket counts: {dict(zip(BUCKETS, buckets.tolist()))} "
+      f"(expected {(system.half_period - 1) // 2} per letter bucket)")
+symbols = np.bincount(seq.symbols, minlength=4)
+print(f"symbol counts: {dict(enumerate(symbols.tolist()))}")
 
 lc_g, factors = lc_via_gcd(seq.symbols)
 minpoly = minimal_planes(seq.period, factors)

@@ -13,7 +13,7 @@ from cycloseq.sequence import DEFAULT_MAPPING
 
 def order(context, x):
     """Multiplicative order of a nonzero element of F_{4^d}."""
-    result = context.group_order
+    result = 4**context.d - 1
     for r in factorize(result):
         while result % r == 0 and context.pow(x, result // r) == 1:
             result //= r

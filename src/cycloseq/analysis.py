@@ -87,7 +87,6 @@ and requires it to equal predict_lc (checked_lc).
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +95,7 @@ from . import gf4
 from .cyclotomy import _family_indices, cells
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
 from .numtheory import two_is_square_mod
-from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
-                       validate_mapping)
+from .sequence import DEFAULT_MAPPING, build_sequence, validate_mapping
 
 
 def berlekamp_massey(symbols):
@@ -305,27 +303,6 @@ def predict_lc(constants, mapping):
         if even == odd:
             lost += size << (odd == 0)
     return 2 * c.half_period - lost
-
-
-def max_complexity_mappings(system, count=3):
-    """First `count` valid mappings whose predict_lc is the full period.
-
-    Deterministic enumeration: e ascending, then the lexicographic
-    permutations of (0, 1, 2, 3) over (a, b, c, d).
-    """
-    c = system.constants
-    found = []
-    for e in range(1, 4):
-        for perm in itertools.permutations(range(4)):
-            mapping = Mapping(*perm, e)
-            if validate_mapping(c.p, mapping):
-                continue
-            if predict_lc(c, mapping) != system.period:
-                continue
-            found.append(mapping)
-            if len(found) == count:
-                return found
-    return found
 
 
 def checked_lc(seq):

@@ -28,10 +28,9 @@ half painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below
 the period ceiling of numtheory) and its even half copied from the odd,
 is stored as a label array and is the single source of truth: a sequence
 reads only its labels, or the per-bucket indicator planes derived from
-them on first read, and the class tables, the library's view of D_0 and
-D_1, which no program path reads, are derived from it on first read too.
-A paint that does not tile raises PartitionViolation, its witness the
-least unlabeled index among the bare odd positions and their doubles.
+them on first read, and h_set reads the positions of one label. A paint
+that does not tile raises PartitionViolation, its witness the least
+unlabeled index among the bare odd positions and their doubles.
 
 build_system holds the systems it has painted, keyed by (p, q, m, n), so
 a process paints each system once: a sweep per mapping over one grid
@@ -39,15 +38,14 @@ repaints nothing. The least recently used system goes first, and the
 held periods sum to at most HELD_POSITIONS label positions (16 MB of
 int16); a system larger than that is returned and not held. Every call
 is still checked against its cap, and a call that raises holds nothing.
-A held system is read-only: its partition, its class tables, the
-mapping of them, its bucket planes and its constants' order tables; it
-keeps what it derived, so each system derives them once per process.
+A held system is read-only: its partition, its bucket planes and its
+constants' order tables; it keeps its bucket planes once derived, so each
+system derives them once per process.
 """
 
 import collections
 import functools
 import threading
-import types
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -101,13 +99,6 @@ def _families(m, n):
     for i, j in _family_indices(m, n):
         out[min(i, 1), min(j, 1)].append((i, j))
     return out
-
-
-def _check_class_id(cid, valid_ids):
-    if ClassId(*cid[:4]) not in valid_ids:
-        raise InvalidParams(f"{cid} names no class of the system")
-    if cid.doubled and cid.shape not in ODD_SHAPES:
-        raise InvalidParams("doubled applies only to odd-modulus shapes")
 
 
 def _powers(base, count, mod):
@@ -168,13 +159,6 @@ def cell_index(constants, ks):
     return where[a, b, lp, lq]
 
 
-def all_class_ids(m, n):
-    """Deterministic enumeration of every class id (doubled=False)."""
-    return [ClassId(_shape(i, j, two), i, j, h)
-            for i, j in _family_indices(m, n)
-            for h in (0, 1) for two in (False, True)]
-
-
 # one table per shape (m, n), of which the period ceiling allows a few hundred
 @functools.cache
 def partition_labels(m, n):
@@ -210,40 +194,19 @@ def bucket_codes(m, n):
     return codes
 
 
-def cofactor_of(constants, cid):
-    """Scale factor embedding a class into Z_{p^m q^n} / Z_{2 p^m q^n},
-    times 2 for a doubled label."""
-    c = constants
-    return c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (2 if cid.doubled else 1)
-
-
 @dataclass(frozen=True)
 class CyclotomicSystem:
-    """Constants, the partition label array and every class table.
+    """Constants and the partition label array.
 
     Immutable after construction; partition holds indices into labels.
-    classes, keyed by ClassId with doubled=False, is derived on first read
-    and kept: each label's positions, ascending, divided by its cofactor,
-    in a read-only mapping of read-only arrays. So is bucket_planes: per
-    bucket, in BUCKETS order, the int whose bit t is set when position t
-    lies in the bucket, from which a sequence ORs its gf4 planes.
+    bucket_planes is derived on first read and kept: per bucket, in
+    BUCKETS order, the int whose bit t is set when position t lies in the
+    bucket, from which a sequence ORs its gf4 planes.
     """
 
     constants: SystemConstants
     labels: tuple = field(repr=False)
     partition: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def classes(self):
-        c, labels = self.constants, self.labels
-        order = np.argsort(self.partition, kind="stable")
-        ends = np.cumsum(np.bincount(self.partition,
-                                     minlength=len(labels))).tolist()
-        classes = {ClassId(*lab[:4]): order[start:end] // cofactor_of(c, lab)
-                   for lab, start, end in zip(labels[2:], ends[1:], ends[2:])}
-        for table in classes.values():
-            table.flags.writeable = False
-        return types.MappingProxyType(classes)
 
     @functools.cached_property
     def bucket_planes(self):
@@ -263,11 +226,12 @@ class CyclotomicSystem:
         return self.constants.half_period
 
 
-def h_set(system, cid):
-    """The class scaled by its cofactor (and by 2 when the label says so)."""
-    _check_class_id(cid, system.classes)
-    mult = cofactor_of(system.constants, cid)
-    return system.classes[ClassId(*cid[:4])] * mult
+def h_set(system, label):
+    """The positions of one partition label, ascending: the H-set it names
+    in Z_2N. InvalidParams for a label the system lacks."""
+    if label not in system.labels:
+        raise InvalidParams(f"{label} labels no position of the system")
+    return np.flatnonzero(system.partition == system.labels.index(label))
 
 
 class _HeldSystems:
@@ -365,7 +329,7 @@ def _system_from_constants(constants):
 
 def build_partition(system):
     """The partition's label array from p and q alone, through the cells of
-    Z_N: no class table, g or y is read. Position t lies in the cell
+    Z_N: it reads neither the paint nor g and y. Position t lies in the cell
     (a, b, lp, lq) of k = t mod N at odd t and k = t / 2 at even t; its
     label is family (m - a, n - b), coset lq when b < n and lp otherwise,
     the doubled-modulus label at odd t and the doubled copy of the

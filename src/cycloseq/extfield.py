@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gf4
 from . import analysis
-from .cyclotomy import DOUBLED_SHAPES, _qr_sides, cell_index, cells
+from .cyclotomy import DOUBLED_SHAPES, _qr_sides, cell_index, cells, h_set
 from .errors import CapExceeded, CaseViolation, InvalidParams, LemmaViolation
 from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile
@@ -202,10 +202,6 @@ class ExtFieldContext:
     beta: int
     beta_powers: np.ndarray = field(repr=False)
     exp_table: object = field(repr=False)
-
-    @property
-    def group_order(self):
-        return 4**self.d - 1
 
     def pow(self, x, e):
         return ext_pow(x, e, self.d, self.x_to_d)
@@ -508,8 +504,7 @@ def verify_char_sum_tables(system, context):
                      for key, _ in cells(*params)], dtype=np.uint32)
     expected = rows[cell_index(c, np.arange(1, N))]
     columns = _columns(system)
-    sets = [np.flatnonzero(system.partition == system.labels.index(cid)) % N
-            for cid in columns]
+    sets = [h_set(system, cid) % N for cid in columns]
     measured = _orbit_sums(context, sets)
 
     bad = measured != expected

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf4
-from .cyclotomy import BUCKETS, CyclotomicSystem, bucket_codes
+from .cyclotomy import CyclotomicSystem, bucket_codes
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
 from .numtheory import two_is_square_mod
 
@@ -181,33 +181,6 @@ def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):
 
 
 @dataclass(frozen=True)
-class BalanceProfile:
-    """Occurrence counts per symbol and per bucket over one period."""
-
-    symbol_counts: dict
-    bucket_counts: dict
-    expected_bucket_size: int
-
-
-def balance_profile(system, seq):
-    """Count symbols and bucket occupancies; buckets a..d must tie.
-
-    Each of the four H-set buckets covers exactly (p^m q^n - 1)/2 indices,
-    so any valid mapping hits each of a, b, c, d that often (plus the two
-    special positions for 0 and e).
-    """
-    counts = np.bincount(seq.symbols, minlength=4)
-    c = system.constants
-    per_bucket = np.bincount(bucket_codes(c.m, c.n)[system.partition],
-                             minlength=len(BUCKETS))
-    return BalanceProfile(
-        symbol_counts={v: int(counts[v]) for v in range(4)},
-        bucket_counts=dict(zip(BUCKETS, per_bucket.tolist())),
-        expected_bucket_size=(system.half_period - 1) // 2,
-    )
-
-
-@dataclass(frozen=True)
 class SpectrumProfile:
     """Predicted values of S(beta^k) by saturation regime.
 
@@ -228,7 +201,7 @@ def spectrum_profile(system, mapping):
                   + [p unsaturated] L_p + [q unsaturated] L_q
     where L_r = b + d when 2 is a square mod r and b + c when it is not,
     2 then lying in D_0 or D_1 of the r-power families; the pq family's
-    coset of 2 is q's, so L_pq = L_q. No class table is read.
+    coset of 2 is q's, so L_pq = L_q. The partition is not read.
     """
     c, m = system.constants, mapping
     lam_p, lam_q = (m.b ^ (m.d if two_is_square_mod(r) else m.c)

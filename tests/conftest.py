@@ -1,17 +1,23 @@
-"""Shared test plumbing: the acceptance verdict report, systems whose
-class tables are given rather than derived, and builds that paint.
+"""Shared test plumbing: the acceptance verdict report, every structurally
+valid mapping, the class tables read off a partition, and builds that
+paint.
 
 Criterion tests append one line each; the terminal-summary hook prints
 them after capture ends so the verdicts show under any pytest invocation.
 """
 
-import dataclasses
+import itertools
 
 import pytest
 
 from cycloseq import cyclotomy
+from cycloseq.sequence import Mapping
 
 ACCEPTANCE_VERDICTS = []
+# every structurally valid mapping: a, b, c, d distinct, e nonzero
+ALL_MAPPINGS = tuple(Mapping(*perm, e)
+                     for perm in itertools.permutations(range(4))
+                     for e in (1, 2, 3))
 
 
 @pytest.fixture(scope="session")
@@ -27,18 +33,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.line(line)
 
 
-def with_classes(system, classes, partition=None):
-    """A copy of system holding the given class tables, and partition in
-    place of its own when one is given.
-
-    A system derives its classes from its partition on first read; this is
-    how a test pairs a partition with tables that may disagree with it.
-    """
-    out = dataclasses.replace(system, **(
-        {} if partition is None else {"partition": partition}))
-    # classes is a cached property: filling its slot skips the derivation
-    object.__setattr__(out, "classes", classes)
-    return out
+def class_table(system, cid):
+    """D_h of the class cid names, ascending, read off the partition: the
+    positions of its label divided by the cofactor p^(m-i) q^(n-j), and by
+    2 more for an odd-modulus class, whose label is its doubled copy."""
+    c, odd = system.constants, cid.shape in cyclotomy.ODD_SHAPES
+    cofactor = c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (2 if odd else 1)
+    return cyclotomy.h_set(system, cid._replace(doubled=odd)) // cofactor
 
 
 @pytest.fixture

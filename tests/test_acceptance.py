@@ -11,17 +11,19 @@ import time
 
 import numpy as np
 
+from conftest import ALL_MAPPINGS
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               max_complexity_mappings, verify_theorem)
-from cycloseq.cyclotomy import (bucket_of_label, build_partition,
-                                build_system, check_residue_rules,
-                                check_structural_lemmas, residue_side_of_2)
+                               predict_lc, verify_theorem)
+from cycloseq.cyclotomy import (BUCKETS, bucket_codes, bucket_of_label,
+                                build_partition, build_system,
+                                check_residue_rules, check_structural_lemmas,
+                                residue_side_of_2)
 from cycloseq.extfield import (build_extension, verify_case_table,
                                verify_char_sum_tables)
 from cycloseq.numtheory import is_prime
-from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, balance_profile,
-                               build_sequence)
+from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
+                               validate_mapping)
 
 GRID_PAIRS = ((3, 5), (3, 7), (5, 7), (3, 11), (5, 11), (7, 11))
 GRID_EXPONENTS = ((1, 1), (2, 1), (1, 2))
@@ -95,7 +97,11 @@ def test_criterion_3_theorem_sweep(acceptance_log):
             if period > 10**5:
                 continue
             system = build_system(p, q, m, n)
-            mappings = max_complexity_mappings(system, count=3)
+            # the first three valid mappings predict_lc calls full: e
+            # ascending, then the permutations of (a, b, c, d)
+            mappings = [mp for mp in sorted(ALL_MAPPINGS, key=lambda mp: mp.e)
+                        if not validate_mapping(p, mp)
+                        and predict_lc(system.constants, mp) == period][:3]
             assert len(set(mp.as_tuple() for mp in mappings)) == 3
             for mp in mappings:
                 report = verify_theorem(system, mp)
@@ -241,10 +247,11 @@ def test_criterion_9_balance(acceptance_log):
     for p, q in GRID_PAIRS:
         for m, n in GRID_EXPONENTS:
             system = build_system(p, q, m, n)
-            profile = balance_profile(system, build_sequence(system))
+            counts = np.bincount(bucket_codes(m, n)[system.partition],
+                                 minlength=len(BUCKETS))
             target = (p**m * q**n - 1) // 2
             checked += 1
-            if any(profile.bucket_counts[b] != target for b in "abcd"):
+            if counts[BUCKETS.index("a"):].tolist() != [target] * 4:
                 off += 1
     _verdict(acceptance_log, 9, off == 0,
              f"{checked} grid sequences: all four bucket counts equal "

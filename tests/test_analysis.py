@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALL_MAPPINGS
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                berlekamp_massey, cell_char_sums, checked_lc,
@@ -294,9 +295,6 @@ FOLD_SYSTEMS = tuple(
         (17, 41), (17, 3), (17, 5), (17, 7), (3, 17), (3, 11), (3, 5),
         (3, 7), (5, 17), (5, 3), (5, 13), (5, 7), (7, 17), (7, 3), (7, 5),
         (7, 23))) + ((3, 5, 2, 1), (3, 5, 1, 2), (5, 7, 2, 2))
-ALL_MAPPINGS = tuple(Mapping(*perm, e)
-                     for perm in itertools.permutations(range(4))
-                     for e in (1, 2, 3))
 
 
 @pytest.mark.parametrize("params", FOLD_SYSTEMS,
@@ -703,10 +701,6 @@ def test_analyze_degenerate_rejections(sys15):
 CLASS_PAIRS = ((17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5),
                (7, 23), (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3),
                (5, 13), (5, 7))
-# every structurally valid mapping: a, b, c, d distinct, e nonzero
-ALL_MAPPINGS = tuple(Mapping(*perm, e)
-                     for perm in itertools.permutations(range(4))
-                     for e in (1, 2, 3))
 
 
 def test_class_pairs_cover_every_class():

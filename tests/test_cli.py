@@ -549,9 +549,10 @@ def _outcome(capsys, argv, out):
 
 def test_only_verify_derives_the_class_tables(tmp_path, capsys,
                                               monkeypatch, cold_builds):
-    # no command reads a class table: with the class-table derivation
-    # raising, sweep, analyze, generate and verify give the same bytes and
-    # codes
+    # only verify reads the positions of a label, one doubled-modulus
+    # H-set per char-sum column: with h_set recorded, every command gives
+    # the same bytes and codes, and sweep, analyze, generate and a verify
+    # stopped by the degree cap read none
     out = str(tmp_path / "s.txt")
     grid = ("--pairs", "3:5,7:17,5:3,17:41", "--exponents", "1:1,2:1")
     calls = [
@@ -577,19 +578,21 @@ def test_only_verify_derives_the_class_tables(tmp_path, capsys,
     want = [_outcome(capsys, argv, out) for argv in calls]
     assert [w[0] for w in want] == [0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0,
                                     0, 0, 1, 3]
-    derived = []
+    read, real = [], cyclotomy.h_set
 
-    def refuse(system):
-        derived.append(system)
-        raise AssertionError("a class table was derived")
+    def recorded(system, label):
+        read.append(label)
+        return real(system, label)
 
-    # a property is a data descriptor: a system that derived its tables
-    # before the patch raises too
-    monkeypatch.setattr(cyclotomy.CyclotomicSystem, "classes",
-                        property(refuse))
+    monkeypatch.setattr(cyclotomy, "h_set", recorded)
+    monkeypatch.setattr(extfield, "h_set", recorded)
     for argv, expected in zip(calls, want):
+        read.clear()
         assert _outcome(capsys, argv, out) == expected, argv
-    assert derived == []
+        verified = argv[0] == "verify" and expected[0] != 3
+        assert bool(read) == verified, argv
+        assert {label.shape for label in read} <= set(
+            cyclotomy.DOUBLED_SHAPES), argv
 
 
 def _csv_rows(text):

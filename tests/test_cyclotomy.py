@@ -10,14 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import with_classes
+from conftest import class_table
 from cycloseq import cyclotomy
-from cycloseq.cyclotomy import (BUCKETS, ClassId, CyclotomicSystem,
-                                HALF_LABEL, ZERO_LABEL, bucket_codes,
-                                bucket_of_label, build_partition,
-                                build_system, check_residue_rules,
-                                check_structural_lemmas, cofactor_of, h_set,
-                                partition_labels, residue_side_of_2)
+from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
+                                bucket_codes, bucket_of_label,
+                                build_partition, build_system,
+                                check_residue_rules, check_structural_lemmas,
+                                h_set, partition_labels, residue_side_of_2)
 from cycloseq.errors import (CapExceeded, InvalidParams, LemmaViolation,
                              PartitionViolation)
 from cycloseq.numtheory import (PERIOD_CEILING, build_system_constants,
@@ -35,12 +34,13 @@ def sys15():
 
 
 def test_class_tables_example_15(sys15):
-    assert list(sys15.classes[ClassId("pq", 1, 1, 0)]) == [1, 4, 11, 14]
-    assert list(sys15.classes[ClassId("pq", 1, 1, 1)]) == [2, 7, 8, 13]
-    assert list(sys15.classes[ClassId("2pq", 1, 1, 0)]) == [1, 11, 19, 29]
-    assert list(sys15.classes[ClassId("2p", 1, 0, 0)]) == [1]
-    assert list(sys15.classes[ClassId("2q", 0, 1, 0)]) == [1, 9]
-    assert list(sys15.classes[ClassId("p", 1, 0, 0)]) == [1]
+    assert list(class_table(sys15, ClassId("pq", 1, 1, 0))) == [1, 4, 11, 14]
+    assert list(class_table(sys15, ClassId("pq", 1, 1, 1))) == [2, 7, 8, 13]
+    assert list(class_table(sys15, ClassId("2pq", 1, 1, 0))) == [
+        1, 11, 19, 29]
+    assert list(class_table(sys15, ClassId("2p", 1, 0, 0))) == [1]
+    assert list(class_table(sys15, ClassId("2q", 0, 1, 0))) == [1, 9]
+    assert list(class_table(sys15, ClassId("p", 1, 0, 0))) == [1]
 
 
 def test_classes_partition_units():
@@ -49,8 +49,8 @@ def test_classes_partition_units():
     p, q, m, n = 3, 5, 2, 1
     mods = {("pq", i, j): p**i * q**j for i in (1, 2) for j in (1,)}
     for (shape, i, j), mod in mods.items():
-        d0 = set(int(x) for x in system.classes[ClassId(shape, i, j, 0)])
-        d1 = set(int(x) for x in system.classes[ClassId(shape, i, j, 1)])
+        d0 = set(int(x) for x in class_table(system, ClassId(shape, i, j, 0)))
+        d1 = set(int(x) for x in class_table(system, ClassId(shape, i, j, 1)))
         units = {x for x in range(1, mod) if np.gcd(x, mod) == 1}
         assert d0 | d1 == units
         assert not d0 & d1
@@ -58,18 +58,22 @@ def test_classes_partition_units():
 
 
 def test_h_set_scaling(sys15):
+    # each label's positions: its class times the cofactor, 1 for the pq
+    # families and 5 for p, and times 2 more for a doubled copy
     assert list(h_set(sys15, ClassId("2p", 1, 0, 0))) == [5]
     assert list(h_set(sys15, ClassId("2q", 0, 1, 0))) == [3, 27]
     assert list(h_set(sys15, ClassId("p", 1, 0, 0, doubled=True))) == [10]
-    assert cofactor_of(sys15.constants, ClassId("pq", 1, 1, 0)) == 1
-    assert cofactor_of(sys15.constants, ClassId("p", 1, 0, 0)) == 5
+    assert list(h_set(sys15, ClassId("2pq", 1, 1, 0))) == [1, 11, 19, 29]
+    assert list(h_set(sys15, ClassId("pq", 1, 1, 0, True))) == [2, 8, 22, 28]
+    assert list(h_set(sys15, ZERO_LABEL)) == [0]
+    assert list(h_set(sys15, HALF_LABEL)) == [15]
 
 
 def test_union_sets_example_15(sys15):
     union0 = sorted(set(
-        int(x) for cid in sys15.classes
-        if cid.shape.startswith("2") and cid.h == 0
-        for x in h_set(sys15, cid)))
+        int(x) for lab in sys15.labels[2:]
+        if lab.shape.startswith("2") and lab.h == 0
+        for x in h_set(sys15, lab)))
     assert union0 == [1, 3, 5, 11, 19, 27, 29]
 
 
@@ -79,7 +83,7 @@ def test_partition_covers_everything():
         part = system.partition
         assert len(part) == 2 * p**m * q**n
         assert part.min() >= 0
-        # recomputing from the stored classes gives the same labels
+        # recomputing from the cells gives the same labels
         again = build_partition(system)
         assert np.array_equal(part, again)
 
@@ -243,7 +247,7 @@ def _ref_structural_lemmas(system):
     families = cyclotomy._families(c.m, c.n)
 
     def check(cid, expected):
-        got = _as_set(system.classes[cid])
+        got = _as_set(class_table(system, cid))
         if got != expected:
             diff = sorted(got.symmetric_difference(expected))
             out.append(LemmaViolation("class set identity failed",
@@ -251,8 +255,8 @@ def _ref_structural_lemmas(system):
 
     for h in (0, 1):
         for (bi, bj), members in families.items():
-            base_set = _as_set(
-                system.classes[ClassId(cyclotomy._shape(bi, bj), bi, bj, h)])
+            base_set = _as_set(class_table(
+                system, ClassId(cyclotomy._shape(bi, bj), bi, bj, h)))
             step = p**bi * q**bj
             for i, j in members:
                 mod = p**i * q**j
@@ -264,9 +268,9 @@ def _ref_structural_lemmas(system):
                       {v if v % 2 else v + mod for v in lifted})
 
         for i, j in families[1, 1]:
-            got = _as_set(system.classes[ClassId("2pq", i, j, h)]
+            got = _as_set(class_table(system, ClassId("2pq", i, j, h))
                           % (p**i * q**j))
-            if got != _as_set(system.classes[ClassId("pq", i, j, h)]):
+            if got != _as_set(class_table(system, ClassId("pq", i, j, h))):
                 out.append(LemmaViolation(
                     "doubled class does not reduce onto the odd class",
                     shape=ClassId("2pq", i, j, h), witness=min(got)))
@@ -280,10 +284,6 @@ def _ref_structural_lemmas(system):
                 f"side of 2 varies with the exponent{plural}",
                 shape=cyclotomy._shape(*base), witness=sorted(sides)))
     return out
-
-
-def _replaced(system, cid, arr):
-    return with_classes(system, {**system.classes, cid: arr})
 
 
 def _corruptions(system):
@@ -417,7 +417,10 @@ def test_class_id_validation(sys15):
         h_set(sys15, ClassId("pq", 1, 1, 2))
     with pytest.raises(InvalidParams):
         h_set(sys15, ClassId("q", 1, 1, 0))
-    assert list(sys15.classes[ClassId("2q", 0, 1, 1)]) == [3, 7]
+    # an odd-modulus class labels positions only through its doubled copy
+    with pytest.raises(InvalidParams):
+        h_set(sys15, ClassId("pq", 1, 1, 0))
+    assert list(h_set(sys15, ClassId("2q", 0, 1, 1))) == [9, 21]
 
 
 def test_collapsed_class_enumeration_raises(monkeypatch, cold_builds):
@@ -454,7 +457,7 @@ def test_each_subgroup_enumerated_once_per_modulus(monkeypatch, cold_builds,
 
 @pytest.mark.parametrize("params", GRID)
 def test_class_tables_match_definition(params):
-    # classes[h] = {g^h g^(2t) y^k mod M}, from the constants alone, with
+    # D_h = {g^h g^(2t) y^k mod M}, from the constants alone, with
     # Python ints: 2 * 2F tables for a system with F families
     system = build_system(*params)
     c = system.constants
@@ -468,10 +471,10 @@ def test_class_tables_match_definition(params):
                 want = sorted({pow(c.g, h + 2 * t, mod) * pow(c.y, k, mod)
                                % mod for t in range(d // 2)
                                for k in range(e)})
-                got = system.classes[ClassId(shape, i, j, h)]
+                got = class_table(system, ClassId(shape, i, j, h))
                 assert got.tolist() == want, (shape, i, j, h)
                 checked += 1
-    assert checked == len(system.classes) == 4 * len(c.d_ij)
+    assert checked == len(system.labels) - 2 == 4 * len(c.d_ij)
 
 
 def test_powers_are_exact_past_int64():
@@ -520,24 +523,41 @@ def test_partition_violation_residue_in_neither_coset(sys15):
         f"doubled=True)]")
 
 
+def _class_tables(system):
+    # D_h of every class, keyed by ClassId with doubled=False, label order
+    return {cid: class_table(system, cid)
+            for cid in (ClassId(*lab[:4]) for lab in system.labels[2:])}
+
+
 def test_partition_violation_repeated_within_one_label(sys15):
-    # D_0 of pq listing 4 and 11 twice no longer reaches any check: the
-    # labels come from p and q alone, and the partition is intact
-    d0 = sys15.classes[ClassId("pq", 1, 1, 0)]
-    bad = _replaced(sys15, ClassId("pq", 1, 1, 0), np.r_[d0, d0[2:0:-1]])
-    assert np.array_equal(build_partition(bad), sys15.partition)
-    assert check_structural_lemmas(bad) == check_residue_rules(bad) == []
+    # D_0 of pq listing 4 and 11 twice, painted table by table, labels its
+    # doubled positions 8 and 22 twice; a partition holds one label per
+    # index, so the paint carries no repeat, and it equals its cells'
+    cid = ClassId("pq", 1, 1, 0)
+    classes = _class_tables(sys15)
+    classes[cid] = np.r_[classes[cid], classes[cid][2:0:-1]]
+    with pytest.raises(PartitionViolation) as info:
+        _reference_paint(sys15.constants, classes)
+    assert str(info.value) == (
+        f"index 8: labeled twice by {cid._replace(doubled=True)}")
+    assert np.array_equal(build_partition(sys15), sys15.partition)
+    assert check_structural_lemmas(sys15) == check_residue_rules(sys15) == []
 
 
-def _reference_paint(system):
-    """Label by label, index by index, in Python: the first index an
-    earlier label holds, else the least index no label holds, else the
-    least index one label holds twice."""
-    c, labels = system.constants, system.labels
+def _reference_paint(constants, classes):
+    """Label by label, index by index, in Python, each class table times
+    its label's cofactor: the first index an earlier label holds, else the
+    least index no label holds, else the least index one label holds
+    twice."""
+    c = constants
+    labels = partition_labels(c.m, c.n)
     owner, twice = {}, []
     for idx, lab in enumerate(labels):
+        cofactor = 1 if lab in (ZERO_LABEL, HALF_LABEL) else (
+            c.p**(c.m - lab.i) * c.q**(c.n - lab.j) * (1 + lab.doubled))
         positions = ([0] if lab == ZERO_LABEL else [c.half_period]
-                     if lab == HALF_LABEL else h_set(system, lab).tolist())
+                     if lab == HALF_LABEL else
+                     [cofactor * int(x) for x in classes[ClassId(*lab[:4])]])
         clash = [t for t in positions if owner.get(t, idx) != idx]
         if clash:
             t = clash[0]
@@ -561,16 +581,18 @@ CORRUPTIONS = ("none", "shared", "repeated", "repeated in place", "dropped")
 
 @st.composite
 def corrupted_systems(draw):
-    """A small system with at most one class table corrupted: a member of
-    the other coset added (an index two labels share), a member listed
-    twice, a member overwritten by another, or a member dropped."""
+    """A small system and its class tables, read off its partition, with
+    at most one corrupted: a member of the other coset added (an index two
+    labels share), a member listed twice, a member overwritten by another,
+    or a member dropped."""
     system = build_system(*draw(st.sampled_from(GRID[:5])))
-    cid = draw(st.sampled_from(sorted(system.classes)))
+    classes = _class_tables(system)
+    cid = draw(st.sampled_from(sorted(classes)))
     kind = draw(st.sampled_from(CORRUPTIONS))
-    arr = system.classes[cid].copy()
+    arr = classes[cid].copy()
     k = draw(st.integers(0, len(arr) - 1))
     if kind == "shared":
-        other = system.classes[cid._replace(h=1 - cid.h)]
+        other = classes[cid._replace(h=1 - cid.h)]
         arr = np.r_[arr, other[draw(st.integers(0, len(other) - 1))]]
     elif kind == "repeated":
         arr = np.r_[arr, arr[k]]
@@ -579,25 +601,23 @@ def corrupted_systems(draw):
         arr[k] = arr[k - 1]
     elif kind == "dropped":
         arr = np.delete(arr, k)
-    return kind, _replaced(system, cid, arr)
+    classes[cid] = arr
+    return kind, system, classes
 
 
 @settings(deadline=None, max_examples=300)
 @given(corrupted_systems())
 def test_one_scatter_paint_matches_sequential_reference(case):
-    # the sequential reference paints the tables, and raises on every
-    # corruption; the cells' labels read no table, so they equal the
-    # paint beside any tables, corrupted or not
-    kind, system = case
+    # the sequential reference paints the tables read off the one-scatter
+    # paint back into that paint, and raises on every corruption
+    kind, system, classes = case
     try:
-        want = _reference_paint(system)
+        want = _reference_paint(system.constants, classes)
     except PartitionViolation:
         assert kind != "none"
     else:
         assert kind == "none"
         assert np.array_equal(system.partition, want)
-    assert np.array_equal(build_partition(system), system.partition)
-    assert check_structural_lemmas(system) == []
 
 
 def _subgroup(mod, square, y, half_order, y_count):
@@ -616,7 +636,8 @@ def _subgroup(mod, square, y, half_order, y_count):
 def _reference_system(constants):
     """The builder one modulus at a time, in Python ints: D_0 enumerated
     from g^2 and y, a short D_0 named as collapsed, D_1 = g * D_0, both
-    sorted, then the partition painted from the class tables."""
+    sorted, then the partition painted from the class tables. Returns the
+    tables and the partition."""
     c, classes = constants, {}
     for i, j in cyclotomy._family_indices(c.m, c.n):
         d, e = c.d_ij[i, j], c.e_ij[i, j]
@@ -631,21 +652,20 @@ def _reference_system(constants):
             d1 = sorted(c.g * v % mod for v in d0)
             classes[ClassId(shape, i, j, 0)] = np.array(d0, dtype=np.int64)
             classes[ClassId(shape, i, j, 1)] = np.array(d1, dtype=np.int64)
-    unpainted = with_classes(CyclotomicSystem(
-        constants=c, labels=partition_labels(c.m, c.n), partition=None),
-        classes)
-    return with_classes(unpainted, classes,
-                        partition=_reference_paint(unpainted))
+    return classes, _reference_paint(c, classes)
 
 
 def _assert_same_system(got, want):
-    assert got.labels == want.labels
-    assert got.partition.dtype == want.partition.dtype
-    assert np.array_equal(got.partition, want.partition)
-    assert got.classes.keys() == want.classes.keys()
-    for cid, arr in want.classes.items():
-        assert got.classes[cid].dtype == np.int64, cid
-        assert got.classes[cid].tolist() == arr.tolist(), cid
+    classes, partition = want
+    c = got.constants
+    assert got.labels == partition_labels(c.m, c.n)
+    assert got.partition.dtype == partition.dtype
+    assert np.array_equal(got.partition, partition)
+    tables = _class_tables(got)
+    assert tables.keys() == classes.keys()
+    for cid, arr in classes.items():
+        assert tables[cid].dtype == np.int64, cid
+        assert tables[cid].tolist() == arr.tolist(), cid
 
 
 # the benchmark's systems: verify-grid, sweep-mappings, analyze-ladder
@@ -667,21 +687,18 @@ def test_power_table_matches_reference_builder(params):
     want = _reference_system(constants)
     got = cyclotomy._system_from_constants(constants)
     _assert_same_system(got, want)
-    # derived in label order, once: a second read returns the same dict
-    assert list(got.classes) == [ClassId(*lab[:4]) for lab in got.labels[2:]]
-    assert got.classes is got.classes
     # the Legendre classes, built without g or y, agree as well
     assert check_structural_lemmas(got) == []
 
 
 def test_benchmark_classes_are_accepted_in_one_pass(monkeypatch):
     # the 19 verify-grid systems, then the 16 sweep-mappings systems, pass
-    # both checks with no class table read; a property is a data
-    # descriptor, so held systems that derived their tables earlier raise
-    def refuse(system):
-        raise AssertionError("a class table was read")
+    # both checks in one pass over the partition, with no label's
+    # positions gathered on their own
+    def refuse(system, label):
+        raise AssertionError("a label's positions were gathered")
 
-    monkeypatch.setattr(CyclotomicSystem, "classes", property(refuse))
+    monkeypatch.setattr(cyclotomy, "h_set", refuse)
     for params in BENCH_SYSTEMS[:35]:
         system = build_system(*params)
         assert check_structural_lemmas(system) == [], params
@@ -689,15 +706,17 @@ def test_benchmark_classes_are_accepted_in_one_pass(monkeypatch):
 
 
 def test_a_repeated_entry_is_compared_as_a_set():
-    # a table with one entry twice, or every table emptied, beside an
-    # intact partition: neither check reads a table, so both pass
+    # each label scattered again over its own positions, one of them
+    # twice, repaints the partition it came from: both checks pass, and
+    # h_set names each position once, ascending
     system = build_system(3, 5, 2, 1)
-    for cid, cls in system.classes.items():
-        repeated = np.sort(np.r_[cls, cls[len(cls) // 2]])
-        bad = _replaced(system, cid, repeated)
+    for x, lab in enumerate(system.labels):
+        ts = h_set(system, lab)
+        part = system.partition.copy()
+        part[np.r_[ts, ts[len(ts) // 2]]] = x
+        bad = _relabelled(system, part)
         assert check_structural_lemmas(bad) == check_residue_rules(bad) == []
-    empty = with_classes(system, dict.fromkeys(system.classes, np.array([])))
-    assert check_structural_lemmas(empty) == check_residue_rules(empty) == []
+        assert h_set(bad, lab).tolist() == sorted(set(ts.tolist()))
 
 
 def test_a_table_off_its_class_by_one_entry_is_named():
@@ -894,23 +913,21 @@ def test_threads_share_the_held_systems(monkeypatch):
 
 def test_held_systems_are_read_only():
     system = build_system(3, 5, 1, 1)
-    cid = ClassId("pq", 1, 1, 0)
-    with pytest.raises(TypeError):
-        system.classes[cid] = np.arange(4)
-    with pytest.raises(ValueError):
-        system.classes[cid][0] = 0
-    with pytest.raises(ValueError):
-        system.classes[cid] += 1
+    cid = ClassId("pq", 1, 1, 0, True)
     with pytest.raises(ValueError):
         system.partition[0] = 1
+    with pytest.raises(ValueError):
+        system.partition[h_set(system, cid)] = 0
     with pytest.raises(TypeError):
         system.constants.d_ij[1, 1] = 1
-    # copies stay writable, and systems built from them work
-    classes = dict(system.classes)
-    classes[cid] = classes[cid][1:]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.partition = system.partition.copy()
+    # h_set's arrays and copies stay writable, and systems built from the
+    # copies work
+    positions = h_set(system, cid)
+    positions += 1
     part = system.partition.copy()
     part[2] = system.labels.index(ClassId("pq", 1, 1, 1, True))
     assert check_structural_lemmas(_relabelled(system, part))
-    assert build_system(3, 5, 1, 1).classes[cid].tolist() == [1, 4, 11, 14]
-    assert build_system(3, 5, 1, 1).partition[2] == system.labels.index(
-        ClassId("pq", 1, 1, 0, True))
+    assert h_set(build_system(3, 5, 1, 1), cid).tolist() == [2, 8, 22, 28]
+    assert build_system(3, 5, 1, 1).partition[2] == system.labels.index(cid)

@@ -13,12 +13,13 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import ALL_MAPPINGS, class_table
 from cycloseq import cli, cyclotomy, gf4
 from cycloseq.analysis import cell_char_sums, lc_via_gcd
 from cycloseq import extfield
-from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, all_class_ids,
-                                build_system, cell_index, cells,
-                                check_structural_lemmas, h_set)
+from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, build_system,
+                                cell_index, cells, check_structural_lemmas,
+                                h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              InvalidMapping, InvalidParams, LemmaViolation)
 from cycloseq.extfield import (build_extension, is_irreducible,
@@ -27,10 +28,6 @@ from cycloseq.extfield import (build_extension, is_irreducible,
 from cycloseq.numtheory import build_system_constants, factorize
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                                spectrum_profile, validate_mapping)
-
-ALL_MAPPINGS = [Mapping(*perm, e) for perm in itertools.permutations(range(4))
-                for e in (1, 2, 3)]
-
 
 @pytest.fixture(scope="module")
 def sys15():
@@ -150,7 +147,7 @@ def test_ext_pow_fermat(ctx15):
     rng = random.Random(913)
     for _ in range(30):
         x = rng.randrange(1, 16)
-        assert ctx15.pow(x, ctx15.group_order) == 1
+        assert ctx15.pow(x, 4**ctx15.d - 1) == 1
     assert ctx15.pow(0, 5) == 0
     with pytest.raises(InvalidParams):
         ctx15.pow(2, -1)
@@ -158,7 +155,7 @@ def test_ext_pow_fermat(ctx15):
 
 def _order(ctx, x):
     # multiplicative order of a nonzero packed element
-    order = ctx.group_order
+    order = 4**ctx.d - 1
     for r in factorize(order):
         while order % r == 0 and ctx.pow(x, order // r) == 1:
             order //= r
@@ -171,7 +168,7 @@ def _zeta(ctx, r):
 
 
 def test_context_shape(ctx15, ctx21):
-    assert ctx15.d == 2 and ctx15.group_order == 15
+    assert ctx15.d == 2 and 4**ctx15.d - 1 == 15
     # 4^2 - 1 = 15 = N: beta generates the whole multiplicative group
     assert _order(ctx15, ctx15.beta) == 15
     assert ctx21.d == 3
@@ -212,13 +209,14 @@ def test_geometric_sums(ctx15):
 
 def test_char_sum_at_zero(sys15, ctx15):
     # at k = 0 every term is beta^0 = 1: the sum is the parity of the set
-    sets = [h_set(sys15, cid) for cid in sys15.classes]
+    sets = [h_set(sys15, lab) for lab in sys15.labels]
     assert extfield._power_sums(ctx15.beta_powers, sets, [0])[0].tolist() \
-        == [len(cls) % 2 for cls in sys15.classes.values()]
+        == [len(ts) % 2 for ts in sets] != [0] * len(sets)
 
 
 def test_complementary_sums():
-    # the two cosets of the pq-level partition sum to 1 at any unit k
+    # the two cosets of the pq-level partition sum to 1 at any unit k; the
+    # 2pq H-sets at (i, j) = (1, 1) are the pq ones mod N
     for params in ((3, 5, 1, 1), (3, 5, 2, 1)):
         system = build_system(*params)
         ctx = build_extension(system.constants.half_period)
@@ -226,7 +224,7 @@ def test_complementary_sums():
         units = [k for k in range(1, ctx.N) if math.gcd(k, pq) == 1]
         sums = extfield._power_sums(
             ctx.beta_powers,
-            [h_set(system, ClassId("pq", 1, 1, h)) for h in (0, 1)], units)
+            [h_set(system, ClassId("2pq", 1, 1, h)) for h in (0, 1)], units)
         assert (sums[:, 0] ^ sums[:, 1] == 1).all()
 
 
@@ -392,7 +390,7 @@ def _expected_cell(system, ctx, cid, k):
         # evaluated from powers of zeta = beta^zeta_exp, not from beta_powers
         zeta = ctx.pow(ctx.beta, zeta_exp)
         acc = 0
-        for t in system.classes[ClassId(shape, ri, rj, cid.h)]:
+        for t in class_table(system, ClassId(shape, ri, rj, cid.h)):
             acc ^= ctx.pow(zeta, mult * l * int(t))
         return acc
 
@@ -417,9 +415,7 @@ _DETAIL = {"2pq": "mixed-modulus character sum off its closed form",
 
 
 def _ref_char_sums(system, ctx):
-    c = system.constants
-    cells = [cid for cid in all_class_ids(c.m, c.n)
-             if cid.shape in DOUBLED_SHAPES]
+    cells = [lab for lab in system.labels[2:] if lab.shape in DOUBLED_SHAPES]
     checked = 0
     for k in range(1, ctx.N):
         for cid in cells:
@@ -720,8 +716,8 @@ def test_blocked_kernel_matches_single_block(monkeypatch):
     system = build_system(3, 5, 2, 1)
     ctx = build_extension(system.constants.half_period)
     bad = _corrupted_contexts(ctx, 2)[0]
-    sets = [h_set(system, cid) for cid in system.classes
-            if cid.shape in DOUBLED_SHAPES] + [np.array([], dtype=np.int64)]
+    sets = [h_set(system, lab) for lab in system.labels[2:]
+            if lab.shape in DOUBLED_SHAPES] + [np.array([], dtype=np.int64)]
     ks = np.append(np.arange(-3, 2 * ctx.N), 10**15 + 7)
     whole = extfield._power_sums(ctx.beta_powers, sets, ks)
     seq = build_sequence(system, DEFAULT_MAPPING)
@@ -775,7 +771,7 @@ def test_orbit_sums_match_power_sums(params, d, monkeypatch):
                             allow_degenerate=True).symbols
     folded = folded[:N] ^ folded[N:]
     rng = np.random.default_rng(N)
-    sets = ([h_set(system, cid) for cid in system.classes]
+    sets = ([h_set(system, lab) for lab in system.labels]
             + [np.nonzero(folded == v)[0] for v in (1, 2, 3)]
             + [np.array([], dtype=np.int64), np.array([0, N - 1]),
                rng.choice(2 * N, size=N // 3, replace=False)])
@@ -889,7 +885,7 @@ def _direct_root_sums(system, ctx, a, b, l):
     def root_sums(shape, i, j, zeta_exp, mult):
         table = extfield._power_table(ctx.pow(ctx.beta, zeta_exp),
                                       ctx.N // zeta_exp, ctx.d, ctx.x_to_d)
-        base = [system.classes[ClassId(shape, i, j, h)] for h in (0, 1)]
+        base = [class_table(system, ClassId(shape, i, j, h)) for h in (0, 1)]
         return extfield._power_sums(table, base, mult * l)
 
     return {"2pq": root_sums("pq", 1, 1, p**(m - 1) * q**(n - 1), 1),
@@ -1102,7 +1098,7 @@ def test_beta_has_order_exactly_n(params):
     N = p**m * q**n
     ctx = build_extension(N)
     assert _order(ctx, ctx.beta) == N
-    assert ctx.beta == ctx.pow(ctx.beta_base, ctx.group_order // N)
+    assert ctx.beta == ctx.pow(ctx.beta_base, (4**ctx.d - 1) // N)
     # beta_base is the first c from x on that gives order N, polynomials
     # ordered as base-4 numbers (digit i worth 4^i), not by packed code
     for code in range(4, 4**ctx.d):
@@ -1110,7 +1106,7 @@ def test_beta_has_order_exactly_n(params):
         c = _to_packed(np.array(digits, dtype=np.uint8), ctx.d)
         if c == ctx.beta_base:
             break
-        assert _order(ctx, ctx.pow(c, ctx.group_order // N)) < N
+        assert _order(ctx, ctx.pow(c, (4**ctx.d - 1) // N)) < N
     else:
         raise AssertionError("beta_base not met in the scan")
     assert ctx.beta_powers[1] == ctx.beta

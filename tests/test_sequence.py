@@ -1,6 +1,6 @@
 """Mapping validation, sequence assembly, balance, and file round trips."""
 
-import itertools
+import dataclasses
 import json
 import types
 
@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALL_MAPPINGS
 from cycloseq import gf4
-from cycloseq.analysis import (checked_lc, lc_via_gcd, max_complexity_mappings,
-                               predict_lc)
-from cycloseq.cyclotomy import build_system, residue_side_of_2
+from cycloseq.analysis import checked_lc, lc_via_gcd, predict_lc
+from cycloseq.cyclotomy import (BUCKETS, bucket_codes, build_system,
+                                residue_side_of_2)
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, SpectrumProfile,
-                               balance_profile, build_sequence, forbidden_e,
+                               build_sequence, forbidden_e,
                                read_sequence_file,
                                spectrum_profile, structural_violations,
                                validate_mapping, write_sequence_file)
@@ -118,16 +119,16 @@ def test_build_sequence_rejections(sys15):
 def test_balance(sys15, sys21):
     for system, half in ((sys15, 7), (sys21, 10)):
         seq = build_sequence(system)
-        prof = balance_profile(system, seq)
-        assert prof.expected_bucket_size == half
-        for bucket in "abcd":
-            assert prof.bucket_counts[bucket] == half
-        assert sum(prof.symbol_counts.values()) == seq.period
-        # default mapping: symbol e=1 rides on bucket c, a on alpha, etc.
-        assert prof.symbol_counts[2] == half          # a = alpha
-        assert prof.symbol_counts[3] == half          # b = alpha+1
-        assert prof.symbol_counts[1] == half + 1      # c plus the half term
-        assert prof.symbol_counts[0] == half + 1      # d plus position zero
+        c = system.constants
+        buckets = np.bincount(bucket_codes(c.m, c.n)[system.partition],
+                              minlength=len(BUCKETS))
+        assert dict(zip(BUCKETS, buckets.tolist())) == {
+            "zero": 1, "half": 1, "a": half, "b": half, "c": half, "d": half}
+        symbols = np.bincount(seq.symbols, minlength=4).tolist()
+        assert sum(symbols) == seq.period
+        # default mapping: d and position zero carry 0, c and the half
+        # term e = 1, a alpha and b alpha + 1
+        assert symbols == [half + 1, half + 1, half, half]
 
 
 def generating_polynomial(seq):
@@ -196,9 +197,6 @@ def _profile_from_class_tables(system, mapping):
 CLASS_PAIRS = ((17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5),
                (7, 23), (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3),
                (5, 13), (5, 7))
-ALL_MAPPINGS = tuple(Mapping(*perm, e)
-                     for perm in itertools.permutations(range(4))
-                     for e in (1, 2, 3))
 
 
 @pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
@@ -206,9 +204,10 @@ def test_spectrum_profile_reads_p_and_q_alone(cold_builds, p, q):
     assert len({(p % 8, q % 8) for p, q in CLASS_PAIRS}) == 16
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
-        profiles = [spectrum_profile(system, mapping)
+        # no partition to read: the profiles come from the constants
+        bare = dataclasses.replace(system, partition=None)
+        profiles = [spectrum_profile(bare, mapping)
                     for mapping in ALL_MAPPINGS]
-        assert "classes" not in vars(system)
         for mapping, prof in zip(ALL_MAPPINGS, profiles):
             assert prof == _profile_from_class_tables(system, mapping)
             assert _nonzero(prof) == _full_lc(system, mapping)
@@ -239,24 +238,18 @@ def test_planes_and_symbols_are_one_sequence(params):
 
 
 def test_max_complexity_mappings(sys15, sys21):
-    for system in (sys15, sys21):
-        found = max_complexity_mappings(system, count=3)
-        assert len(found) == 3
-        assert len(set(m.as_tuple() for m in found)) == 3
-        for m in found:
-            assert validate_mapping(system.constants.p, m) == []
-            assert _nonzero(spectrum_profile(system, m))
-            assert _full_lc(system, m)
-    # the list the spectrum profile's nonzero values pick, in the same
-    # order: e ascending, then the permutations of (a, b, c, d)
-    by_e = sorted(ALL_MAPPINGS, key=lambda m: m.e)
+    # the valid mappings predict_lc calls full are, in order, exactly
+    # those whose spectrum profile values are all nonzero
     for p, q in CLASS_PAIRS:
         for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
             system = build_system(p, q, m, n)
-            want = [mp for mp in by_e if not validate_mapping(p, mp)
-                    and _nonzero(spectrum_profile(system, mp))]
-            assert max_complexity_mappings(system, count=72) == want
-            assert max_complexity_mappings(system) == want[:3]
+            valid = [mp for mp in ALL_MAPPINGS if not validate_mapping(p, mp)]
+            assert [mp for mp in valid if _full_lc(system, mp)] == [
+                mp for mp in valid if _nonzero(spectrum_profile(system, mp))]
+    # criterion 3 and demo 06 take three of them at (3, 5) and (3, 7)
+    for system in (sys15, sys21):
+        assert sum(_full_lc(system, mp) for mp in ALL_MAPPINGS
+                   if not validate_mapping(system.constants.p, mp)) >= 3
 
 
 def test_file_roundtrip(tmp_path, sys15):
