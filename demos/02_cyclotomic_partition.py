@@ -6,14 +6,25 @@
 
 from collections import defaultdict
 
-from cycloseq.cyclotomy import (bucket_of_label, build_partition,
-                                build_system, h_set, residue_side_of_2)
+from cycloseq.cyclotomy import (build_partition, build_system, h_set,
+                                residue_side_of_2)
+from cycloseq.numtheory import smallest_odd_primitive_root_mod_p2
+
+
+def bucket_of_label(label):
+    # zero and half are their own buckets; a doubled-modulus H-set (odd
+    # positions) feeds a or b by coset, an odd-modulus one's double c or d
+    if label in ("zero", "half"):
+        return label
+    return ("ab" if label.shape.startswith("2") else "cd")[label.h]
+
 
 system = build_system(3, 5, 1, 1)
 c = system.constants
 print(f"p={c.p} q={c.q} m={c.m} n={c.n}: period {system.period}")
 print(f"common primitive root g = {c.g}, mixing unit y = {c.y} "
-      f"(g1 = {c.g1}, g2 = {c.g2})")
+      f"(g1 = {smallest_odd_primitive_root_mod_p2(c.p)}, "
+      f"g2 = {smallest_odd_primitive_root_mod_p2(c.q)})")
 
 print("\nclasses by (shape, i, j, h), each label's positions over its "
       "cofactor:")

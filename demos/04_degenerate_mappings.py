@@ -17,7 +17,7 @@ for p, q in ((3, 5), (3, 7)):
     for e in sorted({e for e, _ in forbidden_e(p, DEFAULT_MAPPING)}):
         mapping = Mapping(2, 3, 1, 0, e)
         report = analyze_degenerate(system, mapping)
-        tag = "reduced" if report.reduced else "still full"
+        tag = "reduced" if report.lc_gcd < period else "still full"
         print(f"  e={e}: LC = {report.lc_gcd:3d}  [{tag}]  "
               f"violations: {report.violations[0]}")
 

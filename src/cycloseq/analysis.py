@@ -409,7 +409,6 @@ class DegenerateReport:
     violations: tuple
     lc_gcd: int
     lower_bound: int
-    reduced: bool
 
 
 def analyze_degenerate(system, mapping):
@@ -439,5 +438,4 @@ def analyze_degenerate(system, mapping):
         violations=tuple(soft),
         lc_gcd=lc,
         lower_bound=bound,
-        reduced=lc < seq.period,
     )

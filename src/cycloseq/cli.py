@@ -9,8 +9,8 @@ malformed sequence file. --cap alone sets the period cap, 2 p^m q^n <=
 --cap (default 10^7, numtheory.DEFAULT_PARAM_CAP), and no cap lifts a
 period past the ceiling 2^31 - 1 (numtheory.PERIOD_CEILING);
 extfield.build_extension also caps extension-field verification at
-N <= 5000 and degree d <= 12, before `verify` paints the partition, from
-the constants it built once.
+N <= 5000 and degree d <= 12, from the constants `verify` builds first,
+before it takes its system.
 
 In the verify report, partition_ok: true rests on two routes: the paint,
 from the powers of g and y, raises PartitionViolation (exit 1) on an index
@@ -18,11 +18,10 @@ left unlabeled or on more writes than Z_2N has indices, and
 check_structural_lemmas compares it with the labels that the cells of Z_N
 name from p and q alone (LemmaViolation, exit 1).
 
-generate, analyze and sweep get their systems from
-cyclotomy.build_system, which holds what it painted (periods summing to
-at most cyclotomy.HELD_POSITIONS), so later main() calls in one process
-repaint no system; each call still checks its own --cap. verify paints
-its system afresh, after the extension-field caps, and holds none.
+Every command gets its systems from cyclotomy.build_system, which holds
+what it painted (periods summing to at most cyclotomy.HELD_POSITIONS), so
+later main() calls in one process repaint no system; each call still
+checks its own --cap.
 """
 
 import argparse
@@ -35,8 +34,8 @@ from dataclasses import replace
 
 from .analysis import (analyze_degenerate, analyze_symbols, checked_lc,
                        verify_theorem)
-from .cyclotomy import (_system_from_constants, build_system,
-                        check_residue_rules, check_structural_lemmas)
+from .cyclotomy import (build_system, check_residue_rules,
+                        check_structural_lemmas)
 from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      InvalidMapping, InvalidParams, LemmaViolation,
                      MalformedSequenceFile, MethodDisagreement,
@@ -156,7 +155,7 @@ def cmd_verify(args):
     constants = build_system_constants(args.p, args.q, args.m, args.n,
                                        cap=args.cap)
     context = build_extension(constants.half_period)
-    system = _system_from_constants(constants)
+    system = build_system(args.p, args.q, args.m, args.n, cap=args.cap)
     violations = check_structural_lemmas(system) + check_residue_rules(system)
     if violations:
         raise violations[0]

@@ -32,15 +32,16 @@ them on first read, and h_set reads the positions of one label. A paint
 that does not tile raises PartitionViolation, its witness the least
 unlabeled index among the bare odd positions and their doubles.
 
-build_system holds the systems it has painted, keyed by (p, q, m, n), so
-a process paints each system once: a sweep per mapping over one grid
-repaints nothing. The least recently used system goes first, and the
-held periods sum to at most HELD_POSITIONS label positions (16 MB of
-int16); a system larger than that is returned and not held. Every call
-is still checked against its cap, and a call that raises holds nothing.
-A held system is read-only: its partition, its bucket planes and its
-constants' order tables; it keeps its bucket planes once derived, so each
-system derives them once per process.
+build_system holds the systems it has painted, keyed by (p, q, m, n), and
+every command of the CLI takes its systems from it, so a process paints
+each system once: a sweep per mapping over one grid, or a verify of a
+system already painted, repaints nothing. The least recently used system
+goes first, and the held periods sum to at most HELD_POSITIONS label
+positions (16 MB of int16); a system larger than that is returned and not
+held. Every call is still checked against its cap, and a call that raises
+holds nothing. A held system is read-only: its partition, its bucket
+planes and its constants' order tables; it keeps its bucket planes once
+derived, so each system derives them once per process.
 """
 
 import collections
@@ -56,7 +57,6 @@ from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
                         build_system_constants, two_is_square_mod)
 
 ODD_SHAPES = ("pq", "p", "q")
-DOUBLED_SHAPES = ("2pq", "2p", "2q")
 ZERO_LABEL = "zero"
 HALF_LABEL = "half"
 BUCKETS = ("zero", "half", "a", "b", "c", "d")
@@ -170,26 +170,14 @@ def partition_labels(m, n):
         for h in (0, 1) for two in (True, False))
 
 
-def bucket_of_label(label):
-    """Symbol bucket of a partition label: a, b, c, d, zero or half.
-
-    The doubled-modulus H-sets (odd positions) feed buckets a/b by coset;
-    the doubled copies of odd-modulus H-sets (even positions) feed c/d.
-    """
-    if label == ZERO_LABEL:
-        return "zero"
-    if label == HALF_LABEL:
-        return "half"
-    if label.shape in DOUBLED_SHAPES:
-        return "a" if label.h == 0 else "b"
-    return "c" if label.h == 0 else "d"
-
-
 @functools.cache
 def bucket_codes(m, n):
-    """Index into BUCKETS of each partition label, a read-only array."""
-    codes = np.array([BUCKETS.index(bucket_of_label(lab))
-                      for lab in partition_labels(m, n)], dtype=np.intp)
+    """Index into BUCKETS of each partition label, a read-only array: zero,
+    half, then per family a, c, b, d, as its label 4 f + 2 h + 2 is the
+    doubled-modulus H-set of coset h (odd positions, buckets a and b) and
+    4 f + 2 h + 3 the doubled copy of its odd-modulus twin (c and d)."""
+    codes = np.array([0, 1] + [2, 4, 3, 5] * len(_family_indices(m, n)),
+                     dtype=np.intp)
     codes.flags.writeable = False
     return codes
 

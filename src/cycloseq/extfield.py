@@ -25,8 +25,9 @@ against their closed forms, a mismatch shown at its least k. The folded
 sequence s_t + s_(t+N) is constant on each of those H-sets, so the
 spectrum S(beta^k) is a GF(4) combination of the table's columns:
 measure_spectrum reads only that table, once it has passed its check, and
-gathers nothing of its own. Its columns' H-sets are the positions that
-carry each doubled-modulus label in the partition, mod N. The expected
+gathers nothing of its own. Its columns are the doubled-modulus labels,
+system.labels[2::2] (each family's coset 0 and 1, in label order), and
+their H-sets the positions that carry each label, mod N. The expected
 side is analysis.cell_char_sums, a row per cell of cyclotomy.cells
 gathered to each k by cyclotomy.cell_index; the Gaussian periods of p and
 q are read off one power table of beta^(N/pq), not beta_powers.
@@ -40,8 +41,9 @@ import numpy as np
 
 from . import gf4
 from . import analysis
-from .cyclotomy import DOUBLED_SHAPES, _qr_sides, cell_index, cells, h_set
-from .errors import CapExceeded, CaseViolation, InvalidParams, LemmaViolation
+from .cyclotomy import _qr_sides, cell_index, cells, h_set
+from .errors import (CapExceeded, CaseViolation, InvalidParams,
+                     LemmaViolation, MethodDisagreement)
 from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile
 
@@ -188,8 +190,8 @@ class ExtFieldContext:
     """Everything needed to evaluate sums of beta powers for one N.
 
     gf4's packed elements modulo the uint8 digits of modulus, X^d being
-    x_to_d; beta = beta_base^((4^d - 1)/N) (see build_extension), and
-    beta_powers[r] = beta^r for 0 <= r < N backs every character sum.
+    x_to_d; beta has order N (see build_extension), and beta_powers[r] =
+    beta^r for 0 <= r < N backs every character sum.
     exp_table is always None: no generator's power table is built, and the
     field stays only because perfbench/tracer.py reads it.
     """
@@ -198,7 +200,6 @@ class ExtFieldContext:
     d: int
     modulus: np.ndarray = field(repr=False)
     x_to_d: int = field(repr=False)
-    beta_base: int
     beta: int
     beta_powers: np.ndarray = field(repr=False)
     exp_table: object = field(repr=False)
@@ -252,8 +253,8 @@ def build_extension(N):
     # starts with all of F_{2^d} when the modulus is over GF(2)
     for top_first in itertools.islice(itertools.product(range(4), repeat=d),
                                       4, None):
-        beta_base = gf4.pack(*gf4.to_planes(top_first[::-1]), d)
-        beta = ext_pow(beta_base, (4**d - 1) // N, d, x_to_d)
+        c = gf4.pack(*gf4.to_planes(top_first[::-1]), d)
+        beta = ext_pow(c, (4**d - 1) // N, d, x_to_d)
         if all(ext_pow(beta, N // r, d, x_to_d) != 1 for r in (p, q)):
             break
     else:
@@ -267,9 +268,8 @@ def build_extension(N):
     beta_powers.flags.writeable = False
 
     return ExtFieldContext(
-        N=N, d=d, modulus=modulus, x_to_d=x_to_d,
-        beta_base=beta_base, beta=beta, beta_powers=beta_powers,
-        exp_table=None)
+        N=N, d=d, modulus=modulus, x_to_d=x_to_d, beta=beta,
+        beta_powers=beta_powers, exp_table=None)
 
 
 def _digits(x, d):
@@ -333,11 +333,6 @@ def _orbit_sums(context, sets):
     return out
 
 
-def _columns(system):
-    # the doubled-modulus H-sets: the char-sum table's columns, in order
-    return [lab for lab in system.labels[2:] if lab.shape in DOUBLED_SHAPES]
-
-
 def measure_spectrum(context, char_sums, seq):
     """S(beta^k) for 0 <= k < N, exactly, as packed elements, read off the
     checked char-sum table of char_sums (verify_char_sum_tables' report).
@@ -393,7 +388,8 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     measured value differs, with both values as the digits of their remainder
     polynomials (gf4.poly_to_digits: alpha is 2, X is 01). The report says
     whether every measured value is nonzero and whether analysis.predict_lc
-    gives 2N, which agree: LC = 2N exactly when no S(beta^k) vanishes.
+    gives 2N, which must agree, as LC = 2N exactly when no S(beta^k)
+    vanishes: MethodDisagreement, naming both verdicts, when they differ.
     The spectrum is read off a checked table only: char_sums, or
     verify_char_sum_tables run here, which raises LemmaViolation before
     any spectrum is read. The sequence is seq, or built here by
@@ -417,11 +413,16 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
         k = int(bad[0])
         raise CaseViolation(k, _digits(expected[k], context.d),
                             _digits(spectrum[k], context.d))
+    nonzero, lc = bool(spectrum.all()), analysis.predict_lc(c, mapping)
+    if nonzero != (lc == c.period):
+        raise MethodDisagreement(
+            f"all_values_nonzero = {nonzero}, max_complexity_predicted = "
+            f"{not nonzero}: predict_lc gives {lc} of period {c.period} "
+            f"for mapping {mapping.as_tuple()}")
     return CaseReport(mapping.e, prof.value_generic, prof.value_p_saturated,
                       prof.value_q_saturated, checked=context.N,
-                      all_values_nonzero=bool(spectrum.all()),
-                      max_complexity_predicted=(
-                          analysis.predict_lc(c, mapping) == c.period))
+                      all_values_nonzero=nonzero,
+                      max_complexity_predicted=nonzero)
 
 
 @dataclass(frozen=True)
@@ -434,7 +435,7 @@ class CharSumReport:
     k_count: int
     cells_checked: int
     table: np.ndarray = field(repr=False, compare=False)
-    columns: list = field(repr=False, compare=False)
+    columns: tuple = field(repr=False, compare=False)
     sets: list = field(repr=False, compare=False)
 
     def to_json_dict(self):
@@ -503,7 +504,7 @@ def verify_char_sum_tables(system, context):
     rows = np.array([analysis.cell_char_sums(*params, key, periods)
                      for key, _ in cells(*params)], dtype=np.uint32)
     expected = rows[cell_index(c, np.arange(1, N))]
-    columns = _columns(system)
+    columns = system.labels[2::2]
     sets = [h_set(system, cid) % N for cid in columns]
     measured = _orbit_sums(context, sets)
 

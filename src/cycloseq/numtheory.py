@@ -7,8 +7,8 @@ cap, the period ceiling 2^31 - 1, so there is no need for probabilistic
 tests.
 
 The module ends in build_system_constants, which derives the full constant
-set for a parameter choice (p, q, m, n): the least odd primitive roots g1,
-g2 modulo p^2 and q^2, their common lift g, the partial lift y that is
+set for a parameter choice (p, q, m, n): the common lift g of the least
+odd primitive roots modulo p^2 and q^2, the partial lift y that is
 trivial on the q side, and the order tables e_ij / d_ij.
 """
 
@@ -123,8 +123,6 @@ class SystemConstants:
     q: int
     m: int
     n: int
-    g1: int
-    g2: int
     g: int
     y: int
     e_ij: types.MappingProxyType = field(repr=False)
@@ -164,10 +162,9 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
         if not is_prime(v):
             raise InvalidParams(f"{name} must be an odd prime, got {v}")
 
-    g1 = smallest_odd_primitive_root_mod_p2(p)
-    g2 = smallest_odd_primitive_root_mod_p2(q)
     P, Q = p**m, q**n
-    g = _lift(g1, g2, P, Q)
+    g = _lift(smallest_odd_primitive_root_mod_p2(p),
+              smallest_odd_primitive_root_mod_p2(q), P, Q)
     y = _lift(g, 1, P, Q)
 
     e_ij, d_ij = {}, {}
@@ -179,6 +176,6 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
                 e = math.gcd(op, oq)
                 e_ij[(i, j)] = e
                 d_ij[(i, j)] = op * oq // e
-    return SystemConstants(p=p, q=q, m=m, n=n, g1=g1, g2=g2, g=g, y=y,
+    return SystemConstants(p=p, q=q, m=m, n=n, g=g, y=y,
                            e_ij=types.MappingProxyType(e_ij),
                            d_ij=types.MappingProxyType(d_ij))

@@ -188,7 +188,6 @@ class SpectrumProfile:
     when p^m | k, value_q_saturated when q^n | k; S(1) = e always.
     """
 
-    e_value: int
     value_generic: int
     value_p_saturated: int
     value_q_saturated: int
@@ -206,8 +205,8 @@ def spectrum_profile(system, mapping):
     c, m = system.constants, mapping
     lam_p, lam_q = (m.b ^ (m.d if two_is_square_mod(r) else m.c)
                     for r in (c.p, c.q))
-    # e, then the generic, p-saturated and q-saturated values
-    return SpectrumProfile(m.e, m.e ^ lam_p, m.e ^ lam_q, m.e ^ lam_p)
+    # the generic, p-saturated and q-saturated values
+    return SpectrumProfile(m.e ^ lam_p, m.e ^ lam_q, m.e ^ lam_p)
 
 
 def _write_together(files):

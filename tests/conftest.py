@@ -1,6 +1,6 @@
 """Shared test plumbing: the acceptance verdict report, every structurally
-valid mapping, the class tables read off a partition, and builds that
-paint.
+valid mapping, the reference rule for a label's bucket, the class tables
+read off a partition, and builds that paint.
 
 Criterion tests append one line each; the terminal-summary hook prints
 them after capture ends so the verdicts show under any pytest invocation.
@@ -18,6 +18,8 @@ ACCEPTANCE_VERDICTS = []
 ALL_MAPPINGS = tuple(Mapping(*perm, e)
                      for perm in itertools.permutations(range(4))
                      for e in (1, 2, 3))
+# the doubled-modulus shapes, whose H-sets fill the odd positions
+DOUBLED_SHAPES = ("2pq", "2p", "2q")
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +33,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.line(line)
+
+
+def bucket_of_label(label):
+    """The symbol bucket of a partition label by its shape and coset, the
+    reference for cyclotomy.bucket_codes: zero and half are their own; a
+    doubled-modulus H-set (odd positions) feeds a or b by coset, the
+    doubled copy of an odd-modulus H-set (even positions) c or d."""
+    if label in (cyclotomy.ZERO_LABEL, cyclotomy.HALF_LABEL):
+        return label
+    return ("ab" if label.shape in DOUBLED_SHAPES else "cd")[label.h]
 
 
 def class_table(system, cid):

@@ -678,16 +678,16 @@ def test_degenerate_lower_bound_values():
 def test_analyze_degenerate_paths(sys15, sys21):
     # e = b at (3,5): the measurement still reaches the full period
     rep = analyze_degenerate(sys15, Mapping(2, 3, 1, 0, 3))
-    assert rep.lc_gcd == 30 and not rep.reduced
+    assert rep.lc_gcd == 30 == sys15.period
     assert rep.lower_bound == 12 and rep.violations
     # e = b + c at (3,5): genuinely reduced, floor still respected
     rep = analyze_degenerate(sys15, Mapping(2, 3, 1, 0, 2))
-    assert rep.lc_gcd == 16 and rep.reduced
+    assert rep.lc_gcd == 16 < sys15.period
     assert rep.lc_gcd >= rep.lower_bound and rep.lower_bound == 12
     # valid mapping with a vanishing regime also counts as degenerate
     rep = analyze_degenerate(sys21, Mapping(0, 3, 1, 2, 1))
-    assert rep.violations == () and rep.reduced
-    assert rep.lc_gcd == 36
+    assert rep.violations == ()
+    assert rep.lc_gcd == 36 < sys21.period
 
 
 def test_analyze_degenerate_rejections(sys15):
@@ -761,7 +761,7 @@ def test_same_side_pairs_lose_to_two_values():
             lc = predict_lc(system.constants, mapping)
             prof = spectrum_profile(system, mapping)
             assert (lc == 2 * N) == all(
-                (prof.e_value, prof.value_generic, prof.value_p_saturated,
+                (mapping.e, prof.value_generic, prof.value_p_saturated,
                  prof.value_q_saturated))
             counts[lc] += 1
         if (p, q) in pairs:

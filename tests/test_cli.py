@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import DOUBLED_SHAPES
 from cycloseq import (analysis, cli, cyclotomy, extfield, gf4, numtheory,
                       sequence)
 from cycloseq.cli import main
@@ -236,6 +237,35 @@ def test_verify_vanishing_regime_is_a_violation(capsys):
     code, _, err = run(capsys, "verify", "--p", "3", "--q", "7",
                        "--map", "0,3,1,2,1")
     assert code == 1 and "violation:" in err
+
+
+def test_verify_cross_checks_the_two_full_lc_verdicts(capsys, monkeypatch):
+    # the measured spectrum and predict_lc must agree on full LC: a closed
+    # form that disagrees either way is a violation naming both verdicts
+    witness = ("--p", "3", "--q", "7", "--map", "0,3,1,2,1")
+    real = analysis.predict_lc
+    monkeypatch.setattr(analysis, "predict_lc",
+                        lambda c, mapping: real(c, mapping) - 1)
+    assert run(capsys, "verify", "--p", "3", "--q", "5") == (
+        1, "", "violation: all_values_nonzero = True, "
+               "max_complexity_predicted = False: predict_lc gives 29 of "
+               "period 30 for mapping (2, 3, 1, 0, 1)\n")
+    monkeypatch.setattr(analysis, "predict_lc", lambda c, mapping: c.period)
+    assert run(capsys, "verify", *witness) == (
+        1, "", "violation: all_values_nonzero = False, "
+               "max_complexity_predicted = True: predict_lc gives 42 of "
+               "period 42 for mapping (0, 3, 1, 2, 1)\n")
+    # unstubbed, both verdicts agree: full at (3, 5), short for the
+    # witness, which fails on its LC instead
+    monkeypatch.undo()
+    code, stdout, _ = run(capsys, "verify", "--p", "3", "--q", "5")
+    case = json.loads(stdout)["case_table"]
+    assert code == 0
+    assert case["all_values_nonzero"] is case["max_complexity_predicted"] \
+        is True
+    code, _, err = run(capsys, "verify", *witness)
+    assert (code, err) == (1, "violation: complexity 36 < period 42 for "
+                              "mapping (0, 3, 1, 2, 1)\n")
 
 
 def test_verify_caps(capsys):
@@ -591,8 +621,7 @@ def test_only_verify_derives_the_class_tables(tmp_path, capsys,
         assert _outcome(capsys, argv, out) == expected, argv
         verified = argv[0] == "verify" and expected[0] != 3
         assert bool(read) == verified, argv
-        assert {label.shape for label in read} <= set(
-            cyclotomy.DOUBLED_SHAPES), argv
+        assert {label.shape for label in read} <= set(DOUBLED_SHAPES), argv
 
 
 def _csv_rows(text):
@@ -632,18 +661,23 @@ def test_sweep_builds_each_system_once(capsys, monkeypatch):
                if r["p"] == r["q"])
 
 
-def test_sweeps_in_one_process_paint_each_system_once(capsys, monkeypatch,
-                                                     cold_builds):
-    # one sweep per mapping over one grid: the first paints, the rest and
-    # an analyze of a grid system reuse; verify paints its own
+def _spy_on_paints(monkeypatch):
+    # the (p, q, m, n) of each system painted from here on, in order
     painted, real = [], cyclotomy._system_from_constants
 
     def spy(c):
         painted.append((c.p, c.q, c.m, c.n))
         return real(c)
 
-    for module in (cli, cyclotomy):
-        monkeypatch.setattr(module, "_system_from_constants", spy)
+    monkeypatch.setattr(cyclotomy, "_system_from_constants", spy)
+    return painted
+
+
+def test_sweeps_in_one_process_paint_each_system_once(capsys, monkeypatch,
+                                                     cold_builds):
+    # one sweep per mapping over one grid: the first paints, the rest, an
+    # analyze and a verify of a grid system reuse
+    painted = _spy_on_paints(monkeypatch)
     grid = ("--pairs", "3:5,3:7,5:7", "--exponents", "1:1,2:1")
     first = run(capsys, "sweep", *grid)
     assert run(capsys, "sweep", *grid) == first
@@ -658,7 +692,26 @@ def test_sweeps_in_one_process_paint_each_system_once(capsys, monkeypatch,
         == (3, "", "error: period 30 exceeds cap 29\n")
     painted.clear()
     assert run(capsys, "verify", "--p", "3", "--q", "5")[0] == 0
+    assert painted == []
+
+
+def test_verify_calls_in_one_process_paint_each_system_once(capsys,
+                                                          monkeypatch,
+                                                          cold_builds):
+    # verify takes its system from build_system: a second verify of one
+    # system, under another mapping or format, repaints nothing
+    painted = _spy_on_paints(monkeypatch)
+    first = run(capsys, "verify", "--p", "3", "--q", "5")
+    assert first[0] == 0 and painted == [(3, 5, 1, 1)]
+    assert run(capsys, "verify", "--p", "3", "--q", "5") == first
+    for argv in (("--map", "0,1,2,3,2"), ("--format", "csv")):
+        assert run(capsys, "verify", "--p", "3", "--q", "5", *argv)[0] == 0
     assert painted == [(3, 5, 1, 1)]
+    # the held system is still checked against each call's cap
+    assert run(capsys, "verify", "--p", "3", "--q", "5", "--cap", "29") \
+        == (3, "", "error: period 30 exceeds cap 29\n")
+    assert run(capsys, "verify", "--p", "5", "--q", "3", "--m", "2")[0] == 0
+    assert painted == [(3, 5, 1, 1), (5, 3, 2, 1)]
 
 
 def test_sweep_rows_read_only_the_held_bucket_planes(capsys, monkeypatch,

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import class_table
+from conftest import bucket_of_label, class_table
 from cycloseq import cyclotomy
 from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
-                                bucket_codes, bucket_of_label,
-                                build_partition, build_system,
+                                bucket_codes, build_partition, build_system,
                                 check_residue_rules, check_structural_lemmas,
                                 h_set, partition_labels, residue_side_of_2)
 from cycloseq.errors import (CapExceeded, InvalidParams, LemmaViolation,

@@ -13,13 +13,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import ALL_MAPPINGS, class_table
+from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table
 from cycloseq import cli, cyclotomy, gf4
 from cycloseq.analysis import cell_char_sums, lc_via_gcd
 from cycloseq import extfield
-from cycloseq.cyclotomy import (DOUBLED_SHAPES, ClassId, build_system,
-                                cell_index, cells, check_structural_lemmas,
-                                h_set)
+from cycloseq.cyclotomy import (ClassId, build_system, cell_index, cells,
+                                check_structural_lemmas, h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              InvalidMapping, InvalidParams, LemmaViolation)
 from cycloseq.extfield import (build_extension, is_irreducible,
@@ -162,6 +161,17 @@ def _order(ctx, x):
     return order
 
 
+def _first_base(ctx):
+    # the first c from x on with c^((4^d - 1)/N) of order N, polynomials
+    # ordered as base-4 numbers (digit i worth 4^i), not by packed code
+    for code in range(4, 4**ctx.d):
+        digits = [(code >> 2 * i) & 3 for i in range(ctx.d)]
+        c = _to_packed(np.array(digits, dtype=np.uint8), ctx.d)
+        if _order(ctx, ctx.pow(c, (4**ctx.d - 1) // ctx.N)) == ctx.N:
+            return c
+    raise AssertionError("no c gives order N")
+
+
 def _zeta(ctx, r):
     # beta^(N/r): a primitive r-th root of unity for every divisor r of N
     return ctx.pow(ctx.beta, ctx.N // r)
@@ -172,7 +182,7 @@ def test_context_shape(ctx15, ctx21):
     # 4^2 - 1 = 15 = N: beta generates the whole multiplicative group
     assert _order(ctx15, ctx15.beta) == 15
     assert ctx21.d == 3
-    assert ctx21.beta == ctx21.pow(ctx21.beta_base, 3)
+    assert ctx21.beta == ctx21.pow(_first_base(ctx21), 3)
     for ctx, (p, q) in ((ctx15, (3, 5)), (ctx21, (3, 7))):
         N = ctx.N
         assert ctx.pow(ctx.beta, N) == 1
@@ -476,7 +486,7 @@ def _outcome(fn, *args):
 def _unchecked_report(system, ctx):
     # a char-sum report whose table is gathered by _orbit_sums and never
     # checked, so a spectrum can be read off a corrupted context's table
-    columns = extfield._columns(system)
+    columns = system.labels[2::2]
     sets = [h_set(system, cid) % ctx.N for cid in columns]
     table = extfield._orbit_sums(ctx, sets)
     return extfield.CharSumReport(ctx.N - 1, table.size, table, columns, sets)
@@ -946,8 +956,8 @@ def test_boundary_roots_match_direct_reference(params):
     boundary = 0
     for r, k in enumerate(range(1, N)):
         got = cell_char_sums(c.p, c.q, c.m, c.n, _cell_of(c, k), periods)
-        assert len(got) == len(extfield._columns(system))
-        for cid, value in zip(extfield._columns(system), got):
+        assert len(got) == len(system.labels[2::2])
+        for cid, value in zip(system.labels[2::2], got):
             assert value == _expected_cell(system, ctx, cid, k), (k, cid)
             edge = {"2pq": cid.i == a[r] + 1 and cid.j == b[r] + 1,
                     "2p": cid.i == a[r] + 1, "2q": cid.j == b[r] + 1}
@@ -1005,7 +1015,7 @@ def test_a_class_short_of_one_unit_is_caught(sys15, ctx15):
     # the expected side reads no partition, so one position of any
     # doubled-modulus H-set relabelled to its twin coset shows as a
     # mismatch at k = 1
-    for cid in extfield._columns(sys15):
+    for cid in sys15.labels[2::2]:
         x = sys15.labels.index(cid)
         part = sys15.partition.copy()
         part[np.flatnonzero(part == x)[0]] = sys15.labels.index(
@@ -1098,17 +1108,8 @@ def test_beta_has_order_exactly_n(params):
     N = p**m * q**n
     ctx = build_extension(N)
     assert _order(ctx, ctx.beta) == N
-    assert ctx.beta == ctx.pow(ctx.beta_base, (4**ctx.d - 1) // N)
-    # beta_base is the first c from x on that gives order N, polynomials
-    # ordered as base-4 numbers (digit i worth 4^i), not by packed code
-    for code in range(4, 4**ctx.d):
-        digits = [(code >> 2 * i) & 3 for i in range(ctx.d)]
-        c = _to_packed(np.array(digits, dtype=np.uint8), ctx.d)
-        if c == ctx.beta_base:
-            break
-        assert _order(ctx, ctx.pow(c, (4**ctx.d - 1) // N)) < N
-    else:
-        raise AssertionError("beta_base not met in the scan")
+    # beta comes from the first c from x on that gives order N
+    assert ctx.beta == ctx.pow(_first_base(ctx), (4**ctx.d - 1) // N)
     assert ctx.beta_powers[1] == ctx.beta
     assert _mul(ctx, int(ctx.beta_powers[-1]), ctx.beta) == 1
     # beta's table and that of w = beta^(N/pq), which _gaussian_periods

@@ -143,9 +143,9 @@ def test_generating_polynomial(sys15):
     assert int(poly[0]) == 0 and int(poly[1]) == 2
 
 
-def _nonzero(prof):
+def _nonzero(prof, mapping):
     # e and the three regime values all nonzero: no S(beta^k) vanishes
-    return all(v != 0 for v in (prof.e_value, prof.value_generic,
+    return all(v != 0 for v in (mapping.e, prof.value_generic,
                                 prof.value_p_saturated,
                                 prof.value_q_saturated))
 
@@ -157,10 +157,9 @@ def _full_lc(system, mapping):
 def test_spectrum_profile_case4(sys15):
     # p = 3, q = 5: both +/-3 mod 8, all three regimes collapse to e+b+c
     prof = spectrum_profile(sys15, DEFAULT_MAPPING)
-    assert prof.e_value == 1
     assert prof.value_generic == prof.value_p_saturated == \
         prof.value_q_saturated == 3
-    assert _nonzero(prof) and _full_lc(sys15, DEFAULT_MAPPING)
+    assert _nonzero(prof, DEFAULT_MAPPING) and _full_lc(sys15, DEFAULT_MAPPING)
 
 
 def test_spectrum_profile_case2(sys21):
@@ -169,13 +168,13 @@ def test_spectrum_profile_case2(sys21):
     assert prof.value_generic == 3
     assert prof.value_p_saturated == 2
     assert prof.value_q_saturated == 3
-    assert _nonzero(prof) and _full_lc(sys21, DEFAULT_MAPPING)
+    assert _nonzero(prof, DEFAULT_MAPPING) and _full_lc(sys21, DEFAULT_MAPPING)
     # e = b+d zeroes the p-saturated regime yet passes validation
     witness = Mapping(0, 3, 1, 2, 1)
     assert validate_mapping(3, witness) == []
     wprof = spectrum_profile(sys21, witness)
     assert wprof.value_p_saturated == 0
-    assert not _nonzero(wprof) and not _full_lc(sys21, witness)
+    assert not _nonzero(wprof, witness) and not _full_lc(sys21, witness)
 
 
 def _profile_from_class_tables(system, mapping):
@@ -186,7 +185,6 @@ def _profile_from_class_tables(system, mapping):
         b ^ (c if residue_side_of_2(system, family) else d)
         for family in ("p", "q", "pq"))
     return SpectrumProfile(
-        e_value=e,
         value_generic=e ^ lam_pq ^ lam_p ^ lam_q,
         value_p_saturated=e ^ lam_q,
         value_q_saturated=e ^ lam_p,
@@ -210,7 +208,7 @@ def test_spectrum_profile_reads_p_and_q_alone(cold_builds, p, q):
                     for mapping in ALL_MAPPINGS]
         for mapping, prof in zip(ALL_MAPPINGS, profiles):
             assert prof == _profile_from_class_tables(system, mapping)
-            assert _nonzero(prof) == _full_lc(system, mapping)
+            assert _nonzero(prof, mapping) == _full_lc(system, mapping)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +243,8 @@ def test_max_complexity_mappings(sys15, sys21):
             system = build_system(p, q, m, n)
             valid = [mp for mp in ALL_MAPPINGS if not validate_mapping(p, mp)]
             assert [mp for mp in valid if _full_lc(system, mp)] == [
-                mp for mp in valid if _nonzero(spectrum_profile(system, mp))]
+                mp for mp in valid
+                if _nonzero(spectrum_profile(system, mp), mp)]
     # criterion 3 and demo 06 take three of them at (3, 5) and (3, 7)
     for system in (sys15, sys21):
         assert sum(_full_lc(system, mp) for mp in ALL_MAPPINGS

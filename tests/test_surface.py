@@ -1,17 +1,21 @@
-"""Every function, class and method of src/cycloseq has a reader.
+"""Every function, class, method and dataclass field of src/cycloseq has
+a reader.
 
 Each top-level function and class of src/cycloseq, and each method of
 those classes, must be read by some line of src or of perfbench/*.py, or
 be named by a perfbench string, as the tracer's TARGETS name the functions
 it wraps. A read is a Name or an Attribute in load context, or an
-imported name. Tests and demos do not count: code that only its own test
+imported name. Each field of a dataclass must be read as an attribute by
+such a line, unless its class serializes itself with asdict, which reads
+every field. Tests and demos do not count: code that only its own test
 or a demo reads belongs in that test or demo. Dunder methods are called by
-the language, not by name, and are skipped.
+the language, not by name, and are skipped. NamedTuple fields are not
+checked: labels are compared by value, so every == reads them.
 
 What the check cannot see: reads are matched by short name alone, so a
-dead function or method that shares its short name with a live one, or
-with any attribute read anywhere (a method named get, pow or copy, say),
-passes.
+dead function, method or field that shares its short name with a live
+one, or with any attribute read anywhere (a method named get, pow or
+copy, a field named p or d, say), passes.
 """
 
 import ast
@@ -63,4 +67,37 @@ def test_every_src_definition_is_read_outside_the_tests():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in read and name not in named]
     assert len(SRC) > 1 and BENCH
+    assert unread == []
+
+
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) and any(
+        getattr(dec.func if isinstance(dec, ast.Call) else dec, "id",
+                None) == "dataclass"
+        for dec in node.decorator_list)
+
+
+def _fields(tree):
+    # each field of a dataclass that does not serialize itself with asdict
+    for node in tree.body:
+        if _is_dataclass(node) and not any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "asdict"
+                for call in ast.walk(node)):
+            yield from (f"{node.name}.{item.target.id}" for item in node.body
+                        if isinstance(item, ast.AnnAssign))
+
+
+def _attribute_reads(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    src = [_tree(p) for p in SRC]
+    read = set().union(*map(_attribute_reads, src + [_tree(p) for p in BENCH]))
+    fields = [name for tree in src for name in _fields(tree)]
+    unread = [name for name in fields if name.rpartition(".")[2] not in read]
+    assert len(fields) > 10
     assert unread == []
