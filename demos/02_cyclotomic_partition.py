@@ -6,8 +6,7 @@
 
 from collections import defaultdict
 
-from cycloseq.cyclotomy import (build_partition, build_system, h_set,
-                                residue_side_of_2)
+from cycloseq.cyclotomy import build_partition, build_system, h_set
 from cycloseq.numtheory import smallest_odd_primitive_root_mod_p2
 
 
@@ -21,6 +20,15 @@ def bucket_of_label(label):
 
 system = build_system(3, 5, 1, 1)
 c = system.constants
+
+
+def class_table(cid):
+    # the positions of a label over its cofactor p^(m-i) q^(n-j), times 2
+    # for the doubled copy of an odd-modulus class
+    cofactor = c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (1 + cid.doubled)
+    return [int(t) // cofactor for t in h_set(system, cid)]
+
+
 print(f"p={c.p} q={c.q} m={c.m} n={c.n}: period {system.period}")
 print(f"common primitive root g = {c.g}, mixing unit y = {c.y} "
       f"(g1 = {smallest_odd_primitive_root_mod_p2(c.p)}, "
@@ -29,9 +37,8 @@ print(f"common primitive root g = {c.g}, mixing unit y = {c.y} "
 print("\nclasses by (shape, i, j, h), each label's positions over its "
       "cofactor:")
 for cid in sorted(system.labels[2:]):
-    cofactor = c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (1 + cid.doubled)
     print(f"  {cid.shape:>3} i={cid.i} j={cid.j} h={cid.h}: "
-          f"{[int(t) // cofactor for t in h_set(system, cid)]}")
+          f"{class_table(cid)}")
 
 print("\nH-sets scale each class by its cofactor; doubled labels also by 2:")
 for cid in system.labels[2:6]:
@@ -47,6 +54,8 @@ for name in ("zero", "half", "a", "b", "c", "d"):
 same = (build_partition(system) == system.partition).all()
 print(f"\nbuild_partition, from p and q alone, equals the paint: {same}")
 
-print("\nwhich coset holds 2 (0 = the subgroup <g^2, y>):")
-for shape in ("p", "q", "pq"):
-    print(f"  {shape:>2}-family: side {residue_side_of_2(system, shape)}")
+print("\nwhich coset holds 2 (0 = the subgroup <g^2, y>), read off the "
+      "class tables:")
+for cid in sorted(system.labels[2:]):
+    if cid.doubled and 2 in class_table(cid):
+        print(f"  {cid.shape:>2}-family i={cid.i} j={cid.j}: side {cid.h}")

@@ -6,11 +6,11 @@ the sweep keeps its other rows), 2 invalid parameters or mapping (also
 when a sweep row fails on one), or an OSError on a file such as an --out
 path that cannot be written, 3 cap exceeded or memory run out, 4
 malformed sequence file. --cap alone sets the period cap, 2 p^m q^n <=
---cap (default 10^7, numtheory.DEFAULT_PARAM_CAP), and no cap lifts a
-period past the ceiling 2^31 - 1 (numtheory.PERIOD_CEILING);
-extfield.build_extension also caps extension-field verification at
-N <= 5000 and degree d <= 12, from the constants `verify` builds first,
-before it takes its system.
+--cap (default 10^7, numtheory.DEFAULT_PARAM_CAP), which bounds an
+analyze --file length too, and no cap lifts a period past the ceiling
+2^31 - 1 (numtheory.PERIOD_CEILING); extfield.build_extension also caps
+extension-field verification at N <= 5000 and degree d <= 12, from the
+constants `verify` builds first, before it takes its system.
 
 In the verify report, partition_ok: true rests on two routes: the paint,
 from the powers of g and y, raises PartitionViolation (exit 1) on an index
@@ -135,6 +135,10 @@ def cmd_analyze(args):
         if len(symbols) % 2 or (len(symbols) // 2) % 2 == 0:
             raise MalformedSequenceFile(
                 "sequence length must be twice an odd number")
+        limit = min(args.cap, PERIOD_CEILING)
+        if len(symbols) > limit:
+            bound = "cap" if args.cap == limit else "the period ceiling"
+            raise CapExceeded(f"period {len(symbols)} exceeds {bound} {limit}")
         report = analyze_symbols(symbols)
         payload = {"source": args.file, "period": len(symbols)}
     else:

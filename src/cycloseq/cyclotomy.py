@@ -17,7 +17,9 @@ and r = p on the p-power ones, D_0 holds the units that are squares mod r
 and D_1 those that are not. So the label of every position follows from p
 and q alone, through the cells of Z_N (cells, cell_index): build_partition
 recomputes the label array that way, reading neither g nor y, and
-check_structural_lemmas compares the paint with it in one comparison.
+check_structural_lemmas compares the paint with it in one comparison;
+check_residue_rules reads per family the label at 2's doubled copy: 2
+lies in D_0 exactly when r = +/-1 mod 8.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
@@ -56,7 +58,6 @@ from .errors import InvalidParams, LemmaViolation, PartitionViolation
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
                         build_system_constants, two_is_square_mod)
 
-ODD_SHAPES = ("pq", "p", "q")
 ZERO_LABEL = "zero"
 HALF_LABEL = "half"
 BUCKETS = ("zero", "half", "a", "b", "c", "d")
@@ -90,15 +91,6 @@ def _family_indices(m, n):
     return ([(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
             + [(i, 0) for i in range(1, m + 1)]
             + [(0, j) for j in range(1, n + 1)])
-
-
-def _families(m, n):
-    # family members keyed by base class; check_residue_rules reports the
-    # p, q and pq families in that order
-    out = {(1, 0): [], (0, 1): [], (1, 1): []}
-    for i, j in _family_indices(m, n):
-        out[min(i, 1), min(j, 1)].append((i, j))
-    return out
 
 
 def _powers(base, count, mod):
@@ -339,25 +331,6 @@ def build_partition(system):
     return part
 
 
-def residue_side_of_2(system, shape, i=1, j=1):
-    """h with 2 in D_h for an odd-modulus shape ("p", "q" or "pq"), read
-    off the paint at 4 cof mod 2N, the doubled copy of x = 2 in the family
-    (i, j) of cofactor cof."""
-    if shape not in ODD_SHAPES:
-        raise InvalidParams("2 is a unit only modulo the odd shapes")
-    c = system.constants
-    i, j = (i if "p" in shape else 0), (j if "q" in shape else 0)
-    fams = _family_indices(c.m, c.n)
-    if (i, j) not in fams or _shape(i, j) != shape:
-        raise InvalidParams(f"no {shape} family (i, j) = ({i}, {j})")
-    t = 4 * c.p**(c.m - i) * c.q**(c.n - j) % c.period
-    # the doubled copy of coset h of family f is label 4 f + 2 h + 3
-    h, odd = divmod(int(system.partition[t]) - 4 * fams.index((i, j)) - 3, 2)
-    if odd or h not in (0, 1):
-        raise PartitionViolation(t, f"2 missing from both {shape} cosets")
-    return h
-
-
 def check_structural_lemmas(system):
     """One comparison of the painted partition with build_partition's: the
     paint comes from g and y, build_partition from p and q alone. Returns
@@ -378,21 +351,22 @@ def check_structural_lemmas(system):
 
 
 def check_residue_rules(system):
-    """Check the quadratic-residue side of 2 against the mod-8 rules.
-
-    The p and q families place 2 in D_0 exactly when the respective prime
-    is congruent to +/-1 mod 8; the pq family follows q. Returns unraised
-    LemmaViolation records, empty on success.
-    """
-    out = []
+    """Check the side of 2 in each family against the mod-8 rule: family
+    f, cofactor cof, must hold at 4 cof mod 2N, the doubled copy of 2, the
+    label 4 f + 2 h + 3 of the coset h the rule names (h = 0 when the
+    family's prime, p on the p-power families and q on the others, is
+    +/-1 mod 8). Returns unraised LemmaViolation records, one per family
+    holding any other label there, p-power, q-power, then mixed."""
     c = system.constants
-    for base, members in _families(c.m, c.n).items():
-        expect = 0 if two_is_square_mod(c.q if base[1] else c.p) else 1
-        for i, j in members:
-            if residue_side_of_2(system, _shape(i, j), i, j) != expect:
-                mixed = base == (1, 1)
-                out.append(LemmaViolation(
-                    "pq side of 2 does not follow q's mod-8 rule" if mixed
-                    else "side of 2 breaks the mod-8 rule",
-                    shape=_shape(i, j), witness=(i, j) if mixed else i or j))
+    fams = _family_indices(c.m, c.n)
+    out = []
+    for f in [*range(c.m * c.n, len(fams)), *range(c.m * c.n)]:
+        i, j = fams[f]
+        h = 1 - two_is_square_mod(c.q if j else c.p)
+        t = 4 * c.p**(c.m - i) * c.q**(c.n - j) % c.period
+        if system.partition[t] != 4 * f + 2 * h + 3:
+            out.append(LemmaViolation(
+                "pq side of 2 does not follow q's mod-8 rule" if i and j
+                else "side of 2 breaks the mod-8 rule",
+                shape=_shape(i, j), witness=(i, j) if i and j else i or j))
     return out

@@ -2,7 +2,7 @@
 
 Verification routines use the *Violation types in two modes: raised on the
 first failing witness, or collected unraised into a list when the caller
-wants the full picture (check_structural_lemmas does the latter). Every
+wants the full picture (the two cyclotomy checks do the latter). Every
 instance carries enough of the witness to reproduce the failure by hand.
 """
 

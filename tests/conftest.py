@@ -49,7 +49,7 @@ def class_table(system, cid):
     """D_h of the class cid names, ascending, read off the partition: the
     positions of its label divided by the cofactor p^(m-i) q^(n-j), and by
     2 more for an odd-modulus class, whose label is its doubled copy."""
-    c, odd = system.constants, cid.shape in cyclotomy.ODD_SHAPES
+    c, odd = system.constants, cid.shape[0] != "2"
     cofactor = c.p**(c.m - cid.i) * c.q**(c.n - cid.j) * (2 if odd else 1)
     return cyclotomy.h_set(system, cid._replace(doubled=odd)) // cofactor
 

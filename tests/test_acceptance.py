@@ -11,14 +11,13 @@ import time
 
 import numpy as np
 
-from conftest import ALL_MAPPINGS, bucket_of_label
+from conftest import ALL_MAPPINGS, bucket_of_label, class_table
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                predict_lc, verify_theorem)
-from cycloseq.cyclotomy import (BUCKETS, bucket_codes, build_partition,
-                                build_system,
-                                check_residue_rules, check_structural_lemmas,
-                                residue_side_of_2)
+from cycloseq.cyclotomy import (BUCKETS, ClassId, bucket_codes,
+                                build_partition, build_system,
+                                check_residue_rules, check_structural_lemmas)
 from cycloseq.extfield import (build_extension, verify_case_table,
                                verify_char_sum_tables)
 from cycloseq.numtheory import is_prime
@@ -177,9 +176,9 @@ def test_criterion_6_residue_lemmas(acceptance_log):
             if p == q:
                 continue
             system = build_system(p, q, 1, 1)
-            side = residue_side_of_2(system, "pq")
+            in_d0 = 2 in class_table(system, ClassId("pq", 1, 1, 0))
             brute = 2 in {x * x % q for x in range(1, q)}
-            if (side == 0) != brute:
+            if in_d0 != brute:
                 bad_pq.append((p, q))
     ok = not bad_p and not bad_pq
     _verdict(acceptance_log, 6, ok,

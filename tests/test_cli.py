@@ -66,6 +66,27 @@ def test_analyze_file(tmp_path, capsys):
     assert payload["period"] == 30
 
 
+def test_analyze_file_length_is_bounded_by_the_cap(tmp_path, capsys,
+                                                   monkeypatch):
+    # --cap bounds a file's length as it bounds 2 p^m q^n, with the same
+    # words, before either LC route runs
+    out = tmp_path / "s.txt"
+    assert run(capsys, "generate", "--p", "3", "--q", "5",
+               "--out", str(out))[0] == 0
+    assert run(capsys, "analyze", "--file", str(out), "--cap", "30")[0] == 0
+    assert run(capsys, "analyze", "--p", "3", "--q", "5", "--cap", "10") \
+        == run(capsys, "analyze", "--file", str(out), "--cap", "10") \
+        == (3, "", "error: period 30 exceeds cap 10\n")
+
+    def refuse(symbols):
+        raise AssertionError("an LC route ran past the cap")
+
+    monkeypatch.setattr(cli, "analyze_symbols", refuse)
+    monkeypatch.setattr(cli, "PERIOD_CEILING", 29)
+    assert run(capsys, "analyze", "--file", str(out)) == (
+        3, "", "error: period 30 exceeds the period ceiling 29\n")
+
+
 def test_analyze_params_formats(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", "--p", "3", "--q", "7")
     assert code == 0

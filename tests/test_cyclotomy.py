@@ -15,7 +15,7 @@ from cycloseq import cyclotomy
 from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
                                 bucket_codes, build_partition, build_system,
                                 check_residue_rules, check_structural_lemmas,
-                                h_set, partition_labels, residue_side_of_2)
+                                h_set, partition_labels)
 from cycloseq.errors import (CapExceeded, InvalidParams, LemmaViolation,
                              PartitionViolation)
 from cycloseq.numtheory import (PERIOD_CEILING, build_system_constants,
@@ -202,9 +202,15 @@ def test_lemmas_report_swapped_class(params, swaps, expected):
     bad = _relabelled(system, part)
     found = check_structural_lemmas(bad) + check_residue_rules(bad)
     assert [str(v) for v in found] == expected
-    for shape, i, j in swaps:
-        assert (residue_side_of_2(bad, shape, i=i, j=j)
-                != residue_side_of_2(system, shape, i=i, j=j))
+    for family in swaps:
+        d0 = ClassId(*family, 0)
+        assert (2 in class_table(bad, d0)) != (2 in class_table(system, d0))
+
+
+def _members(m, n, base):
+    # the families (i, j) of one base, (1, 0), (0, 1) or (1, 1), in order
+    return [(i, j) for i, j in cyclotomy._family_indices(m, n)
+            if (min(i, 1), min(j, 1)) == base]
 
 
 @pytest.mark.parametrize("params,base", [
@@ -216,7 +222,7 @@ def test_lemmas_report_a_family_with_its_cosets_swapped(params, base):
     # but every class is now the other Legendre class. One violation names
     # the least index moved, painted with the twin of its cells' label
     system = build_system(*params)
-    members = cyclotomy._families(*params[2:])[base]
+    members = _members(*params[2:], base)
     swapped = [ClassId(cyclotomy._shape(i, j, two), i, j, h, not two)
                for i, j in members for h in (0, 1) for two in (False, True)]
     part = system.partition.copy()
@@ -239,11 +245,18 @@ def _as_set(arr):
     return set(int(x) for x in arr)
 
 
+def _side_of_2(system, i, j):
+    # 0 when 2 lies in D_0 of the odd-modulus family (i, j), else 1
+    return int(2 not in class_table(
+        system, ClassId(cyclotomy._shape(i, j), i, j, 0)))
+
+
 def _ref_structural_lemmas(system):
     out = []
     c = system.constants
     p, q = c.p, c.q
-    families = cyclotomy._families(c.m, c.n)
+    families = {base: _members(c.m, c.n, base)
+                for base in ((1, 0), (0, 1), (1, 1))}
 
     def check(cid, expected):
         got = _as_set(class_table(system, cid))
@@ -275,8 +288,7 @@ def _ref_structural_lemmas(system):
                     shape=ClassId("2pq", i, j, h), witness=min(got)))
 
     for base, members in families.items():
-        sides = {residue_side_of_2(system, cyclotomy._shape(i, j), i, j)
-                 for i, j in members}
+        sides = {_side_of_2(system, i, j) for i, j in members}
         if len(sides) > 1:
             plural = "s" if base == (1, 1) else ""
             out.append(LemmaViolation(
@@ -338,23 +350,23 @@ def test_lemma_witnesses_match_set_reference(params):
 
 def test_residue_side_examples(sys15):
     # 3 = +/-3 and 5 = +/-3 mod 8: 2 sits in D_1 for every odd shape
-    assert residue_side_of_2(sys15, "p") == 1
-    assert residue_side_of_2(sys15, "q") == 1
-    assert residue_side_of_2(sys15, "pq") == 1
+    for cid in (ClassId("p", 1, 0, 1), ClassId("q", 0, 1, 1),
+                ClassId("pq", 1, 1, 1)):
+        assert 2 in class_table(sys15, cid)
+        assert 2 not in class_table(sys15, cid._replace(h=0))
     sys21 = build_system(3, 7, 1, 1)
     # 7 = -1 mod 8: the q and pq families flip to D_0
-    assert residue_side_of_2(sys21, "p") == 1
-    assert residue_side_of_2(sys21, "q") == 0
-    assert residue_side_of_2(sys21, "pq") == 0
-    with pytest.raises(InvalidParams):
-        residue_side_of_2(sys15, "2pq")
+    assert 2 in class_table(sys21, ClassId("p", 1, 0, 1))
+    assert 2 in class_table(sys21, ClassId("q", 0, 1, 0))
+    assert 2 in class_table(sys21, ClassId("pq", 1, 1, 0))
+    assert check_residue_rules(sys15) == check_residue_rules(sys21) == []
     # the side is read off the paint at 4 cof, the doubled copy of 2: a
-    # label there outside the family's two cosets is named at that index
+    # label there outside the family's two cosets is one record
     part = sys15.partition.copy()
     part[4] = 0
-    with pytest.raises(PartitionViolation,
-                       match="index 4: 2 missing from both pq cosets"):
-        residue_side_of_2(_relabelled(sys15, part), "pq")
+    assert [str(v) for v in check_residue_rules(_relabelled(sys15, part))] \
+        == ["pq side of 2 does not follow q's mod-8 rule "
+            "[shape=pq, witness=(1, 1)]"]
 
 
 @pytest.mark.parametrize("params", GRID, ids=str)
@@ -365,8 +377,88 @@ def test_residue_side_follows_the_mod_8_rule_on_every_family(params):
     system = build_system(*params)
     for i, j in cyclotomy._family_indices(m, n):
         r = q if j else p
-        assert residue_side_of_2(system, cyclotomy._shape(i, j), i, j) == (
+        assert _side_of_2(system, i, j) == (
             0 if r % 8 in (1, 7) else 1), (i, j)
+    assert check_residue_rules(system) == []
+
+
+def _doubled_two(system, f):
+    # the position 4 cof of the doubled copy of 2 in family f, the label of
+    # its twin coset, and the record check_residue_rules makes when any
+    # label but its own is there
+    c = system.constants
+    i, j = cyclotomy._family_indices(c.m, c.n)[f]
+    t = 4 * c.p**(c.m - i) * c.q**(c.n - j)
+    own = system.labels[system.partition[t]]
+    mixed = bool(i and j)
+    return (t, system.labels.index(own._replace(h=1 - own.h)),
+            ("pq side of 2 does not follow q's mod-8 rule" if mixed
+             else "side of 2 breaks the mod-8 rule")
+            + f" [shape={cyclotomy._shape(i, j)}, "
+              f"witness={(i, j) if mixed else i or j}]")
+
+
+@pytest.mark.parametrize("params", GRID, ids=str)
+def test_a_relabelled_two_is_one_record(params):
+    # the doubled copy of 2 in one family painted its twin coset, or the
+    # label four on from its own, in another family or half: one record
+    # naming that family, never a raise
+    system = build_system(*params)
+    for f in range(len(cyclotomy._family_indices(*params[2:]))):
+        t, twin, record = _doubled_two(system, f)
+        for label in (twin, (system.partition[t] + 4) % len(system.labels)):
+            part = system.partition.copy()
+            part[t] = label
+            found = check_residue_rules(_relabelled(system, part))
+            assert [str(v) for v in found] == [record], (f, label)
+
+
+def _ref_residue_rules(system):
+    """Reference, one family at a time: the side of 2 in family (i, j)
+    decoded from its label at 4 cof, None when that label lies outside the
+    family's two cosets; then one record per family whose side breaks the
+    mod-8 rule, p-power, q-power, then mixed."""
+    c = system.constants
+    fams = cyclotomy._family_indices(c.m, c.n)
+    out = []
+    for base in ((1, 0), (0, 1), (1, 1)):
+        expect = 0 if (c.q if base[1] else c.p) % 8 in (1, 7) else 1
+        for i, j in _members(c.m, c.n, base):
+            t = 4 * c.p**(c.m - i) * c.q**(c.n - j) % c.period
+            h, odd = divmod(int(system.partition[t])
+                            - 4 * fams.index((i, j)) - 3, 2)
+            if odd or h not in (0, 1):
+                return None
+            if h != expect:
+                mixed = base == (1, 1)
+                out.append(LemmaViolation(
+                    "pq side of 2 does not follow q's mod-8 rule" if mixed
+                    else "side of 2 breaks the mod-8 rule",
+                    shape=cyclotomy._shape(i, j),
+                    witness=(i, j) if mixed else i or j))
+    return out
+
+
+@pytest.mark.parametrize("params", GRID, ids=str)
+def test_residue_rules_agree_with_the_per_family_reader(params):
+    # every choice of coset for the doubled copy of 2 in every family; a
+    # label outside a family, which the reference cannot decode, is still
+    # one record
+    system = build_system(*params)
+    twos = [_doubled_two(system, f)[:2]
+            for f in range(len(cyclotomy._family_indices(*params[2:])))]
+    for flips in itertools.product((False, True), repeat=len(twos)):
+        part = system.partition.copy()
+        for (t, twin), flip in zip(twos, flips):
+            if flip:
+                part[t] = twin
+        bad = _relabelled(system, part)
+        assert ([str(v) for v in check_residue_rules(bad)]
+                == [str(v) for v in _ref_residue_rules(bad)]), flips
+    part = system.partition.copy()
+    part[twos[0][0]] = 0
+    assert _ref_residue_rules(_relabelled(system, part)) is None
+    assert len(check_residue_rules(_relabelled(system, part))) == 1
 
 
 @st.composite
@@ -393,14 +485,6 @@ def test_one_relabelled_position_is_named_at_its_index(case):
     assert [v.witness for v in found] == [
         {"index": t, "painted": system.labels[label],
          "cells": system.labels[system.partition[t]]}]
-
-
-@pytest.mark.parametrize("shape, i, j", [("p", 2, 1), ("q", 1, 2),
-                                         ("pq", 1, 0)])
-def test_residue_side_rejects_a_missing_family(sys15, shape, i, j):
-    # (3, 5, 1, 1) has only the p^1, q^1 and p^1 q^1 families
-    with pytest.raises(InvalidParams, match=f"no {shape} family"):
-        residue_side_of_2(sys15, shape, i=i, j=j)
 
 
 def test_class_id_validation(sys15):

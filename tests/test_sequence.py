@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_MAPPINGS
+from conftest import ALL_MAPPINGS, class_table
 from cycloseq import gf4
 from cycloseq.analysis import checked_lc, lc_via_gcd, predict_lc
-from cycloseq.cyclotomy import (BUCKETS, bucket_codes, build_system,
-                                residue_side_of_2)
+from cycloseq.cyclotomy import BUCKETS, ClassId, bucket_codes, build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
 from cycloseq.sequence import (DEFAULT_MAPPING, Mapping, SpectrumProfile,
@@ -182,8 +181,8 @@ def _profile_from_class_tables(system, mapping):
     # L from the coset of 2 in its family's class tables
     b, c, d, e = mapping.b, mapping.c, mapping.d, mapping.e
     lam_p, lam_q, lam_pq = (
-        b ^ (c if residue_side_of_2(system, family) else d)
-        for family in ("p", "q", "pq"))
+        b ^ (d if 2 in class_table(system, ClassId(*family, 0)) else c)
+        for family in (("p", 1, 0), ("q", 0, 1), ("pq", 1, 1)))
     return SpectrumProfile(
         value_generic=e ^ lam_pq ^ lam_p ^ lam_q,
         value_p_saturated=e ^ lam_q,
