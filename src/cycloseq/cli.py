@@ -5,12 +5,11 @@ Exit codes: 0 success, 1 verification violation or failed sweep row
 the sweep keeps its other rows), 2 invalid parameters or mapping (also
 when a sweep row fails on one), or an OSError on a file such as an --out
 path that cannot be written, 3 cap exceeded or memory run out, 4
-malformed sequence file. --cap alone sets the period cap, 2 p^m q^n <=
---cap (default 10^7, numtheory.DEFAULT_PARAM_CAP), which bounds an
-analyze --file length too, and no cap lifts a period past the ceiling
-2^31 - 1 (numtheory.PERIOD_CEILING); extfield.build_extension also caps
-extension-field verification at N <= 5000 and degree d <= 12, from the
-constants `verify` builds first, before it takes its system.
+malformed sequence file. numtheory.check_limit raises every cap's error:
+--cap (default 10^7) bounds 2 p^m q^n and an analyze --file length, no
+cap lifts a period past PERIOD_CEILING = 2^31 - 1, and build_extension
+caps verify at N <= 5000 and d <= 12, on the constants `verify` builds
+before it takes its system.
 
 In the verify report, partition_ok: true rests on two routes: the paint,
 from the powers of g and y, raises PartitionViolation (exit 1) on an index
@@ -42,7 +41,7 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      PartitionViolation, TheoremViolation)
 from .extfield import build_extension, verify_case_table, verify_char_sum_tables
 from .numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING,
-                        build_system_constants)
+                        build_system_constants, check_period)
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        forbidden_e, parse_ascii_int, read_sequence_file,
                        write_sequence_file)
@@ -52,8 +51,8 @@ DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
 # a bad grid entry longer than this is echoed cut, with its length
 ECHO_CHARS = 40
-CAP_HELP = (f"period cap on 2 p^m q^n (default %(default)s); no cap lifts "
-            f"a period past the ceiling {PERIOD_CEILING}")
+CAP_HELP = (f"period cap on 2 p^m q^n and an analyze --file length (default "
+            f"%(default)s); no cap lifts it past the ceiling {PERIOD_CEILING}")
 
 
 def _parse_grid(pairs_text, exponents_text):
@@ -135,10 +134,7 @@ def cmd_analyze(args):
         if len(symbols) % 2 or (len(symbols) // 2) % 2 == 0:
             raise MalformedSequenceFile(
                 "sequence length must be twice an odd number")
-        limit = min(args.cap, PERIOD_CEILING)
-        if len(symbols) > limit:
-            bound = "cap" if args.cap == limit else "the period ceiling"
-            raise CapExceeded(f"period {len(symbols)} exceeds {bound} {limit}")
+        check_period(len(symbols), args.cap)
         report = analyze_symbols(symbols)
         payload = {"source": args.file, "period": len(symbols)}
     else:
@@ -212,9 +208,10 @@ def cmd_sweep(args):
     base = Mapping.from_text(args.map)
     rows, code = [], 0
     for p, q, m, n in _parse_grid(args.pairs, args.exponents):
-        mappings = ([replace(base, e=e) for e in
-                     sorted({e for e, _ in forbidden_e(p, base) if e})]
-                    if args.degenerate else [base])
+        forbidden = ({e for e, _ in forbidden_e(p, base) if e}
+                     if args.degenerate else ())
+        # empty only when a, b, c, d repeat: one base row, refused by the gate
+        mappings = [replace(base, e=e) for e in sorted(forbidden)] or [base]
         system = None
         for mapping in mappings:
             row = {"p": p, "q": q, "m": m, "n": n,

@@ -1,5 +1,8 @@
 """Exception types shared across the package.
 
+A parameter is refused with InvalidParams (exit 2) or, over a size cap,
+with CapExceeded (exit 3), which only numtheory.check_limit raises.
+
 Verification routines use the *Violation types in two modes: raised on the
 first failing witness, or collected unraised into a list when the caller
 wants the full picture (the two cyclotomy checks do the latter). Every
@@ -12,19 +15,11 @@ class CycloseqError(Exception):
 
 
 class InvalidParams(CycloseqError):
-    """Parameters outside the supported domain (p = q, composite p, m < 1, ...)."""
+    """Bad parameters (p = q, composite p, m < 1, a non-unit, zero divisor)."""
 
 
 class CapExceeded(CycloseqError):
-    """A configured size cap would be exceeded (period, extension degree)."""
-
-
-class NotCoprime(CycloseqError):
-    """Operand shares a factor with the modulus where a unit is required."""
-
-
-class DivisionByZeroPolynomial(CycloseqError):
-    """Polynomial division or inversion by the zero polynomial."""
+    """A size cap would be exceeded (period, N, extension degree)."""
 
 
 class InvalidMapping(CycloseqError):

@@ -42,9 +42,9 @@ import numpy as np
 from . import gf4
 from . import analysis
 from .cyclotomy import _qr_sides, cell_index, cells, h_set
-from .errors import (CapExceeded, CaseViolation, InvalidParams,
-                     LemmaViolation, MethodDisagreement)
-from .numtheory import factorize, mult_order
+from .errors import (CaseViolation, InvalidParams, LemmaViolation,
+                     MethodDisagreement)
+from .numtheory import check_limit, factorize, mult_order
 from .sequence import build_sequence, spectrum_profile
 
 VERIFY_N_CAP = 5000
@@ -228,23 +228,19 @@ def _power_table(x, size, d, x_to_d):
 def build_extension(N):
     """Deterministic F_{4^d} context for N = p^m q^n.
 
-    Raises CapExceeded when N > VERIFY_N_CAP or d > DEFAULT_DEGREE_CAP,
-    and InvalidParams when N is not a product of exactly two odd prime
-    powers.
+    Raises CapExceeded, through numtheory.check_limit, when
+    N > VERIFY_N_CAP or d > DEFAULT_DEGREE_CAP, and InvalidParams when N is
+    not a product of exactly two odd prime powers.
     """
     if N < 3:
         raise InvalidParams("N must be an odd composite p^m q^n")
-    if N > VERIFY_N_CAP:
-        raise CapExceeded(
-            f"N = {N} beyond the verification cap {VERIFY_N_CAP}")
+    check_limit("N =", N, VERIFY_N_CAP, "the verification cap")
     fac = factorize(N)
     if len(fac) != 2 or 2 in fac:
         raise InvalidParams("N must be p^m q^n for distinct odd primes")
     p, q = fac
     d = mult_order(4, N)
-    if d > DEFAULT_DEGREE_CAP:
-        raise CapExceeded(
-            f"extension degree {d} exceeds the cap {DEFAULT_DEGREE_CAP}")
+    check_limit("extension degree", d, DEFAULT_DEGREE_CAP, "the cap")
 
     modulus = least_irreducible(d)
     x_to_d = gf4.pack(*gf4.to_planes(modulus[:d]), d)

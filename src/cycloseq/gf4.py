@@ -34,7 +34,7 @@ numpy arrays, and field_mul multiplies. No other module knows the layout.
 
 import numpy as np
 
-from .errors import DivisionByZeroPolynomial, InvalidParams
+from .errors import InvalidParams
 
 ZERO, ONE, ALPHA, ALPHA1 = 0, 1, 2, 3
 
@@ -180,7 +180,7 @@ def monic_planes(hi, lo):
     if lo.bit_length() > top:
         return hi, lo
     if not top:
-        raise DivisionByZeroPolynomial("cannot normalize the zero polynomial")
+        raise InvalidParams("cannot normalize the zero polynomial")
     return planes_scale(hi, lo, INV_TABLE[2 | (lo >> (top - 1))])
 
 
@@ -251,7 +251,7 @@ def divmod_planes(r1, r0, b1, b0):
     elif size:
         lead = 2 | (b0 >> (size - 1))
     else:
-        raise DivisionByZeroPolynomial("division by the zero polynomial")
+        raise InvalidParams("division by the zero polynomial")
     quot_digit = _MUL[INV_TABLE[lead]]
     # the planes of c and of c * b for c = 1, 2, 3, made once per call
     scaled = (None, (0, 1, b1, b0), (1, 0, b1 ^ b0, b1), (1, 1, b0, b1 ^ b0))

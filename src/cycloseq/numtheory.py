@@ -3,8 +3,8 @@
 Everything runs on arbitrary-precision Python ints. Primality is
 deterministic trial division: inputs are desk-scale by design, enforced by
 the parameter cap (2 p^m q^n <= 10**7 unless overridden) and, whatever the
-cap, the period ceiling 2^31 - 1, so there is no need for probabilistic
-tests.
+cap, the period ceiling 2^31 - 1 (check_period), so there is no need for
+probabilistic tests. check_limit raises every CapExceeded of the package.
 
 The module ends in build_system_constants, which derives the full constant
 set for a parameter choice (p, q, m, n): the common lift g of the least
@@ -17,12 +17,26 @@ import math
 import types
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InvalidParams, NotCoprime
+from .errors import CapExceeded, InvalidParams
 
 DEFAULT_PARAM_CAP = 10**7
 # no cap lifts a period past this: below it a product of two residues
 # mod the period is exact in int64, which the power table relies on
 PERIOD_CEILING = 2**31 - 1
+
+
+def check_limit(what, value, limit, bound, shown=None):
+    """The one raise of CapExceeded; shown, when given, stands for value."""
+    if value > limit:
+        raise CapExceeded(f"{what} {value if shown is None else shown} "
+                          f"exceeds {bound} {limit}")
+
+
+def check_period(period, cap, shown=None):
+    """check_limit on a period, under the lower of cap and PERIOD_CEILING."""
+    limit = min(cap, PERIOD_CEILING)
+    check_limit("period", period, limit,
+                "cap" if cap == limit else "the period ceiling", shown)
 
 
 def is_prime(n):
@@ -66,7 +80,7 @@ def mult_order(a, n):
         raise InvalidParams(f"mult_order needs modulus >= 2, got {n}")
     a %= n
     if math.gcd(a, n) != 1:
-        raise NotCoprime(f"{a} is not a unit modulo {n}")
+        raise InvalidParams(f"{a} is not a unit modulo {n}")
     order = euler_phi(n)
     for p in factorize(order):
         while order % p == 0 and pow(a, order // p, n) == 1:
@@ -140,9 +154,8 @@ class SystemConstants:
 def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
     """Validate parameters and derive the full constant set.
 
-    The period is multiplied up only until it passes the cap or the
-    period ceiling, whichever is lower, and trial division comes after
-    that, so a huge p or exponent fails fast.
+    check_period sees each partial product of the period, before trial
+    division, so a huge p or exponent fails fast.
     """
     for v, name in ((p, "p"), (q, "q")):
         if v < 3 or v % 2 == 0:
@@ -151,13 +164,10 @@ def build_system_constants(p, q, m, n, cap=DEFAULT_PARAM_CAP):
         raise InvalidParams("p and q must be distinct")
     if m < 1 or n < 1:
         raise InvalidParams(f"m and n must be >= 1, got m={m}, n={n}")
-    period, limit = 2, min(cap, PERIOD_CEILING)
+    period, shown = 2, f"2 * {p}^{m} * {q}^{n}"
     for count in range(1, m + n + 1):
         period *= p if count <= m else q
-        if period > limit:
-            shown = period if count == m + n else f"2 * {p}^{m} * {q}^{n}"
-            bound = "cap" if cap == limit else "the period ceiling"
-            raise CapExceeded(f"period {shown} exceeds {bound} {limit}")
+        check_period(period, cap, shown if count < m + n else None)
     for v, name in ((p, "p"), (q, "q")):
         if not is_prime(v):
             raise InvalidParams(f"{name} must be an odd prime, got {v}")

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DOUBLED_SHAPES
-from cycloseq import (analysis, cli, cyclotomy, extfield, gf4, numtheory,
-                      sequence)
+from cycloseq import (analysis, cli, cyclotomy, errors, extfield, gf4,
+                      numtheory, sequence)
 from cycloseq.cli import main
 
 
@@ -81,10 +81,14 @@ def test_analyze_file_length_is_bounded_by_the_cap(tmp_path, capsys,
     def refuse(symbols):
         raise AssertionError("an LC route ran past the cap")
 
+    # both paths read the ceiling from numtheory; a held (3, 5) would
+    # skip the constants, which check the period only when built
     monkeypatch.setattr(cli, "analyze_symbols", refuse)
-    monkeypatch.setattr(cli, "PERIOD_CEILING", 29)
-    assert run(capsys, "analyze", "--file", str(out)) == (
-        3, "", "error: period 30 exceeds the period ceiling 29\n")
+    monkeypatch.setattr(numtheory, "PERIOD_CEILING", 29)
+    cyclotomy.HELD.clear()
+    assert run(capsys, "analyze", "--p", "3", "--q", "5") \
+        == run(capsys, "analyze", "--file", str(out)) \
+        == (3, "", "error: period 30 exceeds the period ceiling 29\n")
 
 
 def test_analyze_params_formats(tmp_path, capsys):
@@ -346,6 +350,23 @@ def test_sweep_degenerate(capsys):
     assert [r["mapping"] for r in json.loads(stdout)] == ["1,0,2,3,2"]
 
 
+def test_sweep_degenerate_base_with_repeated_digits_is_refused(capsys):
+    # when a, b, c, d repeat the mod-8 rule may forbid no nonzero e (b = d
+    # at p = +/-1 mod 8, b = c = 0 at +/-3); the base then gets one row,
+    # which the gate refuses, so the sweep exits 2 and never prints []
+    for pairs, mapping, rows in (
+            ("7:3", "2,1,3,1,1", [("2,1,3,1,1", "")]),
+            ("3:5", "2,1,3,1,1", [("2,1,3,1,1", ""), ("2,1,3,1,2", "")]),
+            ("7:3,3:5", "0,0,0,0,0",
+             [("0,0,0,0,0", "; e must be a nonzero field element")] * 2)):
+        code, stdout, err = run(capsys, "sweep", "--degenerate", "--pairs",
+                                pairs, "--exponents", "1:1", "--map", mapping)
+        assert (code, err) == (2, ""), pairs
+        assert [(r["mapping"], r["error"]) for r in json.loads(stdout)] == [
+            (m, "InvalidMapping: a, b, c, d must be pairwise distinct" + tail)
+            for m, tail in rows], pairs
+
+
 def test_sweep_error_row_fails(capsys):
     # p = q is invalid input, so the row's failure exits 2, not 1
     code, stdout, _ = run(capsys, "sweep", "--pairs", "3:3",
@@ -568,10 +589,10 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch,
     # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
     code, _, err = run(capsys, "verify", "--p", "41", "--q", "107")
     assert (code, err) == (3, "error: extension degree 530 exceeds the cap "
-                              "12\n")
+                              f"{extfield.DEFAULT_DEGREE_CAP}\n")
     code, _, err = run(capsys, "verify", "--p", "71", "--q", "73")
-    assert (code, err) == (3, "error: N = 5183 beyond the verification cap "
-                              "5000\n")
+    assert (code, err) == (3, "error: N = 5183 exceeds the verification cap "
+                              f"{extfield.VERIFY_N_CAP}\n")
     # invalid input still exits 2, before either cap
     for argv in (("--p", "4", "--q", "107"), ("--p", "41", "--q", "41"),
                  ("--p", "41", "--q", "107", "--m", "0"),
@@ -824,6 +845,38 @@ def test_sweep_row_with_huge_exponent(capsys):
     assert rows[0]["m"] == 10000 and rows[0]["error"] == (
         "CapExceeded: period 2 * 3^10000 * 5^1 exceeds cap 10000000")
     assert rows[1]["theorem_holds"] is True
+
+
+def _error_classes(base=errors.CycloseqError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+# the documented exit code of each refusal; every other class is exit 1
+REFUSAL_CODES = {errors.InvalidParams: 2, errors.InvalidMapping: 2,
+                 errors.CapExceeded: 3, errors.MalformedSequenceFile: 4}
+ERROR_ARGS = {errors.InvalidMapping: (["detail"],),
+              errors.PartitionViolation: (7, "detail"),
+              errors.CaseViolation: (1, "detail", "detail")}
+
+
+@pytest.mark.parametrize("cls", list(_error_classes()),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_maps_to_an_exit_code(tmp_path, capsys,
+                                                monkeypatch, cls):
+    # raised from inside a command, each package error is one stderr line
+    # and its documented code, never a traceback
+    def fail(args):
+        raise cls(*ERROR_ARGS.get(cls, ("detail",)))
+
+    monkeypatch.setattr(cli, "_sequence_from_args", fail)
+    code, out, err = run(capsys, "generate", "--p", "3", "--q", "5",
+                         "--out", str(tmp_path / "s.txt"))
+    assert (code, out) == (REFUSAL_CODES.get(cls, 1), "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "detail" in err
+    assert not list(tmp_path.iterdir())
 
 
 # a cap that would admit 2 * 3^40 * 5, whose array no numpy can allocate

@@ -1,17 +1,20 @@
 """Integer helpers: primitive roots, the two-modulus lift, system constants."""
 
+import ast
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cycloseq.errors import CapExceeded, InvalidParams, NotCoprime
+from cycloseq.errors import CapExceeded, InvalidParams
 from cycloseq.numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING, _lift,
-                                build_system_constants, euler_phi,
-                                factorize, is_prime, mult_order,
+                                build_system_constants, check_limit,
+                                check_period, euler_phi, factorize,
+                                is_prime, mult_order,
                                 smallest_odd_primitive_root_mod_p2)
 
 ODD_PRIMES = [r for r in range(3, 120, 2) if is_prime(r)]
@@ -46,17 +49,18 @@ def test_mult_order():
     assert mult_order(4, 15) == 2
     assert mult_order(4, 21) == 3
     assert mult_order(4, 45) == 6
-    with pytest.raises(NotCoprime):
+    with pytest.raises(InvalidParams, match="^4 is not a unit modulo 10$"):
         mult_order(4, 10)
     # order divides phi and is minimal
     rng = random.Random(99)
     for _ in range(100):
         n = rng.randrange(3, 500)
         a = rng.randrange(2, n)
-        try:
-            k = mult_order(a, n)
-        except NotCoprime:
+        if math.gcd(a, n) != 1:
+            with pytest.raises(InvalidParams, match="is not a unit modulo"):
+                mult_order(a, n)
             continue
+        k = mult_order(a, n)
         assert pow(a, k, n) == 1
         for r in factorize(k):
             assert pow(a, k // r, n) != 1
@@ -173,3 +177,42 @@ def test_period_ceiling_bounds_every_cap():
     c = build_system_constants(3, 5, 17, 1, cap=10**23)
     assert c.period == 1_291_401_630 < PERIOD_CEILING
     assert (c.d_ij[17, 1], c.e_ij[17, 1]) == (4 * 3**16, 2)
+
+
+def test_check_limit_words_every_cap():
+    # at the limit passes; one over raises "<what> <value> exceeds <bound>
+    # <limit>", shown standing for the value when given
+    check_limit("N =", 5000, 5000, "the verification cap")
+    with pytest.raises(CapExceeded) as info:
+        check_limit("N =", 5001, 5000, "the verification cap")
+    assert str(info.value) == "N = 5001 exceeds the verification cap 5000"
+    with pytest.raises(CapExceeded) as info:
+        check_limit("period", 90, 30, "cap", shown="2 * 3^2 * 5^1")
+    assert str(info.value) == "period 2 * 3^2 * 5^1 exceeds cap 30"
+    # check_period names the lower of the cap and the ceiling
+    check_period(PERIOD_CEILING, 10**23)
+    for cap, line in ((PERIOD_CEILING, f"cap {PERIOD_CEILING}"),
+                      (PERIOD_CEILING + 1,
+                       f"the period ceiling {PERIOD_CEILING}"),
+                      (10, "cap 10")):
+        with pytest.raises(CapExceeded) as info:
+            check_period(PERIOD_CEILING + 1, cap)
+        assert str(info.value) == (f"period {PERIOD_CEILING + 1} exceeds "
+                                   f"{line}"), cap
+
+
+def test_cap_exceeded_has_one_raise_site():
+    # every CapExceeded of the package is made in numtheory.check_limit
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "cycloseq"
+
+    def makes_cap_exceeded(node):
+        return isinstance(node, ast.Call) and "CapExceeded" in (
+            getattr(node.func, "id", ""), getattr(node.func, "attr", ""))
+
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                          if makes_cap_exceeded(node)]
+    assert sites == ["numtheory.check_limit"]
