@@ -17,8 +17,8 @@ for p, q in ((3, 5), (3, 7)):
     for e in sorted({e for e, _ in forbidden_e(p, DEFAULT_MAPPING)}):
         mapping = Mapping(2, 3, 1, 0, e)
         report = analyze_degenerate(system, mapping)
-        tag = "reduced" if report.lc_gcd < period else "still full"
-        print(f"  e={e}: LC = {report.lc_gcd:3d}  [{tag}]  "
+        tag = "reduced" if report.lc < period else "still full"
+        print(f"  e={e}: LC = {report.lc:3d}  [{tag}]  "
               f"violations: {report.violations[0]}")
 
 # a mapping the rule accepts can still fall short: e = b + d kills the
@@ -32,4 +32,4 @@ print(f"predicted spectrum regimes: generic {prof.value_generic}, "
       f"p-saturated {prof.value_p_saturated}, "
       f"q-saturated {prof.value_q_saturated}")
 report = analyze_degenerate(system, witness)
-print(f"measured LC = {report.lc_gcd} < {system.period}")
+print(f"measured LC = {report.lc} < {system.period}")

@@ -1,4 +1,4 @@
-"""Linear complexity of quaternary sequences by three independent routes.
+"""Linear complexity of quaternary sequences by four independent routes.
 
 Route one runs Berlekamp-Massey over GF(4) and returns the shortest LFSR
 length L. It keeps Massey's recurrence for the connection polynomial C(x)
@@ -75,15 +75,20 @@ each cell (cell_char_sums) over the families once per system and sums mu
 over the cells in integer arithmetic; verify's expected character-sum
 table is cell_char_sums per cell, the periods measured in F_{4^d}.
 
+Route four, the bucket basis, measures E and O on the cells off the
+paint, with no gcd and no field: cyclotomy's CyclotomicSystem.bucket_cells
+holds each bucket's values per cell, span-certified once per held
+system, and as s = sum v_b 1_b, bucket_lc gives any mapping's E, O and
+mu per cell by linearity, the same loop as predict_lc's.
+
 Where they run: analyze and verify measure by the gcd route, then by BM
 (once on the fold at full LC, once more on two periods of s below it),
 and require the lengths to agree and the gcd route's minimal polynomial
 to generate the sequence (analyze_symbols, verify_theorem); theirs is the
-one call of minimal_planes. They hand in digits, which lc_via_gcd turns
-into planes. sweep, plain and --degenerate, measures by the gcd route
-alone, on the planes the sequence ORs from its system's bucket planes
-(lc_via_gcd_planes, with no digits made), reads its LC and no polynomial,
-and requires it to equal predict_lc (checked_lc).
+one call of minimal_planes and of lc_via_gcd, which turns their digits
+into planes. sweep, plain and --degenerate, measures by the bucket basis
+and requires it to equal predict_lc (checked_lc): a row runs no Euclid,
+makes no planes and no digits.
 """
 
 import functools
@@ -92,10 +97,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import _family_indices, cells
+from .cyclotomy import _family_indices, cells, eta_pair
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
 from .numtheory import two_is_square_mod
-from .sequence import DEFAULT_MAPPING, build_sequence, validate_mapping
+from .sequence import (DEFAULT_MAPPING, _bucket_symbols, build_sequence,
+                       validate_mapping)
 
 
 def berlekamp_massey(symbols):
@@ -273,8 +279,7 @@ def _cell_sums(p, q, m, n):
     families, with the GF(4) periods (0, 1), or (alpha, alpha^2) where 2
     is no square; T_s adds each family's T_h with 2 in D_h, p's side on
     the p-power families and q's on the others."""
-    periods = [(0, 1) if two_is_square_mod(r) else (gf4.ALPHA, gf4.ALPHA1)
-               for r in (p, q)]
+    periods = [eta_pair(p), eta_pair(q)]
     sides = [not two_is_square_mod(q if j else p)
              for _, j in _family_indices(m, n)]
     out = []
@@ -305,17 +310,36 @@ def predict_lc(constants, mapping):
     return 2 * c.half_period - lost
 
 
+# _PAIR_MUL[v][w] is v times both halves of w = E << 2 | O, and _LOSS[w]
+# the roots a cell of E << 2 | O = w loses per member: one where E = O,
+# two where both vanish
+_PAIR_MUL = [[gf4._MUL[v][w >> 2] << 2 | gf4._MUL[v][w & 3] for w in range(16)]
+             for v in range(4)]
+_LOSS = [(w >> 2 == w & 3) << (w == 0) for w in range(16)]
+
+
+def bucket_lc(system, mapping):
+    """LC of the mapping's sequence off system.bucket_cells, the bucket
+    basis: per cell, E << 2 | O is the sum of v_b times each bucket's pair,
+    and the cell loses its size times _LOSS of it."""
+    te, ta, tb, tc, td = (_PAIR_MUL[v] for v in _bucket_symbols(mapping)[1:])
+    lost = 0
+    for size, we, wa, wb, wc, wd in system.bucket_cells:
+        lost += size * _LOSS[te[we] ^ ta[wa] ^ tb[wb] ^ tc[wc] ^ td[wd]]
+    return system.period - lost
+
+
 def checked_lc(seq):
-    """LC of one period by the gcd route, which must equal predict_lc.
+    """LC of one period by the bucket basis, which must equal predict_lc.
 
     sweep's measurement. Raises MethodDisagreement naming both values and
     the mapping when they differ.
     """
-    lc, _ = lc_via_gcd_planes(seq.period, *seq.planes)
+    lc = bucket_lc(seq.system, seq.mapping)
     predicted = predict_lc(seq.constants, seq.mapping)
     if lc != predicted:
         raise MethodDisagreement(
-            f"gcd found {lc}, the closed form predicts {predicted} "
+            f"bucket basis found {lc}, the closed form predicts {predicted} "
             f"for mapping {seq.mapping.as_tuple()}")
     return lc
 
@@ -404,10 +428,10 @@ def degenerate_lower_bound(p, q, m, n):
 @dataclass(frozen=True)
 class DegenerateReport:
     """Measured complexity of a mapping that breaks the mod-8 constraint;
-    lc_gcd passed checked_lc, so it is also predict_lc's value."""
+    lc passed checked_lc, so it is also predict_lc's value."""
 
     violations: tuple
-    lc_gcd: int
+    lc: int
     lower_bound: int
 
 
@@ -417,7 +441,7 @@ def analyze_degenerate(system, mapping):
     The mapping must be structurally sound and actually degenerate, either
     by the mod-8 rule or by predict_lc falling short of the period; a
     fully valid mapping that attains the maximum belongs to verify_theorem
-    instead. LC comes from checked_lc, so the gcd route equals
+    instead. LC comes from checked_lc, so the bucket basis equals
     predict_lc. Raises TheoremViolation if the measured complexity dips
     below (p^m + 1)(q^n + 1)/2.
     """
@@ -436,6 +460,6 @@ def analyze_degenerate(system, mapping):
             f"for mapping {mapping.as_tuple()}")
     return DegenerateReport(
         violations=tuple(soft),
-        lc_gcd=lc,
+        lc=lc,
         lower_bound=bound,
     )

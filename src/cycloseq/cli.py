@@ -188,9 +188,9 @@ def _sweep_fields(system, mapping, degenerate):
         lc = checked_lc(build_sequence(system, mapping))
         return {"period": period, "lc": lc, "theorem_holds": lc == period}
     report = analyze_degenerate(system, mapping)
-    return {"period": period, "lc": report.lc_gcd,
+    return {"period": period, "lc": report.lc,
             "lower_bound": report.lower_bound, "bound_ok": True,
-            "theorem_holds": report.lc_gcd == period,
+            "theorem_holds": report.lc == period,
             "violations": list(report.violations)}
 
 
@@ -200,7 +200,7 @@ def cmd_sweep(args):
     A row is 0 when it holds; 1 when plain LC falls short of the period or
     a violation, a cap or running out of memory ends it (such as
     TheoremViolation below the --degenerate floor, or MethodDisagreement
-    when the gcd route and the closed form differ); 2 on InvalidParams or
+    when the bucket basis and the closed form differ); 2 on InvalidParams or
     InvalidMapping. A row that ends in an error carries it and the sweep
     goes on. A system is built at its first row; a build that fails is
     retried at each row.

@@ -29,10 +29,30 @@ half is their image under t -> 2t mod 2 p^m q^n. That tiling, its odd
 half painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below
 the period ceiling of numtheory) and its even half copied from the odd,
 is stored as a label array and is the single source of truth: a sequence
-reads only its labels, or the per-bucket indicator planes derived from
-them on first read, and h_set reads the positions of one label. A paint
-that does not tile raises PartitionViolation, its witness the least
-unlabeled index among the bare odd positions and their doubles.
+reads only its labels, or the bucket-cell table derived from them on
+first read, and h_set reads the positions of one label. A paint that does
+not tile raises PartitionViolation, its witness the least unlabeled index
+among the bare odd positions and their doubles.
+
+The bucket-cell table (CyclotomicSystem.bucket_cells, _bucket_cells) is a
+span certificate. Each bucket's indicator splits into E, its even
+positions t at x^(t mod N), and O, its odd ones; a root of x^N - 1 of
+exact order M = p^i q^j lies in a cell of level M. A polynomial takes
+one value on each cell of level M exactly when, mod Phi_M, it lies in the
+GF(4) span of 1, R_p, R_q and R_p R_q, R_r = sum over the squares s mod r
+of x^((M/r) s), r | M: the two-prime case of the quadratic-residue
+idempotents (MacWilliams and Sloane, The Theory of Error-Correcting
+Codes, ch. 16; Ding, Helleseth and Shan, IEEE T-IT 44(3), 1998). R_r
+takes the Gaussian period eta_l of r on the cells of Legendre bit l,
+eta_pair's digits, as analysis._cell_sums takes them. Membership needs no
+division by Phi_M: with A = (x^(M/p) - 1)(x^(M/q) - 1), a binomial left
+out where its prime does not divide M, x^M - 1 is Phi_M times a divisor
+of A, and it is squarefree (M is odd), so Phi_M divides D exactly when
+x^M - 1 divides D A. The shift key (_shift_key) is D A mod x^M - 1: two
+binomial products and one split at x^M. It is GF(2)-linear, so a dict
+of the keys of the basis' 2 to 16 GF(2) combinations (_spans) reads off
+each component's span coefficients, and so its value per cell; a key
+outside it raises LemmaViolation("not constant on cells").
 
 build_system holds the systems it has painted, keyed by (p, q, m, n), and
 every command of the CLI takes its systems from it, so a process paints
@@ -41,9 +61,10 @@ system already painted, repaints nothing. The least recently used system
 goes first, and the held periods sum to at most HELD_POSITIONS label
 positions (16 MB of int16); a system larger than that is returned and not
 held. Every call is still checked against its cap, and a call that raises
-holds nothing. A held system is read-only: its partition, its bucket
-planes and its constants' order tables; it keeps its bucket planes once
-derived, so each system derives them once per process.
+holds nothing. A held system is read-only: its partition, its
+bucket-cell table (a tuple) and its constants' order tables; it keeps the
+table once derived, so each system derives it once per process, and it
+goes with the system when the system is evicted.
 """
 
 import collections
@@ -54,6 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import gf4
 from .errors import InvalidParams, LemmaViolation, PartitionViolation
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
                         build_system_constants, two_is_square_mod)
@@ -151,6 +173,108 @@ def cell_index(constants, ks):
     return where[a, b, lp, lq]
 
 
+def eta_pair(r):
+    """The Gaussian periods (eta_0, eta_1) of the odd prime r as GF(4)
+    digits: (0, 1) where 2 is a square mod r, else (alpha, alpha^2)."""
+    return (0, 1) if two_is_square_mod(r) else (2, 3)
+
+
+def _fold(x, width):
+    # x mod x^width - 1 over GF(2): the XOR of its width-bit blocks
+    blocks = -(-x.bit_length() // width)
+    while blocks > 1:
+        blocks = (blocks + 1) // 2
+        x = (x & ((1 << blocks * width) - 1)) ^ (x >> blocks * width)
+    return x
+
+
+def _shift_key(x, size, u, v):
+    """K(x) = x A mod x^M - 1 for x of degree < M = size, where
+    A = (x^u + 1)(x^v + 1), u = M/p and v = M/q, a factor left out (its
+    step 0) where its prime does not divide M: Y = x A split at x^M,
+    Y_lo + Y_hi. K is GF(2)-linear, and K(x) = 0 exactly when Phi_M
+    divides x, as x^M - 1 is squarefree and Phi_M times a divisor of A."""
+    for step in (u, v):
+        if step:
+            x ^= x << step
+    return (x & ((1 << size) - 1)) ^ (x >> size)
+
+
+def _spread(exponents, size):
+    # the GF(2) polynomial of degree < size with a 1 at each exponent
+    buf = bytearray(size // 8 + 1)
+    for e in exponents:
+        buf[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _spans(p, q, size, u, v):
+    """Each GF(2) combination of the basis 1, R_p, R_q, R_p R_q of the
+    level M = size, R_r kept where r | M, keyed by its shift key: its
+    values on the level's cells, (lp, lq) ascending. R_r puts x^((M/r) s)
+    at each square s mod r and takes eta_l of r at Legendre bit l."""
+    sp, sq = ([s * s % r for s in range(1, (r + 1) // 2)] for r in (p, q))
+    ep, eq = eta_pair(p), eta_pair(q)
+    bits = [(lp, lq) for lp in ((0, 1) if u else (0,))
+            for lq in ((0, 1) if v else (0,))]
+    basis = [(1, [1] * len(bits))]
+    if u:
+        basis.append((_spread([u * s for s in sp], size),
+                      [ep[lp] for lp, _ in bits]))
+    if v:
+        basis.append((_spread([v * t for t in sq], size),
+                      [eq[lq] for _, lq in bits]))
+    if u and v:
+        basis.append((_spread([(u * s + v * t) % size
+                               for s in sp for t in sq], size),
+                      [gf4._MUL[ep[lp]][eq[lq]] for lp, lq in bits]))
+    spans = {0: (0,) * len(bits)}
+    for poly, values in basis:
+        k = _shift_key(poly, size, u, v)
+        spans.update({key ^ k: tuple(x ^ y for x, y in zip(have, values))
+                      for key, have in list(spans.items())})
+    return spans
+
+
+def _bucket_cells(system):
+    """The table of CyclotomicSystem.bucket_cells, measured off the paint
+    and the squares mod p and q (module docstring). Each E and O, folded
+    mod x^M - 1 from the level above it, p or q times as long, must match
+    one of _spans' keys at each level M; its values name the cells."""
+    c = system.constants
+    p, q, m, n, half = c.p, c.q, c.m, c.n, c.half_period
+    codes = bucket_codes(m, n).astype(np.uint8)[system.partition]
+    even = ((1 << (half + 1)) - 1) // 3
+    odd = ((1 << half) - 1) ^ even
+    parts, top = [], []
+    for b, name in enumerate(BUCKETS[1:], 1):
+        x = int.from_bytes(np.packbits(codes == b, bitorder="little"),
+                           "little")
+        lo, hi = x & ((1 << half) - 1), x >> half
+        parts += [(name, "E"), (name, "O")]
+        top += [(lo & even) | (hi & odd), (lo & odd) | (hi & even)]
+    rows, level, folds = [], None, {(m, n): top}
+    for (a, b, _, _), size in cells(p, q, m, n):
+        if (a, b) != level:
+            level, at, i, j = (a, b), 0, m - a, n - b
+            width = p**i * q**j
+            if (i, j) not in folds:
+                folds[i, j] = [_fold(x, width) for x in folds[
+                    (i, j + 1) if j < n else (i + 1, j)]]
+            u, v = width // p if i else 0, width // q if j else 0
+            spans, values = _spans(p, q, width, u, v), []
+            for (name, part), x in zip(parts, folds[i, j]):
+                found = spans.get(_shift_key(x, width, u, v))
+                if found is None:
+                    raise LemmaViolation("not constant on cells", level=width,
+                                         bucket=name, part=part)
+                values.append(found)
+        rows.append((size, *(values[2 * k][at] << 2 | values[2 * k + 1][at]
+                             for k in range(len(BUCKETS) - 1))))
+        at += 1
+    return tuple(rows)
+
+
 # one table per shape (m, n), of which the period ceiling allows a few hundred
 @functools.cache
 def partition_labels(m, n):
@@ -179,9 +303,10 @@ class CyclotomicSystem:
     """Constants and the partition label array.
 
     Immutable after construction; partition holds indices into labels.
-    bucket_planes is derived on first read and kept: per bucket, in
-    BUCKETS order, the int whose bit t is set when position t lies in the
-    bucket, from which a sequence ORs its gf4 planes.
+    bucket_cells is derived on first read and kept, a tuple: per cell, in
+    cells order, the cell's size, then per bucket half, a, b, c, d its
+    GF(4) values on E and O as E << 2 | O (_bucket_cells). A sequence's
+    E and O, sum v_b 1_b, follow from it by linearity.
     """
 
     constants: SystemConstants
@@ -189,13 +314,8 @@ class CyclotomicSystem:
     partition: np.ndarray = field(repr=False)
 
     @functools.cached_property
-    def bucket_planes(self):
-        c = self.constants
-        codes = bucket_codes(c.m, c.n).astype(np.uint8)[self.partition]
-        return tuple(
-            int.from_bytes(np.packbits(codes == b, bitorder="little"),
-                           "little")
-            for b in range(len(BUCKETS)))
+    def bucket_cells(self):
+        return _bucket_cells(self)
 
     @property
     def period(self):

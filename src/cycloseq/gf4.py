@@ -23,8 +23,8 @@ is longer, else 2 plus lo's top bit.
 Digits are the edge: a numpy uint8 array, index = power of x, with no
 trailing zeros (the zero polynomial is empty), as in reports, sequence
 files, witnesses and extfield's modulus search. to_planes and from_planes
-convert, and poly_to_digits writes the text. A sweep row never converts:
-its planes come straight from the system's bucket planes.
+convert, and poly_to_digits writes the text. A sweep row makes no
+planes: its LC comes off the bucket basis (analysis.bucket_lc).
 
 An element of F_{4^d} = GF(4)[X]/(f), f monic of degree d, packs its
 remainder's planes into one int: lo in bits 0..d-1, hi in bits d..2d-1.

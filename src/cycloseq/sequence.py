@@ -12,11 +12,11 @@ analysis.predict_lc, not the rule, decides full complexity, and the two
 disagree on some mappings; spectrum_profile predicts S(beta^k) per regime.
 
 As s = sum over buckets of v_b 1_b, a sequence is held as its system and
-mapping, and each form of s is made on first read: its gf4 planes, ORs of
-the system's bucket planes, which is all a sweep row reads, or its uint8
-digits, one gather, which generate, analyze and verify read. Digits are
-the I/O form: write_sequence_file writes them and their sidecar all or
-nothing.
+mapping. A sweep row reads only those two: its LC follows by linearity
+from the system's bucket_cells (analysis.checked_lc). Its uint8 digits,
+one gather, are made on first read; generate, analyze and verify read
+them. Digits are the I/O form: write_sequence_file writes them and their
+sidecar all or nothing.
 """
 
 import contextlib
@@ -123,10 +123,8 @@ def validate_mapping(p, mapping):
 class QuaternarySequence:
     """One period of the sequence as the system and mapping that build it.
 
-    Its two views are made on first read and kept: planes, where a
-    bucket's plane joins hi when bit 1 of its symbol is set and lo when bit
-    0 is, and symbols, a read-only uint8 array, one digit per position,
-    trailing zeros included.
+    symbols, a read-only uint8 array, one digit per position, trailing
+    zeros included, is made on first read and kept.
     """
 
     system: CyclotomicSystem = field(repr=False)
@@ -139,17 +137,6 @@ class QuaternarySequence:
     @property
     def period(self):
         return self.system.period
-
-    @functools.cached_property
-    def planes(self):
-        hi = lo = 0
-        for value, plane in zip(_bucket_symbols(self.mapping),
-                                self.system.bucket_planes):
-            if value & 2:
-                hi |= plane
-            if value & 1:
-                lo |= plane
-        return hi, lo
 
     @functools.cached_property
     def symbols(self):

@@ -145,12 +145,12 @@ def test_criterion_5_degenerate_lower_bound(acceptance_log):
     for p, q, e, frozen_lc, bound, reduced in rows:
         system = build_system(p, q, 1, 1)
         report = analyze_degenerate(system, Mapping(2, 3, 1, 0, e))
-        good = (report.lc_gcd == frozen_lc
+        good = (report.lc == frozen_lc
                 and report.lower_bound == bound
-                and report.lc_gcd >= bound
-                and (report.lc_gcd < system.period) == reduced)
+                and report.lc >= bound
+                and (report.lc < system.period) == reduced)
         ok = ok and good
-        details.append(f"({p},{q})e={e}:lc={report.lc_gcd}"
+        details.append(f"({p},{q})e={e}:lc={report.lc}"
                        f"{'' if good else '!'}")
     _verdict(acceptance_log, 5, ok,
              "bounds 12/16 hold on all four members [" + " ".join(details)

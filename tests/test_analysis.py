@@ -1,5 +1,6 @@
 """Berlekamp-Massey, gcd complexity, and their cross-checks."""
 
+import dataclasses
 import functools
 import itertools
 import operator
@@ -14,12 +15,12 @@ from hypothesis import strategies as st
 from conftest import ALL_MAPPINGS
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, cell_char_sums, checked_lc,
-                               degenerate_lower_bound, generates,
+                               berlekamp_massey, bucket_lc, cell_char_sums,
+                               checked_lc, degenerate_lower_bound, generates,
                                lc_via_gcd, minimal_planes, predict_lc,
                                verify_theorem)
 from cycloseq.cyclotomy import build_system, cells
-from cycloseq.errors import (InvalidMapping, InvalidParams,
+from cycloseq.errors import (InvalidMapping, InvalidParams, LemmaViolation,
                              MethodDisagreement, TheoremViolation)
 from cycloseq.extfield import build_extension
 from cycloseq.gf4 import INV_TABLE, MUL_TABLE, to_planes
@@ -678,16 +679,16 @@ def test_degenerate_lower_bound_values():
 def test_analyze_degenerate_paths(sys15, sys21):
     # e = b at (3,5): the measurement still reaches the full period
     rep = analyze_degenerate(sys15, Mapping(2, 3, 1, 0, 3))
-    assert rep.lc_gcd == 30 == sys15.period
+    assert rep.lc == 30 == sys15.period
     assert rep.lower_bound == 12 and rep.violations
     # e = b + c at (3,5): genuinely reduced, floor still respected
     rep = analyze_degenerate(sys15, Mapping(2, 3, 1, 0, 2))
-    assert rep.lc_gcd == 16 < sys15.period
-    assert rep.lc_gcd >= rep.lower_bound and rep.lower_bound == 12
+    assert rep.lc == 16 < sys15.period
+    assert rep.lc >= rep.lower_bound and rep.lower_bound == 12
     # valid mapping with a vanishing regime also counts as degenerate
     rep = analyze_degenerate(sys21, Mapping(0, 3, 1, 2, 1))
     assert rep.violations == ()
-    assert rep.lc_gcd == 36 < sys21.period
+    assert rep.lc == 36 < sys21.period
 
 
 def test_analyze_degenerate_rejections(sys15):
@@ -713,12 +714,14 @@ def test_class_pairs_cover_every_class():
     (17, 3, 2, 1), (3, 17, 1, 2), (5, 7, 2, 2), (7, 3, 2, 2), (3, 5, 4, 3)],
     ids=str)
 def test_predict_lc_equals_the_gcd_route(params):
+    # and so does the bucket basis, measured off the paint
     system = build_system(*params)
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
         predicted = predict_lc(system.constants, mapping)
         assert type(predicted) is int
         assert predicted == lc_via_gcd(seq.symbols)[0], mapping
+        assert bucket_lc(system, mapping) == predicted, mapping
 
 
 def test_predict_lc_sums_each_cell_once(monkeypatch):
@@ -739,11 +742,16 @@ def test_predict_lc_sums_each_cell_once(monkeypatch):
 
 
 def test_predict_lc_at_large_periods():
-    # LC as the gcd route measured it at P = 913 066, up to 16 s a row
+    # LC as the gcd route measured it at P = 913 066, up to 16 s a row;
+    # the bucket basis agrees on every mapping
     constants = build_system_constants(7, 11, 3, 3)
     assert predict_lc(constants, DEFAULT_MAPPING) == 913066
     assert predict_lc(constants, Mapping(0, 1, 2, 3, 2)) == 457864
     assert predict_lc(constants, Mapping(2, 1, 3, 0, 1)) == 230263
+    system = build_system(7, 11, 3, 3)
+    for mapping in ALL_MAPPINGS:
+        assert (bucket_lc(system, mapping)
+                == predict_lc(constants, mapping)), mapping
 
 
 def test_same_side_pairs_lose_to_two_values():
@@ -776,8 +784,8 @@ def test_checked_lc_names_both_values(sys15, monkeypatch):
                         lambda constants, mapping: 17)
     with pytest.raises(MethodDisagreement) as info:
         checked_lc(seq)
-    assert str(info.value) == ("gcd found 16, the closed form predicts 17 "
-                               "for mapping (2, 3, 1, 0, 2)")
+    assert str(info.value) == ("bucket basis found 16, the closed form "
+                               "predicts 17 for mapping (2, 3, 1, 0, 2)")
 
 
 @pytest.mark.parametrize("r, top, other", [
@@ -912,3 +920,68 @@ def test_cell_sums_give_the_spectrum_profile(p, q):
                         (False, True): prof.value_q_saturated,
                         (False, False): prof.value_generic}[a == m, b == n]
                 assert even ^ odd == want, (m, n, mapping, a, b)
+
+
+def _closed_form_cells(p, q, m, n, mapping):
+    # predict_lc's E << 2 | O on each cell, from its table of cell sums
+    mul = gf4.gf4_mul
+    out = []
+    for _, t0, t1, ts in analysis._cell_sums(p, q, m, n):
+        odd = mapping.e ^ mul(mapping.a, t0) ^ mul(mapping.b, t1)
+        even = mul(mapping.c, ts) ^ mul(mapping.d, t0 ^ t1 ^ ts)
+        out.append(even << 2 | odd)
+    return out
+
+
+def _bucket_basis_cells(system, mapping):
+    # the mapping's E << 2 | O on each cell, off the held table
+    values = (mapping.e, mapping.a, mapping.b, mapping.c, mapping.d)
+    return [functools.reduce(operator.xor, (
+        analysis._PAIR_MUL[v][w] for v, w in zip(values, row[1:])))
+        for row in system.bucket_cells]
+
+
+@pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
+def test_bucket_basis_equals_the_closed_form_on_every_cell(p, q):
+    # measured off the paint, E and O equal predict_lc's on every cell,
+    # so LC does too: 72 mappings at each (m, n) up to (2, 2)
+    for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        system = build_system(p, q, m, n)
+        sizes = [size for size, *_ in analysis._cell_sums(p, q, m, n)]
+        assert [row[0] for row in system.bucket_cells] == sizes
+        for mapping in ALL_MAPPINGS:
+            assert (_bucket_basis_cells(system, mapping)
+                    == _closed_form_cells(p, q, m, n, mapping)), mapping
+            assert (bucket_lc(system, mapping)
+                    == predict_lc(system.constants, mapping)), mapping
+
+
+@pytest.mark.parametrize("params", [
+    (3, 5, 1, 1), (3, 7, 1, 1), (5, 3, 2, 1), (7, 17, 1, 1), (3, 5, 1, 2),
+    (17, 41, 1, 1)], ids=str)
+def test_changed_labels_raise_or_give_the_gcd_lc(params):
+    # 150 paints, each with 1-5 positions relabelled at random: the table
+    # either raises "not constant on cells" or gives, for eight mappings
+    # drawn at random, the LC the gcd route measures on the changed
+    # sequence. A change can
+    # pass: within one bucket it changes no symbol, and on a cell of one
+    # root it may keep every value constant
+    system = build_system(*params)
+    rng = random.Random(repr(params))
+    raised = 0
+    for _ in range(150):
+        part = system.partition.copy()
+        for t in rng.sample(range(system.period), rng.randint(1, 5)):
+            part[t] = rng.randrange(len(system.labels))
+        changed = dataclasses.replace(system, partition=part)
+        try:
+            changed.bucket_cells
+        except LemmaViolation as exc:
+            assert str(exc).startswith("not constant on cells [level=")
+            raised += 1
+            continue
+        for mapping in rng.sample(ALL_MAPPINGS, 8):
+            seq = build_sequence(changed, mapping, allow_degenerate=True)
+            assert bucket_lc(changed, mapping) == lc_via_gcd(
+                seq.symbols)[0], mapping
+    assert raised > 100

@@ -756,12 +756,13 @@ def test_verify_calls_in_one_process_paint_each_system_once(capsys,
     assert painted == [(3, 5, 1, 1), (5, 3, 2, 1)]
 
 
-def test_sweep_rows_read_only_the_held_bucket_planes(capsys, monkeypatch,
-                                                     cold_builds):
-    # a held system derives its bucket planes at its first row, and every
-    # row's sequence ORs its planes from them and gathers no digits
-    derived, seqs = [], []
-    real = cyclotomy.CyclotomicSystem.__dict__["bucket_planes"].func
+def test_sweep_rows_read_only_the_held_bucket_cells(capsys, monkeypatch,
+                                                    cold_builds):
+    # a held system derives its bucket-cell table at its first row, and
+    # every row's LC comes from it: no row gathers digits, makes gf4
+    # planes or runs the gcd route
+    derived, seqs, planes = [], [], []
+    real = cyclotomy.CyclotomicSystem.__dict__["bucket_cells"].func
 
     def derive(system):
         c = system.constants
@@ -772,9 +773,13 @@ def test_sweep_rows_read_only_the_held_bucket_planes(capsys, monkeypatch,
         seqs.append(seq)
         return real_lc(seq)
 
-    _patch_cached_property(monkeypatch, "bucket_planes", derive)
+    _patch_cached_property(monkeypatch, "bucket_cells", derive)
     for module in (cli, analysis):
         monkeypatch.setattr(module, "checked_lc", spy)
+    for module, name in ((gf4, "to_planes"), (gf4, "gcd_planes"),
+                         (analysis, "lc_via_gcd_planes")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: planes.append(name))
     grid = ("--pairs", "3:5,7:17,5:3", "--exponents", "1:1,2:1")
     for argv in ((), ("--map", "1,0,2,3,1"), ("--degenerate",)):
         # (7, 17) has degenerate rows below the floor: exit 1
@@ -783,9 +788,9 @@ def test_sweep_rows_read_only_the_held_bucket_planes(capsys, monkeypatch,
     assert Counter(derived) == {(p, q, m, n): 1 for p, q in
                                 ((3, 5), (7, 17), (5, 3))
                                 for m, n in ((1, 1), (2, 1))}
-    assert len(seqs) == 6 + 6 + 10
+    assert len(seqs) == 6 + 6 + 10 and planes == []
     for seq in seqs:
-        assert "planes" in vars(seq) and "symbols" not in vars(seq)
+        assert "symbols" not in vars(seq)
 
 
 def test_sweep_json_holds_one_row_per_line(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import sys
 import threading
 
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bucket_of_label, class_table
-from cycloseq import cyclotomy
+from cycloseq import cyclotomy, gf4
 from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
                                 bucket_codes, build_partition, build_system,
                                 check_residue_rules, check_structural_lemmas,
@@ -25,6 +26,10 @@ GRID = [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1), (3, 11, 1, 1),
         (3, 5, 2, 1), (3, 5, 1, 2), (3, 7, 2, 1)]
 # the largest system of the benchmark's analyze ladder, P = 20 250
 LADDER_TOP = (3, 5, 4, 3)
+# one pair per (p mod 8, q mod 8) class, as in the sweep benchmark
+CLASS_PAIRS = ((17, 41), (17, 3), (17, 5), (17, 7), (7, 17), (7, 3), (7, 5),
+               (7, 23), (3, 17), (3, 11), (3, 5), (3, 7), (5, 17), (5, 3),
+               (5, 13), (5, 7))
 
 
 @pytest.fixture(scope="module")
@@ -125,19 +130,77 @@ def test_bucket_codes_follow_the_labels(m, n):
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (7, 3, 2, 1),
                                     (3, 5, 4, 3)], ids=str)
-def test_bucket_planes_tile_the_period(params):
-    # bit t of a bucket's plane is set exactly where position t's label
-    # feeds that bucket, so the planes are disjoint and cover Z_P
+def test_bucket_cells_tile_the_period(params):
+    # a row per cell, in cells order, with its size; half (position N,
+    # odd, t mod N = 0) is O = 1 and E = 0 on every cell, a and b lie on
+    # odd positions and c and d on even ones. The six buckets tile Z_P,
+    # so with zero's E = 1 they add up to the all-ones E and O: 0 on every
+    # cell but k = 0, where each is N = 1 mod 2
     system = build_system(*params)
-    planes = system.bucket_planes
-    assert type(planes) is tuple and len(planes) == len(BUCKETS)
-    assert system.bucket_planes is planes
+    table = system.bucket_cells
+    assert type(table) is tuple and system.bucket_cells is table
     c = system.constants
-    codes = bucket_codes(c.m, c.n)[system.partition]
-    for b, plane in enumerate(planes):
-        assert plane == sum(1 << int(t) for t in np.flatnonzero(codes == b))
-    assert planes[0] == 1 and planes[1] == 1 << c.half_period
-    assert sum(planes) == (1 << c.period) - 1
+    keys = list(cyclotomy.cells(c.p, c.q, c.m, c.n))
+    assert [row[0] for row in table] == [size for _, size in keys]
+    assert sum(row[0] for row in table) == c.half_period
+    for (key, _), (_, half, a, b, cc, d) in zip(keys, table):
+        assert half == 1 and not (a >> 2 or b >> 2 or cc & 3 or d & 3)
+        total = (1 << 2) ^ half ^ a ^ b ^ cc ^ d
+        assert total == (0b0101 if key == (c.m, c.n, 0, 0) else 0)
+
+
+def _cyclotomic(size):
+    # Phi_M over GF(2), as an int, by its definition: x^M - 1 divided by
+    # Phi_d for every proper divisor d of M
+    poly = 1 << size | 1
+    for d in range(1, size):
+        if size % d == 0:
+            _, poly, _, rest = gf4.divmod_planes(0, poly, 0, _cyclotomic(d))
+            assert rest == 0
+    return poly
+
+
+@pytest.mark.parametrize("p, q, i, j", [
+    (3, 5, 0, 0), (3, 5, 1, 0), (3, 5, 0, 1), (3, 5, 1, 1), (3, 5, 2, 0),
+    (5, 3, 0, 2), (3, 7, 1, 1), (3, 5, 2, 1), (7, 3, 1, 2), (5, 7, 1, 1),
+    (3, 11, 1, 1)], ids=str)
+def test_shift_key_vanishes_exactly_on_multiples_of_phi(p, q, i, j):
+    # K(X) = K(X') exactly when Phi_M divides X - X': K is GF(2)-linear,
+    # and K(D) = 0 exactly when long division by Phi_M leaves no rest;
+    # every D below 2^M where M <= 15, else random D and multiples of Phi_M
+    size = p**i * q**j
+    u, v = size // p if i else 0, size // q if j else 0
+    phi = _cyclotomic(size)
+    rng = random.Random(size)
+    if size <= 15:
+        ds = range(1 << size)
+    else:
+        ds = [rng.getrandbits(size) for _ in range(300)] + [
+            gf4._clmul(phi, rng.getrandbits(size - phi.bit_length() + 1))
+            for _ in range(300)]
+    for d in ds:
+        rest = gf4.divmod_planes(0, d, 0, phi)[3]
+        assert (cyclotomy._shift_key(d, size, u, v) == 0) == (rest == 0), d
+    for _ in range(200):
+        x, y = rng.getrandbits(size), rng.getrandbits(size)
+        assert cyclotomy._shift_key(x ^ y, size, u, v) == (
+            cyclotomy._shift_key(x, size, u, v)
+            ^ cyclotomy._shift_key(y, size, u, v))
+
+
+@pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
+def test_span_coefficients_are_unique_at_every_level(p, q):
+    # the 2^k combinations of a level's k basis polynomials have 2^k
+    # distinct shift keys, so a key names its coefficients, and their
+    # values on the k cells of the level are distinct too
+    for i in range(3):
+        for j in range(3):
+            size = p**i * q**j
+            u, v = size // p if i else 0, size // q if j else 0
+            spans = cyclotomy._spans(p, q, size, u, v)
+            k = 1 + bool(i) + bool(j) + bool(i and j)
+            assert len(spans) == len(set(spans.values())) == 2**k
+            assert all(len(values) == k for values in spans.values())
 
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)

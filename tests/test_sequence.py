@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_MAPPINGS, class_table
 from cycloseq import gf4
-from cycloseq.analysis import checked_lc, lc_via_gcd, predict_lc
+from cycloseq.analysis import checked_lc, lc_via_gcd_planes, predict_lc
 from cycloseq.cyclotomy import BUCKETS, ClassId, bucket_codes, build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
@@ -217,7 +217,7 @@ def test_planes_and_symbols_are_one_sequence(params):
     trailing_zeros = 0
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
-        # sweep's read: the gcd route on planes, with no digits made
+        # sweep's read: the bucket basis, with no digits made
         lc = checked_lc(seq)
         assert "symbols" not in vars(seq)
         symbols = seq.symbols
@@ -227,8 +227,8 @@ def test_planes_and_symbols_are_one_sequence(params):
         assert not symbols.flags.writeable
         with pytest.raises(ValueError):
             symbols[0] = 1
-        assert seq.planes == gf4.to_planes(symbols)
-        assert lc == lc_via_gcd(symbols)[0]
+        # the gcd route on the digits' gf4 planes measures the same LC
+        assert lc == lc_via_gcd_planes(seq.period, *gf4.to_planes(symbols))[0]
         assert seq.symbols is symbols and seq.constants is system.constants
     # a = 0 or b = 0 puts a zero at position P - 1, which planes drop
     assert trailing_zeros
