@@ -50,9 +50,9 @@ A root of F is a root of S of multiplicity > j exactly when the Hasse
 derivatives D^(0) S, ..., D^(j) S all vanish there. D^(j) S has s_t at
 x^(t - j) when t & j == j (Lucas: binom(t, j) is odd) and 0 otherwise;
 the factor x^(-j) is a unit mod F, so only the mask is applied. The
-masks and the fold are ANDs, shifts and XORs on S's gf4 bit planes. The
-steps stop at the first G_j = 1, so on P = 2N they are at most two gcds
-of degree <= N.
+masks and the fold (gf4.fold) are ANDs, shifts and XORs on S's gf4 bit
+planes. The steps stop at the first G_j = 1, so on P = 2N they are at
+most two gcds of degree <= N.
 
 Route three, predict_lc, builds no sequence: it gives the LC of the
 construction from (p, q, m, n) and the mapping in closed form. As
@@ -71,15 +71,19 @@ the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
 through its cell: v_p(k), v_q(k), capped at m and n, and the Legendre
 symbols of its unit part (cells and cell_index, which live in cyclotomy,
 where the same cells label the partition). predict_lc adds the sums at
-each cell (cell_char_sums) over the families once per system and sums mu
-over the cells in integer arithmetic; verify's expected character-sum
-table is cell_char_sums per cell, the periods measured in F_{4^d}.
+each cell (cell_char_sums) over the families once per system
+(_cell_sums); verify's expected character-sum table is cell_char_sums
+per cell, the periods measured in F_{4^d}.
 
 Route four, the bucket basis, measures E and O on the cells off the
 paint, with no gcd and no field: cyclotomy's CyclotomicSystem.bucket_cells
-holds each bucket's values per cell, span-certified once per held
-system, and as s = sum v_b 1_b, bucket_lc gives any mapping's E, O and
-mu per cell by linearity, the same loop as predict_lc's.
+holds each bucket's values per cell, span-certified once per held system.
+
+Routes three and four differ only in how they get a cell's values: both
+write one row layout, a cell's size and each bucket's E << 2 | O, and as
+s = sum v_b 1_b, one loop (_cells_lc) gives any mapping's E, O and mu per
+cell by linearity and sums mu in integer arithmetic, for predict_lc and
+bucket_lc alike.
 
 Where they run: analyze and verify measure by the gcd route, then by BM
 (once on the fold at full LC, once more on two periods of s below it),
@@ -87,8 +91,10 @@ and require the lengths to agree and the gcd route's minimal polynomial
 to generate the sequence (analyze_symbols, verify_theorem); theirs is the
 one call of minimal_planes and of lc_via_gcd, which turns their digits
 into planes. sweep, plain and --degenerate, measures by the bucket basis
-and requires it to equal predict_lc (checked_lc): a row runs no Euclid,
-makes no planes and no digits.
+and requires it to equal predict_lc (checked_lc), which, as the loss rule
+is shared, compares the two routes' cell values: a row runs no Euclid,
+makes no planes and no digits. The gcd route checks the loss rule itself
+in the tests.
 """
 
 import functools
@@ -170,18 +176,7 @@ def berlekamp_massey(symbols):
 
 def lc_via_gcd(symbols):
     """Linear complexity from gcd(x^P - 1, S(x)) for one full period of
-    digits: lc_via_gcd_planes on their gf4 planes."""
-    s = np.asarray(symbols, dtype=np.uint8)
-    if len(s) == 0:
-        raise InvalidParams("need at least one symbol")
-    if s.max() > 3:
-        raise InvalidParams("symbols must be field elements 0..3")
-    return lc_via_gcd_planes(len(s), *gf4.to_planes(s))
-
-
-def lc_via_gcd_planes(period, hi, lo):
-    """Linear complexity from gcd(x^P - 1, S(x)), S given by its planes
-    and P = period >= 1.
+    digits, P >= 1, run on their gf4 planes.
 
     Returns (lc, factors): the gf4 planes of the folded steps' monic G_j
     of the module docstring, in order and stopping before the first
@@ -190,6 +185,12 @@ def lc_via_gcd_planes(period, hi, lo):
     nothing is divided; minimal_planes does that where the minimal
     polynomial is read.
     """
+    s = np.asarray(symbols, dtype=np.uint8)
+    if len(s) == 0:
+        raise InvalidParams("need at least one symbol")
+    if s.max() > 3:
+        raise InvalidParams("symbols must be field elements 0..3")
+    period, planes = len(s), gf4.to_planes(s)
     twos = (period & -period).bit_length() - 1
     odd, step = period >> twos, 1 << twos
     # the bits t = 0 mod 2^a; as j < 2^a, the bits t with t & j == j are
@@ -199,9 +200,7 @@ def lc_via_gcd_planes(period, hi, lo):
     factors = []
     for j in range(step):
         mask = sum(every_step << r for r in range(step) if r & j == j)
-        hasse = [x & mask for x in (hi, lo)]
-        for width in (odd << k for k in reversed(range(twos))):  # the fold
-            hasse = [(x >> width) ^ (x & ((1 << width) - 1)) for x in hasse]
+        hasse = [gf4.fold(x & mask, odd) for x in planes]
         common = gf4.gcd_planes(*common, *hasse)
         if common == (0, 1):
             break
@@ -275,10 +274,13 @@ def cell_char_sums(p, q, m, n, cell, periods):
 # one table per system: a sweep predicts every mapping on the same cells
 @functools.cache
 def _cell_sums(p, q, m, n):
-    """(size, T_0, T_1, T_s) per cell: cell_char_sums added over the
-    families, with the GF(4) periods (0, 1), or (alpha, alpha^2) where 2
-    is no square; T_s adds each family's T_h with 2 in D_h, p's side on
-    the p-power families and q's on the others."""
+    """The closed form's rows, in the layout of cyclotomy's bucket_cells:
+    per cell, its size and each bucket's E << 2 | O. With T_0, T_1, T_s of
+    cell_char_sums added over the families, in the GF(4) periods (0, 1),
+    or (alpha, alpha^2) where 2 is no square, half has O = 1, a and b
+    O = T_0 and T_1, c and d E = T_s and T_(1-s); T_s adds each family's
+    T_h with 2 in D_h, p's side on the p-power families and q's on the
+    others."""
     periods = [eta_pair(p), eta_pair(q)]
     sides = [not two_is_square_mod(q if j else p)
              for _, j in _family_indices(m, n)]
@@ -288,26 +290,8 @@ def _cell_sums(p, q, m, n):
         t0 = t1 = ts = 0
         for x0, x1, side in zip(sums[0::2], sums[1::2], sides):
             t0, t1, ts = t0 ^ x0, t1 ^ x1, ts ^ (x1 if side else x0)
-        out.append((size, t0, t1, ts))
+        out.append((size, 1, t0, t1, ts << 2, (t0 ^ t1 ^ ts) << 2))
     return tuple(out)
-
-
-def predict_lc(constants, mapping):
-    """Exact LC of the sequence, in closed form (route three above): one
-    pass over the cells' sums, a cell losing its size once where E = O and
-    twice where both vanish. Plain ints throughout.
-    """
-    c = constants
-    # rows of the product table: times_a[t] = a t
-    times_a, times_b, times_c, times_d = (
-        gf4._MUL[v] for v in mapping.as_tuple()[:4])
-    lost = 0
-    for size, t0, t1, ts in _cell_sums(c.p, c.q, c.m, c.n):
-        odd = mapping.e ^ times_a[t0] ^ times_b[t1]
-        even = times_c[ts] ^ times_d[t0 ^ t1 ^ ts]
-        if even == odd:
-            lost += size << (odd == 0)
-    return 2 * c.half_period - lost
 
 
 # _PAIR_MUL[v][w] is v times both halves of w = E << 2 | O, and _LOSS[w]
@@ -318,21 +302,33 @@ _PAIR_MUL = [[gf4._MUL[v][w >> 2] << 2 | gf4._MUL[v][w & 3] for w in range(16)]
 _LOSS = [(w >> 2 == w & 3) << (w == 0) for w in range(16)]
 
 
-def bucket_lc(system, mapping):
-    """LC of the mapping's sequence off system.bucket_cells, the bucket
-    basis: per cell, E << 2 | O is the sum of v_b times each bucket's pair,
-    and the cell loses its size times _LOSS of it."""
+def _cells_lc(rows, period, mapping):
+    # per cell, E << 2 | O is the sum of v_b times each bucket's pair, and
+    # the cell loses its size times _LOSS of it
     te, ta, tb, tc, td = (_PAIR_MUL[v] for v in _bucket_symbols(mapping)[1:])
     lost = 0
-    for size, we, wa, wb, wc, wd in system.bucket_cells:
+    for size, we, wa, wb, wc, wd in rows:
         lost += size * _LOSS[te[we] ^ ta[wa] ^ tb[wb] ^ tc[wc] ^ td[wd]]
-    return system.period - lost
+    return period - lost
+
+
+def predict_lc(constants, mapping):
+    """Exact LC of the sequence, in closed form (route three above)."""
+    c = constants
+    return _cells_lc(_cell_sums(c.p, c.q, c.m, c.n), c.period, mapping)
+
+
+def bucket_lc(system, mapping):
+    """LC of the mapping's sequence off system.bucket_cells, the bucket
+    basis (route four above)."""
+    return _cells_lc(system.bucket_cells, system.period, mapping)
 
 
 def checked_lc(seq):
     """LC of one period by the bucket basis, which must equal predict_lc.
 
-    sweep's measurement. Raises MethodDisagreement naming both values and
+    sweep's measurement. Both run _cells_lc, so they can differ only in
+    their cells' values. Raises MethodDisagreement naming both values and
     the mapping when they differ.
     """
     lc = bucket_lc(seq.system, seq.mapping)

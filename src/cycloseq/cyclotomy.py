@@ -44,11 +44,14 @@ of x^((M/r) s), r | M: the two-prime case of the quadratic-residue
 idempotents (MacWilliams and Sloane, The Theory of Error-Correcting
 Codes, ch. 16; Ding, Helleseth and Shan, IEEE T-IT 44(3), 1998). R_r
 takes the Gaussian period eta_l of r on the cells of Legendre bit l,
-eta_pair's digits, as analysis._cell_sums takes them. Membership needs no
-division by Phi_M: with A = (x^(M/p) - 1)(x^(M/q) - 1), a binomial left
-out where its prime does not divide M, x^M - 1 is Phi_M times a divisor
-of A, and it is squarefree (M is odd), so Phi_M divides D exactly when
-x^M - 1 divides D A. The shift key (_shift_key) is D A mod x^M - 1: two
+eta_pair's digits, as analysis._cell_sums takes them, and the table's
+rows have _cell_sums' layout. Each basis polynomial is one numpy scatter
+of its exponents (_spread), R_p R_q's one outer sum mod M, and each level
+folds the one above it by gf4.fold. Membership needs no division by
+Phi_M: with A = (x^(M/p) - 1)(x^(M/q) - 1), a binomial left out where
+its prime does not divide M, x^M - 1 is Phi_M times a divisor of A, and
+it is squarefree (M is odd), so Phi_M divides D exactly when x^M - 1
+divides D A. The shift key (_shift_key) is D A mod x^M - 1: two
 binomial products and one split at x^M. It is GF(2)-linear, so a dict
 of the keys of the basis' 2 to 16 GF(2) combinations (_spans) reads off
 each component's span coefficients, and so its value per cell; a key
@@ -179,15 +182,6 @@ def eta_pair(r):
     return (0, 1) if two_is_square_mod(r) else (2, 3)
 
 
-def _fold(x, width):
-    # x mod x^width - 1 over GF(2): the XOR of its width-bit blocks
-    blocks = -(-x.bit_length() // width)
-    while blocks > 1:
-        blocks = (blocks + 1) // 2
-        x = (x & ((1 << blocks * width) - 1)) ^ (x >> blocks * width)
-    return x
-
-
 def _shift_key(x, size, u, v):
     """K(x) = x A mod x^M - 1 for x of degree < M = size, where
     A = (x^u + 1)(x^v + 1), u = M/p and v = M/q, a factor left out (its
@@ -202,31 +196,29 @@ def _shift_key(x, size, u, v):
 
 def _spread(exponents, size):
     # the GF(2) polynomial of degree < size with a 1 at each exponent
-    buf = bytearray(size // 8 + 1)
-    for e in exponents:
-        buf[e >> 3] |= 1 << (e & 7)
-    return int.from_bytes(buf, "little")
+    bits = np.zeros(size, dtype=bool)
+    bits[exponents] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
 def _spans(p, q, size, u, v):
     """Each GF(2) combination of the basis 1, R_p, R_q, R_p R_q of the
     level M = size, R_r kept where r | M, keyed by its shift key: its
     values on the level's cells, (lp, lq) ascending. R_r puts x^((M/r) s)
-    at each square s mod r and takes eta_l of r at Legendre bit l."""
-    sp, sq = ([s * s % r for s in range(1, (r + 1) // 2)] for r in (p, q))
+    at each square s mod r and takes eta_l of r at Legendre bit l; R_p R_q
+    puts x^((M/p) s + (M/q) t mod M) at each pair of squares."""
+    sp, sq = (np.arange(1, (r + 1) // 2, dtype=np.int64)**2 % r
+              for r in (p, q))
     ep, eq = eta_pair(p), eta_pair(q)
     bits = [(lp, lq) for lp in ((0, 1) if u else (0,))
             for lq in ((0, 1) if v else (0,))]
     basis = [(1, [1] * len(bits))]
     if u:
-        basis.append((_spread([u * s for s in sp], size),
-                      [ep[lp] for lp, _ in bits]))
+        basis.append((_spread(u * sp, size), [ep[lp] for lp, _ in bits]))
     if v:
-        basis.append((_spread([v * t for t in sq], size),
-                      [eq[lq] for _, lq in bits]))
+        basis.append((_spread(v * sq, size), [eq[lq] for _, lq in bits]))
     if u and v:
-        basis.append((_spread([(u * s + v * t) % size
-                               for s in sp for t in sq], size),
+        basis.append((_spread(np.add.outer(u * sp, v * sq) % size, size),
                       [gf4._MUL[ep[lp]][eq[lq]] for lp, lq in bits]))
     spans = {0: (0,) * len(bits)}
     for poly, values in basis:
@@ -259,7 +251,7 @@ def _bucket_cells(system):
             level, at, i, j = (a, b), 0, m - a, n - b
             width = p**i * q**j
             if (i, j) not in folds:
-                folds[i, j] = [_fold(x, width) for x in folds[
+                folds[i, j] = [gf4.fold(x, width) for x in folds[
                     (i, j + 1) if j < n else (i + 1, j)]]
             u, v = width // p if i else 0, width // q if j else 0
             spans, values = _spans(p, q, width, u, v), []

@@ -194,6 +194,16 @@ def _clmul(a, b):
     return out
 
 
+def fold(x, width):
+    """x mod x^width - 1 for one GF(2) plane: the XOR of its width-bit
+    blocks, halving their count each round."""
+    blocks = -(-x.bit_length() // width)
+    while blocks > 1:
+        blocks = (blocks + 1) // 2
+        x = (x & ((1 << blocks * width) - 1)) ^ (x >> blocks * width)
+    return x
+
+
 def mul_planes(a1, a0, b1, b0):
     """Planes of a product: with alpha^2 = alpha + 1, hi = a1 b1 + a1 b0 +
     a0 b1 = (a1 + a0)(b1 + b0) + a0 b0 and lo = a1 b1 + a0 b0. The cost is

@@ -902,9 +902,10 @@ def test_cell_sums_give_predict_lc(p, q):
 
 @pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
 def test_cell_sums_give_the_spectrum_profile(p, q):
-    # S = E + O at each cell of predict_lc's table is spectrum_profile's
-    # value in the cell's regime: e at k = 0, the cell (m, n), then the
-    # p-saturated, q-saturated and generic values
+    # S = E + O at each cell of predict_lc's table, the sum over the
+    # buckets of v_b times both halves of the bucket's E << 2 | O, is
+    # spectrum_profile's value in the cell's regime: e at k = 0, the cell
+    # (m, n), then the p-saturated, q-saturated and generic values
     mul = gf4.gf4_mul
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
@@ -912,48 +913,35 @@ def test_cell_sums_give_the_spectrum_profile(p, q):
         keys = [key for key, _ in cells(p, q, m, n)]
         for mapping in ALL_MAPPINGS:
             prof = spectrum_profile(system, mapping)
-            for (a, b, _, _), (_, t0, t1, ts) in zip(keys, table):
-                odd = mapping.e ^ mul(mapping.a, t0) ^ mul(mapping.b, t1)
-                even = mul(mapping.c, ts) ^ mul(mapping.d, t0 ^ t1 ^ ts)
+            values = (mapping.e, mapping.a, mapping.b, mapping.c, mapping.d)
+            for (a, b, _, _), (_, *pairs) in zip(keys, table):
+                total = functools.reduce(operator.xor, (
+                    mul(v, w >> 2) ^ mul(v, w & 3)
+                    for v, w in zip(values, pairs)))
                 want = {(True, True): mapping.e,
                         (True, False): prof.value_p_saturated,
                         (False, True): prof.value_q_saturated,
                         (False, False): prof.value_generic}[a == m, b == n]
-                assert even ^ odd == want, (m, n, mapping, a, b)
-
-
-def _closed_form_cells(p, q, m, n, mapping):
-    # predict_lc's E << 2 | O on each cell, from its table of cell sums
-    mul = gf4.gf4_mul
-    out = []
-    for _, t0, t1, ts in analysis._cell_sums(p, q, m, n):
-        odd = mapping.e ^ mul(mapping.a, t0) ^ mul(mapping.b, t1)
-        even = mul(mapping.c, ts) ^ mul(mapping.d, t0 ^ t1 ^ ts)
-        out.append(even << 2 | odd)
-    return out
-
-
-def _bucket_basis_cells(system, mapping):
-    # the mapping's E << 2 | O on each cell, off the held table
-    values = (mapping.e, mapping.a, mapping.b, mapping.c, mapping.d)
-    return [functools.reduce(operator.xor, (
-        analysis._PAIR_MUL[v][w] for v, w in zip(values, row[1:])))
-        for row in system.bucket_cells]
+                assert total == want, (m, n, mapping, a, b)
 
 
 @pytest.mark.parametrize("p, q", CLASS_PAIRS, ids=str)
 def test_bucket_basis_equals_the_closed_form_on_every_cell(p, q):
-    # measured off the paint, E and O equal predict_lc's on every cell,
-    # so LC does too: 72 mappings at each (m, n) up to (2, 2)
+    # measured off the paint, each bucket's E and O equal the closed
+    # form's on every cell, so LC does too: 72 mappings at each (m, n) up
+    # to (2, 2)
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
-        sizes = [size for size, *_ in analysis._cell_sums(p, q, m, n)]
-        assert [row[0] for row in system.bucket_cells] == sizes
+        assert system.bucket_cells == analysis._cell_sums(p, q, m, n)
         for mapping in ALL_MAPPINGS:
-            assert (_bucket_basis_cells(system, mapping)
-                    == _closed_form_cells(p, q, m, n, mapping)), mapping
             assert (bucket_lc(system, mapping)
                     == predict_lc(system.constants, mapping)), mapping
+
+
+def test_bucket_basis_equals_the_closed_form_at_large_primes():
+    # R_p R_q has 200 * 204 = 40 800 exponents, one per pair of squares
+    system = build_system(401, 409, 1, 1)
+    assert system.bucket_cells == analysis._cell_sums(401, 409, 1, 1)
 
 
 @pytest.mark.parametrize("params", [

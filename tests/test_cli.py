@@ -777,7 +777,7 @@ def test_sweep_rows_read_only_the_held_bucket_cells(capsys, monkeypatch,
     for module in (cli, analysis):
         monkeypatch.setattr(module, "checked_lc", spy)
     for module, name in ((gf4, "to_planes"), (gf4, "gcd_planes"),
-                         (analysis, "lc_via_gcd_planes")):
+                         (analysis, "lc_via_gcd")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name: planes.append(name))
     grid = ("--pairs", "3:5,7:17,5:3", "--exponents", "1:1,2:1")

@@ -319,3 +319,12 @@ def test_poly_to_digits_large_and_strided():
     # a view with a stride, as slices of symbol arrays are
     assert gf4.poly_to_digits(np.array([1, 9, 2, 9, 3], np.uint8)[::2]) \
         == "123"
+
+
+@given(st.integers(0, 2**300), st.integers(1, 40))
+def test_fold_xors_the_blocks(x, width):
+    # x mod x^width - 1 over GF(2), one width-bit block at a time
+    want = 0
+    for start in range(0, x.bit_length(), width):
+        want ^= (x >> start) & ((1 << width) - 1)
+    assert gf4.fold(x, width) == want

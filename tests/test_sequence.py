@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_MAPPINGS, class_table
 from cycloseq import gf4
-from cycloseq.analysis import checked_lc, lc_via_gcd_planes, predict_lc
+from cycloseq.analysis import checked_lc, lc_via_gcd, predict_lc
 from cycloseq.cyclotomy import BUCKETS, ClassId, bucket_codes, build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
@@ -227,8 +227,8 @@ def test_planes_and_symbols_are_one_sequence(params):
         assert not symbols.flags.writeable
         with pytest.raises(ValueError):
             symbols[0] = 1
-        # the gcd route on the digits' gf4 planes measures the same LC
-        assert lc == lc_via_gcd_planes(seq.period, *gf4.to_planes(symbols))[0]
+        # the gcd route on the digits measures the same LC
+        assert lc == lc_via_gcd(symbols)[0]
         assert seq.symbols is symbols and seq.constants is system.constants
     # a = 0 or b = 0 puts a zero at position P - 1, which planes drop
     assert trailing_zeros
