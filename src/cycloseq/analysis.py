@@ -70,14 +70,14 @@ IEEE T-IT 44(3), 1998): {eta_0, eta_1} = {0, 1} when 2 is a square mod
 the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
 through its cell: v_p(k), v_q(k), capped at m and n, and the Legendre
 symbols of its unit part (cells and cell_index, which live in cyclotomy,
-where the same cells label the partition). predict_lc adds the sums at
-each cell (cell_char_sums) over the families once per system
-(_cell_sums); verify's expected character-sum table is cell_char_sums
-per cell, the periods measured in F_{4^d}.
+where the same cells label the partition). predict_lc reads the sums
+at each cell added over the families, cyclotomy's _cell_sums, made once
+per system; verify's expected character-sum table is
+cyclotomy.cell_char_sums per cell, the periods measured in F_{4^d}.
 
 Route four, the bucket basis, measures E and O on the cells off the
-paint, with no gcd and no field: cyclotomy's CyclotomicSystem.bucket_cells
-holds each bucket's values per cell, span-certified once per held system.
+paint, with no gcd and no field: the span-certified table bucket_cells
+of cyclotomy, compared with route three's once per held system.
 
 Routes three and four differ only in how they get a cell's values: both
 write one row layout, a cell's size and each bucket's E << 2 | O, and as
@@ -90,22 +90,18 @@ Where they run: analyze and verify measure by the gcd route, then by BM
 and require the lengths to agree and the gcd route's minimal polynomial
 to generate the sequence (analyze_symbols, verify_theorem); theirs is the
 one call of minimal_planes and of lc_via_gcd, which turns their digits
-into planes. sweep, plain and --degenerate, measures by the bucket basis
-and requires it to equal predict_lc (checked_lc), which, as the loss rule
-is shared, compares the two routes' cell values: a row runs no Euclid,
-makes no planes and no digits. The gcd route checks the loss rule itself
-in the tests.
+into planes. sweep, plain and --degenerate, reads one certified table
+per system: a row is one bucket_lc walk, with no Euclid, no planes and
+no digits. The gcd route checks the loss rule itself in the tests.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf4
-from .cyclotomy import _family_indices, cells, eta_pair
+from .cyclotomy import _cell_sums
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
-from .numtheory import two_is_square_mod
 from .sequence import (DEFAULT_MAPPING, _bucket_symbols, build_sequence,
                        validate_mapping)
 
@@ -243,57 +239,6 @@ def generates(symbols, lc, minpoly):
     return not ((w1 | w0) >> lc) & ((1 << lc) - 1)
 
 
-def cell_char_sums(p, q, m, n, cell, periods):
-    """T_0, T_1 of each family, in _family_indices order, at a k in the
-    cell (a, b, lp, lq); periods holds (eta_0, eta_1) of p and of q in any
-    form where 1 is 1 and + is XOR.
-
-    Family r^i, at v = v_r(k) and the Legendre bit ns of k's unit part, has
-    T_h = 0 when v < i - 1, eta_(h + ns) when v = i - 1, and phi(r^i) / 2
-    ones, [r = 3 mod 4], when v >= i. The unit part keeps the other prime's
-    power, so ns picks up (q|p)^b on the p-power families and (p|q)^a on
-    the q-power ones. A mixed family (i, j) is its Ramanujan sum mod p^i,
-    odd iff a = i - 1, times the sums of k p^(-i) at q, twisted by (p|q).
-    """
-    a, b, lp, lq = cell
-    # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
-    q_at_p, p_at_q = (int(pow(x, r // 2, r) != 1) for x, r in ((q, p), (p, q)))
-    out = []
-    for i, j in _family_indices(m, n):
-        r, top, v, ns = ((q, j, b, lq ^ (p_at_q if i else a & p_at_q))
-                         if j else (p, i, a, lp ^ (b & q_at_p)))
-        if (i and j and a != i - 1) or v < top - 1:
-            out += 0, 0
-        elif v >= top:
-            out += (int(r % 4 == 3),) * 2
-        else:
-            out += periods[bool(j)][ns], periods[bool(j)][1 - ns]
-    return out
-
-
-# one table per system: a sweep predicts every mapping on the same cells
-@functools.cache
-def _cell_sums(p, q, m, n):
-    """The closed form's rows, in the layout of cyclotomy's bucket_cells:
-    per cell, its size and each bucket's E << 2 | O. With T_0, T_1, T_s of
-    cell_char_sums added over the families, in the GF(4) periods (0, 1),
-    or (alpha, alpha^2) where 2 is no square, half has O = 1, a and b
-    O = T_0 and T_1, c and d E = T_s and T_(1-s); T_s adds each family's
-    T_h with 2 in D_h, p's side on the p-power families and q's on the
-    others."""
-    periods = [eta_pair(p), eta_pair(q)]
-    sides = [not two_is_square_mod(q if j else p)
-             for _, j in _family_indices(m, n)]
-    out = []
-    for key, size in cells(p, q, m, n):
-        sums = cell_char_sums(p, q, m, n, key, periods)
-        t0 = t1 = ts = 0
-        for x0, x1, side in zip(sums[0::2], sums[1::2], sides):
-            t0, t1, ts = t0 ^ x0, t1 ^ x1, ts ^ (x1 if side else x0)
-        out.append((size, 1, t0, t1, ts << 2, (t0 ^ t1 ^ ts) << 2))
-    return tuple(out)
-
-
 # _PAIR_MUL[v][w] is v times both halves of w = E << 2 | O, and _LOSS[w]
 # the roots a cell of E << 2 | O = w loses per member: one where E = O,
 # two where both vanish
@@ -322,22 +267,6 @@ def bucket_lc(system, mapping):
     """LC of the mapping's sequence off system.bucket_cells, the bucket
     basis (route four above)."""
     return _cells_lc(system.bucket_cells, system.period, mapping)
-
-
-def checked_lc(seq):
-    """LC of one period by the bucket basis, which must equal predict_lc.
-
-    sweep's measurement. Both run _cells_lc, so they can differ only in
-    their cells' values. Raises MethodDisagreement naming both values and
-    the mapping when they differ.
-    """
-    lc = bucket_lc(seq.system, seq.mapping)
-    predicted = predict_lc(seq.constants, seq.mapping)
-    if lc != predicted:
-        raise MethodDisagreement(
-            f"bucket basis found {lc}, the closed form predicts {predicted} "
-            f"for mapping {seq.mapping.as_tuple()}")
-    return lc
 
 
 @dataclass(frozen=True)
@@ -424,7 +353,7 @@ def degenerate_lower_bound(p, q, m, n):
 @dataclass(frozen=True)
 class DegenerateReport:
     """Measured complexity of a mapping that breaks the mod-8 constraint;
-    lc passed checked_lc, so it is also predict_lc's value."""
+    lc comes off bucket_cells, which equals the closed form's table."""
 
     violations: tuple
     lc: int
@@ -435,20 +364,20 @@ def analyze_degenerate(system, mapping):
     """Measure a degenerate mapping and check the lower bound.
 
     The mapping must be structurally sound and actually degenerate, either
-    by the mod-8 rule or by predict_lc falling short of the period; a
+    by the mod-8 rule or by its LC falling short of the period; a
     fully valid mapping that attains the maximum belongs to verify_theorem
-    instead. LC comes from checked_lc, so the bucket basis equals
-    predict_lc. Raises TheoremViolation if the measured complexity dips
+    instead. LC comes from one bucket_lc walk, whose table equals the
+    closed form's. Raises TheoremViolation if the measured complexity dips
     below (p^m + 1)(q^n + 1)/2.
     """
-    seq = build_sequence(system, mapping, allow_degenerate=True)
+    build_sequence(system, mapping, allow_degenerate=True)
     c = system.constants
     # build_sequence raised on structure, so these are mod-8 violations
     soft = validate_mapping(c.p, mapping)
-    if not soft and predict_lc(c, mapping) == seq.period:
+    lc = bucket_lc(system, mapping)
+    if not soft and lc == system.period:
         raise InvalidParams(
             "mapping is valid and attains the maximum; nothing degenerate")
-    lc = checked_lc(seq)
     bound = degenerate_lower_bound(c.p, c.q, c.m, c.n)
     if lc < bound:
         raise TheoremViolation(

@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .analysis import (analyze_degenerate, analyze_symbols, checked_lc,
+from .analysis import (analyze_degenerate, analyze_symbols, bucket_lc,
                        verify_theorem)
 from .cyclotomy import (build_system, check_residue_rules,
                         check_structural_lemmas)
@@ -180,12 +180,13 @@ def cmd_verify(args):
 
 
 def _sweep_fields(system, mapping, degenerate):
-    """The measured fields of one sweep row, by checked_lc on both paths.
-    analyze_degenerate raises TheoremViolation below its floor, so
-    bound_ok is always true."""
+    """The measured fields of one sweep row, by one bucket_lc walk on both
+    paths, after build_sequence's gate. analyze_degenerate raises
+    TheoremViolation below its floor, so bound_ok is always true."""
     period = 2 * system.half_period
     if not degenerate:
-        lc = checked_lc(build_sequence(system, mapping))
+        build_sequence(system, mapping)
+        lc = bucket_lc(system, mapping)
         return {"period": period, "lc": lc, "theorem_holds": lc == period}
     report = analyze_degenerate(system, mapping)
     return {"period": period, "lc": report.lc,

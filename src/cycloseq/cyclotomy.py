@@ -44,7 +44,7 @@ of x^((M/r) s), r | M: the two-prime case of the quadratic-residue
 idempotents (MacWilliams and Sloane, The Theory of Error-Correcting
 Codes, ch. 16; Ding, Helleseth and Shan, IEEE T-IT 44(3), 1998). R_r
 takes the Gaussian period eta_l of r on the cells of Legendre bit l,
-eta_pair's digits, as analysis._cell_sums takes them, and the table's
+eta_pair's digits, as the closed form (_cell_sums) takes them; the table's
 rows have _cell_sums' layout. Each basis polynomial is one numpy scatter
 of its exponents (_spread), R_p R_q's one outer sum mod M, and each level
 folds the one above it by gf4.fold. Membership needs no division by
@@ -55,7 +55,9 @@ divides D A. The shift key (_shift_key) is D A mod x^M - 1: two
 binomial products and one split at x^M. It is GF(2)-linear, so a dict
 of the keys of the basis' 2 to 16 GF(2) combinations (_spans) reads off
 each component's span coefficients, and so its value per cell; a key
-outside it raises LemmaViolation("not constant on cells").
+outside it raises LemmaViolation("not constant on cells"). Both
+tables live here, and bucket_cells compares them once, when it is
+derived; cell_char_sums gives the closed form's sums per family.
 
 build_system holds the systems it has painted, keyed by (p, q, m, n), and
 every command of the CLI takes its systems from it, so a process paints
@@ -72,6 +74,7 @@ goes with the system when the system is evicted.
 
 import collections
 import functools
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,7 +82,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf4
-from .errors import InvalidParams, LemmaViolation, PartitionViolation
+from .errors import (InvalidParams, LemmaViolation, MethodDisagreement,
+                     PartitionViolation)
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
                         build_system_constants, two_is_square_mod)
 
@@ -182,6 +186,56 @@ def eta_pair(r):
     return (0, 1) if two_is_square_mod(r) else (2, 3)
 
 
+def cell_char_sums(p, q, m, n, cell, periods):
+    """T_0, T_1 of each family, in _family_indices order, at a k in the
+    cell (a, b, lp, lq); periods holds (eta_0, eta_1) of p and of q in any
+    form where 1 is 1 and + is XOR.
+
+    Family r^i, at v = v_r(k) and the Legendre bit ns of k's unit part, has
+    T_h = 0 when v < i - 1, eta_(h + ns) when v = i - 1, and phi(r^i) / 2
+    ones, [r = 3 mod 4], when v >= i. The unit part keeps the other prime's
+    power, so ns picks up (q|p)^b on the p-power families and (p|q)^a on
+    the q-power ones. A mixed family (i, j) is its Ramanujan sum mod p^i,
+    odd iff a = i - 1, times the sums of k p^(-i) at q, twisted by (p|q).
+    """
+    a, b, lp, lq = cell
+    # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
+    q_at_p, p_at_q = (int(pow(x, r // 2, r) != 1) for x, r in ((q, p), (p, q)))
+    out = []
+    for i, j in _family_indices(m, n):
+        r, top, v, ns = ((q, j, b, lq ^ (p_at_q if i else a & p_at_q))
+                         if j else (p, i, a, lp ^ (b & q_at_p)))
+        if (i and j and a != i - 1) or v < top - 1:
+            out += 0, 0
+        elif v >= top:
+            out += (int(r % 4 == 3),) * 2
+        else:
+            out += periods[bool(j)][ns], periods[bool(j)][1 - ns]
+    return out
+
+
+# one table per system, which bucket_cells and analysis.predict_lc read
+@functools.cache
+def _cell_sums(p, q, m, n):
+    """The closed form's rows, in bucket_cells' layout: per cell, its size
+    and each bucket's E << 2 | O. With T_0, T_1, T_s of cell_char_sums
+    added over the families at eta_pair's periods, half has O = 1, a and b
+    O = T_0 and T_1, c and d E = T_s and T_(1-s); T_s adds each family's
+    T_h with 2 in D_h, p's side on the p-power families and q's on the
+    others."""
+    periods = [eta_pair(p), eta_pair(q)]
+    sides = [not two_is_square_mod(q if j else p)
+             for _, j in _family_indices(m, n)]
+    out = []
+    for key, size in cells(p, q, m, n):
+        sums = cell_char_sums(p, q, m, n, key, periods)
+        t0 = t1 = ts = 0
+        for x0, x1, side in zip(sums[0::2], sums[1::2], sides):
+            t0, t1, ts = t0 ^ x0, t1 ^ x1, ts ^ (x1 if side else x0)
+        out.append((size, 1, t0, t1, ts << 2, (t0 ^ t1 ^ ts) << 2))
+    return tuple(out)
+
+
 def _shift_key(x, size, u, v):
     """K(x) = x A mod x^M - 1 for x of degree < M = size, where
     A = (x^u + 1)(x^v + 1), u = M/p and v = M/q, a factor left out (its
@@ -229,10 +283,10 @@ def _spans(p, q, size, u, v):
 
 
 def _bucket_cells(system):
-    """The table of CyclotomicSystem.bucket_cells, measured off the paint
-    and the squares mod p and q (module docstring). Each E and O, folded
-    mod x^M - 1 from the level above it, p or q times as long, must match
-    one of _spans' keys at each level M; its values name the cells."""
+    """CyclotomicSystem.bucket_cells' table, unchecked, measured off the
+    paint and the squares mod p and q (module docstring). Each E and O,
+    folded mod x^M - 1 from the level above it, p or q times as long, must
+    match one of _spans' keys at each level M; its values name the cells."""
     c = system.constants
     p, q, m, n, half = c.p, c.q, c.m, c.n, c.half_period
     codes = bucket_codes(m, n).astype(np.uint8)[system.partition]
@@ -298,7 +352,9 @@ class CyclotomicSystem:
     bucket_cells is derived on first read and kept, a tuple: per cell, in
     cells order, the cell's size, then per bucket half, a, b, c, d its
     GF(4) values on E and O as E << 2 | O (_bucket_cells). A sequence's
-    E and O, sum v_b 1_b, follow from it by linearity.
+    E and O, sum v_b 1_b, follow from it by linearity. It must equal
+    _cell_sums, or each read raises MethodDisagreement naming the first
+    cell and bucket where they differ and both (E, O) pairs.
     """
 
     constants: SystemConstants
@@ -307,7 +363,19 @@ class CyclotomicSystem:
 
     @functools.cached_property
     def bucket_cells(self):
-        return _bucket_cells(self)
+        c = self.constants
+        rows, want = _bucket_cells(self), _cell_sums(c.p, c.q, c.m, c.n)
+        if rows != want:
+            # a missing row reads as zeros, which differ at half (O = 1)
+            for (key, _), got, exp in itertools.zip_longest(
+                    cells(c.p, c.q, c.m, c.n), rows, want, fillvalue=(0,) * 6):
+                for name, x, y in zip(BUCKETS[1:], got[1:], exp[1:]):
+                    if x != y:
+                        raise MethodDisagreement(
+                            f"bucket basis gives {name} (E, O) = "
+                            f"{divmod(x, 4)} on cell {key}, the closed form "
+                            f"{divmod(y, 4)}")
+        return rows
 
     @property
     def period(self):

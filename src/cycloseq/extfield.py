@@ -28,7 +28,7 @@ measure_spectrum reads only that table, once it has passed its check, and
 gathers nothing of its own. Its columns are the doubled-modulus labels,
 system.labels[2::2] (each family's coset 0 and 1, in label order), and
 their H-sets the positions that carry each label, mod N. The expected
-side is analysis.cell_char_sums, a row per cell of cyclotomy.cells
+side is cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells
 gathered to each k by cyclotomy.cell_index; the Gaussian periods of p and
 q are read off one power table of beta^(N/pq), not beta_powers.
 """
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import gf4
 from . import analysis
-from .cyclotomy import _qr_sides, cell_index, cells, h_set
+from .cyclotomy import _qr_sides, cell_char_sums, cell_index, cells, h_set
 from .errors import (CaseViolation, InvalidParams, LemmaViolation,
                      MethodDisagreement)
 from .numtheory import check_limit, factorize, mult_order
@@ -483,7 +483,7 @@ def verify_char_sum_tables(system, context):
     measured sum must match its closed form: 0 or 1 where (a, b) dominates
     the H-set's exponents, a Gaussian period of p or q on its boundary, and
     0 beyond. Both sides are whole (k, H-set) tables. The expected one is
-    analysis.cell_char_sums per cyclotomy.cells, gathered by cell_index,
+    cyclotomy.cell_char_sums per cyclotomy.cells, gathered by cell_index,
     its periods from _gaussian_periods, which never reads beta_powers; the
     measured one is _orbit_sums, whose row k = 1 reads beta_powers[1:]
     once, so a corrupted entry cannot shift both sides alike. The report
@@ -497,7 +497,7 @@ def verify_char_sum_tables(system, context):
     c, N = system.constants, context.N
     periods = _gaussian_periods(context, c.p, c.q)
     params = c.p, c.q, c.m, c.n
-    rows = np.array([analysis.cell_char_sums(*params, key, periods)
+    rows = np.array([cell_char_sums(*params, key, periods)
                      for key, _ in cells(*params)], dtype=np.uint32)
     expected = rows[cell_index(c, np.arange(1, N))]
     columns = system.labels[2::2]

@@ -13,7 +13,7 @@ disagree on some mappings; spectrum_profile predicts S(beta^k) per regime.
 
 As s = sum over buckets of v_b 1_b, a sequence is held as its system and
 mapping. A sweep row reads only those two: its LC follows by linearity
-from the system's bucket_cells (analysis.checked_lc). Its uint8 digits,
+from the system's bucket_cells (analysis.bucket_lc). Its uint8 digits,
 one gather, are made on first read; generate, analyze and verify read
 them. Digits are the I/O form: write_sequence_file writes them and their
 sidecar all or nothing.

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from conftest import ALL_MAPPINGS
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               berlekamp_massey, bucket_lc, cell_char_sums,
-                               checked_lc, degenerate_lower_bound, generates,
+                               berlekamp_massey, bucket_lc,
+                               degenerate_lower_bound, generates,
                                lc_via_gcd, minimal_planes, predict_lc,
                                verify_theorem)
-from cycloseq.cyclotomy import build_system, cells
+from cycloseq.cyclotomy import build_system, cell_char_sums, cells
 from cycloseq.errors import (InvalidMapping, InvalidParams, LemmaViolation,
                              MethodDisagreement, TheoremViolation)
 from cycloseq.extfield import build_extension
@@ -727,16 +727,16 @@ def test_predict_lc_equals_the_gcd_route(params):
 def test_predict_lc_sums_each_cell_once(monkeypatch):
     # the family sums are worked out once per cell of the system, however
     # many mappings are predicted
-    calls, real = [], analysis.cell_char_sums
-    monkeypatch.setattr(analysis, "cell_char_sums",
+    calls, real = [], cyclotomy.cell_char_sums
+    monkeypatch.setattr(cyclotomy, "cell_char_sums",
                         lambda *args: calls.append(args[4]) or real(*args))
-    analysis._cell_sums.cache_clear()
+    cyclotomy._cell_sums.cache_clear()
     constants = build_system_constants(3, 5, 2, 1)
     try:
         for mapping in ALL_MAPPINGS:
             predict_lc(constants, mapping)
     finally:
-        analysis._cell_sums.cache_clear()
+        cyclotomy._cell_sums.cache_clear()
     keys = [key for key, _ in cells(3, 5, 2, 1)]
     assert calls == keys and len(keys) == 15
 
@@ -776,16 +776,34 @@ def test_same_side_pairs_lose_to_two_values():
             assert counts == {2 * N: 48, N + 1: 12, (N + 3) // 2: 12}
 
 
-def test_checked_lc_names_both_values(sys15, monkeypatch):
-    seq = build_sequence(sys15, Mapping(2, 3, 1, 0, 2),
-                         allow_degenerate=True)
-    assert checked_lc(seq) == 16
-    monkeypatch.setattr(analysis, "predict_lc",
-                        lambda constants, mapping: 17)
-    with pytest.raises(MethodDisagreement) as info:
-        checked_lc(seq)
-    assert str(info.value) == ("bucket basis found 16, the closed form "
-                               "predicts 17 for mapping (2, 3, 1, 0, 2)")
+def _with_e(row, bucket, e):
+    # row with the E of bucket (half, a, b, c, d = 1 .. 5) set to e
+    return row[:bucket] + (e << 2 | row[bucket] & 3,) + row[bucket + 1:]
+
+
+def test_bucket_cells_name_the_first_differing_cell(sys15, monkeypatch):
+    # the measured table is compared with the closed form's when it is
+    # derived: against a closed form one bucket's E away on the first or
+    # the last cell, or one row short, each read raises, naming the cell,
+    # the bucket and both (E, O) pairs, and nothing is kept
+    table = cyclotomy._cell_sums(3, 5, 1, 1)
+    assert table[0][4] == 2 << 2 and table[-1][5] == 1 << 2
+    for stub, message in (
+            ((_with_e(table[0], 4, 3),) + table[1:], "c (E, O) = (2, 0) on "
+             "cell (0, 0, 0, 0), the closed form (3, 0)"),
+            (table[:-1] + (_with_e(table[-1], 5, 3),), "d (E, O) = (1, 0) on "
+             "cell (1, 1, 0, 0), the closed form (3, 0)"),
+            (table[:-1], "half (E, O) = (0, 1) on cell (1, 1, 0, 0), the "
+             "closed form (0, 0)")):
+        monkeypatch.setattr(cyclotomy, "_cell_sums", lambda *params: stub)
+        fresh = dataclasses.replace(sys15)
+        for _ in range(2):
+            with pytest.raises(MethodDisagreement) as info:
+                fresh.bucket_cells
+            assert str(info.value) == "bucket basis gives " + message
+        assert "bucket_cells" not in vars(fresh)
+    monkeypatch.undo()
+    assert dataclasses.replace(sys15).bucket_cells == table
 
 
 @pytest.mark.parametrize("r, top, other", [
@@ -909,7 +927,7 @@ def test_cell_sums_give_the_spectrum_profile(p, q):
     mul = gf4.gf4_mul
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
-        table = analysis._cell_sums(p, q, m, n)
+        table = cyclotomy._cell_sums(p, q, m, n)
         keys = [key for key, _ in cells(p, q, m, n)]
         for mapping in ALL_MAPPINGS:
             prof = spectrum_profile(system, mapping)
@@ -932,7 +950,7 @@ def test_bucket_basis_equals_the_closed_form_on_every_cell(p, q):
     # to (2, 2)
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
-        assert system.bucket_cells == analysis._cell_sums(p, q, m, n)
+        assert system.bucket_cells == cyclotomy._cell_sums(p, q, m, n)
         for mapping in ALL_MAPPINGS:
             assert (bucket_lc(system, mapping)
                     == predict_lc(system.constants, mapping)), mapping
@@ -941,19 +959,21 @@ def test_bucket_basis_equals_the_closed_form_on_every_cell(p, q):
 def test_bucket_basis_equals_the_closed_form_at_large_primes():
     # R_p R_q has 200 * 204 = 40 800 exponents, one per pair of squares
     system = build_system(401, 409, 1, 1)
-    assert system.bucket_cells == analysis._cell_sums(401, 409, 1, 1)
+    assert system.bucket_cells == cyclotomy._cell_sums(401, 409, 1, 1)
 
 
-@pytest.mark.parametrize("params", [
-    (3, 5, 1, 1), (3, 7, 1, 1), (5, 3, 2, 1), (7, 17, 1, 1), (3, 5, 1, 2),
-    (17, 41, 1, 1)], ids=str)
+CHANGED_SYSTEMS = ((3, 5, 1, 1), (3, 7, 1, 1), (5, 3, 2, 1), (7, 17, 1, 1),
+                   (3, 5, 1, 2), (17, 41, 1, 1))
+
+
+@pytest.mark.parametrize("params", CHANGED_SYSTEMS, ids=str)
 def test_changed_labels_raise_or_give_the_gcd_lc(params):
-    # 150 paints, each with 1-5 positions relabelled at random: the table
-    # either raises "not constant on cells" or gives, for eight mappings
-    # drawn at random, the LC the gcd route measures on the changed
-    # sequence. A change can
-    # pass: within one bucket it changes no symbol, and on a cell of one
-    # root it may keep every value constant
+    # 150 paints, each with 1-5 positions relabelled at random: the bare
+    # measurement either raises "not constant on cells" or gives, for
+    # eight mappings drawn at random, the LC the gcd route measures on the
+    # changed sequence. A change can pass: within one bucket it changes no
+    # symbol, and on a cell of one root it may keep every value constant.
+    # The held table is then the closed form's, or reading it raises
     system = build_system(*params)
     rng = random.Random(repr(params))
     raised = 0
@@ -963,13 +983,35 @@ def test_changed_labels_raise_or_give_the_gcd_lc(params):
             part[t] = rng.randrange(len(system.labels))
         changed = dataclasses.replace(system, partition=part)
         try:
-            changed.bucket_cells
+            rows = cyclotomy._bucket_cells(changed)
         except LemmaViolation as exc:
             assert str(exc).startswith("not constant on cells [level=")
             raised += 1
             continue
         for mapping in rng.sample(ALL_MAPPINGS, 8):
             seq = build_sequence(changed, mapping, allow_degenerate=True)
-            assert bucket_lc(changed, mapping) == lc_via_gcd(
-                seq.symbols)[0], mapping
+            assert analysis._cells_lc(rows, changed.period, mapping) \
+                == lc_via_gcd(seq.symbols)[0], mapping
+        try:
+            held = changed.bucket_cells
+        except MethodDisagreement:
+            continue
+        assert held == rows == cyclotomy._cell_sums(*params)
     assert raised > 100
+
+
+@pytest.mark.parametrize("params", CHANGED_SYSTEMS, ids=str)
+def test_swapped_cosets_pass_the_span_check_and_fail_the_closed_form(params):
+    # a family's two cosets swapped wholesale, labels 4 f + 2 <-> 4 f + 4
+    # (a and b) and 4 f + 3 <-> 4 f + 5 (c and d): the paint stays constant
+    # on cells, so the bare measurement passes, and only the comparison
+    # with the closed form refuses the table
+    system = build_system(*params)
+    for f in range(len(cyclotomy._family_indices(*params[2:]))):
+        swap = np.arange(len(system.labels), dtype=system.partition.dtype)
+        swap[4 * f + 2:4 * f + 6] = swap[[4 * f + 4, 4 * f + 5,
+                                          4 * f + 2, 4 * f + 3]]
+        changed = dataclasses.replace(system, partition=swap[system.partition])
+        assert cyclotomy._bucket_cells(changed) != system.bucket_cells
+        with pytest.raises(MethodDisagreement, match="^bucket basis gives "):
+            changed.bucket_cells

@@ -759,9 +759,9 @@ def test_verify_calls_in_one_process_paint_each_system_once(capsys,
 def test_sweep_rows_read_only_the_held_bucket_cells(capsys, monkeypatch,
                                                     cold_builds):
     # a held system derives its bucket-cell table at its first row, and
-    # every row's LC comes from it: no row gathers digits, makes gf4
-    # planes or runs the gcd route
-    derived, seqs, planes = [], [], []
+    # every row's LC is one bucket_lc walk over it: no row calls
+    # predict_lc, gathers digits, makes gf4 planes or runs the gcd route
+    derived, seqs, walks, predicted, planes = [], [], [], [], []
     real = cyclotomy.CyclotomicSystem.__dict__["bucket_cells"].func
 
     def derive(system):
@@ -769,13 +769,22 @@ def test_sweep_rows_read_only_the_held_bucket_cells(capsys, monkeypatch,
         derived.append((c.p, c.q, c.m, c.n))
         return real(system)
 
-    def spy(seq, real_lc=analysis.checked_lc):
-        seqs.append(seq)
-        return real_lc(seq)
+    def spy(log, func):
+        # func, each result logged
+        def call(*args, **kwargs):
+            log.append(func(*args, **kwargs))
+            return log[-1]
+        return call
 
     _patch_cached_property(monkeypatch, "bucket_cells", derive)
     for module in (cli, analysis):
-        monkeypatch.setattr(module, "checked_lc", spy)
+        monkeypatch.setattr(module, "bucket_lc",
+                            spy(walks, analysis.bucket_lc))
+        monkeypatch.setattr(module, "build_sequence",
+                            spy(seqs, sequence.build_sequence))
+    monkeypatch.setattr(analysis, "predict_lc",
+                        spy(predicted, analysis.predict_lc))
+    assert not hasattr(cli, "predict_lc")
     for module, name in ((gf4, "to_planes"), (gf4, "gcd_planes"),
                          (analysis, "lc_via_gcd")):
         monkeypatch.setattr(module, name,
@@ -788,7 +797,8 @@ def test_sweep_rows_read_only_the_held_bucket_cells(capsys, monkeypatch,
     assert Counter(derived) == {(p, q, m, n): 1 for p, q in
                                 ((3, 5), (7, 17), (5, 3))
                                 for m, n in ((1, 1), (2, 1))}
-    assert len(seqs) == 6 + 6 + 10 and planes == []
+    assert len(walks) == len(seqs) == 6 + 6 + 10
+    assert predicted == planes == []
     for seq in seqs:
         assert "symbols" not in vars(seq)
 
@@ -974,16 +984,20 @@ def test_sweep_runs_no_berlekamp_massey(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("degenerate", [(), ("--degenerate",)])
-def test_sweep_rows_check_the_closed_form(capsys, monkeypatch, degenerate):
-    real = analysis.predict_lc
-    monkeypatch.setattr(analysis, "predict_lc",
-                        lambda constants, mapping: real(constants, mapping) + 1)
+def test_sweep_rows_check_the_closed_form(capsys, monkeypatch, cold_builds,
+                                          degenerate):
+    # against a closed form one bucket's E away from the measured table,
+    # every row of the system carries the table check's error: exit 1
+    table = cyclotomy._cell_sums(3, 5, 1, 1)
+    stub = (table[0][:4] + (3 << 2,) + table[0][5:],) + table[1:]
+    monkeypatch.setattr(cyclotomy, "_cell_sums", lambda *params: stub)
     code, rows = _sweep_rows(capsys, *degenerate, "--pairs", "3:5",
                              "--exponents", "1:1")
-    assert code == 1 and rows
-    for mapping, lc, _, _, error in rows:
-        assert lc is None and error.startswith("MethodDisagreement: ")
-        assert f"({mapping.replace(',', ', ')})" in error
+    assert code == 1 and len(rows) == 1 + len(degenerate)
+    for _, lc, _, _, error in rows:
+        assert lc is None and error == (
+            "MethodDisagreement: bucket basis gives c (E, O) = (2, 0) on "
+            "cell (0, 0, 0, 0), the closed form (3, 0)")
 
 
 def _quiet_main(argv):

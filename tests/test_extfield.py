@@ -15,10 +15,11 @@ import pytest
 
 from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table
 from cycloseq import cli, cyclotomy, gf4
-from cycloseq.analysis import cell_char_sums, lc_via_gcd
+from cycloseq.analysis import lc_via_gcd
 from cycloseq import extfield
-from cycloseq.cyclotomy import (ClassId, build_system, cell_index, cells,
-                                check_structural_lemmas, h_set)
+from cycloseq.cyclotomy import (ClassId, build_system, cell_char_sums,
+                                cell_index, cells, check_structural_lemmas,
+                                h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              InvalidMapping, InvalidParams, LemmaViolation)
 from cycloseq.extfield import (build_extension, is_irreducible,

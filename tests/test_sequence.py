@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_MAPPINGS, class_table
 from cycloseq import gf4
-from cycloseq.analysis import checked_lc, lc_via_gcd, predict_lc
+from cycloseq.analysis import bucket_lc, lc_via_gcd, predict_lc
 from cycloseq.cyclotomy import BUCKETS, ClassId, bucket_codes, build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
@@ -218,7 +218,7 @@ def test_planes_and_symbols_are_one_sequence(params):
     for mapping in ALL_MAPPINGS:
         seq = build_sequence(system, mapping, allow_degenerate=True)
         # sweep's read: the bucket basis, with no digits made
-        lc = checked_lc(seq)
+        lc = bucket_lc(seq.system, seq.mapping)
         assert "symbols" not in vars(seq)
         symbols = seq.symbols
         assert symbols.dtype == np.uint8
