@@ -21,6 +21,19 @@ Every command gets its systems from cyclotomy.build_system, which holds
 what it painted (periods summing to at most cyclotomy.HELD_POSITIONS), so
 later main() calls in one process repaint no system; each call still
 checks its own --cap.
+
+verify keeps more for the process, all of it read-only.
+extfield.build_extension holds one field per N, the last
+extfield.HELD_FIELDS by use; the caps pass 52 values of N, so all fit.
+Each held system keeps what verify derives from it without the mapping,
+its char_sums: the partition checks' verdict and the checked char-sum
+report, which goes with the system when build_system's store drops it.
+Each verify still calls build_extension first, so its caps refuse before
+any paint; a later verify of a held system in the same process then runs
+only the steps that read the mapping: build_sequence (the gate),
+verify_case_table off the held table, and verify_theorem. A system
+painted again is a new object and is checked again, and a check that
+raises keeps nothing, so a failing system fails at every call.
 """
 
 import argparse
@@ -33,13 +46,12 @@ from dataclasses import replace
 
 from .analysis import (analyze_degenerate, analyze_symbols, bucket_lc,
                        verify_theorem)
-from .cyclotomy import (build_system, check_residue_rules,
-                        check_structural_lemmas)
+from .cyclotomy import build_system
 from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      InvalidMapping, InvalidParams, LemmaViolation,
                      MalformedSequenceFile, MethodDisagreement,
                      PartitionViolation, TheoremViolation)
-from .extfield import build_extension, verify_case_table, verify_char_sum_tables
+from .extfield import build_extension, verify_case_table
 from .numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING,
                         build_system_constants, check_period)
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
@@ -156,10 +168,7 @@ def cmd_verify(args):
                                        cap=args.cap)
     context = build_extension(constants.half_period)
     system = build_system(args.p, args.q, args.m, args.n, cap=args.cap)
-    violations = check_structural_lemmas(system) + check_residue_rules(system)
-    if violations:
-        raise violations[0]
-    chars = verify_char_sum_tables(system, context)
+    chars = system.char_sums
     # the spectrum and LC checks share one sequence
     seq = build_sequence(system, mapping)
     case_report = verify_case_table(system, context, mapping, char_sums=chars,

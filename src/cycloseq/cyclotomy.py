@@ -67,9 +67,10 @@ goes first, and the held periods sum to at most HELD_POSITIONS label
 positions (16 MB of int16); a system larger than that is returned and not
 held. Every call is still checked against its cap, and a call that raises
 holds nothing. A held system is read-only: its partition, its
-bucket-cell table (a tuple) and its constants' order tables; it keeps the
-table once derived, so each system derives it once per process, and it
-goes with the system when the system is evicted.
+bucket-cell table (a tuple), verify's checked char-sum report (char_sums)
+and its constants' order tables; it keeps each table once derived, so
+each system derives it once per process, and it goes with the system
+when the system is evicted.
 """
 
 import collections
@@ -163,14 +164,16 @@ def cells(p, q, m, n):
                     yield (a, b, lp, lq), size
 
 
-def cell_index(constants, ks):
-    """Position in cells' order of the cell of each k in the int array ks,
-    taken mod N."""
+def cell_index(constants):
+    """Position in cells' order of the cell of each k in Z_N, k = 0..N-1.
+    v_p(k) and v_q(k), capped at m and n, count the strided multiples of
+    p^t and q^t that reach k, in place of a % pass per prime power."""
     c = constants
-    ks = np.asarray(ks, dtype=np.int64) % c.half_period
-    a, b = (sum(ks % r**t == 0 for t in range(1, top + 1))
-            for r, top in ((c.p, c.m), (c.q, c.n)))
-    l = ks // (c.p**a * c.q**b)
+    a, b = np.zeros((2, c.half_period), dtype=np.int64)
+    for v, r, top in ((a, c.p, c.m), (b, c.q, c.n)):
+        for t in range(1, top + 1):
+            v[::r**t] += 1
+    l = np.arange(c.half_period) // (c.p**a * c.q**b)
     lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
     lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
     # position by key, dead keys left unset
@@ -355,6 +358,11 @@ class CyclotomicSystem:
     E and O, sum v_b 1_b, follow from it by linearity. It must equal
     _cell_sums, or each read raises MethodDisagreement naming the first
     cell and bucket where they differ and both (E, O) pairs.
+
+    char_sums, verify's checks that read no mapping
+    (extfield.checked_char_sums), is also derived on first read and kept,
+    read-only. A read that raises keeps nothing, so a failing system fails
+    at every read.
     """
 
     constants: SystemConstants
@@ -376,6 +384,12 @@ class CyclotomicSystem:
                             f"{divmod(x, 4)} on cell {key}, the closed form "
                             f"{divmod(y, 4)}")
         return rows
+
+    @functools.cached_property
+    def char_sums(self):
+        # extfield builds on this module, so it is imported at first read
+        from .extfield import checked_char_sums
+        return checked_char_sums(self)
 
     @property
     def period(self):
@@ -502,7 +516,7 @@ def build_partition(system):
     odd = np.array([4 * fams.index((c.m - a, c.n - b)) + 2
                     + 2 * (lq if b < c.n else lp)
                     for (a, b, lp, lq), _ in cells(c.p, c.q, c.m, c.n)],
-                   dtype=np.int16)[cell_index(c, np.arange(c.half_period))]
+                   dtype=np.int16)[cell_index(c)]
     part = np.empty(c.period, dtype=np.int16)
     part[0::2] = odd + 1
     # the odd t < N, then the odd t > N, whose k = t - N are even

@@ -31,6 +31,13 @@ their H-sets the positions that carry each label, mod N. The expected
 side is cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells
 gathered to each k by cyclotomy.cell_index; the Gaussian periods of p and
 q are read off one power table of beta^(N/pq), not beta_powers.
+
+A process builds each field once: build_extension holds its context per
+N, the last HELD_FIELDS by use, and the context is read-only (a frozen
+dataclass, its modulus and beta_powers not writeable). The checked
+char-sum report is read-only too, its table and sets not writeable: each
+system keeps its own (cyclotomy's CyclotomicSystem.char_sums), and verify
+reads it back for every mapping of that system.
 """
 
 import functools
@@ -41,7 +48,9 @@ import numpy as np
 
 from . import gf4
 from . import analysis
-from .cyclotomy import _qr_sides, cell_char_sums, cell_index, cells, h_set
+from .cyclotomy import (_qr_sides, cell_char_sums, cell_index, cells,
+                        check_residue_rules, check_structural_lemmas,
+                        h_set)
 from .errors import (CaseViolation, InvalidParams, LemmaViolation,
                      MethodDisagreement)
 from .numtheory import check_limit, factorize, mult_order
@@ -49,6 +58,9 @@ from .sequence import build_sequence, spectrum_profile
 
 VERIFY_N_CAP = 5000
 DEFAULT_DEGREE_CAP = 12
+# fields build_extension holds, least recently used out first: the caps
+# pass 52 values of N, so all of them fit, 0.15 MB of beta_powers in all
+HELD_FIELDS = 64
 # gathered elements per block of _power_sums: 256 KB of int32 indices plus
 # 256 KB of gathered uint32, small enough to stay in cache
 _BLOCK_ELEMENTS = 1 << 16
@@ -225,12 +237,17 @@ def _power_table(x, size, d, x_to_d):
     return out
 
 
+@functools.lru_cache(maxsize=HELD_FIELDS, typed=True)
 def build_extension(N):
-    """Deterministic F_{4^d} context for N = p^m q^n.
+    """Deterministic F_{4^d} context for N = p^m q^n, built once per N
+    and held for the process, the last HELD_FIELDS of them by use; each
+    call returns the held context, read-only (frozen, its modulus and
+    beta_powers not writeable).
 
     Raises CapExceeded, through numtheory.check_limit, when
     N > VERIFY_N_CAP or d > DEFAULT_DEGREE_CAP, and InvalidParams when N is
-    not a product of exactly two odd prime powers.
+    not a product of exactly two odd prime powers; a call that raises
+    holds nothing, so it raises again at every call.
     """
     if N < 3:
         raise InvalidParams("N must be an odd composite p^m q^n")
@@ -426,13 +443,15 @@ class CharSumReport:
     """Tally of the exhaustive character-sum table verification. The
     table (k = 1..N-1 by H-set), its columns (the doubled-modulus H-sets,
     in order) and their sets mod N are what was checked; only
-    measure_spectrum reads them."""
+    measure_spectrum reads them. All of it is read-only (the table and
+    each set not writeable), as each system keeps its report
+    (CyclotomicSystem.char_sums) and verify reads it for every mapping."""
 
     k_count: int
     cells_checked: int
     table: np.ndarray = field(repr=False, compare=False)
     columns: tuple = field(repr=False, compare=False)
-    sets: list = field(repr=False, compare=False)
+    sets: tuple = field(repr=False, compare=False)
 
     def to_json_dict(self):
         return {"k_count": self.k_count, "cells_checked": self.cells_checked}
@@ -499,10 +518,12 @@ def verify_char_sum_tables(system, context):
     params = c.p, c.q, c.m, c.n
     rows = np.array([cell_char_sums(*params, key, periods)
                      for key, _ in cells(*params)], dtype=np.uint32)
-    expected = rows[cell_index(c, np.arange(1, N))]
+    expected = rows[cell_index(c)[1:]]
     columns = system.labels[2::2]
-    sets = [h_set(system, cid) % N for cid in columns]
+    sets = tuple(h_set(system, cid) % N for cid in columns)
     measured = _orbit_sums(context, sets)
+    for array in (measured, *sets):
+        array.flags.writeable = False
 
     bad = measured != expected
     if bad.any():
@@ -514,3 +535,14 @@ def verify_char_sum_tables(system, context):
             measured=_digits(measured[r, col], context.d))
     return CharSumReport(k_count=N - 1, cells_checked=bad.size,
                          table=measured, columns=columns, sets=sets)
+
+
+def checked_char_sums(system):
+    """What verify checks of a system without its mapping, which the
+    system keeps as its char_sums: the partition checks
+    (check_structural_lemmas, then check_residue_rules), raising their
+    first violation, then verify_char_sum_tables on the field of N."""
+    violations = check_structural_lemmas(system) + check_residue_rules(system)
+    if violations:
+        raise violations[0]
+    return verify_char_sum_tables(system, build_extension(system.half_period))

@@ -1,6 +1,6 @@
 """Shared test plumbing: the acceptance verdict report, every structurally
 valid mapping, the reference rule for a label's bucket, the class tables
-read off a partition, and builds that paint.
+read off a partition, and builds that paint and verifies that check.
 
 Criterion tests append one line each; the terminal-summary hook prints
 them after capture ends so the verdicts show under any pytest invocation.
@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from cycloseq import cyclotomy
+from cycloseq import cyclotomy, extfield
 from cycloseq.sequence import Mapping
 
 ACCEPTANCE_VERDICTS = []
@@ -54,8 +54,16 @@ def class_table(system, cid):
     return cyclotomy.h_set(system, cid._replace(doubled=odd)) // cofactor
 
 
+def clear_held():
+    """Empty every memo of the process: the painted systems, with the
+    checks each keeps, and the fields."""
+    cyclotomy.HELD.clear()
+    extfield.build_extension.cache_clear()
+
+
 @pytest.fixture
 def cold_builds():
-    """build_system holds no system, so the test's first build of each
-    system paints it, through any patch the test has made."""
-    cyclotomy.HELD.clear()
+    """build_system, build_extension and verify hold nothing, so the
+    test's first build of each system paints it, its first field is built
+    and its first verify checks, through any patch the test has made."""
+    clear_held()

@@ -2,12 +2,15 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DOUBLED_SHAPES
+from conftest import DOUBLED_SHAPES, clear_held
 from cycloseq import (analysis, cli, cyclotomy, errors, extfield, gf4,
                       numtheory, sequence)
 from cycloseq.cli import main
@@ -552,7 +555,7 @@ def _run_in(directory, capsys, monkeypatch, argv, fresh):
     monkeypatch.chdir(directory)
     if fresh:
         cli._shared_parser.cache_clear()
-        cyclotomy.HELD.clear()
+        clear_held()
     before = set(directory.iterdir())
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -622,9 +625,9 @@ def _outcome(capsys, argv, out):
 def test_only_verify_derives_the_class_tables(tmp_path, capsys,
                                               monkeypatch, cold_builds):
     # only verify reads the positions of a label, one doubled-modulus
-    # H-set per char-sum column: with h_set recorded, every command gives
-    # the same bytes and codes, and sweep, analyze, generate and a verify
-    # stopped by the degree cap read none
+    # H-set per char-sum column, at its first call on a system: with h_set
+    # recorded, every command gives the same bytes and codes, and sweep,
+    # analyze, generate and a verify stopped by the degree cap read none
     out = str(tmp_path / "s.txt")
     grid = ("--pairs", "3:5,7:17,5:3,17:41", "--exponents", "1:1,2:1")
     calls = [
@@ -658,12 +661,19 @@ def test_only_verify_derives_the_class_tables(tmp_path, capsys,
 
     monkeypatch.setattr(cyclotomy, "h_set", recorded)
     monkeypatch.setattr(extfield, "h_set", recorded)
+    # verify checks each system once per process: cold again, every
+    # verify that passes the caps reads its columns, and then no repeat
+    clear_held()
     for argv, expected in zip(calls, want):
         read.clear()
         assert _outcome(capsys, argv, out) == expected, argv
         verified = argv[0] == "verify" and expected[0] != 3
         assert bool(read) == verified, argv
         assert {label.shape for label in read} <= set(DOUBLED_SHAPES), argv
+    read.clear()
+    for argv, expected in zip(calls, want):
+        assert _outcome(capsys, argv, out) == expected, argv
+    assert read == []
 
 
 def _csv_rows(text):
@@ -1057,3 +1067,230 @@ def test_any_file_bytes_exit_0_or_4(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "seq.txt"
     path.write_bytes(data)
     assert _quiet_main(["analyze", "--file", str(path)]) in (0, 4)
+
+
+# --- what verify holds: the field per N, the checks on each system --------
+
+VERIFY_GRID = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                          / "perfbench" / "reference"
+                          / "verify-grid.json").read_text())
+
+
+def _verify_argv(key, *extra):
+    p, q, m, n = key.split(",")
+    return ("verify", "--p", p, "--q", q, "--m", m, "--n", n) + extra
+
+
+def _spy_checks(monkeypatch):
+    # calls of verify's mapping-independent steps, by name
+    counts = Counter()
+    for module, name in ((extfield, "check_structural_lemmas"),
+                         (extfield, "check_residue_rules"),
+                         (extfield, "verify_char_sum_tables"),
+                         (extfield, "_power_table")):
+        def spy(*args, _real=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def _fresh_process(argv):
+    # exit code, stdout and stderr of argv in a new interpreter
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from cycloseq.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return done.returncode, done.stdout, done.stderr
+
+
+def _held_report(*params):
+    # the char-sum report the held system keeps, or None
+    return vars(cyclotomy.build_system(*params)).get("char_sums")
+
+
+def _report_bytes(chars):
+    return chars.table.nbytes + sum(a.nbytes for a in chars.sets)
+
+
+def test_a_repeat_verify_reads_its_checks_back(capsys, monkeypatch,
+                                               cold_builds):
+    # d = 12 at N = 4 097, then a second accepted mapping, then the first
+    # again: the first call checks, the others read the held checks back,
+    # and each prints what a fresh process prints
+    assert "0,1,2,3,1" in VERIFY_GRID["17,241,1,1"]["accepted"]
+    first = _verify_argv("17,241,1,1")
+    second = _verify_argv("17,241,1,1", "--map", "0,1,2,3,1")
+    counts = _spy_checks(monkeypatch)
+    want = _fresh_process(first)
+    assert want[0] == 0 and run(capsys, *first) == want
+    assert counts["check_structural_lemmas"] == 1
+    assert counts["check_residue_rules"] == 1
+    assert counts["verify_char_sum_tables"] == 1
+    assert counts["_power_table"] == 2  # beta's table and the periods'
+    counts.clear()
+    assert run(capsys, *second) == _fresh_process(second) != want
+    assert run(capsys, *first) == want
+    assert not counts
+
+
+def test_a_repainted_system_is_checked_again(capsys, monkeypatch,
+                                             cold_builds):
+    # a system dropped from build_system's memo and painted again is a new
+    # object, and its first verify checks it again
+    argv = ("verify", "--p", "3", "--q", "5")
+    want = run(capsys, *argv)
+    old = cyclotomy.build_system(3, 5, 1, 1)
+    counts = _spy_checks(monkeypatch)
+    assert run(capsys, *argv) == want and not counts
+    cyclotomy.HELD.clear()
+    assert run(capsys, *argv) == want
+    assert counts == {"check_structural_lemmas": 1, "check_residue_rules": 1,
+                      "verify_char_sum_tables": 1, "_power_table": 1}
+    new = cyclotomy.build_system(3, 5, 1, 1)
+    assert new is not old
+    assert vars(new)["char_sums"] is not vars(old)["char_sums"]
+
+
+def test_a_failing_check_raises_at_every_call(capsys, monkeypatch,
+                                              cold_builds):
+    # a check that raises holds nothing: the closed form of the char sums
+    # off by 1 in one family, then a paint with two labels swapped
+    argv = ("verify", "--p", "3", "--q", "7")
+    real = extfield.cell_char_sums
+
+    def off(*args):
+        sums = real(*args)
+        sums[0] ^= 1
+        return sums
+
+    monkeypatch.setattr(extfield, "cell_char_sums", off)
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("violation: mixed-modulus character sum off "
+                              "its closed form")
+    assert _held_report(3, 7, 1, 1) is None
+    monkeypatch.undo()
+    paint = cyclotomy._system_from_constants
+
+    def swapped(constants):
+        system = paint(constants)
+        part = system.partition.copy()
+        part[[1, 3]] = part[[3, 1]]
+        return dataclasses.replace(system, partition=part)
+
+    monkeypatch.setattr(cyclotomy, "_system_from_constants", swapped)
+    cyclotomy.HELD.clear()
+    try:
+        assert cyclotomy.build_system(3, 7, 1, 1).partition[1] != \
+            cyclotomy.build_system(3, 7, 1, 1).partition[3]
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("violation: partition differs from its "
+                                  "cells' labels")
+        assert _held_report(3, 7, 1, 1) is None
+    finally:
+        # the swapped paint is held; no later test may build it
+        cyclotomy.HELD.clear()
+
+
+def test_a_stubbed_closed_form_lc_raises_at_every_call(capsys, monkeypatch,
+                                                       cold_builds):
+    # _cell_sums feeds predict_lc, a step of each mapping: the held checks
+    # stay held, and every call compares the verdicts again
+    argv = ("verify", "--p", "3", "--q", "7")
+    assert run(capsys, *argv)[0] == 0
+    held = _held_report(3, 7, 1, 1)
+    monkeypatch.setattr(analysis, "_cell_sums",
+                        lambda p, q, m, n: ((p * q, 0, 0, 0, 0, 0),))
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("violation: all_values_nonzero = True")
+    assert held is not None and _held_report(3, 7, 1, 1) is held
+
+
+def test_a_report_goes_with_its_system(capsys, monkeypatch, cold_builds):
+    # periods 30, 42, 70 in a 142-position memo, least recently used out
+    # first: a verify of an evicted system paints and checks it again, and
+    # one of a held system reads its checks back
+    monkeypatch.setattr(cyclotomy, "HELD", cyclotomy._HeldSystems(142))
+
+    def verify(*pqs):
+        counts.clear()
+        for p, q in pqs:
+            assert run(capsys, "verify", "--p", str(p), "--q", str(q))[0] == 0
+        return counts["verify_char_sum_tables"], [
+            key[:2] for key in cyclotomy.HELD.systems]
+
+    counts = _spy_checks(monkeypatch)
+    assert verify((3, 5), (3, 7), (5, 7)) == (3, [(3, 5), (3, 7), (5, 7)])
+    assert verify((3, 5)) == (0, [(3, 7), (5, 7), (3, 5)])
+    # (5, 3) evicts (3, 7), and (3, 7) then evicts (5, 7)
+    assert verify((5, 3)) == (1, [(5, 7), (3, 5), (5, 3)])
+    assert verify((3, 7)) == (1, [(3, 5), (5, 3), (3, 7)])
+    assert verify((3, 5), (5, 3), (3, 7)) == (0, [(3, 5), (5, 3), (3, 7)])
+
+
+def test_the_verify_grid_is_held_whole(capsys, monkeypatch, cold_builds):
+    # visited cyclically, the LRU worst case, all 19 verify-grid systems
+    # hit on the second pass: no check and no field is made again
+    argvs = [_verify_argv(key) for key in VERIFY_GRID]
+    assert len(argvs) == 19
+    want = [run(capsys, *argv) for argv in argvs]
+    assert [w[0] for w in want] == [0] * 19
+    counts = _spy_checks(monkeypatch)
+    assert [run(capsys, *argv) for argv in argvs] == want
+    assert not counts
+    reports = [_held_report(*map(int, key.split(","))) for key in VERIFY_GRID]
+    assert sum(map(_report_bytes, reports)) <= 1.2 * 2**20
+    fields = extfield.build_extension.cache_info()
+    assert fields.maxsize == extfield.HELD_FIELDS == 64
+    assert fields.currsize == len({VERIFY_GRID[key]["N"]
+                                   for key in VERIFY_GRID})
+
+
+def test_every_system_verify_accepts_fits_its_memos(cold_builds):
+    # the caps N <= 5 000 and d <= 12 pass 52 values of N, so every field
+    # fits HELD_FIELDS; their 104 systems (p and q both ways) would keep
+    # under 3 MB of reports: a table of uint32 by doubled-modulus column
+    # and each column's H-set, int64
+    fields = []
+    for N in range(3, extfield.VERIFY_N_CAP + 1, 2):
+        with contextlib.suppress(errors.CycloseqError):
+            fields.append(extfield.build_extension(N))
+    assert len(fields) == 52 <= extfield.HELD_FIELDS
+    assert extfield.build_extension.cache_info().currsize == 52
+    total = 0
+    for ctx in fields:
+        (p, m), (q, n) = numtheory.factorize(ctx.N).items()
+        for params in ((p, q, m, n), (q, p, n, m)):
+            system = cyclotomy.build_system(*params)
+            columns = [system.labels.index(c) for c in system.labels[2::2]]
+            size = (4 * (ctx.N - 1) * len(columns)
+                    + 8 * int(np.isin(system.partition, columns).sum()))
+            if params == (3, 5, 1, 1):
+                assert size == _report_bytes(system.char_sums)
+            total += size
+    assert 2.5 * 2**20 < total < 3 * 2**20
+
+
+def test_held_tables_are_read_only(capsys, cold_builds):
+    assert run(capsys, "verify", "--p", "3", "--q", "5")[0] == 0
+    system = cyclotomy.build_system(3, 5, 1, 1)
+    chars, context = system.char_sums, extfield.build_extension(15)
+    for array in (chars.table, *chars.sets, context.beta_powers,
+                  context.modulus, system.partition):
+        with pytest.raises(ValueError):
+            array[0] ^= 1
+        with pytest.raises(ValueError):
+            array += 1
+    with pytest.raises(TypeError):
+        chars.sets[0] = chars.sets[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chars.table = chars.table.copy()

@@ -357,7 +357,7 @@ def test_build_extension_rejections():
         build_extension(11 * 13)  # ord_{143}(4) = 30 > 12
 
 
-def test_beta_cycle_is_checked(monkeypatch):
+def test_beta_cycle_is_checked(monkeypatch, cold_builds):
     real = extfield._power_table
 
     def broken(*args):
@@ -931,7 +931,7 @@ def test_cells_tile_z_n(params):
     N = c.half_period
     keys, sizes = zip(*cells(*params))
     assert sum(sizes) == N
-    index = cell_index(c, np.arange(N))
+    index = cell_index(c)
     assert np.bincount(index, minlength=len(keys)).tolist() == list(sizes)
     # every power of p and q divides k = 0, which lies in (m, n, 0, 0)
     assert _cell_of(c, 0) == (c.m, c.n, 0, 0)
@@ -1036,12 +1036,12 @@ def test_a_flipped_q_legendre_bit_fails_both_checks(params, monkeypatch):
     ctx = build_extension(system.half_period)
     real = cyclotomy.cell_index
 
-    def mutant(constants, ks):
+    def mutant(constants):
         c = constants
         keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
         flipped = [keys.index((a, b, lp, lq ^ (b < c.n)))
                    for a, b, lp, lq in keys]
-        return np.array(flipped)[real(constants, ks)]
+        return np.array(flipped)[real(constants)]
 
     for module in (cyclotomy, extfield):
         monkeypatch.setattr(module, "cell_index", mutant)
@@ -1172,13 +1172,14 @@ def test_import_builds_no_field():
     assert out.stdout.split() == ["0", "0"]
 
 
-def test_repeat_verify_makes_few_field_products(monkeypatch, capsys):
-    # d = 12 at N = 4 097: the modulus and its byte tables are cached, and
-    # squarings and power tables run on byte tables, so a repeat call
-    # multiplies only at the set bits of its exponents
+def test_repeat_verify_makes_few_field_products(monkeypatch, capsys,
+                                               cold_builds):
+    # d = 12 at N = 4 097: with the modulus and its byte tables cached, a
+    # cold call squares and fills power tables by byte tables, so it
+    # multiplies only at the set bits of its exponents; a repeat call reads
+    # the held field and char-sum table and multiplies nowhere
     argv = ["verify", "--p", "17", "--q", "241"]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
+    least_irreducible(12)
     calls = []
     real = gf4.field_mul
 
@@ -1187,7 +1188,34 @@ def test_repeat_verify_makes_few_field_products(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(gf4, "field_mul", counted)
-    assert cli.main(argv) == 0
-    assert 0 < len(calls) <= 64
-    report = json.loads(capsys.readouterr().out)
-    assert report["case_table"]["checked"] == 4097
+    made = []
+    for _ in range(2):
+        calls.clear()
+        assert cli.main(argv) == 0
+        made.append(len(calls))
+        report = json.loads(capsys.readouterr().out)
+        assert report["case_table"]["checked"] == 4097
+    assert 0 < made[0] <= 64 and made[1] == 0
+
+
+def test_each_field_is_built_once_and_held(monkeypatch, cold_builds):
+    # build_extension(N) is one read-only context per N, the last
+    # HELD_FIELDS by use; a refused N holds nothing and raises every time
+    made = []
+    real = extfield._power_table
+    monkeypatch.setattr(extfield, "_power_table",
+                        lambda *args: made.append(args) or real(*args))
+    ctx = build_extension(21)
+    assert build_extension(21) is ctx and len(made) == 1
+    assert not ctx.beta_powers.flags.writeable
+    assert not ctx.modulus.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.beta = 1
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            build_extension(11 * 13)
+        with pytest.raises(InvalidParams):
+            build_extension(105)
+    info = build_extension.cache_info()
+    assert info.currsize == 1
+    assert info.maxsize == extfield.HELD_FIELDS == 64
