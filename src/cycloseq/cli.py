@@ -15,7 +15,8 @@ In the verify report, partition_ok: true rests on two routes: the paint,
 from the powers of g and y, raises PartitionViolation (exit 1) on an index
 left unlabeled or on more writes than Z_2N has indices, and
 check_structural_lemmas compares it with the labels that the cells of Z_N
-name from p and q alone (LemmaViolation, exit 1).
+name from p and q alone (LemmaViolation, exit 1). residue_violations: 0
+rests on that comparison too, as the cells' labels obey the mod-8 rule.
 
 Every command gets its systems from cyclotomy.build_system, which holds
 what it painted (periods summing to at most cyclotomy.HELD_POSITIONS), so
@@ -25,9 +26,9 @@ checks its own --cap.
 verify keeps more for the process, all of it read-only.
 extfield.build_extension holds one field per N, the last
 extfield.HELD_FIELDS by use; the caps pass 52 values of N, so all fit.
-Each held system keeps what verify derives from it without the mapping,
-its char_sums: the partition checks' verdict and the checked char-sum
-report, which goes with the system when build_system's store drops it.
+Each held system keeps what verify checks once per system, its char_sums
+(extfield.checked_char_sums: the comparison, then the char-sum table),
+which goes with the system when build_system's store drops it.
 Each verify still calls build_extension first, so its caps refuse before
 any paint; a later verify of a held system in the same process then runs
 only the steps that read the mapping: build_sequence (the gate),

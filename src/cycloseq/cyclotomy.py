@@ -17,9 +17,10 @@ and r = p on the p-power ones, D_0 holds the units that are squares mod r
 and D_1 those that are not. So the label of every position follows from p
 and q alone, through the cells of Z_N (cells, cell_index): build_partition
 recomputes the label array that way, reading neither g nor y, and
-check_structural_lemmas compares the paint with it in one comparison;
-check_residue_rules reads per family the label at 2's doubled copy: 2
-lies in D_0 exactly when r = +/-1 mod 8.
+check_structural_lemmas compares the paint with it in one comparison,
+verify's one partition check. check_residue_rules reads per family the
+label at 2's doubled copy: 2 lies in D_0 exactly when r = +/-1 mod 8; the
+comparison covers it, so only the benchmark's reference tooling runs it.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
@@ -359,10 +360,10 @@ class CyclotomicSystem:
     _cell_sums, or each read raises MethodDisagreement naming the first
     cell and bucket where they differ and both (E, O) pairs.
 
-    char_sums, verify's checks that read no mapping
-    (extfield.checked_char_sums), is also derived on first read and kept,
-    read-only. A read that raises keeps nothing, so a failing system fails
-    at every read.
+    char_sums, what verify checks once per system (extfield's
+    checked_char_sums: the paint against its cells, then the char-sum
+    table), is also derived on first read and kept, read-only. A read that
+    raises keeps nothing, so a failing system fails at every read.
     """
 
     constants: SystemConstants
@@ -388,8 +389,8 @@ class CyclotomicSystem:
     @functools.cached_property
     def char_sums(self):
         # extfield builds on this module, so it is imported at first read
-        from .extfield import checked_char_sums
-        return checked_char_sums(self)
+        from .extfield import build_extension, checked_char_sums
+        return checked_char_sums(self, build_extension(self.half_period))
 
     @property
     def period(self):
@@ -435,11 +436,6 @@ class _HeldSystems:
                 self.positions -= self.systems.popitem(last=False)[1].period
             self.systems[key] = system
             self.positions += system.period
-
-    def clear(self):
-        with self.lock:
-            self.systems.clear()
-            self.positions = 0
 
 
 HELD = _HeldSystems(HELD_POSITIONS)

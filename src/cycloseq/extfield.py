@@ -34,10 +34,11 @@ q are read off one power table of beta^(N/pq), not beta_powers.
 
 A process builds each field once: build_extension holds its context per
 N, the last HELD_FIELDS by use, and the context is read-only (a frozen
-dataclass, its modulus and beta_powers not writeable). The checked
-char-sum report is read-only too, its table and sets not writeable: each
-system keeps its own (cyclotomy's CyclotomicSystem.char_sums), and verify
-reads it back for every mapping of that system.
+dataclass, its modulus and beta_powers not writeable). verify checks
+each system once, by checked_char_sums, the one checked char-sum report:
+the paint against its cells, then the table. The report is read-only,
+its table and sets not writeable: each system keeps its own
+(CyclotomicSystem.char_sums), read back for every mapping.
 """
 
 import functools
@@ -49,8 +50,7 @@ import numpy as np
 from . import gf4
 from . import analysis
 from .cyclotomy import (_qr_sides, cell_char_sums, cell_index, cells,
-                        check_residue_rules, check_structural_lemmas,
-                        h_set)
+                        check_structural_lemmas, h_set)
 from .errors import (CaseViolation, InvalidParams, LemmaViolation,
                      MethodDisagreement)
 from .numtheory import check_limit, factorize, mult_order
@@ -204,8 +204,8 @@ class ExtFieldContext:
     gf4's packed elements modulo the uint8 digits of modulus, X^d being
     x_to_d; beta has order N (see build_extension), and beta_powers[r] =
     beta^r for 0 <= r < N backs every character sum.
-    exp_table is always None: no generator's power table is built, and the
-    field stays only because perfbench/tracer.py reads it.
+    exp_table is a class constant, None: no generator's power table is
+    built, and the name stays only because perfbench/tracer.py reads it.
     """
 
     N: int
@@ -214,7 +214,7 @@ class ExtFieldContext:
     x_to_d: int = field(repr=False)
     beta: int
     beta_powers: np.ndarray = field(repr=False)
-    exp_table: object = field(repr=False)
+    exp_table = None
 
     def pow(self, x, e):
         return ext_pow(x, e, self.d, self.x_to_d)
@@ -282,7 +282,7 @@ def build_extension(N):
 
     return ExtFieldContext(
         N=N, d=d, modulus=modulus, x_to_d=x_to_d, beta=beta,
-        beta_powers=beta_powers, exp_table=None)
+        beta_powers=beta_powers)
 
 
 def _digits(x, d):
@@ -403,14 +403,14 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     whether every measured value is nonzero and whether analysis.predict_lc
     gives 2N, which must agree, as LC = 2N exactly when no S(beta^k)
     vanishes: MethodDisagreement, naming both verdicts, when they differ.
-    The spectrum is read off a checked table only: char_sums, or
-    verify_char_sum_tables run here, which raises LemmaViolation before
-    any spectrum is read. The sequence is seq, or built here by
-    build_sequence, the gate on mappings. InvalidParams, naming both
-    values, when system, context and char_sums disagree on N.
+    The spectrum is read off a checked table only: char_sums, which verify
+    checks once per system, or checked_char_sums run here, raising
+    LemmaViolation before any spectrum is read. The sequence is seq, or
+    built here by build_sequence, the gate on mappings. InvalidParams,
+    naming both values, when system, context and char_sums disagree on N.
     """
     _check_same_n(system, context, char_sums)
-    char_sums = char_sums or verify_char_sum_tables(system, context)
+    char_sums = char_sums or checked_char_sums(system, context)
     seq = seq or build_sequence(system, mapping)
     prof = spectrum_profile(system, mapping)
     spectrum = measure_spectrum(context, char_sums, seq)
@@ -537,12 +537,13 @@ def verify_char_sum_tables(system, context):
                          table=measured, columns=columns, sets=sets)
 
 
-def checked_char_sums(system):
-    """What verify checks of a system without its mapping, which the
-    system keeps as its char_sums: the partition checks
-    (check_structural_lemmas, then check_residue_rules), raising their
-    first violation, then verify_char_sum_tables on the field of N."""
-    violations = check_structural_lemmas(system) + check_residue_rules(system)
+def checked_char_sums(system, context):
+    """The one checked char-sum report, which each system keeps as its
+    char_sums: check_structural_lemmas, raising its violation, then
+    verify_char_sum_tables on context's field. verify checks no more of
+    the partition: a paint equal to its cells' labels passes
+    cyclotomy.check_residue_rules."""
+    violations = check_structural_lemmas(system)
     if violations:
         raise violations[0]
-    return verify_char_sum_tables(system, build_extension(system.half_period))
+    return verify_char_sum_tables(system, context)

@@ -54,10 +54,17 @@ def class_table(system, cid):
     return cyclotomy.h_set(system, cid._replace(doubled=odd)) // cofactor
 
 
+def fresh_held():
+    """Bind build_system a fresh, empty store of painted systems, so the
+    systems held so far, with the checks each keeps, are not read again;
+    the fields stay held."""
+    cyclotomy.HELD = cyclotomy._HeldSystems(cyclotomy.HELD_POSITIONS)
+
+
 def clear_held():
     """Empty every memo of the process: the painted systems, with the
     checks each keeps, and the fields."""
-    cyclotomy.HELD.clear()
+    fresh_held()
     extfield.build_extension.cache_clear()
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DOUBLED_SHAPES, clear_held
+from conftest import DOUBLED_SHAPES, clear_held, fresh_held
 from cycloseq import (analysis, cli, cyclotomy, errors, extfield, gf4,
                       numtheory, sequence)
 from cycloseq.cli import main
@@ -88,7 +88,7 @@ def test_analyze_file_length_is_bounded_by_the_cap(tmp_path, capsys,
     # skip the constants, which check the period only when built
     monkeypatch.setattr(cli, "analyze_symbols", refuse)
     monkeypatch.setattr(numtheory, "PERIOD_CEILING", 29)
-    cyclotomy.HELD.clear()
+    fresh_held()
     assert run(capsys, "analyze", "--p", "3", "--q", "5") \
         == run(capsys, "analyze", "--file", str(out)) \
         == (3, "", "error: period 30 exceeds the period ceiling 29\n")
@@ -1082,10 +1082,11 @@ def _verify_argv(key, *extra):
 
 
 def _spy_checks(monkeypatch):
-    # calls of verify's mapping-independent steps, by name
+    # calls of verify's mapping-independent steps, by name, and of
+    # check_residue_rules, which verify must not call
     counts = Counter()
     for module, name in ((extfield, "check_structural_lemmas"),
-                         (extfield, "check_residue_rules"),
+                         (cyclotomy, "check_residue_rules"),
                          (extfield, "verify_char_sum_tables"),
                          (extfield, "_power_table")):
         def spy(*args, _real=getattr(module, name), _name=name):
@@ -1128,7 +1129,7 @@ def test_a_repeat_verify_reads_its_checks_back(capsys, monkeypatch,
     want = _fresh_process(first)
     assert want[0] == 0 and run(capsys, *first) == want
     assert counts["check_structural_lemmas"] == 1
-    assert counts["check_residue_rules"] == 1
+    assert counts["check_residue_rules"] == 0
     assert counts["verify_char_sum_tables"] == 1
     assert counts["_power_table"] == 2  # beta's table and the periods'
     counts.clear()
@@ -1146,10 +1147,11 @@ def test_a_repainted_system_is_checked_again(capsys, monkeypatch,
     old = cyclotomy.build_system(3, 5, 1, 1)
     counts = _spy_checks(monkeypatch)
     assert run(capsys, *argv) == want and not counts
-    cyclotomy.HELD.clear()
+    fresh_held()
     assert run(capsys, *argv) == want
-    assert counts == {"check_structural_lemmas": 1, "check_residue_rules": 1,
+    assert counts == {"check_structural_lemmas": 1,
                       "verify_char_sum_tables": 1, "_power_table": 1}
+    assert counts["check_residue_rules"] == 0
     new = cyclotomy.build_system(3, 5, 1, 1)
     assert new is not old
     assert vars(new)["char_sums"] is not vars(old)["char_sums"]
@@ -1184,7 +1186,7 @@ def test_a_failing_check_raises_at_every_call(capsys, monkeypatch,
         return dataclasses.replace(system, partition=part)
 
     monkeypatch.setattr(cyclotomy, "_system_from_constants", swapped)
-    cyclotomy.HELD.clear()
+    fresh_held()
     try:
         assert cyclotomy.build_system(3, 7, 1, 1).partition[1] != \
             cyclotomy.build_system(3, 7, 1, 1).partition[3]
@@ -1196,7 +1198,7 @@ def test_a_failing_check_raises_at_every_call(capsys, monkeypatch,
         assert _held_report(3, 7, 1, 1) is None
     finally:
         # the swapped paint is held; no later test may build it
-        cyclotomy.HELD.clear()
+        fresh_held()
 
 
 def test_a_stubbed_closed_form_lc_raises_at_every_call(capsys, monkeypatch,
@@ -1225,6 +1227,7 @@ def test_a_report_goes_with_its_system(capsys, monkeypatch, cold_builds):
         counts.clear()
         for p, q in pqs:
             assert run(capsys, "verify", "--p", str(p), "--q", str(q))[0] == 0
+        assert counts["check_residue_rules"] == 0
         return counts["verify_char_sum_tables"], [
             key[:2] for key in cyclotomy.HELD.systems]
 
@@ -1242,9 +1245,11 @@ def test_the_verify_grid_is_held_whole(capsys, monkeypatch, cold_builds):
     # hit on the second pass: no check and no field is made again
     argvs = [_verify_argv(key) for key in VERIFY_GRID]
     assert len(argvs) == 19
+    counts = _spy_checks(monkeypatch)
     want = [run(capsys, *argv) for argv in argvs]
     assert [w[0] for w in want] == [0] * 19
-    counts = _spy_checks(monkeypatch)
+    assert counts["check_residue_rules"] == 0
+    counts.clear()
     assert [run(capsys, *argv) for argv in argvs] == want
     assert not counts
     reports = [_held_report(*map(int, key.split(","))) for key in VERIFY_GRID]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bucket_of_label, class_table
+from conftest import bucket_of_label, class_table, fresh_held
 from cycloseq import cyclotomy, gf4
 from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
                                 bucket_codes, build_partition, build_system,
@@ -502,37 +502,64 @@ def _ref_residue_rules(system):
     return out
 
 
+def _cosets_swapped(system, f):
+    # family f's two cosets trade labels, at odd and at even positions
+    part = system.partition.copy()
+    for label in (4 * f + 2, 4 * f + 3):
+        part[system.partition == label] = label + 2
+        part[system.partition == label + 2] = label
+    return part
+
+
 @pytest.mark.parametrize("params", GRID, ids=str)
 def test_residue_rules_agree_with_the_per_family_reader(params):
-    # every choice of coset for the doubled copy of 2 in every family; a
-    # label outside a family, which the reference cannot decode, is still
-    # one record
+    # every choice of coset for the doubled copy of 2 in every family, and
+    # each family's cosets swapped; a label outside a family, which the
+    # reference cannot decode, is still one record. Every paint the
+    # residue check flags also differs from its cells' labels, so verify
+    # runs only that comparison
     system = build_system(*params)
-    twos = [_doubled_two(system, f)[:2]
-            for f in range(len(cyclotomy._family_indices(*params[2:])))]
+    fams = range(len(cyclotomy._family_indices(*params[2:])))
+    twos = [_doubled_two(system, f)[:2] for f in fams]
+    paints = []
     for flips in itertools.product((False, True), repeat=len(twos)):
         part = system.partition.copy()
         for (t, twin), flip in zip(twos, flips):
             if flip:
                 part[t] = twin
+        paints.append(part)
+    paints += [_cosets_swapped(system, f) for f in fams]
+    flagged = 0
+    for k, part in enumerate(paints):
         bad = _relabelled(system, part)
-        assert ([str(v) for v in check_residue_rules(bad)]
-                == [str(v) for v in _ref_residue_rules(bad)]), flips
+        found = check_residue_rules(bad)
+        assert ([str(v) for v in found]
+                == [str(v) for v in _ref_residue_rules(bad)]), k
+        assert check_structural_lemmas(bad) or not found, k
+        flagged += bool(found)
+    # all but the unflipped paint
+    assert flagged == len(paints) - 1
     part = system.partition.copy()
     part[twos[0][0]] = 0
-    assert _ref_residue_rules(_relabelled(system, part)) is None
-    assert len(check_residue_rules(_relabelled(system, part))) == 1
+    bad = _relabelled(system, part)
+    assert _ref_residue_rules(bad) is None
+    assert len(check_residue_rules(bad)) == 1
+    assert check_structural_lemmas(bad)
 
 
 @st.composite
 def relabelled_positions(draw):
-    """A small system, a position t of Z_2N (odd, even, 0 or N) and a
-    label other than its own."""
+    """A small system, a position t of Z_2N (odd, even, 0 or N, or the
+    doubled copy of 2 in some family) and a label other than its own."""
     system = build_system(*draw(st.sampled_from(GRID)))
     N = system.half_period
+    twos = [_doubled_two(system, f)[0] for f in range(
+        len(cyclotomy._family_indices(system.constants.m,
+                                      system.constants.n)))]
     t = draw(st.one_of(st.sampled_from((0, N)),
                        st.integers(0, N - 1).map(lambda k: 2 * k + 1),
-                       st.integers(0, N - 1).map(lambda k: 2 * k)))
+                       st.integers(0, N - 1).map(lambda k: 2 * k),
+                       st.sampled_from(twos)))
     label = draw(st.integers(0, len(system.labels) - 1).filter(
         lambda x: x != system.partition[t]))
     return system, t, label
@@ -541,13 +568,16 @@ def relabelled_positions(draw):
 @settings(deadline=None, max_examples=200)
 @given(relabelled_positions())
 def test_one_relabelled_position_is_named_at_its_index(case):
+    # a paint the residue check flags is among them, and is named too
     system, t, label = case
     part = system.partition.copy()
     part[t] = label
-    found = check_structural_lemmas(_relabelled(system, part))
+    bad = _relabelled(system, part)
+    found = check_structural_lemmas(bad)
     assert [v.witness for v in found] == [
         {"index": t, "painted": system.labels[label],
          "cells": system.labels[system.partition[t]]}]
+    assert found or not check_residue_rules(bad)
 
 
 def test_class_id_validation(sys15):
@@ -978,7 +1008,7 @@ def test_a_held_system_over_cap_raises_as_a_cold_call(cold_builds):
     build_system(*LADDER_TOP)
     with pytest.raises(CapExceeded) as held:
         build_system(*LADDER_TOP, cap=100)
-    cyclotomy.HELD.clear()
+    fresh_held()
     with pytest.raises(CapExceeded) as cold:
         build_system(*LADDER_TOP, cap=100)
     assert str(held.value) == str(cold.value) == (

@@ -667,6 +667,10 @@ def test_spectrum_checks_the_folded_sequence_is_constant_on_cells(
     assert found.witness["index"] == min(u1, u2)
     with pytest.raises(LemmaViolation, match="off its closed form"):
         verify_char_sum_tables(swapped, ctx15)
+    # given no report, the case table makes the label check first
+    with pytest.raises(LemmaViolation) as info:
+        verify_case_table(swapped, ctx15, DEFAULT_MAPPING)
+    assert str(info.value) == str(found)
     # the unswapped system reads the same table without complaint
     assert verify_case_table(sys15, ctx15, DEFAULT_MAPPING,
                              char_sums=chars).checked == 15

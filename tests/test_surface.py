@@ -12,10 +12,16 @@ or a demo reads belongs in that test or demo. Dunder methods are called by
 the language, not by name, and are skipped. NamedTuple fields are not
 checked: labels are compared by value, so every == reads them.
 
-What the check cannot see: reads are matched by short name alone, so a
-dead function, method or field that shares its short name with a live
-one, or with any attribute read anywhere (a method named get, pow or
-copy, a field named p or d, say), passes.
+A method whose name is also a method of dict, list or set (get, clear,
+copy, ...) is read only as self.<name> inside its class, or as
+<X>.<name> where X is bound at module level of src to an instance of
+that class (HELD = _HeldSystems(...) makes HELD.get a read), so that
+self.systems.clear() reads no clear method of its own.
+
+What the check cannot see: other reads are matched by short name alone,
+so a dead function, method or field that shares its short name with a
+live one, or with any attribute read anywhere (a method named pow, a
+field named p or d, say), passes.
 """
 
 import ast
@@ -25,6 +31,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "cycloseq").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+COLLECTION_METHODS = {name for kind in (dict, list, set) for name in dir(kind)
+                      if not name.startswith("_")}
 
 
 def _tree(path):
@@ -32,12 +40,13 @@ def _tree(path):
 
 
 def _definitions(tree):
-    # each top-level function and class, then the methods of the class
+    # each top-level function and class, then the methods of the class,
+    # with the class they belong to
     for node in tree.body:
         if isinstance(node, DEFS):
-            yield node.name
+            yield None, node.name
         if isinstance(node, ast.ClassDef):
-            yield from (item.name for item in node.body
+            yield from ((node.name, item.name) for item in node.body
                         if isinstance(item, DEFS[:2]))
 
 
@@ -52,6 +61,33 @@ def _reads(tree):
             yield from (alias.name.rpartition(".")[2] for alias in node.names)
 
 
+def _instances(tree):
+    # (X, C) for each module-level X = C(...)
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)):
+            yield node.targets[0].id, node.value.func.id
+
+
+def _method_reads(tree, owner):
+    # (C, name) for self.<name> inside class C, and for <X>.<name> where
+    # owner maps X to C; X may itself be read as an attribute (module.X)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, sub.attr) for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Load)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self")
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            base = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if base in owner:
+                yield owner[base], node.attr
+
+
 def _strings(tree):
     return {node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
@@ -60,12 +96,18 @@ def _strings(tree):
 def test_every_src_definition_is_read_outside_the_tests():
     src, bench = [_tree(p) for p in SRC], [_tree(p) for p in BENCH]
     read = {name for tree in src + bench for name in _reads(tree)}
+    owner = dict(pair for tree in src for pair in _instances(tree))
+    methods_read = {pair for tree in src + bench
+                    for pair in _method_reads(tree, owner)}
     named = set().union(*map(_strings, bench))
     unread = [f"{path.stem}.{name}"
               for path, tree in zip(SRC, src)
-              for name in _definitions(tree)
+              for cls, name in _definitions(tree)
               if not (name.startswith("__") and name.endswith("__"))
-              and name not in read and name not in named]
+              and name not in named
+              and ((cls, name) not in methods_read
+                   if cls and name in COLLECTION_METHODS
+                   else name not in read)]
     assert len(SRC) > 1 and BENCH
     assert unread == []
 
