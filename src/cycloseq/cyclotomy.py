@@ -36,28 +36,29 @@ not tile raises PartitionViolation, its witness the least unlabeled index
 among the bare odd positions and their doubles.
 
 The bucket-cell table (CyclotomicSystem.bucket_cells, _bucket_cells) is a
-span certificate. Each bucket's indicator splits into E, its even
-positions t at x^(t mod N), and O, its odd ones; a root of x^N - 1 of
-exact order M = p^i q^j lies in a cell of level M. A polynomial takes
-one value on each cell of level M exactly when, mod Phi_M, it lies in the
-GF(4) span of 1, R_p, R_q and R_p R_q, R_r = sum over the squares s mod r
-of x^((M/r) s), r | M: the two-prime case of the quadratic-residue
-idempotents (MacWilliams and Sloane, The Theory of Error-Correcting
-Codes, ch. 16; Ding, Helleseth and Shan, IEEE T-IT 44(3), 1998). R_r
-takes the Gaussian period eta_l of r on the cells of Legendre bit l,
-eta_pair's digits, as the closed form (_cell_sums) takes them; the table's
-rows have _cell_sums' layout. Each basis polynomial is one numpy scatter
-of its exponents (_spread), R_p R_q's one outer sum mod M, and each level
-folds the one above it by gf4.fold. Membership needs no division by
-Phi_M: with A = (x^(M/p) - 1)(x^(M/q) - 1), a binomial left out where
-its prime does not divide M, x^M - 1 is Phi_M times a divisor of A, and
-it is squarefree (M is odd), so Phi_M divides D exactly when x^M - 1
-divides D A. The shift key (_shift_key) is D A mod x^M - 1: two
-binomial products and one split at x^M. It is GF(2)-linear, so a dict
-of the keys of the basis' 2 to 16 GF(2) combinations (_spans) reads off
-each component's span coefficients, and so its value per cell; a key
-outside it raises LemmaViolation("not constant on cells"). Both
-tables live here, and bucket_cells compares them once, when it is
+span certificate, walked over the levels and keys of cells. Each bucket's
+indicator splits into E, its even positions t at x^(t mod N), and O, its
+odd ones, by gf4.fold; a root of x^N - 1 of exact order M = p^i q^j lies
+in a cell of level M. A polynomial takes one value on each cell of level M
+exactly when, mod Phi_M, it lies in the GF(4) span of 1, R_p, R_q and
+R_p R_q, R_r = sum over the squares s mod r of x^((M/r) s), r | M: the
+two-prime case of the quadratic-residue idempotents (MacWilliams and
+Sloane, The Theory of Error-Correcting Codes, ch. 16; Ding, Helleseth and
+Shan, IEEE T-IT 44(3), 1998). R_r takes the Gaussian period eta_l of r on
+the cells of Legendre bit l, eta_pair's digits, as the closed form
+(_cell_sums) takes them; the table's rows have _cell_sums' layout. Each
+basis polynomial is one numpy scatter of its exponents (_spread),
+R_p R_q's one outer sum mod M, and each level folds the one above it by
+gf4.fold. Membership needs no division by Phi_M: with
+A = (x^(M/p) - 1)(x^(M/q) - 1), a binomial left out where its prime does
+not divide M, x^M - 1 is Phi_M times a divisor of A, and it is squarefree
+(M is odd), so Phi_M divides D exactly when x^M - 1 divides D A. The
+shift key (_shift_key) is D A mod x^M - 1: two binomial products and one
+gf4.fold. It is GF(2)-linear, so a dict of the keys of the basis' 2 to 16
+GF(2) combinations (_spans, its values in the order of the keys it is
+given) reads off each component's span coefficients, and so its value per
+cell; a key outside it raises LemmaViolation("not constant on cells").
+Both tables live here, and bucket_cells compares them once, when it is
 derived; cell_char_sums gives the closed form's sums per family.
 
 build_system holds the systems it has painted, keyed by (p, q, m, n), and
@@ -243,13 +244,13 @@ def _cell_sums(p, q, m, n):
 def _shift_key(x, size, u, v):
     """K(x) = x A mod x^M - 1 for x of degree < M = size, where
     A = (x^u + 1)(x^v + 1), u = M/p and v = M/q, a factor left out (its
-    step 0) where its prime does not divide M: Y = x A split at x^M,
-    Y_lo + Y_hi. K is GF(2)-linear, and K(x) = 0 exactly when Phi_M
+    step 0) where its prime does not divide M: Y = x A folded at x^M by
+    gf4.fold. K is GF(2)-linear, and K(x) = 0 exactly when Phi_M
     divides x, as x^M - 1 is squarefree and Phi_M times a divisor of A."""
     for step in (u, v):
         if step:
             x ^= x << step
-    return (x & ((1 << size) - 1)) ^ (x >> size)
+    return gf4.fold(x, size)
 
 
 def _spread(exponents, size):
@@ -259,17 +260,16 @@ def _spread(exponents, size):
     return int.from_bytes(np.packbits(bits, bitorder="little"), "little")
 
 
-def _spans(p, q, size, u, v):
+def _spans(p, q, size, u, v, bits):
     """Each GF(2) combination of the basis 1, R_p, R_q, R_p R_q of the
     level M = size, R_r kept where r | M, keyed by its shift key: its
-    values on the level's cells, (lp, lq) ascending. R_r puts x^((M/r) s)
-    at each square s mod r and takes eta_l of r at Legendre bit l; R_p R_q
-    puts x^((M/p) s + (M/q) t mod M) at each pair of squares."""
+    values on the level's cells, one per (lp, lq) of bits, in bits' order.
+    R_r puts x^((M/r) s) at each square s mod r and takes eta_l of r at
+    Legendre bit l; R_p R_q puts x^((M/p) s + (M/q) t mod M) at each pair
+    of squares."""
     sp, sq = (np.arange(1, (r + 1) // 2, dtype=np.int64)**2 % r
               for r in (p, q))
     ep, eq = eta_pair(p), eta_pair(q)
-    bits = [(lp, lq) for lp in ((0, 1) if u else (0,))
-            for lq in ((0, 1) if v else (0,))]
     basis = [(1, [1] * len(bits))]
     if u:
         basis.append((_spread(u * sp, size), [ep[lp] for lp, _ in bits]))
@@ -288,40 +288,40 @@ def _spans(p, q, size, u, v):
 
 def _bucket_cells(system):
     """CyclotomicSystem.bucket_cells' table, unchecked, measured off the
-    paint and the squares mod p and q (module docstring). Each E and O,
-    folded mod x^M - 1 from the level above it, p or q times as long, must
-    match one of _spans' keys at each level M; its values name the cells."""
+    paint and the squares mod p and q (module docstring). At each level M
+    of cells, each E and O, folded mod x^M - 1 from the level above it,
+    must match one of the keys _spans makes for the level's cells."""
     c = system.constants
     p, q, m, n, half = c.p, c.q, c.m, c.n, c.half_period
     codes = bucket_codes(m, n).astype(np.uint8)[system.partition]
-    even = ((1 << (half + 1)) - 1) // 3
-    odd = ((1 << half) - 1) ^ even
+    # bits 0, 2, .., 2N - 2: the even positions of Z_2N
+    even = ((1 << 2 * half) - 1) // 3
     parts, top = [], []
     for b, name in enumerate(BUCKETS[1:], 1):
         x = int.from_bytes(np.packbits(codes == b, bitorder="little"),
                            "little")
-        lo, hi = x & ((1 << half) - 1), x >> half
         parts += [(name, "E"), (name, "O")]
-        top += [(lo & even) | (hi & odd), (lo & odd) | (hi & even)]
-    rows, level, folds = [], None, {(m, n): top}
-    for (a, b, _, _), size in cells(p, q, m, n):
-        if (a, b) != level:
-            level, at, i, j = (a, b), 0, m - a, n - b
-            width = p**i * q**j
-            if (i, j) not in folds:
-                folds[i, j] = [gf4.fold(x, width) for x in folds[
-                    (i, j + 1) if j < n else (i + 1, j)]]
-            u, v = width // p if i else 0, width // q if j else 0
-            spans, values = _spans(p, q, width, u, v), []
-            for (name, part), x in zip(parts, folds[i, j]):
-                found = spans.get(_shift_key(x, width, u, v))
-                if found is None:
-                    raise LemmaViolation("not constant on cells", level=width,
-                                         bucket=name, part=part)
-                values.append(found)
-        rows.append((size, *(values[2 * k][at] << 2 | values[2 * k + 1][at]
-                             for k in range(len(BUCKETS) - 1))))
-        at += 1
+        top += [gf4.fold(x & even, half), gf4.fold(x & ~even, half)]
+    rows, folds = [], {(m, n): top}
+    for (a, b), level in itertools.groupby(cells(p, q, m, n),
+                                           lambda cell: cell[0][:2]):
+        level, i, j = list(level), m - a, n - b
+        width = p**i * q**j
+        if (i, j) not in folds:
+            folds[i, j] = [gf4.fold(x, width) for x in folds[
+                (i, j + 1) if j < n else (i + 1, j)]]
+        u, v = width // p if i else 0, width // q if j else 0
+        spans = _spans(p, q, width, u, v, [key[2:] for key, _ in level])
+        values = []
+        for (name, part), x in zip(parts, folds[i, j]):
+            found = spans.get(_shift_key(x, width, u, v))
+            if found is None:
+                raise LemmaViolation("not constant on cells", level=width,
+                                     bucket=name, part=part)
+            values.append(found)
+        rows += [(size, *(e[at] << 2 | o[at]
+                          for e, o in zip(values[0::2], values[1::2])))
+                 for at, (_, size) in enumerate(level)]
     return tuple(rows)
 
 

@@ -115,13 +115,11 @@ def _vec_linear(arr, tables):
 
 
 def _x_multiples(y, count, d, x_to_d):
-    # y X^i for 0 <= i < count, one shift and one fold a step: both planes
-    # move up a degree, the digit leaving degree d - 1 returns times x_to_d
-    out, mask = [y], (1 << d) - 1
+    # y X^i, 0 <= i < count, by field_mul; X = pack(0, 2, d) needs d >= 2, as
+    # every built field has (N >= 15): at d = 1 callers take count 1, no step
+    out, x = [y], gf4.pack(0, 2, d)
     for _ in range(count - 1):
-        hi, lo = gf4.unpack(out[-1], d)
-        out.append(gf4.pack(hi << 1 & mask, lo << 1 & mask, d)
-                   ^ _scale(x_to_d, (hi >> d - 1) << 1 | lo >> d - 1, d))
+        out.append(gf4.field_mul(out[-1], x, d, x_to_d))
     return np.array(out, dtype=np.uint32)
 
 
@@ -463,6 +461,7 @@ def _gaussian_periods(context, p, q):
     w = beta^(N/pq), zeta_p^x = w^(qx) and zeta_q^x = w^(px), read from
     one power table of w, not beta_powers; LemmaViolation unless each
     lies in GF(4), each plane 0 or 1."""
+    # one table, not one per prime: each table pays its byte-table setup
     ws = _power_table(context.pow(context.beta, context.N // (p * q)),
                       p * q, context.d, context.x_to_d)
     out = []

@@ -197,10 +197,29 @@ def test_span_coefficients_are_unique_at_every_level(p, q):
         for j in range(3):
             size = p**i * q**j
             u, v = size // p if i else 0, size // q if j else 0
-            spans = cyclotomy._spans(p, q, size, u, v)
+            bits = [key[2:] for key, _ in cyclotomy.cells(p, q, 2, 2)
+                    if key[:2] == (2 - i, 2 - j)]
+            spans = cyclotomy._spans(p, q, size, u, v, bits)
             k = 1 + bool(i) + bool(j) + bool(i and j)
             assert len(spans) == len(set(spans.values())) == 2**k
             assert all(len(values) == k for values in spans.values())
+
+
+@pytest.mark.parametrize("p, q", [(3, 5), (5, 3), (17, 7)], ids=str)
+def test_spans_give_values_in_the_order_of_their_keys(p, q):
+    # at the level M = pq, every order of the four (lp, lq) permutes each
+    # value tuple alike, and R_p's key names eta_lp of p at each (lp, lq)
+    size, u, v = p * q, q, p
+    r_p = sum({1 << u * (s * s % p) for s in range(1, p)})
+    keys = [(lp, lq) for lp in (0, 1) for lq in (0, 1)]
+    spans = cyclotomy._spans(p, q, size, u, v, keys)
+    for order in itertools.permutations(range(4)):
+        bits = [keys[o] for o in order]
+        got = cyclotomy._spans(p, q, size, u, v, bits)
+        assert got == {key: tuple(values[o] for o in order)
+                       for key, values in spans.items()}
+        assert got[cyclotomy._shift_key(r_p, size, u, v)] == tuple(
+            cyclotomy.eta_pair(p)[lp] for lp, _ in bits)
 
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)
