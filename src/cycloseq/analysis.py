@@ -12,7 +12,11 @@ in the field. A run of zero discrepancies is skipped in one step, and
 the loop stops once R has no term left before the end of the input. The
 stop is exact for any input, since every later discrepancy is zero and
 so L is final; on two periods of a sequence of linear complexity L it
-comes after about 2L of the 2P symbols.
+comes after about 2L of the 2P symbols. No length change comes between
+a change at t and t = 2L, so every step there adds a multiple of the one
+B S: where that window is long, B S has few terms and R many, the steps
+are one series division, made in O(log len) big-int steps
+(_clear_window).
 
 Route one decides full LC on the N-periodic fold f, the XOR of the 2^a
 blocks of length N of one period (P = 2^a N, N odd, F = x^N - 1), whose
@@ -53,6 +57,20 @@ the factor x^(-j) is a unit mod F, so only the mask is applied. The
 masks and the fold (gf4.fold) are ANDs, shifts and XORs on S's gf4 bit
 planes. The steps stop at the first G_j = 1, so on P = 2N they are at
 most two gcds of degree <= N.
+
+Both routes have a step for a short divisor, and the fold of a
+construction in which 2 is a square mod both p and q, or mod neither,
+needs both. That fold is e at t = 0 and one constant c elsewhere, so
+f = (e + c) + c (x^N - 1) / (x - 1): Euclid's second remainder,
+(x^N - 1) mod f, has degree 1 under f's N - 1, and BM's length jumps to
+about N at t = N with a B S of two terms and a dense window of about N
+positions. Digit by digit, each route costs about N steps on N-bit ints
+there, and analyze at P = 7 999 982 ran past 100 s. gf4.gcd_planes
+halves the long dividend by x^(2^k) mod b instead, and BM clears the
+window by one division. Where 2 is a square mod exactly one prime, both
+routes meet a short divisor too, but the dividend and the window there
+are sparse (a few thousand terms of about N), so the digit loops were
+cheap and the steps save less.
 
 Route three, predict_lc, builds no sequence: it gives the LC of the
 construction from (p, q, m, n) and the mapping in closed form. As
@@ -109,21 +127,22 @@ from .sequence import (DEFAULT_MAPPING, _bucket_symbols, build_sequence,
 def berlekamp_massey(symbols):
     """Length of the shortest LFSR over GF(4) generating the symbol array.
 
-    O(len^2) bit operations, in the series form of the module docstring,
-    with C itself never formed. Two series are kept: R = C S, and B S,
-    where B is C as it was before the last length change, made at step
-    `last` with discrepancy b. Both are held reversed (bit len - 1 - t for
-    x^t), so the next nonzero discrepancy d, at some t > last, is R's top
-    bit: zero discrepancies cost nothing, terms past the end of the input
-    fall off the bottom, and R = 0 means none is left. With
-    shift = t - last, the step C += (d / b) x^shift B is the step
-    R += (d / b) x^shift B S, a right shift of B S on the reversed planes,
-    which clears d. A length change makes the old R the new B S, with no
-    shift. The multiples of B S by d / b are made when it is set, so no
-    step multiplies in the field: as digit d is alpha^(d - 1), they are
-    v, alpha v = (hi + lo, hi) and alpha^2 v = (lo, hi + lo) in a rotation
-    fixed by b. The leading digit comes from the planes' lengths: 1 when
-    lo is longer, else 2 plus lo's top bit.
+    O(len^2) bit operations at most, in the series form of the module
+    docstring, with C itself never formed; a window that _clear_window
+    clears costs O(log len) big-int steps, not one per term. Two series
+    are kept: R = C S, and B S, where B is C as it was before the last
+    length change, made at step `last` with discrepancy b. Both are held
+    reversed (bit len - 1 - t for x^t), so the next nonzero discrepancy d,
+    at some t > last, is R's top bit: zero discrepancies cost nothing,
+    terms past the end of the input fall off the bottom, and R = 0 means
+    none is left. With shift = t - last, the step C += (d / b) x^shift B
+    is the step R += (d / b) x^shift B S, a right shift of B S on the
+    reversed planes, which clears d. A length change makes the old R the
+    new B S, with no shift. The multiples of B S by d / b are made when it
+    is set, so no step multiplies in the field: as digit d is
+    alpha^(d - 1), they are v, alpha v = (hi + lo, hi) and alpha^2 v =
+    (lo, hi + lo) in a rotation fixed by b. The leading digit comes from
+    the planes' lengths: 1 when lo is longer, else 2 plus lo's top bit.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     size = len(s)
@@ -141,8 +160,9 @@ def berlekamp_massey(symbols):
     times = (None, (r1, s0), (mix, r1), (s0, mix))
     length = 0
     last = -1
-    # each pass clears the top term, so at most one pass per position
-    for _ in range(size):
+    # each pass clears R's top term, so R reaches 0 after at most one
+    # pass per position
+    while True:
         top, low = r1.bit_length(), r0.bit_length()
         if low > top:
             top, d = low, 1
@@ -165,9 +185,62 @@ def berlekamp_massey(symbols):
                 times = (None, alpha, alpha2, one)
             length = t + 1 - length
             last = t
+            r1 ^= y1 >> shift
+            r0 ^= y0 >> shift
+            # No length change comes before t = 2 length, so every step up
+            # to there adds a multiple of this B S, and one division makes
+            # them all. It is taken where that window holds 256 positions
+            # or more, B S has at most one term below its lead per 64 of
+            # them, and R has 64 terms or more in it, each a step here.
+            if 2 * length - t > 256:
+                window = min(2 * length, size) - t - 1
+                v1, v0 = times[1]
+                lead = size - 1 - t
+                terms = (v1 | v0) ^ 1 << lead
+                if (window >= max(256, terms.bit_count() << 6)
+                        and ((r1 | r0) >> lead - window).bit_count() >= 64):
+                    r1, r0 = _clear_window(r1, r0, v1, v0, terms, lead,
+                                           lead - window)
+            continue
         r1 ^= y1 >> shift
         r0 ^= y0 >> shift
     return length
+
+
+def _clear_window(r1, r0, v1, v0, terms, lead, base):
+    # The steps of berlekamp_massey at t = last + 1 .. 2L - 1, R's bits
+    # lead - 1 .. base, all add (d / b) x^(t - last) B S for one B S, so
+    # together they add Q V, V = times[1] = 1 + u: its lead 1 at bit lead,
+    # u its terms below, each as (i, c), digit c at i bits below the lead.
+    # Read the window of R as a series W in z from bit lead - 1 down: Q
+    # makes W + Q V vanish mod z^width, so Q = W / (1 + u), and in
+    # characteristic 2, 1 / (1 + u) = prod over k of (1 + u^(2^k)).
+    # Squaring u doubles each offset and squares each digit, which swaps
+    # 2 and 3: c^2 = 1 / c = INV_TABLE[c] for c != 0.
+    u = []
+    while terms:
+        top = terms.bit_length() - 1
+        u.append((lead - top, 2 * (v1 >> top & 1) | v0 >> top & 1))
+        terms ^= 1 << top
+    width = lead - base
+    q1, q0 = r1 >> base, r0 >> base
+    power = [term for term in u if term[0] < width]
+    while power:
+        p1, p0 = q1, q0
+        for i, c in power:
+            s1, s0 = gf4.planes_scale(q1, q0, c)
+            p1 ^= s1 >> i
+            p0 ^= s0 >> i
+        q1, q0 = p1, p0
+        power = [(2 * i, gf4.INV_TABLE[c]) for i, c in power if 2 * i < width]
+    # R += Q V: Q back at the window's bits, then one shift per term of u
+    q1, q0 = q1 << base, q0 << base
+    r1, r0 = r1 ^ q1, r0 ^ q0
+    for i, c in u:
+        s1, s0 = gf4.planes_scale(q1, q0, c)
+        r1 ^= s1 >> i
+        r0 ^= s0 >> i
+    return r1, r0
 
 
 def lc_via_gcd(symbols):

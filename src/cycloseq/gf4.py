@@ -17,7 +17,8 @@ x^k one shift per plane, a scalar multiple a mix of the planes
 the monic multiple take and return planes too, and the gcd keeps only
 remainders, never forming a quotient; it makes each divisor monic
 inline and cancels each leading digit with one of the divisor's three
-multiples. The leading digit is read off the planes' lengths: 1 when lo
+multiples, after halving a dividend that is long next to its divisor
+(_halve). The leading digit is read off the planes' lengths: 1 when lo
 is longer, else 2 plus lo's top bit.
 
 Digits are the edge: a numpy uint8 array, index = power of x, with no
@@ -133,9 +134,21 @@ def planes_scale(hi, lo, c):
 
 
 def gcd_planes(a1, a0, b1, b0):
-    """Planes of the monic gcd of two polynomials given as planes."""
+    """Planes of the monic gcd of two polynomials given as planes.
+
+    Euclid on remainders only. Each remainder a mod b cancels a's leading
+    digits one by one, each an XOR of one of b's multiples over a's length,
+    so a long a and a short b cost about deg a such XORs: quadratic where a
+    remainder of small degree follows a long one, as on the fold of
+    analysis' same-character constructions (degree 1 after degree N - 1).
+    Where b's length is at most 1/64 of a's (and a at least 256 digits
+    long), _halve first brings a down to O(deg b log deg a) digits in
+    O(log deg a) products by the powers x^(2^k) mod b.
+    """
     if not (a1 | a0 | b1 | b0):
         raise InvalidParams("gcd(0, 0) is undefined")
+    # a's length; from the second pass on, the length of the last b
+    length = max(a1.bit_length(), a0.bit_length())
     while b1 | b0:
         # b made monic inline: times alpha when it leads with alpha^2,
         # times alpha^2 when it leads with alpha; mix = hi + lo follows.
@@ -150,6 +163,10 @@ def gcd_planes(a1, a0, b1, b0):
             else:
                 b1, b0, mix = b0, mix, b1
             size = top
+        # b short next to a: halve a first (_halve), so the digit loop
+        # below cancels O(deg b log deg a) digits, not deg a - deg b
+        if size << 6 <= length and length >= 256:
+            a1, a0 = _halve(a1, a0, b1, b0, size, length)
         # a mod b, no quotient: a's leading digit d cancels against d x^k b,
         # which is b, alpha b = (mix, b1) or alpha^2 b = (b0, mix)
         while True:
@@ -171,7 +188,33 @@ def gcd_planes(a1, a0, b1, b0):
                     a1 ^= mix << shift
                     a0 ^= b1 << shift
         a1, a0, b1, b0 = b1, b0, a1, a0
+        length = size
     return monic_planes(a1, a0)
+
+
+def _halve(a1, a0, b1, b0, size, length):
+    # a = hi x^h + lo is lo + r hi mod b, with r = x^h mod b, which takes
+    # deg a down to about max(h, deg a - h) + deg b; h runs over the
+    # powers of two from the one at most deg a down to the one at least
+    # deg b + 1 = size, each level one product with r first, O(deg b)
+    # shifts. r is squared up from the bottom level: a GF(4) square maps
+    # planes (hi, lo) to (hi^2, (hi + lo)^2), and _clmul(v, v) spreads v
+    # into the GF(2) square.
+    low = 1 << (size - 1).bit_length()
+    powers = [divmod_planes(0, 1 << low, b1, b0)[2:]]
+    while low << len(powers) < length:
+        r1, r0 = powers[-1]
+        mix = r1 ^ r0
+        powers.append(divmod_planes(_clmul(r1, r1), _clmul(mix, mix),
+                                    b1, b0)[2:])
+    for k in reversed(range(len(powers))):
+        h = low << k
+        hi1, hi0 = a1 >> h, a0 >> h
+        if hi1 | hi0:
+            p1, p0 = mul_planes(*powers[k], hi1, hi0)
+            mask = (1 << h) - 1
+            a1, a0 = a1 & mask ^ p1, a0 & mask ^ p0
+    return a1, a0
 
 
 def monic_planes(hi, lo):
