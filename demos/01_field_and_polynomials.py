@@ -15,7 +15,7 @@ def digits(planes):
 def show_tables():
     print("multiplication over GF(4) = {0, 1, alpha, alpha+1}, alpha^2 = alpha+1")
     for a in range(4):
-        row = [NAMES[gf4.gf4_mul(a, b)] for b in range(4)]
+        row = [NAMES[int(gf4.MUL_TABLE[a, b])] for b in range(4)]
         print(f"  {NAMES[a]:>8} | " + "  ".join(f"{v:>8}" for v in row))
     print("inverses:",
           {NAMES[a]: NAMES[gf4.INV_TABLE[a]] for a in range(1, 4)})

@@ -35,7 +35,7 @@ lc_b = berlekamp_massey(np.tile(seq.symbols, 2))
 # the minimal polynomial generates the first 2 LC symbols, and with them
 # the whole sequence.
 print(f"\ngcd method:        LC = {lc_g}, "
-      f"minimal polynomial degree {gf4.poly_deg(gf4.from_planes(*minpoly))}")
+      f"minimal polynomial degree {len(gf4.from_planes(*minpoly)) - 1}")
 print(f"Berlekamp-Massey:  LC = {lc_b}")
 print("the minimal polynomial generates the sequence:",
       generates(seq.symbols, lc_g, minpoly))

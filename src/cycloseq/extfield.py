@@ -4,7 +4,8 @@ d is the multiplicative order of 4 modulo N = p^m q^n, so F_{4^d} contains
 a primitive N-th root of unity beta. Elements are gf4's packed ints
 (uint32 for d <= 12, addition a plain XOR), multiplied by gf4.field_mul.
 One field is built per degree: the least monic irreducible in
-lexicographic coefficient order (a candidate with a root in GF(4) skipped,
+lexicographic coefficient order, searched on planes (a candidate with a
+common factor with x^3 - 1, so a root in GF(4)*, skipped after one gcd;
 Rabin's test deciding the rest), with the byte tables of x -> x^(2^i) for
 i = 0..2d, stacked in one array. These maps and times a fixed element are
 GF(2)-linear, one 256-entry lookup per input byte (_vec_linear on arrays),
@@ -149,31 +150,29 @@ def _square_rows(d, x_to_d):
 
 # --- modulus selection -----------------------------------------------------
 
-def is_irreducible(poly):
-    """Rabin's test over GF(4), squaring with field_mul modulo poly itself."""
-    d = gf4.poly_deg(poly)
-    if d <= 1 or poly[0] == 0:  # a constant, a linear factor, or x | poly
+def is_irreducible(hi, lo):
+    """Rabin's test over GF(4) on a polynomial's planes, squaring with
+    field_mul modulo the polynomial itself."""
+    d = max(hi.bit_length(), lo.bit_length()) - 1
+    if d <= 1 or not (hi | lo) & 1:  # a constant, a linear factor, or x | f
         return d == 1
-    m1, m0 = gf4.monic_planes(*gf4.to_planes(poly))
-    x_to_d = gf4.pack(m1, m0 ^ 1 << d, d)  # poly minus its leading X^d
+    m1, m0 = gf4.monic_planes(hi, lo)
+    x_to_d = gf4.pack(m1, m0 ^ 1 << d, d)  # f minus its leading X^d
     x = gf4.pack(0, 0b10, d)
-    frob = [x]  # frob[k] = x^(4^k) mod poly
+    frob = [x]  # frob[k] = x^(4^k) mod f
     for _ in range(d):
         t = gf4.field_mul(frob[-1], frob[-1], d, x_to_d)
         frob.append(gf4.field_mul(t, t, d, x_to_d))
-    # gcd(x^(4^(d/r)) - x, poly) = 1 for every prime r | d
+    # gcd(x^(4^(d/r)) - x, f) = 1 for every prime r | d
     return frob[d] == x and all(
         gf4.gcd_planes(*gf4.unpack(frob[d // r] ^ x, d), m1, m0) == (0, 1)
         for r in factorize(d))
 
 
-def _has_gf4_root(coeffs):
-    # v^3 = 1 for v != 0: f(v) = s0 + v s1 + v^2 s2, s_r over degrees = r mod 3
-    s = [0, 0, 0]
-    for i, c in enumerate(coeffs):
-        s[i % 3] ^= c
-    return any(s[0] ^ gf4.gf4_mul(v, s[1]) ^ gf4.gf4_mul(v2, s[2]) == 0
-               for v, v2 in ((1, 1), (2, 3), (3, 2)))
+def _has_gf4_root(hi, lo):
+    # x^3 + 1 (0b1001) is the product of x - v over GF(4)*: a root there
+    # is a common factor with it
+    return gf4.gcd_planes(hi, lo, 0, 0b1001) != (0, 1)
 
 
 @functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
@@ -181,14 +180,16 @@ def least_irreducible(d):
     """Least monic irreducible of degree d, coefficients compared from the
     constant term up, which starts at 1 (else x divides). From degree 2 on,
     a candidate with a root in GF(4) has a linear factor: no Rabin test.
-    Searched once per degree; each call returns the same read-only array."""
+    Searched once per degree, on each candidate's planes; each call returns
+    the same read-only digit array."""
     if d < 1:
         raise InvalidParams("degree must be positive")
     for c0 in (1, 2, 3):
         for rest in itertools.product(range(4), repeat=d - 1):
             cand = (c0,) + rest + (1,)
-            if ((d == 1 or not _has_gf4_root(cand))
-                    and is_irreducible(gf4.poly(cand))):
+            planes = gf4.to_planes(cand)
+            if ((d == 1 or not _has_gf4_root(*planes))
+                    and is_irreducible(*planes)):
                 return np.frombuffer(bytes(cand), np.uint8)  # read-only
     raise InvalidParams(f"no irreducible of degree {d}")  # unreachable
 

@@ -23,9 +23,10 @@ is longer, else 2 plus lo's top bit.
 
 Digits are the edge: a numpy uint8 array, index = power of x, with no
 trailing zeros (the zero polynomial is empty), as in reports, sequence
-files, witnesses and extfield's modulus search. to_planes and from_planes
-convert, and poly_to_digits writes the text. A sweep row makes no
-planes: its LC comes off the bucket basis (analysis.bucket_lc).
+files, witnesses and the modulus an extension field keeps; no program
+path computes on them. to_planes and from_planes convert, and
+poly_to_digits writes the text. A sweep row makes no planes: its LC
+comes off the bucket basis (analysis.bucket_lc).
 
 An element of F_{4^d} = GF(4)[X]/(f), f monic of degree d, packs its
 remainder's planes into one int: lo in bits 0..d-1, hi in bits d..2d-1.
@@ -51,33 +52,6 @@ _MUL = MUL_TABLE.tolist()
 
 # INV_TABLE[a] = 1/a for a != 0; the nonzero elements form a 3-cycle.
 INV_TABLE = (0, 1, 3, 2)
-
-
-def gf4_mul(a, b):
-    """Field multiplication via the table."""
-    return _MUL[a][b]
-
-
-def poly(coeffs):
-    """Canonical polynomial from an iterable of coefficients 0..3."""
-    arr = np.asarray(list(coeffs), dtype=np.uint8)
-    if arr.size and arr.max() > 3:
-        raise InvalidParams("coefficients must be in 0..3")
-    return poly_trim(arr)
-
-
-def poly_trim(f):
-    """Strip trailing zero coefficients."""
-    f = np.asarray(f, dtype=np.uint8)
-    nz = np.nonzero(f)[0]
-    if nz.size == 0:
-        return f[:0]
-    return f[: nz[-1] + 1]
-
-
-def poly_deg(f):
-    """Degree of a canonical polynomial; -1 for the zero polynomial."""
-    return len(f) - 1
 
 
 def poly_divmod(a, b):

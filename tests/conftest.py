@@ -1,6 +1,7 @@
 """Shared test plumbing: the acceptance verdict report, every structurally
-valid mapping, the reference rule for a label's bucket, the class tables
-read off a partition, and builds that paint and verifies that check.
+valid mapping, digit polynomials and GF(4) products for reference code,
+the reference rule for a label's bucket, the class tables read off a
+partition, and builds that paint and verifies that check.
 
 Criterion tests append one line each; the terminal-summary hook prints
 them after capture ends so the verdicts show under any pytest invocation.
@@ -8,9 +9,10 @@ them after capture ends so the verdicts show under any pytest invocation.
 
 import itertools
 
+import numpy as np
 import pytest
 
-from cycloseq import cyclotomy, extfield
+from cycloseq import cyclotomy, extfield, gf4
 from cycloseq.sequence import Mapping
 
 ACCEPTANCE_VERDICTS = []
@@ -33,6 +35,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.line(line)
+
+
+def poly(digits):
+    """A digit polynomial: uint8, index = power of x, no trailing zeros."""
+    return np.trim_zeros(np.array(list(digits), dtype=np.uint8), "b")
+
+
+def mul(a, b):
+    """a * b in GF(4), read off gf4's table."""
+    return int(gf4.MUL_TABLE[a, b])
 
 
 def bucket_of_label(label):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_MAPPINGS
+from conftest import ALL_MAPPINGS, mul
 from cycloseq import analysis, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                berlekamp_massey, bucket_lc,
@@ -185,7 +185,7 @@ def _divmod_digits(a, b):
         if c:
             rem[shift: shift + db + 1] ^= MUL_TABLE[c, b]
             quot[shift] = c
-    return gf4.poly_trim(quot), gf4.poly_trim(rem[:db])
+    return np.trim_zeros(quot, "b"), np.trim_zeros(rem[:db], "b")
 
 
 def _route_two(symbols):
@@ -229,7 +229,7 @@ def test_analyze_symbols_random_periods(digits):
     s = np.array(digits, dtype=np.uint8)
     report = analyze_symbols(s)
     minpoly = report.minimal_polynomial
-    assert report.lc_bm == report.lc_gcd == gf4.poly_deg(minpoly)
+    assert report.lc_bm == report.lc_gcd == len(minpoly) - 1
     # scaled to constant term 1, the minimal polynomial is the connection
     # polynomial of the periodic sequence
     conn = MUL_TABLE[INV_TABLE[minpoly[0]], minpoly]
@@ -269,13 +269,13 @@ def _lc_via_unfolded_gcd(symbols):
     """
     period = len(symbols)
     big = _x_pow_n_minus_1(period)
-    common, other = big, gf4.poly_trim(np.array(symbols, dtype=np.uint8))
+    common, other = big, np.trim_zeros(np.array(symbols, dtype=np.uint8), "b")
     while len(other):
         common, other = other, _divmod_digits(common, other)[1]
     quotient, rem = _divmod_digits(big, common)
     assert not len(rem)
     # the quotient's leading digit is 1 / common's
-    return period - gf4.poly_deg(common), MUL_TABLE[common[-1], quotient]
+    return period - (len(common) - 1), MUL_TABLE[common[-1], quotient]
 
 
 def _assert_same_route_answer(symbols):
@@ -648,7 +648,7 @@ def test_report_makes_digits_only_when_read(sys21, monkeypatch):
                         lambda *planes: calls.append(planes) or real(*planes))
     r = analyze_symbols(build_sequence(sys21).symbols)
     assert calls == []
-    assert gf4.poly_deg(r.minimal_polynomial) == r.lc_gcd == 42
+    assert len(r.minimal_polynomial) - 1 == r.lc_gcd == 42
     assert r.to_json_dict()["minimal_polynomial"] == \
         gf4.poly_to_digits(r.minimal_polynomial)
     assert calls == [r.minimal_planes] * 3
@@ -889,7 +889,6 @@ def _lc_from_cell_sums(c, mapping):
     periods = [_periods_as_digits(r) for r in (c.p, c.q)]
     sides = [int(not two_is_square_mod(c.q if j else c.p))
              for i, j in cyclotomy._family_indices(c.m, c.n)]
-    mul = gf4.gf4_mul
     lost = 0
     for a, b, lp, lq in itertools.product(range(c.m + 1), range(c.n + 1),
                                           (0, 1), (0, 1)):
@@ -924,7 +923,6 @@ def test_cell_sums_give_the_spectrum_profile(p, q):
     # buckets of v_b times both halves of the bucket's E << 2 | O, is
     # spectrum_profile's value in the cell's regime: e at k = 0, the cell
     # (m, n), then the p-saturated, q-saturated and generic values
-    mul = gf4.gf4_mul
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
         table = cyclotomy._cell_sums(p, q, m, n)

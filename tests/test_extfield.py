@@ -1,6 +1,8 @@
 """Extension-field arithmetic and the character-sum verifications."""
 
+import contextlib
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -13,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table
+from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table, mul, poly
 from cycloseq import cli, cyclotomy, gf4
 from cycloseq.analysis import lc_via_gcd
 from cycloseq import extfield
@@ -73,13 +75,13 @@ def test_packed_roundtrip():
         packed = _to_packed(np.array(coeffs, dtype=np.uint8), d)
         assert packed < 4**d
         back = _from_packed(packed, d)
-        assert np.array_equal(back, gf4.poly(coeffs))
+        assert np.array_equal(back, poly(coeffs))
 
 
-def _eval_gf4(poly, v):
+def _eval_gf4(f, v):
     acc = 0
-    for c in poly[::-1]:
-        acc = gf4.gf4_mul(acc, v) ^ int(c)
+    for c in f[::-1]:
+        acc = mul(acc, v) ^ int(c)
     return acc
 
 
@@ -88,9 +90,8 @@ def test_irreducibility_against_root_oracle():
     for d in (2, 3):
         for code in range(4**d):
             coeffs = [(code >> (2 * i)) & 3 for i in range(d)] + [1]
-            poly = gf4.poly(coeffs)
-            has_root = any(_eval_gf4(poly, v) == 0 for v in range(4))
-            assert is_irreducible(poly) == (not has_root)
+            has_root = any(_eval_gf4(coeffs, v) == 0 for v in range(4))
+            assert is_irreducible(*gf4.to_planes(coeffs)) == (not has_root)
 
 
 def test_irreducibility_against_product_oracle():
@@ -98,17 +99,18 @@ def test_irreducibility_against_product_oracle():
     # lower degree, formed with mul_planes; a scalar multiple of a
     # polynomial is irreducible exactly when the polynomial is
     def monic(deg):
-        return [gf4.poly(c + (1,))
+        return [poly(c + (1,))
                 for c in itertools.product(range(4), repeat=deg)]
 
     for d, scalar in ((4, 2), (5, 3)):
         reducible = {gf4.mul_planes(*gf4.to_planes(f), *gf4.to_planes(g))
                      for low in range(1, d // 2 + 1)
                      for f in monic(low) for g in monic(d - low)}
-        for poly in monic(d):
-            irreducible = gf4.to_planes(poly) not in reducible
-            assert is_irreducible(poly) == irreducible
-            assert is_irreducible(gf4.MUL_TABLE[scalar, poly]) == \
+        for f in monic(d):
+            planes = gf4.to_planes(f)
+            irreducible = planes not in reducible
+            assert is_irreducible(*planes) == irreducible
+            assert is_irreducible(*gf4.planes_scale(*planes, scalar)) == \
                 irreducible
 
 
@@ -119,14 +121,59 @@ def test_least_irreducible():
     assert [gf4.poly_to_digits(least_irreducible(d))
             for d in range(1, 13)] == expected
     p3 = least_irreducible(3)
-    assert is_irreducible(p3) and gf4.poly_deg(p3) == 3
+    assert is_irreducible(*gf4.to_planes(p3)) and len(p3) == 4
     # nothing lexicographically earlier (constant term compared first,
     # zero constant terms excluded) is irreducible
     prefix = tuple(int(c) for c in p3[:3])
     for cand_prefix in itertools.product((1, 2, 3), range(4), range(4)):
         if cand_prefix >= prefix:
             break
-        assert not is_irreducible(gf4.poly(cand_prefix + (1,)))
+        assert not is_irreducible(*gf4.to_planes(cand_prefix + (1,)))
+
+
+# (d, beta as its remainder's digits, constant first) for each of the 52 N
+# that the caps N <= VERIFY_N_CAP and d <= DEFAULT_DEGREE_CAP pass
+FIELD_PINS = {
+    15: (2, "11"), 21: (3, "033"), 33: (5, "23321"), 35: (6, "001003"),
+    39: (6, "023001"), 45: (6, "113213"), 51: (4, "203"),
+    55: (10, "0231031203"), 57: (9, "312121303"), 63: (3, "21"),
+    65: (6, "0201"), 69: (11, "11110233313"), 75: (10, "222122202"),
+    85: (4, "0001"), 91: (6, "003001"), 93: (5, "133"), 117: (6, "113012"),
+    119: (12, "022222032321"), 123: (10, "0302131223"), 129: (7, "0321323"),
+    133: (9, "323210332"), 153: (12, "301233330033"), 155: (10, "1313032002"),
+    171: (9, "331103113"), 189: (9, "0012223"), 205: (10, "0213133212"),
+    219: (9, "000003333"), 221: (12, "020231133122"), 267: (11, "32022133011"),
+    275: (10, "3223331333"), 341: (5, "0001"), 381: (7, "2222"),
+    451: (10, "2000311332"), 511: (9, "111"), 513: (9, "132330211"),
+    657: (9, "22010321"), 723: (12, "010013320001"), 771: (8, "2312123"),
+    775: (10, "103321333"), 1025: (10, "2330230222"),
+    1205: (12, "32030000103"), 1271: (10, "3023032223"), 1285: (8, "21112323"),
+    1387: (9, "301113231"), 1687: (12, "231131102"), 1971: (9, "132132312"),
+    2047: (11, "13030300213"), 2049: (11, "11221113233"),
+    2169: (12, "033210033223"), 3133: (12, "0201221131"),
+    4097: (12, "011302131331"), 4369: (8, "02133203")}
+# x_to_d of each degree that occurs: the least irreducible without X^d
+X_TO_D_PINS = {2: 9, 3: 5, 4: 133, 5: 513, 6: 2073, 7: 65, 8: 41089, 9: 257,
+               10: 131329, 11: 2097153, 12: 8390145}
+# every beta_powers table of FIELD_PINS, little-endian uint32, in N order
+BETA_POWERS_SHA256 = ("aff8d6758ce001cd614a80990895b023"
+                      "594ee65f77e5b4f5ebb181549e8fc6c0")
+
+
+def test_every_field_the_caps_pass_is_pinned(cold_builds):
+    # a change in the modulus search, in x_to_d or in the search for beta
+    # moves one of these pins
+    fields = {}
+    for N in range(3, extfield.VERIFY_N_CAP + 1, 2):
+        with contextlib.suppress(CycloseqError):
+            fields[N] = build_extension(N)
+    assert {N: (ctx.d, _digits(ctx.beta, ctx.d))
+            for N, ctx in fields.items()} == FIELD_PINS
+    assert {ctx.d: ctx.x_to_d for ctx in fields.values()} == X_TO_D_PINS
+    digest = hashlib.sha256()
+    for ctx in fields.values():
+        digest.update(ctx.beta_powers.astype("<u4").tobytes())
+    assert digest.hexdigest() == BETA_POWERS_SHA256
 
 
 def test_ext_mul_matches_poly_arithmetic(ctx15, ctx21):
@@ -1141,9 +1188,9 @@ def test_root_prefilter_matches_evaluation():
     for d in range(1, 5):
         for code in range(4**(d + 1)):
             coeffs = tuple((code >> (2 * i)) & 3 for i in range(d + 1))
-            has_root = any(_eval_gf4(gf4.poly(coeffs), v) == 0
-                           for v in (1, 2, 3))
-            assert extfield._has_gf4_root(coeffs) == has_root, coeffs
+            has_root = any(_eval_gf4(coeffs, v) == 0 for v in (1, 2, 3))
+            assert extfield._has_gf4_root(*gf4.to_planes(coeffs)) == \
+                has_root, coeffs
 
 
 # --- one field per degree ---------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mul, poly
 from cycloseq import gf4
 from cycloseq.errors import InvalidParams
 from cycloseq.extfield import least_irreducible
@@ -24,12 +25,12 @@ def poly_add(a, b):
         a, b = b, a
     out = a.copy()
     out[: len(b)] ^= b
-    return gf4.poly_trim(out)
+    return np.trim_zeros(out, "b")
 
 
 def poly_scale(f, s):
     """Multiply every coefficient by the scalar s."""
-    return gf4.poly_trim(gf4.MUL_TABLE[s, f]) if s else f[:0]
+    return np.trim_zeros(gf4.MUL_TABLE[s, f], "b") if s else f[:0]
 
 
 def schoolbook(a, b):
@@ -39,7 +40,7 @@ def schoolbook(a, b):
     out = np.zeros(len(a) + len(b) - 1, dtype=np.uint8)
     for i in np.nonzero(a)[0]:
         out[i: i + len(b)] ^= gf4.MUL_TABLE[a[i], b]
-    return gf4.poly_trim(out)
+    return np.trim_zeros(out, "b")
 
 
 def _schoolbook_mod(f, modulus):
@@ -50,28 +51,28 @@ def _schoolbook_mod(f, modulus):
         if r[top]:
             r[top - db: top + 1] ^= gf4.MUL_TABLE[
                 gf4.MUL_TABLE[r[top], inv], modulus]
-    return gf4.poly_trim(r[:db])
+    return np.trim_zeros(r[:db], "b")
 
 
 def test_field_tables():
     # alpha^2 = alpha + 1, addition is xor
-    assert gf4.gf4_mul(gf4.ALPHA, gf4.ALPHA) == gf4.ALPHA1
-    assert gf4.gf4_mul(gf4.ALPHA, gf4.ALPHA1) == 1
+    assert mul(gf4.ALPHA, gf4.ALPHA) == gf4.ALPHA1
+    assert mul(gf4.ALPHA, gf4.ALPHA1) == 1
     assert gf4_add(gf4.ALPHA, gf4.ALPHA1) == 1
     for x in range(4):
-        assert gf4.gf4_mul(x, 0) == 0
-        assert gf4.gf4_mul(x, 1) == x
+        assert mul(x, 0) == 0
+        assert mul(x, 1) == x
         if x:
-            assert gf4.gf4_mul(x, gf4.INV_TABLE[x]) == 1
+            assert mul(x, gf4.INV_TABLE[x]) == 1
 
 
 def test_field_axioms_random():
     rng = random.Random(4)
     for _ in range(200):
         x, y, z = (rng.randrange(4) for _ in range(3))
-        assert gf4.gf4_mul(x, gf4_add(y, z)) == \
-            gf4_add(gf4.gf4_mul(x, y), gf4.gf4_mul(x, z))
-        assert gf4.gf4_mul(x, y) == gf4.gf4_mul(y, x)
+        assert mul(x, gf4_add(y, z)) == \
+            gf4_add(mul(x, y), mul(x, z))
+        assert mul(x, y) == mul(y, x)
         assert gf4_add(x, x) == 0
 
 
@@ -79,29 +80,25 @@ def test_poly_basics():
     p = gf4.to_planes([1, 1])  # x + 1
     # frobenius: (x+1)^2 = x^2+1
     assert gf4.mul_planes(*p, *p) == gf4.to_planes([1, 0, 1])
-    assert gf4.poly_deg(gf4.poly([])) == -1
-    assert len(gf4.poly_trim(gf4.poly([0, 0]))) == 0
-    with pytest.raises(InvalidParams):
-        gf4.poly([1, 4])
 
 
 def test_poly_divmod_example():
-    q, r = gf4.poly_divmod(gf4.poly([1, 0, 1]), gf4.poly([1, 1]))
-    assert np.array_equal(q, gf4.poly([1, 1]))
+    q, r = gf4.poly_divmod(poly([1, 0, 1]), poly([1, 1]))
+    assert np.array_equal(q, poly([1, 1]))
     assert len(r) == 0
     with pytest.raises(InvalidParams,
                        match="^division by the zero polynomial$"):
-        gf4.poly_divmod(gf4.poly([1]), gf4.poly([]))
+        gf4.poly_divmod(poly([1]), poly([]))
 
 
 def test_poly_gcd_example():
-    g = gf4.poly_gcd(gf4.poly([1, 0, 1]), gf4.poly([1, 1]))
-    assert np.array_equal(g, gf4.poly([1, 1]))
+    g = gf4.poly_gcd(poly([1, 0, 1]), poly([1, 1]))
+    assert np.array_equal(g, poly([1, 1]))
     with pytest.raises(InvalidParams):
-        gf4.poly_gcd(gf4.poly([]), gf4.poly([]))
+        gf4.poly_gcd(poly([]), poly([]))
     # gcd of anything with zero is the monic normalization of the other
-    g2 = gf4.poly_gcd(gf4.poly([]), gf4.poly([0, 2]))
-    assert np.array_equal(g2, gf4.poly([0, 1]))
+    g2 = gf4.poly_gcd(poly([]), poly([0, 2]))
+    assert np.array_equal(g2, poly([0, 1]))
 
 
 def _random_planes(rng, size):
@@ -139,12 +136,12 @@ def test_gcd_divides_both_random():
 
 
 def test_digits_roundtrip():
-    assert gf4.poly_to_digits(gf4.poly([])) == "0"
+    assert gf4.poly_to_digits(poly([])) == "0"
     assert gf4.poly_to_digits(gf4.from_planes(0, 0)) == "0"
-    assert gf4.poly_to_digits(gf4.poly([1, 2, 1])) == "121"
+    assert gf4.poly_to_digits(poly([1, 2, 1])) == "121"
     # 1 + (alpha + 1) x^2 on planes: hi 0b100, lo 0b101
     assert gf4.poly_to_digits(gf4.from_planes(0b100, 0b101)) == "103"
-    assert gf4.to_planes(gf4.poly([1, 0, 3, 0])) == (0b100, 0b101)
+    assert gf4.to_planes(poly([1, 0, 3, 0])) == (0b100, 0b101)
 
 
 def test_monic():
@@ -174,7 +171,7 @@ digit_lists = st.lists(st.integers(0, 3), max_size=200)
 
 @given(digit_lists)
 def test_planes_roundtrip(digits):
-    f = gf4.poly(digits)
+    f = poly(digits)
     hi, lo = gf4.to_planes(f)
     assert [2 * ((hi >> i) & 1) + ((lo >> i) & 1) for i in range(len(f))] \
         == [int(c) for c in f]
@@ -185,7 +182,7 @@ def test_planes_roundtrip(digits):
 
 def test_planes_scale_matches_table():
     for digits in ([1, 2, 3, 0, 1], [3, 3], [0, 0, 2]):
-        f = gf4.poly(digits)
+        f = poly(digits)
         for c in range(4):
             scaled = gf4.from_planes(*gf4.planes_scale(*gf4.to_planes(f), c))
             assert np.array_equal(scaled, poly_scale(f, c))
@@ -194,12 +191,12 @@ def test_planes_scale_matches_table():
 @settings(deadline=None)
 @given(digit_lists, digit_lists.filter(any))
 def test_poly_divmod_identity(a_digits, b_digits):
-    a, b = gf4.poly(a_digits), gf4.poly(b_digits)
+    a, b = poly(a_digits), poly(b_digits)
     q, r = gf4.poly_divmod(a, b)
     assert q.dtype == r.dtype == np.uint8
-    assert np.array_equal(q, gf4.poly_trim(q))
-    assert np.array_equal(r, gf4.poly_trim(r))
-    assert gf4.poly_deg(r) < gf4.poly_deg(b)
+    assert np.array_equal(q, np.trim_zeros(q, "b"))
+    assert np.array_equal(r, np.trim_zeros(r, "b"))
+    assert len(r) < len(b)
     assert np.array_equal(poly_add(schoolbook(q, b), r), a)
 
 
@@ -207,14 +204,14 @@ def test_poly_divmod_identity(a_digits, b_digits):
 def division_cases(draw):
     """(q, b, r) with deg r < deg b: b may be a constant, and q may have
     runs of zero digits inside it."""
-    b = gf4.poly(draw(st.lists(st.integers(0, 3), max_size=40))
+    b = poly(draw(st.lists(st.integers(0, 3), max_size=40))
                  + [draw(st.integers(1, 3))])
     pieces = draw(st.lists(
         st.one_of(st.lists(st.integers(1, 3), min_size=1, max_size=8),
                   st.integers(1, 30).map(lambda k: [0] * k)),
         max_size=8))
-    q = gf4.poly([c for piece in pieces for c in piece])
-    r = gf4.poly(draw(st.lists(st.integers(0, 3), max_size=len(b) - 1)))
+    q = poly([c for piece in pieces for c in piece])
+    r = poly(draw(st.lists(st.integers(0, 3), max_size=len(b) - 1)))
     return q, b, r
 
 
@@ -241,7 +238,7 @@ def gcd_operands(draw):
     factor: of random degrees, of equal degrees, one of them zero, one a
     nonzero constant, or both the same polynomial."""
     def of_degree(deg):
-        return gf4.poly(draw(st.lists(st.integers(0, 3), min_size=deg,
+        return poly(draw(st.lists(st.integers(0, 3), min_size=deg,
                                       max_size=deg))
                         + [draw(st.integers(1, 3))])
 
@@ -250,7 +247,7 @@ def gcd_operands(draw):
     kind = draw(st.sampled_from(("random", "equal degrees", "zero",
                                  "constant", "equal")))
     if kind == "zero":
-        b = gf4.poly([])
+        b = poly([])
     elif kind == "constant":
         b = of_degree(0)
     elif kind == "equal":
@@ -273,7 +270,7 @@ def test_gcd_planes_matches_euclid_by_divmod(operands):
 
 @given(digit_lists, digit_lists)
 def test_mul_planes_matches_schoolbook(a_digits, b_digits):
-    a, b = gf4.poly(a_digits), gf4.poly(b_digits)
+    a, b = poly(a_digits), poly(b_digits)
     prod = gf4.mul_planes(*gf4.to_planes(a), *gf4.to_planes(b))
     assert prod == gf4.to_planes(schoolbook(a, b))
 
@@ -289,7 +286,7 @@ def _field(d):
 @given(data=st.data())
 def test_field_mul_matches_reduced_schoolbook(d, data):
     modulus, x_to_d = _field(d)
-    elements = st.lists(st.integers(0, 3), max_size=d).map(gf4.poly)
+    elements = st.lists(st.integers(0, 3), max_size=d).map(poly)
     a, b = data.draw(elements), data.draw(elements)
     packed = []
     for f in (a, b):
@@ -306,11 +303,11 @@ def test_field_mul_matches_reduced_schoolbook(d, data):
 
 @given(digit_lists)
 def test_poly_to_digits_matches_joined_digits(digits):
-    f = gf4.poly(digits)
+    f = poly(digits)
     text = gf4.poly_to_digits(f)
     assert type(text) is str
     assert text == ("".join(str(int(c)) for c in f) or "0")
-    assert np.array_equal(gf4.poly(int(ch) for ch in text), f)
+    assert np.array_equal(poly(int(ch) for ch in text), f)
 
 
 def test_poly_to_digits_large_and_strided():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_MAPPINGS, class_table
-from cycloseq import gf4
 from cycloseq.analysis import bucket_lc, lc_via_gcd, predict_lc
 from cycloseq.cyclotomy import BUCKETS, ClassId, bucket_codes, build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
@@ -132,7 +131,7 @@ def test_balance(sys15, sys21):
 
 def generating_polynomial(seq):
     """S(x) = sum s_t x^t as a gf4 polynomial (trimmed coefficient array)."""
-    return gf4.poly_trim(np.array(seq.symbols, dtype=np.uint8))
+    return np.trim_zeros(np.array(seq.symbols, dtype=np.uint8), "b")
 
 
 def test_generating_polynomial(sys15):
