@@ -27,7 +27,7 @@ symbols = np.bincount(seq.symbols, minlength=4)
 print(f"symbol counts: {dict(enumerate(symbols.tolist()))}")
 
 lc_g, factors = lc_via_gcd(seq.symbols)
-minpoly = minimal_planes(seq.period, factors)
+minpoly = minimal_planes(seq.symbols, factors)
 lc_b = berlekamp_massey(np.tile(seq.symbols, 2))
 # the gcd route gives LC from the degrees of its gcd factors, and the
 # minimal polynomial (x^P - 1) / their product as gf4 bit planes (hi, lo);

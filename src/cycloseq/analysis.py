@@ -33,12 +33,11 @@ masks planes and runs Euclid. A false full LC from route two meets a fold
 BM below N, whose second run then gives the true LC.
 
 Route two is purely algebraic: for a sequence of period P,
-LC = P - deg gcd(x^P - 1, S(x)) and the minimal polynomial is the
-quotient (x^P - 1) / gcd, which for full-period input is exactly the
-monic normalization of the unique minimal connection polynomial.
+LC = P - deg gcd(x^P - 1, S(x)), and the minimal polynomial, the monic
+form of the unique shortest connection polynomial, is (x^P - 1) / gcd.
 lc_via_gcd reads LC off the degrees of the gcd's factors G_j (below)
 alone; minimal_planes forms their product and the quotient, only where
-the minimal polynomial is read.
+the minimal polynomial is read, and certifies it there (generates).
 
 Route two never runs Euclid on degree-P inputs. Write P = 2^a N with N
 odd and F = x^N - 1; F is squarefree and x^P - 1 = F^(2^a), so the gcd
@@ -64,13 +63,12 @@ needs both. That fold is e at t = 0 and one constant c elsewhere, so
 f = (e + c) + c (x^N - 1) / (x - 1): Euclid's second remainder,
 (x^N - 1) mod f, has degree 1 under f's N - 1, and BM's length jumps to
 about N at t = N with a B S of two terms and a dense window of about N
-positions. Digit by digit, each route costs about N steps on N-bit ints
-there, and analyze at P = 7 999 982 ran past 100 s. gf4.gcd_planes
-halves the long dividend by x^(2^k) mod b instead, and BM clears the
-window by one division. Where 2 is a square mod exactly one prime, both
-routes meet a short divisor too, but the dividend and the window there
-are sparse (a few thousand terms of about N), so the digit loops were
-cheap and the steps save less.
+positions. Digit by digit, each route would take about N steps on N-bit
+ints there; gf4.gcd_planes halves the long dividend by x^(2^k) mod b
+instead, and BM clears the window by one division. Where 2 is a square
+mod exactly one prime, both routes meet a short divisor too, but the
+dividend and the window there are sparse (a few thousand terms of about
+N), so the digit loops are cheap and the steps save less.
 
 Route three, predict_lc, builds no sequence: it gives the LC of the
 construction from (p, q, m, n) and the mapping in closed form. As
@@ -105,12 +103,13 @@ bucket_lc alike.
 
 Where they run: analyze and verify measure by the gcd route, then by BM
 (once on the fold at full LC, once more on two periods of s below it),
-and require the lengths to agree and the gcd route's minimal polynomial
-to generate the sequence (analyze_symbols, verify_theorem); theirs is the
-one call of minimal_planes and of lc_via_gcd, which turns their digits
-into planes. sweep, plain and --degenerate, reads one certified table
-per system: a row is one bucket_lc walk, with no Euclid, no planes and
-no digits. The gcd route checks the loss rule itself in the tests.
+and require the lengths to agree (analyze_symbols, verify_theorem). Theirs
+is the one call of lc_via_gcd, which turns their digits into planes, and
+of minimal_planes, whose certificate (generates) runs before BM and is
+not needed at full LC: x^P - 1 generates every sequence of period P.
+sweep, plain and --degenerate, reads one certified table per system: a
+row is one bucket_lc walk, with no Euclid, no planes and no digits. The
+gcd route checks the loss rule itself in the tests.
 """
 
 from dataclasses import dataclass
@@ -251,8 +250,7 @@ def lc_via_gcd(symbols):
     of the module docstring, in order and stopping before the first
     G_j = 1, and lc = P - sum of deg G_j. The zero sequence has every G_j
     equal to x^N - 1 and lc 0. No product of the G_j is formed and
-    nothing is divided; minimal_planes does that where the minimal
-    polynomial is read.
+    nothing is divided: minimal_planes does both, and checks the result.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     if len(s) == 0:
@@ -279,19 +277,24 @@ def lc_via_gcd(symbols):
             tuple(factors))
 
 
-def minimal_planes(period, factors):
-    """Planes of the monic minimal polynomial (x^P - 1) / prod G_j, from
-    lc_via_gcd's factors; a nonzero remainder raises MethodDisagreement.
+def minimal_planes(symbols, factors):
+    """Planes of the monic minimal polynomial m = (x^P - 1) / prod G_j of
+    one period of digits, from lc_via_gcd's factors: x^P - 1 if there are
+    none, as it generates every sequence of period P, else m once it
+    divides exactly and generates the sequence (or MethodDisagreement).
     """
+    top = 1 << len(symbols) | 1
     if not factors:
-        return 0, 1 << period | 1
+        return 0, top
     divisor = factors[0]
     for g in factors[1:]:
         divisor = gf4.mul_planes(*g, *divisor)
-    q1, q0, r1, r0 = gf4.divmod_planes(0, 1 << period | 1, *divisor)
-    if r1 | r0:
+    q1, q0, r1, r0 = gf4.divmod_planes(0, top, *divisor)
+    # both monic, so deg m is the difference of their lo planes' lengths
+    lc = top.bit_length() - divisor[1].bit_length()
+    if r1 | r0 or not generates(symbols, lc, (q1, q0)):
         raise MethodDisagreement(
-            "gcd(x^P - 1, S(x)) does not divide x^P - 1")
+            "(x^P - 1) / gcd is inexact or does not generate the sequence")
     return q1, q0
 
 
@@ -373,17 +376,17 @@ class LinearComplexityReport:
 def analyze_symbols(symbols):
     """Measure one period by both methods and cross-check them.
 
-    The gcd route gives LC and the minimal polynomial m; BM gives LC
-    again, on two periods of the fold where that reaches its full length
-    N and on two periods of s otherwise (module docstring), and m must
-    generate the sequence (generates), which at that LC only the minimal
-    polynomial does. theorem_holds reports whether the complexity equals
-    the full period. Raises MethodDisagreement when the two routes differ.
+    The gcd route gives LC and the minimal polynomial, which
+    minimal_planes certifies; BM gives LC again, on two periods of the
+    fold where that reaches its full length N and on two periods of s
+    otherwise (module docstring). theorem_holds reports whether the
+    complexity equals the full period. Raises MethodDisagreement when the
+    two lengths differ.
     """
     s = np.asarray(symbols, dtype=np.uint8)
     lc_gcd, factors = lc_via_gcd(s)
+    minpoly = minimal_planes(s, factors)
     period = len(s)
-    minpoly = minimal_planes(period, factors)
     odd = period >> ((period & -period).bit_length() - 1)
     lc_bm = berlekamp_massey(np.tile(
         np.bitwise_xor.reduce(s.reshape(-1, odd), axis=0), 2))
@@ -391,13 +394,10 @@ def analyze_symbols(symbols):
         lc_bm = period
     elif odd < period:
         lc_bm = berlekamp_massey(np.tile(s, 2))
-    if lc_bm != lc_gcd or not generates(s, lc_gcd, minpoly):
-        raise MethodDisagreement(
-            f"BM found {lc_bm}, gcd found {lc_gcd}, or the minimal "
-            f"polynomial does not generate the sequence")
+    if lc_bm != lc_gcd:
+        raise MethodDisagreement(f"BM found {lc_bm}, gcd found {lc_gcd}")
     return LinearComplexityReport(
-        lc_bm=lc_bm, lc_gcd=lc_gcd,
-        minimal_planes=minpoly,
+        lc_bm=lc_bm, lc_gcd=lc_gcd, minimal_planes=minpoly,
         methods_agree=True, theorem_holds=(lc_gcd == period))
 
 

@@ -1,13 +1,17 @@
 """Shared test plumbing: the acceptance verdict report, every structurally
 valid mapping, digit polynomials and GF(4) products for reference code,
 the reference rule for a label's bucket, the class tables read off a
-partition, and builds that paint and verifies that check.
+partition, builds that paint and verifies that check, and the benchmark's
+analyze and verify systems.
 
 Criterion tests append one line each; the terminal-summary hook prints
 them after capture ends so the verdicts show under any pytest invocation.
 """
 
+import importlib
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ ALL_MAPPINGS = tuple(Mapping(*perm, e)
                      for e in (1, 2, 3))
 # the doubled-modulus shapes, whose H-sets fill the odd positions
 DOUBLED_SHAPES = ("2pq", "2p", "2q")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture(scope="session")
@@ -86,3 +92,14 @@ def cold_builds():
     test's first build of each system paints it, its first field is built
     and its first verify checks, through any patch the test has made."""
     clear_held()
+
+
+def benchmark_systems():
+    """The analyze-ladder and verify-grid systems of perfbench/systems.py."""
+    saved = list(sys.path)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        systems = importlib.import_module("systems")
+    finally:
+        sys.path[:] = saved
+    return systems.LADDER + systems.VERIFY_GRID

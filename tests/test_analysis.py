@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import operator
 import random
 from collections import Counter
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_MAPPINGS, mul
-from cycloseq import analysis, cyclotomy, gf4
+from conftest import ALL_MAPPINGS, benchmark_systems, mul
+from cycloseq import analysis, cli, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                berlekamp_massey, bucket_lc,
                                degenerate_lower_bound, generates,
@@ -192,7 +193,7 @@ def _route_two(symbols):
     """lc_via_gcd's length and the minimal polynomial made from its
     factors, as analyze_symbols reads them."""
     lc, factors = lc_via_gcd(symbols)
-    return lc, minimal_planes(len(symbols), factors)
+    return lc, minimal_planes(symbols, factors)
 
 
 def test_lc_via_gcd_small_cases():
@@ -251,12 +252,12 @@ def test_minimal_planes_checks_the_division(monkeypatch):
 
     factors = (to_planes([1, 0, 0, 1]), to_planes([1, 1, 1]))
     assert lc_via_gcd([1] * period) == (1, factors)
-    assert minimal_planes(period, factors) == to_planes([1, 1])
+    assert minimal_planes([1] * period, factors) == to_planes([1, 1])
     monkeypatch.setattr(gf4, "divmod_planes", bad_divmod)
     # lc_via_gcd divides nothing, so only minimal_planes sees the fault
     assert lc_via_gcd([1] * period) == (1, factors)
     with pytest.raises(MethodDisagreement):
-        minimal_planes(period, factors)
+        minimal_planes([1] * period, factors)
     with pytest.raises(MethodDisagreement):
         analyze_symbols([1] * period)
 
@@ -280,7 +281,7 @@ def _lc_via_unfolded_gcd(symbols):
 
 def _assert_same_route_answer(symbols):
     lc, factors = lc_via_gcd(symbols)
-    minpoly = minimal_planes(len(symbols), factors)
+    minpoly = minimal_planes(symbols, factors)
     lc_ref, minpoly_ref = _lc_via_unfolded_gcd(symbols)
     assert (lc, minpoly) == (lc_ref, to_planes(minpoly_ref))
     # monic factors, each dividing the one before it
@@ -583,6 +584,9 @@ def test_generates_random_periods():
         lc, (m1, m0) = _route_two(s)
         assert berlekamp_massey(np.tile(s, 2)) == lc
         assert generates(s, lc, (m1, m0))
+        # what minimal_planes' no-factor return relies on: x^P - 1
+        # generates every sequence of period P
+        assert generates(s, period, (0, 1 << period | 1))
         wraps += 2 * lc > period
         short += 2 * lc <= period
         for t in range(lc):  # one coefficient flipped, the degree kept
@@ -602,32 +606,116 @@ def test_a_wrong_gcd_answer_meets_a_bm_that_disagrees(sys15, sys21,
     full = build_sequence(sys15).symbols
     lc, (m1, m0) = _route_two(reduced)
     assert lc == 36 < len(reduced)
+    real_divmod = gf4.divmod_planes
 
-    def claim(answer):
-        # the length from lc_via_gcd, the polynomial from minimal_planes
-        length, minpoly = answer
+    def claim_length(length):
+        # no factor: minimal_planes returns x^P - 1, and only BM's length
+        # can disagree
         monkeypatch.setattr(analysis, "lc_via_gcd", lambda s: (length, ()))
-        monkeypatch.setattr(analysis, "minimal_planes",
-                            lambda period, factors: minpoly)
 
-    claim((42, (0, 1 << 42 | 1)))
+    def claim_quotient(quotient, period):
+        # the division of x^P - 1 returns quotient with a zero remainder,
+        # so only generates, inside minimal_planes, can object
+        def divmod_planes(a1, a0, b1, b0):
+            if (a1, a0) == (0, 1 << period | 1):
+                return (*quotient, 0, 0)
+            return real_divmod(a1, a0, b1, b0)
+        monkeypatch.setattr(gf4, "divmod_planes", divmod_planes)
+
+    claim_length(42)
     with pytest.raises(MethodDisagreement, match="BM found 36, gcd found 42"):
         analyze_symbols(reduced)
+    monkeypatch.undo()
     for t in range(lc):  # one coefficient flipped, the degree kept
         for flipped in ((m1 ^ 1 << t, m0), (m1, m0 ^ 1 << t)):
-            claim((lc, flipped))
-            with pytest.raises(MethodDisagreement):
+            claim_quotient(flipped, 42)
+            with pytest.raises(MethodDisagreement, match="does not generate"):
                 analyze_symbols(reduced)
+    monkeypatch.undo()
     for short in (0, 1, 15, 29):
-        claim((short, (0, 1 << short | 1)))
+        claim_length(short)
         with pytest.raises(MethodDisagreement,
                            match=f"BM found 30, gcd found {short}"):
             analyze_symbols(full)
-    for t in (0, 1, 14, 29):  # x^30 - 1 with one coefficient flipped
+    # at full period the route has no factor to divide by: it claims
+    # G_1 = 1, and the division returns x^30 - 1 with one coefficient
+    # flipped
+    monkeypatch.setattr(analysis, "lc_via_gcd", lambda s: (30, ((0, 1),)))
+    for t in (0, 1, 14, 29):
         for flipped in ((1 << t, 1 << 30 | 1), (0, (1 << 30 | 1) ^ 1 << t)):
-            claim((30, flipped))
+            claim_quotient(flipped, 30)
             with pytest.raises(MethodDisagreement, match="does not generate"):
                 analyze_symbols(full)
+
+
+def _spy_route(monkeypatch):
+    """Log each call of generates, berlekamp_massey, minimal_planes and
+    gf4's product and division, in order: (name, args) as it starts and
+    (name + " returned", ()) as it returns."""
+    log = []
+    for module, name in ((analysis, "generates"),
+                         (analysis, "berlekamp_massey"),
+                         (analysis, "minimal_planes"),
+                         (gf4, "mul_planes"), (gf4, "divmod_planes")):
+        def spy(*args, _real=getattr(module, name), _name=name):
+            log.append((_name, args))
+            result = _real(*args)
+            log.append((_name + " returned", ()))
+            return result
+        monkeypatch.setattr(module, name, spy)
+    return log
+
+
+def test_full_lc_forms_and_checks_no_minimal_polynomial(monkeypatch,
+                                                        tmp_path, capsys):
+    # at full LC the minimal polynomial is x^P - 1, which generates every
+    # sequence of period P: analyze_symbols calls no generates, and no
+    # product or division has x^P - 1 as an operand. Every benchmark
+    # system at the default mapping, and a random file of 2 * 5 005
+    # symbols through analyze --file
+    rng = np.random.default_rng(52)
+    path = tmp_path / "random.txt"
+    path.write_text("".join(map(str, rng.integers(0, 4, 10010))) + "\n")
+    log = _spy_route(monkeypatch)
+
+    def formed_nothing(period):
+        top = 1 << period | 1
+        names = [name for name, _ in log]
+        return ("generates" not in names
+                and names.count("minimal_planes") == 1
+                and not any(top in args for name, args in log
+                            if name in ("mul_planes", "divmod_planes")))
+
+    for params in benchmark_systems():
+        s = build_sequence(build_system(*params)).symbols
+        log.clear()
+        assert analyze_symbols(s).lc_gcd == len(s), params
+        assert formed_nothing(len(s)), params
+    log.clear()
+    assert cli.main(["analyze", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["lc_gcd"] == 10010
+    assert formed_nothing(10010)
+
+
+@pytest.mark.parametrize("params, mapping", [
+    ((3, 5, 4, 3), Mapping(0, 2, 3, 1, 1)),
+    ((61, 79, 1, 1), Mapping(0, 1, 2, 3, 2))],
+    ids=["3,5,4,3", "61,79,1,1"])
+def test_below_full_lc_minimal_planes_certifies_before_bm(monkeypatch,
+                                                          params, mapping):
+    # below full LC, generates runs once, inside minimal_planes, and
+    # before BM's first run
+    seq = build_sequence(build_system(*params), mapping,
+                         allow_degenerate=True)
+    log = _spy_route(monkeypatch)
+    report = analyze_symbols(seq.symbols)
+    assert report.lc_gcd < seq.period
+    events = [name for name, _ in log if not name.startswith(
+        ("mul_planes", "divmod_planes", "generates returned"))]
+    assert events == ["minimal_planes", "generates",
+                      "minimal_planes returned",
+                      "berlekamp_massey", "berlekamp_massey returned",
+                      "berlekamp_massey", "berlekamp_massey returned"]
 
 
 def test_example_complexities(sys15, sys21):

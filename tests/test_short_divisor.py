@@ -20,27 +20,20 @@ steps rely on.
 """
 
 import contextlib
-import importlib
 import itertools
-import os
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_MAPPINGS
+from conftest import ALL_MAPPINGS, benchmark_systems
 from cycloseq import analysis, gf4
 from cycloseq.analysis import analyze_symbols, berlekamp_massey
 from cycloseq.cyclotomy import build_system
 from cycloseq.errors import InvalidParams
 from cycloseq.numtheory import two_is_square_mod
 from cycloseq.sequence import DEFAULT_MAPPING, build_sequence
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
-
 
 # Berlekamp-Massey as it stood before _clear_window
 def _reference_bm(symbols):
@@ -296,19 +289,8 @@ def _same_character(p, q):
     return two_is_square_mod(p) == two_is_square_mod(q)
 
 
-def _benchmark_systems():
-    # the analyze-ladder and verify-grid systems of perfbench/systems.py
-    saved = list(sys.path)
-    sys.path.insert(0, PERFBENCH)
-    try:
-        systems = importlib.import_module("systems")
-    finally:
-        sys.path[:] = saved
-    return systems.LADDER + systems.VERIFY_GRID
-
-
 @pytest.mark.parametrize(
-    "params", [s for s in _benchmark_systems() if _same_character(*s[:2])],
+    "params", [s for s in benchmark_systems() if _same_character(*s[:2])],
     ids=lambda p: ",".join(map(str, p)))
 def test_both_steps_run_on_every_same_character_fold(steps, params):
     s = build_sequence(build_system(*params), DEFAULT_MAPPING).symbols

@@ -13,6 +13,9 @@ list of calls:
   exits 1 or 2 there);
 - the plain and the --degenerate sweep over each sweep-mappings group;
 - one generate and analyze --file round trip;
+- analyze --file on two files that are no construction, written from a
+  fixed seed: 2 * 5 005 random digits (full LC) and a block of 7 tiled
+  over 2 * 1 001 (LC at most 7);
 - the packaging pins of CI that finish within seconds;
 - calls that exit 1, 2, 3 and 4.
 
@@ -29,6 +32,7 @@ import hashlib
 import io
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -67,6 +71,9 @@ def calls():
         ["analyze", "--file", "seq.txt", "--format", "text"],
         ["verify", "--p", "3", "--q", "5", "--format", "csv",
          "--out", "v.csv"],
+        # files that are no construction, at full LC and far below it
+        ["analyze", "--file", "random.txt"],
+        ["analyze", "--file", "tiled.txt"],
         # CI's packaging pins, in its order
         ["verify", "--p", "3", "--q", "5"],
         ["analyze", "--p", "3", "--q", "5"],
@@ -168,6 +175,11 @@ def main():
         # what the exit-4 call reads and the exit-2 sidecar call meets
         (directory / "bad.txt").write_bytes(b"\xff")
         (directory / "s.txt.json").mkdir()
+        rng = random.Random(52)
+        digits = "".join(str(rng.randrange(4)) for _ in range(2 * 5005))
+        (directory / "random.txt").write_text(digits + "\n")
+        block = "".join(str(rng.randrange(4)) for _ in range(7))
+        (directory / "tiled.txt").write_text(block * (2 * 1001 // 7) + "\n")
         os.chdir(directory)
         try:
             for argv in calls():
