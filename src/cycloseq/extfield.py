@@ -6,8 +6,8 @@ a primitive N-th root of unity beta. Elements are gf4's packed ints
 One field is built per degree: the least monic irreducible in
 lexicographic coefficient order, searched on planes (a candidate with a
 common factor with x^3 - 1, so a root in GF(4)*, skipped after one gcd;
-Rabin's test deciding the rest), with the byte tables of x -> x^(2^i) for
-i = 0..2d, stacked in one array. These maps and times a fixed element are
+Rabin's test deciding the rest), with the byte tables of x -> x^2 and
+x -> x^4 stacked in one array. These maps and times a fixed element are
 GF(2)-linear, one 256-entry lookup per input byte (_vec_linear on arrays),
 so ext_pow squares by table. beta is the first c^((4^d - 1)/N) of order N,
 c running from x on, digits compared from the top, so no group generator
@@ -16,19 +16,21 @@ digits of r, not by doubling: a round is one gather of y -> beta^j y^4,
 j < 4. Every sum it then measures is an XOR of beta^(k t mod N) over an
 index set T, and one kernel, _power_sums, gathers a table of them in
 blocks of about _BLOCK_ELEMENTS elements, so temporary memory stays below
-a megabyte instead of growing as N^2. Squaring is a field automorphism, so
-the row of 2k is the row of k squared: _orbit_sums gathers only the least
-k of each orbit of k -> 2k mod N (the 2-cyclotomic cosets of the
-Mattson-Solomon view) and fills the rows k 2^i of its orbit by one lookup
-through the stacked tables. The character sums over the doubled-modulus
-H-sets are one such table, a column per H-set, checked entry by entry
-against their closed forms, a mismatch shown at its least k. The folded
-sequence s_t + s_(t+N) is constant on each of those H-sets, so the
-spectrum S(beta^k) is a GF(4) combination of the table's columns:
-measure_spectrum reads only that table, once it has passed its check, and
-gathers nothing of its own. Its columns are the doubled-modulus labels,
-system.labels[2::2] (each family's coset 0 and 1, in label order), and
-their H-sets the positions that carry each label, mod N. The expected
+a megabyte instead of growing as N^2. A unit u with u T = T mod N makes
+the row of u k the row of k, by reindexing t -> u t, whatever the table
+holds: _orbit_sums certifies the multipliers y^2 and g^2 y^-2, which
+generate the units that are squares mod p and mod q, on the sets as
+given, and gathers only the least k of each orbit they make, one per
+cell of Z_N on the H-sets; every other row is its leader's. The
+character sums over the doubled-modulus H-sets are one such table, a
+column per H-set, checked entry by entry against their closed forms, a
+mismatch shown at its least k. The folded sequence s_t + s_(t+N) is
+constant on each of those H-sets, so the spectrum S(beta^k) is a GF(4)
+combination of the table's columns: measure_spectrum reads only that
+table, once it has passed its check, and gathers nothing of its own.
+Its columns are the doubled-modulus labels, system.labels[2::2] (each
+family's coset 0 and 1, in label order), and their H-sets the positions
+that carry each label, mod N. The expected
 side is cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells
 gathered to each k by cyclotomy.cell_index; the Gaussian periods of p and
 q are read off one power table of beta^(N/pq), not beta_powers.
@@ -126,16 +128,16 @@ def _x_multiples(y, count, d, x_to_d):
 
 @functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
 def _linear_maps(d, x_to_d):
-    """Byte tables of y -> y^(2^i) modulo X^d + x_to_d for i = 0..2d,
+    """Byte tables of y -> y^(2^i) modulo X^d + x_to_d for i = 0, 1, 2,
     stacked on the last axis, one read-only array for _vec_linear: column
-    1 squares, column 2 is the Frobenius y -> y^4, and column 2d, y^(4^d),
-    is y again. Squaring is GF(2)-linear, taking X^i to X^(2i) and alpha
-    X^i to (alpha + 1) X^(2i); each column's images are the previous
+    1 squares (ext_pow) and column 2 is the Frobenius y -> y^4
+    (_power_table). Squaring is GF(2)-linear, taking X^i to X^(2i) and
+    alpha X^i to (alpha + 1) X^(2i); each column's images are the previous
     column's, squared."""
     powers = _x_multiples(1, 2 * d - 1, d, x_to_d)[::2]
     square = _byte_tables(np.concatenate([powers, _scale(powers, 3, d)]))
     cols = [1 << np.arange(2 * d, dtype=np.uint32)]
-    for _ in range(2 * d):
+    for _ in range(2):
         cols.append(_vec_linear(cols[-1], square))
     maps = _byte_tables(np.stack(cols, axis=1))
     maps.flags.writeable = False
@@ -317,32 +319,48 @@ def _power_sums(beta_powers, sets, ks):
     return out
 
 
-def _orbit_sums(context, sets):
-    """_power_sums over k = 1..N-1, one gather per orbit of k -> 2k.
+def _orbit_sums(context, sets, constants):
+    """_power_sums over k = 1..N-1, one gathered row per orbit of the
+    multipliers that keep every set.
 
-    The XOR of beta^(2kt) over a set is the XOR of beta^(kt), squared, so
-    row k 2^i is row k raised to the 2^i-th power. Only the least k of
-    each orbit of k -> 2k mod N (a 2-cyclotomic coset) is gathered, and
-    one lookup through _linear_maps fills the rows k 2^i mod N for
-    i = 0..2d. As 2^(2d) = 4^d = 1 mod N, that covers the whole orbit; an
-    orbit shorter than 2d writes some rows more than once, always with the
-    same value.
+    u1 = y^2 and u2 = g^2 y^-2 mod N generate U, the units that are squares
+    mod p and mod q, and have orders phi(p^m)/2 and phi(q^n)/2 when g and y
+    are as the constants claim. A multiplier u is used only once u^order =
+    1 mod N and col[u t mod N] = col[t] for every t, col[t] naming the one
+    set that holds t (the sets disjoint and without repeats mod N, else no
+    u is used). Then t -> u t permutes each set, so the XOR of b[u k t]
+    over a set is the XOR of b[k t] for any array b: row u k is row k by
+    reindexing, whatever beta_powers holds. Pointer doubling, ceil(log2
+    order) rounds per multiplier (enough, as u^order = 1), takes each k to
+    the least k of its orbit; only those leaders are gathered, and every
+    row is its leader's. On the doubled-modulus H-sets the orbits are the
+    cells of Z_N; a set list that refuses both multipliers is gathered row
+    by row.
     """
-    N, d = context.N, context.d
+    N, c = context.N, constants
     ks = np.arange(N, dtype=np.int64)
-    # pointer doubling: after each round, least[k] is the least of
-    # k 2^i mod N over the span i < span, and step[k] is k 2^span mod N
-    least, step, span = ks, ks * 2 % N, 1
-    while span < 2 * d:
-        least, step = np.minimum(least, least[step]), step[step]
-        span *= 2
+    flat = np.concatenate([np.asarray(s, dtype=np.int64) % N for s in sets])
+    col = np.full(N, -1, dtype=np.intp)
+    col[flat] = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    disjoint = np.count_nonzero(col >= 0) == flat.size
+    phi_p, phi_q = c.d_ij[c.m, 0], c.d_ij[0, c.n]
+    least = ks
+    # y^(phi(p^m) - 2) is y^-2 mod N while y = 1 mod q^n; the certificate
+    # below vouches for whatever u comes out
+    for u, order in ((c.y**2 % N, phi_p // 2),
+                     (c.g**2 * pow(c.y, phi_p - 2, N) % N, phi_q // 2)):
+        step = ks * u % N
+        if not (disjoint and pow(u, order, N) == 1
+                and np.array_equal(col[step], col)):
+            continue
+        # after r rounds least[k] is the least of the old least at k u^i,
+        # i < 2^r, and step[k] is k u^(2^r) mod N
+        for _ in range((order - 1).bit_length()):
+            least, step = np.minimum(least, least[step]), step[step]
     leaders = np.flatnonzero(least == ks)[1:]
-    rows = np.multiply.outer(leaders, [pow(2, i, N) for i in range(2 * d + 1)])
-    sums = _power_sums(context.beta_powers, sets, leaders)
-    out = np.empty((N - 1, len(sets)), dtype=np.uint32)
-    out[rows % N - 1] = _vec_linear(
-        sums, _linear_maps(d, context.x_to_d)).swapaxes(1, 2)
-    return out
+    row = np.empty(N, dtype=np.intp)
+    row[leaders] = np.arange(len(leaders))
+    return _power_sums(context.beta_powers, sets, leaders)[row[least[1:]]]
 
 
 def measure_spectrum(context, char_sums, seq):
@@ -504,13 +522,17 @@ def verify_char_sum_tables(system, context):
     0 beyond. Both sides are whole (k, H-set) tables. The expected one is
     cyclotomy.cell_char_sums per cyclotomy.cells, gathered by cell_index,
     its periods from _gaussian_periods, which never reads beta_powers; the
-    measured one is _orbit_sums, whose row k = 1 reads beta_powers[1:]
-    once, so a corrupted entry cannot shift both sides alike. The report
-    carries the measured table with its columns and their H-sets mod N.
-    Raises LemmaViolation with the witness k and cell, the H-set, on the
-    first mismatch, k ascending, then the 2pq H-sets (i, j, h), the 2p
-    H-sets (i, h) and the 2q H-sets (j, h); the expected and measured
-    values are remainder digits, as in verify_case_table.
+    measured one is _orbit_sums: one gathered row per cell once y^2 and
+    g^2 y^-2 pass their certificate on these sets, the other rows copied
+    by reindexing, not by a field identity, so it is the direct gather
+    entry for entry on any context (a paint that fails the certificate is
+    gathered row by row). Row k = 1 reads beta_powers[1:] once, so a
+    corrupted entry cannot shift both sides alike. The report carries the
+    measured table with its columns and their H-sets mod N. Raises
+    LemmaViolation with the witness k and cell, the H-set, on the first
+    mismatch, k ascending, then the 2pq H-sets (i, j, h), the 2p H-sets
+    (i, h) and the 2q H-sets (j, h); the expected and measured values are
+    remainder digits, as in verify_case_table.
     """
     _check_same_n(system, context)
     c, N = system.constants, context.N
@@ -521,7 +543,7 @@ def verify_char_sum_tables(system, context):
     expected = rows[cell_index(c)[1:]]
     columns = system.labels[2::2]
     sets = tuple(h_set(system, cid) % N for cid in columns)
-    measured = _orbit_sums(context, sets)
+    measured = _orbit_sums(context, sets, c)
     for array in (measured, *sets):
         array.flags.writeable = False
 

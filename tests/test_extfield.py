@@ -536,7 +536,7 @@ def _unchecked_report(system, ctx):
     # checked, so a spectrum can be read off a corrupted context's table
     columns = system.labels[2::2]
     sets = [h_set(system, cid) % ctx.N for cid in columns]
-    table = extfield._orbit_sums(ctx, sets)
+    table = extfield._orbit_sums(ctx, sets, system.constants)
     return extfield.CharSumReport(ctx.N - 1, table.size, table, columns, sets)
 
 
@@ -620,7 +620,8 @@ def _three_support_spectrum(system, ctx, mapping, t0_as_read=False):
     if t0_as_read:
         supports = [ts[ts > 0] for ts in supports]
     sums = np.vstack([extfield._power_sums(ctx.beta_powers, supports, [0]),
-                      extfield._orbit_sums(ctx, supports)])
+                      extfield._orbit_sums(ctx, supports,
+                                           system.constants)])
     planes = gf4.unpack(sums[:, 1] ^ sums[:, 2], ctx.d)
     spectrum = sums[:, 0] ^ sums[:, 2] ^ gf4.pack(
         *gf4.planes_scale(*planes, 2), ctx.d)
@@ -655,12 +656,11 @@ def test_spectrum_off_the_table_matches_three_support_gather(params):
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)])
 def test_spectrum_off_the_table_under_every_table_flip(params):
-    # both routes are GF(2)-linear in beta_powers and fill the same orbits,
-    # so a corrupted table gives the gather's answer bit for bit. The one
-    # exception is a beta^0 outside GF(2): the old gather raised the t = 0
-    # term to the 2^i-th power on row k 2^i of each orbit, while
-    # measure_spectrum reads beta_powers[0] on every row; the two agree
-    # once t = 0 is read alike
+    # both routes are GF(2)-linear in beta_powers, and each row they fill
+    # equals the direct gather for any beta_powers, so a corrupted table
+    # gives the gather's answer bit for bit, a beta^0 outside GF(2) too:
+    # measure_spectrum reads beta_powers[0] on every row, as the gather
+    # reads beta^(k 0) = beta_powers[0]
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
     flips = itertools.product(range(ctx.N), range(2 * ctx.d))
@@ -670,16 +670,14 @@ def test_spectrum_off_the_table_under_every_table_flip(params):
         bp[position] ^= 1 << bit
         bad = dataclasses.replace(ctx, beta_powers=bp)
         unchecked = _unchecked_report(system, bad)
-        outside = bool(int(bp[0]) & ~1)
         for mapping in (DEFAULT_MAPPING, ALL_MAPPINGS[i % 72]):
             got = measure_spectrum(bad, unchecked,
                                    _degenerate_seq(system, mapping))
             want = _three_support_spectrum(system, bad, mapping)
-            assert np.array_equal(got, want) or outside, (position, bit)
             assert np.array_equal(got, _three_support_spectrum(
                 system, bad, mapping, t0_as_read=True)), (position, bit)
             moved += not np.array_equal(got, want)
-    assert moved  # the exception occurs, and the test sees it
+    assert not moved  # no flip, beta^0 included, moves the spectrum
 
 
 @pytest.mark.parametrize("rank", [0, 1])
@@ -799,20 +797,23 @@ def test_blocked_kernel_matches_single_block(monkeypatch):
 
 # --- orbit evaluation and the closed-form root sums ------------------------
 
-def _doubling_orbits(N):
-    # the orbits of k -> 2k mod N on 1..N-1, the 2-cyclotomic cosets
-    seen, count = set(), 0
-    for k in range(1, N):
-        count += k not in seen
-        while k not in seen:
-            seen.add(k)
-            k = 2 * k % N
-    return count
+def _gather_counts(monkeypatch):
+    # the number of rows of each _power_sums call, in order
+    gathered, real = [], extfield._power_sums
+    monkeypatch.setattr(extfield, "_power_sums", lambda beta_powers, s, ks:
+                        gathered.append(len(ks)) or real(beta_powers, s, ks))
+    return gathered
 
 
-# every row of an orbit of k -> 2k is filled from its least k, the one row
-# gathered. At N = 511, ord_N(2) = ord_N(4) = 9, so the lookup over
-# i = 0..2d writes each row twice; p > q at (17, 3) and (5, 3, 2, 1)
+def _caps_pass_systems():
+    # every (p, q, m, n) whose N the caps pass, both prime orders: 104
+    return [system for N in sorted(FIELD_PINS)
+            for (p, m), (q, n) in [factorize(N).items()]
+            for system in ((p, q, m, n), (q, p, n, m))]
+
+
+# p > q at (17, 3) and (5, 3, 2, 1); p^m = 3 makes u1 = y^2 = 1, no round;
+# d from 2 to 12
 @pytest.mark.parametrize("params, d", [
     ((3, 5, 1, 1), 2), ((3, 7, 1, 1), 3), ((3, 5, 2, 1), 6),
     ((3, 257, 1, 1), 8), ((3, 19, 1, 1), 9), ((13, 17, 1, 1), 12),
@@ -823,29 +824,64 @@ def test_orbit_sums_match_power_sums(params, d, monkeypatch):
     ctx = build_extension(system.constants.half_period)
     N = ctx.N
     assert ctx.d == d
-    # k that share a factor with N have orbits under k -> 2k shorter than
-    # the longest, which divides 2d
-    lengths = {k: next(s for s in range(1, 2 * d + 1) if k * 2**s % N == k)
-               for k in range(1, N)}
-    assert min(lengths.values()) < max(lengths.values())
-    assert (2 * d) % max(lengths.values()) == 0
     folded = build_sequence(system, Mapping(2, 3, 1, 0, 3),
                             allow_degenerate=True).symbols
     folded = folded[:N] ^ folded[N:]
     rng = np.random.default_rng(N)
-    sets = ([h_set(system, lab) for lab in system.labels]
-            + [np.nonzero(folded == v)[0] for v in (1, 2, 3)]
-            + [np.array([], dtype=np.int64), np.array([0, N - 1]),
-               rng.choice(2 * N, size=N // 3, replace=False)])
-    assert np.array_equal(
-        extfield._orbit_sums(ctx, sets),
-        extfield._power_sums(ctx.beta_powers, sets, np.arange(1, N)))
-    # one gathered row per orbit of k -> 2k
-    gathered, real = [], extfield._power_sums
-    monkeypatch.setattr(extfield, "_power_sums", lambda beta_powers, s, ks:
-                        gathered.append(len(ks)) or real(beta_powers, s, ks))
-    extfield._orbit_sums(ctx, sets)
-    assert gathered == [_doubling_orbits(N)]
+    # the random set has no repeats mod N, so only its invariance refuses
+    set_lists = {
+        "h_sets": [h_set(system, lab) for lab in system.labels[2::2]],
+        "labels": [h_set(system, lab) for lab in system.labels],
+        "supports": [np.nonzero(folded == v)[0] for v in (1, 2, 3)],
+        "ends": [np.array([], dtype=np.int64), np.array([0, N - 1])],
+        "random": [rng.choice(N, size=N // 3, replace=False)
+                   + N * rng.integers(2, size=N // 3)]}
+    gathered = _gather_counts(monkeypatch)
+    for sets in set_lists.values():
+        assert np.array_equal(
+            extfield._orbit_sums(ctx, sets, system.constants),
+            extfield._power_sums(ctx.beta_powers, sets, np.arange(1, N)))
+    # one gathered row per orbit: per nonzero cell on the H-sets, whose
+    # multipliers pass; the random set refuses both and is gathered row by
+    # row. Every other call above is the direct gather's N - 1 rows
+    rows = dict(zip(set_lists, gathered[::2]))
+    assert rows["h_sets"] == len(list(cells(*params))) - 1
+    assert rows["random"] == N - 1
+    assert gathered[1::2] == [N - 1] * len(set_lists)
+
+
+def test_caps_pass_tables_gather_one_row_per_cell(monkeypatch):
+    # on every system verify accepts, the checked table is the direct
+    # gather, and only one row per nonzero cell of Z_N is gathered
+    systems = _caps_pass_systems()
+    assert len(systems) == 104
+    gathered = _gather_counts(monkeypatch)
+    for params in systems:
+        system = build_system(*params)
+        ctx = build_extension(system.half_period)
+        gathered.clear()
+        report = verify_char_sum_tables(system, ctx)
+        assert gathered == [len(list(cells(*params))) - 1], params
+        assert np.array_equal(report.table, extfield._power_sums(
+            ctx.beta_powers, report.sets, np.arange(1, ctx.N))), params
+
+
+@pytest.mark.parametrize("params", [(3, 5, 1, 1), (5, 3, 2, 1),
+                                    (17, 3, 1, 1), (3, 19, 3, 1)], ids=str)
+def test_orbit_fill_is_a_reindexing(params):
+    # arbitrary uint32 in place of beta's powers: no field identity holds,
+    # yet each filled row is the direct gather, as t -> u t permutes every
+    # H-set
+    system = build_system(*params)
+    ctx = build_extension(system.half_period)
+    sets = [h_set(system, lab) % ctx.N for lab in system.labels[2::2]]
+    rng = np.random.default_rng(4369)
+    for _ in range(20):
+        table = rng.integers(2**32, size=ctx.N, dtype=np.uint32)
+        fake = dataclasses.replace(ctx, beta_powers=table)
+        assert np.array_equal(
+            extfield._orbit_sums(fake, sets, system.constants),
+            extfield._power_sums(table, sets, np.arange(1, ctx.N)))
 
 
 def _x_to_d(d):
@@ -854,15 +890,15 @@ def _x_to_d(d):
 
 
 def test_square_and_frobenius_tables_match_field_arithmetic():
-    # column i of the stack is y -> y^(2^i), i = 0..2d: i squarings
+    # column i of the stack is y -> y^(2^i), i = 0, 1, 2: i squarings
     rng = random.Random(914)
     for d in range(1, 13):
         x_to_d = _x_to_d(d)
         maps = extfield._linear_maps(d, x_to_d)
-        assert maps.shape[-1] == 2 * d + 1
+        assert maps.shape[-1] == 3
         xs = [rng.randrange(4**d) for _ in range(300)]
         got = extfield._vec_linear(np.array(xs, dtype=np.uint32), maps)
-        for i in range(2 * d + 1):
+        for i in range(3):
             assert got[:, i].tolist() == xs, (d, i)
             xs = [gf4.field_mul(x, x, d, x_to_d) for x in xs]
         assert not maps.flags.writeable

@@ -11,6 +11,9 @@ list of calls:
   perfbench/systems.py, at the default mapping and at one mapping below
   full LC (analyze with --degenerate; verify, which has no such flag,
   exits 1 or 2 there);
+- verify at the default mapping on every system verify's caps pass
+  (N = p^m q^n <= 5 000 and the order of 4 mod N at most 12), both prime
+  orders: 104 systems, so every char-sum table the field route measures;
 - the plain and the --degenerate sweep over each sweep-mappings group;
 - one generate and analyze --file round trip;
 - analyze --file on two files that are no construction, written from a
@@ -51,6 +54,26 @@ def _params(system):
     return ["--p", str(p), "--q", str(q), "--m", str(m), "--n", str(n)]
 
 
+def _caps_pass_systems():
+    """(p, q, m, n) and (q, p, n, m) for every N = p^m q^n <= 5 000 with
+    4 of order at most 12 mod N, found here by trial division, not by the
+    tree under test."""
+    out = []
+    for N in range(3, 5001, 2):
+        if not any(pow(4, d, N) == 1 for d in range(1, 13)):
+            continue
+        fac, x = {}, N
+        for r in range(3, N + 1, 2):
+            while x % r == 0:
+                fac[r], x = fac.get(r, 0) + 1, x // r
+            if x == 1:
+                break
+        if len(fac) == 2:
+            (p, m), (q, n) = fac.items()
+            out += [(p, q, m, n), (q, p, n, m)]
+    return out
+
+
 def calls():
     """Every argv, in order; a call may read files earlier calls wrote."""
     out = []
@@ -60,6 +83,7 @@ def calls():
                 ["analyze"] + _params(system) + below + ["--degenerate"],
                 ["verify"] + _params(system),
                 ["verify"] + _params(system) + below]
+    out += [["verify"] + _params(system) for system in _caps_pass_systems()]
     for group in SWEEP_GROUPS:
         pairs = ",".join(f"{p}:{q}" for p, q in group)
         out += [["sweep", "--pairs", pairs, "--exponents", "1:1"],
