@@ -20,28 +20,32 @@ a megabyte instead of growing as N^2. A unit u with u T = T mod N makes
 the row of u k the row of k, by reindexing t -> u t, whatever the table
 holds: _orbit_sums certifies the multipliers y^2 and g^2 y^-2, which
 generate the units that are squares mod p and mod q, on the sets as
-given, and gathers only the least k of each orbit they make, one per
-cell of Z_N on the H-sets; every other row is its leader's. The
-character sums over the doubled-modulus H-sets are one such table, a
-column per H-set, checked entry by entry against their closed forms, a
-mismatch shown at its least k. The folded sequence s_t + s_(t+N) is
-constant on each of those H-sets, so the spectrum S(beta^k) is a GF(4)
-combination of the table's columns: measure_spectrum reads only that
-table, once it has passed its check, and gathers nothing of its own.
+given, and gathers only the least k of each orbit they make; as each
+multiplier is a square mod p and mod q, each orbit lies inside one cell
+of Z_N, and on the H-sets each nonzero cell is one orbit. From there on
+verify works one row per orbit and never a row per k. The character sums
+over the doubled-modulus H-sets are one such table, a row per leader and
+a column per H-set, compared with their closed forms at each leader's
+cell: a mismatch is constant on its orbit, so the first one names the
+least failing k. The folded sequence s_t + s_(t+N) is constant on each
+of those H-sets, so the spectrum S(beta^k) is a GF(4) combination of the
+table's columns: measure_spectrum reads only that table, once it has
+passed its check, and gathers nothing of its own, one value per orbit.
 Its columns are the doubled-modulus labels, system.labels[2::2] (each
 family's coset 0 and 1, in label order), and their H-sets the positions
-that carry each label, mod N. The expected
-side is cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells
-gathered to each k by cyclotomy.cell_index; the Gaussian periods of p and
-q are read off one power table of beta^(N/pq), not beta_powers.
+that carry each label, mod N. The expected side is
+cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells, taken at
+each leader by cyclotomy.cell_index; the Gaussian periods of p and q are
+read off one power table of beta^(N/pq), not beta_powers.
 
 A process builds each field once: build_extension holds its context per
 N, the last HELD_FIELDS by use, and the context is read-only (a frozen
 dataclass, its modulus and beta_powers not writeable). verify checks
 each system once, by checked_char_sums, the one checked char-sum report:
-the paint against its cells, then the table. The report is read-only,
-its table and sets not writeable: each system keeps its own
-(CyclotomicSystem.char_sums), read back for every mapping.
+the paint against its cells, then the table. The report is read-only
+(CharSumReport: at most 20 rows, their leaders, and an int8 column map
+of Z_N in place of the H-sets, its arrays not writeable): each system
+keeps its own (CyclotomicSystem.char_sums), read back for every mapping.
 """
 
 import functools
@@ -320,27 +324,31 @@ def _power_sums(beta_powers, sets, ks):
 
 
 def _orbit_sums(context, sets, constants):
-    """_power_sums over k = 1..N-1, one gathered row per orbit of the
-    multipliers that keep every set.
+    """The leaders, ascending, of the orbits of k = 1..N-1 under the
+    multipliers that keep every set, their _power_sums rows, and col.
 
-    u1 = y^2 and u2 = g^2 y^-2 mod N generate U, the units that are squares
-    mod p and mod q, and have orders phi(p^m)/2 and phi(q^n)/2 when g and y
-    are as the constants claim. A multiplier u is used only once u^order =
-    1 mod N and col[u t mod N] = col[t] for every t, col[t] naming the one
-    set that holds t (the sets disjoint and without repeats mod N, else no
-    u is used). Then t -> u t permutes each set, so the XOR of b[u k t]
-    over a set is the XOR of b[k t] for any array b: row u k is row k by
-    reindexing, whatever beta_powers holds. Pointer doubling, ceil(log2
-    order) rounds per multiplier (enough, as u^order = 1), takes each k to
-    the least k of its orbit; only those leaders are gathered, and every
-    row is its leader's. On the doubled-modulus H-sets the orbits are the
-    cells of Z_N; a set list that refuses both multipliers is gathered row
-    by row.
+    col[t] names the one set that holds t mod N, -1 off every set, in the
+    least signed integer type that holds the set count (int8 up to 128
+    sets); it is the sets' column map only where they are disjoint and
+    without repeats mod N. u1 = y^2 and u2 = g^2 y^-2 mod N generate U,
+    the units that are squares mod p and mod q, and have orders phi(p^m)/2
+    and phi(q^n)/2 when g and y are as the constants claim. A multiplier u
+    is used only once u^order = 1 mod N, (u|p) = (u|q) = 1 by Euler's
+    criterion, and col[u t mod N] = col[t] for every t, the sets disjoint
+    and without repeats. Then t -> u t permutes each set, so the XOR of
+    b[u k t] over a set is the XOR of b[k t] for any array b: row u k is
+    row k by reindexing, whatever beta_powers holds. And u keeps v_p(k),
+    v_q(k) and both Legendre bits, so each orbit lies inside one cell of
+    Z_N (cyclotomy.cells). Pointer doubling, ceil(log2 order) rounds per
+    multiplier (enough, as u^order = 1), takes each k to the least k of
+    its orbit; only those leaders are gathered, and nothing is copied. On
+    the doubled-modulus H-sets the orbits are the nonzero cells; a set
+    list that refuses both multipliers has every k its own leader.
     """
     N, c = context.N, constants
     ks = np.arange(N, dtype=np.int64)
     flat = np.concatenate([np.asarray(s, dtype=np.int64) % N for s in sets])
-    col = np.full(N, -1, dtype=np.intp)
+    col = np.full(N, -1, dtype=np.min_scalar_type(-len(sets)))
     col[flat] = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
     disjoint = np.count_nonzero(col >= 0) == flat.size
     phi_p, phi_q = c.d_ij[c.m, 0], c.d_ij[0, c.n]
@@ -351,6 +359,7 @@ def _orbit_sums(context, sets, constants):
                      (c.g**2 * pow(c.y, phi_p - 2, N) % N, phi_q // 2)):
         step = ks * u % N
         if not (disjoint and pow(u, order, N) == 1
+                and all(pow(u, (r - 1) // 2, r) == 1 for r in (c.p, c.q))
                 and np.array_equal(col[step], col)):
             continue
         # after r rounds least[k] is the least of the old least at k u^i,
@@ -358,39 +367,44 @@ def _orbit_sums(context, sets, constants):
         for _ in range((order - 1).bit_length()):
             least, step = np.minimum(least, least[step]), step[step]
     leaders = np.flatnonzero(least == ks)[1:]
-    row = np.empty(N, dtype=np.intp)
-    row[leaders] = np.arange(len(leaders))
-    return _power_sums(context.beta_powers, sets, leaders)[row[least[1:]]]
+    return leaders, _power_sums(context.beta_powers, sets, leaders), col
 
 
 def measure_spectrum(context, char_sums, seq):
-    """S(beta^k) for 0 <= k < N, exactly, as packed elements, read off the
-    checked char-sum table of char_sums (verify_char_sum_tables' report).
+    """S(beta^0), then S(beta^k) at each of char_sums.leaders, exactly, as
+    packed elements: one value per orbit, read off the checked char-sum
+    table of char_sums (verify_char_sum_tables' report).
 
     Folds the two half-periods of seq (beta^{t+N} = beta^t). The folded
-    sequence is one value v on each of the report's H-sets mod N, checked
-    at every position (else LemmaViolation names the H-set and its least t
-    off v), so for k >= 1 S(beta^k) is the XOR of v times the H-set's
+    sequence must be one value v on each of the report's H-sets mod N, the
+    value at the column's least position: one vectorized pass over the
+    report's column map checks every position, and LemmaViolation names
+    the first H-set in column order with a position off v, and its least
+    such t. Then for k >= 1 S(beta^k) is the XOR of v times the H-set's
     column of the table, plus folded[0] beta_powers[0], and S(beta^0) is
-    the XOR of the folded symbols times beta_powers[0]. Where beta^0 lies
-    in GF(2), the result is, bit for bit, the orbit gather over the three
-    value supports. seq may come from a degenerate mapping.
+    the XOR of the folded symbols times beta_powers[0]. Every row of the
+    table stands for its orbit: S(beta^k) is its leader's value at every
+    k of it. Where beta^0 lies in GF(2), the result is, bit for bit, the
+    gather over the three value supports at those k. seq may come from a
+    degenerate mapping.
     """
-    N, d, table = context.N, context.d, char_sums.table
+    N, d, table, col = context.N, context.d, char_sums.table, char_sums.col
     folded = seq.symbols[:N] ^ seq.symbols[N:]
-    values = np.array([folded[ts.min()] for ts in char_sums.sets])
-    for cid, ts, v in zip(char_sums.columns, char_sums.sets, values):
-        off = ts[folded[ts] != v]
-        if off.size:
-            raise LemmaViolation("folded sequence not constant on a cell",
-                                 cell=cid, t=int(off.min()))
+    values = folded[char_sums.firsts]
+    off = np.flatnonzero((col >= 0) & (folded != values[col]))
+    if off.size:
+        j = col[off].min()
+        raise LemmaViolation("folded sequence not constant on a cell",
+                             cell=char_sums.columns[j],
+                             t=int(off[col[off] == j][0]))
     s1, s2, s3 = (np.bitwise_xor.reduce(table[:, values == v], axis=1)
                   for v in (1, 2, 3))
     one = int(context.beta_powers[0])
+    out = np.empty(len(table) + 1, dtype=np.uint32)
+    out[0] = _scale(one, int(np.bitwise_xor.reduce(folded)), d)
     # 1*s1 + alpha*s2 + (alpha+1)*s3 = s1 + s3 + alpha*(s2 + s3)
-    rest = s1 ^ s3 ^ _scale(s2 ^ s3, 2, d) ^ _scale(one, int(folded[0]), d)
-    return np.insert(rest, 0,
-                     _scale(one, int(np.bitwise_xor.reduce(folded)), d))
+    out[1:] = s1 ^ s3 ^ _scale(s2 ^ s3, 2, d) ^ _scale(one, int(folded[0]), d)
+    return out
 
 
 @dataclass(frozen=True)
@@ -414,8 +428,12 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
 
     The prediction is regime-based: S(1) = e, and for k = p^a q^b l the value
     depends only on which of p^m, q^n divide k (see
-    sequence.spectrum_profile). Raises CaseViolation at the first k whose
-    measured value differs, with both values as the digits of their remainder
+    sequence.spectrum_profile), so it is constant on each cell of Z_N, and
+    the measured value on each orbit of the report. Both are compared at
+    k = 0 and at each of the report's leaders, one k per orbit, each the
+    least k of its orbit; checked still counts all N values of k. Raises
+    CaseViolation at the first k whose measured value differs, the least
+    failing k, with both values as the digits of their remainder
     polynomials (gf4.poly_to_digits: alpha is 2, X is 01). The report says
     whether every measured value is nonzero and whether analysis.predict_lc
     gives 2N, which must agree, as LC = 2N exactly when no S(beta^k)
@@ -432,7 +450,7 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     prof = spectrum_profile(system, mapping)
     spectrum = measure_spectrum(context, char_sums, seq)
     c = system.constants
-    ks = np.arange(context.N)
+    ks = np.concatenate(([0], char_sums.leaders))
     expected = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
                         np.where(ks % c.q**c.n == 0, prof.value_q_saturated,
                                  prof.value_generic))
@@ -440,9 +458,9 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     expected = gf4.pack_scalar(expected, context.d)
     bad = np.nonzero(spectrum != expected)[0]
     if bad.size:
-        k = int(bad[0])
-        raise CaseViolation(k, _digits(expected[k], context.d),
-                            _digits(spectrum[k], context.d))
+        r = bad[0]
+        raise CaseViolation(int(ks[r]), _digits(expected[r], context.d),
+                            _digits(spectrum[r], context.d))
     nonzero, lc = bool(spectrum.all()), analysis.predict_lc(c, mapping)
     if nonzero != (lc == c.period):
         raise MethodDisagreement(
@@ -457,18 +475,27 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
 
 @dataclass(frozen=True)
 class CharSumReport:
-    """Tally of the exhaustive character-sum table verification. The
-    table (k = 1..N-1 by H-set), its columns (the doubled-modulus H-sets,
-    in order) and their sets mod N are what was checked; only
-    measure_spectrum reads them. All of it is read-only (the table and
-    each set not writeable), as each system keeps its report
-    (CyclotomicSystem.char_sums) and verify reads it for every mapping."""
+    """Tally of the exhaustive character-sum table verification, and what
+    measure_spectrum reads: one row per orbit of _orbit_sums, not per k.
+
+    table[r] is the row of k = leaders[r] (ascending, the least k of each
+    orbit, one orbit per nonzero cell of Z_N), a column per doubled-modulus
+    H-set in columns' order; every k of an orbit has its leader's row.
+    firsts holds the least position of each H-set mod N, and col the H-set
+    of each position of Z_N (int8, -1 off every H-set): together they
+    stand for the H-sets, which the report does not keep. k_count and
+    cells_checked count every k and every (k, H-set) pair, as the
+    certificate covers them all. All of it is read-only (the arrays not
+    writeable), as each system keeps its report (CyclotomicSystem.char_sums)
+    and verify reads it for every mapping."""
 
     k_count: int
     cells_checked: int
     table: np.ndarray = field(repr=False, compare=False)
     columns: tuple = field(repr=False, compare=False)
-    sets: tuple = field(repr=False, compare=False)
+    leaders: np.ndarray = field(repr=False, compare=False)
+    firsts: np.ndarray = field(repr=False, compare=False)
+    col: np.ndarray = field(repr=False, compare=False)
 
     def to_json_dict(self):
         return {"k_count": self.k_count, "cells_checked": self.cells_checked}
@@ -519,20 +546,23 @@ def verify_char_sum_tables(system, context):
     For each k = p^a q^b l in 1..N-1 and each H-set (shape, i, j, h) the
     measured sum must match its closed form: 0 or 1 where (a, b) dominates
     the H-set's exponents, a Gaussian period of p or q on its boundary, and
-    0 beyond. Both sides are whole (k, H-set) tables. The expected one is
-    cyclotomy.cell_char_sums per cyclotomy.cells, gathered by cell_index,
-    its periods from _gaussian_periods, which never reads beta_powers; the
-    measured one is _orbit_sums: one gathered row per cell once y^2 and
-    g^2 y^-2 pass their certificate on these sets, the other rows copied
-    by reindexing, not by a field identity, so it is the direct gather
-    entry for entry on any context (a paint that fails the certificate is
-    gathered row by row). Row k = 1 reads beta_powers[1:] once, so a
-    corrupted entry cannot shift both sides alike. The report carries the
-    measured table with its columns and their H-sets mod N. Raises
-    LemmaViolation with the witness k and cell, the H-set, on the first
-    mismatch, k ascending, then the 2pq H-sets (i, j, h), the 2p H-sets
-    (i, h) and the 2q H-sets (j, h); the expected and measured values are
-    remainder digits, as in verify_case_table.
+    0 beyond. Both sides are one row per orbit of _orbit_sums. The measured
+    one is the gathered rows of the leaders, once y^2 and g^2 y^-2 pass
+    their certificate on these sets (a paint that fails it has every k its
+    own leader); t -> u t permutes each set, so every k of an orbit has its
+    leader's row on any context, and the orbit lies inside one cell. The
+    expected one is cyclotomy.cell_char_sums per cyclotomy.cells, taken at
+    each leader's cell by cell_index, its periods from _gaussian_periods,
+    which never reads beta_powers. A mismatch is thus constant on its
+    orbit, and each leader is the least k of its orbit, so comparing the
+    leaders' rows checks every (k, H-set) pair and finds the least failing
+    k. Row k = 1 reads beta_powers[1:] once, so a corrupted entry cannot
+    shift both sides alike. Raises LemmaViolation with the witness k and
+    cell, the H-set, on the first mismatch, k ascending, then the 2pq
+    H-sets (i, j, h), the 2p H-sets (i, h) and the 2q H-sets (j, h); the
+    expected and measured values are remainder digits, as in
+    verify_case_table. The report (CharSumReport) keeps the measured rows,
+    their leaders, and the H-sets as a column map.
     """
     _check_same_n(system, context)
     c, N = system.constants, context.N
@@ -540,23 +570,25 @@ def verify_char_sum_tables(system, context):
     params = c.p, c.q, c.m, c.n
     rows = np.array([cell_char_sums(*params, key, periods)
                      for key, _ in cells(*params)], dtype=np.uint32)
-    expected = rows[cell_index(c)[1:]]
     columns = system.labels[2::2]
-    sets = tuple(h_set(system, cid) % N for cid in columns)
-    measured = _orbit_sums(context, sets, c)
-    for array in (measured, *sets):
-        array.flags.writeable = False
+    sets = [h_set(system, cid) % N for cid in columns]
+    leaders, measured, col = _orbit_sums(context, sets, c)
+    expected = rows[cell_index(c)[leaders]]
 
     bad = measured != expected
     if bad.any():
-        # row-major argmax: the first mismatch in (k, column) order
-        r, col = divmod(int(np.argmax(bad)), len(columns))
+        # row-major argmax: the first mismatch in (leader, column) order
+        r, j = divmod(int(np.argmax(bad)), len(columns))
         raise LemmaViolation(
-            _CHAR_SUM_DETAIL[columns[col].shape], k=r + 1, cell=columns[col],
-            expected=_digits(expected[r, col], context.d),
-            measured=_digits(measured[r, col], context.d))
-    return CharSumReport(k_count=N - 1, cells_checked=bad.size,
-                         table=measured, columns=columns, sets=sets)
+            _CHAR_SUM_DETAIL[columns[j].shape], k=int(leaders[r]),
+            cell=columns[j], expected=_digits(expected[r, j], context.d),
+            measured=_digits(measured[r, j], context.d))
+    firsts = np.array([s.min() for s in sets])
+    for array in (measured, leaders, firsts, col):
+        array.flags.writeable = False
+    return CharSumReport(k_count=N - 1, cells_checked=(N - 1) * len(columns),
+                         table=measured, columns=columns, leaders=leaders,
+                         firsts=firsts, col=col)
 
 
 def checked_char_sums(system, context):

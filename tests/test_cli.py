@@ -1114,7 +1114,8 @@ def _held_report(*params):
 
 
 def _report_bytes(chars):
-    return chars.table.nbytes + sum(a.nbytes for a in chars.sets)
+    return sum(a.nbytes for a in (chars.table, chars.leaders, chars.firsts,
+                                  chars.col))
 
 
 def test_a_repeat_verify_reads_its_checks_back(capsys, monkeypatch,
@@ -1253,7 +1254,9 @@ def test_the_verify_grid_is_held_whole(capsys, monkeypatch, cold_builds):
     assert [run(capsys, *argv) for argv in argvs] == want
     assert not counts
     reports = [_held_report(*map(int, key.split(","))) for key in VERIFY_GRID]
-    assert sum(map(_report_bytes, reports)) <= 1.2 * 2**20
+    # 41 389 bytes: a row per orbit and an int8 column map of Z_N (a row
+    # per k and int64 H-sets took 1.17 MB)
+    assert sum(map(_report_bytes, reports)) <= 0.045 * 2**20
     fields = extfield.build_extension.cache_info()
     assert fields.maxsize == extfield.HELD_FIELDS == 64
     assert fields.currsize == len({VERIFY_GRID[key]["N"]
@@ -1262,40 +1265,47 @@ def test_the_verify_grid_is_held_whole(capsys, monkeypatch, cold_builds):
 
 def test_every_system_verify_accepts_fits_its_memos(cold_builds):
     # the caps N <= 5 000 and d <= 12 pass 52 values of N, so every field
-    # fits HELD_FIELDS; their 104 systems (p and q both ways) would keep
-    # under 3 MB of reports: a table of uint32 by doubled-modulus column
-    # and each column's H-set, int64
+    # fits HELD_FIELDS. Their 104 systems (p and q both ways) keep one
+    # uint32 table row per nonzero cell of Z_N (20 at most), its int64
+    # leader, each doubled-modulus column's least position (int64) and an
+    # int8 column map of Z_N: 0.115 MB of reports in all, where a row per
+    # k and each column's int64 H-set would take over 2.5 MB
     fields = []
     for N in range(3, extfield.VERIFY_N_CAP + 1, 2):
         with contextlib.suppress(errors.CycloseqError):
             fields.append(extfield.build_extension(N))
     assert len(fields) == 52 <= extfield.HELD_FIELDS
     assert extfield.build_extension.cache_info().currsize == 52
-    total = 0
+    total = per_k = 0
     for ctx in fields:
         (p, m), (q, n) = numtheory.factorize(ctx.N).items()
         for params in ((p, q, m, n), (q, p, n, m)):
             system = cyclotomy.build_system(*params)
+            chars = system.char_sums
+            rows = len(list(cyclotomy.cells(*params))) - 1
             columns = [system.labels.index(c) for c in system.labels[2::2]]
-            size = (4 * (ctx.N - 1) * len(columns)
-                    + 8 * int(np.isin(system.partition, columns).sum()))
-            if params == (3, 5, 1, 1):
-                assert size == _report_bytes(system.char_sums)
-            total += size
-    assert 2.5 * 2**20 < total < 3 * 2**20
+            assert chars.table.shape == (rows, len(columns)) and rows <= 20
+            assert chars.col.dtype == np.int8 and chars.col.shape == (ctx.N,)
+            size = 4 * rows * len(columns) + 8 * rows + 8 * len(columns)
+            assert _report_bytes(chars) == size + ctx.N, params
+            total += size + ctx.N
+            per_k += (4 * (ctx.N - 1) * len(columns)
+                      + 8 * int(np.isin(system.partition, columns).sum()))
+    assert 2.5 * 2**20 < per_k < 3 * 2**20
+    assert 0.11 * 2**20 < total < 0.12 * 2**20
 
 
 def test_held_tables_are_read_only(capsys, cold_builds):
     assert run(capsys, "verify", "--p", "3", "--q", "5")[0] == 0
     system = cyclotomy.build_system(3, 5, 1, 1)
     chars, context = system.char_sums, extfield.build_extension(15)
-    for array in (chars.table, *chars.sets, context.beta_powers,
-                  context.modulus, system.partition):
+    for array in (chars.table, chars.leaders, chars.firsts, chars.col,
+                  context.beta_powers, context.modulus, system.partition):
         with pytest.raises(ValueError):
             array[0] ^= 1
         with pytest.raises(ValueError):
             array += 1
     with pytest.raises(TypeError):
-        chars.sets[0] = chars.sets[1]
+        chars.columns[0] = chars.columns[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         chars.table = chars.table.copy()

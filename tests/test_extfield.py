@@ -11,6 +11,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -319,7 +320,8 @@ def test_measure_spectrum_matches_direct_eval(sys15, ctx15, sys21, ctx21):
         chars = verify_char_sum_tables(system, ctx)
         for mapping in ALL_MAPPINGS:
             seq = _degenerate_seq(system, mapping)
-            spec = measure_spectrum(ctx, chars, seq)
+            spec = _spread_spectrum(system, chars.leaders,
+                                    measure_spectrum(ctx, chars, seq))
             assert len(spec) == ctx.N
             for k in range(ctx.N):
                 x = int(ctx.beta_powers[k])
@@ -532,12 +534,34 @@ def _outcome(fn, *args):
 
 
 def _unchecked_report(system, ctx):
-    # a char-sum report whose table is gathered by _orbit_sums and never
+    # a char-sum report whose rows are gathered by _orbit_sums and never
     # checked, so a spectrum can be read off a corrupted context's table
     columns = system.labels[2::2]
     sets = [h_set(system, cid) % ctx.N for cid in columns]
-    table = extfield._orbit_sums(ctx, sets, system.constants)
-    return extfield.CharSumReport(ctx.N - 1, table.size, table, columns, sets)
+    leaders, table, col = extfield._orbit_sums(ctx, sets, system.constants)
+    return extfield.CharSumReport(
+        ctx.N - 1, (ctx.N - 1) * len(columns), table, columns, leaders,
+        np.array([ts.min() for ts in sets]), col)
+
+
+def _spread(system, leaders, rows):
+    # per-orbit rows to k = 1..N-1: a set list that refuses both
+    # multipliers has every k its own leader, and one that passes has one
+    # orbit per nonzero cell of Z_N, each k taking its cell's row
+    N = system.half_period
+    if len(leaders) == N - 1:
+        return rows
+    index = cell_index(system.constants)
+    assert sorted(index[leaders]) == sorted(set(index[1:].tolist()))
+    where = np.full(index.max() + 1, -1)
+    where[index[leaders]] = np.arange(len(leaders))
+    return rows[where[index[1:]]]
+
+
+def _spread_spectrum(system, leaders, spectrum):
+    # measure_spectrum's S(beta^0) and per-orbit values to k = 0..N-1
+    return np.concatenate([spectrum[:1], _spread(system, leaders,
+                                                 spectrum[1:])])
 
 
 def _degenerate_seq(system, mapping):
@@ -619,9 +643,9 @@ def _three_support_spectrum(system, ctx, mapping, t0_as_read=False):
     supports = [np.nonzero(folded == v)[0] for v in (1, 2, 3)]
     if t0_as_read:
         supports = [ts[ts > 0] for ts in supports]
+    leaders, rows, _ = extfield._orbit_sums(ctx, supports, system.constants)
     sums = np.vstack([extfield._power_sums(ctx.beta_powers, supports, [0]),
-                      extfield._orbit_sums(ctx, supports,
-                                           system.constants)])
+                      _spread(system, leaders, rows)])
     planes = gf4.unpack(sums[:, 1] ^ sums[:, 2], ctx.d)
     spectrum = sums[:, 0] ^ sums[:, 2] ^ gf4.pack(
         *gf4.planes_scale(*planes, 2), ctx.d)
@@ -647,11 +671,14 @@ def test_spectrum_off_the_table_matches_three_support_gather(params):
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
     chars = verify_char_sum_tables(system, ctx)
-    assert chars.table.shape == (ctx.N - 1, chars.cells_checked // (ctx.N - 1))
+    assert chars.table.shape == (len(list(cells(*params))) - 1,
+                                 chars.cells_checked // (ctx.N - 1))
     for mapping in ALL_MAPPINGS:
         want = _three_support_spectrum(system, ctx, mapping)
         got = measure_spectrum(ctx, chars, _degenerate_seq(system, mapping))
-        assert got.dtype == np.uint32 and np.array_equal(got, want), mapping
+        assert got.dtype == np.uint32 and len(got) == len(chars.leaders) + 1
+        assert np.array_equal(
+            _spread_spectrum(system, chars.leaders, got), want), mapping
 
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (3, 7, 1, 1)])
@@ -671,8 +698,8 @@ def test_spectrum_off_the_table_under_every_table_flip(params):
         bad = dataclasses.replace(ctx, beta_powers=bp)
         unchecked = _unchecked_report(system, bad)
         for mapping in (DEFAULT_MAPPING, ALL_MAPPINGS[i % 72]):
-            got = measure_spectrum(bad, unchecked,
-                                   _degenerate_seq(system, mapping))
+            got = _spread_spectrum(system, unchecked.leaders, measure_spectrum(
+                bad, unchecked, _degenerate_seq(system, mapping)))
             want = _three_support_spectrum(system, bad, mapping)
             assert np.array_equal(got, _three_support_spectrum(
                 system, bad, mapping, t0_as_read=True)), (position, bit)
@@ -838,8 +865,10 @@ def test_orbit_sums_match_power_sums(params, d, monkeypatch):
                    + N * rng.integers(2, size=N // 3)]}
     gathered = _gather_counts(monkeypatch)
     for sets in set_lists.values():
+        leaders, rows, _ = extfield._orbit_sums(ctx, sets, system.constants)
+        assert np.array_equal(np.sort(leaders), leaders)
         assert np.array_equal(
-            extfield._orbit_sums(ctx, sets, system.constants),
+            _spread(system, leaders, rows),
             extfield._power_sums(ctx.beta_powers, sets, np.arange(1, N)))
     # one gathered row per orbit: per nonzero cell on the H-sets, whose
     # multipliers pass; the random set refuses both and is gathered row by
@@ -862,8 +891,11 @@ def test_caps_pass_tables_gather_one_row_per_cell(monkeypatch):
         gathered.clear()
         report = verify_char_sum_tables(system, ctx)
         assert gathered == [len(list(cells(*params))) - 1], params
-        assert np.array_equal(report.table, extfield._power_sums(
-            ctx.beta_powers, report.sets, np.arange(1, ctx.N))), params
+        sets = [h_set(system, cid) % ctx.N for cid in system.labels[2::2]]
+        assert np.array_equal(
+            _spread(system, report.leaders, report.table),
+            extfield._power_sums(ctx.beta_powers, sets,
+                                 np.arange(1, ctx.N))), params
 
 
 @pytest.mark.parametrize("params", [(3, 5, 1, 1), (5, 3, 2, 1),
@@ -879,9 +911,226 @@ def test_orbit_fill_is_a_reindexing(params):
     for _ in range(20):
         table = rng.integers(2**32, size=ctx.N, dtype=np.uint32)
         fake = dataclasses.replace(ctx, beta_powers=table)
+        leaders, rows, _ = extfield._orbit_sums(fake, sets, system.constants)
+        assert len(leaders) == len(list(cells(*params))) - 1
         assert np.array_equal(
-            extfield._orbit_sums(fake, sets, system.constants),
+            _spread(system, leaders, rows),
             extfield._power_sums(table, sets, np.arange(1, ctx.N)))
+
+
+# --- the per-orbit checks against a per-k reference -------------------------
+# verify compares, holds and reads one row per orbit. Each reference below
+# works a row per k: the direct gather over k = 1..N-1, the expected rows
+# at every k's cell (rows[cell_index(c)[1:]]), and the old per-column loop
+
+def _per_k_char_sums(system, ctx, measured=None):
+    # verify_char_sum_tables a row per k; the first mismatch in (k, column)
+    # order is the witness. Module attributes, so a patched cell_index or
+    # _gaussian_periods reaches this side too; measured, when given, is
+    # the gather on ctx, made once for the checks that leave ctx intact
+    c, N = system.constants, ctx.N
+    params = c.p, c.q, c.m, c.n
+    periods = extfield._gaussian_periods(ctx, c.p, c.q)
+    rows = np.array([cell_char_sums(*params, key, periods)
+                     for key, _ in cells(*params)], dtype=np.uint32)
+    expected = rows[cyclotomy.cell_index(c)[1:]]
+    columns = system.labels[2::2]
+    sets = [h_set(system, cid) % N for cid in columns]
+    if measured is None:
+        measured = extfield._power_sums(ctx.beta_powers, sets,
+                                        np.arange(1, N))
+    bad = np.argwhere(measured != expected)
+    if len(bad):
+        r, j = bad[0]
+        raise LemmaViolation(_DETAIL[columns[j].shape], k=int(r) + 1,
+                             cell=columns[j],
+                             expected=_digits(int(expected[r, j]), ctx.d),
+                             measured=_digits(int(measured[r, j]), ctx.d))
+    # equal to the checked report: a report compares by its two counts
+    return extfield.CharSumReport(N - 1, measured.size, measured, columns,
+                                  None, None, None)
+
+
+def test_per_orbit_char_sum_check_matches_a_per_k_reference(monkeypatch):
+    # on all 104 systems: the same verdict on the clean context, and the
+    # same LemmaViolation fields under a corrupted beta power, either
+    # prime's Gaussian periods swapped, and a flipped q Legendre bit. A
+    # flip of beta^0 can pass: where p = q = 1 mod 4 every H-set reads it
+    # an even number of times
+    rng = np.random.default_rng(5401)
+    raised = 0
+    real_periods, real_index = extfield._gaussian_periods, cell_index
+    for params in _caps_pass_systems():
+        system = build_system(*params)
+        ctx = build_extension(system.half_period)
+        N = ctx.N
+        clean = _outcome(verify_char_sum_tables, system, ctx)
+        ref = _per_k_char_sums(system, ctx)
+        assert clean == ("ok", ref) and clean[1].k_count == N - 1, params
+        for position in (0, 1, int(rng.integers(2, N - 1)), N - 1):
+            bp = ctx.beta_powers.copy()
+            bp[position] ^= 1 << int(rng.integers(2 * ctx.d))
+            bad = dataclasses.replace(ctx, beta_powers=bp)
+            got = _outcome(verify_char_sum_tables, system, bad)
+            assert got == _outcome(_per_k_char_sums, system, bad), params
+            raised += position > 0 and got[0] == "LemmaViolation"
+        for side in (0, 1):
+            def swapped(context, p, q):
+                periods = real_periods(context, p, q)
+                periods[side] = periods[side][::-1]
+                return periods
+
+            monkeypatch.setattr(extfield, "_gaussian_periods", swapped)
+            got = _outcome(verify_char_sum_tables, system, ctx)
+            assert got == _outcome(_per_k_char_sums, system, ctx,
+                                   ref.table), params
+            raised += got[0] == "LemmaViolation"
+        monkeypatch.setattr(extfield, "_gaussian_periods", real_periods)
+
+        def mutant(constants):
+            c = constants
+            keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
+            flipped = [keys.index((a, b, lp, lq ^ (b < c.n)))
+                       for a, b, lp, lq in keys]
+            return np.array(flipped)[real_index(constants)]
+
+        for module in (cyclotomy, extfield):
+            monkeypatch.setattr(module, "cell_index", mutant)
+        got = _outcome(verify_char_sum_tables, system, ctx)
+        assert got == _outcome(_per_k_char_sums, system, ctx,
+                               ref.table), params
+        assert got[0] == "LemmaViolation", params
+        for module in (cyclotomy, extfield):
+            monkeypatch.setattr(module, "cell_index", real_index)
+    # every other corrupted entry and every swap is caught
+    assert raised == 104 * 5
+
+
+def _per_k_spectrum(system, ctx, seq):
+    # S(beta^k) for k = 0..N-1 by the direct gather over the three value
+    # supports of the folded sequence
+    folded = seq.symbols[:ctx.N] ^ seq.symbols[ctx.N:]
+    supports = [np.flatnonzero(folded == v) for v in (1, 2, 3)]
+    sums = extfield._power_sums(ctx.beta_powers, supports, np.arange(ctx.N))
+    planes = gf4.unpack(sums[:, 1] ^ sums[:, 2], ctx.d)
+    return sums[:, 0] ^ sums[:, 2] ^ gf4.pack(*gf4.planes_scale(*planes, 2),
+                                              ctx.d)
+
+
+def _per_k_case_table(system, ctx, mapping, spectrum):
+    # verify_case_table's comparison at every k of _per_k_spectrum's
+    # values, the least failing k named
+    prof = extfield.spectrum_profile(system, mapping)
+    c, ks = system.constants, np.arange(ctx.N)
+    want = np.where(ks % c.p**c.m == 0, prof.value_p_saturated,
+                    np.where(ks % c.q**c.n == 0, prof.value_q_saturated,
+                             prof.value_generic))
+    want[0] = mapping.e
+    want = gf4.pack_scalar(want, ctx.d)
+    bad = np.flatnonzero(spectrum != want)
+    if bad.size:
+        k = int(bad[0])
+        raise CaseViolation(k, _digits(int(want[k]), ctx.d),
+                            _digits(int(spectrum[k]), ctx.d))
+    return ctx.N
+
+
+def test_per_orbit_case_table_matches_a_per_k_reference(monkeypatch):
+    # a spectrum_profile with one regime's value moved: the per-orbit
+    # comparison names the least failing k and both digits, as a
+    # comparison at every k does
+    real = extfield.spectrum_profile
+    for params in _caps_pass_systems():
+        system = build_system(*params)
+        ctx = build_extension(system.half_period)
+        seq = build_sequence(system, DEFAULT_MAPPING)
+        chars = system.char_sums
+        spectrum = _per_k_spectrum(system, ctx, seq)
+        assert _per_k_case_table(system, ctx, DEFAULT_MAPPING, spectrum) == \
+            verify_case_table(system, ctx, DEFAULT_MAPPING, chars,
+                              seq).checked
+        for name in ("value_generic", "value_p_saturated",
+                     "value_q_saturated"):
+            def moved(system, mapping):
+                prof = real(system, mapping)
+                return dataclasses.replace(
+                    prof, **{name: getattr(prof, name) ^ 1})
+
+            monkeypatch.setattr(extfield, "spectrum_profile", moved)
+            got = _outcome(verify_case_table, system, ctx, DEFAULT_MAPPING,
+                           chars, seq)
+            assert got[0] == "CaseViolation", (params, name)
+            assert got == _outcome(_per_k_case_table, system, ctx,
+                                   DEFAULT_MAPPING, spectrum), (params, name)
+        monkeypatch.setattr(extfield, "spectrum_profile", real)
+
+
+def _per_column_constancy(system, ctx, folded):
+    # the per-column loop measure_spectrum ran before its column map: the
+    # first column with a position off the value at its least position,
+    # and the least such position
+    for cid in system.labels[2::2]:
+        ts = h_set(system, cid) % ctx.N
+        off = ts[folded[ts] != folded[ts.min()]]
+        if off.size:
+            return cid, int(off.min())
+    return None
+
+
+def test_the_constancy_check_matches_the_per_column_loop():
+    # one folded symbol flipped: at the least position of each column (its
+    # witness is then the column's second-least position), at a later
+    # position of column 0, at t = 0 (on no column), and at a random t
+    rng = np.random.default_rng(5402)
+    for params in _caps_pass_systems():
+        system = build_system(*params)
+        ctx = build_extension(system.half_period)
+        chars = system.char_sums
+        symbols = build_sequence(system, DEFAULT_MAPPING).symbols
+        ts0 = np.sort(h_set(system, system.labels[2]) % ctx.N)
+        flips = [*chars.firsts.tolist(), int(rng.choice(ts0[1:])), 0,
+                 int(rng.integers(ctx.N))]
+        for t in flips:
+            flipped = symbols.copy()
+            flipped[t] ^= 1 + int(rng.integers(3))
+            folded = flipped[:ctx.N] ^ flipped[ctx.N:]
+            seq = types.SimpleNamespace(symbols=flipped)
+            want = _per_column_constancy(system, ctx, folded)
+            try:
+                measure_spectrum(ctx, chars, seq)
+                got = None
+            except LemmaViolation as exc:
+                assert str(exc).startswith("folded sequence not constant")
+                got = exc.witness["cell"], exc.witness["t"]
+            assert got == want, (params, t)
+            # t = 0 lies on no column, and a one-position column has no
+            # second position to differ from its first
+            if t and np.count_nonzero(chars.col == chars.col[t]) > 1:
+                assert want is not None, (params, t)
+
+
+def test_a_non_square_multiplier_is_refused():
+    # constants whose second multiplier is u = -1 mod N, of order 2 (the
+    # first is 1), on sets closed under t -> -t: each family's two cosets
+    # as one set. Only (u|p) = (u|q) = 1 then decides. -1 is a non-square
+    # mod 3, so at (3, 5) an orbit {k, -k} would join two cells and the
+    # expected side, read at leaders only, would miss the other one; -1
+    # is a square mod 5 and mod 13, so (5, 13) pairs k with -k
+    for params in ((3, 5, 1, 1), (5, 13, 1, 1)):
+        system = build_system(*params)
+        ctx = build_extension(system.half_period)
+        c, N = system.constants, ctx.N
+        fake = types.SimpleNamespace(p=c.p, q=c.q, m=c.m, n=c.n, g=1,
+                                     y=N - 1, d_ij={(c.m, 0): 3, (0, c.n): 4})
+        columns = system.labels[2::2]
+        sets = [np.concatenate([h_set(system, a), h_set(system, b)]) % N
+                for a, b in zip(columns[::2], columns[1::2])]
+        leaders, rows, _ = extfield._orbit_sums(ctx, sets, fake)
+        square = pow(N - 1, (c.p - 1) // 2, c.p) == 1
+        want = np.arange(1, (N + 1) // 2 if square else N)
+        assert np.array_equal(leaders, want), params
+        assert np.array_equal(rows, extfield._power_sums(ctx.beta_powers,
+                                                         sets, want))
 
 
 def _x_to_d(d):
@@ -1092,11 +1341,13 @@ def test_expected_table_never_reads_beta_powers(params, monkeypatch):
     # one of the intact context, entry for entry
     system = build_system(*params)
     ctx = build_extension(system.constants.half_period)
-    table = verify_char_sum_tables(system, ctx).table
+    report = verify_char_sum_tables(system, ctx)
+    measured = report.leaders, report.table, report.col
     blank = dataclasses.replace(
         ctx, beta_powers=np.zeros_like(ctx.beta_powers))
-    monkeypatch.setattr(extfield, "_orbit_sums", lambda *args: table)
-    assert verify_char_sum_tables(system, blank).cells_checked == table.size
+    monkeypatch.setattr(extfield, "_orbit_sums", lambda *args: measured)
+    assert verify_char_sum_tables(system, blank).cells_checked == \
+        (ctx.N - 1) * report.table.shape[1]
 
 
 def test_a_class_short_of_one_unit_is_caught(sys15, ctx15):
