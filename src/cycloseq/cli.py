@@ -9,7 +9,8 @@ malformed sequence file. numtheory.check_limit raises every cap's error:
 --cap (default 10^7) bounds 2 p^m q^n and an analyze --file length, no
 cap lifts a period past PERIOD_CEILING = 2^31 - 1, and build_extension
 caps verify at N <= 5000 and d <= 12, on the constants `verify` builds
-before it takes its system.
+before it takes its system; a cold build_system paints from those same
+constants, so a verify builds them once.
 
 In the verify report, partition_ok: true rests on two routes: the paint,
 from the powers of g and y, raises PartitionViolation (exit 1) on an index
@@ -174,7 +175,8 @@ def cmd_verify(args):
     constants = build_system_constants(args.p, args.q, args.m, args.n,
                                        cap=args.cap)
     context = build_extension(constants.half_period)
-    system = build_system(args.p, args.q, args.m, args.n, cap=args.cap)
+    system = build_system(args.p, args.q, args.m, args.n, cap=args.cap,
+                          constants=constants)
     chars = system.char_sums
     # the spectrum and LC checks share one sequence
     seq = build_sequence(system, mapping)

@@ -167,22 +167,32 @@ def cells(p, q, m, n):
 
 
 def cell_index(constants):
-    """Position in cells' order of the cell of each k in Z_N, k = 0..N-1.
+    """Position in cells' order of the cell of each k in Z_N, k = 0..N-1,
+    a read-only array. The last map made is held, keyed by (p, q, m, n):
+    build_partition and verify's expected rows share one per system.
     v_p(k) and v_q(k), capped at m and n, count the strided multiples of
     p^t and q^t that reach k, in place of a % pass per prime power."""
     c = constants
-    a, b = np.zeros((2, c.half_period), dtype=np.int64)
-    for v, r, top in ((a, c.p, c.m), (b, c.q, c.n)):
+    return _cell_index(c.p, c.q, c.m, c.n)
+
+
+@functools.lru_cache(maxsize=1)
+def _cell_index(p, q, m, n):
+    N = p**m * q**n
+    a, b = np.zeros((2, N), dtype=np.int64)
+    for v, r, top in ((a, p, m), (b, q, n)):
         for t in range(1, top + 1):
             v[::r**t] += 1
-    l = np.arange(c.half_period) // (c.p**a * c.q**b)
-    lp = np.where(a < c.m, _qr_sides(c.p)[l % c.p], 0)
-    lq = np.where(b < c.n, _qr_sides(c.q)[l % c.q], 0)
+    l = np.arange(N) // (p**a * q**b)
+    lp = np.where(a < m, _qr_sides(p)[l % p], 0)
+    lq = np.where(b < n, _qr_sides(q)[l % q], 0)
     # position by key, dead keys left unset
-    keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
-    where = np.empty((c.m + 1, c.n + 1, 2, 2), dtype=np.intp)
+    keys = [key for key, _ in cells(p, q, m, n)]
+    where = np.empty((m + 1, n + 1, 2, 2), dtype=np.intp)
     where[tuple(zip(*keys))] = range(len(keys))
-    return where[a, b, lp, lq]
+    out = where[a, b, lp, lq]
+    out.flags.writeable = False
+    return out
 
 
 def eta_pair(r):
@@ -404,9 +414,12 @@ class CyclotomicSystem:
 def h_set(system, label):
     """The positions of one partition label, ascending: the H-set it names
     in Z_2N. InvalidParams for a label the system lacks."""
-    if label not in system.labels:
-        raise InvalidParams(f"{label} labels no position of the system")
-    return np.flatnonzero(system.partition == system.labels.index(label))
+    try:
+        index = system.labels.index(label)
+    except ValueError:
+        raise InvalidParams(
+            f"{label} labels no position of the system") from None
+    return np.flatnonzero(system.partition == index)
 
 
 class _HeldSystems:
@@ -441,15 +454,17 @@ class _HeldSystems:
 HELD = _HeldSystems(HELD_POSITIONS)
 
 
-def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP):
+def build_system(p, q, m, n, cap=DEFAULT_PARAM_CAP, constants=None):
     """Build constants and the partition off one power table, or return
-    the system an earlier call built, when its period is within cap."""
+    the system an earlier call built, when its period is within cap.
+    constants, when given, stands for build_system_constants(p, q, m, n,
+    cap=cap), which the caller has called: a cold call paints from them."""
     # typed, as 3.0 == 3 while a cold call refuses 3.0
     key = (p, q, m, n, type(p), type(q), type(m), type(n))
     system = HELD.get(key, cap)
     if system is None:
         system = _system_from_constants(
-            build_system_constants(p, q, m, n, cap=cap))
+            constants or build_system_constants(p, q, m, n, cap=cap))
         HELD.hold(key, system)
     return system
 

@@ -36,7 +36,12 @@ family's coset 0 and 1, in label order), and their H-sets the positions
 that carry each label, mod N. The expected side is
 cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells, taken at
 each leader by cyclotomy.cell_index; the Gaussian periods of p and q are
-read off one power table of beta^(N/pq), not beta_powers.
+read off the power table of w = beta^(N/pq). _power_table holds the last
+table it made, one entry, read-only and keyed by its arguments: at
+N = pq, w is beta, so the periods get the very table build_extension
+just made. The key is the context's beta, so the periods never read a
+context's beta_powers: one whose beta_powers were replaced still gets
+its beta's own table, and one whose beta changed gets a table of its own.
 
 A process builds each field once: build_extension holds its context per
 N, the last HELD_FIELDS by use, and the context is read-only (a frozen
@@ -122,28 +127,42 @@ def _vec_linear(arr, tables):
 
 
 def _x_multiples(y, count, d, x_to_d):
-    # y X^i, 0 <= i < count, by field_mul; X = pack(0, 2, d) needs d >= 2, as
-    # every built field has (N >= 15): at d = 1 callers take count 1, no step
-    out, x = [y], gf4.pack(0, 2, d)
+    # y X^i, 0 <= i < count: times X is one shift, the digit that leaves
+    # degree d - 1 (bits d and 2d once shifted) folded back in as that
+    # multiple of X^d = x_to_d; at d = 1 callers take count 1, no step
+    folds, keep = [_scale(x_to_d, c, d) for c in range(4)], 4**d - 1 ^ 1 << d
+    out = [y]
     for _ in range(count - 1):
-        out.append(gf4.field_mul(out[-1], x, d, x_to_d))
+        y <<= 1
+        y = y & keep ^ folds[y >> d & 1 | y >> 2 * d - 1 & 2]
+        out.append(y)
     return np.array(out, dtype=np.uint32)
 
 
 @functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
-def _linear_maps(d, x_to_d):
-    """Byte tables of y -> y^(2^i) modulo X^d + x_to_d for i = 0, 1, 2,
-    stacked on the last axis, one read-only array for _vec_linear: column
-    1 squares (ext_pow) and column 2 is the Frobenius y -> y^4
-    (_power_table). Squaring is GF(2)-linear, taking X^i to X^(2i) and
-    alpha X^i to (alpha + 1) X^(2i); each column's images are the previous
-    column's, squared."""
+def _basis_images(d, x_to_d):
+    """Images of the 2d single bits under y -> y^(2^i) modulo
+    X^d + x_to_d for i = 0, 1, 2, a row per map, one read-only array:
+    row 2, the Frobenius y -> y^4, starts every _power_table. Squaring
+    is GF(2)-linear, taking X^i to X^(2i) and alpha X^i to
+    (alpha + 1) X^(2i); each row's images are the previous row's,
+    squared."""
     powers = _x_multiples(1, 2 * d - 1, d, x_to_d)[::2]
     square = _byte_tables(np.concatenate([powers, _scale(powers, 3, d)]))
-    cols = [1 << np.arange(2 * d, dtype=np.uint32)]
+    rows = [1 << np.arange(2 * d, dtype=np.uint32)]
     for _ in range(2):
-        cols.append(_vec_linear(cols[-1], square))
-    maps = _byte_tables(np.stack(cols, axis=1))
+        rows.append(_vec_linear(rows[-1], square))
+    images = np.stack(rows)
+    images.flags.writeable = False
+    return images
+
+
+@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+def _linear_maps(d, x_to_d):
+    """Byte tables of _basis_images' maps, y -> y^(2^i) for i = 0, 1, 2,
+    stacked on the last axis, one read-only array for _vec_linear: column
+    1 squares (ext_pow) and column 2 is the Frobenius y -> y^4."""
+    maps = _byte_tables(_basis_images(d, x_to_d).T)
     maps.flags.writeable = False
     return maps
 
@@ -225,20 +244,25 @@ class ExtFieldContext:
         return ext_pow(x, e, self.d, self.x_to_d)
 
 
+@functools.lru_cache(maxsize=1)
 def _power_table(x, size, d, x_to_d):
-    # x^r for 0 <= r < size by the base-4 digits of r, x^(4r + j) being
-    # x^j (x^r)^4: a round quadruples the prefix in one gather through the
-    # stacked byte tables of y -> x^j y^4, j = 0..3, columns interleaved
+    """x^r for 0 <= r < size, one read-only array. The last table made is
+    held, one entry keyed by the arguments: at N = pq, w = beta^(N/pq) is
+    beta, so _gaussian_periods gets the table build_extension just made.
+
+    By the base-4 digits of r, x^(4r + j) being x^j (x^r)^4: a round
+    quadruples the prefix in one gather through the stacked byte tables
+    of y -> x^j y^4, j = 0..3, columns interleaved."""
     lo = _x_multiples(x, d, d, x_to_d)
     by_x = _byte_tables(np.concatenate([lo, _scale(lo, 2, d)]))
-    cols = [_vec_linear(1 << np.arange(2 * d, dtype=np.uint32),
-                        _linear_maps(d, x_to_d)[..., 2])]
+    cols = [_basis_images(d, x_to_d)[2]]
     for _ in range(3):
         cols.append(_vec_linear(cols[-1], by_x))
     maps = _byte_tables(np.stack(cols, axis=1))
     out = np.ones(1, dtype=np.uint32)
     while len(out) < size:
         out = _vec_linear(out[:-(-size // 4)], maps).ravel()[:size]
+    out.flags.writeable = False
     return out
 
 
@@ -283,7 +307,6 @@ def build_extension(N):
     if closing != 1:
         raise LemmaViolation("beta^N does not close the cycle",
                              N=N, beta=beta, beta_to_N=closing)
-    beta_powers.flags.writeable = False
 
     return ExtFieldContext(
         N=N, d=d, modulus=modulus, x_to_d=x_to_d, beta=beta,
@@ -505,8 +528,11 @@ def _gaussian_periods(context, p, q):
     """(eta_0, eta_1) of p and of q: zeta_r = beta^(N/r) summed over the
     squares and the non-squares mod r. Both zetas are powers of
     w = beta^(N/pq), zeta_p^x = w^(qx) and zeta_q^x = w^(px), read from
-    one power table of w, not beta_powers; LemmaViolation unless each
-    lies in GF(4), each plane 0 or 1."""
+    _power_table(w, pq, d, x_to_d). At N = pq, w is beta and that call
+    returns the table build_extension made and _power_table holds; it is
+    keyed by beta, never read from the context's beta_powers, so a
+    corrupted beta_powers cannot reach the periods. LemmaViolation unless
+    each lies in GF(4), each plane 0 or 1."""
     # one table, not one per prime: each table pays its byte-table setup
     ws = _power_table(context.pow(context.beta, context.N // (p * q)),
                       p * q, context.d, context.x_to_d)

@@ -1139,6 +1139,36 @@ def test_a_repeat_verify_reads_its_checks_back(capsys, monkeypatch,
     assert not counts
 
 
+def test_a_cold_verify_derives_each_table_once(capsys, monkeypatch,
+                                              cold_builds):
+    # a cold verify builds one set of constants, one cell map (the
+    # partition check and the expected rows share it) and one power table
+    # where N = pq, as w = beta^(N/pq) is beta; at (5, 41, 2, 1) w is not
+    # beta, so two tables. A warm verify builds its constants, for the
+    # caps, and no table and no map
+    constants = []
+    real = numtheory.build_system_constants
+    for module in (cli, cyclotomy):
+        monkeypatch.setattr(module, "build_system_constants",
+                            lambda *args, **kw: constants.append(args)
+                            or real(*args, **kw))
+    memos = extfield._power_table, cyclotomy._cell_index
+
+    def made():
+        return ([memo.cache_info().misses for memo in memos]
+                + [len(constants)])
+
+    for params, tables in (((3, 5, 1, 1), 1), ((5, 41, 2, 1), 2)):
+        argv = _verify_argv(",".join(map(str, params)))
+        for memo in memos:
+            memo.cache_clear()
+        constants.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert made() == [tables, 1, 1], params
+        assert run(capsys, *argv)[0] == 0
+        assert made() == [tables, 1, 2], params
+
+
 def test_a_repainted_system_is_checked_again(capsys, monkeypatch,
                                              cold_builds):
     # a system dropped from build_system's memo and painted again is a new

@@ -73,6 +73,37 @@ def test_h_set_scaling(sys15):
     assert list(h_set(sys15, HALF_LABEL)) == [15]
 
 
+def test_h_set_names_a_label_the_system_lacks(sys15):
+    # one lookup: the ValueError of labels.index becomes InvalidParams,
+    # with no exception chained to it
+    for label in (ClassId("2pq", 2, 1, 0), ClassId("2p", 1, 0, 2), "nope"):
+        with pytest.raises(InvalidParams,
+                           match="labels no position of the system") as info:
+            h_set(sys15, label)
+        assert str(info.value) == f"{label} labels no position of the system"
+        assert info.value.__cause__ is None
+        assert info.value.__suppress_context__
+
+
+def test_cell_index_is_held_once_and_read_only():
+    # one map held, keyed by (p, q, m, n): the same constants or an equal
+    # key read it back, another system replaces it
+    cyclotomy._cell_index.cache_clear()
+    a, b = (build_system_constants(*params)
+            for params in ((3, 5, 2, 1), (5, 3, 1, 2)))
+    first = cyclotomy.cell_index(a)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1
+    assert cyclotomy.cell_index(build_system_constants(3, 5, 2, 1)) is first
+    assert cyclotomy.cell_index(b) is not first
+    info = cyclotomy._cell_index.cache_info()
+    assert (info.maxsize, info.currsize, info.hits, info.misses) == \
+        (1, 1, 1, 2)
+    assert cyclotomy.cell_index(a) is not first
+    assert np.array_equal(cyclotomy.cell_index(a), first)
+
+
 def test_union_sets_example_15(sys15):
     union0 = sorted(set(
         int(x) for lab in sys15.labels[2:]

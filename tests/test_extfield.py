@@ -11,6 +11,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import threading
 import types
 
 import numpy as np
@@ -1162,6 +1163,95 @@ def test_square_and_frobenius_tables_match_field_arithmetic():
         assert got.tolist() == [ctx.pow(x, 4) for x in xs]
 
 
+def test_x_multiples_match_field_mul_by_x():
+    # y X^i by one shift and one fold lookup a step, against the
+    # definition: each entry the last times X by field_mul, modulo the
+    # least irreducible and a random monic modulus of each degree
+    rng = random.Random(5501)
+    for d in range(2, 13):
+        x = gf4.pack(0, 2, d)
+        for x_to_d in (_x_to_d(d), rng.randrange(4**d)):
+            for y in [0, 1, x, 4**d - 1] + [rng.randrange(4**d)
+                                            for _ in range(16)]:
+                want = [y]
+                for _ in range(2 * d - 2):
+                    want.append(gf4.field_mul(want[-1], x, d, x_to_d))
+                got = extfield._x_multiples(y, 2 * d - 1, d, x_to_d)
+                assert got.dtype == np.uint32
+                assert got.tolist() == want, (d, x_to_d, y)
+
+
+def test_a_power_table_is_held_once_and_read_only(monkeypatch, cold_builds):
+    # the last table made is held, read-only: at N = pq, w = beta^(N/pq)
+    # is beta, so the Gaussian periods read the very table build_extension
+    # made. They never read a context's beta_powers: a context whose
+    # beta_powers was replaced still gets its beta's clean table, and one
+    # whose beta changed gets a table of its own
+    real = extfield._power_table
+    real.cache_clear()
+    ctx = build_extension(15)
+    assert real.cache_info().maxsize == 1
+    table = real(ctx.beta, 15, ctx.d, ctx.x_to_d)
+    assert table is ctx.beta_powers and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0
+    read = []
+    monkeypatch.setattr(extfield, "_power_table",
+                        lambda *args: read.append(real(*args)) or read[-1])
+    clean = extfield._gaussian_periods(ctx, 3, 5)
+    bp = ctx.beta_powers.copy()
+    bp[1:] ^= 1
+    assert extfield._gaussian_periods(
+        dataclasses.replace(ctx, beta_powers=bp), 3, 5) == clean
+    assert read[0] is read[1] is ctx.beta_powers
+    beta2 = ctx.pow(ctx.beta, 2)
+    extfield._gaussian_periods(dataclasses.replace(ctx, beta=beta2), 3, 5)
+    assert read[2] is not ctx.beta_powers and not read[2].flags.writeable
+    assert read[2].tolist() == _power_table_reference(beta2, 15, ctx.d,
+                                                      ctx.x_to_d)
+    info = real.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 1)
+
+
+def test_the_one_entry_memos_are_safe_between_threads():
+    # 8 threads alternate between two keys of each memo, so every call may
+    # evict what another thread just read: each gets its own key's
+    # read-only table, equal to one made before the threads start
+    keys = [(build_extension(N), build_system_constants(*params))
+            for N, params in ((15, (3, 5, 1, 1)), (1025, (5, 41, 2, 1)))]
+    want = [(extfield._power_table(ctx.beta, ctx.N, ctx.d, ctx.x_to_d).copy(),
+             cell_index(c).copy()) for ctx, c in keys]
+    failures = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(100):
+                at = rng.randrange(2)
+                ctx, c = keys[at]
+                got = (extfield._power_table(ctx.beta, ctx.N, ctx.d,
+                                             ctx.x_to_d), cell_index(c))
+                for array, ref in zip(got, want[at]):
+                    assert not array.flags.writeable
+                    assert np.array_equal(array, ref)
+        except Exception as exc:  # reported below, with every other
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
 def _power_table_reference(x, size, d, x_to_d):
     # the sequential table: one field_mul per entry
     out = [1]
@@ -1452,7 +1542,8 @@ def test_beta_has_order_exactly_n(params):
     assert ctx.beta_powers[1] == ctx.beta
     assert _mul(ctx, int(ctx.beta_powers[-1]), ctx.beta) == 1
     # beta's table and that of w = beta^(N/pq), which _gaussian_periods
-    # builds afresh, against the sequential reference
+    # reads (at N = pq, beta's own held table), against the sequential
+    # reference
     assert ctx.beta_powers.tolist() == _power_table_reference(
         ctx.beta, N, ctx.d, ctx.x_to_d)
     w = ctx.pow(ctx.beta, N // (p * q))
