@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 # Sweeps the full grid used by the acceptance suite and tabulates the
 # measured complexity next to the 2 p^m q^n target. Every row uses three
-# mappings that pass the mod-8 rule and that analysis.predict_lc, the
-# closed form, says reach the full period.
+# mappings that pass the mod-8 rule and that cells.predict_lc, the closed
+# form, says reach the full period.
 
 import itertools
 import time
 
-from cycloseq.analysis import predict_lc, verify_theorem
+from cycloseq.analysis import verify_theorem
+from cycloseq.cells import predict_lc
 from cycloseq.cyclotomy import build_system
 from cycloseq.sequence import Mapping, validate_mapping
 

@@ -70,36 +70,12 @@ mod exactly one prime, both routes meet a short divisor too, but the
 dividend and the window there are sparse (a few thousand terms of about
 N), so the digit loops are cheap and the steps save less.
 
-Route three, predict_lc, builds no sequence: it gives the LC of the
-construction from (p, q, m, n) and the mapping in closed form. As
-x^(2N) - 1 = (x^N - 1)^2, LC = 2N - sum of mu(k) over k in Z_N, where
-beta is a primitive N-th root of unity, S(beta^k) = E(k) + O(k) splits
-into its even-position and odd-position sums, and
-mu(k) = [E = O] (1 + [O = 0]): O(k) is beta^k times the derivative's
-value. Each family (i, j) adds its sums T_h = sum over x in D_h of
-zeta^(k x), zeta = beta^(N / p^i q^j), to O as a T_0 + b T_1 and to E as
-c T_s + d T_(1-s), where 2 lies in D_s; O also has e. D_0 is the squares
-mod p^i on a p-power family and {x : (x|q) = 1} on the others, so every
-T_h is 0, 1 or a quadratic Gaussian period of p or q in characteristic 2
-(Lidl and Niederreiter, Finite Fields, ch. 5; Ding, Helleseth and Shan,
-IEEE T-IT 44(3), 1998): {eta_0, eta_1} = {0, 1} when 2 is a square mod
-the prime and {alpha, alpha^2} when it is not. T_h then depends on k only
-through its cell: v_p(k), v_q(k), capped at m and n, and the Legendre
-symbols of its unit part (cells and cell_index, which live in cyclotomy,
-where the same cells label the partition). predict_lc reads the sums
-at each cell added over the families, cyclotomy's _cell_sums, made once
-per system; verify's expected character-sum table is
-cyclotomy.cell_char_sums per cell, the periods measured in F_{4^d}.
-
-Route four, the bucket basis, measures E and O on the cells off the
-paint, with no gcd and no field: the span-certified table bucket_cells
-of cyclotomy, compared with route three's once per held system.
-
-Routes three and four differ only in how they get a cell's values: both
-write one row layout, a cell's size and each bucket's E << 2 | O, and as
-s = sum v_b 1_b, one loop (_cells_lc) gives any mapping's E, O and mu per
-cell by linearity and sums mu in integer arithmetic, for predict_lc and
-bucket_lc alike.
+Route three, cells.predict_lc, builds no sequence: the LC of the
+construction from (p, q, m, n) and the mapping in closed form, the loss
+rule over the cells of Z_N (the cells module). Route four, the bucket
+basis, measures E and O on the cells off the paint, with no gcd and no
+field: cyclotomy's span-certified bucket_cells, which equals route three's
+table, so bucket_lc is the same loss rule (cells._cells_lc) over it.
 
 Where they run: analyze and verify measure by the gcd route, then by BM
 (once on the fold at full LC, once more on two periods of s below it),
@@ -117,10 +93,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf4
-from .cyclotomy import _cell_sums
+from .cells import _cells_lc
 from .errors import (InvalidParams, MethodDisagreement, TheoremViolation)
-from .sequence import (DEFAULT_MAPPING, _bucket_symbols, build_sequence,
-                       validate_mapping)
+from .sequence import DEFAULT_MAPPING, build_sequence, validate_mapping
 
 
 def berlekamp_massey(symbols):
@@ -313,30 +288,6 @@ def generates(symbols, lc, minpoly):
         return False
     w1, w0 = gf4.mul_planes(m1, m0, *gf4.to_planes(np.resize(symbols, 2 * lc)))
     return not ((w1 | w0) >> lc) & ((1 << lc) - 1)
-
-
-# _PAIR_MUL[v][w] is v times both halves of w = E << 2 | O, and _LOSS[w]
-# the roots a cell of E << 2 | O = w loses per member: one where E = O,
-# two where both vanish
-_PAIR_MUL = [[gf4._MUL[v][w >> 2] << 2 | gf4._MUL[v][w & 3] for w in range(16)]
-             for v in range(4)]
-_LOSS = [(w >> 2 == w & 3) << (w == 0) for w in range(16)]
-
-
-def _cells_lc(rows, period, mapping):
-    # per cell, E << 2 | O is the sum of v_b times each bucket's pair, and
-    # the cell loses its size times _LOSS of it
-    te, ta, tb, tc, td = (_PAIR_MUL[v] for v in _bucket_symbols(mapping)[1:])
-    lost = 0
-    for size, we, wa, wb, wc, wd in rows:
-        lost += size * _LOSS[te[we] ^ ta[wa] ^ tb[wb] ^ tc[wc] ^ td[wd]]
-    return period - lost
-
-
-def predict_lc(constants, mapping):
-    """Exact LC of the sequence, in closed form (route three above)."""
-    c = constants
-    return _cells_lc(_cell_sums(c.p, c.q, c.m, c.n), c.period, mapping)
 
 
 def bucket_lc(system, mapping):

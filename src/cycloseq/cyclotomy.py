@@ -1,26 +1,24 @@
 """Generalized cyclotomic classes of order two and the index partition.
 
 For distinct odd primes p, q and exponents m, n >= 1, fix the constants
-(g, y) from numtheory. A family index (i, j) with 0 <= i <= m,
-0 <= j <= n, not both 0, gives the modulus p^i q^j and its double
-2 p^i q^j; j = 0 is the p-power family and i = 0 the q-power family, so
-the six shapes p^i q^j, 2 p^i q^j, p^i, 2 p^i, q^j, 2 q^j are named "2"
-(doubled), then "p" if i > 0, then "q" if j > 0.
+(g, y) from numtheory. A family (i, j) of the cells module gives the
+modulus p^i q^j and its double 2 p^i q^j, so the six shapes p^i q^j,
+2 p^i q^j, p^i, 2 p^i, q^j, 2 q^j are named "2" (doubled), then "p" if
+i > 0, then "q" if j > 0.
 
 For every shape the units split into two equal halves: D_0 = <g^2, y> and
 its coset D_1 = g * D_0. With op = phi(p^i), oq = phi(q^j) (phi = 1 at
 exponent 0) that is lcm(op, oq)/2 powers of g^2 times gcd(op, oq) powers
 of y; on a prime-power family the y count is 1 and D_0 is the even-power
 coset of g. Since g is a primitive root mod p and mod q and y = 1 (mod q),
-these are Legendre classes: with r = q on the mixed and q-power families
-and r = p on the p-power ones, D_0 holds the units that are squares mod r
-and D_1 those that are not. So the label of every position follows from p
-and q alone, through the cells of Z_N (cells, cell_index): build_partition
-recomputes the label array that way, reading neither g nor y, and
-check_structural_lemmas compares the paint with it in one comparison,
-verify's one partition check. check_residue_rules reads per family the
-label at 2's doubled copy: 2 lies in D_0 exactly when r = +/-1 mod 8; the
-comparison covers it, so only the benchmark's reference tooling runs it.
+these are the Legendre classes of the cells module, D_0 the squares mod
+r (q on the mixed and q-power families, p on the p-power ones), so every
+position's label follows from p and q alone, through the cells of Z_N:
+build_partition recomputes the label array that way, reading neither g
+nor y, and check_structural_lemmas compares the paint with it, verify's
+one partition check. check_residue_rules reads per family the label at
+2's doubled copy, in D_0 exactly when r = +/-1 mod 8; the comparison
+covers it, so only the benchmark's reference tooling runs it.
 
 Scaling each class by its cofactor p^(m-i) q^(n-j) gives the H-sets; the
 doubled-modulus H-sets, two times the odd-modulus H-sets, and the two
@@ -45,11 +43,11 @@ R_p R_q, R_r = sum over the squares s mod r of x^((M/r) s), r | M: the
 two-prime case of the quadratic-residue idempotents (MacWilliams and
 Sloane, The Theory of Error-Correcting Codes, ch. 16; Ding, Helleseth and
 Shan, IEEE T-IT 44(3), 1998). R_r takes the Gaussian period eta_l of r on
-the cells of Legendre bit l, eta_pair's digits, as the closed form
-(_cell_sums) takes them; the table's rows have _cell_sums' layout. Each
-basis polynomial is one numpy scatter of its exponents (_spread),
-R_p R_q's one outer sum mod M, and each level folds the one above it by
-gf4.fold. Membership needs no division by Phi_M: with
+the cells of Legendre bit l (eta_pair), and the table's rows have the
+closed form's layout (cells._cell_sums). Each basis polynomial is one
+numpy scatter of its exponents (_spread), R_p R_q's one outer sum mod M,
+and each level folds the one above it by gf4.fold. Membership needs no
+division by Phi_M: with
 A = (x^(M/p) - 1)(x^(M/q) - 1), a binomial left out where its prime does
 not divide M, x^M - 1 is Phi_M times a divisor of A, and it is squarefree
 (M is odd), so Phi_M divides D exactly when x^M - 1 divides D A. The
@@ -58,8 +56,8 @@ gf4.fold. It is GF(2)-linear, so a dict of the keys of the basis' 2 to 16
 GF(2) combinations (_spans, its values in the order of the keys it is
 given) reads off each component's span coefficients, and so its value per
 cell; a key outside it raises LemmaViolation("not constant on cells").
-Both tables live here, and bucket_cells compares them once, when it is
-derived; cell_char_sums gives the closed form's sums per family.
+bucket_cells compares the table with the closed form's once, when it is
+derived.
 
 build_system holds the systems it has painted, keyed by (p, q, m, n), and
 every command of the CLI takes its systems from it, so a process paints
@@ -85,6 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf4
+from .cells import _cell_sums, _family_indices, cell_index, cells, eta_pair
 from .errors import (InvalidParams, LemmaViolation, MethodDisagreement,
                      PartitionViolation)
 from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
@@ -118,13 +117,6 @@ def _shape(i, j, two=False):
     return ("2" if two else "") + ("p" if i else "") + ("q" if j else "")
 
 
-def _family_indices(m, n):
-    # the mixed grid first, then the p-power and the q-power families
-    return ([(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-            + [(i, 0) for i in range(1, m + 1)]
-            + [(0, j) for j in range(1, n + 1)])
-
-
 def _powers(base, count, mod):
     # base^0 .. base^(count-1) mod mod: the first 64 by int products, then
     # by doubling the filled prefix; the period ceiling keeps mod below
@@ -140,115 +132,6 @@ def _powers(base, count, mod):
         out[filled:filled + k] = out[:k] * step % mod
         filled, step = filled + k, step * step % mod
     return out
-
-
-def _qr_sides(r):
-    # x mod the odd prime r: 0 on the squares, 1 on other units, 2 at 0
-    side = np.ones(r, dtype=np.int8)
-    side[np.arange(1, r)**2 % r], side[0] = 0, 2
-    return side
-
-
-def cells(p, q, m, n):
-    """Each live cell (a, b, lp, lq) of Z_N with its size, keys ascending.
-    k = p^a q^b l, (a, b) capped at (m, n), lies in the cell
-    (a, b, [(l|p) = -1], [(l|q) = -1]), a Legendre bit being 0 at its cap.
-    The cell holds phi(p^(m-a)) phi(q^(n-b)) / 2^s members, s the number
-    of bits below their cap.
-    """
-    for a in range(m + 1):
-        for b in range(n + 1):
-            size = ((p - 1) * p**(m - a - 1) if a < m else 1) * (
-                (q - 1) * q**(n - b - 1) if b < n else 1) >> (
-                (a < m) + (b < n))
-            for lp in (0, 1) if a < m else (0,):
-                for lq in (0, 1) if b < n else (0,):
-                    yield (a, b, lp, lq), size
-
-
-def cell_index(constants):
-    """Position in cells' order of the cell of each k in Z_N, k = 0..N-1,
-    a read-only array. The last map made is held, keyed by (p, q, m, n):
-    build_partition and verify's expected rows share one per system.
-    v_p(k) and v_q(k), capped at m and n, count the strided multiples of
-    p^t and q^t that reach k, in place of a % pass per prime power."""
-    c = constants
-    return _cell_index(c.p, c.q, c.m, c.n)
-
-
-@functools.lru_cache(maxsize=1)
-def _cell_index(p, q, m, n):
-    N = p**m * q**n
-    a, b = np.zeros((2, N), dtype=np.int64)
-    for v, r, top in ((a, p, m), (b, q, n)):
-        for t in range(1, top + 1):
-            v[::r**t] += 1
-    l = np.arange(N) // (p**a * q**b)
-    lp = np.where(a < m, _qr_sides(p)[l % p], 0)
-    lq = np.where(b < n, _qr_sides(q)[l % q], 0)
-    # position by key, dead keys left unset
-    keys = [key for key, _ in cells(p, q, m, n)]
-    where = np.empty((m + 1, n + 1, 2, 2), dtype=np.intp)
-    where[tuple(zip(*keys))] = range(len(keys))
-    out = where[a, b, lp, lq]
-    out.flags.writeable = False
-    return out
-
-
-def eta_pair(r):
-    """The Gaussian periods (eta_0, eta_1) of the odd prime r as GF(4)
-    digits: (0, 1) where 2 is a square mod r, else (alpha, alpha^2)."""
-    return (0, 1) if two_is_square_mod(r) else (2, 3)
-
-
-def cell_char_sums(p, q, m, n, cell, periods):
-    """T_0, T_1 of each family, in _family_indices order, at a k in the
-    cell (a, b, lp, lq); periods holds (eta_0, eta_1) of p and of q in any
-    form where 1 is 1 and + is XOR.
-
-    Family r^i, at v = v_r(k) and the Legendre bit ns of k's unit part, has
-    T_h = 0 when v < i - 1, eta_(h + ns) when v = i - 1, and phi(r^i) / 2
-    ones, [r = 3 mod 4], when v >= i. The unit part keeps the other prime's
-    power, so ns picks up (q|p)^b on the p-power families and (p|q)^a on
-    the q-power ones. A mixed family (i, j) is its Ramanujan sum mod p^i,
-    odd iff a = i - 1, times the sums of k p^(-i) at q, twisted by (p|q).
-    """
-    a, b, lp, lq = cell
-    # Euler's criterion: [(q|p) = -1] and [(p|q) = -1]
-    q_at_p, p_at_q = (int(pow(x, r // 2, r) != 1) for x, r in ((q, p), (p, q)))
-    out = []
-    for i, j in _family_indices(m, n):
-        r, top, v, ns = ((q, j, b, lq ^ (p_at_q if i else a & p_at_q))
-                         if j else (p, i, a, lp ^ (b & q_at_p)))
-        if (i and j and a != i - 1) or v < top - 1:
-            out += 0, 0
-        elif v >= top:
-            out += (int(r % 4 == 3),) * 2
-        else:
-            out += periods[bool(j)][ns], periods[bool(j)][1 - ns]
-    return out
-
-
-# one table per system, which bucket_cells and analysis.predict_lc read
-@functools.cache
-def _cell_sums(p, q, m, n):
-    """The closed form's rows, in bucket_cells' layout: per cell, its size
-    and each bucket's E << 2 | O. With T_0, T_1, T_s of cell_char_sums
-    added over the families at eta_pair's periods, half has O = 1, a and b
-    O = T_0 and T_1, c and d E = T_s and T_(1-s); T_s adds each family's
-    T_h with 2 in D_h, p's side on the p-power families and q's on the
-    others."""
-    periods = [eta_pair(p), eta_pair(q)]
-    sides = [not two_is_square_mod(q if j else p)
-             for _, j in _family_indices(m, n)]
-    out = []
-    for key, size in cells(p, q, m, n):
-        sums = cell_char_sums(p, q, m, n, key, periods)
-        t0 = t1 = ts = 0
-        for x0, x1, side in zip(sums[0::2], sums[1::2], sides):
-            t0, t1, ts = t0 ^ x0, t1 ^ x1, ts ^ (x1 if side else x0)
-        out.append((size, 1, t0, t1, ts << 2, (t0 ^ t1 ^ ts) << 2))
-    return tuple(out)
 
 
 def _shift_key(x, size, u, v):
@@ -527,7 +410,7 @@ def build_partition(system):
     odd = np.array([4 * fams.index((c.m - a, c.n - b)) + 2
                     + 2 * (lq if b < c.n else lp)
                     for (a, b, lp, lq), _ in cells(c.p, c.q, c.m, c.n)],
-                   dtype=np.int16)[cell_index(c)]
+                   dtype=np.int16)[cell_index(c.p, c.q, c.m, c.n)]
     part = np.empty(c.period, dtype=np.int16)
     part[0::2] = odd + 1
     # the odd t < N, then the odd t > N, whose k = t - N are even

@@ -33,15 +33,15 @@ table's columns: measure_spectrum reads only that table, once it has
 passed its check, and gathers nothing of its own, one value per orbit.
 Its columns are the doubled-modulus labels, system.labels[2::2] (each
 family's coset 0 and 1, in label order), and their H-sets the positions
-that carry each label, mod N. The expected side is
-cyclotomy.cell_char_sums, a row per cell of cyclotomy.cells, taken at
-each leader by cyclotomy.cell_index; the Gaussian periods of p and q are
-read off the power table of w = beta^(N/pq). _power_table holds the last
-table it made, one entry, read-only and keyed by its arguments: at
-N = pq, w is beta, so the periods get the very table build_extension
-just made. The key is the context's beta, so the periods never read a
-context's beta_powers: one whose beta_powers were replaced still gets
-its beta's own table, and one whose beta changed gets a table of its own.
+that carry each label, mod N. The expected side is the closed form of
+the cells module, a row per cell taken at each leader by its cell; the
+Gaussian periods of p and q are read off the power table of
+w = beta^(N/pq). _power_table holds the last table it made, one entry,
+read-only and keyed by its arguments: at N = pq, w is beta, so the
+periods get the very table build_extension just made. The key is the
+context's beta, so the periods never read a context's beta_powers: one
+whose beta_powers were replaced still gets its beta's own table, and one
+whose beta changed gets a table of its own.
 
 A process builds each field once: build_extension holds its context per
 N, the last HELD_FIELDS by use, and the context is read-only (a frozen
@@ -60,9 +60,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import gf4
-from . import analysis
-from .cyclotomy import (_qr_sides, cell_char_sums, cell_index, cells,
-                        check_structural_lemmas, h_set)
+from .cells import _qr_sides, cell_char_sums, cell_index, cells, predict_lc
+from .cyclotomy import check_structural_lemmas, h_set
 from .errors import (CaseViolation, InvalidParams, LemmaViolation,
                      MethodDisagreement)
 from .numtheory import check_limit, factorize, mult_order
@@ -458,7 +457,7 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
     CaseViolation at the first k whose measured value differs, the least
     failing k, with both values as the digits of their remainder
     polynomials (gf4.poly_to_digits: alpha is 2, X is 01). The report says
-    whether every measured value is nonzero and whether analysis.predict_lc
+    whether every measured value is nonzero and whether cells.predict_lc
     gives 2N, which must agree, as LC = 2N exactly when no S(beta^k)
     vanishes: MethodDisagreement, naming both verdicts, when they differ.
     The spectrum is read off a checked table only: char_sums, which verify
@@ -484,7 +483,7 @@ def verify_case_table(system, context, mapping, char_sums=None, seq=None):
         r = bad[0]
         raise CaseViolation(int(ks[r]), _digits(expected[r], context.d),
                             _digits(spectrum[r], context.d))
-    nonzero, lc = bool(spectrum.all()), analysis.predict_lc(c, mapping)
+    nonzero, lc = bool(spectrum.all()), predict_lc(c, mapping)
     if nonzero != (lc == c.period):
         raise MethodDisagreement(
             f"all_values_nonzero = {nonzero}, max_complexity_predicted = "
@@ -569,24 +568,22 @@ def _check_same_n(system, context, char_sums=None):
 def verify_char_sum_tables(system, context):
     """Check every character sum over every doubled-modulus H-set.
 
-    For each k = p^a q^b l in 1..N-1 and each H-set (shape, i, j, h) the
-    measured sum must match its closed form: 0 or 1 where (a, b) dominates
-    the H-set's exponents, a Gaussian period of p or q on its boundary, and
-    0 beyond. Both sides are one row per orbit of _orbit_sums. The measured
-    one is the gathered rows of the leaders, once y^2 and g^2 y^-2 pass
-    their certificate on these sets (a paint that fails it has every k its
-    own leader); t -> u t permutes each set, so every k of an orbit has its
+    For each k in 1..N-1 and each H-set (shape, i, j, h) the measured sum
+    must match its closed form, cells.cell_char_sums at k's cell. Both
+    sides are one row per orbit of _orbit_sums. The measured one is the
+    gathered rows of the leaders, once y^2 and g^2 y^-2 pass their
+    certificate on these sets (a paint that fails it has every k its own
+    leader); t -> u t permutes each set, so every k of an orbit has its
     leader's row on any context, and the orbit lies inside one cell. The
-    expected one is cyclotomy.cell_char_sums per cyclotomy.cells, taken at
-    each leader's cell by cell_index, its periods from _gaussian_periods,
-    which never reads beta_powers. A mismatch is thus constant on its
-    orbit, and each leader is the least k of its orbit, so comparing the
-    leaders' rows checks every (k, H-set) pair and finds the least failing
-    k. Row k = 1 reads beta_powers[1:] once, so a corrupted entry cannot
-    shift both sides alike. Raises LemmaViolation with the witness k and
-    cell, the H-set, on the first mismatch, k ascending, then the 2pq
-    H-sets (i, j, h), the 2p H-sets (i, h) and the 2q H-sets (j, h); the
-    expected and measured values are remainder digits, as in
+    expected one takes each leader's cell by cell_index, its periods from
+    _gaussian_periods, which never reads beta_powers. A mismatch is thus
+    constant on its orbit, and each leader is the least k of its orbit, so
+    comparing the leaders' rows checks every (k, H-set) pair and finds the
+    least failing k. Row k = 1 reads beta_powers[1:] once, so a corrupted
+    entry cannot shift both sides alike. Raises LemmaViolation with the
+    witness k and cell, the H-set, on the first mismatch, k ascending, then
+    the 2pq H-sets (i, j, h), the 2p H-sets (i, h) and the 2q H-sets
+    (j, h); the expected and measured values are remainder digits, as in
     verify_case_table. The report (CharSumReport) keeps the measured rows,
     their leaders, and the H-sets as a column map.
     """
@@ -599,7 +596,7 @@ def verify_char_sum_tables(system, context):
     columns = system.labels[2::2]
     sets = [h_set(system, cid) % N for cid in columns]
     leaders, measured, col = _orbit_sums(context, sets, c)
-    expected = rows[cell_index(c)[leaders]]
+    expected = rows[cell_index(*params)[leaders]]
 
     bad = measured != expected
     if bad.any():

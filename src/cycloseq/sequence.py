@@ -8,7 +8,7 @@ constraints are that a, b, c, d are pairwise distinct, e is nonzero, and
 e avoids the values that forbidden_e, the paper's mod-8 rule, names (b+d
 when p = +/-1, b or b+c when p = +/-3). build_sequence is the one gate;
 mappings violating only the mod-8 rule pass it with allow_degenerate.
-analysis.predict_lc, not the rule, decides full complexity, and the two
+cells.predict_lc, not the rule, decides full complexity, and the two
 disagree on some mappings; spectrum_profile predicts S(beta^k) per regime.
 
 As s = sum over buckets of v_b 1_b, a sequence is held as its system and
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf4
+from .cells import _bucket_symbols
 from .cyclotomy import CyclotomicSystem, bucket_codes
 from .errors import InvalidMapping, InvalidParams, MalformedSequenceFile
 from .numtheory import two_is_square_mod
@@ -146,11 +147,6 @@ class QuaternarySequence:
         symbols = lut[self.system.partition]
         symbols.flags.writeable = False
         return symbols
-
-
-def _bucket_symbols(mapping):
-    # one symbol per bucket, in cyclotomy.BUCKETS order
-    return 0, mapping.e, mapping.a, mapping.b, mapping.c, mapping.d
 
 
 def build_sequence(system, mapping=DEFAULT_MAPPING, allow_degenerate=False):

@@ -14,7 +14,8 @@ import numpy as np
 from conftest import ALL_MAPPINGS, bucket_of_label, class_table
 from cycloseq import gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
-                               predict_lc, verify_theorem)
+                               verify_theorem)
+from cycloseq.cells import predict_lc
 from cycloseq.cyclotomy import (BUCKETS, ClassId, bucket_codes,
                                 build_partition, build_system,
                                 check_residue_rules, check_structural_lemmas)

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_MAPPINGS, benchmark_systems, mul
-from cycloseq import analysis, cli, cyclotomy, gf4
+from cycloseq import analysis, cells, cli, cyclotomy, gf4
 from cycloseq.analysis import (analyze_degenerate, analyze_symbols,
                                berlekamp_massey, bucket_lc,
                                degenerate_lower_bound, generates,
-                               lc_via_gcd, minimal_planes, predict_lc,
-                               verify_theorem)
-from cycloseq.cyclotomy import build_system, cell_char_sums, cells
+                               lc_via_gcd, minimal_planes, verify_theorem)
+from cycloseq.cells import cell_char_sums, predict_lc
+from cycloseq.cyclotomy import build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams, LemmaViolation,
                              MethodDisagreement, TheoremViolation)
 from cycloseq.extfield import build_extension
@@ -815,17 +815,17 @@ def test_predict_lc_equals_the_gcd_route(params):
 def test_predict_lc_sums_each_cell_once(monkeypatch):
     # the family sums are worked out once per cell of the system, however
     # many mappings are predicted
-    calls, real = [], cyclotomy.cell_char_sums
-    monkeypatch.setattr(cyclotomy, "cell_char_sums",
+    calls, real = [], cells.cell_char_sums
+    monkeypatch.setattr(cells, "cell_char_sums",
                         lambda *args: calls.append(args[4]) or real(*args))
-    cyclotomy._cell_sums.cache_clear()
+    cells._cell_sums.cache_clear()
     constants = build_system_constants(3, 5, 2, 1)
     try:
         for mapping in ALL_MAPPINGS:
             predict_lc(constants, mapping)
     finally:
-        cyclotomy._cell_sums.cache_clear()
-    keys = [key for key, _ in cells(3, 5, 2, 1)]
+        cells._cell_sums.cache_clear()
+    keys = [key for key, _ in cells.cells(3, 5, 2, 1)]
     assert calls == keys and len(keys) == 15
 
 
@@ -874,7 +874,7 @@ def test_bucket_cells_name_the_first_differing_cell(sys15, monkeypatch):
     # derived: against a closed form one bucket's E away on the first or
     # the last cell, or one row short, each read raises, naming the cell,
     # the bucket and both (E, O) pairs, and nothing is kept
-    table = cyclotomy._cell_sums(3, 5, 1, 1)
+    table = cells._cell_sums(3, 5, 1, 1)
     assert table[0][4] == 2 << 2 and table[-1][5] == 1 << 2
     for stub, message in (
             ((_with_e(table[0], 4, 3),) + table[1:], "c (E, O) = (2, 0) on "
@@ -1013,8 +1013,8 @@ def test_cell_sums_give_the_spectrum_profile(p, q):
     # (m, n), then the p-saturated, q-saturated and generic values
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
-        table = cyclotomy._cell_sums(p, q, m, n)
-        keys = [key for key, _ in cells(p, q, m, n)]
+        table = cells._cell_sums(p, q, m, n)
+        keys = [key for key, _ in cells.cells(p, q, m, n)]
         for mapping in ALL_MAPPINGS:
             prof = spectrum_profile(system, mapping)
             values = (mapping.e, mapping.a, mapping.b, mapping.c, mapping.d)
@@ -1036,7 +1036,7 @@ def test_bucket_basis_equals_the_closed_form_on_every_cell(p, q):
     # to (2, 2)
     for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
         system = build_system(p, q, m, n)
-        assert system.bucket_cells == cyclotomy._cell_sums(p, q, m, n)
+        assert system.bucket_cells == cells._cell_sums(p, q, m, n)
         for mapping in ALL_MAPPINGS:
             assert (bucket_lc(system, mapping)
                     == predict_lc(system.constants, mapping)), mapping
@@ -1045,7 +1045,7 @@ def test_bucket_basis_equals_the_closed_form_on_every_cell(p, q):
 def test_bucket_basis_equals_the_closed_form_at_large_primes():
     # R_p R_q has 200 * 204 = 40 800 exponents, one per pair of squares
     system = build_system(401, 409, 1, 1)
-    assert system.bucket_cells == cyclotomy._cell_sums(401, 409, 1, 1)
+    assert system.bucket_cells == cells._cell_sums(401, 409, 1, 1)
 
 
 CHANGED_SYSTEMS = ((3, 5, 1, 1), (3, 7, 1, 1), (5, 3, 2, 1), (7, 17, 1, 1),
@@ -1076,13 +1076,13 @@ def test_changed_labels_raise_or_give_the_gcd_lc(params):
             continue
         for mapping in rng.sample(ALL_MAPPINGS, 8):
             seq = build_sequence(changed, mapping, allow_degenerate=True)
-            assert analysis._cells_lc(rows, changed.period, mapping) \
+            assert cells._cells_lc(rows, changed.period, mapping) \
                 == lc_via_gcd(seq.symbols)[0], mapping
         try:
             held = changed.bucket_cells
         except MethodDisagreement:
             continue
-        assert held == rows == cyclotomy._cell_sums(*params)
+        assert held == rows == cells._cell_sums(*params)
     assert raised > 100
 
 

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DOUBLED_SHAPES, clear_held, fresh_held
-from cycloseq import (analysis, cli, cyclotomy, errors, extfield, gf4,
-                      numtheory, sequence)
+from cycloseq import (analysis, cells, cli, cyclotomy, errors, extfield,
+                      gf4, numtheory, sequence)
 from cycloseq.cli import main
 
 
@@ -271,14 +271,14 @@ def test_verify_cross_checks_the_two_full_lc_verdicts(capsys, monkeypatch):
     # the measured spectrum and predict_lc must agree on full LC: a closed
     # form that disagrees either way is a violation naming both verdicts
     witness = ("--p", "3", "--q", "7", "--map", "0,3,1,2,1")
-    real = analysis.predict_lc
-    monkeypatch.setattr(analysis, "predict_lc",
+    real = cells.predict_lc
+    monkeypatch.setattr(extfield, "predict_lc",
                         lambda c, mapping: real(c, mapping) - 1)
     assert run(capsys, "verify", "--p", "3", "--q", "5") == (
         1, "", "violation: all_values_nonzero = True, "
                "max_complexity_predicted = False: predict_lc gives 29 of "
                "period 30 for mapping (2, 3, 1, 0, 1)\n")
-    monkeypatch.setattr(analysis, "predict_lc", lambda c, mapping: c.period)
+    monkeypatch.setattr(extfield, "predict_lc", lambda c, mapping: c.period)
     assert run(capsys, "verify", *witness) == (
         1, "", "violation: all_values_nonzero = False, "
                "max_complexity_predicted = True: predict_lc gives 42 of "
@@ -792,8 +792,9 @@ def test_sweep_rows_read_only_the_held_bucket_cells(capsys, monkeypatch,
                             spy(walks, analysis.bucket_lc))
         monkeypatch.setattr(module, "build_sequence",
                             spy(seqs, sequence.build_sequence))
-    monkeypatch.setattr(analysis, "predict_lc",
-                        spy(predicted, analysis.predict_lc))
+    for module in (cells, extfield):
+        monkeypatch.setattr(module, "predict_lc",
+                            spy(predicted, cells.predict_lc))
     assert not hasattr(cli, "predict_lc")
     for module, name in ((gf4, "to_planes"), (gf4, "gcd_planes"),
                          (analysis, "lc_via_gcd")):
@@ -998,7 +999,7 @@ def test_sweep_rows_check_the_closed_form(capsys, monkeypatch, cold_builds,
                                           degenerate):
     # against a closed form one bucket's E away from the measured table,
     # every row of the system carries the table check's error: exit 1
-    table = cyclotomy._cell_sums(3, 5, 1, 1)
+    table = cells._cell_sums(3, 5, 1, 1)
     stub = (table[0][:4] + (3 << 2,) + table[0][5:],) + table[1:]
     monkeypatch.setattr(cyclotomy, "_cell_sums", lambda *params: stub)
     code, rows = _sweep_rows(capsys, *degenerate, "--pairs", "3:5",
@@ -1152,7 +1153,7 @@ def test_a_cold_verify_derives_each_table_once(capsys, monkeypatch,
         monkeypatch.setattr(module, "build_system_constants",
                             lambda *args, **kw: constants.append(args)
                             or real(*args, **kw))
-    memos = extfield._power_table, cyclotomy._cell_index
+    memos = extfield._power_table, cells.cell_index
 
     def made():
         return ([memo.cache_info().misses for memo in memos]
@@ -1239,7 +1240,7 @@ def test_a_stubbed_closed_form_lc_raises_at_every_call(capsys, monkeypatch,
     argv = ("verify", "--p", "3", "--q", "7")
     assert run(capsys, *argv)[0] == 0
     held = _held_report(3, 7, 1, 1)
-    monkeypatch.setattr(analysis, "_cell_sums",
+    monkeypatch.setattr(cells, "_cell_sums",
                         lambda p, q, m, n: ((p * q, 0, 0, 0, 0, 0),))
     for _ in range(2):
         code, out, err = run(capsys, *argv)
@@ -1312,7 +1313,7 @@ def test_every_system_verify_accepts_fits_its_memos(cold_builds):
         for params in ((p, q, m, n), (q, p, n, m)):
             system = cyclotomy.build_system(*params)
             chars = system.char_sums
-            rows = len(list(cyclotomy.cells(*params))) - 1
+            rows = len(list(cells.cells(*params))) - 1
             columns = [system.labels.index(c) for c in system.labels[2::2]]
             assert chars.table.shape == (rows, len(columns)) and rows <= 20
             assert chars.col.dtype == np.int8 and chars.col.shape == (ctx.N,)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bucket_of_label, class_table, fresh_held
-from cycloseq import cyclotomy, gf4
+from cycloseq import cells, cyclotomy, gf4
 from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
                                 bucket_codes, build_partition, build_system,
                                 check_residue_rules, check_structural_lemmas,
@@ -86,22 +86,21 @@ def test_h_set_names_a_label_the_system_lacks(sys15):
 
 
 def test_cell_index_is_held_once_and_read_only():
-    # one map held, keyed by (p, q, m, n): the same constants or an equal
-    # key read it back, another system replaces it
-    cyclotomy._cell_index.cache_clear()
-    a, b = (build_system_constants(*params)
-            for params in ((3, 5, 2, 1), (5, 3, 1, 2)))
-    first = cyclotomy.cell_index(a)
+    # one map held, keyed by (p, q, m, n): an equal key reads it back,
+    # another system replaces it
+    cells.cell_index.cache_clear()
+    a, b = (3, 5, 2, 1), (5, 3, 1, 2)
+    first = cells.cell_index(*a)
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0] = 1
-    assert cyclotomy.cell_index(build_system_constants(3, 5, 2, 1)) is first
-    assert cyclotomy.cell_index(b) is not first
-    info = cyclotomy._cell_index.cache_info()
+    assert cells.cell_index(3, 5, 2, 1) is first
+    assert cells.cell_index(*b) is not first
+    info = cells.cell_index.cache_info()
     assert (info.maxsize, info.currsize, info.hits, info.misses) == \
         (1, 1, 1, 2)
-    assert cyclotomy.cell_index(a) is not first
-    assert np.array_equal(cyclotomy.cell_index(a), first)
+    assert cells.cell_index(*a) is not first
+    assert np.array_equal(cells.cell_index(*a), first)
 
 
 def test_union_sets_example_15(sys15):
@@ -171,7 +170,7 @@ def test_bucket_cells_tile_the_period(params):
     table = system.bucket_cells
     assert type(table) is tuple and system.bucket_cells is table
     c = system.constants
-    keys = list(cyclotomy.cells(c.p, c.q, c.m, c.n))
+    keys = list(cells.cells(c.p, c.q, c.m, c.n))
     assert [row[0] for row in table] == [size for _, size in keys]
     assert sum(row[0] for row in table) == c.half_period
     for (key, _), (_, half, a, b, cc, d) in zip(keys, table):
@@ -228,7 +227,7 @@ def test_span_coefficients_are_unique_at_every_level(p, q):
         for j in range(3):
             size = p**i * q**j
             u, v = size // p if i else 0, size // q if j else 0
-            bits = [key[2:] for key, _ in cyclotomy.cells(p, q, 2, 2)
+            bits = [key[2:] for key, _ in cells.cells(p, q, 2, 2)
                     if key[:2] == (2 - i, 2 - j)]
             spans = cyclotomy._spans(p, q, size, u, v, bits)
             k = 1 + bool(i) + bool(j) + bool(i and j)
@@ -250,7 +249,7 @@ def test_spans_give_values_in_the_order_of_their_keys(p, q):
         assert got == {key: tuple(values[o] for o in order)
                        for key, values in spans.items()}
         assert got[cyclotomy._shift_key(r_p, size, u, v)] == tuple(
-            cyclotomy.eta_pair(p)[lp] for lp, _ in bits)
+            cells.eta_pair(p)[lp] for lp, _ in bits)
 
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)

@@ -21,9 +21,9 @@ from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table, mul, poly
 from cycloseq import cli, cyclotomy, gf4
 from cycloseq.analysis import lc_via_gcd
 from cycloseq import extfield
-from cycloseq.cyclotomy import (ClassId, build_system, cell_char_sums,
-                                cell_index, cells, check_structural_lemmas,
-                                h_set)
+from cycloseq.cells import cell_char_sums, cell_index, cells
+from cycloseq.cyclotomy import (ClassId, build_system,
+                                check_structural_lemmas, h_set)
 from cycloseq.errors import (CapExceeded, CaseViolation, CycloseqError,
                              InvalidMapping, InvalidParams, LemmaViolation)
 from cycloseq.extfield import (build_extension, is_irreducible,
@@ -552,7 +552,8 @@ def _spread(system, leaders, rows):
     N = system.half_period
     if len(leaders) == N - 1:
         return rows
-    index = cell_index(system.constants)
+    c = system.constants
+    index = cell_index(c.p, c.q, c.m, c.n)
     assert sorted(index[leaders]) == sorted(set(index[1:].tolist()))
     where = np.full(index.max() + 1, -1)
     where[index[leaders]] = np.arange(len(leaders))
@@ -922,7 +923,8 @@ def test_orbit_fill_is_a_reindexing(params):
 # --- the per-orbit checks against a per-k reference -------------------------
 # verify compares, holds and reads one row per orbit. Each reference below
 # works a row per k: the direct gather over k = 1..N-1, the expected rows
-# at every k's cell (rows[cell_index(c)[1:]]), and the old per-column loop
+# at every k's cell (rows[cell_index(*params)[1:]]), and the old
+# per-column loop
 
 def _per_k_char_sums(system, ctx, measured=None):
     # verify_char_sum_tables a row per k; the first mismatch in (k, column)
@@ -934,7 +936,7 @@ def _per_k_char_sums(system, ctx, measured=None):
     periods = extfield._gaussian_periods(ctx, c.p, c.q)
     rows = np.array([cell_char_sums(*params, key, periods)
                      for key, _ in cells(*params)], dtype=np.uint32)
-    expected = rows[cyclotomy.cell_index(c)[1:]]
+    expected = rows[cyclotomy.cell_index(*params)[1:]]
     columns = system.labels[2::2]
     sets = [h_set(system, cid) % N for cid in columns]
     if measured is None:
@@ -988,12 +990,11 @@ def test_per_orbit_char_sum_check_matches_a_per_k_reference(monkeypatch):
             raised += got[0] == "LemmaViolation"
         monkeypatch.setattr(extfield, "_gaussian_periods", real_periods)
 
-        def mutant(constants):
-            c = constants
-            keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
-            flipped = [keys.index((a, b, lp, lq ^ (b < c.n)))
+        def mutant(p, q, m, n):
+            keys = [key for key, _ in cells(p, q, m, n)]
+            flipped = [keys.index((a, b, lp, lq ^ (b < n)))
                        for a, b, lp, lq in keys]
-            return np.array(flipped)[real_index(constants)]
+            return np.array(flipped)[real_index(p, q, m, n)]
 
         for module in (cyclotomy, extfield):
             monkeypatch.setattr(module, "cell_index", mutant)
@@ -1220,7 +1221,7 @@ def test_the_one_entry_memos_are_safe_between_threads():
     keys = [(build_extension(N), build_system_constants(*params))
             for N, params in ((15, (3, 5, 1, 1)), (1025, (5, 41, 2, 1)))]
     want = [(extfield._power_table(ctx.beta, ctx.N, ctx.d, ctx.x_to_d).copy(),
-             cell_index(c).copy()) for ctx, c in keys]
+             cell_index(c.p, c.q, c.m, c.n).copy()) for ctx, c in keys]
     failures = []
 
     def work(seed):
@@ -1230,7 +1231,8 @@ def test_the_one_entry_memos_are_safe_between_threads():
                 at = rng.randrange(2)
                 ctx, c = keys[at]
                 got = (extfield._power_table(ctx.beta, ctx.N, ctx.d,
-                                             ctx.x_to_d), cell_index(c))
+                                             ctx.x_to_d),
+                       cell_index(c.p, c.q, c.m, c.n))
                 for array, ref in zip(got, want[at]):
                     assert not array.flags.writeable
                     assert np.array_equal(array, ref)
@@ -1357,7 +1359,7 @@ def test_cells_tile_z_n(params):
     N = c.half_period
     keys, sizes = zip(*cells(*params))
     assert sum(sizes) == N
-    index = cell_index(c)
+    index = cell_index(*params)
     assert np.bincount(index, minlength=len(keys)).tolist() == list(sizes)
     # every power of p and q divides k = 0, which lies in (m, n, 0, 0)
     assert _cell_of(c, 0) == (c.m, c.n, 0, 0)
@@ -1464,12 +1466,11 @@ def test_a_flipped_q_legendre_bit_fails_both_checks(params, monkeypatch):
     ctx = build_extension(system.half_period)
     real = cyclotomy.cell_index
 
-    def mutant(constants):
-        c = constants
-        keys = [key for key, _ in cells(c.p, c.q, c.m, c.n)]
-        flipped = [keys.index((a, b, lp, lq ^ (b < c.n)))
+    def mutant(p, q, m, n):
+        keys = [key for key, _ in cells(p, q, m, n)]
+        flipped = [keys.index((a, b, lp, lq ^ (b < n)))
                    for a, b, lp, lq in keys]
-        return np.array(flipped)[real(constants)]
+        return np.array(flipped)[real(p, q, m, n)]
 
     for module in (cyclotomy, extfield):
         monkeypatch.setattr(module, "cell_index", mutant)

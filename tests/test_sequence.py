@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_MAPPINGS, class_table
-from cycloseq.analysis import bucket_lc, lc_via_gcd, predict_lc
+from cycloseq.analysis import bucket_lc, lc_via_gcd
+from cycloseq.cells import predict_lc
 from cycloseq.cyclotomy import BUCKETS, ClassId, bucket_codes, build_system
 from cycloseq.errors import (InvalidMapping, InvalidParams,
                              MalformedSequenceFile)
