@@ -35,6 +35,7 @@ import functools
 import numpy as np
 
 from . import gf4
+from .limits import HELD_TABLES
 from .numtheory import two_is_square_mod
 
 
@@ -73,15 +74,17 @@ def cell_index(p, q, m, n):
     read-only, in the least unsigned dtype that holds len(cells). The last
     map made is held: build_partition and verify's expected rows share it.
     v_p(k) and v_q(k), capped at m and n, count the strided multiples of
-    p^t and q^t that reach k, in place of a % pass per prime power."""
+    p^t and q^t that reach k, in place of a % pass per prime power: uint8
+    valuations and an int32 unit part, as N < PERIOD_CEILING < 2^31."""
     N = p**m * q**n
-    a, b = np.zeros((2, N), dtype=np.int64)
+    a, b = np.zeros((2, N), dtype=np.uint8)
     for v, r, top in ((a, p, m), (b, q, n)):
         for t in range(1, top + 1):
             v[::r**t] += 1
-    l = np.arange(N) // (p**a * q**b)
-    lp = np.where(a < m, _qr_sides(p)[l % p], 0)
-    lq = np.where(b < n, _qr_sides(q)[l % q], 0)
+    l = np.arange(N, dtype=np.int32)
+    l //= np.power(p, a, dtype=np.int32) * np.power(q, b, dtype=np.int32)
+    lp, lq = _qr_sides(p)[l % p], _qr_sides(q)[l % q]
+    lp[a == m], lq[b == n] = 0, 0
     # position by key, dead keys left unset
     keys = [key for key, _ in cells(p, q, m, n)]
     where = np.empty((m + 1, n + 1, 2, 2),
@@ -127,7 +130,7 @@ def cell_char_sums(p, q, m, n, cell, periods):
 
 
 # one table per system, which bucket_cells and predict_lc read
-@functools.cache
+@functools.lru_cache(maxsize=HELD_TABLES)
 def _cell_sums(p, q, m, n):
     """The closed form's rows (module docstring) at eta_pair's periods:
     T_0, T_1, T_s of cell_char_sums added over the families, T_s taking

@@ -5,12 +5,10 @@ Exit codes: 0 success, 1 verification violation or failed sweep row
 the sweep keeps its other rows), 2 invalid parameters or mapping (also
 when a sweep row fails on one), or an OSError on a file such as an --out
 path that cannot be written, 3 cap exceeded or memory run out, 4
-malformed sequence file. numtheory.check_limit raises every cap's error:
---cap (default 10^7) bounds 2 p^m q^n and an analyze --file length, no
-cap lifts a period past PERIOD_CEILING = 2^31 - 1, and build_extension
-caps verify at N <= 5000 and d <= 12, on the constants `verify` builds
-before it takes its system; a cold build_system paints from those same
-constants, so a verify builds them once.
+malformed sequence file. The limits module holds every cap and budget
+and raises every cap's error. build_extension caps verify on the
+constants `verify` builds before it takes its system; a cold build_system
+paints from those same constants, so a verify builds them once.
 
 In the verify report, partition_ok: true rests on two routes: the paint,
 from the powers of g and y, raises PartitionViolation (exit 1) on an index
@@ -20,21 +18,19 @@ name from p and q alone (LemmaViolation, exit 1). residue_violations: 0
 rests on that comparison too, as the cells' labels obey the mod-8 rule.
 
 Every command gets its systems from cyclotomy.build_system, which holds
-what it painted (periods summing to at most cyclotomy.HELD_POSITIONS), so
-later main() calls in one process repaint no system; each call still
-checks its own --cap.
+what it painted, so later main() calls in one process repaint no system;
+each call still checks its own --cap.
 
 verify keeps more for the process, all of it read-only. Only cmd_verify
 imports extfield (cyclotomy's char_sums imports it at first read too), so
-generate, analyze and sweep never compile it.
-extfield.build_extension holds one field per N, the last
-extfield.HELD_FIELDS by use; the caps pass 52 values of N, so all fit.
-Each held system keeps what verify checks once per system, its char_sums
-(extfield.checked_char_sums: the comparison, then the char-sum table),
-which goes with the system when build_system's store drops it. The
-report is one table row per orbit of Z_N (one per nonzero cell, at most
-20), their leaders and an int8 column map of Z_N: about 0.12 MB over the
-104 systems the caps pass, not a row per k.
+generate, analyze and sweep never compile it. extfield.build_extension
+holds one field per N, and each held system keeps what verify checks
+once per system, its char_sums (extfield.checked_char_sums: the
+comparison, then the char-sum table), which goes with the system when
+build_system's store drops it. The report is one table row per orbit of
+Z_N (one per nonzero cell, at most 20), their leaders and an int8 column
+map of Z_N: about 0.12 MB over the 104 systems the caps pass, not a row
+per k.
 Each verify still calls build_extension first, so its caps refuse before
 any paint; a later verify of a held system in the same process then runs
 only the steps that read the mapping: build_sequence (the gate),
@@ -58,8 +54,9 @@ from .errors import (CapExceeded, CaseViolation, CycloseqError,
                      InvalidMapping, InvalidParams, LemmaViolation,
                      MalformedSequenceFile, MethodDisagreement,
                      PartitionViolation, TheoremViolation)
-from .numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING,
-                        build_system_constants, check_period)
+from .limits import (DEFAULT_PARAM_CAP, ECHO_CHARS, PERIOD_CEILING,
+                     check_period)
+from .numtheory import build_system_constants
 from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
                        forbidden_e, parse_ascii_int, read_sequence_file,
                        write_sequence_file)
@@ -67,8 +64,6 @@ from .sequence import (DEFAULT_MAPPING, Mapping, build_sequence,
 DEFAULT_MAP = ",".join(str(v) for v in DEFAULT_MAPPING.as_tuple())
 DEFAULT_PAIRS = "3:5,3:7,5:7,3:11"
 DEFAULT_EXPONENTS = "1:1,2:1,1:2"
-# a bad grid entry longer than this is echoed cut, with its length
-ECHO_CHARS = 40
 CAP_HELP = (f"period cap on 2 p^m q^n and an analyze --file length (default "
             f"%(default)s); no cap lifts it past the ceiling {PERIOD_CEILING}")
 

@@ -26,7 +26,7 @@ singletons {0} and {p^m q^n} tile Z_{2 p^m q^n} exactly once. The
 doubled-modulus H-sets and p^m q^n fill the odd positions, and the even
 half is their image under t -> 2t mod 2 p^m q^n. That tiling, its odd
 half painted from one int64 table of g^s y^k mod 2 p^m q^n (exact below
-the period ceiling of numtheory) and its even half copied from the odd,
+the period ceiling of limits) and its even half copied from the odd,
 is stored as a label array and is the single source of truth: a sequence
 reads only its labels, or the bucket-cell table derived from them on
 first read, and h_set reads the positions of one label. A paint that does
@@ -63,14 +63,13 @@ build_system holds the systems it has painted, keyed by (p, q, m, n), and
 every command of the CLI takes its systems from it, so a process paints
 each system once: a sweep per mapping over one grid, or a verify of a
 system already painted, repaints nothing. The least recently used system
-goes first, and the held periods sum to at most HELD_POSITIONS label
-positions (16 MB of int16); a system larger than that is returned and not
-held. Every call is still checked against its cap, and a call that raises
-holds nothing. A held system is read-only: its partition, its
-bucket-cell table (a tuple), verify's checked char-sum report (char_sums)
-and its constants' order tables; it keeps each table once derived, so
-each system derives it once per process, and it goes with the system
-when the system is evicted.
+goes first, the held periods within limits.HELD_POSITIONS; a system
+larger than that is returned and not held. Every call is still checked
+against its cap, and a call that raises holds nothing. A held system is
+read-only: its partition, its bucket-cell table (a tuple), verify's
+checked char-sum report (char_sums) and its constants' order tables; it
+keeps each table once derived, so each system derives it once per
+process, and it goes with the system when the system is evicted.
 """
 
 import collections
@@ -86,15 +85,13 @@ from . import gf4
 from .cells import _cell_sums, _family_indices, cell_index, cells, eta_pair
 from .errors import (InvalidParams, LemmaViolation, MethodDisagreement,
                      PartitionViolation)
-from .numtheory import (DEFAULT_PARAM_CAP, SystemConstants,
-                        build_system_constants, two_is_square_mod)
+from .limits import DEFAULT_PARAM_CAP, HELD_POSITIONS, HELD_TABLES
+from .numtheory import (SystemConstants, build_system_constants,
+                        two_is_square_mod)
 
 ZERO_LABEL = "zero"
 HALF_LABEL = "half"
 BUCKETS = ("zero", "half", "a", "b", "c", "d")
-# label positions build_system may hold: a census of the 980 pairs with
-# pq <= 5 000 at (1, 1) paints 4 904 576
-HELD_POSITIONS = 2**23
 
 
 class ClassId(NamedTuple):
@@ -218,8 +215,8 @@ def _bucket_cells(system):
     return tuple(rows)
 
 
-# one table per shape (m, n), of which the period ceiling allows a few hundred
-@functools.cache
+# one table per shape (m, n), of which the period ceiling allows 107
+@functools.lru_cache(maxsize=HELD_TABLES)
 def partition_labels(m, n):
     """Label table for the partition of Z_{2 p^m q^n}, fixed order."""
     # each doubled-modulus class, then two times its odd-modulus twin
@@ -229,7 +226,7 @@ def partition_labels(m, n):
         for h in (0, 1) for two in (True, False))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=HELD_TABLES)
 def bucket_codes(m, n):
     """Index into BUCKETS of each partition label, a read-only array: zero,
     half, then per family a, c, b, d, as its label 4 f + 2 h + 2 is the

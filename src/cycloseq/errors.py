@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 A parameter is refused with InvalidParams (exit 2) or, over a size cap,
-with CapExceeded (exit 3), which only numtheory.check_limit raises.
+with CapExceeded (exit 3), which only limits.check_limit raises.
 
 Verification routines use the *Violation types in two modes: raised on the
 first failing witness, or collected unraised into a list when the caller

@@ -15,7 +15,7 @@ is searched for. The module tabulates beta^r for 0 <= r < N by the base-4
 digits of r, not by doubling: a round is one gather of y -> beta^j y^4,
 j < 4. Every sum it then measures is an XOR of beta^(k t mod N) over an
 index set T, and one kernel, _power_sums, gathers a table of them in
-blocks of about _BLOCK_ELEMENTS elements, so temporary memory stays below
+blocks of about limits._BLOCK_ELEMENTS, so temporary memory stays below
 a megabyte instead of growing as N^2. A unit u with u T = T mod N makes
 the row of u k the row of k, by reindexing t -> u t, whatever the table
 holds: _orbit_sums certifies the multipliers y^2 and g^2 y^-2, which
@@ -44,13 +44,13 @@ whose beta_powers were replaced still gets its beta's own table, and one
 whose beta changed gets a table of its own.
 
 A process builds each field once: build_extension holds its context per
-N, the last HELD_FIELDS by use, and the context is read-only (a frozen
-dataclass, its modulus and beta_powers not writeable). verify checks
-each system once, by checked_char_sums, the one checked char-sum report:
-the paint against its cells, then the table. The report is read-only
-(CharSumReport: at most 20 rows, their leaders, and an int8 column map
-of Z_N in place of the H-sets, its arrays not writeable): each system
-keeps its own (CyclotomicSystem.char_sums), read back for every mapping.
+N, the last limits.HELD_FIELDS by use, and the context is read-only (a
+frozen dataclass, its modulus and beta_powers not writeable). verify
+checks each system once, by checked_char_sums: the paint against its
+cells, then the table. The report is read-only (CharSumReport: at most
+20 rows, their leaders, and an int8 column map of Z_N in place of the
+H-sets, its arrays not writeable): each system keeps its own
+(CyclotomicSystem.char_sums), read back for every mapping.
 """
 
 import functools
@@ -59,22 +59,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import gf4
+from . import gf4, limits
 from .cells import _qr_sides, cell_char_sums, cell_index, cells, predict_lc
 from .cyclotomy import check_structural_lemmas, h_set
 from .errors import (CaseViolation, InvalidParams, LemmaViolation,
                      MethodDisagreement)
-from .numtheory import check_limit, factorize, mult_order
+from .numtheory import factorize, mult_order
 from .sequence import build_sequence, spectrum_profile
-
-VERIFY_N_CAP = 5000
-DEFAULT_DEGREE_CAP = 12
-# fields build_extension holds, least recently used out first: the caps
-# pass 52 values of N, so all of them fit, 0.15 MB of beta_powers in all
-HELD_FIELDS = 64
-# gathered elements per block of _power_sums: 256 KB of int32 indices plus
-# 256 KB of gathered uint32, small enough to stay in cache
-_BLOCK_ELEMENTS = 1 << 16
 
 
 # --- packed-element arithmetic -------------------------------------------
@@ -138,7 +129,7 @@ def _x_multiples(y, count, d, x_to_d):
     return np.array(out, dtype=np.uint32)
 
 
-@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+@functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
 def _basis_images(d, x_to_d):
     """Images of the 2d single bits under y -> y^(2^i) modulo
     X^d + x_to_d for i = 0, 1, 2, a row per map, one read-only array:
@@ -156,7 +147,7 @@ def _basis_images(d, x_to_d):
     return images
 
 
-@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+@functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
 def _linear_maps(d, x_to_d):
     """Byte tables of _basis_images' maps, y -> y^(2^i) for i = 0, 1, 2,
     stacked on the last axis, one read-only array for _vec_linear: column
@@ -166,7 +157,7 @@ def _linear_maps(d, x_to_d):
     return maps
 
 
-@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+@functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
 def _square_rows(d, x_to_d):
     # _linear_maps' squaring column as tuples, read one element at a time
     return tuple(map(tuple, _linear_maps(d, x_to_d)[..., 1].tolist()))
@@ -199,7 +190,7 @@ def _has_gf4_root(hi, lo):
     return gf4.gcd_planes(hi, lo, 0, 0b1001) != (0, 1)
 
 
-@functools.lru_cache(maxsize=DEFAULT_DEGREE_CAP)
+@functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
 def least_irreducible(d):
     """Least monic irreducible of degree d, coefficients compared from the
     constant term up, which starts at 1 (else x divides). From degree 2 on,
@@ -265,27 +256,28 @@ def _power_table(x, size, d, x_to_d):
     return out
 
 
-@functools.lru_cache(maxsize=HELD_FIELDS, typed=True)
+@functools.lru_cache(maxsize=limits.HELD_FIELDS, typed=True)
 def build_extension(N):
     """Deterministic F_{4^d} context for N = p^m q^n, built once per N
-    and held for the process, the last HELD_FIELDS of them by use; each
+    and held for the process, the last limits.HELD_FIELDS by use; each
     call returns the held context, read-only (frozen, its modulus and
     beta_powers not writeable).
 
-    Raises CapExceeded, through numtheory.check_limit, when
-    N > VERIFY_N_CAP or d > DEFAULT_DEGREE_CAP, and InvalidParams when N is
+    Raises CapExceeded, through limits.check_limit, when N or d exceeds
+    its cap (VERIFY_N_CAP, DEFAULT_DEGREE_CAP), and InvalidParams when N is
     not a product of exactly two odd prime powers; a call that raises
     holds nothing, so it raises again at every call.
     """
     if N < 3:
         raise InvalidParams("N must be an odd composite p^m q^n")
-    check_limit("N =", N, VERIFY_N_CAP, "the verification cap")
+    limits.check_limit("N =", N, limits.VERIFY_N_CAP, "the verification cap")
     fac = factorize(N)
     if len(fac) != 2 or 2 in fac:
         raise InvalidParams("N must be p^m q^n for distinct odd primes")
     p, q = fac
     d = mult_order(4, N)
-    check_limit("extension degree", d, DEFAULT_DEGREE_CAP, "the cap")
+    limits.check_limit("extension degree", d, limits.DEFAULT_DEGREE_CAP,
+                       "the cap")
 
     modulus = least_irreducible(d)
     x_to_d = gf4.pack(*gf4.to_planes(modulus[:d]), d)
@@ -321,7 +313,7 @@ def _power_sums(beta_powers, sets, ks):
     """out[r, j] = XOR of beta_powers[ks[r] * t mod N] over t in sets[j].
 
     The whole uint32 table at once: rows go in blocks of about
-    _BLOCK_ELEMENTS gathered elements, each block one outer product and
+    limits._BLOCK_ELEMENTS gathered elements, each one outer product and
     reduction mod N, one gather, and one xor-reduceat over the
     concatenated sets. An empty set gives a zero column. Indices are
     int32: N <= VERIFY_N_CAP keeps every product k t below (N - 1)^2 < 2^31.
@@ -335,7 +327,7 @@ def _power_sums(beta_powers, sets, ks):
     flat = np.concatenate([np.asarray(sets[j], dtype=np.int64) % N
                            for j in cols]).astype(np.int32)
     starts = np.cumsum([0] + [len(sets[j]) for j in cols[:-1]])
-    step = max(1, _BLOCK_ELEMENTS // flat.size)
+    step = max(1, limits._BLOCK_ELEMENTS // flat.size)
     for lo in range(0, len(ks), step):
         idx = np.multiply.outer(ks[lo:lo + step], flat)
         # idx % N: numpy floor-divides by a scalar about twice as fast

@@ -1,10 +1,8 @@
 """Exact integer number theory for the sequence construction.
 
 Everything runs on arbitrary-precision Python ints. Primality is
-deterministic trial division: inputs are desk-scale by design, enforced by
-the parameter cap (2 p^m q^n <= 10**7 unless overridden) and, whatever the
-cap, the period ceiling 2^31 - 1 (check_period), so there is no need for
-probabilistic tests. check_limit raises every CapExceeded of the package.
+deterministic trial division: the caps of the limits module keep inputs
+desk-scale, so there is no need for probabilistic tests.
 
 The module ends in build_system_constants, which derives the full constant
 set for a parameter choice (p, q, m, n): the common lift g of the least
@@ -17,26 +15,8 @@ import math
 import types
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InvalidParams
-
-DEFAULT_PARAM_CAP = 10**7
-# no cap lifts a period past this: below it a product of two residues
-# mod the period is exact in int64, which the power table relies on
-PERIOD_CEILING = 2**31 - 1
-
-
-def check_limit(what, value, limit, bound, shown=None):
-    """The one raise of CapExceeded; shown, when given, stands for value."""
-    if value > limit:
-        raise CapExceeded(f"{what} {value if shown is None else shown} "
-                          f"exceeds {bound} {limit}")
-
-
-def check_period(period, cap, shown=None):
-    """check_limit on a period, under the lower of cap and PERIOD_CEILING."""
-    limit = min(cap, PERIOD_CEILING)
-    check_limit("period", period, limit,
-                "cap" if cap == limit else "the period ceiling", shown)
+from .errors import InvalidParams
+from .limits import DEFAULT_PARAM_CAP, HELD_TABLES, check_period
 
 
 def is_prime(n):
@@ -94,7 +74,7 @@ def two_is_square_mod(r):
 
 
 # one search per prime: a sweep builds many systems over few primes
-@functools.cache
+@functools.lru_cache(maxsize=HELD_TABLES)
 def smallest_odd_primitive_root_mod_p2(p):
     """Least odd r >= 3 that is a primitive root mod p**2.
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from cycloseq import cyclotomy, extfield, gf4
+from cycloseq import cyclotomy, extfield, gf4, limits
 from cycloseq.sequence import Mapping
 
 ACCEPTANCE_VERDICTS = []
@@ -76,7 +76,7 @@ def fresh_held():
     """Bind build_system a fresh, empty store of painted systems, so the
     systems held so far, with the checks each keeps, are not read again;
     the fields stay held."""
-    cyclotomy.HELD = cyclotomy._HeldSystems(cyclotomy.HELD_POSITIONS)
+    cyclotomy.HELD = cyclotomy._HeldSystems(limits.HELD_POSITIONS)
 
 
 def clear_held():

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cycloseq"
 MOVED = ("_family_indices", "cells", "cell_index", "_cell_index",
          "_qr_sides", "eta_pair", "cell_char_sums", "_cell_sums",
          "_bucket_symbols", "_PAIR_MUL", "_LOSS", "_cells_lc", "predict_lc")
-ALLOWED = {"gf4", "numtheory", "errors"}
+ALLOWED = {"gf4", "numtheory", "errors", "limits"}
 
 
 def _top_level_names(path):
@@ -92,6 +93,19 @@ def test_cell_index_holds_a_byte_per_k_at_49_cells():
     assert len(list(cells.cells(7, 11, 3, 3))) == 49
     assert index.dtype == np.uint8 and index.nbytes == 456533
     assert not index.flags.writeable
+    assert np.array_equal(index, _reference_index(7, 11, 3, 3))
+
+
+def test_cell_index_peaks_under_8_mb_at_49_cells():
+    # uint8 valuations and an int32 unit part: 6.4 MB, about 14 bytes per
+    # k of N = 456 533, where int64 arrays peaked at 18.3 MB
+    tracemalloc.start()
+    try:
+        index = cells.cell_index.__wrapped__(7, 11, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 10**6
     assert np.array_equal(index, _reference_index(7, 11, 3, 3))
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import DOUBLED_SHAPES, clear_held, fresh_held
 from cycloseq import (analysis, cells, cli, cyclotomy, errors, extfield,
-                      gf4, numtheory, sequence)
+                      gf4, limits, numtheory, sequence)
 from cycloseq.cli import main
 
 
@@ -84,10 +84,10 @@ def test_analyze_file_length_is_bounded_by_the_cap(tmp_path, capsys,
     def refuse(symbols):
         raise AssertionError("an LC route ran past the cap")
 
-    # both paths read the ceiling from numtheory; a held (3, 5) would
+    # both paths read the ceiling from limits; a held (3, 5) would
     # skip the constants, which check the period only when built
     monkeypatch.setattr(cli, "analyze_symbols", refuse)
-    monkeypatch.setattr(numtheory, "PERIOD_CEILING", 29)
+    monkeypatch.setattr(limits, "PERIOD_CEILING", 29)
     fresh_held()
     assert run(capsys, "analyze", "--p", "3", "--q", "5") \
         == run(capsys, "analyze", "--file", str(out)) \
@@ -592,10 +592,10 @@ def test_verify_caps_come_before_the_class_tables(capsys, monkeypatch,
     # N = 4 387 passes the N cap; ord_4387(4) = 530 exceeds the degree cap
     code, _, err = run(capsys, "verify", "--p", "41", "--q", "107")
     assert (code, err) == (3, "error: extension degree 530 exceeds the cap "
-                              f"{extfield.DEFAULT_DEGREE_CAP}\n")
+                              f"{limits.DEFAULT_DEGREE_CAP}\n")
     code, _, err = run(capsys, "verify", "--p", "71", "--q", "73")
     assert (code, err) == (3, "error: N = 5183 exceeds the verification cap "
-                              f"{extfield.VERIFY_N_CAP}\n")
+                              f"{limits.VERIFY_N_CAP}\n")
     # invalid input still exits 2, before either cap
     for argv in (("--p", "4", "--q", "107"), ("--p", "41", "--q", "41"),
                  ("--p", "41", "--q", "107", "--m", "0"),
@@ -1289,7 +1289,7 @@ def test_the_verify_grid_is_held_whole(capsys, monkeypatch, cold_builds):
     # per k and int64 H-sets took 1.17 MB)
     assert sum(map(_report_bytes, reports)) <= 0.045 * 2**20
     fields = extfield.build_extension.cache_info()
-    assert fields.maxsize == extfield.HELD_FIELDS == 64
+    assert fields.maxsize == limits.HELD_FIELDS == 64
     assert fields.currsize == len({VERIFY_GRID[key]["N"]
                                    for key in VERIFY_GRID})
 
@@ -1302,10 +1302,10 @@ def test_every_system_verify_accepts_fits_its_memos(cold_builds):
     # int8 column map of Z_N: 0.115 MB of reports in all, where a row per
     # k and each column's int64 H-set would take over 2.5 MB
     fields = []
-    for N in range(3, extfield.VERIFY_N_CAP + 1, 2):
+    for N in range(3, limits.VERIFY_N_CAP + 1, 2):
         with contextlib.suppress(errors.CycloseqError):
             fields.append(extfield.build_extension(N))
-    assert len(fields) == 52 <= extfield.HELD_FIELDS
+    assert len(fields) == 52 <= limits.HELD_FIELDS
     assert extfield.build_extension.cache_info().currsize == 52
     total = per_k = 0
     for ctx in fields:

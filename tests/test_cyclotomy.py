@@ -19,8 +19,8 @@ from cycloseq.cyclotomy import (BUCKETS, ClassId, HALF_LABEL, ZERO_LABEL,
                                 h_set, partition_labels)
 from cycloseq.errors import (CapExceeded, InvalidParams, LemmaViolation,
                              PartitionViolation)
-from cycloseq.numtheory import (PERIOD_CEILING, build_system_constants,
-                                euler_phi)
+from cycloseq.limits import HELD_POSITIONS, PERIOD_CEILING
+from cycloseq.numtheory import build_system_constants, euler_phi
 
 GRID = [(3, 5, 1, 1), (3, 7, 1, 1), (5, 7, 1, 1), (3, 11, 1, 1),
         (3, 5, 2, 1), (3, 5, 1, 2), (3, 7, 2, 1)]
@@ -1078,7 +1078,7 @@ def test_held_positions_stay_within_the_budget(monkeypatch):
     # periods 30, 42, 70 and 90 in a 200-position budget
     held = cyclotomy._HeldSystems(200)
     monkeypatch.setattr(cyclotomy, "HELD", held)
-    assert cyclotomy.HELD_POSITIONS == 2**23
+    assert HELD_POSITIONS == 2**23
 
     def keys():
         return [key[:4] for key in held.systems]

@@ -20,7 +20,7 @@ import pytest
 from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table, mul, poly
 from cycloseq import cli, cyclotomy, gf4
 from cycloseq.analysis import lc_via_gcd
-from cycloseq import extfield
+from cycloseq import extfield, limits
 from cycloseq.cells import cell_char_sums, cell_index, cells
 from cycloseq.cyclotomy import (ClassId, build_system,
                                 check_structural_lemmas, h_set)
@@ -166,7 +166,7 @@ def test_every_field_the_caps_pass_is_pinned(cold_builds):
     # a change in the modulus search, in x_to_d or in the search for beta
     # moves one of these pins
     fields = {}
-    for N in range(3, extfield.VERIFY_N_CAP + 1, 2):
+    for N in range(3, limits.VERIFY_N_CAP + 1, 2):
         with contextlib.suppress(CycloseqError):
             fields[N] = build_extension(N)
     assert {N: (ctx.d, _digits(ctx.beta, ctx.d))
@@ -798,7 +798,7 @@ def test_case_table_reads_no_unchecked_table(params, monkeypatch):
 
 def test_verify_cap_keeps_products_in_int32():
     # _power_sums forms k t mod N in int32, k and t below N
-    assert (extfield.VERIFY_N_CAP - 1)**2 < 2**31
+    assert (limits.VERIFY_N_CAP - 1)**2 < 2**31
 
 
 def test_blocked_kernel_matches_single_block(monkeypatch):
@@ -813,7 +813,7 @@ def test_blocked_kernel_matches_single_block(monkeypatch):
     spectrum = measure_spectrum(ctx, _unchecked_report(system, ctx), seq)
     witness = _outcome(verify_char_sum_tables, system, bad)
     for budget in (1, 50, 1000):
-        monkeypatch.setattr(extfield, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(limits, "_BLOCK_ELEMENTS", budget)
         assert np.array_equal(
             extfield._power_sums(ctx.beta_powers, sets, ks), whole)
         assert np.array_equal(measure_spectrum(
@@ -1576,7 +1576,7 @@ def test_root_prefilter_matches_evaluation():
 
 def test_least_irreducible_is_searched_once_and_read_only():
     assert least_irreducible.cache_info().maxsize == \
-        extfield.DEFAULT_DEGREE_CAP
+        limits.DEFAULT_DEGREE_CAP
     for d in (1, 5, 12):
         first = least_irreducible(d)
         assert least_irreducible(d) is first
@@ -1648,4 +1648,4 @@ def test_each_field_is_built_once_and_held(monkeypatch, cold_builds):
             build_extension(105)
     info = build_extension.cache_info()
     assert info.currsize == 1
-    assert info.maxsize == extfield.HELD_FIELDS == 64
+    assert info.maxsize == limits.HELD_FIELDS == 64

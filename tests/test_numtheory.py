@@ -11,10 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cycloseq.errors import CapExceeded, InvalidParams
-from cycloseq.numtheory import (DEFAULT_PARAM_CAP, PERIOD_CEILING, _lift,
-                                build_system_constants, check_limit,
-                                check_period, euler_phi, factorize,
-                                is_prime, mult_order,
+from cycloseq.limits import (DEFAULT_PARAM_CAP, PERIOD_CEILING, check_limit,
+                             check_period)
+from cycloseq.numtheory import (_lift, build_system_constants, euler_phi,
+                                factorize, is_prime, mult_order,
                                 smallest_odd_primitive_root_mod_p2)
 
 ODD_PRIMES = [r for r in range(3, 120, 2) if is_prime(r)]
@@ -202,7 +202,7 @@ def test_check_limit_words_every_cap():
 
 
 def test_cap_exceeded_has_one_raise_site():
-    # every CapExceeded of the package is made in numtheory.check_limit
+    # every CapExceeded of the package is made in limits.check_limit
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "cycloseq"
 
     def makes_cap_exceeded(node):
@@ -215,4 +215,4 @@ def test_cap_exceeded_has_one_raise_site():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 sites += [f"{path.stem}.{func.name}" for node in ast.walk(func)
                           if makes_cap_exceeded(node)]
-    assert sites == ["numtheory.check_limit"]
+    assert sites == ["limits.check_limit"]
