@@ -251,6 +251,7 @@ def build_parser():
         description="Quaternary generalized cyclotomic sequences: "
                     "generation, linear complexity, verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
+    degenerate_help = "allow mappings violating the mod-8 constraint"
 
     def add_params(sp, required=True):
         sp.add_argument("--p", type=int, required=required)
@@ -265,8 +266,7 @@ def build_parser():
     gen = sub.add_parser("generate", help="write a sequence digit file")
     add_params(gen)
     gen.add_argument("--out", default=None)
-    gen.add_argument("--degenerate", action="store_true",
-                     help="allow mappings violating the mod-8 constraint")
+    gen.add_argument("--degenerate", action="store_true", help=degenerate_help)
     gen.set_defaults(func=cmd_generate)
 
     ana = sub.add_parser("analyze", help="measure linear complexity")
@@ -276,7 +276,7 @@ def build_parser():
     ana.add_argument("--format", choices=("json", "csv", "text"),
                      default="json")
     ana.add_argument("--out", default=None)
-    ana.add_argument("--degenerate", action="store_true")
+    ana.add_argument("--degenerate", action="store_true", help=degenerate_help)
     ana.set_defaults(func=cmd_analyze)
 
     ver = sub.add_parser("verify", help="run the full verification suite")
@@ -293,7 +293,9 @@ def build_parser():
     sw.add_argument("--exponents", default=DEFAULT_EXPONENTS,
                     help=f"exponent pairs M:N, comma separated "
                          f"(default {DEFAULT_EXPONENTS})")
-    sw.add_argument("--map", default=DEFAULT_MAP)
+    sw.add_argument("--map", default=DEFAULT_MAP,
+                    help="base mapping digits a,b,c,d,e, whose forbidden e "
+                         "values --degenerate sweeps (default %(default)s)")
     sw.add_argument("--cap", type=int, default=DEFAULT_PARAM_CAP,
                     help=CAP_HELP)
     sw.add_argument("--degenerate", action="store_true",

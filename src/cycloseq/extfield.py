@@ -6,14 +6,15 @@ a primitive N-th root of unity beta. Elements are gf4's packed ints
 One field is built per degree: the least monic irreducible in
 lexicographic coefficient order, searched on planes (a candidate with a
 common factor with x^3 - 1, so a root in GF(4)*, skipped after one gcd;
-Rabin's test deciding the rest), with the byte tables of x -> x^2 and
-x -> x^4 stacked in one array. These maps and times a fixed element are
-GF(2)-linear, one 256-entry lookup per input byte (_vec_linear on arrays),
-so ext_pow squares by table. beta is the first c^((4^d - 1)/N) of order N,
-c running from x on, digits compared from the top, so no group generator
-is searched for. The module tabulates beta^r for 0 <= r < N by the base-4
-digits of r, not by doubling: a round is one gather of y -> beta^j y^4,
-j < 4. Every sum it then measures is an XOR of beta^(k t mod N) over an
+Rabin's test deciding the rest). Per degree, _frobenius holds x -> x^2 as
+byte tables and the images of the basis bits under x -> x^4. These maps
+and times a fixed element are GF(2)-linear, one 256-entry lookup per
+input byte (_vec_linear on arrays), so ext_pow squares by table. beta is
+the first c^((4^d - 1)/N) of order N, c running from x on, digits
+compared from the top, so no group generator is searched for. The module
+tabulates beta^r for 0 <= r < N by the base-4 digits of r, not by
+doubling: a round is one gather of y -> beta^j y^4, j < 4. Every sum it
+then measures is an XOR of beta^(k t mod N) over an
 index set T, and one kernel, _power_sums, gathers a table of them in
 blocks of about limits._BLOCK_ELEMENTS, so temporary memory stays below
 a megabyte instead of growing as N^2. A unit u with u T = T mod N makes
@@ -72,10 +73,10 @@ from .sequence import build_sequence, spectrum_profile
 
 def ext_pow(x, e, d, x_to_d):
     """x^e in GF(4)[X]/(X^d + x_to_d), e >= 0: the bits of e from the top,
-    squaring by table (_linear_maps) and one field_mul per further set bit."""
+    squaring by table (_frobenius) and one field_mul per further set bit."""
     if e < 0:
         raise InvalidParams("negative exponent")
-    square = _square_rows(d, x_to_d)
+    square = _frobenius(d, x_to_d)[0]
     out = x if e else 1
     for bit in bin(e)[3:]:
         y, out = out, 0
@@ -130,37 +131,18 @@ def _x_multiples(y, count, d, x_to_d):
 
 
 @functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
-def _basis_images(d, x_to_d):
-    """Images of the 2d single bits under y -> y^(2^i) modulo
-    X^d + x_to_d for i = 0, 1, 2, a row per map, one read-only array:
-    row 2, the Frobenius y -> y^4, starts every _power_table. Squaring
-    is GF(2)-linear, taking X^i to X^(2i) and alpha X^i to
-    (alpha + 1) X^(2i); each row's images are the previous row's,
-    squared."""
+def _frobenius(d, x_to_d):
+    """The Frobenius maps modulo X^d + x_to_d that the module reads: the
+    byte tables of y -> y^2 as tuples, for ext_pow, and the images of the
+    2d single bits under y -> y^4, one read-only array that starts every
+    _power_table. Squaring is GF(2)-linear, taking X^i to X^(2i) and
+    alpha X^i to (alpha + 1) X^(2i); y^4 squares each bit's square."""
     powers = _x_multiples(1, 2 * d - 1, d, x_to_d)[::2]
-    square = _byte_tables(np.concatenate([powers, _scale(powers, 3, d)]))
-    rows = [1 << np.arange(2 * d, dtype=np.uint32)]
-    for _ in range(2):
-        rows.append(_vec_linear(rows[-1], square))
-    images = np.stack(rows)
-    images.flags.writeable = False
-    return images
-
-
-@functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
-def _linear_maps(d, x_to_d):
-    """Byte tables of _basis_images' maps, y -> y^(2^i) for i = 0, 1, 2,
-    stacked on the last axis, one read-only array for _vec_linear: column
-    1 squares (ext_pow) and column 2 is the Frobenius y -> y^4."""
-    maps = _byte_tables(_basis_images(d, x_to_d).T)
-    maps.flags.writeable = False
-    return maps
-
-
-@functools.lru_cache(maxsize=limits.DEFAULT_DEGREE_CAP)
-def _square_rows(d, x_to_d):
-    # _linear_maps' squaring column as tuples, read one element at a time
-    return tuple(map(tuple, _linear_maps(d, x_to_d)[..., 1].tolist()))
+    squares = np.concatenate([powers, _scale(powers, 3, d)])
+    square = _byte_tables(squares)
+    fourth = _vec_linear(squares, square)
+    fourth.flags.writeable = False
+    return tuple(map(tuple, square.tolist())), fourth
 
 
 # --- modulus selection -----------------------------------------------------
@@ -245,7 +227,7 @@ def _power_table(x, size, d, x_to_d):
     of y -> x^j y^4, j = 0..3, columns interleaved."""
     lo = _x_multiples(x, d, d, x_to_d)
     by_x = _byte_tables(np.concatenate([lo, _scale(lo, 2, d)]))
-    cols = [_basis_images(d, x_to_d)[2]]
+    cols = [_frobenius(d, x_to_d)[1]]
     for _ in range(3):
         cols.append(_vec_linear(cols[-1], by_x))
     maps = _byte_tables(np.stack(cols, axis=1))

@@ -31,7 +31,8 @@ comes off the bucket basis (analysis.bucket_lc).
 An element of F_{4^d} = GF(4)[X]/(f), f monic of degree d, packs its
 remainder's planes into one int: lo in bits 0..d-1, hi in bits d..2d-1.
 That fits uint32 for d <= 12; pack, unpack and planes_scale also work on
-numpy arrays, and field_mul multiplies. No other module knows the layout.
+numpy arrays, and field_mul multiplies. Only extfield also knows the
+layout, in _x_multiples and in the bit order of its byte tables.
 """
 
 import numpy as np

@@ -13,7 +13,7 @@ DEFAULT_PARAM_CAP = 10**7
 # mod the period is exact in int64, which the power table relies on
 PERIOD_CEILING = 2**31 - 1
 # verify's field route: N = p^m q^n, and the degree d of F_{4^d}, which
-# also sizes extfield's four per-degree memos (0.26 MB at all 12 degrees)
+# also sizes extfield's two per-degree memos (0.18 MB at all 12 degrees)
 VERIFY_N_CAP = 5000
 DEFAULT_DEGREE_CAP = 12
 # a bad grid entry longer than this is echoed cut, with its length

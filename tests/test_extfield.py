@@ -348,16 +348,6 @@ def test_case_table_values(sys15, ctx15, sys21, ctx21):
     assert d["checked"] == 21 and d["all_values_nonzero"] is True
 
 
-def test_case_table_cross_checks_complexity(sys21, ctx21):
-    # nonzero spectrum everywhere is equivalent to LC = 2N, measured both ways
-    for mapping in (DEFAULT_MAPPING, Mapping(0, 3, 1, 2, 1),
-                    Mapping(3, 2, 0, 1, 1)):
-        rep = verify_case_table(sys21, ctx21, mapping)
-        seq = build_sequence(sys21, mapping)
-        lc = lc_via_gcd(seq.symbols)[0]
-        assert rep.max_complexity_predicted == (lc == seq.period)
-
-
 @pytest.mark.parametrize("params", [(3, 5), (3, 7), (17, 3)], ids=str)
 def test_case_table_verdicts_agree_with_lc(params):
     # on every mapping verify_case_table accepts, the measured spectrum has
@@ -1141,26 +1131,29 @@ def _x_to_d(d):
 
 
 def test_square_and_frobenius_tables_match_field_arithmetic():
-    # column i of the stack is y -> y^(2^i), i = 0, 1, 2: i squarings
+    # the squaring's byte tables against field_mul squares, and the images
+    # of the single bits under y -> y^4 against the bits to the fourth
     rng = random.Random(914)
     for d in range(1, 13):
         x_to_d = _x_to_d(d)
-        maps = extfield._linear_maps(d, x_to_d)
-        assert maps.shape[-1] == 3
+        square, fourth = extfield._frobenius(d, x_to_d)
         xs = [rng.randrange(4**d) for _ in range(300)]
-        got = extfield._vec_linear(np.array(xs, dtype=np.uint32), maps)
-        for i in range(3):
-            assert got[:, i].tolist() == xs, (d, i)
-            xs = [gf4.field_mul(x, x, d, x_to_d) for x in xs]
-        assert not maps.flags.writeable
+        got = extfield._vec_linear(np.array(xs, dtype=np.uint32),
+                                   np.array(square, dtype=np.uint32))
+        assert got.tolist() == [gf4.field_mul(x, x, d, x_to_d) for x in xs]
+        squares = [gf4.field_mul(1 << i, 1 << i, d, x_to_d)
+                   for i in range(2 * d)]
+        assert fourth.tolist() == [gf4.field_mul(y, y, d, x_to_d)
+                                   for y in squares], d
+        assert isinstance(square, tuple) and not fourth.flags.writeable
         with pytest.raises(ValueError):
-            maps[0, 1, 2] = 0
+            fourth[0] = 0
     for N in (15, 21, 45, 771, 221):
         ctx = build_extension(N)
         xs = [rng.randrange(4**ctx.d) for _ in range(300)]
-        got = extfield._vec_linear(
-            np.array(xs, dtype=np.uint32),
-            extfield._linear_maps(ctx.d, ctx.x_to_d)[..., 2])
+        fourth = extfield._frobenius(ctx.d, ctx.x_to_d)[1]
+        got = extfield._vec_linear(np.array(xs, dtype=np.uint32),
+                                   extfield._byte_tables(fourth))
         assert got.tolist() == [ctx.pow(x, 4) for x in xs]
 
 
@@ -1587,20 +1580,37 @@ def test_least_irreducible_is_searched_once_and_read_only():
     for small, large in ((21, 63), (3133, 4097)):
         a, b = build_extension(small), build_extension(large)
         assert a.d == b.d and a.modulus is b.modulus
-        assert extfield._linear_maps(a.d, a.x_to_d) is \
-            extfield._linear_maps(b.d, b.x_to_d)
+        assert extfield._frobenius(a.d, a.x_to_d) is \
+            extfield._frobenius(b.d, b.x_to_d)
 
 
 def test_import_builds_no_field():
     code = ("from cycloseq import extfield; "
             "print(extfield.least_irreducible.cache_info().currsize, "
-            "extfield._linear_maps.cache_info().currsize)")
+            "extfield._frobenius.cache_info().currsize)")
     src = pathlib.Path(extfield.__file__).parent.parent
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.split() == ["0", "0"]
 
+
+def test_a_cold_verify_grid_reads_every_extfield_memo_again(capsys,
+                                                            cold_builds):
+    # from every memo emptied, the 19 verify-grid calls read each memo
+    # extfield defines at least once after filling it: none holds an
+    # entry that only its own caller, memoised on the same key, asks for
+    memos = [memo for memo in vars(extfield).values()
+             if hasattr(memo, "cache_info")
+             and memo.__module__ == extfield.__name__]
+    for memo in memos:
+        memo.cache_clear()
+    for p, q, m, n in VERIFY_GRID:
+        assert cli.main(["verify", "--p", str(p), "--q", str(q),
+                         "--m", str(m), "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert [memo.__name__ for memo in memos
+            if not memo.cache_info().hits] == [], memos
 
 def test_repeat_verify_makes_few_field_products(monkeypatch, capsys,
                                                cold_builds):
