@@ -25,9 +25,13 @@ HELD_POSITIONS = 2**23
 # fields build_extension holds: the caps pass 52 values of N, so all of
 # them fit, 0.15 MB of beta_powers in all
 HELD_FIELDS = 64
-# gathered elements per block of extfield._power_sums: 256 KB of int32
-# indices plus 256 KB of gathered uint32, small enough to stay in cache
-_BLOCK_ELEMENTS = 1 << 16
+# gathered elements per block of extfield._power_sums, whose int32 index,
+# quotient and product arrays and gathered uint32 array take 64 KB each.
+# Over the orbit leaders of the 19 verify-grid systems the kernel peaks at
+# 274 KiB by tracemalloc (626 KiB at 2^16), and a cold in-process pass of
+# their 19 verify calls makes 115 minor page faults, as at 2^13, where
+# 2^15 makes 442 and 2^16 338: 2^14 is the knee
+_BLOCK_ELEMENTS = 1 << 14
 # entries of each table memo, measured full by tracemalloc: cells._cell_sums
 # holds 1.2 to 1.6 MB (1.6 KB a table over the 6 658 systems of the 1 960
 # ordered pairs with pq <= 5 000 at (1, 1), (2, 1), (1, 2) and (2, 2));

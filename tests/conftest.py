@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from cycloseq import cyclotomy, extfield, gf4, limits
+from cycloseq import cells, cyclotomy, extfield, gf4, limits, numtheory
 from cycloseq.sequence import Mapping
 
 ACCEPTANCE_VERDICTS = []
@@ -79,18 +79,30 @@ def fresh_held():
     cyclotomy.HELD = cyclotomy._HeldSystems(limits.HELD_POSITIONS)
 
 
+def memos():
+    """Every functools memo that cells, cyclotomy, extfield and numtheory
+    define, found as CI's memo printout finds them: a module attribute
+    with cache_clear, made in that module."""
+    return [memo for module in (cells, cyclotomy, extfield, numtheory)
+            for memo in vars(module).values()
+            if callable(getattr(memo, "cache_clear", None))
+            and memo.__module__ == module.__name__]
+
+
 def clear_held():
     """Empty every memo of the process: the painted systems, with the
-    checks each keeps, and the fields."""
+    checks each keeps, the fields and every table memo of memos()."""
     fresh_held()
-    extfield.build_extension.cache_clear()
+    for memo in memos():
+        memo.cache_clear()
 
 
 @pytest.fixture
 def cold_builds():
-    """build_system, build_extension and verify hold nothing, so the
-    test's first build of each system paints it, its first field is built
-    and its first verify checks, through any patch the test has made."""
+    """build_system, build_extension, verify and every table memo hold
+    nothing, so the test's first build of each system paints it, its first
+    field and table are built and its first verify checks, through any
+    patch the test has made, whatever ran before it."""
     clear_held()
 
 

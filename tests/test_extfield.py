@@ -12,12 +12,14 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from conftest import ALL_MAPPINGS, DOUBLED_SHAPES, class_table, mul, poly
+from conftest import (ALL_MAPPINGS, DOUBLED_SHAPES, class_table, clear_held,
+                      memos, mul, poly)
 from cycloseq import cli, cyclotomy, gf4
 from cycloseq.analysis import lc_via_gcd
 from cycloseq import extfield, limits
@@ -1611,6 +1613,49 @@ def test_a_cold_verify_grid_reads_every_extfield_memo_again(capsys,
     capsys.readouterr()
     assert [memo.__name__ for memo in memos
             if not memo.cache_info().hits] == [], memos
+
+
+def test_clear_held_empties_every_memo(capsys):
+    # one verify fills every memo of cells, cyclotomy, extfield and
+    # numtheory; clear_held, which cold_builds runs, empties them all, so a
+    # cold_builds test starts cold whatever ran before it
+    names = [f"{memo.__module__}.{memo.__name__}" for memo in memos()]
+    assert {"cycloseq.cells.cell_index", "cycloseq.cells._cell_sums",
+            "cycloseq.cyclotomy.partition_labels",
+            "cycloseq.cyclotomy.bucket_codes", "cycloseq.extfield._frobenius",
+            "cycloseq.extfield.least_irreducible",
+            "cycloseq.extfield._power_table",
+            "cycloseq.extfield.build_extension",
+            "cycloseq.numtheory.smallest_odd_primitive_root_mod_p2"} <= set(
+        names)
+    clear_held()
+    assert cli.main(["verify", "--p", "3", "--q", "7"]) == 0
+    capsys.readouterr()
+    assert all(memo.cache_info().currsize for memo in memos()), names
+    clear_held()
+    assert [memo.__name__ for memo in memos()
+            if memo.cache_info().currsize] == []
+
+
+def test_power_sums_peaks_under_320_000_bytes_on_the_grid():
+    # limits._BLOCK_ELEMENTS = 2^14 keeps a block's four int32 and uint32
+    # arrays at 64 KB each: over the orbit leaders of every verify-grid
+    # system the kernel peaks at about 280 000 bytes by tracemalloc, where
+    # 2^16 elements a block peaked at about 641 000 at (3, 73, 3, 1)
+    peaks = {}
+    for params in VERIFY_GRID:
+        system = build_system(*params)
+        N = system.constants.half_period
+        ctx = build_extension(N)
+        sets = [h_set(system, cid) % N for cid in system.labels[2::2]]
+        leaders = system.char_sums.leaders
+        tracemalloc.start()
+        try:
+            extfield._power_sums(ctx.beta_powers, sets, leaders)
+            peaks[params] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 320_000, peaks
 
 def test_repeat_verify_makes_few_field_products(monkeypatch, capsys,
                                                cold_builds):

@@ -23,7 +23,7 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
 VALUES = {"DEFAULT_PARAM_CAP": 10**7, "PERIOD_CEILING": 2**31 - 1,
           "VERIFY_N_CAP": 5000, "DEFAULT_DEGREE_CAP": 12, "ECHO_CHARS": 40,
           "HELD_POSITIONS": 2**23, "HELD_FIELDS": 64,
-          "_BLOCK_ELEMENTS": 1 << 16, "HELD_TABLES": 2**10}
+          "_BLOCK_ELEMENTS": 1 << 14, "HELD_TABLES": 2**10}
 
 
 def _tree(path):
